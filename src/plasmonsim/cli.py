@@ -2,24 +2,24 @@
 
 Exit codes: 0 success, 1 configuration error, 2 numerical error.  All
 errors go to stderr with a machine-parseable "ERROR[code]:" prefix.  Output
-is deterministic: byte-identical across runs and worker counts.
+is deterministic: byte-identical across runs.
 """
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import dynamics as dyn
-from . import network as net
 from .config import BUILTIN_CONFIGS, parse_config
 from .errors import ConfigError, PlasmonSimError
 from .experiments import (
     anticrossing_branches,
     calibrate_fig3_couplings,
+    cavity_detuned,
     enhancement_map,
-    fig_strong_coupling_scenario,
     optimal_Q,
     run_fig1c,
     run_fig2,
@@ -55,11 +55,11 @@ def _spectral_grid(parsed, points_override, default_half_span=8e-3, default_poin
     sweep = parsed.sweep
     start = sweep.get("start_ev")
     stop = sweep.get("stop_ev")
-    points = points_override or sweep.get("points") or default_points
+    points = points_override or sweep.get("points", default_points)
     if start is None or stop is None:
         delta0 = parsed.scenario.params.get("delta_0_ev", 0.0)
         start, stop = delta0 - default_half_span, delta0 + default_half_span
-    return np.linspace(start, stop, int(points))
+    return np.linspace(start, stop, points)
 
 
 def cmd_fig1c(args):
@@ -154,24 +154,16 @@ def cmd_fig4(args):
     branchset = anticrossing_branches(result.couplings, sweep_values=sweep)
     _write(_branch_table("fig4_branches", branchset, meta), args.out, args.format)
 
+    # result.scenario is the Q = 1e4 system; one (sweep, detuning) batch over it
     detunings = np.linspace(-8e-3, 8e-3, args.grid or 801)
-    rows_dec, rows_det, rows_pow = [], [], []
-    for dec in sweep:
-        scenario = fig_strong_coupling_scenario(1e4, result.couplings)
-        params = dict(scenario.params)
-        params["delta_ce_ev"] = -dec
-        params["omega_c_ev"] = params["omega_e_ev"] - dec
-        params["gamma_c_ev"] = params["omega_c_ev"] / params["q_factor"]
-        shifted = type(scenario)(scenario.name, params, scenario.provenance, scenario.notes)
-        h = shifted.hamiltonian()
-        spec = dyn.emission_spectrum(h, detunings, shifted.channels(h), "emitter")
-        rows_dec.append(np.full_like(detunings, dec))
-        rows_det.append(detunings)
-        rows_pow.append(spec.radiative_total)
+    shifted = cavity_detuned(result.scenario, sweep[:, None])
+    h = shifted.hamiltonian()
+    spec = dyn.emission_spectrum(h, detunings, shifted.channels(h), "emitter")
     table = ResultTable.from_arrays(
         "fig4_spectra",
         ("delta_ec_ev", "detuning_ev", "phi_rad_total"),
-        (np.concatenate(rows_dec), np.concatenate(rows_det), np.concatenate(rows_pow)),
+        (np.repeat(sweep, detunings.size), np.tile(detunings, sweep.size),
+         spec.radiative_total.ravel()),
         meta,
     )
     _write(table, args.out, args.format)
@@ -215,7 +207,7 @@ def cmd_yield(args):
     parsed = _load(args)
     scenario = parsed.scenario
     h = scenario.hamiltonian()
-    h_bare = scenario.bare_hamiltonian()
+    h_bare = scenario.hamiltonian(bare=True)
     channels = scenario.channels(h)
     grid = _spectral_grid(parsed, args.grid)
     drive = scenario.params.get("drive_mode", "emitter")
@@ -236,7 +228,7 @@ def cmd_evolve(args):
     parsed = _load(args)
     scenario = parsed.scenario
     h = scenario.hamiltonian()
-    points = args.grid or int(parsed.sweep.get("t_points", 4096))
+    points = args.grid or parsed.sweep.get("t_points", 4096)
     span_fs = parsed.sweep.get("t_span_fs")
     if span_fs is None:
         times_fs = dyn.default_time_grid(h, points)
@@ -260,17 +252,9 @@ def cmd_eigen(args):
     parsed = _load(args) if args.config else None
     sweep = _parse_sweep(args.sweep) if args.sweep else 2e-3 * np.arange(-5, 6)
     if parsed is not None and parsed.scenario.params.get("model") == "three_mode":
-        scenario = parsed.scenario
-        meta = scenario_metadata(scenario)
-        mats = []
-        for dec in sweep:
-            params = dict(scenario.params)
-            params["delta_ce_ev"] = -dec
-            params["omega_c_ev"] = params["omega_e_ev"] - dec
-            params["gamma_c_ev"] = params["omega_c_ev"] / params["q_factor"]
-            shifted = type(scenario)(scenario.name, params, scenario.provenance)
-            mats.append(shifted.hamiltonian().matrix)
-        branchset = dyn.eigen_branches(mats, sweep)
+        meta = scenario_metadata(parsed.scenario)
+        stack = cavity_detuned(parsed.scenario, sweep).hamiltonian().matrix
+        branchset = dyn.eigen_branches(stack, sweep)
     else:
         couplings, _ = calibrate_fig3_couplings()
         branchset = anticrossing_branches(couplings, sweep_values=sweep)
@@ -287,10 +271,8 @@ def cmd_eigen(args):
 def cmd_map(args):
     if args.config:
         sweep = parse_config(args.config).sweep
-        d = np.geomspace(sweep.get("d_min_nm", 2.0), sweep.get("d_max_nm", 30.0),
-                         int(sweep.get("d_points", 61)))
-        q = np.geomspace(sweep.get("q_min", 1e2), sweep.get("q_max", 1e7),
-                         int(sweep.get("q_points", 61)))
+        d = np.geomspace(sweep["d_min_nm"], sweep["d_max_nm"], sweep["d_points"])
+        q = np.geomspace(sweep["q_min"], sweep["q_max"], sweep["q_points"])
     else:
         n = args.grid or 61
         d = np.geomspace(2.0, 30.0, n)
@@ -310,6 +292,9 @@ def cmd_map(args):
 
 
 def cmd_optq(args):
+    for d in args.d_nm:
+        if not (math.isfinite(d) and d > 0):
+            raise ConfigError(f"--d-nm must be a finite distance > 0 nm, got {d}")
     rows = []
     for d in args.d_nm:
         res = optimal_Q(d, objective=args.objective)
@@ -401,6 +386,8 @@ def main(argv=None):
     if getattr(args, "d_nm", None) is None and args.command == "optq":
         args.d_nm = [5.0, 10.0, 15.0]
     try:
+        if args.grid is not None and args.grid < 1:
+            raise ConfigError(f"--grid must be an integer >= 1, got {args.grid}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"ERROR[config]: {exc}", file=sys.stderr)

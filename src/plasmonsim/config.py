@@ -3,7 +3,8 @@
 Sections are fixed ([metal], [environment], [particle], [emitter], [cavity],
 [couplings], [sweep], [run]); keys carry their unit in the name.  Unknown
 keys are hard errors with a closest-match suggestion, missing required keys
-are reported all at once, and every value must be finite.  parse_config
+are reported all at once, every value must be finite, point counts are
+integers >= 1, and the cavity and map-axis quantities are > 0.  parse_config
 resolves the file into a Scenario with defaults applied and per-parameter
 provenance recorded.
 """
@@ -24,7 +25,9 @@ from .experiments import (
 )
 
 _FLOAT = "float"
+_POSITIVE = "positive"  # float > 0
 _INT = "int"
+_COUNT = "count"  # int >= 1
 _CHOICE = "choice"
 
 #: section -> key -> (type, default_or_None, choices)
@@ -53,8 +56,8 @@ SCHEMA = {
         "delta_1e_ev": (_FLOAT, 0.0, None),
     },
     "cavity": {
-        "vc_um3": (_FLOAT, None, None),
-        "q_factor": (_FLOAT, None, None),
+        "vc_um3": (_POSITIVE, None, None),
+        "q_factor": (_POSITIVE, None, None),
         "delta_ce_ev": (_FLOAT, 0.0, None),
     },
     "couplings": {
@@ -74,15 +77,15 @@ SCHEMA = {
         "start_ev": (_FLOAT, None, None),
         "stop_ev": (_FLOAT, None, None),
         "step_ev": (_FLOAT, None, None),
-        "points": (_INT, None, None),
-        "d_min_nm": (_FLOAT, 2.0, None),
-        "d_max_nm": (_FLOAT, 30.0, None),
-        "d_points": (_INT, 61, None),
-        "q_min": (_FLOAT, 1e2, None),
-        "q_max": (_FLOAT, 1e7, None),
-        "q_points": (_INT, 61, None),
+        "points": (_COUNT, None, None),
+        "d_min_nm": (_POSITIVE, 2.0, None),
+        "d_max_nm": (_POSITIVE, 30.0, None),
+        "d_points": (_COUNT, 61, None),
+        "q_min": (_POSITIVE, 1e2, None),
+        "q_max": (_POSITIVE, 1e7, None),
+        "q_points": (_COUNT, 61, None),
         "t_span_fs": (_FLOAT, None, None),
-        "t_points": (_INT, 4096, None),
+        "t_points": (_COUNT, 4096, None),
     },
     "run": {
         "drive": (_CHOICE, "emitter", ("emitter", "plasmon")),
@@ -218,7 +221,7 @@ def _validate(sections, origin):
                     f"unknown key {key!r} in [{section}]{_suggest(key, list(schema))}")
                 continue
             kind, _, choices = schema[key]
-            if kind == _FLOAT:
+            if kind in (_FLOAT, _POSITIVE):
                 try:
                     value = float(raw)
                 except ValueError:
@@ -227,11 +230,20 @@ def _validate(sections, origin):
                 if not math.isfinite(value):
                     problems.append(f"[{section}] {key} = {raw!r} is not finite")
                     continue
-            elif kind == _INT:
+                if kind == _POSITIVE and value <= 0:
+                    problems.append(f"[{section}] {key} = {raw!r} must be > 0")
+                    continue
+            elif kind in (_INT, _COUNT):
                 try:
-                    value = int(float(raw))
+                    number = float(raw)
                 except ValueError:
+                    number = math.nan
+                if not number.is_integer():
                     problems.append(f"[{section}] {key} = {raw!r} is not an integer")
+                    continue
+                value = int(number)
+                if kind == _COUNT and value < 1:
+                    problems.append(f"[{section}] {key} = {raw!r} must be >= 1")
                     continue
             elif kind == _CHOICE:
                 value = raw.strip()
@@ -257,6 +269,12 @@ def _validate(sections, origin):
         for key in ("a1_nm", "a2_nm", "a3_nm"):
             if key not in got:
                 problems.append(f"missing required key {key!r} in [particle] (shape = ellipsoid)")
+    sweep = values.get("sweep", {})
+    for low, high in (("d_min_nm", "d_max_nm"), ("q_min", "q_max")):
+        lo = sweep.get(low, SCHEMA["sweep"][low][1])
+        hi = sweep.get(high, SCHEMA["sweep"][high][1])
+        if lo >= hi:
+            problems.append(f"[sweep] {low} = {lo:g} must be < {high} = {hi:g}")
     mode = values.get("couplings", {}).get("mode", "first_principles")
     if mode == "paper_exact":
         for key in PAPER_EXACT_KEYS:

@@ -57,22 +57,26 @@ def _drive_vector(hamiltonian, drive):
 
 
 def _solve_amplitudes(hamiltonian, detunings, f):
-    """Batched solve of (Delta_p I - H) v = f over a detuning array."""
+    """Batched solve of (Delta_p I - H) v = f.
+
+    The detuning array broadcasts against the leading shape of a Hamiltonian
+    stack; the amplitudes have shape (broadcast shape, n).
+    """
     h = hamiltonian.matrix
-    n = h.shape[0]
+    n = h.shape[-1]
     d = np.atleast_1d(np.asarray(detunings, dtype=float))
-    mats = d[:, None, None] * np.eye(n) - h[None, :, :]
+    mats = d[..., None, None] * np.eye(n) - h
     # guard the all-lossless edge case where the matrix can become singular
     rcond = np.abs(np.linalg.det(mats)) / np.maximum(
-        np.linalg.norm(mats, axis=(1, 2)) ** n, np.finfo(float).tiny
+        np.linalg.norm(mats, axis=(-2, -1)) ** n, np.finfo(float).tiny
     )
     if np.any(rcond < RCOND_LIMIT):
         raise ConditioningError(
             "steady-state matrix is singular or near-singular; "
             "every mode needs a positive width or a detuned pump"
         )
-    rhs = np.broadcast_to(f[:, None], (len(d), n, 1))
-    return np.linalg.solve(mats, rhs)[:, :, 0]
+    rhs = np.broadcast_to(f[:, None], mats.shape[:-1] + (1,))
+    return np.linalg.solve(mats, rhs)[..., 0]
 
 
 def channel_power(channel, labels, amplitudes):
@@ -116,7 +120,8 @@ def steady_state(hamiltonian, drive, channels):
 def steady_state_sweep(hamiltonian, detunings, drive_mode, channels, amplitude=1.0):
     """Vectorized steady state over a pump-detuning grid.
 
-    Returns (amplitudes (n_points, n_modes), powers {channel id -> array}).
+    Returns (amplitudes (n_points, n_modes), powers {channel id -> array}).  For a
+    Hamiltonian stack the detunings broadcast against its leading shape.
     """
     d = np.asarray(detunings, dtype=float)
     if d.size == 0:
@@ -126,12 +131,6 @@ def steady_state_sweep(hamiltonian, detunings, drive_mode, channels, amplitude=1
     labels = hamiltonian.labels
     powers = {c.id: channel_power(c, labels, v) for c in channels}
     return v, powers
-
-
-def mode_dissipation(hamiltonian, amplitudes):
-    """Diagonal dissipation sum_i gamma_i |v_i|^2 (equals 2 Im(v^dag f) in steady state)."""
-    widths = np.asarray(hamiltonian.total_widths)
-    return np.sum(widths * np.abs(np.asarray(amplitudes)) ** 2, axis=-1)
 
 
 def quantum_yield(state):
@@ -295,7 +294,7 @@ def _match_branches(prev_vecs, prev_vals, vecs, vals):
 def eigen_branches(matrices, sweep_values):
     """Track eigenvalue branches of a Hamiltonian family across a sweep.
 
-    matrices: sequence of (n, n) complex arrays, one per sweep value.  The
+    matrices: (n_sweep, n, n) stack or sequence of (n, n) arrays.  The
     first point orders branches by ascending real part; subsequent points
     are matched by maximal eigenvector overlap, with eigenvalue proximity
     as tie-break.

@@ -2,15 +2,13 @@
 
 Every scenario resolves to a flat parameter dictionary with per-parameter
 provenance (first_principles | paper_exact | calibrated), which is embedded
-verbatim in result metadata.  Sweep cells are pure functions of their
-inputs, so maps are reproducible cell-by-cell and independent of the worker
-count.
+verbatim in result metadata.  Sweeps build one Hamiltonian stack and solve
+it in one batched call; a standalone map cell is a 1x1 batch of the same
+code, so it reproduces its map entry bit for bit.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import root
@@ -37,29 +35,6 @@ ANTICROSSING_Q = 1e3
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def worker_count():
-    """Worker cap from PLASMON_SIM_THREADS (>=1); defaults to the CPU count."""
-    raw = os.environ.get("PLASMON_SIM_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise DomainError(f"PLASMON_SIM_THREADS must be an integer >= 1, got {raw!r}")
-        if n < 1:
-            raise DomainError(f"PLASMON_SIM_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
-def _pool_map(fn, items):
-    """Order-preserving parallel map; results are identical for any worker count."""
-    n = worker_count()
-    if n == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A fully resolved parameter set plus the provenance of every number."""
@@ -72,21 +47,17 @@ class Scenario:
     def __getitem__(self, key):
         return self.params[key]
 
-    def hamiltonian(self):
-        p = self.params
-        plasmon = net.plasmon_descriptor(p["delta_1e_ev"], p["gamma_1r_ev"], p["gamma_o_ev"])
-        cavity = net.cavity_descriptor(p["delta_ce_ev"], p["gamma_c_ev"])
-        emitter = net.emitter_descriptor(p["gamma_s_ev"], p["gamma_m_ev"])
-        couplings = cpl.CouplingSet(p["g1_ev"], p["G_ev"], p["J_ev"])
-        return net.build_three_mode(couplings, plasmon, cavity, emitter)
+    def hamiltonian(self, bare=False):
+        """Three-mode Hamiltonian; a stack when any parameter is an array.
 
-    def bare_hamiltonian(self):
-        """Same system with the cavity decoupled (g1 = J = 0)."""
+        bare decouples the cavity (g1 = J = 0).
+        """
         p = self.params
         plasmon = net.plasmon_descriptor(p["delta_1e_ev"], p["gamma_1r_ev"], p["gamma_o_ev"])
         cavity = net.cavity_descriptor(p["delta_ce_ev"], p["gamma_c_ev"])
         emitter = net.emitter_descriptor(p["gamma_s_ev"], p["gamma_m_ev"])
-        return net.build_three_mode(cpl.CouplingSet(0.0, p["G_ev"], 0.0), plasmon, cavity, emitter)
+        g1, J = (0.0, 0.0) if bare else (p["g1_ev"], p["J_ev"])
+        return net.build_three_mode(cpl.CouplingSet(g1, p["G_ev"], J), plasmon, cavity, emitter)
 
     def channels(self, hamiltonian=None):
         return net.standard_channels("with_emitter", hamiltonian or self.hamiltonian())
@@ -139,13 +110,16 @@ def quench_rate_calibrated(distance_nm, particle, env, omega, mu_e=1.0,
 
     The first-principles sum fixes the distance dependence; the single
     calibration constant absorbs the unknown orientation convention of the
-    quoted 83 ueV value.
+    quoted 83 ueV value.  A 1-D distance array gives an array, with one sum
+    per distance and one for the anchor.
     """
     def raw(d):
         emitter = cpl.Emitter(mu=mu_e, omega_e=omega, distance=d, orientation=orientation)
         return cpl.multipole_quench_rate(emitter, particle, env, omega)
 
-    return anchor_ev * raw(distance_nm) / raw(anchor_nm)
+    if np.ndim(distance_nm) == 0:
+        return anchor_ev * raw(distance_nm) / raw(anchor_nm)
+    return anchor_ev * np.array([raw(d) for d in distance_nm]) / raw(anchor_nm)
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +145,6 @@ def fig_dissipation_scenario():
     return Scenario("fig1c", params, prov)
 
 
-def dissipation_hamiltonians(scenario):
-    """Two-mode Hamiltonians (with cavity, without cavity) for the MNP-pump scenario."""
-    p = scenario.params
-    plasmon = net.plasmon_descriptor(p["delta_1c_ev"], p["gamma_1r_ev"], p["gamma_o_ev"])
-    cavity = net.cavity_descriptor(0.0, p["gamma_c_ev"])
-    with_cavity = net.build_two_mode(p["g1_ev"], plasmon, cavity)
-    without = net.build_two_mode(0.0, plasmon, cavity)
-    return with_cavity, without
-
-
 @dataclass(frozen=True, eq=False)
 class DissipationSpectra:
     scenario: Scenario
@@ -194,7 +158,11 @@ class DissipationSpectra:
 def run_fig1c(points=2001, half_span_ev=2e-3):
     """Output powers of the pumped MNP vs pump-cavity detuning, with/without cavity."""
     scenario = fig_dissipation_scenario()
-    h_cav, h_bare = dissipation_hamiltonians(scenario)
+    p = scenario.params
+    plasmon = net.plasmon_descriptor(p["delta_1c_ev"], p["gamma_1r_ev"], p["gamma_o_ev"])
+    cavity = net.cavity_descriptor(0.0, p["gamma_c_ev"])
+    h_cav = net.build_two_mode(p["g1_ev"], plasmon, cavity)
+    h_bare = net.build_two_mode(0.0, plasmon, cavity)
     channels = net.standard_channels("mnp_only", h_cav)
     detunings = np.linspace(-half_span_ev, half_span_ev, points)
     _, p_cav = dyn.steady_state_sweep(h_cav, detunings, "plasmon", channels)
@@ -281,7 +249,7 @@ def run_fig2(paper_exact=True, points=401, half_span_ev=1e-3):
     scenario = fig_yield_scenario(paper_exact)
     delta_0 = scenario["delta_0_ev"]
     h = scenario.hamiltonian()
-    h_bare = scenario.bare_hamiltonian()
+    h_bare = scenario.hamiltonian(bare=True)
     channels = scenario.channels(h)
     detunings = delta_0 + np.linspace(-half_span_ev, half_span_ev, points)
 
@@ -324,39 +292,58 @@ class MapCell:
     delta_0_ev: float
 
 
+def _enhancements(d_nm, q_factor, gamma_m_scale=1.0):
+    """Yield and power enhancement over the bare system on a (D, Q) grid.
+
+    Evaluated at Delta_p,c = Delta_0(D); returns (yield (len(d), len(q)),
+    power (len(d), len(q)), Delta_0 (len(d),)).  The distance-dependent
+    ingredients are scalar calls once per distance; the engineered and the
+    bare system are each one batched steady-state solve.
+    """
+    d = np.asarray(d_nm, dtype=float)
+    q = np.asarray(q_factor, dtype=float)
+    systems = [reference_sphere_system(distance_nm=dd) for dd in d]
+    _, env, particle, v = systems[0]  # only G depends on the distance
+    g1, J = -v["g1_magnitude_ev"], -v["J_magnitude_ev"]
+    G = np.array([-system[3]["G_magnitude_ev"] for system in systems])
+    delta_0 = np.array([dyn.fano_detuning(J, g1, GG) for GG in G])
+    gamma_m = gamma_m_scale * quench_rate_calibrated(
+        d, particle, env, v["omega_1_ev"], v["mu_e_nm"])
+    params = {
+        "delta_1e_ev": 0.0, "delta_ce_ev": 0.0,
+        "gamma_1r_ev": v["gamma_1r_ev"], "gamma_o_ev": v["gamma_o_ev"],
+        "gamma_c_ev": v["omega_1_ev"] / q[None, :],
+        "gamma_s_ev": v["gamma_s_ev"], "gamma_m_ev": gamma_m[:, None],
+        "g1_ev": g1, "G_ev": G[:, None], "J_ev": J,
+    }
+    scenario = Scenario("map", params, {})
+    h = scenario.hamiltonian()
+    channels = scenario.channels(h)
+    _, powers = dyn.steady_state_sweep(h, delta_0[:, None], "emitter", channels)
+    _, powers_b = dyn.steady_state_sweep(
+        scenario.hamiltonian(bare=True), delta_0[:, None], "emitter", channels)
+
+    def radiative(pw):
+        return sum(pw[c.id] for c in channels if c.kind == "radiative")
+
+    yield_enh = dyn.yield_from_powers(channels, powers) / dyn.yield_from_powers(channels, powers_b)
+    return yield_enh, radiative(powers) / radiative(powers_b), delta_0
+
+
 def map_cell(d_nm, q_factor, gamma_m_scale=1.0):
     """One (D, Q) cell of the enhancement map, evaluated at Delta_p,c = Delta_0(D, Q).
 
     Couplings follow the first-principles distance laws; the quench rate is
-    the calibrated multipole sum.  Standalone calls reproduce map entries
-    bit-for-bit.
+    the calibrated multipole sum.  A 1x1 batch of the map's code, so
+    standalone calls reproduce map entries bit-for-bit.
     """
-    metal, env, particle, v = reference_sphere_system(q_factor=q_factor, distance_nm=d_nm)
-    gamma_m = gamma_m_scale * quench_rate_calibrated(
-        d_nm, particle, env, v["omega_1_ev"], v["mu_e_nm"])
-    params = {
-        "model": "three_mode",
-        "delta_1e_ev": 0.0, "delta_ce_ev": 0.0,
-        "gamma_1r_ev": v["gamma_1r_ev"], "gamma_o_ev": v["gamma_o_ev"],
-        "gamma_c_ev": v["gamma_c_ev"],
-        "gamma_s_ev": v["gamma_s_ev"], "gamma_m_ev": gamma_m,
-        "g1_ev": -v["g1_magnitude_ev"], "G_ev": -v["G_magnitude_ev"],
-        "J_ev": -v["J_magnitude_ev"],
-    }
-    scenario = Scenario("map_cell", params, {})
-    delta_0 = dyn.fano_detuning(params["J_ev"], params["g1_ev"], params["G_ev"])
-    h = scenario.hamiltonian()
-    h_bare = scenario.bare_hamiltonian()
-    channels = scenario.channels(h)
-    drive = net.DriveSpec("emitter", delta_0)
-    st = dyn.steady_state(h, drive, channels)
-    st_b = dyn.steady_state(h_bare, drive, channels)
+    ye, pe, delta_0 = _enhancements([d_nm], [q_factor], gamma_m_scale)
     return MapCell(
         d_nm=d_nm,
         q_factor=q_factor,
-        yield_enhancement=dyn.quantum_yield(st) / dyn.quantum_yield(st_b),
-        power_enhancement=st.radiative_power / st_b.radiative_power,
-        delta_0_ev=delta_0,
+        yield_enhancement=float(ye[0, 0]),
+        power_enhancement=float(pe[0, 0]),
+        delta_0_ev=float(delta_0[0]),
     )
 
 
@@ -374,11 +361,11 @@ def enhancement_map(d_grid=None, q_grid=None):
     """Yield- and power-enhancement maps over emitter distance and cavity Q."""
     d = np.geomspace(*D_GRID_NM) if d_grid is None else np.asarray(d_grid, dtype=float)
     q = np.geomspace(*Q_GRID) if q_grid is None else np.asarray(q_grid, dtype=float)
+    if d.ndim != 1 or q.ndim != 1 or d.size == 0 or q.size == 0:
+        raise DomainError("map grids must be non-empty 1-D arrays")
     if np.any(np.diff(d) <= 0) or np.any(np.diff(q) <= 0):
         raise DomainError("map grids must be strictly increasing")
-    cells = _pool_map(lambda dq: map_cell(dq[0], dq[1]), [(dd, qq) for dd in d for qq in q])
-    ye = np.array([c.yield_enhancement for c in cells]).reshape(len(d), len(q))
-    pe = np.array([c.power_enhancement for c in cells]).reshape(len(d), len(q))
+    ye, pe, _ = _enhancements(d, q)
     if not (np.all(np.isfinite(ye)) and np.all(np.isfinite(pe))):
         raise DomainError("non-finite enhancement in map")
     return SweepGrid(d, q, ye, pe)
@@ -408,7 +395,8 @@ def optimal_Q(d_nm, objective="yield", q_bounds=(1e2, 1e7), coarse_points=25, re
 
     lo, hi = math.log10(q_bounds[0]), math.log10(q_bounds[1])
     grid = np.linspace(lo, hi, coarse_points)
-    values = [value_at(x) for x in grid]
+    coarse = _enhancements([d_nm], [10.0**x for x in grid])
+    values = coarse[0 if objective == "yield" else 1][0].tolist()
     i_best = int(np.argmax(values))
     if i_best in (0, len(grid) - 1):
         return OptimalQ(10.0**grid[i_best], values[i_best], objective, boundary=True)
@@ -455,15 +443,6 @@ def _anticrossing_ingredients():
     }
 
 
-def _anticrossing_hamiltonian(G_eff, g1_eff, q_factor, delta_ce, ing):
-    omega_c = ing["omega_e_ev"] + delta_ce
-    plasmon = net.plasmon_descriptor(ing["delta_1e_ev"], ing["gamma_1r_ev"], ing["metal"].gamma_o)
-    cavity = net.cavity_descriptor(delta_ce, omega_c / q_factor)
-    emitter = net.emitter_descriptor(ing["gamma_s_ev"], 0.0)
-    return net.build_three_mode(
-        cpl.CouplingSet(g1=-g1_eff, G=-G_eff, J=0.0), plasmon, cavity, emitter)
-
-
 def _pair_metrics(matrix):
     """(Re separation, larger width, smaller width) of the two near-zero branches."""
     lam = np.linalg.eigvals(matrix)
@@ -506,8 +485,9 @@ def calibrate_fig3_couplings(targets=CALIBRATION_TARGETS, q_factor=ANTICROSSING_
     seed = np.array([math.sqrt(frac * total), math.sqrt((1.0 - frac) * total)])
 
     def residuals(x):
-        sep, _, kappa2 = _pair_metrics(
-            _anticrossing_hamiltonian(x[0], x[1], q_factor, 0.0, ing).matrix)
+        couplings = cpl.CouplingSet(g1=-x[1], G=-x[0], J=0.0)
+        scenario = fig_strong_coupling_scenario(q_factor, couplings, 0.0, ing)
+        sep, _, kappa2 = _pair_metrics(scenario.hamiltonian().matrix)
         return [sep / two_g_target - 1.0, kappa2 / kappa2_target - 1.0]
 
     sol = root(residuals, seed, method="hybr", tol=1e-13)
@@ -533,19 +513,21 @@ def calibrate_fig3_couplings(targets=CALIBRATION_TARGETS, q_factor=ANTICROSSING_
     return cpl.CouplingSet(g1=-g1_eff, G=-G_eff, J=0.0), diagnostics
 
 
-def fig_strong_coupling_scenario(q_factor, couplings=None):
+def fig_strong_coupling_scenario(q_factor, couplings=None, delta_ce_ev=1.5e-3,
+                                 ingredients=None):
     """Tilted-ellipsoid scenario at one cavity quality factor.
 
     The emitter sits at the vertex, its dipole perpendicular to the cavity
     polarization (J = 0); the particle's long axis is tilted 60 degrees, so
     the calibrated couplings are the projected values entering the
     Hamiltonian.  The emitter's multipole quenching is taken as zero: at
-    0.23 eV the ellipsoid multipoles are far detuned.
+    0.23 eV the ellipsoid multipoles are far detuned.  The anti-crossing
+    study puts the cavity on resonance (delta_ce_ev = 0).
     """
-    ing = _anticrossing_ingredients()
+    ing = ingredients or _anticrossing_ingredients()
     if couplings is None:
         couplings, _ = calibrate_fig3_couplings()
-    omega_c = ing["omega_e_ev"] + 1.5e-3
+    omega_c = ing["omega_e_ev"] + delta_ce_ev
     params = {
         "model": "three_mode",
         "eps_inf": ing["metal"].eps_inf, "omega_p_ev": ing["metal"].omega_p,
@@ -556,7 +538,7 @@ def fig_strong_coupling_scenario(q_factor, couplings=None):
         "vc_um3": ing["vc_um3"], "q_factor": q_factor,
         "omega_1_ev": ing["omega_1_ev"], "omega_e_ev": ing["omega_e_ev"],
         "omega_c_ev": omega_c,
-        "delta_1e_ev": ing["delta_1e_ev"], "delta_ce_ev": 1.5e-3,
+        "delta_1e_ev": ing["delta_1e_ev"], "delta_ce_ev": delta_ce_ev,
         "gamma_1r_ev": ing["gamma_1r_ev"],
         "gamma_c_ev": omega_c / q_factor,
         "gamma_s_ev": ing["gamma_s_ev"], "gamma_m_ev": 0.0,
@@ -572,6 +554,19 @@ def fig_strong_coupling_scenario(q_factor, couplings=None):
         "gamma_m = 0: ellipsoid multipole modes are far detuned from the emitter",
     )
     return Scenario(f"fig3_q{q_factor:g}", params, prov, notes)
+
+
+def cavity_detuned(scenario, delta_ec):
+    """The scenario with its cavity at emitter-cavity detuning delta_ec = omega_e - omega_c.
+
+    The cavity width follows at fixed Q (gamma_c = omega_c / Q).  delta_ec may
+    be an array, in eV; the scenario's Hamiltonian is then a stack over it.
+    """
+    p = scenario.params
+    omega_c = p["omega_e_ev"] - delta_ec
+    return replace(scenario, params={
+        **p, "delta_ce_ev": -delta_ec, "omega_c_ev": omega_c,
+        "gamma_c_ev": omega_c / p["q_factor"]})
 
 
 @dataclass(frozen=True, eq=False)
@@ -592,17 +587,13 @@ class StrongCouplingResult:
 def anticrossing_branches(couplings, q_factor=ANTICROSSING_Q, half_span_ev=10e-3,
                           step_ev=0.5e-3, sweep_values=None):
     """Eigen branches of the strong-coupling system over emitter-cavity detuning."""
-    ing = _anticrossing_ingredients()
     if sweep_values is None:
         half_steps = int(round(half_span_ev / step_ev))
         sweep = step_ev * np.arange(-half_steps, half_steps + 1)  # exact zero at center
     else:
         sweep = np.asarray(sweep_values, dtype=float)
-    mats = [
-        _anticrossing_hamiltonian(abs(couplings.G), abs(couplings.g1), q_factor, -dec, ing).matrix
-        for dec in sweep
-    ]
-    return dyn.eigen_branches(mats, sweep)
+    scenario = fig_strong_coupling_scenario(q_factor, couplings, 0.0)
+    return dyn.eigen_branches(cavity_detuned(scenario, sweep).hamiltonian().matrix, sweep)
 
 
 def run_fig3_fig4(trace_points=4096, spectrum_points=2001):
@@ -620,13 +611,13 @@ def run_fig3_fig4(trace_points=4096, spectrum_points=2001):
     traces = {}
     maxima = {}
     for label, q in (("q1e3", 1e3), ("q1e4", 1e4), ("q1e5", 1e5)):
-        scenario = fig_strong_coupling_scenario(q, couplings)
+        scenario = fig_strong_coupling_scenario(q, couplings, ingredients=ing)
         trace = dyn.evolve(scenario.hamiltonian(), initial, times_fs)
         traces[label] = trace.population("emitter")
         maxima[label] = dyn.count_oscillation_maxima(
             times_fs, traces[label], threshold=1e-3, settle_fs=settle_fs)
-    scenario4 = fig_strong_coupling_scenario(1e4, couplings)
-    bare = scenario4.bare_hamiltonian()
+    scenario4 = fig_strong_coupling_scenario(1e4, couplings, ingredients=ing)
+    bare = scenario4.hamiltonian(bare=True)
     trace = dyn.evolve(bare, initial, times_fs)
     traces["no_cavity"] = trace.population("emitter")
     maxima["no_cavity"] = dyn.count_oscillation_maxima(

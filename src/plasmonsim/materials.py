@@ -157,12 +157,6 @@ def drude_permittivity(metal, omega):
     return eps
 
 
-def drude_permittivity_real_undamped(metal, omega):
-    """Real Drude permittivity with damping ignored: eps_inf - omega_p^2/omega^2."""
-    w = np.asarray(omega, dtype=float)
-    return metal.eps_inf - metal.omega_p**2 / w**2
-
-
 def sphere_mode_frequency(metal, env, order):
     """Resonance of sphere mode l from Re eps_m(omega) = -eps_b (l+1)/l.
 

@@ -5,6 +5,11 @@ symmetric (H = H^T) with -i gamma/2 on the diagonal.  Three-mode builds
 rotate at the emitter frequency (detunings Delta_1e, Delta_ce); two-mode
 builds rotate at the cavity frequency.  Input noise is dropped: only mean
 amplitudes and single-excitation dynamics are simulated.
+
+Any detuning, decay rate or coupling may be an array: the builders then
+return a stack of matrices, shape (..., n, n), whose leading shape is the
+broadcast of every array parameter.  Slice k of a stack is bit-identical to
+the matrix built from the scalar parameters at k.
 """
 
 from dataclasses import dataclass
@@ -25,14 +30,14 @@ class ModeDescriptor:
     """
 
     label: str
-    detuning: float  # eV
-    decay_split: tuple  # ((channel_id, rate_ev), ...)
+    detuning: float  # eV, or an array of them
+    decay_split: tuple  # ((channel_id, rate_ev), ...); rates may be arrays
 
     def __post_init__(self):
         require_finite(detuning=self.detuning)
         for channel, rate in self.decay_split:
             require_finite(**{f"{self.label}.{channel}": rate})
-            if rate < 0:
+            if np.any(np.asarray(rate) < 0):
                 raise DomainError(f"decay rate {self.label}.{channel} must be >= 0, got {rate}")
 
     @property
@@ -51,7 +56,7 @@ class EffectiveHamiltonian:
     """Complex-symmetric mode matrix with its basis descriptors."""
 
     modes: tuple  # of ModeDescriptor, ordering the basis
-    matrix: np.ndarray  # complex (n, n)
+    matrix: np.ndarray  # complex (..., n, n)
     reference: str  # frame reference ("emitter" | "cavity")
 
     def __post_init__(self):
@@ -106,18 +111,21 @@ class OutputChannel:
         if self.combine not in ("coherent", "incoherent"):
             raise DomainError(f"combine must be coherent or incoherent, got {self.combine!r}")
         for _, rate in self.terms:
-            if rate < 0:
+            if np.any(np.asarray(rate) < 0):
                 raise DomainError("channel rates must be >= 0")
 
 
 def _assemble(modes, coupling_matrix, reference):
     n = len(modes)
-    h = np.zeros((n, n), dtype=complex)
-    for i, mode in enumerate(modes):
-        h[i, i] = mode.detuning - 0.5j * mode.total_width
-    for i in range(n):
-        for j in range(i + 1, n):
-            h[i, j] = h[j, i] = coupling_matrix[i][j]
+    diagonal = [mode.detuning - 0.5j * mode.total_width for mode in modes]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    batch = np.broadcast_shapes(*(np.shape(x) for x in diagonal),
+                                *(np.shape(coupling_matrix[i][j]) for i, j in pairs))
+    h = np.zeros(batch + (n, n), dtype=complex)
+    for i, value in enumerate(diagonal):
+        h[..., i, i] = value
+    for i, j in pairs:
+        h[..., i, j] = h[..., j, i] = coupling_matrix[i][j]
     return EffectiveHamiltonian(modes=tuple(modes), matrix=h, reference=reference)
 
 

@@ -161,10 +161,8 @@ def test_criterion_4_enhancement_map():
 
 def test_criterion_5_strong_coupling():
     result = exp.run_fig3_fig4()
-    ing = exp._anticrossing_ingredients()
-    sep, _, kappa_2 = exp._pair_metrics(exp._anticrossing_hamiltonian(
-        abs(result.couplings.G), abs(result.couplings.g1),
-        exp.ANTICROSSING_Q, 0.0, ing).matrix)
+    sep, _, kappa_2 = exp._pair_metrics(exp.fig_strong_coupling_scenario(
+        exp.ANTICROSSING_Q, result.couplings, delta_ce_ev=0.0).hamiltonian().matrix)
     doublet = exp.spectrum_peak_separation(
         result.spectrum.detunings, result.spectrum.radiative_total)
     _criterion(5, [
@@ -299,7 +297,7 @@ def test_criterion_6_property_suites(paper_three_mode, omega1):
 # criterion 7: determinism
 # ---------------------------------------------------------------------------
 
-def test_criterion_7_determinism(tmp_path, monkeypatch):
+def test_criterion_7_determinism(tmp_path):
     jobs = {
         "fig1c": (["fig1c", "--grid", "301"], ("fig1c.csv",)),
         "fig2": (["fig2", "--grid", "101"], ("fig2_yield.csv", "fig2_power.csv")),
@@ -309,12 +307,11 @@ def test_criterion_7_determinism(tmp_path, monkeypatch):
     checks = []
     for name, (argv, files) in jobs.items():
         outputs = {}
-        for run, threads in (("a", "1"), ("b", "1"), ("c", "3")):
-            monkeypatch.setenv("PLASMON_SIM_THREADS", threads)
+        for run in ("a", "b", "c"):
             dest = tmp_path / name / run
             assert main(argv + ["--out", str(dest)]) == 0
             outputs[run] = [((dest / f).read_bytes()) for f in files]
         identical = outputs["a"] == outputs["b"] == outputs["c"]
-        checks.append((f"{name} byte-identical across runs and workers", identical,
+        checks.append((f"{name} byte-identical across runs", identical,
                        "outputs differ"))
     _criterion(7, checks)

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,46 @@ def test_cli_numerical_error_exit_code(tmp_path, capsys):
     assert captured.err.startswith("ERROR[numeric]:")
 
 
+MAP_SWEEP = "\n[sweep]\nd_points = 5\nq_points = 5\n"
+
+#: probe -> (argv, config text or None); each must exit 1 with ERROR[config]
+BOUNDARY_PROBES = {
+    "grid_zero": (["fig1c", "--grid", "0"], None),
+    "spectrum_grid_negative": (["spectrum", "--config", "fig2", "--grid", "-3"], None),
+    "map_grid_negative": (["map", "--grid", "-3"], None),
+    "sweep_points_zero": (["spectrum"], "\n[sweep]\npoints = 0\n"),
+    "sweep_points_fractional": (["spectrum"], "\n[sweep]\npoints = 2.7\n"),
+    "map_d_points_zero": (["map"], "\n[sweep]\nd_points = 0\n"),
+    "evolve_t_points_zero": (["evolve"], "\n[sweep]\nt_points = 0\n"),
+    "q_factor_zero": (["spectrum"], ("q_factor = 1e5", "q_factor = 0")),
+    "vc_negative": (["spectrum"], ("vc_um3 = 1.0", "vc_um3 = -1")),
+    "map_d_min_zero": (["map"], MAP_SWEEP + "d_min_nm = 0\n"),
+    "map_q_min_negative": (["map"], MAP_SWEEP + "q_min = -5\n"),
+    "map_d_min_above_max": (["map"], MAP_SWEEP + "d_min_nm = 40\n"),
+    "map_q_min_equals_max": (["map"], MAP_SWEEP + "q_min = 1e7\n"),
+    "optq_distance_zero": (["optq", "--d-nm", "0"], None),
+    "optq_distance_negative": (["optq", "--d-nm", "-2"], None),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BOUNDARY_PROBES))
+def test_cli_rejects_bad_input_at_boundary(probe, tmp_path, capsys):
+    argv, config = BOUNDARY_PROBES[probe]
+    if config is not None:
+        text = BUILTIN_CONFIGS["fig2"]
+        text = text.replace(*config) if isinstance(config, tuple) else text + config
+        path = tmp_path / "probe.ini"
+        path.write_text(text)
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("ERROR[config]:")
+    assert not out.exists()
+
+
 def test_cli_json_format(tmp_path):
     out = tmp_path / "o"
     assert main(["fig1c", "--out", str(out), "--grid", "11", "--format", "json"]) == 0
@@ -242,19 +283,10 @@ def test_byte_identical_across_runs(tmp_path):
     for argv, files in (
         (["fig1c", "--grid", "201"], ["fig1c.csv"]),
         (["fig2", "--grid", "51"], ["fig2_yield.csv", "fig2_power.csv"]),
+        (["map", "--grid", "7"], ["map.csv"]),
     ):
         for a, b in run_twice(tmp_path / argv[0], argv, files):
             assert a == b
-
-
-def test_byte_identical_across_worker_counts(tmp_path, monkeypatch):
-    out = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("PLASMON_SIM_THREADS", threads)
-        dest = tmp_path / f"t{threads}"
-        assert main(["map", "--grid", "7", "--out", str(dest)]) == 0
-        out[threads] = (dest / "map.csv").read_bytes()
-    assert out["1"] == out["4"]
 
 
 def test_fig3_fig4_deterministic(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from plasmonsim import couplings as cpl
 from plasmonsim import dynamics as dyn
 from plasmonsim import experiments as exp
+from plasmonsim import network as net
 from plasmonsim.errors import CalibrationError, DomainError
 
 
@@ -113,7 +115,8 @@ def test_map_cell_reproducible():
 
 
 def test_map_matches_standalone_cells():
-    d = np.array([5.0, 10.0])
+    # non-square grid: a transposed broadcast cannot line up with the cells
+    d = np.array([3.0, 10.0, 25.0])
     q = np.array([1e3, 1e5])
     grid = exp.enhancement_map(d, q)
     for i, dd in enumerate(d):
@@ -170,8 +173,6 @@ def test_low_q_dissipation_structure():
     already collects a non-negligible share, so the enhancement over the bare
     system stays well above 1 (it approaches 1 only for Q << ~170, where the
     cavity-induced radiative rate 4 g1^2/gamma_c falls below gamma_1r)."""
-    from plasmonsim import network as net
-
     metal, env, particle, v = exp.reference_sphere_system(q_factor=1e2)
     gamma_m = exp.quench_rate_calibrated(10.0, particle, env, v["omega_1_ev"])
     params = {
@@ -203,9 +204,8 @@ def test_quench_anchor():
 
 def test_calibration_hits_targets(fig34):
     sep, kappa_1, kappa_2 = exp._pair_metrics(
-        exp._anticrossing_hamiltonian(
-            abs(fig34.couplings.G), abs(fig34.couplings.g1),
-            exp.ANTICROSSING_Q, 0.0, exp._anticrossing_ingredients()).matrix)
+        exp.fig_strong_coupling_scenario(
+            exp.ANTICROSSING_Q, fig34.couplings, delta_ce_ev=0.0).hamiltonian().matrix)
     assert sep == pytest.approx(3.5e-3, rel=1e-3)
     assert kappa_2 == pytest.approx(0.11e-3, rel=1e-3)
     assert fig34.couplings.J == 0.0
@@ -251,6 +251,23 @@ def test_branches_never_cross(fig34):
     assert fig34.metrics.min_im_separation > 0.0
 
 
+def test_detuning_stack_slices_match_scalar_builds():
+    scenario = exp.fig_strong_coupling_scenario(1e4, cpl.CouplingSet(-33.7e-3, -32.2e-3, 0.0))
+    sweep = np.linspace(-9e-3, 7e-3, 17)
+    stack = exp.cavity_detuned(scenario, sweep).hamiltonian().matrix
+    assert stack.shape == (sweep.size, 3, 3)
+    p = scenario.params
+    for k, dec in enumerate(sweep.tolist()):
+        omega_c = p["omega_e_ev"] - dec
+        h = net.build_three_mode(
+            cpl.CouplingSet(p["g1_ev"], p["G_ev"], p["J_ev"]),
+            net.plasmon_descriptor(p["delta_1e_ev"], p["gamma_1r_ev"], p["gamma_o_ev"]),
+            net.cavity_descriptor(-dec, omega_c / p["q_factor"]),
+            net.emitter_descriptor(p["gamma_s_ev"], p["gamma_m_ev"]),
+        )
+        assert np.array_equal(stack[k], h.matrix), k
+
+
 def test_branch_sweep_span(fig34):
     sweep = fig34.branches.sweep_values
     assert sweep[0] == pytest.approx(-10e-3)
@@ -264,29 +281,3 @@ def test_strong_coupling_scenario_provenance(fig34):
     assert scenario.provenance["g1_ev"] == "calibrated"
     assert scenario["J_ev"] == 0.0
     assert any("far detuned" in note for note in scenario.notes)
-
-
-# ---------------------------------------------------------------------------
-# worker pool
-# ---------------------------------------------------------------------------
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("PLASMON_SIM_THREADS", "3")
-    assert exp.worker_count() == 3
-    monkeypatch.setenv("PLASMON_SIM_THREADS", "0")
-    with pytest.raises(DomainError):
-        exp.worker_count()
-    monkeypatch.setenv("PLASMON_SIM_THREADS", "two")
-    with pytest.raises(DomainError):
-        exp.worker_count()
-
-
-def test_map_independent_of_worker_count(monkeypatch):
-    d = np.array([5.0, 20.0])
-    q = np.array([1e3, 1e6])
-    monkeypatch.setenv("PLASMON_SIM_THREADS", "1")
-    serial = exp.enhancement_map(d, q)
-    monkeypatch.setenv("PLASMON_SIM_THREADS", "4")
-    threaded = exp.enhancement_map(d, q)
-    assert np.array_equal(serial.yield_enhancement, threaded.yield_enhancement)
-    assert np.array_equal(serial.power_enhancement, threaded.power_enhancement)
