@@ -4,9 +4,9 @@ Sections are fixed ([metal], [environment], [particle], [emitter], [cavity],
 [couplings], [sweep], [run]); keys carry their unit in the name.  Unknown
 keys are hard errors with a closest-match suggestion, missing required keys
 are reported all at once, every value must be finite, point counts are
-integers >= 1, and the cavity and map-axis quantities are > 0.  parse_config
-resolves the file into a Scenario with defaults applied and per-parameter
-provenance recorded.
+integers >= 1, the particle axis is 1, 2 or 3, and the cavity, map-axis and
+time-span quantities are > 0.  parse_config resolves the file into a
+Scenario with defaults applied and per-parameter provenance recorded.
 """
 
 import configparser
@@ -30,7 +30,7 @@ _INT = "int"
 _COUNT = "count"  # int >= 1
 _CHOICE = "choice"
 
-#: section -> key -> (type, default_or_None, choices)
+#: section -> key -> (type, default_or_None, choices); integer choices are the allowed values
 SCHEMA = {
     "metal": {
         "eps_inf": (_FLOAT, 1.0, None),
@@ -46,7 +46,7 @@ SCHEMA = {
         "a1_nm": (_FLOAT, None, None),
         "a2_nm": (_FLOAT, None, None),
         "a3_nm": (_FLOAT, None, None),
-        "axis": (_INT, 1, None),
+        "axis": (_INT, 1, (1, 2, 3)),
     },
     "emitter": {
         "mu_e_nm": (_FLOAT, 1.0, None),
@@ -84,7 +84,7 @@ SCHEMA = {
         "q_min": (_POSITIVE, 1e2, None),
         "q_max": (_POSITIVE, 1e7, None),
         "q_points": (_COUNT, 61, None),
-        "t_span_fs": (_FLOAT, None, None),
+        "t_span_fs": (_POSITIVE, None, None),
         "t_points": (_COUNT, 4096, None),
     },
     "run": {
@@ -244,6 +244,9 @@ def _validate(sections, origin):
                 value = int(number)
                 if kind == _COUNT and value < 1:
                     problems.append(f"[{section}] {key} = {raw!r} must be >= 1")
+                    continue
+                if choices is not None and value not in choices:
+                    problems.append(f"[{section}] {key} = {raw!r} must be one of {choices}")
                     continue
             elif kind == _CHOICE:
                 value = raw.strip()

@@ -203,7 +203,8 @@ def test_cli_numerical_error_exit_code(tmp_path, capsys):
 
 MAP_SWEEP = "\n[sweep]\nd_points = 5\nq_points = 5\n"
 
-#: probe -> (argv, config text or None); each must exit 1 with ERROR[config]
+#: probe -> (argv, config text or (old, new) edit or None[, builtin edited instead
+#: of fig2]); each must exit 1 with ERROR[config]
 BOUNDARY_PROBES = {
     "grid_zero": (["fig1c", "--grid", "0"], None),
     "spectrum_grid_negative": (["spectrum", "--config", "fig2", "--grid", "-3"], None),
@@ -220,14 +221,19 @@ BOUNDARY_PROBES = {
     "map_q_min_equals_max": (["map"], MAP_SWEEP + "q_min = 1e7\n"),
     "optq_distance_zero": (["optq", "--d-nm", "0"], None),
     "optq_distance_negative": (["optq", "--d-nm", "-2"], None),
+    "axis_four": (["spectrum"], ("a3_nm = 5.5", "a3_nm = 5.5\naxis = 4"), "fig3"),
+    "axis_zero": (["spectrum"], ("a3_nm = 5.5", "a3_nm = 5.5\naxis = 0"), "fig3"),
+    "axis_negative": (["spectrum"], ("a3_nm = 5.5", "a3_nm = 5.5\naxis = -1"), "fig3"),
+    "evolve_t_span_zero": (["evolve"], "\n[sweep]\nt_span_fs = 0\n"),
+    "evolve_t_span_negative": (["evolve"], "\n[sweep]\nt_span_fs = -5000\n"),
 }
 
 
 @pytest.mark.parametrize("probe", sorted(BOUNDARY_PROBES))
 def test_cli_rejects_bad_input_at_boundary(probe, tmp_path, capsys):
-    argv, config = BOUNDARY_PROBES[probe]
+    argv, config, *base = BOUNDARY_PROBES[probe]
     if config is not None:
-        text = BUILTIN_CONFIGS["fig2"]
+        text = BUILTIN_CONFIGS[base[0] if base else "fig2"]
         text = text.replace(*config) if isinstance(config, tuple) else text + config
         path = tmp_path / "probe.ini"
         path.write_text(text)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from plasmonsim import couplings as cpl
 from plasmonsim import dynamics as dyn
+from plasmonsim import experiments as exp
 from plasmonsim import network as net
 from plasmonsim.errors import (
     ConditioningError,
@@ -226,6 +228,77 @@ def test_evolve_grid_validation(paper_three_mode):
         dyn.evolve(paper_three_mode, [0, 0, 1], np.array([1.0, 2.0]))
     with pytest.raises(DomainError):
         dyn.evolve(paper_three_mode, [0, 0, 1], np.array([0.0, 2.0, 1.0]))
+
+
+def _expm_per_point(hamiltonian, v0, times_fs):
+    """Reference propagation: one scaling-and-squaring exponential per time point."""
+    h = hamiltonian.matrix
+    return np.array([expm(-1j * h * t) @ v0 for t in from_fs(times_fs)])
+
+
+def _count_expm(monkeypatch):
+    """Replace dynamics.expm by a wrapper; returns the list of argument shapes."""
+    calls = []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return expm(a)
+
+    monkeypatch.setattr(dyn, "expm", counting)
+    return calls
+
+
+def _max_population_gap(trace, amps):
+    return max(np.max(np.abs(trace.population(label) - np.abs(amps[:, i]) ** 2))
+               for i, label in enumerate(trace.labels))
+
+
+@pytest.fixture(scope="module")
+def fig3_hamiltonians():
+    """The four fig3 systems: Q = 1e3, 1e4, 1e5 and the cavity-free reference."""
+    couplings, _ = exp.calibrate_fig3_couplings()
+    scenarios = {q: exp.fig_strong_coupling_scenario(q, couplings) for q in (1e3, 1e4, 1e5)}
+    hams = {f"q{q:g}": s.hamiltonian() for q, s in scenarios.items()}
+    hams["no_cavity"] = scenarios[1e4].hamiltonian(bare=True)
+    return hams
+
+
+def test_evolve_eigendecomposition_matches_per_point_expm(
+        fig3_hamiltonians, paper_three_mode, monkeypatch):
+    calls = _count_expm(monkeypatch)
+    v0 = np.array([0.0, 0.0, 1.0], dtype=complex)
+    for name, ham in {**fig3_hamiltonians, "paper": paper_three_mode}.items():
+        # non-uniform grid, denser early, over ten lifetimes of the slowest branch
+        times = dyn.default_time_grid(ham, 2)[-1] * np.linspace(0.0, 1.0, 500) ** 2
+        trace = dyn.evolve(ham, v0, times)
+        assert _max_population_gap(trace, _expm_per_point(ham, v0, times)) <= 1e-12, name
+    assert calls == []
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-10])
+def test_evolve_falls_back_to_expm_near_exceptional_point(offset, monkeypatch):
+    # H = [[0, g], [g, -i gamma / 2]] is defective at g = gamma / 4
+    gamma = 0.1
+    ham = net.build_two_mode(
+        gamma / 4.0 * (1.0 + offset),
+        net.plasmon_descriptor(0.0, 0.0, 0.0),
+        net.cavity_descriptor(0.0, gamma),
+    )
+    assert np.linalg.cond(np.linalg.eig(ham.matrix)[1]) > dyn.EIG_COND_LIMIT
+    calls = _count_expm(monkeypatch)
+    v0 = np.array([1.0, 0.0], dtype=complex)
+    times = to_fs(np.concatenate(([0.0], np.geomspace(1e-2, 40.0 / gamma, 300))))
+    trace = dyn.evolve(ham, v0, times)
+    assert calls == [(times.size, 2, 2)]
+    assert _max_population_gap(trace, _expm_per_point(ham, v0, times)) <= 1e-12
+    assert trace.population("plasmon")[0] == 1.0
+
+
+def test_evolve_first_row_is_initial_state(paper_three_mode):
+    v0 = np.array([0.36, 0.48j, -0.8], dtype=complex)
+    trace = dyn.evolve(paper_three_mode, v0, np.linspace(0.0, 5e4, 7))
+    for i, label in enumerate(trace.labels):
+        assert trace.population(label)[0] == np.abs(v0[i]) ** 2
 
 
 def test_default_time_grid(paper_three_mode):
