@@ -16,14 +16,13 @@ from . import dynamics as dyn
 from .config import BUILTIN_CONFIGS, parse_config
 from .errors import ConfigError, PlasmonSimError
 from .experiments import (
-    anticrossing_branches,
-    calibrate_fig3_couplings,
-    cavity_detuned,
     enhancement_map,
     optimal_Q,
     run_fig1c,
     run_fig2,
-    run_fig3_fig4,
+    run_fig3,
+    run_fig4,
+    with_cavity,
 )
 from .results import ResultTable, scenario_metadata
 
@@ -40,6 +39,11 @@ def _parse_sweep(text):
         raise ConfigError(f"--sweep needs stop > start and step > 0, got {text!r}")
     count = int(round((stop - start) / step)) + 1
     return start + step * np.arange(count)
+
+
+def _detuning_sweep(args):
+    """Emitter-cavity detunings of --sweep, default -10..10 meV in 2 meV steps."""
+    return _parse_sweep(args.sweep) if args.sweep else 2e-3 * np.arange(-5, 6)
 
 
 def _write(table, out_dir, fmt):
@@ -76,7 +80,8 @@ def cmd_fig1c(args):
 
 
 def cmd_fig2(args):
-    result = run_fig2(paper_exact=not args.first_principles, points=args.grid or 401)
+    builtin = "fig2_first_principles" if args.first_principles else "fig2"
+    result = run_fig2(parse_config(builtin).scenario, points=args.grid or 401)
     meta = scenario_metadata(result.scenario)
     meta["result.yield_at_delta0"] = result.yield_at_delta0
     meta["result.bare_yield_at_delta0"] = result.bare_yield_at_delta0
@@ -98,22 +103,12 @@ def cmd_fig2(args):
     return 0
 
 
-def _fig34_metadata(result):
+def cmd_fig3(args):
+    result = run_fig3(parse_config("fig3").scenario, spectrum_points=args.grid or 2001)
     meta = scenario_metadata(result.scenario)
-    for key, value in result.calibration.items():
-        if key == "residuals":
-            meta["calibration.residual_max"] = max(abs(r) for r in value)
-        else:
-            meta[f"calibration.{key}"] = value
     meta["result.settle_fs"] = result.settle_fs
     for label, count in sorted(result.trace_maxima.items()):
         meta[f"result.maxima_{label}"] = count
-    return meta
-
-
-def cmd_fig3(args):
-    result = run_fig3_fig4(spectrum_points=args.grid or 2001)
-    meta = _fig34_metadata(result)
     table_traces = ResultTable.from_arrays(
         "fig3_traces",
         ("time_fs", "pop_q1e3", "pop_q1e4", "pop_q1e5", "pop_no_cavity"),
@@ -142,29 +137,27 @@ def _branch_table(name, branchset, metadata):
     return ResultTable.from_arrays(name, columns, arrays, metadata)
 
 
+def _anticrossing_metadata(scenario, metrics):
+    meta = scenario_metadata(scenario)
+    meta["result.two_g_eff_ev"] = metrics.two_g_eff
+    meta["result.kappa_1_ev"] = metrics.kappa_1
+    meta["result.kappa_2_ev"] = metrics.kappa_2
+    meta["result.cooperativity"] = metrics.cooperativity
+    return meta
+
+
 def cmd_fig4(args):
-    result = run_fig3_fig4(spectrum_points=args.grid or 2001)
-    meta = _fig34_metadata(result)
-    meta["result.two_g_eff_ev"] = result.metrics.two_g_eff
-    meta["result.kappa_1_ev"] = result.metrics.kappa_1
-    meta["result.kappa_2_ev"] = result.metrics.kappa_2
-    meta["result.cooperativity"] = result.metrics.cooperativity
-
-    sweep = _parse_sweep(args.sweep) if args.sweep else 2e-3 * np.arange(-5, 6)
-    branchset = anticrossing_branches(result.couplings, sweep_values=sweep)
-    _write(_branch_table("fig4_branches", branchset, meta), args.out, args.format)
-
-    # result.scenario is the Q = 1e4 system; one (sweep, detuning) batch over it
-    detunings = np.linspace(-8e-3, 8e-3, args.grid or 801)
-    shifted = cavity_detuned(result.scenario, sweep[:, None])
-    h = shifted.hamiltonian()
-    spec = dyn.emission_spectrum(h, detunings, shifted.channels(h), "emitter")
+    sweep = _detuning_sweep(args)
+    result = run_fig4(parse_config("fig4").scenario, sweep, spectrum_points=args.grid or 801)
+    meta = _anticrossing_metadata(result.scenario, result.metrics)
+    _write(_branch_table("fig4_branches", result.branches, meta), args.out, args.format)
+    detunings = result.detunings
     table = ResultTable.from_arrays(
         "fig4_spectra",
         ("delta_ec_ev", "detuning_ev", "phi_rad_total"),
         (np.repeat(sweep, detunings.size), np.tile(detunings, sweep.size),
-         spec.radiative_total.ravel()),
-        meta,
+         result.spectra.ravel()),
+        scenario_metadata(result.spectra_scenario),
     )
     _write(table, args.out, args.format)
     return 0
@@ -249,21 +242,10 @@ def cmd_evolve(args):
 
 
 def cmd_eigen(args):
-    parsed = _load(args) if args.config else None
-    sweep = _parse_sweep(args.sweep) if args.sweep else 2e-3 * np.arange(-5, 6)
-    if parsed is not None and parsed.scenario.params.get("model") == "three_mode":
-        meta = scenario_metadata(parsed.scenario)
-        stack = cavity_detuned(parsed.scenario, sweep).hamiltonian().matrix
-        branchset = dyn.eigen_branches(stack, sweep)
-    else:
-        couplings, _ = calibrate_fig3_couplings()
-        branchset = anticrossing_branches(couplings, sweep_values=sweep)
-        meta = {"scenario": "fig4_default"}
-    metrics = dyn.anticrossing_metrics(branchset)
-    meta["result.two_g_eff_ev"] = metrics.two_g_eff
-    meta["result.kappa_1_ev"] = metrics.kappa_1
-    meta["result.kappa_2_ev"] = metrics.kappa_2
-    meta["result.cooperativity"] = metrics.cooperativity
+    scenario = parse_config(args.config or "fig4").scenario
+    sweep = _detuning_sweep(args)
+    branchset = dyn.eigen_branches(with_cavity(scenario, -sweep).hamiltonian().matrix, sweep)
+    meta = _anticrossing_metadata(scenario, dyn.anticrossing_metrics(branchset))
     _write(_branch_table("eigen", branchset, meta), args.out, args.format)
     return 0
 
@@ -345,16 +327,20 @@ def build_parser():
         return p
 
     add("fig1c", cmd_fig1c, "MNP dissipation spectra with/without cavity", config=False)
-    p2 = add("fig2", cmd_fig2, "quantum yield and radiated power spectra", config=False)
+    p2 = add("fig2", cmd_fig2, "quantum yield and radiated power spectra (builtin fig2)",
+             config=False)
     p2.add_argument("--first-principles", action="store_true",
-                    help="derive all couplings from the geometry instead of the quoted set")
-    add("fig3", cmd_fig3, "Rabi oscillation traces and emission doublet", config=False)
-    add("fig4", cmd_fig4, "anti-crossing eigen branches and spectra map",
+                    help="derive all couplings from the geometry instead of the quoted set "
+                         "(builtin fig2_first_principles)")
+    add("fig3", cmd_fig3, "Rabi oscillation traces and emission doublet (builtin fig3)",
+        config=False)
+    add("fig4", cmd_fig4, "anti-crossing eigen branches and spectra map (builtin fig4)",
         config=False, sweep=True)
     add("spectrum", cmd_spectrum, "emission spectrum of a configured scenario")
     add("yield", cmd_yield, "quantum yield spectrum of a configured scenario")
     add("evolve", cmd_evolve, "single-excitation time evolution of a configured scenario")
-    add("eigen", cmd_eigen, "eigenvalue branches over emitter-cavity detuning", sweep=True)
+    add("eigen", cmd_eigen, "eigenvalue branches over emitter-cavity detuning "
+        "(default config: fig4)", sweep=True)
     add("map", cmd_map, "(D, Q) enhancement maps")
     popt = add("optq", cmd_optq, "optimal cavity Q per emitter distance", config=False)
     popt.add_argument("--objective", choices=("yield", "power"), default="yield")

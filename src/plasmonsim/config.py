@@ -4,14 +4,20 @@ Sections are fixed ([metal], [environment], [particle], [emitter], [cavity],
 [couplings], [sweep], [run]); keys carry their unit in the name.  Unknown
 keys are hard errors with a closest-match suggestion, missing required keys
 are reported all at once, every value must be finite, point counts are
-integers >= 1, the particle axis is 1, 2 or 3, and the cavity, map-axis and
-time-span quantities are > 0.  parse_config resolves the file into a
+integers >= 1, the particle axis is 1, 2 or 3, and lengths, the plasma
+frequency and the cavity, map-axis and time-span quantities are > 0.
+Values in meV and ueV are converted to eV by shifting their decimal text,
+so -7.2 meV is exactly -7.2e-3 eV.  parse_config resolves the file into a
 Scenario with defaults applied and per-parameter provenance recorded.
+
+The paper's scenarios are the builtin configs (BUILTIN_CONFIGS); the figure
+commands resolve them like any other config.
 """
 
 import configparser
 import difflib
 import math
+from decimal import Decimal, InvalidOperation
 
 from . import couplings as cpl
 from . import dynamics as dyn
@@ -30,11 +36,15 @@ _INT = "int"
 _COUNT = "count"  # int >= 1
 _CHOICE = "choice"
 
-#: section -> key -> (type, default_or_None, choices); integer choices are the allowed values
+#: decimal exponent of the eV value of a key with this unit suffix
+_UNIT_EXPONENTS = {"mev": -3, "uev": -6}
+
+#: section -> key -> (type, default_or_None, choices); integer choices are the allowed
+#: values; meV and ueV values are Decimals until resolved
 SCHEMA = {
     "metal": {
         "eps_inf": (_FLOAT, 1.0, None),
-        "omega_p_ev": (_FLOAT, 4.0, None),
+        "omega_p_ev": (_POSITIVE, 4.0, None),
         "gamma_o_ev": (_FLOAT, 0.2, None),
     },
     "environment": {
@@ -42,15 +52,15 @@ SCHEMA = {
     },
     "particle": {
         "shape": (_CHOICE, None, ("sphere", "ellipsoid")),
-        "radius_nm": (_FLOAT, None, None),
-        "a1_nm": (_FLOAT, None, None),
-        "a2_nm": (_FLOAT, None, None),
-        "a3_nm": (_FLOAT, None, None),
+        "radius_nm": (_POSITIVE, None, None),
+        "a1_nm": (_POSITIVE, None, None),
+        "a2_nm": (_POSITIVE, None, None),
+        "a3_nm": (_POSITIVE, None, None),
         "axis": (_INT, 1, (1, 2, 3)),
     },
     "emitter": {
-        "mu_e_nm": (_FLOAT, 1.0, None),
-        "distance_nm": (_FLOAT, None, None),
+        "mu_e_nm": (_POSITIVE, 1.0, None),
+        "distance_nm": (_POSITIVE, None, None),
         "orientation": (_CHOICE, "tangential", ("radial", "tangential")),
         "angle_to_cavity_deg": (_FLOAT, 0.0, None),
         "delta_1e_ev": (_FLOAT, 0.0, None),
@@ -70,8 +80,8 @@ SCHEMA = {
         "gamma_s_uev": (_FLOAT, None, None),
         "gamma_1r_mev": (_FLOAT, None, None),
         "theta_deg": (_FLOAT, None, None),
-        "two_g_eff_mev": (_FLOAT, 3.5, None),
-        "kappa2_mev": (_FLOAT, 0.11, None),
+        "two_g_eff_mev": (_FLOAT, Decimal("3.5"), None),
+        "kappa2_mev": (_FLOAT, Decimal("0.11"), None),
     },
     "sweep": {
         "start_ev": (_FLOAT, None, None),
@@ -99,7 +109,10 @@ REQUIRED = {
     "cavity": ("vc_um3", "q_factor"),
 }
 REQUIRED_SECTIONS = ("metal", "environment", "particle", "emitter", "cavity", "couplings")
-PAPER_EXACT_KEYS = ("g1_mev", "G_mev", "J_uev", "gamma_m_uev", "gamma_s_uev", "gamma_1r_mev")
+#: scenario parameter -> the [couplings] key that sets it explicitly
+COUPLING_KEYS = {"g1_ev": "g1_mev", "G_ev": "G_mev", "J_ev": "J_uev",
+                 "gamma_m_ev": "gamma_m_uev", "gamma_s_ev": "gamma_s_uev",
+                 "gamma_1r_ev": "gamma_1r_mev"}
 
 BUILTIN_CONFIGS = {
     "fig2": """\
@@ -140,6 +153,10 @@ drive = emitter
 name = fig2
 """,
     "fig3": """\
+# strong coupling: the emitter sits at the vertex of a gold ellipsoid whose long
+# axis is tilted 60 degrees from the cavity polarization; its dipole is
+# perpendicular to the cavity field (J = 0), so the plasmon mediates the
+# emitter-cavity coupling
 [metal]
 eps_inf = 1.0
 omega_p_ev = 4.0
@@ -159,6 +176,8 @@ mu_e_nm = 1.0
 distance_nm = 5.0
 orientation = radial
 angle_to_cavity_deg = 90.0
+# omega_e = omega_1 - 0.6 eV puts the emitter at 0.23 eV; the low absolute
+# frequency follows from the published detunings and is flagged as an ambiguity
 delta_1e_ev = 0.6
 
 [cavity]
@@ -177,6 +196,14 @@ drive = emitter
 name = fig3
 """,
 }
+# the yield study with every coupling derived from the geometry; a radial emitter sees
+# the longitudinal near field (at the D = 10 nm quench anchor gamma_m is 83 ueV either way)
+BUILTIN_CONFIGS["fig2_first_principles"] = (
+    BUILTIN_CONFIGS["fig2"].partition("[couplings]")[0]
+    .replace("orientation = tangential", "orientation = radial")
+    + "[couplings]\nmode = first_principles\n\n[run]\ndrive = emitter\n"
+    "name = fig2_first_principles\n"
+)
 # the anti-crossing study is the same geometry at the calibration Q, on resonance
 BUILTIN_CONFIGS["fig4"] = (
     BUILTIN_CONFIGS["fig3"]
@@ -223,16 +250,19 @@ def _validate(sections, origin):
             kind, _, choices = schema[key]
             if kind in (_FLOAT, _POSITIVE):
                 try:
-                    value = float(raw)
-                except ValueError:
+                    number = Decimal(raw)
+                except InvalidOperation:
                     problems.append(f"[{section}] {key} = {raw!r} is not a number")
                     continue
+                value = float(number) if number.is_finite() else math.nan
                 if not math.isfinite(value):
                     problems.append(f"[{section}] {key} = {raw!r} is not finite")
                     continue
                 if kind == _POSITIVE and value <= 0:
                     problems.append(f"[{section}] {key} = {raw!r} must be > 0")
                     continue
+                if key[-3:] in _UNIT_EXPONENTS:
+                    value = number
             elif kind in (_INT, _COUNT):
                 try:
                     number = float(raw)
@@ -278,11 +308,14 @@ def _validate(sections, origin):
         hi = sweep.get(high, SCHEMA["sweep"][high][1])
         if lo >= hi:
             problems.append(f"[sweep] {low} = {lo:g} must be < {high} = {hi:g}")
-    mode = values.get("couplings", {}).get("mode", "first_principles")
-    if mode == "paper_exact":
-        for key in PAPER_EXACT_KEYS:
-            if key not in values.get("couplings", {}):
-                problems.append(f"missing required key {key!r} in [couplings] (mode = paper_exact)")
+    couplings = values.get("couplings", {})
+    mode = couplings.get("mode", "first_principles")
+    required = {"paper_exact": tuple(COUPLING_KEYS.values()), "calibrated": ("theta_deg",)}
+    for key in required.get(mode, ()):
+        if key not in couplings:
+            problems.append(f"missing required key {key!r} in [couplings] (mode = {mode})")
+    if mode == "calibrated" and shape not in (None, "ellipsoid"):
+        problems.append("mode = calibrated applies to the tilted-ellipsoid geometry")
     if problems:
         raise ConfigError(f"invalid configuration {origin}:\n  " + "\n  ".join(problems))
 
@@ -298,24 +331,28 @@ def _validate(sections, origin):
     return resolved
 
 
+def _ev(section, key):
+    """A meV or ueV value of a section in eV, shifted as a decimal (-7.2 meV is -7.2e-3 eV)."""
+    return float(section[key].scaleb(_UNIT_EXPONENTS[key[-3:]]))
+
+
 def _resolve_scenario(cfg, name):
     metal = mat.DrudeMetal(cfg["metal"]["eps_inf"], cfg["metal"]["omega_p_ev"],
                            cfg["metal"]["gamma_o_ev"])
     env = mat.Environment(cfg["environment"]["eps_b"])
     pc = cfg["particle"]
+    axis = pc["axis"]
     if pc["shape"] == "sphere":
         shape = mat.Sphere(pc["radius_nm"])
-    else:
-        shape = mat.Ellipsoid(pc["a1_nm"], pc["a2_nm"], pc["a3_nm"])
-    particle = mat.Nanoparticle(shape, metal)
-    axis = pc.get("axis", 1)
-
-    if pc["shape"] == "sphere":
+        extent = pc["radius_nm"]
         omega_1 = mat.sphere_mode_frequency(metal, env, 1)
     else:
-        L = mat.depolarization_factors(shape)[axis - 1]
-        omega_1 = mat.ellipsoid_mode_frequency(metal, env, L)
-    gamma_1r_fp = mat.dipolar_radiative_rate(particle, env, axis)
+        shape = mat.Ellipsoid(pc["a1_nm"], pc["a2_nm"], pc["a3_nm"])
+        extent = (pc["a1_nm"], pc["a2_nm"], pc["a3_nm"])[axis - 1]
+        omega_1 = mat.ellipsoid_mode_frequency(
+            metal, env, mat.depolarization_factors(shape)[axis - 1])
+    particle = mat.Nanoparticle(shape, metal)
+    gamma_1r = mat.dipolar_radiative_rate(particle, env, axis)
 
     ec = cfg["emitter"]
     cc = cfg["cavity"]
@@ -325,62 +362,7 @@ def _resolve_scenario(cfg, name):
                           f"non-positive frequency {omega_e} eV")
     omega_c = omega_e + cc["delta_ce_ev"]
     vc_nm3 = cc["vc_um3"] * 1e9
-
-    co = cfg["couplings"]
-    mode = co["mode"]
-    notes = []
-    prov_couplings = mode
-    if mode == "paper_exact":
-        g1 = co["g1_mev"] * 1e-3
-        G = co["G_mev"] * 1e-3
-        J = co["J_uev"] * 1e-6
-        gamma_m = co["gamma_m_uev"] * 1e-6
-        gamma_s = co["gamma_s_uev"] * 1e-6
-        gamma_1r = co["gamma_1r_mev"] * 1e-3
-    elif mode == "calibrated":
-        if pc["shape"] != "ellipsoid":
-            raise ConfigError("mode = calibrated applies to the tilted-ellipsoid geometry")
-        targets = (co["two_g_eff_mev"] * 1e-3, co["kappa2_mev"] * 1e-3)
-        couplings, _ = calibrate_fig3_couplings(targets)
-        g1, G, J = couplings.g1, couplings.G, couplings.J
-        gamma_1r = gamma_1r_fp
-        gamma_s = cpl.free_space_decay(ec["mu_e_nm"], omega_e, env.eps_b)
-        gamma_m = 0.0
-        notes.append("gamma_m = 0: ellipsoid multipole modes are far detuned from the emitter")
-        notes.append(f"couplings calibrated at q_factor = {ANTICROSSING_Q:g}")
-    else:  # first_principles
-        mu_1 = cpl.plasmon_effective_dipole(gamma_1r_fp, omega_1)
-        if pc["shape"] == "sphere":
-            extent = pc["radius_nm"]
-        else:
-            extent = (pc["a1_nm"], pc["a2_nm"], pc["a3_nm"])[axis - 1]
-        d_center = extent + ec["distance_nm"]
-        geometry = "longitudinal" if ec["orientation"] == "radial" else "transverse"
-        g1_mag = cpl.vacuum_coupling(mu_1, omega_c, vc_nm3, env.eps_b)
-        G_mag = abs(cpl.dipole_dipole_coupling(
-            mu_1, ec["mu_e_nm"], d_center, env.eps_b, geometry, extent=extent))
-        J_mag = cpl.vacuum_coupling(ec["mu_e_nm"], omega_c, vc_nm3, env.eps_b)
-        J = -J_mag * math.cos(math.radians(ec["angle_to_cavity_deg"]))
-        g1, G = -g1_mag, -G_mag
-        gamma_1r = gamma_1r_fp
-        gamma_s = cpl.free_space_decay(ec["mu_e_nm"], omega_e, env.eps_b)
-        if pc["shape"] == "sphere":
-            gamma_m = quench_rate_calibrated(
-                ec["distance_nm"], particle, env, omega_e, ec["mu_e_nm"], ec["orientation"])
-        else:
-            gamma_m = 0.0
-            notes.append("gamma_m = 0: multipole quenching sum is defined for spheres only")
-        # explicit overrides win over the derived values
-        if co.get("g1_mev") is not None:
-            g1 = co["g1_mev"] * 1e-3
-        if co.get("G_mev") is not None:
-            G = co["G_mev"] * 1e-3
-        if co.get("J_uev") is not None:
-            J = co["J_uev"] * 1e-6
-        if co.get("gamma_m_uev") is not None:
-            gamma_m = co["gamma_m_uev"] * 1e-6
-    if co.get("theta_deg") is not None and mode != "calibrated":
-        G, g1 = cpl.project_couplings(G, g1, co["theta_deg"])
+    gamma_s = cpl.free_space_decay(ec["mu_e_nm"], omega_e, env.eps_b)
 
     params = {
         "model": "three_mode",
@@ -392,9 +374,7 @@ def _resolve_scenario(cfg, name):
         "vc_um3": cc["vc_um3"], "q_factor": cc["q_factor"],
         "omega_1_ev": omega_1, "omega_e_ev": omega_e, "omega_c_ev": omega_c,
         "delta_1e_ev": ec["delta_1e_ev"], "delta_ce_ev": cc["delta_ce_ev"],
-        "gamma_1r_ev": gamma_1r, "gamma_c_ev": omega_c / cc["q_factor"],
-        "gamma_s_ev": gamma_s, "gamma_m_ev": gamma_m,
-        "g1_ev": g1, "G_ev": G, "J_ev": J,
+        "gamma_c_ev": omega_c / cc["q_factor"],
         "drive_mode": cfg["run"]["drive"],
     }
     if pc["shape"] == "sphere":
@@ -402,18 +382,62 @@ def _resolve_scenario(cfg, name):
     else:
         params.update({"a1_nm": pc["a1_nm"], "a2_nm": pc["a2_nm"], "a3_nm": pc["a3_nm"],
                        "axis": axis})
-    if co.get("theta_deg") is not None:
+
+    co = cfg["couplings"]
+    mode = co["mode"]
+    if "theta_deg" in co:
         params["theta_deg"] = co["theta_deg"]
-    params["delta_0_ev"] = (
-        dyn.fano_detuning(J, g1, G) if G != 0.0 else 0.0)
+    given = {param: _ev(co, key) for param, key in COUPLING_KEYS.items() if key in co}
+    notes = []
+    calibration = {}
+    if mode == "paper_exact":
+        couplings = given
+    elif mode == "calibrated":
+        rates = {"gamma_1r_ev": gamma_1r, "gamma_s_ev": gamma_s, "gamma_m_ev": 0.0}
+        targets = (_ev(co, "two_g_eff_mev"), _ev(co, "kappa2_mev"))
+        fit, calibration = calibrate_fig3_couplings(
+            Scenario(name, {**params, **rates}, {}), targets)
+        couplings = {**rates, "g1_ev": fit.g1, "G_ev": fit.G, "J_ev": fit.J}
+        notes.append("gamma_m = 0: ellipsoid multipole modes are far detuned from the emitter")
+        notes.append(f"couplings calibrated at q_factor = {ANTICROSSING_Q:g}")
+    else:  # first_principles; explicit values win over the derived ones
+        mu_1 = cpl.plasmon_effective_dipole(gamma_1r, omega_1)
+        geometry = "longitudinal" if ec["orientation"] == "radial" else "transverse"
+        G_mag = abs(cpl.dipole_dipole_coupling(
+            mu_1, ec["mu_e_nm"], extent + ec["distance_nm"], env.eps_b, geometry,
+            extent=extent))
+        J_mag = cpl.vacuum_coupling(ec["mu_e_nm"], omega_c, vc_nm3, env.eps_b)
+        if pc["shape"] == "sphere":
+            gamma_m = quench_rate_calibrated(
+                ec["distance_nm"], particle, env, omega_e, ec["mu_e_nm"], ec["orientation"])
+        else:
+            gamma_m = 0.0
+            notes.append("gamma_m = 0: multipole quenching sum is defined for spheres only")
+        couplings = {
+            "g1_ev": -cpl.vacuum_coupling(mu_1, omega_c, vc_nm3, env.eps_b),
+            "G_ev": -G_mag,
+            "J_ev": -J_mag * math.cos(math.radians(ec["angle_to_cavity_deg"])),
+            "gamma_1r_ev": gamma_1r, "gamma_s_ev": gamma_s, "gamma_m_ev": gamma_m,
+            **given,
+        }
+    if "theta_deg" in co and mode != "calibrated":
+        couplings["G_ev"], couplings["g1_ev"] = cpl.project_couplings(
+            couplings["G_ev"], couplings["g1_ev"], co["theta_deg"])
+    params.update(couplings)
+    G, g1, J = params["G_ev"], params["g1_ev"], params["J_ev"]
+    params["delta_0_ev"] = dyn.fano_detuning(J, g1, G) if G != 0.0 else 0.0
 
     prov = {k: "first_principles" for k in params if k != "model"}
-    for key in ("g1_ev", "G_ev", "J_ev", "gamma_m_ev", "gamma_s_ev", "gamma_1r_ev"):
-        prov[key] = prov_couplings
-    if mode == "first_principles":
-        prov["gamma_m_ev"] = "calibrated" if pc["shape"] == "sphere" else "first_principles"
+    if mode == "paper_exact":
+        prov.update({k: "paper_exact" for k in COUPLING_KEYS})
+    elif mode == "calibrated":
+        prov.update({k: "calibrated" for k in ("g1_ev", "G_ev", "J_ev", "gamma_m_ev")})
+    else:
+        if pc["shape"] == "sphere":
+            prov["gamma_m_ev"] = "calibrated"
+        prov.update({k: "paper_exact" for k in given})
     prov["delta_0_ev"] = "derived"
-    return Scenario(name, params, prov, tuple(notes))
+    return Scenario(name, params, prov, tuple(notes), calibration)
 
 
 class ParsedConfig:

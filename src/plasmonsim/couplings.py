@@ -60,22 +60,6 @@ class Emitter:
 
 
 @dataclass(frozen=True)
-class CavityMode:
-    """Microcavity mode with volume V_c (nm^3) and width gamma_c = omega_c / Q."""
-
-    omega_c: float  # eV
-    q_factor: float
-    mode_volume: float  # nm^3
-
-    def __post_init__(self):
-        require_positive(omega_c=self.omega_c, q_factor=self.q_factor, mode_volume=self.mode_volume)
-
-    @property
-    def gamma_c(self):
-        return self.omega_c / self.q_factor
-
-
-@dataclass(frozen=True)
 class CouplingSet:
     """Signed coupling constants entering the Hamiltonian (eV)."""
 

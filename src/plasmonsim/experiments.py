@@ -1,14 +1,16 @@
-"""Scenario registry: figure regressions, (D, Q) enhancement maps and coupling calibration.
+"""Figure runners, (D, Q) enhancement maps and coupling calibration.
 
-Every scenario resolves to a flat parameter dictionary with per-parameter
-provenance (first_principles | paper_exact | calibrated), which is embedded
-verbatim in result metadata.  Sweeps build one Hamiltonian stack and solve
-it in one batched call; a standalone map cell is a 1x1 batch of the same
-code, so it reproduces its map entry bit for bit.
+A Scenario is a flat parameter dictionary with per-parameter provenance
+(first_principles | paper_exact | calibrated | derived), embedded verbatim
+in result metadata.  The three-mode figure runners receive a resolved
+Scenario; the paper's scenarios are the builtin configs of the config
+module, so each is described once.  Sweeps build one Hamiltonian stack and
+solve it in one batched call; a standalone map cell is a 1x1 batch of the
+same code, so it reproduces its map entry bit for bit.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import root
@@ -24,13 +26,17 @@ from .quantities import to_fs
 D_GRID_NM = (2.0, 30.0, 61)
 Q_GRID = (1e2, 1e7, 61)
 
-#: anti-crossing calibration targets: (splitting, smaller linewidth) in eV
-CALIBRATION_TARGETS = (3.5e-3, 0.11e-3)
-
-#: quality factor of the anti-crossing scenario; the published linewidth
-#: pair (1.28, 0.11) meV is only reachable with a cavity width near
-#: omega_c / 1e3 (the dark state's width is bounded by max(gamma_c, gamma_e))
+#: quality factor of the coupling calibration (and of the builtin fig4
+#: anti-crossing scenario); the published linewidth pair (1.28, 0.11) meV is
+#: only reachable with a cavity width near omega_c / 1e3 (the dark state's
+#: width is bounded by max(gamma_c, gamma_e))
 ANTICROSSING_Q = 1e3
+
+#: (label, cavity quality factor) of the fig3 Rabi-oscillation traces
+TRACE_Q_FACTORS = (("q1e3", 1e3), ("q1e4", 1e4), ("q1e5", 1e5))
+
+#: cavity quality factor of the fig4 emission-spectra map
+SPECTRA_Q = 1e4
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -41,8 +47,9 @@ class Scenario:
 
     name: str
     params: dict  # flat, snake_case keys with units in the name
-    provenance: dict  # parameter key -> first_principles | paper_exact | calibrated
+    provenance: dict  # parameter key -> first_principles | paper_exact | calibrated | derived
     notes: tuple = ()
+    calibration: dict = field(default_factory=dict)  # coupling-fit diagnostics, if fitted
 
     def __getitem__(self, key):
         return self.params[key]
@@ -123,7 +130,7 @@ def quench_rate_calibrated(distance_nm, particle, env, omega, mu_e=1.0,
 
 
 # ---------------------------------------------------------------------------
-# resonant sphere scenarios (dissipation spectra and quantum yield)
+# dissipation spectra (two-mode sphere scenario) and quantum yield
 # ---------------------------------------------------------------------------
 
 def fig_dissipation_scenario():
@@ -177,52 +184,6 @@ def run_fig1c(points=2001, half_span_ev=2e-3):
     )
 
 
-def fig_yield_scenario(paper_exact=True):
-    """Resonant sphere + emitter system of the quantum-yield study.
-
-    paper_exact pins {J, G, gamma_s, gamma_m, g1, gamma_1r} to the quoted
-    values; otherwise everything is derived from the geometry, with the
-    quench rate anchored at D = 10 nm.
-    """
-    metal, env, particle, v = reference_sphere_system()
-    base = {
-        "model": "three_mode",
-        "eps_inf": v["eps_inf"], "omega_p_ev": v["omega_p_ev"], "gamma_o_ev": v["gamma_o_ev"],
-        "eps_b": v["eps_b"], "radius_nm": v["radius_nm"],
-        "mu_e_nm": v["mu_e_nm"], "distance_nm": v["distance_nm"],
-        "vc_um3": v["vc_um3"], "q_factor": v["q_factor"],
-        "omega_1_ev": v["omega_1_ev"],
-        "gamma_c_ev": v["gamma_c_ev"],
-        "delta_1e_ev": 0.0, "delta_ce_ev": 0.0,
-        "drive_mode": "emitter",
-    }
-    prov = {k: "first_principles" for k in base if k != "model"}
-    if paper_exact:
-        coupl = {
-            "gamma_1r_ev": 2.45e-3, "g1_ev": -2.9e-3, "G_ev": -7.2e-3, "J_ev": -144e-6,
-            "gamma_s_ev": 3e-6, "gamma_m_ev": 83e-6,
-        }
-        prov.update({k: "paper_exact" for k in coupl})
-        name = "fig2_paper_exact"
-    else:
-        coupl = {
-            "gamma_1r_ev": v["gamma_1r_ev"],
-            "g1_ev": -v["g1_magnitude_ev"],
-            "G_ev": -v["G_magnitude_ev"],
-            "J_ev": -v["J_magnitude_ev"],
-            "gamma_s_ev": v["gamma_s_ev"],
-            "gamma_m_ev": quench_rate_calibrated(
-                v["distance_nm"], particle, env, v["omega_1_ev"], v["mu_e_nm"]),
-        }
-        prov.update({k: "first_principles" for k in coupl})
-        prov["gamma_m_ev"] = "calibrated"
-        name = "fig2_first_principles"
-    params = {**base, **coupl}
-    params["delta_0_ev"] = dyn.fano_detuning(params["J_ev"], params["g1_ev"], params["G_ev"])
-    prov["delta_0_ev"] = "derived"
-    return Scenario(name, params, prov)
-
-
 @dataclass(frozen=True, eq=False)
 class YieldSpectra:
     scenario: Scenario
@@ -238,15 +199,14 @@ class YieldSpectra:
     rad_enhancement_at_delta0: float
 
 
-def run_fig2(paper_exact=True, points=401, half_span_ev=1e-3):
-    """Quantum yield and radiated power vs pump-cavity detuning.
+def run_fig2(scenario, points=401, half_span_ev=1e-3):
+    """Quantum yield and radiated power vs pump-cavity detuning of an emitter-driven scenario.
 
-    The grid is centered on the interference detuning Delta_0 with a 5 ueV
-    step by default; the physical yield maximum sits a few ueV below
-    Delta_0 (the Fano zero of the dipolar amplitude rides the shoulder of
-    the cavity feature), so finer steps would resolve that offset.
+    The grid is centered on the scenario's interference detuning Delta_0
+    with a 5 ueV step by default; the physical yield maximum sits a few ueV
+    below Delta_0 (the Fano zero of the dipolar amplitude rides the shoulder
+    of the cavity feature), so finer steps would resolve that offset.
     """
-    scenario = fig_yield_scenario(paper_exact)
     delta_0 = scenario["delta_0_ev"]
     h = scenario.hamiltonian()
     h_bare = scenario.hamiltonian(bare=True)
@@ -420,28 +380,8 @@ def optimal_Q(d_nm, objective="yield", q_bounds=(1e2, 1e7), coarse_points=25, re
 
 
 # ---------------------------------------------------------------------------
-# strong-coupling scenarios: tilted ellipsoid, calibrated couplings
+# strong coupling: calibration, Rabi traces and the anti-crossing
 # ---------------------------------------------------------------------------
-
-def _anticrossing_ingredients():
-    """Fixed ingredients of the tilted-ellipsoid strong-coupling geometry."""
-    metal = mat.drude_gold()
-    env = mat.Environment(1.0)
-    ellipsoid = mat.Ellipsoid(33.0, 5.5, 5.5)
-    particle = mat.Nanoparticle(ellipsoid, metal)
-    omega_1 = mat.ellipsoid_mode_frequency(
-        metal, env, mat.depolarization_factors(ellipsoid)[0])
-    gamma_1r = mat.dipolar_radiative_rate(particle, env, axis=1)
-    omega_e = omega_1 - 0.6
-    gamma_s = cpl.free_space_decay(1.0, omega_e, env.eps_b)
-    return {
-        "metal": metal, "env": env, "particle": particle,
-        "omega_1_ev": omega_1, "gamma_1r_ev": gamma_1r,
-        "omega_e_ev": omega_e, "gamma_s_ev": gamma_s,
-        "delta_1e_ev": 0.6, "theta_deg": 60.0,
-        "distance_nm": 5.0, "vc_um3": 0.1,
-    }
-
 
 def _pair_metrics(matrix):
     """(Re separation, larger width, smaller width) of the two near-zero branches."""
@@ -452,42 +392,59 @@ def _pair_metrics(matrix):
     return abs(a.real - b.real), widths[0], widths[1]
 
 
-def calibrate_fig3_couplings(targets=CALIBRATION_TARGETS, q_factor=ANTICROSSING_Q):
+def with_cavity(scenario, delta_ce_ev, q_factor=None):
+    """The scenario with its cavity at delta_ce_ev = omega_c - omega_e and quality factor q_factor.
+
+    The cavity width follows at fixed Q (gamma_c = omega_c / Q); q_factor
+    defaults to the scenario's.  delta_ce_ev may be an array, in eV; the
+    scenario's Hamiltonian is then a stack over it.
+    """
+    p = scenario.params
+    q = p["q_factor"] if q_factor is None else q_factor
+    omega_c = p["omega_e_ev"] + delta_ce_ev
+    return replace(scenario, params={
+        **p, "q_factor": q, "delta_ce_ev": delta_ce_ev, "omega_c_ev": omega_c,
+        "gamma_c_ev": omega_c / q})
+
+
+def calibrate_fig3_couplings(scenario, targets):
     """Fit the projected coupling magnitudes (|G|, |g1|) to the anti-crossing targets.
 
-    Two-parameter root-find so the eigenstructure at zero emitter-cavity
-    detuning reproduces {splitting 2 g_eff, smaller linewidth kappa_2} to
-    1e-3 relative.  The cavity-emitter coupling J is held at zero (emitter
-    dipole perpendicular to the cavity polarization).
+    targets is (splitting 2 g_eff, smaller linewidth kappa_2) in eV.  A
+    two-parameter root-find on the scenario's own geometry and widths, with
+    the cavity at ANTICROSSING_Q and on resonance with the emitter, makes
+    the eigenstructure reproduce the targets to 1e-3 relative.  The
+    cavity-emitter coupling J is held at zero (emitter dipole perpendicular
+    to the cavity polarization).
 
     Returns (CouplingSet, diagnostics).  The diagnostics include the
-    first-principles point-dipole estimates, which underestimate the
-    near-tip coupling; the calibrated/estimated ratios are reported and
-    expected to exceed 1.
+    first-principles point-dipole estimates at the scenario's tip distance
+    and tilt theta_deg, which underestimate the near-tip coupling; the
+    calibrated/estimated ratios are reported and expected to exceed 1.
     """
     two_g_target, kappa2_target = targets
     if two_g_target <= 0 or kappa2_target <= 0:
         raise DomainError("calibration targets must be positive")
-    ing = _anticrossing_ingredients()
-    gamma_1 = ing["gamma_1r_ev"] + ing["metal"].gamma_o
-    gamma_c = ing["omega_e_ev"] / q_factor
-    if kappa2_target >= gamma_c and kappa2_target >= ing["gamma_s_ev"]:
-        if kappa2_target > max(gamma_c, ing["gamma_s_ev"]):
-            raise CalibrationError(
-                f"kappa_2 target {kappa2_target} eV exceeds every bare width "
-                f"(gamma_c={gamma_c:.3e}, gamma_e={ing['gamma_s_ev']:.3e}); the dark-state "
-                "width is a coupling-weighted mix of the bare widths and cannot reach it")
+    base = with_cavity(scenario, 0.0, ANTICROSSING_Q)
+    p = base.params
+    gamma_1 = p["gamma_1r_ev"] + p["gamma_o_ev"]
+    gamma_c = p["gamma_c_ev"]
+    gamma_e = p["gamma_s_ev"] + p["gamma_m_ev"]
+    if kappa2_target > max(gamma_c, gamma_e):
+        raise CalibrationError(
+            f"kappa_2 target {kappa2_target} eV exceeds every bare width "
+            f"(gamma_c={gamma_c:.3e}, gamma_e={gamma_e:.3e}); the dark-state "
+            "width is a coupling-weighted mix of the bare widths and cannot reach it")
 
     # closed-form seed from adiabatic elimination of the far-detuned plasmon
-    s = 1.0 / (ing["delta_1e_ev"] - 0.5j * gamma_1)
+    s = 1.0 / (p["delta_1e_ev"] - 0.5j * gamma_1)
     total = two_g_target / s.real
-    frac = min(max((kappa2_target - ing["gamma_s_ev"]) / (gamma_c - ing["gamma_s_ev"]), 1e-6), 1 - 1e-6)
+    frac = min(max((kappa2_target - gamma_e) / (gamma_c - gamma_e), 1e-6), 1 - 1e-6)
     seed = np.array([math.sqrt(frac * total), math.sqrt((1.0 - frac) * total)])
 
     def residuals(x):
-        couplings = cpl.CouplingSet(g1=-x[1], G=-x[0], J=0.0)
-        scenario = fig_strong_coupling_scenario(q_factor, couplings, 0.0, ing)
-        sep, _, kappa2 = _pair_metrics(scenario.hamiltonian().matrix)
+        trial = replace(base, params={**p, "g1_ev": -x[1], "G_ev": -x[0], "J_ev": 0.0})
+        sep, _, kappa2 = _pair_metrics(trial.hamiltonian().matrix)
         return [sep / two_g_target - 1.0, kappa2 / kappa2_target - 1.0]
 
     sol = root(residuals, seed, method="hybr", tol=1e-13)
@@ -497,152 +454,111 @@ def calibrate_fig3_couplings(targets=CALIBRATION_TARGETS, q_factor=ANTICROSSING_
             f"coupling calibration did not converge: residuals {res}", residuals=res)
     G_eff, g1_eff = (abs(float(x)) for x in sol.x)
 
-    mu_1 = cpl.plasmon_effective_dipole(ing["gamma_1r_ev"], ing["omega_1_ev"])
-    d_tip = ing["particle"].shape.a1 + ing["distance_nm"]
-    G_est = abs(cpl.dipole_dipole_coupling(mu_1, 1.0, d_tip, 1.0, "longitudinal"))
-    g1_est = cpl.vacuum_coupling(mu_1, ing["omega_e_ev"], ing["vc_um3"] * 1e9, 1.0)
-    G_est_eff, g1_est_eff = cpl.project_couplings(G_est, g1_est, ing["theta_deg"])
+    mu_1 = cpl.plasmon_effective_dipole(p["gamma_1r_ev"], p["omega_1_ev"])
+    d_tip = (p["a1_nm"], p["a2_nm"], p["a3_nm"])[p["axis"] - 1] + p["distance_nm"]
+    geometry = "longitudinal" if p["orientation"] == "radial" else "transverse"
+    G_est = abs(cpl.dipole_dipole_coupling(mu_1, p["mu_e_nm"], d_tip, p["eps_b"], geometry))
+    g1_est = cpl.vacuum_coupling(mu_1, p["omega_e_ev"], p["vc_um3"] * 1e9, p["eps_b"])
+    G_est_eff, g1_est_eff = cpl.project_couplings(G_est, g1_est, p["theta_deg"])
     diagnostics = {
+        "two_g_eff_target_ev": two_g_target,
+        "kappa_2_target_ev": kappa2_target,
         "point_dipole_G_eff_ev": G_est_eff,
         "point_dipole_g1_eff_ev": g1_est_eff,
         "ratio_G_calibrated_over_estimate": G_eff / G_est_eff,
         "ratio_g1_calibrated_over_estimate": g1_eff / g1_est_eff,
-        "q_factor": q_factor,
-        "residuals": tuple(res),
+        "q_factor": ANTICROSSING_Q,
+        "residual_max": float(max(abs(r) for r in res)),
     }
     return cpl.CouplingSet(g1=-g1_eff, G=-G_eff, J=0.0), diagnostics
 
 
-def fig_strong_coupling_scenario(q_factor, couplings=None, delta_ce_ev=1.5e-3,
-                                 ingredients=None):
-    """Tilted-ellipsoid scenario at one cavity quality factor.
-
-    The emitter sits at the vertex, its dipole perpendicular to the cavity
-    polarization (J = 0); the particle's long axis is tilted 60 degrees, so
-    the calibrated couplings are the projected values entering the
-    Hamiltonian.  The emitter's multipole quenching is taken as zero: at
-    0.23 eV the ellipsoid multipoles are far detuned.  The anti-crossing
-    study puts the cavity on resonance (delta_ce_ev = 0).
-    """
-    ing = ingredients or _anticrossing_ingredients()
-    if couplings is None:
-        couplings, _ = calibrate_fig3_couplings()
-    omega_c = ing["omega_e_ev"] + delta_ce_ev
-    params = {
-        "model": "three_mode",
-        "eps_inf": ing["metal"].eps_inf, "omega_p_ev": ing["metal"].omega_p,
-        "gamma_o_ev": ing["metal"].gamma_o, "eps_b": ing["env"].eps_b,
-        "a1_nm": 33.0, "a2_nm": 5.5, "a3_nm": 5.5,
-        "mu_e_nm": 1.0, "distance_nm": ing["distance_nm"],
-        "theta_deg": ing["theta_deg"],
-        "vc_um3": ing["vc_um3"], "q_factor": q_factor,
-        "omega_1_ev": ing["omega_1_ev"], "omega_e_ev": ing["omega_e_ev"],
-        "omega_c_ev": omega_c,
-        "delta_1e_ev": ing["delta_1e_ev"], "delta_ce_ev": delta_ce_ev,
-        "gamma_1r_ev": ing["gamma_1r_ev"],
-        "gamma_c_ev": omega_c / q_factor,
-        "gamma_s_ev": ing["gamma_s_ev"], "gamma_m_ev": 0.0,
-        "g1_ev": couplings.g1, "G_ev": couplings.G, "J_ev": couplings.J,
-        "drive_mode": "emitter",
-    }
-    prov = {k: "first_principles" for k in params if k != "model"}
-    prov.update({"g1_ev": "calibrated", "G_ev": "calibrated", "J_ev": "paper_exact",
-                 "gamma_m_ev": "calibrated"})
-    notes = (
-        "omega_e = omega_1 - 0.6 eV puts the emitter at 0.23 eV; the low absolute "
-        "frequency follows from the published detunings and is flagged as an ambiguity",
-        "gamma_m = 0: ellipsoid multipole modes are far detuned from the emitter",
-    )
-    return Scenario(f"fig3_q{q_factor:g}", params, prov, notes)
-
-
-def cavity_detuned(scenario, delta_ec):
-    """The scenario with its cavity at emitter-cavity detuning delta_ec = omega_e - omega_c.
-
-    The cavity width follows at fixed Q (gamma_c = omega_c / Q).  delta_ec may
-    be an array, in eV; the scenario's Hamiltonian is then a stack over it.
-    """
-    p = scenario.params
-    omega_c = p["omega_e_ev"] - delta_ec
-    return replace(scenario, params={
-        **p, "delta_ce_ev": -delta_ec, "omega_c_ev": omega_c,
-        "gamma_c_ev": omega_c / p["q_factor"]})
+def fig3_hamiltonians(scenario):
+    """The Rabi-trace systems: the scenario at each TRACE_Q_FACTORS Q, and without its cavity."""
+    hams = {label: with_cavity(scenario, scenario["delta_ce_ev"], q).hamiltonian()
+            for label, q in TRACE_Q_FACTORS}
+    hams["no_cavity"] = scenario.hamiltonian(bare=True)
+    return hams
 
 
 @dataclass(frozen=True, eq=False)
-class StrongCouplingResult:
-    couplings: cpl.CouplingSet
-    calibration: dict
+class RabiTraces:
+    scenario: Scenario
     times_fs: np.ndarray
     traces: dict  # label ("q1e3", ..., "no_cavity") -> emitter population array
     trace_maxima: dict  # label -> oscillation maxima count
     settle_fs: float
-    spectrum: dyn.SpectrumResult  # emitter emission at Q = 1e4
+    spectrum: dyn.SpectrumResult  # emitter emission of the scenario itself
     spectrum_bare: dyn.SpectrumResult
-    branches: dyn.EigenBranchSet  # over emitter-cavity detuning
-    metrics: dyn.AntiCrossingMetrics
-    scenario: Scenario  # the Q = 1e4 scenario (spectrum parameters)
 
 
-def anticrossing_branches(couplings, q_factor=ANTICROSSING_Q, half_span_ev=10e-3,
-                          step_ev=0.5e-3, sweep_values=None):
-    """Eigen branches of the strong-coupling system over emitter-cavity detuning."""
-    if sweep_values is None:
-        half_steps = int(round(half_span_ev / step_ev))
-        sweep = step_ev * np.arange(-half_steps, half_steps + 1)  # exact zero at center
-    else:
-        sweep = np.asarray(sweep_values, dtype=float)
-    scenario = fig_strong_coupling_scenario(q_factor, couplings, 0.0)
-    return dyn.eigen_branches(cavity_detuned(scenario, sweep).hamiltonian().matrix, sweep)
+def run_fig3(scenario, trace_points=4096, spectrum_points=2001):
+    """Rabi-oscillation traces and the emission doublet of a calibrated scenario.
 
-
-def run_fig3_fig4(trace_points=4096, spectrum_points=2001):
-    """Time traces, emission spectrum and anti-crossing branches of the calibrated system."""
-    couplings, calibration = calibrate_fig3_couplings()
-    two_g_target = CALIBRATION_TARGETS[0]
-    ing = _anticrossing_ingredients()
-    gamma_fast = ing["gamma_1r_ev"] + ing["metal"].gamma_o
-
-    span_natural = 9.0 * 2.0 * math.pi / two_g_target
+    The emitter starts excited; the traces span nine periods of the
+    calibration's target splitting, at each TRACE_Q_FACTORS Q and without
+    the cavity.  The spectrum is the scenario's own, with and without cavity.
+    """
+    p = scenario.params
+    span_natural = 9.0 * 2.0 * math.pi / scenario.calibration["two_g_eff_target_ev"]
     times_fs = to_fs(np.linspace(0.0, span_natural, trace_points))
-    settle_fs = float(to_fs(10.0 / gamma_fast))
-    initial = np.array([0.0, 0.0, 1.0], dtype=complex)
+    settle_fs = float(to_fs(10.0 / (p["gamma_1r_ev"] + p["gamma_o_ev"])))
+    hams = fig3_hamiltonians(scenario)
+    initial = np.array([0.0, 0.0, 1.0], dtype=complex)  # the emitter excited
 
     traces = {}
     maxima = {}
-    for label, q in (("q1e3", 1e3), ("q1e4", 1e4), ("q1e5", 1e5)):
-        scenario = fig_strong_coupling_scenario(q, couplings, ingredients=ing)
-        trace = dyn.evolve(scenario.hamiltonian(), initial, times_fs)
-        traces[label] = trace.population("emitter")
+    for label, h in hams.items():
+        traces[label] = dyn.evolve(h, initial, times_fs).population("emitter")
         maxima[label] = dyn.count_oscillation_maxima(
             times_fs, traces[label], threshold=1e-3, settle_fs=settle_fs)
-    scenario4 = fig_strong_coupling_scenario(1e4, couplings, ingredients=ing)
-    bare = scenario4.hamiltonian(bare=True)
-    trace = dyn.evolve(bare, initial, times_fs)
-    traces["no_cavity"] = trace.population("emitter")
-    maxima["no_cavity"] = dyn.count_oscillation_maxima(
-        times_fs, traces["no_cavity"], threshold=1e-3, settle_fs=settle_fs)
 
-    h4 = scenario4.hamiltonian()
-    channels = scenario4.channels(h4)
+    h = scenario.hamiltonian()
+    channels = scenario.channels(h)
     detunings = np.linspace(-8e-3, 8e-3, spectrum_points)
-    spectrum = dyn.emission_spectrum(h4, detunings, channels, "emitter")
-    spectrum_bare = dyn.emission_spectrum(bare, detunings, channels, "emitter")
-
-    branches = anticrossing_branches(couplings)
-    metrics = dyn.anticrossing_metrics(branches)
-    return StrongCouplingResult(
-        couplings=couplings,
-        calibration=calibration,
+    return RabiTraces(
+        scenario=scenario,
         times_fs=times_fs,
         traces=traces,
         trace_maxima=maxima,
         settle_fs=settle_fs,
-        spectrum=spectrum,
-        spectrum_bare=spectrum_bare,
+        spectrum=dyn.emission_spectrum(h, detunings, channels, "emitter"),
+        spectrum_bare=dyn.emission_spectrum(hams["no_cavity"], detunings, channels, "emitter"),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class AntiCrossing:
+    scenario: Scenario
+    branches: dyn.EigenBranchSet  # over emitter-cavity detuning
+    metrics: dyn.AntiCrossingMetrics
+    spectra_scenario: Scenario  # the scenario at SPECTRA_Q, cavity on resonance
+    detunings: np.ndarray
+    spectra: np.ndarray  # radiated power, (len(sweep), len(detunings))
+
+
+def run_fig4(scenario, sweep_values, spectrum_points=801):
+    """Eigen branches over emitter-cavity detuning and the emission-spectra map.
+
+    The branches are the scenario's own; the spectra are those of the same
+    system at cavity quality factor SPECTRA_Q, one batched solve over
+    (detuning sweep, pump detuning).
+    """
+    sweep = np.asarray(sweep_values, dtype=float)
+    branches = dyn.eigen_branches(with_cavity(scenario, -sweep).hamiltonian().matrix, sweep)
+    at_q = replace(with_cavity(scenario, 0.0, SPECTRA_Q),
+                   name=f"{scenario.name}_q{SPECTRA_Q:g}")
+    shifted = with_cavity(at_q, -sweep[:, None])
+    h = shifted.hamiltonian()
+    detunings = np.linspace(-8e-3, 8e-3, spectrum_points)
+    spectra = dyn.emission_spectrum(h, detunings, shifted.channels(h), "emitter")
+    return AntiCrossing(
+        scenario=scenario,
         branches=branches,
-        metrics=metrics,
-        scenario=scenario4,
+        metrics=dyn.anticrossing_metrics(branches),
+        spectra_scenario=at_q,
+        detunings=detunings,
+        spectra=spectra.radiative_total,
     )
 
 

@@ -114,34 +114,6 @@ class Nanoparticle:
         return True
 
 
-@dataclass(frozen=True)
-class PlasmonMode:
-    """One LSPR mode: order l along axis q, with its frequency and width split.
-
-    Only the dipolar mode (l=1) radiates; every mode carries the Ohmic
-    width of the metal.  mu_eff (e nm) is filled in by the coupling layer.
-    """
-
-    order: int
-    axis: int
-    omega: float  # eV
-    gamma_rad: float  # eV
-    gamma_ohmic: float  # eV
-    mu_eff: float | None = None
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise DomainError(f"mode order must be >= 1, got {self.order}")
-        if self.order > 1 and self.gamma_rad != 0.0:
-            raise DomainError("multipole modes (l>1) are purely absorptive")
-        if self.gamma_rad < 0 or self.gamma_ohmic < 0:
-            raise DomainError("mode widths must be >= 0")
-
-    @property
-    def gamma_total(self):
-        return self.gamma_rad + self.gamma_ohmic
-
-
 def drude_permittivity(metal, omega):
     """Complex Drude permittivity eps_inf - omega_p^2 / (omega^2 + i omega gamma_o).
 
@@ -338,20 +310,3 @@ def multipole_absorption_response(metal, env, order, omega):
         raise DomainError(f"mode order must be >= 1, got {order}")
     eps = drude_permittivity(metal, omega)
     return order * (eps - env.eps_b) / (order * eps + (order + 1) * env.eps_b)
-
-
-def dipole_mode(particle, env, axis=1):
-    """Build the dipolar PlasmonMode of a particle along one axis."""
-    metal = particle.metal
-    if isinstance(particle.shape, Sphere):
-        omega1 = sphere_mode_frequency(metal, env, 1)
-    else:
-        L = depolarization_factors(particle.shape)[axis - 1]
-        omega1 = ellipsoid_mode_frequency(metal, env, L)
-    return PlasmonMode(
-        order=1,
-        axis=axis,
-        omega=omega1,
-        gamma_rad=dipolar_radiative_rate(particle, env, axis),
-        gamma_ohmic=metal.gamma_o,
-    )

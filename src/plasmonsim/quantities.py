@@ -7,8 +7,6 @@ Dipole moments are in e*nm.  Only two constants are needed to express every
 formula in the package; the fs conversion exists purely for time-axis output.
 """
 
-import math
-
 import numpy as np
 
 from .errors import DomainError
@@ -37,12 +35,6 @@ def require_positive(**values):
     for name, value in values.items():
         if np.any(np.asarray(value) <= 0):
             raise DomainError(f"{name} must be > 0, got {value!r}")
-
-
-def wavevector(omega_ev, eps_b=1.0):
-    """Wavevector k = sqrt(eps_b) * omega / (hbar c) in nm^-1."""
-    require_positive(omega_ev=omega_ev, eps_b=eps_b)
-    return math.sqrt(eps_b) * omega_ev / HBAR_C
 
 
 def to_fs(t_natural):

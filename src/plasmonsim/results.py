@@ -120,12 +120,14 @@ def read_metadata(text):
 
 
 def scenario_metadata(scenario):
-    """Flatten a Scenario into metadata entries with provenance tags."""
+    """Flatten a Scenario into metadata entries with provenance tags and calibration diagnostics."""
     meta = {"scenario": scenario.name}
     for key in sorted(scenario.params):
         meta[f"param.{key}"] = scenario.params[key]
     for key in sorted(scenario.provenance):
         meta[f"provenance.{key}"] = scenario.provenance[key]
+    for key in sorted(scenario.calibration):
+        meta[f"calibration.{key}"] = scenario.calibration[key]
     for i, note in enumerate(scenario.notes):
         meta[f"note.{i}"] = note
     return meta

@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from plasmonsim import couplings as cpl
+from plasmonsim import experiments as exp
 from plasmonsim import materials as mat
 from plasmonsim import network as net
+from plasmonsim.config import parse_config
 
 
 @pytest.fixture(scope="session")
@@ -74,3 +78,15 @@ def random_system(rng, n_modes=None):
         for j in range(i + 1, n):
             h[i, j] = h[j, i] = rng.uniform(-0.05, 0.05)
     return h, widths
+
+
+def strong_coupling_results():
+    """The fig3 and fig4 results of the builtin scenarios, side by side."""
+    fig3 = exp.run_fig3(parse_config("fig3").scenario)
+    fig4 = exp.run_fig4(parse_config("fig4").scenario, 2e-3 * np.arange(-5, 6))
+    s = fig3.scenario
+    return SimpleNamespace(
+        scenario=s, couplings=cpl.CouplingSet(s["g1_ev"], s["G_ev"], s["J_ev"]),
+        calibration=s.calibration, traces=fig3.traces, trace_maxima=fig3.trace_maxima,
+        spectrum=fig3.spectrum, spectrum_bare=fig3.spectrum_bare,
+        branches=fig4.branches, metrics=fig4.metrics)

@@ -18,9 +18,10 @@ from plasmonsim import experiments as exp
 from plasmonsim import materials as mat
 from plasmonsim import network as net
 from plasmonsim.cli import main
+from plasmonsim.config import parse_config
 from plasmonsim.quantities import to_fs
 
-from conftest import random_system
+from conftest import random_system, strong_coupling_results
 
 
 def _criterion(number, checks):
@@ -107,7 +108,7 @@ def test_criterion_2_dissipation_spectra():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_yield_regression():
-    result = exp.run_fig2(paper_exact=True)
+    result = exp.run_fig2(parse_config("fig2").scenario)
     step = result.detunings[1] - result.detunings[0]
     peak = result.detunings[int(np.argmax(result.yield_cavity))]
     _criterion(3, [
@@ -160,9 +161,9 @@ def test_criterion_4_enhancement_map():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_strong_coupling():
-    result = exp.run_fig3_fig4()
-    sep, _, kappa_2 = exp._pair_metrics(exp.fig_strong_coupling_scenario(
-        exp.ANTICROSSING_Q, result.couplings, delta_ce_ev=0.0).hamiltonian().matrix)
+    result = strong_coupling_results()
+    sep, _, kappa_2 = exp._pair_metrics(exp.with_cavity(
+        result.scenario, 0.0, exp.ANTICROSSING_Q).hamiltonian().matrix)
     doublet = exp.spectrum_peak_separation(
         result.spectrum.detunings, result.spectrum.radiative_total)
     _criterion(5, [

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from plasmonsim import dynamics as dyn
 from plasmonsim.cli import main
 from plasmonsim.config import BUILTIN_CONFIGS, parse_config, parse_config_text
 from plasmonsim.errors import ConfigError
@@ -25,6 +26,17 @@ def test_builtin_fig2_matches_quoted_set():
     assert s["gamma_1r_ev"] == pytest.approx(2.45e-3)
     assert s["delta_0_ev"] == pytest.approx(58e-6, rel=1e-9)
     assert s.provenance["G_ev"] == "paper_exact"
+
+
+def test_unit_conversion_is_exact():
+    # a float multiply is not exact: -7.2 * 1e-3 != -7.2e-3 and 2.45 * 1e-3 != 2.45e-3
+    s = parse_config("fig2").scenario
+    assert s["G_ev"] == -7.2e-3
+    assert s["gamma_1r_ev"] == 2.45e-3
+    assert s["delta_0_ev"] == dyn.fano_detuning(-144e-6, -2.9e-3, -7.2e-3)
+    calibration = parse_config("fig3").scenario.calibration
+    assert calibration["two_g_eff_target_ev"] == 3.5e-3
+    assert calibration["kappa_2_target_ev"] == 0.11e-3
 
 
 def test_empty_config_lists_all_required_sections():
@@ -226,6 +238,13 @@ BOUNDARY_PROBES = {
     "axis_negative": (["spectrum"], ("a3_nm = 5.5", "a3_nm = 5.5\naxis = -1"), "fig3"),
     "evolve_t_span_zero": (["evolve"], "\n[sweep]\nt_span_fs = 0\n"),
     "evolve_t_span_negative": (["evolve"], "\n[sweep]\nt_span_fs = -5000\n"),
+    "calibrated_without_theta": (["spectrum"], ("theta_deg = 60.0\n", ""), "fig3"),
+    "distance_zero": (["spectrum"], ("distance_nm = 10.0", "distance_nm = 0")),
+    "distance_negative": (["spectrum"], ("distance_nm = 10.0", "distance_nm = -3")),
+    "radius_zero": (["spectrum"], ("radius_nm = 10.0", "radius_nm = 0")),
+    "a1_negative": (["spectrum"], ("a1_nm = 33.0", "a1_nm = -33"), "fig3"),
+    "mu_e_zero": (["spectrum"], ("mu_e_nm = 1.0", "mu_e_nm = 0")),
+    "omega_p_zero": (["spectrum"], ("omega_p_ev = 4.0", "omega_p_ev = 0")),
 }
 
 
@@ -293,6 +312,35 @@ def test_byte_identical_across_runs(tmp_path):
     ):
         for a, b in run_twice(tmp_path / argv[0], argv, files):
             assert a == b
+
+
+@pytest.mark.parametrize("argv, builtin, table", [
+    (["fig2"], "fig2", "fig2_yield"),
+    (["fig2", "--first-principles"], "fig2_first_principles", "fig2_power"),
+    (["fig3"], "fig3", "fig3_traces"),
+    (["fig4"], "fig4", "fig4_branches"),
+])
+def test_figure_metadata_is_the_builtin_config(argv, builtin, table, tmp_path):
+    def bits(value):  # floats compared bit for bit, signed zeros included
+        return float(value).hex() if isinstance(value, (float, np.floating)) else value
+
+    out = tmp_path / "o"
+    assert main(argv + ["--grid", "11", "--out", str(out)]) == 0
+    meta = read_metadata((out / f"{table}.csv").read_text())
+    params = parse_config(builtin).scenario.params
+    assert meta["scenario"] == builtin
+    recovered = {k[len("param."):]: v for k, v in meta.items() if k.startswith("param.")}
+    assert {k: bits(v) for k, v in recovered.items()} == {k: bits(v) for k, v in params.items()}
+
+
+def test_fig4_tables_name_their_quality_factor(tmp_path):
+    out = tmp_path / "o"
+    assert main(["fig4", "--grid", "11", "--out", str(out)]) == 0
+    branches = read_metadata((out / "fig4_branches.csv").read_text())
+    spectra = read_metadata((out / "fig4_spectra.csv").read_text())
+    assert (branches["scenario"], branches["param.q_factor"]) == ("fig4", 1e3)
+    assert (spectra["scenario"], spectra["param.q_factor"]) == ("fig4_q10000", 1e4)
+    assert not any(key.startswith("result.maxima") for key in branches)
 
 
 def test_fig3_fig4_deterministic(tmp_path):

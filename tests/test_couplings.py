@@ -211,11 +211,6 @@ def test_coupling_consistency_triangle(sphere10, vacuum, omega1):
     assert G == pytest.approx(7.2e-3, rel=0.02)
 
 
-def test_cavity_mode_width():
-    cavity = cpl.CavityMode(omega_c=2.3094, q_factor=1e5, mode_volume=1e9)
-    assert cavity.gamma_c == pytest.approx(2.3094e-5, rel=1e-12)
-
-
 # randomized homogeneity checks: exponents of every power law at once
 def test_scaling_exponents_randomized(omega1):
     rng = np.random.default_rng(20240817)

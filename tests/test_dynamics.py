@@ -9,6 +9,7 @@ from plasmonsim import couplings as cpl
 from plasmonsim import dynamics as dyn
 from plasmonsim import experiments as exp
 from plasmonsim import network as net
+from plasmonsim.config import parse_config
 from plasmonsim.errors import (
     ConditioningError,
     DomainError,
@@ -256,11 +257,7 @@ def _max_population_gap(trace, amps):
 @pytest.fixture(scope="module")
 def fig3_hamiltonians():
     """The four fig3 systems: Q = 1e3, 1e4, 1e5 and the cavity-free reference."""
-    couplings, _ = exp.calibrate_fig3_couplings()
-    scenarios = {q: exp.fig_strong_coupling_scenario(q, couplings) for q in (1e3, 1e4, 1e5)}
-    hams = {f"q{q:g}": s.hamiltonian() for q, s in scenarios.items()}
-    hams["no_cavity"] = scenarios[1e4].hamiltonian(bare=True)
-    return hams
+    return exp.fig3_hamiltonians(parse_config("fig3").scenario)
 
 
 def test_evolve_eigendecomposition_matches_per_point_expm(

@@ -5,7 +5,10 @@ from plasmonsim import couplings as cpl
 from plasmonsim import dynamics as dyn
 from plasmonsim import experiments as exp
 from plasmonsim import network as net
+from plasmonsim.config import BUILTIN_CONFIGS, parse_config, parse_config_text
 from plasmonsim.errors import CalibrationError, DomainError
+
+from conftest import strong_coupling_results
 
 
 @pytest.fixture(scope="module")
@@ -15,12 +18,12 @@ def fig1c():
 
 @pytest.fixture(scope="module")
 def fig2():
-    return exp.run_fig2(paper_exact=True)
+    return exp.run_fig2(parse_config("fig2").scenario)
 
 
 @pytest.fixture(scope="module")
 def fig34():
-    return exp.run_fig3_fig4()
+    return strong_coupling_results()
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +88,7 @@ def test_fig2_yield_peak_at_absorption_valley(fig2):
 
 
 def test_fig2_first_principles_close_to_quoted(fig2):
-    fp = exp.run_fig2(paper_exact=False)
+    fp = exp.run_fig2(parse_config("fig2_first_principles").scenario)
     assert fp.scenario.provenance["g1_ev"] == "first_principles"
     assert fp.yield_at_delta0 == pytest.approx(fig2.yield_at_delta0, rel=0.10)
     assert fp.scenario["g1_ev"] == pytest.approx(-2.9e-3, rel=0.02)
@@ -204,8 +207,7 @@ def test_quench_anchor():
 
 def test_calibration_hits_targets(fig34):
     sep, kappa_1, kappa_2 = exp._pair_metrics(
-        exp.fig_strong_coupling_scenario(
-            exp.ANTICROSSING_Q, fig34.couplings, delta_ce_ev=0.0).hamiltonian().matrix)
+        exp.with_cavity(fig34.scenario, 0.0, exp.ANTICROSSING_Q).hamiltonian().matrix)
     assert sep == pytest.approx(3.5e-3, rel=1e-3)
     assert kappa_2 == pytest.approx(0.11e-3, rel=1e-3)
     assert fig34.couplings.J == 0.0
@@ -223,7 +225,7 @@ def test_calibration_flags_point_dipole_underestimate(fig34):
 
 def test_calibration_unreachable_target_raises():
     with pytest.raises(CalibrationError):
-        exp.calibrate_fig3_couplings(targets=(3.5e-3, 5e-3))
+        exp.calibrate_fig3_couplings(parse_config("fig3").scenario, targets=(3.5e-3, 5e-3))
 
 
 def test_trace_oscillation_counts(fig34):
@@ -251,10 +253,20 @@ def test_branches_never_cross(fig34):
     assert fig34.metrics.min_im_separation > 0.0
 
 
+@pytest.mark.parametrize("edit", [("delta_1e_ev = 0.6", "delta_1e_ev = 0.3"),
+                                  ("a1_nm = 33.0", "a1_nm = 20.0")])
+def test_calibration_fits_the_configured_geometry(edit):
+    """The fit runs on the scenario's own geometry, not on the builtin ellipsoid."""
+    scenario = parse_config_text(BUILTIN_CONFIGS["fig4"].replace(*edit)).scenario
+    sep, _, kappa_2 = exp._pair_metrics(scenario.hamiltonian().matrix)
+    assert sep == pytest.approx(3.5e-3, rel=1e-3)
+    assert kappa_2 == pytest.approx(0.11e-3, rel=1e-3)
+
+
 def test_detuning_stack_slices_match_scalar_builds():
-    scenario = exp.fig_strong_coupling_scenario(1e4, cpl.CouplingSet(-33.7e-3, -32.2e-3, 0.0))
+    scenario = parse_config("fig3").scenario
     sweep = np.linspace(-9e-3, 7e-3, 17)
-    stack = exp.cavity_detuned(scenario, sweep).hamiltonian().matrix
+    stack = exp.with_cavity(scenario, -sweep).hamiltonian().matrix
     assert stack.shape == (sweep.size, 3, 3)
     p = scenario.params
     for k, dec in enumerate(sweep.tolist()):

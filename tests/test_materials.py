@@ -280,18 +280,3 @@ def test_quasi_static_warning(gold):
     with pytest.warns(UserWarning, match="quasi-static"):
         particle = mat.Nanoparticle(mat.Sphere(40.0), gold)
     assert not particle.quasi_static_valid
-
-
-def test_dipole_mode_builder(sphere10, vacuum, omega1):
-    mode = mat.dipole_mode(sphere10, vacuum)
-    assert mode.order == 1
-    assert mode.omega == pytest.approx(omega1, rel=1e-12)
-    assert mode.gamma_ohmic == pytest.approx(0.2)
-    assert mode.gamma_total == pytest.approx(mode.gamma_rad + 0.2)
-
-
-def test_plasmon_mode_invariants():
-    with pytest.raises(DomainError):
-        mat.PlasmonMode(order=2, axis=1, omega=2.5, gamma_rad=1e-3, gamma_ohmic=0.2)
-    with pytest.raises(DomainError):
-        mat.PlasmonMode(order=0, axis=1, omega=2.5, gamma_rad=0.0, gamma_ohmic=0.2)

@@ -1,8 +1,4 @@
-import math
-
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from plasmonsim.errors import DomainError
 from plasmonsim.quantities import (
@@ -11,42 +7,12 @@ from plasmonsim.quantities import (
     from_fs,
     require_finite,
     to_fs,
-    wavevector,
 )
 
 
 def test_constants():
     assert HBAR_C == pytest.approx(197.3270)
     assert COULOMB == pytest.approx(1.439964)
-
-
-def test_wavevector_values():
-    # 4/sqrt(3) eV in vacuum
-    assert wavevector(2.3094010767585034, 1.0) == pytest.approx(0.011703, rel=1e-4)
-    # definition of hbar*c
-    assert wavevector(197.3270, 1.0) == pytest.approx(1.0, rel=1e-12)
-    # sqrt(eps_b) scaling
-    assert wavevector(2.309, 4.0) == pytest.approx(2.0 * wavevector(2.309, 1.0), rel=1e-12)
-
-
-@given(
-    omega=st.floats(1e-3, 1e3),
-    eps_b=st.floats(1.0, 16.0),
-)
-def test_wavevector_round_trip(omega, eps_b):
-    k = wavevector(omega, eps_b)
-    assert k * HBAR_C / math.sqrt(eps_b) == pytest.approx(omega, rel=1e-12)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-def test_wavevector_rejects_bad_omega(bad):
-    with pytest.raises(DomainError):
-        wavevector(bad, 1.0)
-
-
-def test_wavevector_rejects_bad_eps():
-    with pytest.raises(DomainError):
-        wavevector(1.0, 0.0)
 
 
 def test_require_finite_names_offender():
