@@ -499,6 +499,8 @@ def run_fig3(scenario, trace_points=4096, spectrum_points=2001):
     calibration's target splitting, at each TRACE_Q_FACTORS Q and without
     the cavity.  The spectrum is the scenario's own, with and without cavity.
     """
+    if not scenario.calibration:
+        raise DomainError(f"fig3 needs a calibrated scenario; {scenario.name!r} has no calibration")
     p = scenario.params
     span_natural = 9.0 * 2.0 * math.pi / scenario.calibration["two_g_eff_target_ev"]
     times_fs = to_fs(np.linspace(0.0, span_natural, trace_points))

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -80,13 +78,15 @@ def random_system(rng, n_modes=None):
     return h, widths
 
 
-def strong_coupling_results():
-    """The fig3 and fig4 results of the builtin scenarios, side by side."""
-    fig3 = exp.run_fig3(parse_config("fig3").scenario)
-    fig4 = exp.run_fig4(parse_config("fig4").scenario, 2e-3 * np.arange(-5, 6))
-    s = fig3.scenario
-    return SimpleNamespace(
-        scenario=s, couplings=cpl.CouplingSet(s["g1_ev"], s["G_ev"], s["J_ev"]),
-        calibration=s.calibration, traces=fig3.traces, trace_maxima=fig3.trace_maxima,
-        spectrum=fig3.spectrum, spectrum_bare=fig3.spectrum_bare,
-        branches=fig4.branches, metrics=fig4.metrics)
+# the anti-crossing sweep the tests check: -10..10 meV in 0.5 meV steps, exact zero at the centre
+FIG4_TEST_SWEEP = 0.5e-3 * np.arange(-20, 21)
+
+
+@pytest.fixture(scope="session")
+def fig3():
+    return exp.run_fig3(parse_config("fig3").scenario)
+
+
+@pytest.fixture(scope="session")
+def fig4():
+    return exp.run_fig4(parse_config("fig4").scenario, FIG4_TEST_SWEEP)

@@ -21,7 +21,7 @@ from plasmonsim.cli import main
 from plasmonsim.config import parse_config
 from plasmonsim.quantities import to_fs
 
-from conftest import random_system, strong_coupling_results
+from conftest import random_system
 
 
 def _criterion(number, checks):
@@ -160,30 +160,29 @@ def test_criterion_4_enhancement_map():
 # criterion 5: calibrated strong-coupling regression
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_strong_coupling():
-    result = strong_coupling_results()
+def test_criterion_5_strong_coupling(fig3, fig4):
     sep, _, kappa_2 = exp._pair_metrics(exp.with_cavity(
-        result.scenario, 0.0, exp.ANTICROSSING_Q).hamiltonian().matrix)
+        fig3.scenario, 0.0, exp.ANTICROSSING_Q).hamiltonian().matrix)
     doublet = exp.spectrum_peak_separation(
-        result.spectrum.detunings, result.spectrum.radiative_total)
+        fig3.spectrum.detunings, fig3.spectrum.radiative_total)
     _criterion(5, [
         ("calibration hits 2g_eff to 1e-3", _rel(sep, 3.5e-3) <= 1e-3, f"{sep:.6e}"),
         ("calibration hits kappa_2 to 1e-3", _rel(kappa_2, 0.11e-3) <= 1e-3,
          f"{kappa_2:.6e}"),
-        ("kappa_1 = 1.28 meV +/- 25%", _rel(result.metrics.kappa_1, 1.28e-3) <= 0.25,
-         f"{result.metrics.kappa_1:.3e}"),
-        ("cooperativity > 80", result.metrics.cooperativity > 80.0,
-         f"{result.metrics.cooperativity:.1f}"),
-        ("Q=1e5 trace >= 5 maxima", result.trace_maxima["q1e5"] >= 5,
-         str(result.trace_maxima["q1e5"])),
-        ("no-cavity trace 0 maxima", result.trace_maxima["no_cavity"] == 0,
-         str(result.trace_maxima["no_cavity"])),
+        ("kappa_1 = 1.28 meV +/- 25%", _rel(fig4.metrics.kappa_1, 1.28e-3) <= 0.25,
+         f"{fig4.metrics.kappa_1:.3e}"),
+        ("cooperativity > 80", fig4.metrics.cooperativity > 80.0,
+         f"{fig4.metrics.cooperativity:.1f}"),
+        ("Q=1e5 trace >= 5 maxima", fig3.trace_maxima["q1e5"] >= 5,
+         str(fig3.trace_maxima["q1e5"])),
+        ("no-cavity trace 0 maxima", fig3.trace_maxima["no_cavity"] == 0,
+         str(fig3.trace_maxima["no_cavity"])),
         ("doublet separation 4 meV +/- 25%", _rel(doublet, 4e-3) <= 0.25,
          f"{doublet:.3e}"),
-        ("Re branch separation > 0", result.metrics.min_re_separation > 0.0,
-         f"{result.metrics.min_re_separation:.3e}"),
-        ("Im branch separation > 0", result.metrics.min_im_separation > 0.0,
-         f"{result.metrics.min_im_separation:.3e}"),
+        ("Re branch separation > 0", fig4.metrics.min_re_separation > 0.0,
+         f"{fig4.metrics.min_re_separation:.3e}"),
+        ("Im branch separation > 0", fig4.metrics.min_im_separation > 0.0,
+         f"{fig4.metrics.min_im_separation:.3e}"),
     ])
 
 

@@ -8,8 +8,6 @@ from plasmonsim import network as net
 from plasmonsim.config import BUILTIN_CONFIGS, parse_config, parse_config_text
 from plasmonsim.errors import CalibrationError, DomainError
 
-from conftest import strong_coupling_results
-
 
 @pytest.fixture(scope="module")
 def fig1c():
@@ -19,11 +17,6 @@ def fig1c():
 @pytest.fixture(scope="module")
 def fig2():
     return exp.run_fig2(parse_config("fig2").scenario)
-
-
-@pytest.fixture(scope="module")
-def fig34():
-    return strong_coupling_results()
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +198,22 @@ def test_quench_anchor():
 # coupling calibration and the strong-coupling scenario
 # ---------------------------------------------------------------------------
 
-def test_calibration_hits_targets(fig34):
+def test_calibration_hits_targets(fig3):
     sep, kappa_1, kappa_2 = exp._pair_metrics(
-        exp.with_cavity(fig34.scenario, 0.0, exp.ANTICROSSING_Q).hamiltonian().matrix)
+        exp.with_cavity(fig3.scenario, 0.0, exp.ANTICROSSING_Q).hamiltonian().matrix)
     assert sep == pytest.approx(3.5e-3, rel=1e-3)
     assert kappa_2 == pytest.approx(0.11e-3, rel=1e-3)
-    assert fig34.couplings.J == 0.0
+    assert fig3.scenario["J_ev"] == 0.0
 
 
-def test_calibration_emergent_linewidth_and_cooperativity(fig34):
-    assert fig34.metrics.kappa_1 == pytest.approx(1.28e-3, rel=0.25)
-    assert 70.0 <= fig34.metrics.cooperativity <= 110.0
+def test_calibration_emergent_linewidth_and_cooperativity(fig4):
+    assert fig4.metrics.kappa_1 == pytest.approx(1.28e-3, rel=0.25)
+    assert 70.0 <= fig4.metrics.cooperativity <= 110.0
 
 
-def test_calibration_flags_point_dipole_underestimate(fig34):
-    assert fig34.calibration["ratio_G_calibrated_over_estimate"] > 1.0
-    assert fig34.calibration["ratio_g1_calibrated_over_estimate"] > 1.0
+def test_calibration_flags_point_dipole_underestimate(fig3):
+    assert fig3.scenario.calibration["ratio_G_calibrated_over_estimate"] > 1.0
+    assert fig3.scenario.calibration["ratio_g1_calibrated_over_estimate"] > 1.0
 
 
 def test_calibration_unreachable_target_raises():
@@ -228,29 +221,34 @@ def test_calibration_unreachable_target_raises():
         exp.calibrate_fig3_couplings(parse_config("fig3").scenario, targets=(3.5e-3, 5e-3))
 
 
-def test_trace_oscillation_counts(fig34):
-    assert fig34.trace_maxima["q1e5"] >= 5
-    assert fig34.trace_maxima["no_cavity"] == 0
+def test_fig3_rejects_uncalibrated_scenario():
+    with pytest.raises(DomainError, match="calibrated"):
+        exp.run_fig3(parse_config("fig2").scenario)
 
 
-def test_trace_populations_bounded(fig34):
-    for label, pop in fig34.traces.items():
+def test_trace_oscillation_counts(fig3):
+    assert fig3.trace_maxima["q1e5"] >= 5
+    assert fig3.trace_maxima["no_cavity"] == 0
+
+
+def test_trace_populations_bounded(fig3):
+    for label, pop in fig3.traces.items():
         assert np.all(pop <= 1.0 + 1e-9), label
         assert np.all(pop >= 0.0), label
 
 
-def test_spectrum_doublet_separation(fig34):
+def test_spectrum_doublet_separation(fig3):
     sep = exp.spectrum_peak_separation(
-        fig34.spectrum.detunings, fig34.spectrum.radiative_total)
+        fig3.spectrum.detunings, fig3.spectrum.radiative_total)
     assert sep == pytest.approx(4e-3, rel=0.25)
     sep_bare = exp.spectrum_peak_separation(
-        fig34.spectrum_bare.detunings, fig34.spectrum_bare.radiative_total)
+        fig3.spectrum_bare.detunings, fig3.spectrum_bare.radiative_total)
     assert sep_bare == 0.0  # single peak without the cavity
 
 
-def test_branches_never_cross(fig34):
-    assert fig34.metrics.min_re_separation > 0.0
-    assert fig34.metrics.min_im_separation > 0.0
+def test_branches_never_cross(fig4):
+    assert fig4.metrics.min_re_separation > 0.0
+    assert fig4.metrics.min_im_separation > 0.0
 
 
 @pytest.mark.parametrize("edit", [("delta_1e_ev = 0.6", "delta_1e_ev = 0.3"),
@@ -280,15 +278,15 @@ def test_detuning_stack_slices_match_scalar_builds():
         assert np.array_equal(stack[k], h.matrix), k
 
 
-def test_branch_sweep_span(fig34):
-    sweep = fig34.branches.sweep_values
+def test_branch_sweep_span(fig4):
+    sweep = fig4.branches.sweep_values
     assert sweep[0] == pytest.approx(-10e-3)
     assert sweep[-1] == pytest.approx(10e-3)
     assert np.any(sweep == 0.0)
 
 
-def test_strong_coupling_scenario_provenance(fig34):
-    scenario = fig34.scenario
+def test_strong_coupling_scenario_provenance(fig3):
+    scenario = fig3.scenario
     assert scenario.provenance["G_ev"] == "calibrated"
     assert scenario.provenance["g1_ev"] == "calibrated"
     assert scenario["J_ev"] == 0.0
