@@ -1,11 +1,13 @@
 """Declarative scenario configuration: flat INI-style sections, strictly validated.
 
 Sections are fixed ([metal], [environment], [particle], [emitter], [cavity],
-[couplings], [sweep], [run]); keys carry their unit in the name.  Unknown
+[couplings], [sweep], [run]); keys carry their unit in the name, and "#"
+starts a comment, on its own line or after a value.  Unknown
 keys are hard errors with a closest-match suggestion, missing required keys
 are reported all at once, every value must be finite, point counts are
-integers >= 1, the particle axis is 1, 2 or 3, and lengths, the plasma
-frequency and the cavity, map-axis and time-span quantities are > 0.
+integers >= 1, the particle axis is 1, 2 or 3, lengths, the plasma
+frequency and the cavity, map-axis and time-span quantities are > 0, and
+calibrated mode takes no explicit coupling or rate.
 Values in meV and ueV are converted to eV by shifting their decimal text,
 so -7.2 meV is exactly -7.2e-3 eV.  parse_config resolves the file into a
 Scenario with defaults applied and per-parameter provenance recorded.
@@ -219,7 +221,8 @@ def _suggest(key, candidates):
 
 
 def _read_sections(text, origin):
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    parser = configparser.ConfigParser(
+        interpolation=None, strict=True, inline_comment_prefixes=("#",))
     parser.optionxform = str  # keys are case-sensitive (G_mev vs g1_mev)
     try:
         parser.read_string(text, source=origin)
@@ -314,6 +317,11 @@ def _validate(sections, origin):
     for key in required.get(mode, ()):
         if key not in couplings:
             problems.append(f"missing required key {key!r} in [couplings] (mode = {mode})")
+    if mode == "calibrated":
+        for key in COUPLING_KEYS.values():
+            if key in couplings:
+                problems.append(f"[couplings] {key} is not allowed with mode = calibrated: "
+                                "the couplings and rates are fitted or derived")
     if mode == "calibrated" and shape not in (None, "ellipsoid"):
         problems.append("mode = calibrated applies to the tilted-ellipsoid geometry")
     if problems:

@@ -11,10 +11,9 @@ matrix exponential (Moler & Van Loan, SIAM Rev. 45, 2003).
 """
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     ConditioningError,
@@ -29,6 +28,17 @@ from .quantities import from_fs, require_finite, to_fs
 RCOND_LIMIT = 1e-13
 #: eigenvector condition number above which evolve uses the matrix exponential
 EIG_COND_LIMIT = 1e3
+
+
+def expm(a):
+    """Matrix exponential of a (..., n, n) stack: scipy.linalg.expm, imported on first call.
+
+    Only evolve's near-exceptional-point fallback needs it, so no other
+    command loads scipy.
+    """
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,6 +292,17 @@ class EigenBranchSet:
         return self.eigenvalues.shape[1]
 
 
+def _best_assignment(score):
+    """Column for each row of a square score matrix, maximizing the total score.
+
+    Exhaustive over the n! permutations, which for the 2- and 3-mode
+    systems here is cheaper than a general assignment solver.
+    """
+    n = score.shape[0]
+    perms = np.array(list(permutations(range(n))))
+    return perms[np.argmax(score[np.arange(n), perms].sum(axis=1))]
+
+
 def _match_branches(prev_vecs, prev_vals, vecs, vals):
     """Order eigenpairs to maximize eigenvector overlap with the previous point."""
     overlap = np.abs(prev_vecs.conj().T @ vecs)
@@ -296,17 +317,16 @@ def _match_branches(prev_vecs, prev_vals, vecs, vals):
                     f"branch {i}: eigenvector overlaps and eigenvalue distances both tie"
                 )
     # eigenvalue proximity only breaks exact overlap ties
-    _, cols = linear_sum_assignment(-(overlap + 1e-9 * proximity))
-    return cols
+    return _best_assignment(overlap + 1e-9 * proximity)
 
 
 def eigen_branches(matrices, sweep_values):
     """Track eigenvalue branches of a Hamiltonian family across a sweep.
 
-    matrices: (n_sweep, n, n) stack or sequence of (n, n) arrays.  The
-    first point orders branches by ascending real part; subsequent points
-    are matched by maximal eigenvector overlap, with eigenvalue proximity
-    as tie-break.
+    matrices: (n_sweep, n, n) stack or sequence of (n, n) arrays, diagonalized
+    in one call.  The first point orders branches by ascending real part;
+    subsequent points are matched by maximal eigenvector overlap, with
+    eigenvalue proximity as tie-break.
     """
     sweep = np.asarray(sweep_values, dtype=float)
     if sweep.size == 0:
@@ -314,21 +334,13 @@ def eigen_branches(matrices, sweep_values):
     if len(matrices) != sweep.size:
         raise DomainError("one matrix per sweep value required")
 
-    vals0, vecs0 = np.linalg.eig(np.asarray(matrices[0]))
-    order = np.argsort(vals0.real, kind="stable")
-    vals0, vecs0 = vals0[order], vecs0[:, order]
-    vecs0 /= np.linalg.norm(vecs0, axis=0)
-
-    n = vals0.size
-    all_vals = np.empty((sweep.size, n), dtype=complex)
-    all_vecs = np.empty((sweep.size, n, n), dtype=complex)
-    all_vals[0], all_vecs[0] = vals0, vecs0
+    all_vals, all_vecs = np.linalg.eig(np.asarray(matrices, dtype=complex))
+    all_vecs /= np.linalg.norm(all_vecs, axis=-2, keepdims=True)
+    order = np.argsort(all_vals[0].real, kind="stable")
+    all_vals[0], all_vecs[0] = all_vals[0, order], all_vecs[0][:, order]
     for k in range(1, sweep.size):
-        vals, vecs = np.linalg.eig(np.asarray(matrices[k]))
-        vecs /= np.linalg.norm(vecs, axis=0)
-        cols = _match_branches(all_vecs[k - 1], all_vals[k - 1], vecs, vals)
-        all_vals[k] = vals[cols]
-        all_vecs[k] = vecs[:, cols]
+        cols = _match_branches(all_vecs[k - 1], all_vals[k - 1], all_vecs[k], all_vals[k])
+        all_vals[k], all_vecs[k] = all_vals[k, cols], all_vecs[k][:, cols]
     return EigenBranchSet(sweep, all_vals, all_vecs)
 
 

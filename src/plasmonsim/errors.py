@@ -14,10 +14,6 @@ class DomainError(PlasmonSimError, ValueError):
     """Input outside the physical domain of an operation (<=0, NaN, inf, ...)."""
 
 
-class ResonanceCountError(PlasmonSimError):
-    """A scan window contained zero, or more than one, resonance."""
-
-
 class ConditioningError(PlasmonSimError):
     """A linear system was singular or too ill-conditioned to trust."""
 

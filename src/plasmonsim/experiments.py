@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import root
 
 from . import couplings as cpl
 from . import dynamics as dyn
@@ -39,6 +38,9 @@ TRACE_Q_FACTORS = (("q1e3", 1e3), ("q1e4", 1e4), ("q1e5", 1e5))
 SPECTRA_Q = 1e4
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Newton steps the coupling calibration may take before it gives up
+CALIBRATION_MAX_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -411,7 +413,7 @@ def calibrate_fig3_couplings(scenario, targets):
     """Fit the projected coupling magnitudes (|G|, |g1|) to the anti-crossing targets.
 
     targets is (splitting 2 g_eff, smaller linewidth kappa_2) in eV.  A
-    two-parameter root-find on the scenario's own geometry and widths, with
+    two-parameter Newton iteration on the scenario's own geometry and widths, with
     the cavity at ANTICROSSING_Q and on resonance with the emitter, makes
     the eigenstructure reproduce the targets to 1e-3 relative.  The
     cavity-emitter coupling J is held at zero (emitter dipole perpendicular
@@ -442,17 +444,49 @@ def calibrate_fig3_couplings(scenario, targets):
     frac = min(max((kappa2_target - gamma_e) / (gamma_c - gamma_e), 1e-6), 1 - 1e-6)
     seed = np.array([math.sqrt(frac * total), math.sqrt((1.0 - frac) * total)])
 
-    def residuals(x):
-        trial = replace(base, params={**p, "g1_ev": -x[1], "G_ev": -x[0], "J_ev": 0.0})
-        sep, _, kappa2 = _pair_metrics(trial.hamiltonian().matrix)
-        return [sep / two_g_target - 1.0, kappa2 / kappa2_target - 1.0]
+    target = np.array([two_g_target, kappa2_target])
 
-    sol = root(residuals, seed, method="hybr", tol=1e-13)
-    res = residuals(sol.x)
-    if not sol.success or max(abs(r) for r in res) > 1e-3:
+    def hamiltonian(x):
+        return replace(base, params={**p, "g1_ev": -x[1], "G_ev": -x[0], "J_ev": 0.0}
+                       ).hamiltonian().matrix
+
+    def residuals_and_jacobian(x):
+        # H is complex symmetric, so its left eigenvectors are the transposed
+        # right ones and d lambda / d p = v^T (dH/dp) v / v^T v; x = (|G|, |g1|)
+        # enters as -G on the plasmon-emitter and -g1 on the plasmon-cavity pair
+        lam, vecs = np.linalg.eig(hamiltonian(x))
+        a, b = np.argsort(np.abs(lam.real), kind="stable")[:2]
+        v = vecs[:, [a, b]]
+        dlam = -2.0 * v[0] * v[[2, 1]] / np.sum(v * v, axis=0)  # [param, branch]
+        sign = math.copysign(1.0, lam[a].real - lam[b].real)
+        narrow = int(lam[b].imag > lam[a].imag)  # the branch of the smaller width
+        values = np.array([abs(lam[a].real - lam[b].real), -2.0 * lam[[a, b]][narrow].imag])
+        jac = np.array([sign * (dlam[:, 0].real - dlam[:, 1].real), -2.0 * dlam[:, narrow].imag])
+        return values / target - 1.0, jac / target[:, None]
+
+    # Newton's method on the exact Jacobian, until the step is 1e-13 relative
+    x = seed
+    converged = False
+    for _ in range(CALIBRATION_MAX_STEPS):
+        res, jac = residuals_and_jacobian(x)
+        try:
+            step = np.linalg.solve(jac, res)
+        except np.linalg.LinAlgError:
+            break
+        x = x - step
+        if not np.all(np.isfinite(x)):
+            break
+        if np.linalg.norm(step) <= 1e-13 * np.linalg.norm(x):
+            converged = True
+            break
+    if converged:
+        sep, _, kappa2 = _pair_metrics(hamiltonian(x))
+        res = [sep / two_g_target - 1.0, kappa2 / kappa2_target - 1.0]
+    res = [float(r) for r in res]
+    if not converged or max(abs(r) for r in res) > 1e-3:
         raise CalibrationError(
             f"coupling calibration did not converge: residuals {res}", residuals=res)
-    G_eff, g1_eff = (abs(float(x)) for x in sol.x)
+    G_eff, g1_eff = (abs(float(v)) for v in x)
 
     mu_1 = cpl.plasmon_effective_dipole(p["gamma_1r_ev"], p["omega_1_ev"])
     d_tip = (p["a1_nm"], p["a2_nm"], p["a3_nm"])[p["axis"] - 1] + p["distance_nm"]

@@ -12,10 +12,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from .errors import DomainError, ResonanceCountError
+from .errors import DomainError
 from .quantities import HBAR_C, require_finite, require_positive
 
 #: sphere radius (nm) above which the quasi-static treatment degrades
@@ -141,26 +139,54 @@ def sphere_mode_frequency(metal, env, order):
     return metal.omega_p / math.sqrt(metal.eps_inf + env.eps_b * (order + 1) / order)
 
 
+def carlson_rd(x, y, z):
+    """Carlson's symmetric elliptic integral of the second kind.
+
+    R_D(x, y, z) = (3/2) Int_0^inf dt / ((t + z) sqrt((t + x)(t + y)(t + z)))
+
+    for x, y >= 0 and z > 0, by the duplication algorithm (B. C. Carlson,
+    Numer. Algorithms 10, 13-26, 1995).  Each duplication step shrinks the
+    relative spread of (x, y, z) fourfold and peels one term off the
+    integral; once the spread is below 1e-3 the fifth-order expansion about
+    the mean leaves a relative error of order 1e-18.
+    """
+    tail = 0.0
+    weight = 1.0
+    mean = (x + y + 3.0 * z) / 5.0
+    while max(abs(mean - x), abs(mean - y), abs(mean - z)) > 1e-3 * mean:
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        tail += weight / (sz * (z + lam))
+        weight *= 0.25
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        mean = (x + y + 3.0 * z) / 5.0
+    dx, dy = (mean - x) / mean, (mean - y) / mean
+    dz = -(dx + dy) / 3.0
+    xy, zz = dx * dy, dz * dz
+    e2 = xy - 6.0 * zz
+    e3 = (3.0 * xy - 8.0 * zz) * dz
+    e4 = 3.0 * (xy - zz) * zz
+    e5 = xy * zz * dz
+    series = (1.0 - 3.0 / 14.0 * e2 + e3 / 6.0 + 9.0 / 88.0 * e2 * e2 - 3.0 / 22.0 * e4
+              - 9.0 / 52.0 * e2 * e3 + 3.0 / 26.0 * e5)
+    return 3.0 * tail + weight * series / (mean * math.sqrt(mean))
+
+
 def depolarization_factors(ellipsoid):
     """Quasi-static depolarization factors (L1, L2, L3) of a general ellipsoid.
 
     L_q = (a1 a2 a3 / 2) * Int_0^inf ds / ((s + a_q^2) sqrt((s+a1^2)(s+a2^2)(s+a3^2)))
+        = (a1 a2 a3 / 3) * R_D(a_r^2, a_s^2, a_q^2)
 
-    evaluated by adaptive quadrature to ~1e-11 relative so the factors sum
-    to 1 within 1e-10.  A sphere gives (1/3, 1/3, 1/3).
+    with (r, s) the other two axes, so the factors sum to 1 within a few
+    ulps.  A sphere gives (1/3, 1/3, 1/3).
     """
     a1, a2, a3 = ellipsoid.semi_axes
-    sq = (a1 * a1, a2 * a2, a3 * a3)
-    abc = a1 * a2 * a3
-
-    def integrand(s, q2):
-        return 1.0 / ((s + q2) * math.sqrt((s + sq[0]) * (s + sq[1]) * (s + sq[2])))
-
-    factors = []
-    for q2 in sq:
-        val, _ = quad(integrand, 0.0, np.inf, args=(q2,), epsabs=0.0, epsrel=1e-11, limit=200)
-        factors.append(0.5 * abc * val)
-    return tuple(factors)
+    s1, s2, s3 = a1 * a1, a2 * a2, a3 * a3
+    third = a1 * a2 * a3 / 3.0
+    return (third * carlson_rd(s2, s3, s1),
+            third * carlson_rd(s3, s1, s2),
+            third * carlson_rd(s1, s2, s3))
 
 
 def ellipsoid_mode_frequency(metal, env, depol_factor):
@@ -173,112 +199,6 @@ def ellipsoid_mode_frequency(metal, env, depol_factor):
     if not 0.0 < L < 1.0:
         raise DomainError(f"depolarization factor must be in (0, 1), got {L}")
     return metal.omega_p * math.sqrt(L / (L * metal.eps_inf + (1.0 - L) * env.eps_b))
-
-
-@dataclass(frozen=True)
-class QuasiStaticPolarizability:
-    """alpha(omega) = v (eps_m - eps_b) / (eps_b + L (eps_m - eps_b)), v = abc/3 (nm^3).
-
-    The 4 pi eps0 prefactor is folded into the nm^3 normalization.  Callable
-    on scalar or array omega.
-    """
-
-    metal: DrudeMetal
-    env: Environment
-    depol_factor: float
-    volume_factor: float  # abc/3, nm^3
-
-    def __call__(self, omega):
-        eps = drude_permittivity(self.metal, omega)
-        d = eps - self.env.eps_b
-        return self.volume_factor * d / (self.env.eps_b + self.depol_factor * d)
-
-    @classmethod
-    def for_sphere(cls, sphere, metal, env):
-        return cls(metal, env, 1.0 / 3.0, sphere.radius**3 / 3.0)
-
-    @classmethod
-    def for_ellipsoid_axis(cls, ellipsoid, metal, env, axis):
-        if axis not in (1, 2, 3):
-            raise DomainError(f"axis must be 1, 2 or 3, got {axis}")
-        L = depolarization_factors(ellipsoid)[axis - 1]
-        return cls(metal, env, L, ellipsoid.volume_abc / 3.0)
-
-
-@dataclass(frozen=True)
-class LorentzianModel:
-    """Single damped oscillator A / (omega_res - omega - i gamma/2)."""
-
-    omega_res: float  # eV
-    gamma: float  # eV full width
-    amplitude: float
-
-    def __call__(self, omega):
-        return self.amplitude / (self.omega_res - np.asarray(omega) - 0.5j * self.gamma)
-
-
-def lorentzian_reduction(alpha, window, scan_points=2001):
-    """Reduce a single-resonance response function to oscillator parameters.
-
-    The resonance is the root of Re[1/alpha] inside the window; the width
-    follows from the first-order expansion of 1/alpha about that root,
-    gamma = 2 Im[1/alpha] / (d Re[1/alpha] / d omega), and the amplitude is
-    the first-order residue -1 / (d Re[1/alpha] / d omega).  The absorptive
-    part of the reconstruction is exact on resonance and accurate to
-    ~gamma/(4 omega_res) across the band |omega - omega_res| <= gamma.
-
-    Parameters
-    ----------
-    alpha : callable
-        Complex response, callable on scalar omega (eV).
-    window : (float, float)
-        Scan window; must bracket exactly one resonance.
-
-    Returns
-    -------
-    LorentzianModel
-
-    Raises
-    ------
-    ResonanceCountError
-        If Re[1/alpha] has zero or multiple sign changes in the window.
-    """
-    lo, hi = window
-    require_positive(window_low=lo, window_high=hi)
-    if not lo < hi:
-        raise DomainError(f"empty scan window ({lo}, {hi})")
-
-    def inv_re(w):
-        return (1.0 / alpha(w)).real
-
-    grid = np.linspace(lo, hi, scan_points)
-    values = np.array([inv_re(w) for w in grid])
-    signs = np.sign(values)
-    crossings = list(np.nonzero(signs[:-1] * signs[1:] < 0)[0])
-    # a root exactly on a grid point gives sign 0; count each zero run once
-    zeros = np.nonzero(signs == 0)[0]
-    zero_roots = [i for k, i in enumerate(zeros) if k == 0 or zeros[k - 1] != i - 1]
-    count = len(crossings) + len(zero_roots)
-    if count == 0:
-        raise ResonanceCountError(f"no resonance of alpha in window ({lo}, {hi})")
-    if count > 1:
-        raise ResonanceCountError(
-            f"{count} resonances of alpha in window ({lo}, {hi}); expected one"
-        )
-    if zero_roots:
-        omega_res = float(grid[zero_roots[0]])
-    else:
-        i = crossings[0]
-        omega_res = brentq(inv_re, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16)
-
-    h = 1e-6 * omega_res
-    slope = (inv_re(omega_res + h) - inv_re(omega_res - h)) / (2.0 * h)
-    if slope == 0.0:
-        raise ResonanceCountError("flat Re[1/alpha] at resonance; not a simple pole")
-    im_at_res = (1.0 / alpha(omega_res)).imag
-    gamma = 2.0 * im_at_res / slope
-    amplitude = -1.0 / slope
-    return LorentzianModel(omega_res, gamma, amplitude)
 
 
 def dipolar_radiative_rate(particle, env, axis=1):

@@ -7,6 +7,7 @@ no environment-dependent content, sorted metadata keys.
 """
 
 import json
+from operator import itemgetter
 
 import numpy as np
 
@@ -61,8 +62,24 @@ class ResultTable:
         for key in sorted(self.metadata):
             lines.append(f"# {key} = {_format_meta(self.metadata[key])}")
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(format_cell(v) for v in row))
+        # one %-template per table: "%.9g" on a float column prints what
+        # format(x, ".9g") does, inf, nan and -0.0 included; a column holding
+        # any other type is converted by format_cell first and printed by "%s"
+        formats = []
+        convert = []
+        for i in range(len(self.columns)):
+            types = set(map(type, map(itemgetter(i), self.rows)))
+            if types <= {float}:
+                formats.append("%.9g")
+            else:
+                formats.append("%s")
+                if not types <= {str}:
+                    convert.append(i)
+        rows = self.rows
+        if convert:
+            rows = [tuple(format_cell(v) if i in convert else v for i, v in enumerate(row))
+                    for row in rows]
+        lines.extend(map(",".join(formats).__mod__, rows))
         return "\n".join(lines) + "\n"
 
     def to_json(self):

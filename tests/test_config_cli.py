@@ -1,14 +1,18 @@
+import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plasmonsim import dynamics as dyn
 from plasmonsim.cli import main
 from plasmonsim.config import BUILTIN_CONFIGS, parse_config, parse_config_text
 from plasmonsim.errors import ConfigError
-from plasmonsim.results import ResultTable, read_metadata, scenario_metadata
+from plasmonsim.results import ResultTable, format_cell, read_metadata, scenario_metadata
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +114,16 @@ def test_calibrated_mode_requires_ellipsoid():
         parse_config_text(text)
 
 
+def test_readme_annotated_config_parses_to_builtin_fig2():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert "# high-frequency permittivity" in block  # the inline comments are kept
+    scenario = parse_config_text(block, name="fig2").scenario
+    builtin = parse_config("fig2").scenario
+    assert scenario.params == builtin.params
+    assert scenario.provenance == builtin.provenance
+
+
 def test_builtin_fig3_calibrated():
     parsed = parse_config("fig3")
     s = parsed.scenario
@@ -129,6 +143,33 @@ def test_csv_format_nine_significant_digits(tmp_path):
     lines = text.strip().splitlines()
     assert lines[-2].split(",")[0] == "0.333333333"
     assert lines[-1].split(",")[0] == "1.23456789e-07"
+
+
+def _csv_by_cell(table):
+    """Oracle: the data rows serialized cell by cell with format_cell."""
+    return "".join(",".join(format_cell(v) for v in row) + "\n" for row in table.rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=True, allow_infinity=True),
+                          st.floats(allow_nan=True, allow_infinity=True, width=32)),
+                min_size=1, max_size=20))
+def test_csv_rows_match_format_cell_on_floats(rows):
+    table = ResultTable("t", ("a", "b"), rows)
+    assert table.to_csv().endswith("\na,b\n" + _csv_by_cell(table))
+
+
+def test_csv_rows_match_format_cell_on_every_cell_type():
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308,
+                1.0 / 3.0, 123456789.5, 1e16, 0.1]
+    rows = [
+        (x, str(x), i, bool(i % 2), np.float64(x), np.float32(i / 3), np.int64(i), np.bool_(i % 2))
+        for i, x in enumerate(specials)
+    ]
+    rows.append((1.0, "text", 2, True, 3.0, 4.0, 5, False))
+    rows.append((np.float64(2.5), 7, 2.5, "s", 1, np.int32(3), 1.5, 0))  # mixed columns
+    table = ResultTable("t", tuple("abcdefgh"), rows)
+    assert table.to_csv().endswith("\na,b,c,d,e,f,g,h\n" + _csv_by_cell(table))
 
 
 def test_metadata_round_trip_exact():
@@ -239,6 +280,10 @@ BOUNDARY_PROBES = {
     "evolve_t_span_zero": (["evolve"], "\n[sweep]\nt_span_fs = 0\n"),
     "evolve_t_span_negative": (["evolve"], "\n[sweep]\nt_span_fs = -5000\n"),
     "calibrated_without_theta": (["spectrum"], ("theta_deg = 60.0\n", ""), "fig3"),
+    "calibrated_explicit_G": (["spectrum"], ("theta_deg = 60.0", "theta_deg = 60.0\nG_mev = -1.0"),
+                              "fig3"),
+    "calibrated_explicit_gamma_m": (["evolve"], ("theta_deg = 60.0",
+                                                 "theta_deg = 60.0\ngamma_m_uev = 5"), "fig4"),
     "distance_zero": (["spectrum"], ("distance_nm = 10.0", "distance_nm = 0")),
     "distance_negative": (["spectrum"], ("distance_nm = 10.0", "distance_nm = -3")),
     "radius_zero": (["spectrum"], ("radius_nm = 10.0", "radius_nm = 0")),

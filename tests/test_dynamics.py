@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
 
 from plasmonsim import couplings as cpl
 from plasmonsim import dynamics as dyn
@@ -381,6 +382,47 @@ def test_eigen_branches_input_validation():
         dyn.eigen_branches([], [])
     with pytest.raises(DomainError):
         dyn.eigen_branches([np.eye(2)], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_best_assignment_matches_linear_sum_assignment(n):
+    rng = np.random.default_rng(n)
+    for _ in range(500):
+        score = rng.uniform(0.0, 1.0, (n, n))
+        _, cols = linear_sum_assignment(-score)
+        assert np.array_equal(dyn._best_assignment(score), cols), score
+
+
+def _per_point_branches(mats):
+    """Oracle: the branch tracking with one eig per point and a general assignment solver."""
+    vals, vecs = np.linalg.eig(mats[0])
+    order = np.argsort(vals.real, kind="stable")
+    vals, vecs = vals[order], vecs[:, order] / np.linalg.norm(vecs[:, order], axis=0)
+    tracked = [vals]
+    for h in mats[1:]:
+        new_vals, new_vecs = np.linalg.eig(h)
+        new_vecs = new_vecs / np.linalg.norm(new_vecs, axis=0)
+        overlap = np.abs(vecs.conj().T @ new_vecs)
+        scale = np.max(np.abs(new_vals - new_vals.mean()))
+        proximity = 1.0 / (1.0 + np.abs(vals[:, None] - new_vals[None, :]) / scale)
+        _, cols = linear_sum_assignment(-(overlap + 1e-9 * proximity))
+        vals, vecs = new_vals[cols], new_vecs[:, cols]
+        tracked.append(vals)
+    return np.array(tracked)
+
+
+def test_eigen_branches_match_per_point_tracking():
+    scenario = parse_config("fig4").scenario
+    sweep = 0.5e-3 * np.arange(-20, 21)
+    mats = exp.with_cavity(scenario, -sweep).hamiltonian().matrix
+    assert np.array_equal(dyn.eigen_branches(mats, sweep).eigenvalues, _per_point_branches(mats))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        h, _ = random_system(rng, 3)
+        ramp = np.linspace(-1.0, 1.0, 15)
+        mats = h + np.multiply.outer(ramp, np.diag([1.0, 0.0, -0.5]))
+        assert np.array_equal(dyn.eigen_branches(mats, ramp).eigenvalues,
+                              _per_point_branches(mats))
 
 
 # ---------------------------------------------------------------------------

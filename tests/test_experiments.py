@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.optimize import root
 
 from plasmonsim import couplings as cpl
 from plasmonsim import dynamics as dyn
@@ -219,6 +222,58 @@ def test_calibration_flags_point_dipole_underestimate(fig3):
 def test_calibration_unreachable_target_raises():
     with pytest.raises(CalibrationError):
         exp.calibrate_fig3_couplings(parse_config("fig3").scenario, targets=(3.5e-3, 5e-3))
+
+
+def _calibrate_by_hybrid_root(scenario, targets):
+    """Oracle: the calibration residuals solved by MINPACK's hybrid method from the same seed."""
+    base = exp.with_cavity(scenario, 0.0, exp.ANTICROSSING_Q)
+    p = base.params
+    gamma_c, gamma_e = p["gamma_c_ev"], p["gamma_s_ev"] + p["gamma_m_ev"]
+    gamma_1 = p["gamma_1r_ev"] + p["gamma_o_ev"]
+    total = targets[0] / (1.0 / (p["delta_1e_ev"] - 0.5j * gamma_1)).real
+    frac = min(max((targets[1] - gamma_e) / (gamma_c - gamma_e), 1e-6), 1 - 1e-6)
+    seed = np.sqrt([frac * total, (1.0 - frac) * total])
+
+    def residuals(x):
+        trial = replace(base, params={**p, "g1_ev": -x[1], "G_ev": -x[0], "J_ev": 0.0})
+        sep, _, kappa2 = exp._pair_metrics(trial.hamiltonian().matrix)
+        return [sep / targets[0] - 1.0, kappa2 / targets[1] - 1.0]
+
+    sol = root(residuals, seed, method="hybr", tol=1e-13)
+    return sol, max(abs(r) for r in residuals(sol.x))
+
+
+CALIBRATION_CASES = [
+    ("fig4", None, (3.5e-3, 0.11e-3)),
+    ("fig4", ("delta_1e_ev = 0.6", "delta_1e_ev = 0.3"), (3.5e-3, 0.11e-3)),
+    ("fig4", ("a1_nm = 33.0", "a1_nm = 20.0"), (3.5e-3, 0.11e-3)),
+    ("fig4", None, (50e-3, 0.2e-3)),
+    ("fig4", None, (1e-4, 1e-6)),
+    ("fig3", None, (5e-3, 0.05e-3)),
+]
+
+
+@pytest.mark.parametrize("builtin, edit, targets", CALIBRATION_CASES)
+def test_newton_calibration_matches_hybrid_root(builtin, edit, targets):
+    text = BUILTIN_CONFIGS[builtin]
+    scenario = parse_config_text(text.replace(*edit) if edit else text).scenario
+    fit, diagnostics = exp.calibrate_fig3_couplings(scenario, targets)
+    sol, residual = _calibrate_by_hybrid_root(scenario, targets)
+    assert sol.success and residual <= 1e-12
+    assert abs(fit.G) == pytest.approx(abs(sol.x[0]), rel=1e-10)
+    assert abs(fit.g1) == pytest.approx(abs(sol.x[1]), rel=1e-10)
+    assert diagnostics["residual_max"] <= 1e-12
+
+
+@pytest.mark.parametrize("targets", [(1e-4, 0.2e-3), (3.5e-3, 1e-9), (0.5, 1e-10)])
+def test_calibration_unreachable_by_either_solver_raises(targets):
+    # kappa_2 below the cavity width passes the up-front check; neither solver converges
+    scenario = parse_config("fig4").scenario
+    sol, residual = _calibrate_by_hybrid_root(scenario, targets)
+    assert not sol.success or residual > 1e-3
+    with pytest.raises(CalibrationError, match="did not converge") as info:
+        exp.calibrate_fig3_couplings(scenario, targets)
+    assert len(info.value.residuals) == 2
 
 
 def test_fig3_rejects_uncalibrated_scenario():

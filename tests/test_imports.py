@@ -1,0 +1,62 @@
+"""The command path is numpy-only: no CLI command loads scipy.
+
+The one exemption is evolve's matrix-exponential fallback near an
+exceptional point, which imports scipy.linalg on first use; the last check
+runs it to show that the guard does see a scipy import.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+COMMANDS = (
+    ["fig1c", "--grid", "11"],
+    ["fig2", "--grid", "11"],
+    ["fig2", "--first-principles", "--grid", "11"],
+    ["fig3", "--grid", "11"],
+    ["fig4", "--grid", "11"],
+    ["eigen"],
+    ["map", "--grid", "3"],
+    ["optq", "--d-nm", "10"],
+    ["validate", "--config", "fig3"],
+    ["spectrum", "--config", "fig3", "--grid", "11"],
+    ["evolve", "--config", "fig3", "--grid", "64"],
+    ["yield", "--config", "fig2", "--grid", "11"],
+)
+
+PROGRAM = """
+import contextlib, io, json, sys
+import numpy as np
+loaded = {}
+import plasmonsim.cli
+loaded["import plasmonsim.cli"] = "scipy" in sys.modules
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = plasmonsim.cli.main(argv + ["--out", sys.argv[2]])
+    loaded[" ".join(argv)] = "scipy" in sys.modules if code == 0 else f"exit {code}"
+from plasmonsim import dynamics, network
+h = network.build_two_mode(0.05, network.plasmon_descriptor(0.0, 0.0, 0.2),
+                           network.cavity_descriptor(0.0, 0.0))
+dynamics.evolve(h, np.array([1.0, 0.0], dtype=complex), np.linspace(0.0, 50.0, 5))
+loaded["near-exceptional-point evolve"] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_commands_do_not_import_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", PROGRAM, json.dumps(COMMANDS), str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    exempt = loaded.pop("near-exceptional-point evolve")
+    assert [step for step, scipy in loaded.items() if scipy is not False] == []
+    assert len(loaded) == 1 + len(COMMANDS)
+    assert exempt is True

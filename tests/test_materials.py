@@ -1,13 +1,16 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from plasmonsim import materials as mat
-from plasmonsim.errors import DomainError, ResonanceCountError
+from plasmonsim.errors import DomainError
+from plasmonsim.quantities import require_positive
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +133,160 @@ def test_depolarization_sum_and_permutation(a1, a2, a3):
     assert permuted[2] == pytest.approx(factors[0], rel=1e-8)
 
 
+def _depolarization_by_quadrature(a1, a2, a3):
+    """Oracle: the defining integral by adaptive quadrature at 1e-13 relative."""
+    sq = (a1 * a1, a2 * a2, a3 * a3)
+
+    def integrand(s, q2):
+        return 1.0 / ((s + q2) * math.sqrt((s + sq[0]) * (s + sq[1]) * (s + sq[2])))
+
+    return [0.5 * a1 * a2 * a3 * quad(integrand, 0.0, np.inf, args=(q2,), epsabs=0.0,
+                                      epsrel=1e-13, limit=500)[0] for q2 in sq]
+
+
+def test_depolarization_matches_quadrature_on_seeded_ellipsoids():
+    rng = np.random.default_rng(20)
+    for axes in np.exp(rng.uniform(math.log(0.5), math.log(50.0), (200, 3))):
+        factors = mat.depolarization_factors(mat.Ellipsoid(*axes))
+        for got, want in zip(factors, _depolarization_by_quadrature(*axes)):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), axes
+        assert abs(sum(factors) - 1.0) <= 1e-14, axes
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 7.0, 10.0, 33.3, 1e3])
+def test_depolarization_sphere_is_one_third(radius):
+    for L in mat.depolarization_factors(mat.Ellipsoid(radius, radius, radius)):
+        assert L == pytest.approx(1.0 / 3.0, rel=1e-15, abs=0.0)
+
+
+def test_carlson_rd_closed_forms():
+    # R_D(x, x, x) = x^-3/2, and R_D(0, 2, 1) = 3 sqrt(pi) Gamma(3/4) / Gamma(1/4)
+    assert mat.carlson_rd(4.0, 4.0, 4.0) == 0.125
+    want = 3.0 * math.sqrt(math.pi) * math.gamma(0.75) / math.gamma(0.25)
+    assert mat.carlson_rd(0.0, 2.0, 1.0) == pytest.approx(want, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Lorentzian reduction
 # ---------------------------------------------------------------------------
+# A quasi-static polarizability reduced to one damped oscillator: a check on
+# the closed-form mode frequencies and widths the package uses, kept here
+# because only the tests need it.
+
+class ResonanceCountError(Exception):
+    """A scan window contained zero, or more than one, resonance."""
+
+
+@dataclass(frozen=True)
+class QuasiStaticPolarizability:
+    """alpha(omega) = v (eps_m - eps_b) / (eps_b + L (eps_m - eps_b)), v = abc/3 (nm^3).
+
+    The 4 pi eps0 prefactor is folded into the nm^3 normalization.  Callable
+    on scalar or array omega.
+    """
+
+    metal: mat.DrudeMetal
+    env: mat.Environment
+    depol_factor: float
+    volume_factor: float  # abc/3, nm^3
+
+    def __call__(self, omega):
+        eps = mat.drude_permittivity(self.metal, omega)
+        d = eps - self.env.eps_b
+        return self.volume_factor * d / (self.env.eps_b + self.depol_factor * d)
+
+    @classmethod
+    def for_sphere(cls, sphere, metal, env):
+        return cls(metal, env, 1.0 / 3.0, sphere.radius**3 / 3.0)
+
+    @classmethod
+    def for_ellipsoid_axis(cls, ellipsoid, metal, env, axis):
+        if axis not in (1, 2, 3):
+            raise DomainError(f"axis must be 1, 2 or 3, got {axis}")
+        L = mat.depolarization_factors(ellipsoid)[axis - 1]
+        return cls(metal, env, L, ellipsoid.volume_abc / 3.0)
+
+
+@dataclass(frozen=True)
+class LorentzianModel:
+    """Single damped oscillator A / (omega_res - omega - i gamma/2)."""
+
+    omega_res: float  # eV
+    gamma: float  # eV full width
+    amplitude: float
+
+    def __call__(self, omega):
+        return self.amplitude / (self.omega_res - np.asarray(omega) - 0.5j * self.gamma)
+
+
+def lorentzian_reduction(alpha, window, scan_points=2001):
+    """Reduce a single-resonance response function to oscillator parameters.
+
+    The resonance is the root of Re[1/alpha] inside the window; the width
+    follows from the first-order expansion of 1/alpha about that root,
+    gamma = 2 Im[1/alpha] / (d Re[1/alpha] / d omega), and the amplitude is
+    the first-order residue -1 / (d Re[1/alpha] / d omega).  The absorptive
+    part of the reconstruction is exact on resonance and accurate to
+    ~gamma/(4 omega_res) across the band |omega - omega_res| <= gamma.
+
+    Parameters
+    ----------
+    alpha : callable
+        Complex response, callable on scalar omega (eV).
+    window : (float, float)
+        Scan window; must bracket exactly one resonance.
+
+    Returns
+    -------
+    LorentzianModel
+
+    Raises
+    ------
+    ResonanceCountError
+        If Re[1/alpha] has zero or multiple sign changes in the window.
+    """
+    lo, hi = window
+    require_positive(window_low=lo, window_high=hi)
+    if not lo < hi:
+        raise DomainError(f"empty scan window ({lo}, {hi})")
+
+    def inv_re(w):
+        return (1.0 / alpha(w)).real
+
+    grid = np.linspace(lo, hi, scan_points)
+    values = np.array([inv_re(w) for w in grid])
+    signs = np.sign(values)
+    crossings = list(np.nonzero(signs[:-1] * signs[1:] < 0)[0])
+    # a root exactly on a grid point gives sign 0; count each zero run once
+    zeros = np.nonzero(signs == 0)[0]
+    zero_roots = [i for k, i in enumerate(zeros) if k == 0 or zeros[k - 1] != i - 1]
+    count = len(crossings) + len(zero_roots)
+    if count == 0:
+        raise ResonanceCountError(f"no resonance of alpha in window ({lo}, {hi})")
+    if count > 1:
+        raise ResonanceCountError(
+            f"{count} resonances of alpha in window ({lo}, {hi}); expected one"
+        )
+    if zero_roots:
+        omega_res = float(grid[zero_roots[0]])
+    else:
+        i = crossings[0]
+        omega_res = brentq(inv_re, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16)
+
+    h = 1e-6 * omega_res
+    slope = (inv_re(omega_res + h) - inv_re(omega_res - h)) / (2.0 * h)
+    if slope == 0.0:
+        raise ResonanceCountError("flat Re[1/alpha] at resonance; not a simple pole")
+    im_at_res = (1.0 / alpha(omega_res)).imag
+    gamma = 2.0 * im_at_res / slope
+    amplitude = -1.0 / slope
+    return LorentzianModel(omega_res, gamma, amplitude)
+
+
 
 def test_reduction_sphere(gold, vacuum):
-    alpha = mat.QuasiStaticPolarizability.for_sphere(mat.Sphere(10.0), gold, vacuum)
-    model = mat.lorentzian_reduction(alpha, (1.5, 3.0))
+    alpha = QuasiStaticPolarizability.for_sphere(mat.Sphere(10.0), gold, vacuum)
+    model = lorentzian_reduction(alpha, (1.5, 3.0))
     assert model.omega_res == pytest.approx(2.3094, abs=1e-4)
     assert model.gamma == pytest.approx(0.200, abs=1e-3)
 
@@ -156,8 +306,8 @@ def test_reduction_sphere(gold, vacuum):
 
 def test_reduction_ellipsoid_long_axis(gold, vacuum):
     ellipsoid = mat.Ellipsoid(33.0, 5.5, 5.5)
-    alpha = mat.QuasiStaticPolarizability.for_ellipsoid_axis(ellipsoid, gold, vacuum, 1)
-    model = mat.lorentzian_reduction(alpha, (0.4, 1.4))
+    alpha = QuasiStaticPolarizability.for_ellipsoid_axis(ellipsoid, gold, vacuum, 1)
+    model = lorentzian_reduction(alpha, (0.4, 1.4))
     assert model.omega_res == pytest.approx(0.832, abs=5e-3)
     assert model.gamma == pytest.approx(0.200, abs=1e-3)
     # the single-Lorentzian band mismatch grows as gamma/(4 omega_res); at
@@ -170,8 +320,8 @@ def test_reduction_ellipsoid_long_axis(gold, vacuum):
 
 def test_reduction_lossless_width_vanishes(vacuum):
     lossless = mat.DrudeMetal(1.0, 4.0, 0.0)
-    alpha = mat.QuasiStaticPolarizability.for_sphere(mat.Sphere(10.0), lossless, vacuum)
-    model = mat.lorentzian_reduction(alpha, (1.5, 3.0))
+    alpha = QuasiStaticPolarizability.for_sphere(mat.Sphere(10.0), lossless, vacuum)
+    model = lorentzian_reduction(alpha, (1.5, 3.0))
     assert model.gamma == pytest.approx(0.0, abs=1e-12)
     assert model.omega_res == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-10)
 
@@ -183,25 +333,25 @@ def test_reduction_lossless_width_vanishes(vacuum):
     amplitude=st.floats(0.1, 1e3),
 )
 def test_reduction_self_consistent(omega_res, gamma, amplitude):
-    model = mat.LorentzianModel(omega_res, gamma, amplitude)
+    model = LorentzianModel(omega_res, gamma, amplitude)
     window = (omega_res * 0.5, omega_res * 1.5)
-    out = mat.lorentzian_reduction(model, window)
+    out = lorentzian_reduction(model, window)
     assert out.omega_res == pytest.approx(omega_res, rel=1e-6)
     assert out.gamma == pytest.approx(gamma, rel=1e-6)
     assert out.amplitude == pytest.approx(amplitude, rel=1e-6)
 
 
 def test_reduction_no_resonance_in_window(gold, vacuum):
-    alpha = mat.QuasiStaticPolarizability.for_sphere(mat.Sphere(10.0), gold, vacuum)
+    alpha = QuasiStaticPolarizability.for_sphere(mat.Sphere(10.0), gold, vacuum)
     with pytest.raises(ResonanceCountError, match="no resonance"):
-        mat.lorentzian_reduction(alpha, (3.0, 3.8))
+        lorentzian_reduction(alpha, (3.0, 3.8))
 
 
 def test_reduction_multiple_resonances():
-    two = lambda w: (mat.LorentzianModel(1.0, 0.05, 1.0)(w)
-                     + mat.LorentzianModel(2.0, 0.05, 1.0)(w))
+    two = lambda w: (LorentzianModel(1.0, 0.05, 1.0)(w)
+                     + LorentzianModel(2.0, 0.05, 1.0)(w))
     with pytest.raises(ResonanceCountError):
-        mat.lorentzian_reduction(two, (0.5, 2.5))
+        lorentzian_reduction(two, (0.5, 2.5))
 
 
 # ---------------------------------------------------------------------------
