@@ -1,8 +1,10 @@
 """Command-line interface: paper-figure regressions and generic scenario runs.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical error.  All
-errors go to stderr with a machine-parseable "ERROR[code]:" prefix.  Output
-is deterministic: byte-identical across runs.
+errors go to stderr with a machine-parseable "ERROR[code]:" prefix.  A
+closed stdout (a reader such as `head` that exits early) also ends the
+command with exit code 1, silently.  Output is deterministic:
+byte-identical across runs.
 """
 
 import argparse
@@ -13,7 +15,7 @@ import sys
 import numpy as np
 
 from . import dynamics as dyn
-from .config import BUILTIN_CONFIGS, parse_config
+from .config import BUILTIN_CONFIGS, MAX_POINTS, parse_config
 from .errors import ConfigError, PlasmonSimError
 from .experiments import (
     enhancement_map,
@@ -27,6 +29,11 @@ from .experiments import (
 from .results import ResultTable, scenario_metadata
 
 
+def _check_points(what, count):
+    if count > MAX_POINTS:
+        raise ConfigError(f"{what} asks for {count} points; at most {MAX_POINTS} are allowed")
+
+
 def _parse_sweep(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -35,9 +42,13 @@ def _parse_sweep(text):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"--sweep values must be numbers, got {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"--sweep values must be finite, got {text!r}")
     if step <= 0 or stop <= start:
         raise ConfigError(f"--sweep needs stop > start and step > 0, got {text!r}")
-    count = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step  # inf when the quotient overflows
+    count = int(round(span)) + 1 if math.isfinite(span) else math.inf
+    _check_points(f"--sweep {text}", count)
     return start + step * np.arange(count)
 
 
@@ -119,8 +130,7 @@ def cmd_fig3(args):
     table_spec = ResultTable.from_arrays(
         "fig3_spectrum",
         ("detuning_ev", "phi_rad_cavity", "phi_rad_bare"),
-        (result.spectrum.detunings, result.spectrum.radiative_total,
-         result.spectrum_bare.radiative_total),
+        (result.detunings, result.rad_cavity, result.rad_bare),
         meta,
     )
     _write(table_traces, args.out, args.format)
@@ -148,7 +158,9 @@ def _anticrossing_metadata(scenario, metrics):
 
 def cmd_fig4(args):
     sweep = _detuning_sweep(args)
-    result = run_fig4(parse_config("fig4").scenario, sweep, spectrum_points=args.grid or 801)
+    spectrum_points = args.grid or 801
+    _check_points("the fig4 spectra map", sweep.size * spectrum_points)
+    result = run_fig4(parse_config("fig4").scenario, sweep, spectrum_points=spectrum_points)
     meta = _anticrossing_metadata(result.scenario, result.metrics)
     _write(_branch_table("fig4_branches", result.branches, meta), args.out, args.format)
     detunings = result.detunings
@@ -178,7 +190,6 @@ def cmd_spectrum(args):
     grid = _spectral_grid(parsed, args.grid)
     drive = scenario.params.get("drive_mode", "emitter")
     amps, powers = dyn.steady_state_sweep(h, grid, drive, channels)
-    spec = dyn.SpectrumResult(grid, tuple(channels), powers)
     # the vacuum port is coherent; report its interference part separately so
     # the diagonal (per-mode) decomposition is also available
     rad_vacuum = next(c for c in channels if c.id == "rad_vacuum")
@@ -187,9 +198,8 @@ def cmd_spectrum(args):
         "spectrum",
         ("detuning_ev", "phi_rad_total", "phi_rad_vacuum", "phi_rad_vacuum_cross",
          "phi_rad_cavity_port", "phi_ohmic_plasmon", "phi_ohmic_emitter"),
-        (grid, spec.radiative_total, spec.powers["rad_vacuum"], cross,
-         spec.powers["rad_cavity"], spec.powers["ohmic_plasmon"],
-         spec.powers["ohmic_emitter"]),
+        (grid, dyn.radiated_power(channels, powers), powers["rad_vacuum"], cross,
+         powers["rad_cavity"], powers["ohmic_plasmon"], powers["ohmic_emitter"]),
         scenario_metadata(scenario),
     )
     _write(table, args.out, args.format)
@@ -253,13 +263,13 @@ def cmd_eigen(args):
 def cmd_map(args):
     if args.config:
         sweep = parse_config(args.config).sweep
-        d = np.geomspace(sweep["d_min_nm"], sweep["d_max_nm"], sweep["d_points"])
-        q = np.geomspace(sweep["q_min"], sweep["q_max"], sweep["q_points"])
+        d_axis = (sweep["d_min_nm"], sweep["d_max_nm"], sweep["d_points"])
+        q_axis = (sweep["q_min"], sweep["q_max"], sweep["q_points"])
     else:
         n = args.grid or 61
-        d = np.geomspace(2.0, 30.0, n)
-        q = np.geomspace(1e2, 1e7, n)
-    grid = enhancement_map(d, q)
+        d_axis, q_axis = (2.0, 30.0, n), (1e2, 1e7, n)
+    _check_points("the map", d_axis[2] * q_axis[2])
+    grid = enhancement_map(np.geomspace(*d_axis), np.geomspace(*q_axis))
     dd, qq = np.meshgrid(grid.d_nm, grid.q_factor, indexing="ij")
     table = ResultTable.from_arrays(
         "map",
@@ -368,19 +378,30 @@ def main(argv=None):
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_sweep_values(list(argv)))
-    if getattr(args, "d_nm", None) is None and args.command == "optq":
-        args.d_nm = [5.0, 10.0, 15.0]
     try:
-        if args.grid is not None and args.grid < 1:
-            raise ConfigError(f"--grid must be an integer >= 1, got {args.grid}")
-        return args.fn(args)
+        try:
+            args = parser.parse_args(_merge_sweep_values(list(argv)))
+            if getattr(args, "d_nm", None) is None and args.command == "optq":
+                args.d_nm = [5.0, 10.0, 15.0]
+            if args.grid is not None and args.grid < 1:
+                raise ConfigError(f"--grid must be an integer >= 1, got {args.grid}")
+            _check_points("--grid", args.grid or 0)
+            return args.fn(args)
+        finally:
+            sys.stdout.flush()  # a closed stdout fails here, inside the handlers below
     except ConfigError as exc:
         print(f"ERROR[config]: {exc}", file=sys.stderr)
         return 1
     except (PlasmonSimError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"ERROR[numeric]: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: point stdout at devnull so that the flush at
+        # interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

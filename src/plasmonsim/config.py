@@ -5,7 +5,7 @@ Sections are fixed ([metal], [environment], [particle], [emitter], [cavity],
 starts a comment, on its own line or after a value.  Unknown
 keys are hard errors with a closest-match suggestion, missing required keys
 are reported all at once, every value must be finite, point counts are
-integers >= 1, the particle axis is 1, 2 or 3, lengths, the plasma
+integers from 1 to MAX_POINTS, the particle axis is 1, 2 or 3, lengths, the plasma
 frequency and the cavity, map-axis and time-span quantities are > 0, and
 calibrated mode takes no explicit coupling or rate.
 Values in meV and ueV are converted to eV by shifting their decimal text,
@@ -35,8 +35,12 @@ from .experiments import (
 _FLOAT = "float"
 _POSITIVE = "positive"  # float > 0
 _INT = "int"
-_COUNT = "count"  # int >= 1
+_COUNT = "count"  # int from 1 to MAX_POINTS
 _CHOICE = "choice"
+
+#: the most points a sweep, grid, time trace or map may have; the config and the
+#: command line reject a larger count before any array is built
+MAX_POINTS = 1_000_000
 
 #: decimal exponent of the eV value of a key with this unit suffix
 _UNIT_EXPONENTS = {"mev": -3, "uev": -6}
@@ -275,8 +279,8 @@ def _validate(sections, origin):
                     problems.append(f"[{section}] {key} = {raw!r} is not an integer")
                     continue
                 value = int(number)
-                if kind == _COUNT and value < 1:
-                    problems.append(f"[{section}] {key} = {raw!r} must be >= 1")
+                if kind == _COUNT and not 1 <= value <= MAX_POINTS:
+                    problems.append(f"[{section}] {key} = {raw!r} must be from 1 to {MAX_POINTS}")
                     continue
                 if choices is not None and value not in choices:
                     problems.append(f"[{section}] {key} = {raw!r} must be one of {choices}")
@@ -449,12 +453,11 @@ def _resolve_scenario(cfg, name):
 
 
 class ParsedConfig:
-    """A resolved Scenario plus its sweep and run sections."""
+    """A resolved Scenario plus its sweep section."""
 
-    def __init__(self, scenario, sweep, run):
+    def __init__(self, scenario, sweep):
         self.scenario = scenario
         self.sweep = sweep
-        self.run = run
 
 
 def parse_config_text(text, origin="<string>", name=None):
@@ -462,7 +465,7 @@ def parse_config_text(text, origin="<string>", name=None):
     cfg = _validate(sections, origin)
     scenario_name = name or cfg["run"].get("name") or origin
     scenario = _resolve_scenario(cfg, scenario_name)
-    return ParsedConfig(scenario, cfg.get("sweep", {}), cfg["run"])
+    return ParsedConfig(scenario, cfg.get("sweep", {}))
 
 
 def parse_config(path):

@@ -128,10 +128,10 @@ def _quench_weight(order, orientation):
     return order * (order + 1) / 2.0
 
 
-def multipole_quench_rate(emitter, particle, env, omega, l_min=2):
+def multipole_quench_rate(emitter, particle, env, omega):
     """Emitter decay into the particle's absorptive multipoles (eV).
 
-    Quasi-static image-multipole sum over orders l >= l_min:
+    Quasi-static image-multipole sum over orders l >= 2:
 
         gamma_m = 2 (mu^2 k_e / eps_b) sum_l w_l R^(2l+1) Im f_l(omega) / d^(2l+4)
 
@@ -155,7 +155,7 @@ def multipole_quench_rate(emitter, particle, env, omega, l_min=2):
     prefactor = 2.0 * emitter.mu**2 * COULOMB / env.eps_b
     total = 0.0
     term = 0.0
-    for order in range(l_min, QUENCH_L_MAX + 1):
+    for order in range(2, QUENCH_L_MAX + 1):
         im_f = multipole_absorption_response(metal, env, order, omega).imag
         term = (
             _quench_weight(order, emitter.orientation)

@@ -21,7 +21,6 @@ from .errors import (
     TrackingAmbiguityError,
     UndefinedYieldError,
 )
-from .network import DriveSpec
 from .quantities import from_fs, require_finite, to_fs
 
 #: reciprocal condition number below which a steady-state solve is rejected
@@ -41,33 +40,10 @@ def expm(a):
     return scipy_expm(a)
 
 
-@dataclass(frozen=True, eq=False)
-class SteadyState:
-    """Mode amplitudes and per-channel output powers at one pump detuning."""
-
-    detuning: float
-    labels: tuple
-    amplitudes: np.ndarray  # complex, per mode
-    channels: tuple  # OutputChannel definitions used
-    powers: dict  # channel id -> power (drive-normalized units)
-
-    def amplitude(self, label):
-        return self.amplitudes[self.labels.index(label)]
-
-    @property
-    def radiative_power(self):
-        return sum(p for c, p in zip(self.channels, self.powers.values())
-                   if c.kind == "radiative")
-
-    @property
-    def ohmic_power(self):
-        return sum(p for c, p in zip(self.channels, self.powers.values())
-                   if c.kind == "ohmic")
-
-
-def _drive_vector(hamiltonian, drive):
+def _drive_vector(hamiltonian, mode):
+    """Unit drive on one mode."""
     f = np.zeros(len(hamiltonian.modes), dtype=complex)
-    f[hamiltonian.index(drive.mode)] = drive.amplitude
+    f[hamiltonian.index(mode)] = 1.0
     return f
 
 
@@ -123,17 +99,8 @@ def channel_cross_term(channel, labels, amplitudes):
     return channel_power(channel, labels, amplitudes) - diag
 
 
-def steady_state(hamiltonian, drive, channels):
-    """Steady-state amplitudes v = (Delta_p I - H)^-1 f and channel powers."""
-    f = _drive_vector(hamiltonian, drive)
-    v = _solve_amplitudes(hamiltonian, [drive.detuning], f)[0]
-    labels = hamiltonian.labels
-    powers = {c.id: float(channel_power(c, labels, v)) for c in channels}
-    return SteadyState(drive.detuning, labels, v, tuple(channels), powers)
-
-
-def steady_state_sweep(hamiltonian, detunings, drive_mode, channels, amplitude=1.0):
-    """Vectorized steady state over a pump-detuning grid.
+def steady_state_sweep(hamiltonian, detunings, drive_mode, channels):
+    """Vectorized steady state under a unit drive on one mode, over a pump-detuning grid.
 
     Returns (amplitudes (n_points, n_modes), powers {channel id -> array}).  For a
     Hamiltonian stack the detunings broadcast against its leading shape.
@@ -141,25 +108,20 @@ def steady_state_sweep(hamiltonian, detunings, drive_mode, channels, amplitude=1
     d = np.asarray(detunings, dtype=float)
     if d.size == 0:
         raise DomainError("empty detuning sweep")
-    f = _drive_vector(hamiltonian, DriveSpec(drive_mode, 0.0, amplitude))
-    v = _solve_amplitudes(hamiltonian, d, f)
+    v = _solve_amplitudes(hamiltonian, d, _drive_vector(hamiltonian, drive_mode))
     labels = hamiltonian.labels
     powers = {c.id: channel_power(c, labels, v) for c in channels}
     return v, powers
 
 
-def quantum_yield(state):
-    """Radiated fraction of the total output power, in [0, 1]."""
-    radiative = state.radiative_power
-    total = radiative + state.ohmic_power
-    if total <= 0.0:
-        raise UndefinedYieldError("no output power in any channel; yield undefined")
-    return radiative / total
+def radiated_power(channels, powers):
+    """Total power of the radiative channels in a channel-power mapping (arrays allowed)."""
+    return sum(np.asarray(powers[c.id]) for c in channels if c.kind == "radiative")
 
 
 def yield_from_powers(channels, powers):
-    """Quantum yield from a channel-power mapping (arrays allowed)."""
-    radiative = sum(np.asarray(powers[c.id]) for c in channels if c.kind == "radiative")
+    """Quantum yield, the radiated fraction of the total output power, in [0, 1]."""
+    radiative = radiated_power(channels, powers)
     ohmic = sum(np.asarray(powers[c.id]) for c in channels if c.kind == "ohmic")
     total = radiative + ohmic
     if np.any(total <= 0.0):
@@ -245,33 +207,6 @@ def count_oscillation_maxima(times_fs, population, threshold=1e-3, settle_fs=0.0
 
 
 @dataclass(frozen=True, eq=False)
-class SpectrumResult:
-    """Per-detuning channel powers from a steady-state sweep."""
-
-    detunings: np.ndarray
-    channels: tuple
-    powers: dict  # channel id -> array
-
-    @property
-    def radiative_total(self):
-        return sum(self.powers[c.id] for c in self.channels if c.kind == "radiative")
-
-    @property
-    def ohmic_total(self):
-        return sum(self.powers[c.id] for c in self.channels if c.kind == "ohmic")
-
-    @property
-    def quantum_yield(self):
-        return yield_from_powers(self.channels, self.powers)
-
-
-def emission_spectrum(hamiltonian, detunings, channels, drive_mode="emitter"):
-    """Radiated power vs pump detuning for a weak drive on one mode."""
-    _, powers = steady_state_sweep(hamiltonian, detunings, drive_mode, channels)
-    return SpectrumResult(np.asarray(detunings, dtype=float), tuple(channels), powers)
-
-
-@dataclass(frozen=True, eq=False)
 class EigenBranchSet:
     """Continuity-tracked complex eigenvalue branches over a parameter sweep."""
 
@@ -352,32 +287,20 @@ class AntiCrossingMetrics:
     kappa_1: float  # larger linewidth at the center (eV)
     kappa_2: float  # smaller linewidth at the center (eV)
     cooperativity: float  # 4 g_eff^2 / (kappa_1 kappa_2)
-    pair: tuple  # branch indices analyzed
     min_re_separation: float
     min_im_separation: float
 
 
-def coupled_pair(branchset, center_value=0.0):
-    """Indices of the two branches closest to zero real part at the sweep center."""
-    idx = int(np.argmin(np.abs(branchset.sweep_values - center_value)))
-    order = np.argsort(np.abs(branchset.eigenvalues[idx].real), kind="stable")
-    pair = tuple(sorted(int(b) for b in order[:2]))
-    return pair, idx
-
-
-def anticrossing_metrics(branchset, pair=None, center_value=0.0):
+def anticrossing_metrics(branchset):
     """Anti-crossing metrics for the coupled pair of an EigenBranchSet.
 
-    two_g_eff is the minimum real-part separation over the sweep; the
-    linewidths and cooperativity are evaluated at the sweep point closest
-    to center_value.
+    The coupled pair is the two branches closest to zero real part at the
+    sweep point closest to zero.  two_g_eff is their minimum real-part
+    separation over the sweep; the linewidths and cooperativity are
+    evaluated at that center point.
     """
-    auto_pair, center = coupled_pair(branchset, center_value)
-    if pair is None:
-        pair = auto_pair
-    else:
-        center = int(np.argmin(np.abs(branchset.sweep_values - center_value)))
-    a, b = pair
+    center = int(np.argmin(np.abs(branchset.sweep_values)))
+    a, b = sorted(np.argsort(np.abs(branchset.eigenvalues[center].real), kind="stable")[:2])
     lam_a, lam_b = branchset.eigenvalues[:, a], branchset.eigenvalues[:, b]
     re_sep = np.abs(lam_a.real - lam_b.real)
     im_sep = np.abs(lam_a.imag - lam_b.imag)
@@ -390,7 +313,6 @@ def anticrossing_metrics(branchset, pair=None, center_value=0.0):
         kappa_1=kappa_1,
         kappa_2=kappa_2,
         cooperativity=coop,
-        pair=tuple(pair),
         min_re_separation=float(np.min(re_sep)),
         min_im_separation=float(np.min(im_sep)),
     )

@@ -39,6 +39,10 @@ SPECTRA_Q = 1e4
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: optimal_Q: coarse log-Q scan points, and the relative Q tolerance of its refinement
+OPTQ_COARSE_POINTS = 25
+OPTQ_REL_TOL = 1e-3
+
 #: Newton steps the coupling calibration may take before it gives up
 CALIBRATION_MAX_STEPS = 50
 
@@ -179,8 +183,8 @@ def run_fig1c(points=2001, half_span_ev=2e-3):
     return DissipationSpectra(
         scenario=scenario,
         detunings=detunings,
-        rad_cavity=p_cav["rad_plasmon"] + p_cav["rad_cavity"],
-        rad_bare=p_bare["rad_plasmon"] + p_bare["rad_cavity"],
+        rad_cavity=dyn.radiated_power(channels, p_cav),
+        rad_bare=dyn.radiated_power(channels, p_bare),
         abs_cavity=p_cav["ohmic_plasmon"],
         abs_bare=p_bare["ohmic_plasmon"],
     )
@@ -215,29 +219,24 @@ def run_fig2(scenario, points=401, half_span_ev=1e-3):
     channels = scenario.channels(h)
     detunings = delta_0 + np.linspace(-half_span_ev, half_span_ev, points)
 
-    amps, powers = dyn.steady_state_sweep(h, detunings, "emitter", channels)
-    amps_b, powers_b = dyn.steady_state_sweep(h_bare, detunings, "emitter", channels)
-    eta = dyn.yield_from_powers(channels, powers)
-    eta_b = dyn.yield_from_powers(channels, powers_b)
-    rad = sum(powers[c.id] for c in channels if c.kind == "radiative")
-    rad_b = sum(powers_b[c.id] for c in channels if c.kind == "radiative")
-    abs_pl = powers["ohmic_plasmon"] / np.max(powers["ohmic_plasmon"])
+    def solve(hamiltonian, grid):
+        return dyn.steady_state_sweep(hamiltonian, grid, "emitter", channels)[1]
 
-    drive = net.DriveSpec("emitter", delta_0)
-    st = dyn.steady_state(h, drive, channels)
-    st_b = dyn.steady_state(h_bare, drive, channels)
+    sweep, sweep_b = solve(h, detunings), solve(h_bare, detunings)
+    at_0, at_0_b = solve(h, [delta_0]), solve(h_bare, [delta_0])
     return YieldSpectra(
         scenario=scenario,
         detunings=detunings,
-        yield_cavity=eta,
-        yield_bare=eta_b,
-        rad_cavity=rad,
-        rad_bare=rad_b,
-        abs_plasmon=abs_pl,
+        yield_cavity=dyn.yield_from_powers(channels, sweep),
+        yield_bare=dyn.yield_from_powers(channels, sweep_b),
+        rad_cavity=dyn.radiated_power(channels, sweep),
+        rad_bare=dyn.radiated_power(channels, sweep_b),
+        abs_plasmon=sweep["ohmic_plasmon"] / np.max(sweep["ohmic_plasmon"]),
         delta_0=delta_0,
-        yield_at_delta0=dyn.quantum_yield(st),
-        bare_yield_at_delta0=dyn.quantum_yield(st_b),
-        rad_enhancement_at_delta0=st.radiative_power / st_b.radiative_power,
+        yield_at_delta0=float(dyn.yield_from_powers(channels, at_0)[0]),
+        bare_yield_at_delta0=float(dyn.yield_from_powers(channels, at_0_b)[0]),
+        rad_enhancement_at_delta0=float(
+            dyn.radiated_power(channels, at_0)[0] / dyn.radiated_power(channels, at_0_b)[0]),
     )
 
 
@@ -284,12 +283,9 @@ def _enhancements(d_nm, q_factor, gamma_m_scale=1.0):
     _, powers = dyn.steady_state_sweep(h, delta_0[:, None], "emitter", channels)
     _, powers_b = dyn.steady_state_sweep(
         scenario.hamiltonian(bare=True), delta_0[:, None], "emitter", channels)
-
-    def radiative(pw):
-        return sum(pw[c.id] for c in channels if c.kind == "radiative")
-
     yield_enh = dyn.yield_from_powers(channels, powers) / dyn.yield_from_powers(channels, powers_b)
-    return yield_enh, radiative(powers) / radiative(powers_b), delta_0
+    power_enh = dyn.radiated_power(channels, powers) / dyn.radiated_power(channels, powers_b)
+    return yield_enh, power_enh, delta_0
 
 
 def map_cell(d_nm, q_factor, gamma_m_scale=1.0):
@@ -341,12 +337,13 @@ class OptimalQ:
     boundary: bool  # true when the maximum sits on the search boundary
 
 
-def optimal_Q(d_nm, objective="yield", q_bounds=(1e2, 1e7), coarse_points=25, rel_tol=1e-3):
+def optimal_Q(d_nm, objective="yield"):
     """Quality factor maximizing the enhancement at fixed distance.
 
-    A coarse log-spaced scan brackets the maximum (verifying unimodality at
-    scan resolution), then golden-section refinement narrows Q to rel_tol.
-    A maximum on the scan boundary is reported, not raised.
+    A coarse scan of OPTQ_COARSE_POINTS log-spaced Q over the map's Q range
+    brackets the maximum (verifying unimodality at scan resolution), then
+    golden-section refinement narrows Q to OPTQ_REL_TOL.  A maximum on the
+    scan boundary is reported, not raised.
     """
     if objective not in ("yield", "power"):
         raise DomainError(f"objective must be yield or power, got {objective!r}")
@@ -355,8 +352,7 @@ def optimal_Q(d_nm, objective="yield", q_bounds=(1e2, 1e7), coarse_points=25, re
         cell = map_cell(d_nm, 10.0**log_q)
         return cell.yield_enhancement if objective == "yield" else cell.power_enhancement
 
-    lo, hi = math.log10(q_bounds[0]), math.log10(q_bounds[1])
-    grid = np.linspace(lo, hi, coarse_points)
+    grid = np.linspace(math.log10(Q_GRID[0]), math.log10(Q_GRID[1]), OPTQ_COARSE_POINTS)
     coarse = _enhancements([d_nm], [10.0**x for x in grid])
     values = coarse[0 if objective == "yield" else 1][0].tolist()
     i_best = int(np.argmax(values))
@@ -364,7 +360,7 @@ def optimal_Q(d_nm, objective="yield", q_bounds=(1e2, 1e7), coarse_points=25, re
         return OptimalQ(10.0**grid[i_best], values[i_best], objective, boundary=True)
 
     a, b = grid[i_best - 1], grid[i_best + 1]
-    tol = math.log10(1.0 + rel_tol)
+    tol = math.log10(1.0 + OPTQ_REL_TOL)
     c = b - GOLDEN * (b - a)
     d_pt = a + GOLDEN * (b - a)
     fc, fd = value_at(c), value_at(d_pt)
@@ -522,8 +518,9 @@ class RabiTraces:
     traces: dict  # label ("q1e3", ..., "no_cavity") -> emitter population array
     trace_maxima: dict  # label -> oscillation maxima count
     settle_fs: float
-    spectrum: dyn.SpectrumResult  # emitter emission of the scenario itself
-    spectrum_bare: dyn.SpectrumResult
+    detunings: np.ndarray  # pump detunings of the emission spectrum
+    rad_cavity: np.ndarray  # radiated power of the scenario itself
+    rad_bare: np.ndarray  # and without its cavity
 
 
 def run_fig3(scenario, trace_points=4096, spectrum_points=2001):
@@ -552,14 +549,20 @@ def run_fig3(scenario, trace_points=4096, spectrum_points=2001):
     h = scenario.hamiltonian()
     channels = scenario.channels(h)
     detunings = np.linspace(-8e-3, 8e-3, spectrum_points)
+
+    def radiated(hamiltonian):
+        _, powers = dyn.steady_state_sweep(hamiltonian, detunings, "emitter", channels)
+        return dyn.radiated_power(channels, powers)
+
     return RabiTraces(
         scenario=scenario,
         times_fs=times_fs,
         traces=traces,
         trace_maxima=maxima,
         settle_fs=settle_fs,
-        spectrum=dyn.emission_spectrum(h, detunings, channels, "emitter"),
-        spectrum_bare=dyn.emission_spectrum(hams["no_cavity"], detunings, channels, "emitter"),
+        detunings=detunings,
+        rad_cavity=radiated(h),
+        rad_bare=radiated(hams["no_cavity"]),
     )
 
 
@@ -587,14 +590,15 @@ def run_fig4(scenario, sweep_values, spectrum_points=801):
     shifted = with_cavity(at_q, -sweep[:, None])
     h = shifted.hamiltonian()
     detunings = np.linspace(-8e-3, 8e-3, spectrum_points)
-    spectra = dyn.emission_spectrum(h, detunings, shifted.channels(h), "emitter")
+    channels = shifted.channels(h)
+    _, powers = dyn.steady_state_sweep(h, detunings, "emitter", channels)
     return AntiCrossing(
         scenario=scenario,
         branches=branches,
         metrics=dyn.anticrossing_metrics(branches),
         spectra_scenario=at_q,
         detunings=detunings,
-        spectra=spectra.radiative_total,
+        spectra=dyn.radiated_power(channels, powers),
     )
 
 

@@ -81,18 +81,6 @@ class EffectiveHamiltonian:
 
 
 @dataclass(frozen=True)
-class DriveSpec:
-    """Weak coherent drive on one mode at pump detuning Delta_p vs the frame reference."""
-
-    mode: str
-    detuning: float = 0.0  # eV
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        require_finite(detuning=self.detuning, amplitude=self.amplitude)
-
-
-@dataclass(frozen=True)
 class OutputChannel:
     """One output port: amplitude-rate terms sqrt(gamma_k) on listed modes.
 

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from plasmonsim import dynamics as dyn
 from plasmonsim.cli import main
-from plasmonsim.config import BUILTIN_CONFIGS, parse_config, parse_config_text
+from plasmonsim.config import BUILTIN_CONFIGS, MAX_POINTS, parse_config, parse_config_text
 from plasmonsim.errors import ConfigError
 from plasmonsim.results import ResultTable, format_cell, read_metadata, scenario_metadata
 
@@ -255,6 +257,7 @@ def test_cli_numerical_error_exit_code(tmp_path, capsys):
 
 
 MAP_SWEEP = "\n[sweep]\nd_points = 5\nq_points = 5\n"
+OVER = MAX_POINTS + 1
 
 #: probe -> (argv, config text or (old, new) edit or None[, builtin edited instead
 #: of fig2]); each must exit 1 with ERROR[config]
@@ -290,6 +293,22 @@ BOUNDARY_PROBES = {
     "a1_negative": (["spectrum"], ("a1_nm = 33.0", "a1_nm = -33"), "fig3"),
     "mu_e_zero": (["spectrum"], ("mu_e_nm = 1.0", "mu_e_nm = 0")),
     "omega_p_zero": (["spectrum"], ("omega_p_ev = 4.0", "omega_p_ev = 0")),
+    "sweep_nan_start": (["fig4", "--sweep", "nan:1:0.1"], None),
+    "sweep_inf_stop": (["fig4", "--sweep", "0:inf:1"], None),
+    "sweep_minus_inf_start": (["eigen", "--sweep", "-inf:0:1"], None),
+    "sweep_nan_step": (["eigen", "--sweep", "0:1:nan"], None),
+    # point counts above MAX_POINTS, rejected before any array is built
+    "sweep_count_over_max": (["eigen", "--sweep", "0:1:1e-12"], None),
+    "sweep_count_overflows": (["eigen", "--sweep", "-1e308:1e308:1e-300"], None),
+    "grid_over_max": (["fig1c", "--grid", str(OVER)], None),
+    "spectrum_grid_over_max": (["spectrum", "--config", "fig2", "--grid", str(OVER)], None),
+    "map_grid_cells_over_max": (["map", "--grid", "1001"], None),
+    "fig4_spectra_over_max": (["fig4", "--sweep", "0:1:1e-3", "--grid", "1000"], None),
+    "sweep_points_over_max": (["spectrum"], f"\n[sweep]\npoints = {OVER}\n"),
+    "evolve_t_points_over_max": (["evolve"], f"\n[sweep]\nt_points = {OVER}\n"),
+    "map_d_points_over_max": (["map"], f"\n[sweep]\nd_points = {OVER}\nq_points = 1\n"),
+    "map_q_points_over_max": (["map"], f"\n[sweep]\nd_points = 1\nq_points = {OVER}\n"),
+    "map_cells_over_max": (["map"], "\n[sweep]\nd_points = 1001\nq_points = 1000\n"),
 }
 
 
@@ -309,6 +328,26 @@ def test_cli_rejects_bad_input_at_boundary(probe, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("ERROR[config]:")
     assert not out.exists()
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    """A reader that closed its end of the pipe gets exit 1 and no traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH"))
+        if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "plasmonsim", "validate", "--config", "fig4"],
+            cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert proc.returncode == 1
 
 
 def test_cli_json_format(tmp_path):
