@@ -9,7 +9,8 @@ import sys
 
 import numpy as np
 
-from plasmonsim.cli import main
+from plasmonsim.cli import DESIGN_SCENARIO, main
+from plasmonsim.config import parse_config
 from plasmonsim.experiments import optimal_Q
 
 
@@ -23,7 +24,8 @@ def run():
                 for d in (3.0, 5.0, 10.0, 15.0, 20.0)], []))
     if code != 0:
         return code
-    best = max((optimal_Q(d).value, d) for d in np.linspace(5.0, 15.0, 11))
+    scenario = parse_config(DESIGN_SCENARIO).scenario
+    best = max((optimal_Q(scenario, d).value, d) for d in np.linspace(5.0, 15.0, 11))
     print(f"peak yield enhancement {best[0]:.1f} at D = {best[1]:.1f} nm")
     return 0
 

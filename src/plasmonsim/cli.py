@@ -66,19 +66,24 @@ def _write(table, out_dir, fmt):
     return path
 
 
-def _spectral_grid(parsed, points_override, default_half_span=8e-3, default_points=2001):
+def _reject_grid(args, reason):
+    """A --grid the command would ignore is an error, not a silent default."""
+    if args.grid is not None:
+        raise ConfigError(f"--grid does not apply to {args.command}: {reason}")
+
+
+def _spectral_grid(parsed, points_override):
+    """Pump detunings of [sweep] start_ev..stop_ev, default Delta_0 +/- 8 meV, 2001 points."""
     sweep = parsed.sweep
-    start = sweep.get("start_ev")
-    stop = sweep.get("stop_ev")
-    points = points_override or sweep.get("points", default_points)
-    if start is None or stop is None:
-        delta0 = parsed.scenario.params.get("delta_0_ev", 0.0)
-        start, stop = delta0 - default_half_span, delta0 + default_half_span
-    return np.linspace(start, stop, points)
+    points = points_override or sweep.get("points", 2001)
+    if "start_ev" in sweep:  # the config requires stop_ev with it
+        return np.linspace(sweep["start_ev"], sweep["stop_ev"], points)
+    delta_0 = parsed.scenario["delta_0_ev"]
+    return np.linspace(delta_0 - 8e-3, delta_0 + 8e-3, points)
 
 
 def cmd_fig1c(args):
-    result = run_fig1c(points=args.grid or 2001)
+    result = run_fig1c(parse_config("fig1c").scenario, points=args.grid or 2001)
     table = ResultTable.from_arrays(
         "fig1c",
         ("detuning_ev", "phi_rad_cavity", "phi_rad_bare", "phi_abs_cavity", "phi_abs_bare"),
@@ -252,6 +257,7 @@ def cmd_evolve(args):
 
 
 def cmd_eigen(args):
+    _reject_grid(args, "its points are those of --sweep")
     scenario = parse_config(args.config or "fig4").scenario
     sweep = _detuning_sweep(args)
     branchset = dyn.eigen_branches(with_cavity(scenario, -sweep).hamiltonian().matrix, sweep)
@@ -260,48 +266,52 @@ def cmd_eigen(args):
     return 0
 
 
+#: the scenario map and optq sweep over emitter distance and cavity Q
+DESIGN_SCENARIO = "fig2_first_principles"
+
+
 def cmd_map(args):
+    # --config sets only the [sweep] axes; the swept system is always DESIGN_SCENARIO
     if args.config:
-        sweep = parse_config(args.config).sweep
-        d_axis = (sweep["d_min_nm"], sweep["d_max_nm"], sweep["d_points"])
-        q_axis = (sweep["q_min"], sweep["q_max"], sweep["q_points"])
-    else:
-        n = args.grid or 61
-        d_axis, q_axis = (2.0, 30.0, n), (1e2, 1e7, n)
-    _check_points("the map", d_axis[2] * q_axis[2])
-    grid = enhancement_map(np.geomspace(*d_axis), np.geomspace(*q_axis))
+        _reject_grid(args, "with --config the axes are the config's [sweep]")
+    design = parse_config(DESIGN_SCENARIO)
+    sweep = parse_config(args.config).sweep if args.config else design.sweep
+    n_d, n_q = args.grid or sweep["d_points"], args.grid or sweep["q_points"]
+    _check_points("the map", n_d * n_q)
+    grid = enhancement_map(design.scenario,
+                           np.geomspace(sweep["d_min_nm"], sweep["d_max_nm"], n_d),
+                           np.geomspace(sweep["q_min"], sweep["q_max"], n_q))
     dd, qq = np.meshgrid(grid.d_nm, grid.q_factor, indexing="ij")
     table = ResultTable.from_arrays(
         "map",
         ("d_nm", "q_factor", "yield_enhancement", "power_enhancement"),
         (dd.ravel(), qq.ravel(), grid.yield_enhancement.ravel(),
          grid.power_enhancement.ravel()),
-        {"scenario": "enhancement_map", "d_points": len(grid.d_nm),
-         "q_points": len(grid.q_factor)},
+        {**scenario_metadata(design.scenario), "d_points": n_d, "q_points": n_q},
     )
     _write(table, args.out, args.format)
     return 0
 
 
 def cmd_optq(args):
-    for d in args.d_nm:
+    _reject_grid(args, "its Q search is adaptive")
+    distances = args.d_nm or [5.0, 10.0, 15.0]
+    for d in distances:
         if not (math.isfinite(d) and d > 0):
             raise ConfigError(f"--d-nm must be a finite distance > 0 nm, got {d}")
+    scenario = parse_config(DESIGN_SCENARIO).scenario
     rows = []
-    for d in args.d_nm:
-        res = optimal_Q(d, objective=args.objective)
+    for d in distances:
+        res = optimal_Q(scenario, d, objective=args.objective)
         rows.append((d, res.q_opt, res.value, res.objective, int(res.boundary)))
-    table = ResultTable(
-        "optq",
-        ("d_nm", "q_opt", "value", "objective", "boundary"),
-        rows,
-        {"scenario": "optimal_q", "objective": args.objective},
-    )
+    table = ResultTable("optq", ("d_nm", "q_opt", "value", "objective", "boundary"), rows,
+                        {**scenario_metadata(scenario), "objective": args.objective})
     _write(table, args.out, args.format)
     return 0
 
 
 def cmd_validate(args):
+    _reject_grid(args, "it runs nothing")
     parsed = _load(args)
     scenario = parsed.scenario
     print(f"scenario {scenario.name}: OK")
@@ -336,7 +346,8 @@ def build_parser():
         p.set_defaults(fn=fn)
         return p
 
-    add("fig1c", cmd_fig1c, "MNP dissipation spectra with/without cavity", config=False)
+    add("fig1c", cmd_fig1c, "MNP dissipation spectra with/without cavity (builtin fig1c)",
+        config=False)
     p2 = add("fig2", cmd_fig2, "quantum yield and radiated power spectra (builtin fig2)",
              config=False)
     p2.add_argument("--first-principles", action="store_true",
@@ -351,8 +362,10 @@ def build_parser():
     add("evolve", cmd_evolve, "single-excitation time evolution of a configured scenario")
     add("eigen", cmd_eigen, "eigenvalue branches over emitter-cavity detuning "
         "(default config: fig4)", sweep=True)
-    add("map", cmd_map, "(D, Q) enhancement maps")
-    popt = add("optq", cmd_optq, "optimal cavity Q per emitter distance", config=False)
+    add("map", cmd_map, f"(D, Q) enhancement maps of builtin {DESIGN_SCENARIO} "
+        "(--config sets only the [sweep] axes)")
+    popt = add("optq", cmd_optq, f"optimal cavity Q per emitter distance (builtin {DESIGN_SCENARIO})",
+               config=False)
     popt.add_argument("--objective", choices=("yield", "power"), default="yield")
     popt.add_argument("--d-nm", type=float, action="append", default=None,
                       help="emitter distance(s) in nm (repeatable; default 5, 10, 15)")
@@ -381,8 +394,6 @@ def main(argv=None):
     try:
         try:
             args = parser.parse_args(_merge_sweep_values(list(argv)))
-            if getattr(args, "d_nm", None) is None and args.command == "optq":
-                args.d_nm = [5.0, 10.0, 15.0]
             if args.grid is not None and args.grid < 1:
                 raise ConfigError(f"--grid must be an integer >= 1, got {args.grid}")
             _check_points("--grid", args.grid or 0)

@@ -27,8 +27,10 @@ from . import materials as mat
 from .errors import ConfigError
 from .experiments import (
     ANTICROSSING_Q,
+    Q_RANGE,
     Scenario,
     calibrate_fig3_couplings,
+    plasmon_emitter_coupling,
     quench_rate_calibrated,
 )
 
@@ -92,13 +94,13 @@ SCHEMA = {
     "sweep": {
         "start_ev": (_FLOAT, None, None),
         "stop_ev": (_FLOAT, None, None),
-        "step_ev": (_FLOAT, None, None),
         "points": (_COUNT, None, None),
+        # the (D, Q) map axes, log-spaced; map without --config reads these defaults
         "d_min_nm": (_POSITIVE, 2.0, None),
         "d_max_nm": (_POSITIVE, 30.0, None),
         "d_points": (_COUNT, 61, None),
-        "q_min": (_POSITIVE, 1e2, None),
-        "q_max": (_POSITIVE, 1e7, None),
+        "q_min": (_POSITIVE, Q_RANGE[0], None),
+        "q_max": (_POSITIVE, Q_RANGE[1], None),
         "q_points": (_COUNT, 61, None),
         "t_span_fs": (_POSITIVE, None, None),
         "t_points": (_COUNT, 4096, None),
@@ -210,6 +212,15 @@ BUILTIN_CONFIGS["fig2_first_principles"] = (
     + "[couplings]\nmode = first_principles\n\n[run]\ndrive = emitter\n"
     "name = fig2_first_principles\n"
 )
+# the pumped nanoparticle of the dissipation spectra is the yield study's system driven
+# through the plasmon, with the emitter decoupled (G = J = 0)
+BUILTIN_CONFIGS["fig1c"] = (
+    BUILTIN_CONFIGS["fig2"]
+    .replace("G_mev = -7.2", "G_mev = 0")
+    .replace("J_uev = -144", "J_uev = 0")
+    .replace("drive = emitter", "drive = plasmon")
+    .replace("name = fig2", "name = fig1c")
+)
 # the anti-crossing study is the same geometry at the calibration Q, on resonance
 BUILTIN_CONFIGS["fig4"] = (
     BUILTIN_CONFIGS["fig3"]
@@ -310,6 +321,8 @@ def _validate(sections, origin):
             if key not in got:
                 problems.append(f"missing required key {key!r} in [particle] (shape = ellipsoid)")
     sweep = values.get("sweep", {})
+    if ("start_ev" in sweep) != ("stop_ev" in sweep):
+        problems.append("[sweep] start_ev and stop_ev go together: give both or neither")
     for low, high in (("d_min_nm", "d_max_nm"), ("q_min", "q_max")):
         lo = sweep.get(low, SCHEMA["sweep"][low][1])
         hi = sweep.get(high, SCHEMA["sweep"][high][1])
@@ -356,11 +369,9 @@ def _resolve_scenario(cfg, name):
     axis = pc["axis"]
     if pc["shape"] == "sphere":
         shape = mat.Sphere(pc["radius_nm"])
-        extent = pc["radius_nm"]
         omega_1 = mat.sphere_mode_frequency(metal, env, 1)
     else:
         shape = mat.Ellipsoid(pc["a1_nm"], pc["a2_nm"], pc["a3_nm"])
-        extent = (pc["a1_nm"], pc["a2_nm"], pc["a3_nm"])[axis - 1]
         omega_1 = mat.ellipsoid_mode_frequency(
             metal, env, mat.depolarization_factors(shape)[axis - 1])
     particle = mat.Nanoparticle(shape, metal)
@@ -377,7 +388,6 @@ def _resolve_scenario(cfg, name):
     gamma_s = cpl.free_space_decay(ec["mu_e_nm"], omega_e, env.eps_b)
 
     params = {
-        "model": "three_mode",
         "eps_inf": metal.eps_inf, "omega_p_ev": metal.omega_p, "gamma_o_ev": metal.gamma_o,
         "eps_b": env.eps_b,
         "mu_e_nm": ec["mu_e_nm"], "distance_nm": ec["distance_nm"],
@@ -414,10 +424,6 @@ def _resolve_scenario(cfg, name):
         notes.append(f"couplings calibrated at q_factor = {ANTICROSSING_Q:g}")
     else:  # first_principles; explicit values win over the derived ones
         mu_1 = cpl.plasmon_effective_dipole(gamma_1r, omega_1)
-        geometry = "longitudinal" if ec["orientation"] == "radial" else "transverse"
-        G_mag = abs(cpl.dipole_dipole_coupling(
-            mu_1, ec["mu_e_nm"], extent + ec["distance_nm"], env.eps_b, geometry,
-            extent=extent))
         J_mag = cpl.vacuum_coupling(ec["mu_e_nm"], omega_c, vc_nm3, env.eps_b)
         if pc["shape"] == "sphere":
             gamma_m = quench_rate_calibrated(
@@ -427,7 +433,8 @@ def _resolve_scenario(cfg, name):
             notes.append("gamma_m = 0: multipole quenching sum is defined for spheres only")
         couplings = {
             "g1_ev": -cpl.vacuum_coupling(mu_1, omega_c, vc_nm3, env.eps_b),
-            "G_ev": -G_mag,
+            "G_ev": plasmon_emitter_coupling(
+                {**params, "gamma_1r_ev": gamma_1r}, ec["distance_nm"]),
             "J_ev": -J_mag * math.cos(math.radians(ec["angle_to_cavity_deg"])),
             "gamma_1r_ev": gamma_1r, "gamma_s_ev": gamma_s, "gamma_m_ev": gamma_m,
             **given,
@@ -439,7 +446,7 @@ def _resolve_scenario(cfg, name):
     G, g1, J = params["G_ev"], params["g1_ev"], params["J_ev"]
     params["delta_0_ev"] = dyn.fano_detuning(J, g1, G) if G != 0.0 else 0.0
 
-    prov = {k: "first_principles" for k in params if k != "model"}
+    prov = {k: "first_principles" for k in params}
     if mode == "paper_exact":
         prov.update({k: "paper_exact" for k in COUPLING_KEYS})
     elif mode == "calibrated":

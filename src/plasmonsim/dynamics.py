@@ -130,9 +130,12 @@ def yield_from_powers(channels, powers):
 
 
 def fano_detuning(J, g1, G):
-    """Pump-cavity detuning of maximal destructive interference, Delta_0 = -J g1 / G."""
+    """Pump-cavity detuning of maximal destructive interference, Delta_0 = -J g1 / G.
+
+    G may be an array; Delta_0 is then an array of its shape.
+    """
     require_finite(J=J, g1=g1, G=G)
-    if G == 0.0:
+    if np.any(np.asarray(G) == 0.0):
         raise DomainError("Fano detuning undefined for G = 0")
     return -J * g1 / G
 

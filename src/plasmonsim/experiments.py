@@ -2,11 +2,11 @@
 
 A Scenario is a flat parameter dictionary with per-parameter provenance
 (first_principles | paper_exact | calibrated | derived), embedded verbatim
-in result metadata.  The three-mode figure runners receive a resolved
-Scenario; the paper's scenarios are the builtin configs of the config
-module, so each is described once.  Sweeps build one Hamiltonian stack and
-solve it in one batched call; a standalone map cell is a 1x1 batch of the
-same code, so it reproduces its map entry bit for bit.
+in result metadata.  Every runner receives a resolved Scenario; the paper's
+scenarios are the builtin configs of the config module, so each is
+described once.  Sweeps build one Hamiltonian stack and solve it in one
+batched call; a standalone map cell is a 1x1 batch of the same code, so it
+reproduces its map entry bit for bit.
 """
 
 import math
@@ -21,9 +21,15 @@ from . import network as net
 from .errors import CalibrationError, DomainError
 from .quantities import to_fs
 
-#: default (D, Q) map axes: log grids bracketing all features
-D_GRID_NM = (2.0, 30.0, 61)
-Q_GRID = (1e2, 1e7, 61)
+#: cavity quality factors bracketing every feature of the enhancement map: the
+#: default Q axis of the map and the search interval of optimal_Q
+Q_RANGE = (1e2, 1e7)
+
+#: the design map's quench law: gamma_m(D) is the calibrated multipole sum of a
+#: tangential dipole whatever the emitter's orientation, as the map has always
+#: computed it.  The swept builtin's emitter is radial, so its G and gamma_m follow
+#: different orientations; ROADMAP.md item 3 makes the law the scenario's own.
+MAP_QUENCH_ORIENTATION = "tangential"
 
 #: quality factor of the coupling calibration (and of the builtin fig4
 #: anti-crossing scenario); the published linewidth pair (1.28, 0.11) meV is
@@ -73,48 +79,29 @@ class Scenario:
         return net.build_three_mode(cpl.CouplingSet(g1, p["G_ev"], J), plasmon, cavity, emitter)
 
     def channels(self, hamiltonian=None):
-        return net.standard_channels("with_emitter", hamiltonian or self.hamiltonian())
+        return net.standard_channels(hamiltonian or self.hamiltonian())
 
 
 # ---------------------------------------------------------------------------
 # ingredient helpers
 # ---------------------------------------------------------------------------
 
-def reference_sphere_system(radius_nm=10.0, vc_um3=1.0, q_factor=1e5, mu_e=1.0, distance_nm=10.0):
-    """First-principles ingredients of the resonant sphere-cavity-emitter system.
+def plasmon_emitter_coupling(params, distance_nm):
+    """Signed plasmon-emitter coupling G (eV) of an emitter distance_nm from the particle surface.
 
-    Everything is derived from the Drude metal and the geometry; the cavity,
-    emitter and dipolar mode are on resonance.
+    The quasi-static near field of the dipolar mode's effective dipole at the
+    particle's extent along the mode axis plus distance_nm from its centre:
+    longitudinal for a radial emitter, transverse for a tangential one.
     """
-    metal = mat.drude_gold()
-    env = mat.Environment(1.0)
-    particle = mat.Nanoparticle(mat.Sphere(radius_nm), metal)
-    omega_1 = mat.sphere_mode_frequency(metal, env, 1)
-    gamma_1r = mat.dipolar_radiative_rate(particle, env)
-    mu_1 = cpl.plasmon_effective_dipole(gamma_1r, omega_1)
-    vc_nm3 = vc_um3 * 1e9
-    values = {
-        "eps_inf": metal.eps_inf,
-        "omega_p_ev": metal.omega_p,
-        "gamma_o_ev": metal.gamma_o,
-        "eps_b": env.eps_b,
-        "radius_nm": radius_nm,
-        "mu_e_nm": mu_e,
-        "distance_nm": distance_nm,
-        "vc_um3": vc_um3,
-        "q_factor": q_factor,
-        "omega_1_ev": omega_1,
-        "gamma_1r_ev": gamma_1r,
-        "mu_1_e_nm": mu_1,
-        "gamma_c_ev": omega_1 / q_factor,
-        "g1_magnitude_ev": cpl.vacuum_coupling(mu_1, omega_1, vc_nm3, env.eps_b),
-        "J_magnitude_ev": cpl.vacuum_coupling(mu_e, omega_1, vc_nm3, env.eps_b),
-        "G_magnitude_ev": abs(cpl.dipole_dipole_coupling(
-            mu_1, mu_e, radius_nm + distance_nm, env.eps_b, "longitudinal",
-            extent=radius_nm)),
-        "gamma_s_ev": cpl.free_space_decay(mu_e, omega_1, env.eps_b),
-    }
-    return metal, env, particle, values
+    p = params
+    mu_1 = cpl.plasmon_effective_dipole(p["gamma_1r_ev"], p["omega_1_ev"])
+    if "radius_nm" in p:
+        extent = p["radius_nm"]
+    else:
+        extent = (p["a1_nm"], p["a2_nm"], p["a3_nm"])[p["axis"] - 1]
+    geometry = "longitudinal" if p["orientation"] == "radial" else "transverse"
+    return -abs(cpl.dipole_dipole_coupling(
+        mu_1, p["mu_e_nm"], extent + distance_nm, p["eps_b"], geometry, extent=extent))
 
 
 def quench_rate_calibrated(distance_nm, particle, env, omega, mu_e=1.0,
@@ -123,8 +110,8 @@ def quench_rate_calibrated(distance_nm, particle, env, omega, mu_e=1.0,
 
     The first-principles sum fixes the distance dependence; the single
     calibration constant absorbs the unknown orientation convention of the
-    quoted 83 ueV value.  A 1-D distance array gives an array, with one sum
-    per distance and one for the anchor.
+    quoted 83 ueV value.  A distance array gives an array of its shape, with
+    one sum per distance and one for the anchor.
     """
     def raw(d):
         emitter = cpl.Emitter(mu=mu_e, omega_e=omega, distance=d, orientation=orientation)
@@ -132,31 +119,13 @@ def quench_rate_calibrated(distance_nm, particle, env, omega, mu_e=1.0,
 
     if np.ndim(distance_nm) == 0:
         return anchor_ev * raw(distance_nm) / raw(anchor_nm)
-    return anchor_ev * np.array([raw(d) for d in distance_nm]) / raw(anchor_nm)
+    sums = np.array([raw(d) for d in np.ravel(distance_nm)]).reshape(np.shape(distance_nm))
+    return anchor_ev * sums / raw(anchor_nm)
 
 
 # ---------------------------------------------------------------------------
-# dissipation spectra (two-mode sphere scenario) and quantum yield
+# dissipation spectra and quantum yield
 # ---------------------------------------------------------------------------
-
-def fig_dissipation_scenario():
-    """Cavity-engineered sphere pumped via free space, no emitter (two modes)."""
-    metal, env, particle, v = reference_sphere_system()
-    params = {
-        "model": "two_mode",
-        "eps_inf": v["eps_inf"], "omega_p_ev": v["omega_p_ev"], "gamma_o_ev": v["gamma_o_ev"],
-        "eps_b": v["eps_b"], "radius_nm": v["radius_nm"],
-        "vc_um3": v["vc_um3"], "q_factor": v["q_factor"],
-        "omega_1_ev": v["omega_1_ev"],
-        "gamma_1r_ev": 2.45e-3,
-        "gamma_c_ev": v["gamma_c_ev"],
-        "g1_ev": -2.9e-3,
-        "delta_1c_ev": 0.0,
-    }
-    prov = {k: "first_principles" for k in params if k not in ("model",)}
-    prov.update({"gamma_1r_ev": "paper_exact", "g1_ev": "paper_exact"})
-    return Scenario("fig1c", params, prov)
-
 
 @dataclass(frozen=True, eq=False)
 class DissipationSpectra:
@@ -168,18 +137,18 @@ class DissipationSpectra:
     abs_bare: np.ndarray
 
 
-def run_fig1c(points=2001, half_span_ev=2e-3):
-    """Output powers of the pumped MNP vs pump-cavity detuning, with/without cavity."""
-    scenario = fig_dissipation_scenario()
-    p = scenario.params
-    plasmon = net.plasmon_descriptor(p["delta_1c_ev"], p["gamma_1r_ev"], p["gamma_o_ev"])
-    cavity = net.cavity_descriptor(0.0, p["gamma_c_ev"])
-    h_cav = net.build_two_mode(p["g1_ev"], plasmon, cavity)
-    h_bare = net.build_two_mode(0.0, plasmon, cavity)
-    channels = net.standard_channels("mnp_only", h_cav)
+def run_fig1c(scenario, points=2001, half_span_ev=2e-3):
+    """Output powers of a pumped scenario vs pump detuning, with and without its cavity.
+
+    The scenario is driven on its configured drive mode; for the builtin
+    fig1c that is the plasmon of the nanoparticle, with the emitter decoupled.
+    """
+    h_cav = scenario.hamiltonian()
+    h_bare = scenario.hamiltonian(bare=True)
+    channels = scenario.channels(h_cav)
     detunings = np.linspace(-half_span_ev, half_span_ev, points)
-    _, p_cav = dyn.steady_state_sweep(h_cav, detunings, "plasmon", channels)
-    _, p_bare = dyn.steady_state_sweep(h_bare, detunings, "plasmon", channels)
+    _, p_cav = dyn.steady_state_sweep(h_cav, detunings, scenario["drive_mode"], channels)
+    _, p_bare = dyn.steady_state_sweep(h_bare, detunings, scenario["drive_mode"], channels)
     return DissipationSpectra(
         scenario=scenario,
         detunings=detunings,
@@ -253,55 +222,63 @@ class MapCell:
     delta_0_ev: float
 
 
-def _enhancements(d_nm, q_factor, gamma_m_scale=1.0):
-    """Yield and power enhancement over the bare system on a (D, Q) grid.
+def with_emitter_at(scenario, distance_nm):
+    """The sphere scenario with its emitter distance_nm from the particle surface.
 
-    Evaluated at Delta_p,c = Delta_0(D); returns (yield (len(d), len(q)),
-    power (len(d), len(q)), Delta_0 (len(d),)).  The distance-dependent
-    ingredients are scalar calls once per distance; the engineered and the
-    bare system are each one batched steady-state solve.
+    distance_nm may be an array; G, gamma_m and Delta_0 are then arrays of its
+    shape, one scalar derivation per distance.  G follows the resolver's
+    near-field rule (plasmon_emitter_coupling), gamma_m the calibrated
+    multipole sum at MAP_QUENCH_ORIENTATION, and Delta_0 = -J g1 / G.  Only a
+    first-principles sphere has a distance law for both.
     """
-    d = np.asarray(d_nm, dtype=float)
-    q = np.asarray(q_factor, dtype=float)
-    systems = [reference_sphere_system(distance_nm=dd) for dd in d]
-    _, env, particle, v = systems[0]  # only G depends on the distance
-    g1, J = -v["g1_magnitude_ev"], -v["J_magnitude_ev"]
-    G = np.array([-system[3]["G_magnitude_ev"] for system in systems])
-    delta_0 = np.array([dyn.fano_detuning(J, g1, GG) for GG in G])
-    gamma_m = gamma_m_scale * quench_rate_calibrated(
-        d, particle, env, v["omega_1_ev"], v["mu_e_nm"])
-    params = {
-        "delta_1e_ev": 0.0, "delta_ce_ev": 0.0,
-        "gamma_1r_ev": v["gamma_1r_ev"], "gamma_o_ev": v["gamma_o_ev"],
-        "gamma_c_ev": v["omega_1_ev"] / q[None, :],
-        "gamma_s_ev": v["gamma_s_ev"], "gamma_m_ev": gamma_m[:, None],
-        "g1_ev": g1, "G_ev": G[:, None], "J_ev": J,
-    }
-    scenario = Scenario("map", params, {})
-    h = scenario.hamiltonian()
-    channels = scenario.channels(h)
-    _, powers = dyn.steady_state_sweep(h, delta_0[:, None], "emitter", channels)
+    p = scenario.params
+    if "radius_nm" not in p or scenario.provenance.get("G_ev") != "first_principles":
+        raise DomainError(f"scenario {scenario.name!r} has no distance law: "
+                          "the emitter can be moved only around a first-principles sphere")
+    d = np.asarray(distance_nm, dtype=float)[()]  # one distance stays a scalar
+    G = np.array([plasmon_emitter_coupling(p, dd) for dd in d.ravel()]).reshape(d.shape)
+    metal = mat.DrudeMetal(p["eps_inf"], p["omega_p_ev"], p["gamma_o_ev"])
+    gamma_m = quench_rate_calibrated(
+        d, mat.Nanoparticle(mat.Sphere(p["radius_nm"]), metal), mat.Environment(p["eps_b"]),
+        p["omega_e_ev"], p["mu_e_nm"], MAP_QUENCH_ORIENTATION)
+    return replace(scenario, params={
+        **p, "distance_nm": d, "G_ev": G, "gamma_m_ev": gamma_m,
+        "delta_0_ev": dyn.fano_detuning(p["J_ev"], p["g1_ev"], G)})
+
+
+def _enhancements(at_d, q_factor):
+    """Yield and power enhancement over the bare system at Delta_p,c = Delta_0.
+
+    at_d is a scenario placed by with_emitter_at; its cavity is put on
+    resonance at each q_factor, which broadcasts against the distance shape.
+    The engineered and the bare system are each one batched steady-state solve.
+    """
+    stack = with_cavity(at_d, 0.0, np.asarray(q_factor, dtype=float))
+    h = stack.hamiltonian()
+    channels = stack.channels(h)
+    delta_0 = at_d["delta_0_ev"]
+    _, powers = dyn.steady_state_sweep(h, delta_0, "emitter", channels)
     _, powers_b = dyn.steady_state_sweep(
-        scenario.hamiltonian(bare=True), delta_0[:, None], "emitter", channels)
+        stack.hamiltonian(bare=True), delta_0, "emitter", channels)
     yield_enh = dyn.yield_from_powers(channels, powers) / dyn.yield_from_powers(channels, powers_b)
     power_enh = dyn.radiated_power(channels, powers) / dyn.radiated_power(channels, powers_b)
-    return yield_enh, power_enh, delta_0
+    return yield_enh, power_enh
 
 
-def map_cell(d_nm, q_factor, gamma_m_scale=1.0):
-    """One (D, Q) cell of the enhancement map, evaluated at Delta_p,c = Delta_0(D, Q).
+def map_cell(scenario, d_nm, q_factor):
+    """One (D, Q) cell of the scenario's enhancement map, at Delta_p,c = Delta_0(D).
 
-    Couplings follow the first-principles distance laws; the quench rate is
-    the calibrated multipole sum.  A 1x1 batch of the map's code, so
-    standalone calls reproduce map entries bit-for-bit.
+    A 1x1 batch of the map's code, so standalone calls reproduce map
+    entries bit for bit.
     """
-    ye, pe, delta_0 = _enhancements([d_nm], [q_factor], gamma_m_scale)
+    at_d = with_emitter_at(scenario, d_nm)
+    ye, pe = _enhancements(at_d, [q_factor])
     return MapCell(
         d_nm=d_nm,
         q_factor=q_factor,
-        yield_enhancement=float(ye[0, 0]),
-        power_enhancement=float(pe[0, 0]),
-        delta_0_ev=float(delta_0[0]),
+        yield_enhancement=float(ye[0]),
+        power_enhancement=float(pe[0]),
+        delta_0_ev=float(at_d["delta_0_ev"]),
     )
 
 
@@ -315,15 +292,15 @@ class SweepGrid:
     power_enhancement: np.ndarray
 
 
-def enhancement_map(d_grid=None, q_grid=None):
-    """Yield- and power-enhancement maps over emitter distance and cavity Q."""
-    d = np.geomspace(*D_GRID_NM) if d_grid is None else np.asarray(d_grid, dtype=float)
-    q = np.geomspace(*Q_GRID) if q_grid is None else np.asarray(q_grid, dtype=float)
+def enhancement_map(scenario, d_grid, q_grid):
+    """Yield- and power-enhancement maps of a scenario over emitter distance and cavity Q."""
+    d = np.asarray(d_grid, dtype=float)
+    q = np.asarray(q_grid, dtype=float)
     if d.ndim != 1 or q.ndim != 1 or d.size == 0 or q.size == 0:
         raise DomainError("map grids must be non-empty 1-D arrays")
     if np.any(np.diff(d) <= 0) or np.any(np.diff(q) <= 0):
         raise DomainError("map grids must be strictly increasing")
-    ye, pe, _ = _enhancements(d, q)
+    ye, pe = _enhancements(with_emitter_at(scenario, d[:, None]), q[None, :])
     if not (np.all(np.isfinite(ye)) and np.all(np.isfinite(pe))):
         raise DomainError("non-finite enhancement in map")
     return SweepGrid(d, q, ye, pe)
@@ -337,24 +314,24 @@ class OptimalQ:
     boundary: bool  # true when the maximum sits on the search boundary
 
 
-def optimal_Q(d_nm, objective="yield"):
-    """Quality factor maximizing the enhancement at fixed distance.
+def optimal_Q(scenario, d_nm, objective="yield"):
+    """Quality factor maximizing the scenario's enhancement with its emitter at d_nm.
 
-    A coarse scan of OPTQ_COARSE_POINTS log-spaced Q over the map's Q range
-    brackets the maximum (verifying unimodality at scan resolution), then
-    golden-section refinement narrows Q to OPTQ_REL_TOL.  A maximum on the
-    scan boundary is reported, not raised.
+    The distance is derived once.  A coarse scan of OPTQ_COARSE_POINTS
+    log-spaced Q over Q_RANGE brackets the maximum (verifying unimodality at
+    scan resolution), then golden-section refinement narrows Q to
+    OPTQ_REL_TOL.  A maximum on the scan boundary is reported, not raised.
     """
     if objective not in ("yield", "power"):
         raise DomainError(f"objective must be yield or power, got {objective!r}")
+    at_d = with_emitter_at(scenario, d_nm)
+    which = 0 if objective == "yield" else 1
 
     def value_at(log_q):
-        cell = map_cell(d_nm, 10.0**log_q)
-        return cell.yield_enhancement if objective == "yield" else cell.power_enhancement
+        return float(_enhancements(at_d, [10.0**log_q])[which][0])
 
-    grid = np.linspace(math.log10(Q_GRID[0]), math.log10(Q_GRID[1]), OPTQ_COARSE_POINTS)
-    coarse = _enhancements([d_nm], [10.0**x for x in grid])
-    values = coarse[0 if objective == "yield" else 1][0].tolist()
+    grid = np.linspace(math.log10(Q_RANGE[0]), math.log10(Q_RANGE[1]), OPTQ_COARSE_POINTS)
+    values = _enhancements(at_d, [10.0**x for x in grid])[which].tolist()
     i_best = int(np.argmax(values))
     if i_best in (0, len(grid) - 1):
         return OptimalQ(10.0**grid[i_best], values[i_best], objective, boundary=True)
@@ -394,8 +371,8 @@ def with_cavity(scenario, delta_ce_ev, q_factor=None):
     """The scenario with its cavity at delta_ce_ev = omega_c - omega_e and quality factor q_factor.
 
     The cavity width follows at fixed Q (gamma_c = omega_c / Q); q_factor
-    defaults to the scenario's.  delta_ce_ev may be an array, in eV; the
-    scenario's Hamiltonian is then a stack over it.
+    defaults to the scenario's.  delta_ce_ev (in eV) and q_factor may be
+    arrays; the scenario's Hamiltonian is then a stack over them.
     """
     p = scenario.params
     q = p["q_factor"] if q_factor is None else q_factor
@@ -485,9 +462,7 @@ def calibrate_fig3_couplings(scenario, targets):
     G_eff, g1_eff = (abs(float(v)) for v in x)
 
     mu_1 = cpl.plasmon_effective_dipole(p["gamma_1r_ev"], p["omega_1_ev"])
-    d_tip = (p["a1_nm"], p["a2_nm"], p["a3_nm"])[p["axis"] - 1] + p["distance_nm"]
-    geometry = "longitudinal" if p["orientation"] == "radial" else "transverse"
-    G_est = abs(cpl.dipole_dipole_coupling(mu_1, p["mu_e_nm"], d_tip, p["eps_b"], geometry))
+    G_est = abs(plasmon_emitter_coupling(p, p["distance_nm"]))
     g1_est = cpl.vacuum_coupling(mu_1, p["omega_e_ev"], p["vc_um3"] * 1e9, p["eps_b"])
     G_est_eff, g1_est_eff = cpl.project_couplings(G_est, g1_est, p["theta_deg"])
     diagnostics = {

@@ -1,13 +1,14 @@
 """Non-Hermitian effective Hamiltonian assembly and output channels.
 
 All couplings are real, so every Hamiltonian built here is complex
-symmetric (H = H^T) with -i gamma/2 on the diagonal.  Three-mode builds
-rotate at the emitter frequency (detunings Delta_1e, Delta_ce); two-mode
-builds rotate at the cavity frequency.  Input noise is dropped: only mean
-amplitudes and single-excitation dynamics are simulated.
+symmetric (H = H^T) with -i gamma/2 on the diagonal.  There is one model:
+the three modes (plasmon, cavity, emitter) in the frame rotating at the
+emitter frequency (detunings Delta_1e, Delta_ce); a system without an
+emitter is the same model with G = J = 0.  Input noise is dropped: only
+mean amplitudes and single-excitation dynamics are simulated.
 
-Any detuning, decay rate or coupling may be an array: the builders then
-return a stack of matrices, shape (..., n, n), whose leading shape is the
+Any detuning, decay rate or coupling may be an array: the builder then
+returns a stack of matrices, shape (..., n, n), whose leading shape is the
 broadcast of every array parameter.  Slice k of a stack is bit-identical to
 the matrix built from the scalar parameters at k.
 """
@@ -57,7 +58,6 @@ class EffectiveHamiltonian:
 
     modes: tuple  # of ModeDescriptor, ordering the basis
     matrix: np.ndarray  # complex (..., n, n)
-    reference: str  # frame reference ("emitter" | "cavity")
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -103,20 +103,6 @@ class OutputChannel:
                 raise DomainError("channel rates must be >= 0")
 
 
-def _assemble(modes, coupling_matrix, reference):
-    n = len(modes)
-    diagonal = [mode.detuning - 0.5j * mode.total_width for mode in modes]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    batch = np.broadcast_shapes(*(np.shape(x) for x in diagonal),
-                                *(np.shape(coupling_matrix[i][j]) for i, j in pairs))
-    h = np.zeros(batch + (n, n), dtype=complex)
-    for i, value in enumerate(diagonal):
-        h[..., i, i] = value
-    for i, j in pairs:
-        h[..., i, j] = h[..., j, i] = coupling_matrix[i][j]
-    return EffectiveHamiltonian(modes=tuple(modes), matrix=h, reference=reference)
-
-
 def plasmon_descriptor(detuning, gamma_rad, gamma_ohmic):
     return ModeDescriptor("plasmon", detuning, (("rad", gamma_rad), ("ohmic", gamma_ohmic)))
 
@@ -137,47 +123,36 @@ def build_three_mode(couplings, plasmon, cavity, emitter):
     """
     if not isinstance(couplings, CouplingSet):
         couplings = CouplingSet(*couplings)
-    g1, G, J = couplings.g1, couplings.G, couplings.J
-    row = [[0.0, g1, G], [g1, 0.0, J], [G, J, 0.0]]
-    return _assemble([plasmon, cavity, emitter], row, reference="emitter")
+    modes = (plasmon, cavity, emitter)
+    diagonal = [mode.detuning - 0.5j * mode.total_width for mode in modes]
+    off_diagonal = {(0, 1): couplings.g1, (0, 2): couplings.G, (1, 2): couplings.J}
+    batch = np.broadcast_shapes(*map(np.shape, diagonal), *map(np.shape, off_diagonal.values()))
+    h = np.zeros(batch + (3, 3), dtype=complex)
+    for i, value in enumerate(diagonal):
+        h[..., i, i] = value
+    for (i, j), value in off_diagonal.items():
+        h[..., i, j] = h[..., j, i] = value
+    return EffectiveHamiltonian(modes=modes, matrix=h)
 
 
-def build_two_mode(g1, plasmon, cavity):
-    """Two-mode Hamiltonian in basis (plasmon a1, cavity c), cavity frame."""
-    require_finite(g1=g1)
-    row = [[0.0, g1], [g1, 0.0]]
-    return _assemble([plasmon, cavity], row, reference="cavity")
+def standard_channels(hamiltonian):
+    """Output channels of the three-mode system.
 
-
-def standard_channels(scenario, hamiltonian):
-    """Output-channel definitions for the two standard scenarios.
-
-    mnp_only: plasmon radiation, cavity leakage, plasmon Ohmic absorption.
-    with_emitter: plasmon and emitter radiate coherently into the same
-    vacuum port; cavity leakage; plasmon Ohmic loss; emitter multipole loss.
-    Every (mode, split) pair appears in exactly one channel.
+    Plasmon and emitter radiate coherently into the same vacuum port; the
+    cavity leaks into its own port; the plasmon's Ohmic loss and the
+    emitter's multipole quenching are absorbed.  Every (mode, split) pair
+    appears in exactly one channel.
     """
     h = hamiltonian
-    if scenario == "mnp_only":
-        return (
-            OutputChannel("rad_plasmon", "radiative",
-                          (("plasmon", h.mode("plasmon").split_rate("rad")),)),
-            OutputChannel("rad_cavity", "radiative",
-                          (("cavity", h.mode("cavity").split_rate("rad")),)),
-            OutputChannel("ohmic_plasmon", "ohmic",
-                          (("plasmon", h.mode("plasmon").split_rate("ohmic")),)),
-        )
-    if scenario == "with_emitter":
-        return (
-            OutputChannel("rad_vacuum", "radiative",
-                          (("plasmon", h.mode("plasmon").split_rate("rad")),
-                           ("emitter", h.mode("emitter").split_rate("rad"))),
-                          combine="coherent"),
-            OutputChannel("rad_cavity", "radiative",
-                          (("cavity", h.mode("cavity").split_rate("rad")),)),
-            OutputChannel("ohmic_plasmon", "ohmic",
-                          (("plasmon", h.mode("plasmon").split_rate("ohmic")),)),
-            OutputChannel("ohmic_emitter", "ohmic",
-                          (("emitter", h.mode("emitter").split_rate("ohmic")),)),
-        )
-    raise DomainError(f"unknown channel scenario {scenario!r}")
+    return (
+        OutputChannel("rad_vacuum", "radiative",
+                      (("plasmon", h.mode("plasmon").split_rate("rad")),
+                       ("emitter", h.mode("emitter").split_rate("rad"))),
+                      combine="coherent"),
+        OutputChannel("rad_cavity", "radiative",
+                      (("cavity", h.mode("cavity").split_rate("rad")),)),
+        OutputChannel("ohmic_plasmon", "ohmic",
+                      (("plasmon", h.mode("plasmon").split_rate("ohmic")),)),
+        OutputChannel("ohmic_emitter", "ohmic",
+                      (("emitter", h.mode("emitter").split_rate("ohmic")),)),
+    )

@@ -66,6 +66,19 @@ def paper_three_mode_bare(omega1):
     return net.build_three_mode(cpl.CouplingSet(0.0, p["G"], 0.0), plasmon, cavity, emitter)
 
 
+def two_mode_network(g, plasmon_width, cavity_width):
+    """A 2x2 (plasmon, cavity) network [[-i w_p/2, g], [g, -i w_c/2]], written out here.
+
+    For checks that need only a small matrix: the exceptional point, the
+    textbook Rabi period and a singular solve.  The package's model is the
+    three-mode one.
+    """
+    modes = (net.plasmon_descriptor(0.0, 0.0, plasmon_width),
+             net.cavity_descriptor(0.0, cavity_width))
+    matrix = np.array([[-0.5j * plasmon_width, g], [g, -0.5j * cavity_width]])
+    return net.EffectiveHamiltonian(modes, matrix)
+
+
 def random_system(rng, n_modes=None):
     """Random damped mode network with real couplings, for property tests."""
     n = n_modes or int(rng.integers(2, 4))

@@ -79,7 +79,7 @@ def test_criterion_1_constants_chain(gold, vacuum, sphere10):
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_dissipation_spectra():
-    result = exp.run_fig1c()
+    result = exp.run_fig1c(parse_config("fig1c").scenario)
     i0 = int(np.argmin(np.abs(result.detunings)))
     reduction = result.abs_bare[i0] / result.abs_cavity[i0]
     enhancement = result.rad_cavity[i0] / result.rad_bare[i0]
@@ -131,20 +131,21 @@ def test_criterion_3_yield_regression():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_enhancement_map():
+    scenario = parse_config("fig2_first_principles").scenario
     q_grid = np.geomspace(1e2, 1e7, 26)
-    at_d10 = [exp.map_cell(10.0, q).yield_enhancement for q in q_grid]
+    at_d10 = [exp.map_cell(scenario, 10.0, q).yield_enhancement for q in q_grid]
     i_max = int(np.argmax(at_d10))
     non_monotonic = (0 < i_max < len(q_grid) - 1) and not all(
         a <= b for a, b in zip(at_d10, at_d10[1:]))
 
-    worst = min(exp.optimal_Q(d, "yield").value for d in np.linspace(5.0, 15.0, 11))
+    worst = min(exp.optimal_Q(scenario, d, "yield").value for d in np.linspace(5.0, 15.0, 11))
 
     # The faithful model does not reach enhancement ~ 1 at Q = 1e2: the cavity
     # output port still collects ~0.6x the dipolar radiation there, because the
     # cavity-induced radiative rate 4 g1^2/gamma_c falls below gamma_1r only
     # for Q well under ~170 at these parameters.  The check is kept at its
     # stated tolerance and documents the discrepancy.
-    low_q = exp.map_cell(10.0, 1e2).yield_enhancement
+    low_q = exp.map_cell(scenario, 10.0, 1e2).yield_enhancement
 
     _criterion(4, [
         ("interior maximum vs Q at D=10", non_monotonic,
@@ -253,7 +254,7 @@ def test_criterion_6_property_suites(paper_three_mode, omega1):
         net.cavity_descriptor(0.0, gamma_c),
         net.emitter_descriptor(3e-6, 83e-6),
     )
-    channels = net.standard_channels("with_emitter", h_j0)
+    channels = net.standard_channels(h_j0)
     grid = np.linspace(-4e-4, 4e-4, 8001)
     amps, _ = dyn.steady_state_sweep(h_j0, grid, "emitter", channels)
     dip = grid[int(np.argmin(np.abs(amps[:, 0])))]

@@ -309,6 +309,15 @@ BOUNDARY_PROBES = {
     "map_d_points_over_max": (["map"], f"\n[sweep]\nd_points = {OVER}\nq_points = 1\n"),
     "map_q_points_over_max": (["map"], f"\n[sweep]\nd_points = 1\nq_points = {OVER}\n"),
     "map_cells_over_max": (["map"], "\n[sweep]\nd_points = 1001\nq_points = 1000\n"),
+    # [sweep] keys nothing reads, or half of a spectral range
+    "sweep_step_ev_unknown": (["spectrum"], "\n[sweep]\nstep_ev = 1.0\n"),
+    "sweep_start_without_stop": (["spectrum"], "\n[sweep]\nstart_ev = 0.5\n"),
+    "sweep_stop_without_start": (["yield"], "\n[sweep]\nstop_ev = 0.5\n"),
+    # a --grid the command would ignore
+    "eigen_grid_ignored": (["eigen", "--grid", "5"], None),
+    "optq_grid_ignored": (["optq", "--grid", "5"], None),
+    "validate_grid_ignored": (["validate", "--config", "fig2", "--grid", "5"], None),
+    "map_config_grid_ignored": (["map", "--grid", "5"], MAP_SWEEP),
 }
 
 
@@ -368,6 +377,13 @@ def test_cli_spectrum_yield_evolve_run(tmp_path):
         assert (out / name).exists()
 
 
+def test_readme_lists_every_builtin_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("`--config` accepts a file path or a builtin name (", 1)[1]
+    listed = listed.split(")", 1)[0].replace("\n", " ")
+    assert [name.strip(" `") for name in listed.split(",")] == sorted(BUILTIN_CONFIGS)
+
+
 def test_cli_optq_and_map(tmp_path):
     out = tmp_path / "o"
     assert main(["optq", "--out", str(out), "--d-nm", "10"]) == 0
@@ -393,28 +409,58 @@ def test_byte_identical_across_runs(tmp_path):
         (["fig1c", "--grid", "201"], ["fig1c.csv"]),
         (["fig2", "--grid", "51"], ["fig2_yield.csv", "fig2_power.csv"]),
         (["map", "--grid", "7"], ["map.csv"]),
+        (["optq", "--d-nm", "10"], ["optq.csv"]),
     ):
         for a, b in run_twice(tmp_path / argv[0], argv, files):
             assert a == b
 
 
 @pytest.mark.parametrize("argv, builtin, table", [
-    (["fig2"], "fig2", "fig2_yield"),
-    (["fig2", "--first-principles"], "fig2_first_principles", "fig2_power"),
-    (["fig3"], "fig3", "fig3_traces"),
-    (["fig4"], "fig4", "fig4_branches"),
+    (["fig2", "--grid", "11"], "fig2", "fig2_yield"),
+    (["fig2", "--first-principles", "--grid", "11"], "fig2_first_principles", "fig2_power"),
+    (["fig3", "--grid", "11"], "fig3", "fig3_traces"),
+    (["fig4", "--grid", "11"], "fig4", "fig4_branches"),
+    (["fig1c", "--grid", "11"], "fig1c", "fig1c"),
+    (["map", "--grid", "3"], "fig2_first_principles", "map"),
+    (["optq", "--d-nm", "10"], "fig2_first_principles", "optq"),
 ])
 def test_figure_metadata_is_the_builtin_config(argv, builtin, table, tmp_path):
     def bits(value):  # floats compared bit for bit, signed zeros included
         return float(value).hex() if isinstance(value, (float, np.floating)) else value
 
     out = tmp_path / "o"
-    assert main(argv + ["--grid", "11", "--out", str(out)]) == 0
+    assert main(argv + ["--out", str(out)]) == 0
     meta = read_metadata((out / f"{table}.csv").read_text())
     params = parse_config(builtin).scenario.params
     assert meta["scenario"] == builtin
     recovered = {k[len("param."):]: v for k, v in meta.items() if k.startswith("param.")}
     assert {k: bits(v) for k, v in recovered.items()} == {k: bits(v) for k, v in params.items()}
+
+
+def test_map_and_optq_metadata_name_their_axes(tmp_path):
+    out = tmp_path / "o"
+    assert main(["map", "--grid", "3", "--out", str(out)]) == 0
+    assert main(["optq", "--objective", "power", "--d-nm", "10", "--out", str(out)]) == 0
+    map_meta = read_metadata((out / "map.csv").read_text())
+    optq_meta = read_metadata((out / "optq.csv").read_text())
+    assert (map_meta["d_points"], map_meta["q_points"]) == (3, 3)
+    assert optq_meta["objective"] == "power"
+    scenario = parse_config("fig2_first_principles").scenario
+    for meta in (map_meta, optq_meta):
+        assert {k: v for k, v in meta.items() if k.startswith("provenance.")} == {
+            f"provenance.{k}": v for k, v in scenario.provenance.items()}
+
+
+def test_map_default_axes_are_the_schema_defaults(tmp_path):
+    out = tmp_path / "o"
+    assert main(["map", "--out", str(out)]) == 0
+    rows = [l.split(",") for l in (out / "map.csv").read_text().splitlines()
+            if not l.startswith("#")][1:]
+    assert len(rows) == 61 * 61
+    d = sorted({float(r[0]) for r in rows})
+    q = sorted({float(r[1]) for r in rows})
+    assert (d[0], d[-1], len(d)) == (2.0, 30.0, 61)
+    assert (q[0], q[-1], len(q)) == (1e2, 1e7, 61)
 
 
 def test_fig4_tables_name_their_quality_factor(tmp_path):

@@ -19,14 +19,16 @@ from plasmonsim.errors import (
 )
 from plasmonsim.quantities import from_fs, to_fs
 
-from conftest import PAPER_SET, random_system
+from conftest import PAPER_SET, random_system, two_mode_network
 
 
-def two_mode(g1, gamma_1r=2.45e-3, gamma_o=0.2, gamma_c=2.3094010767585034e-5):
-    return net.build_two_mode(
-        g1,
-        net.plasmon_descriptor(0.0, gamma_1r, gamma_o),
+def pumped_mnp(g1, gamma_c=2.3094010767585034e-5):
+    """The pumped nanoparticle: plasmon and cavity coupled by g1, the emitter decoupled."""
+    return net.build_three_mode(
+        cpl.CouplingSet(g1, 0.0, 0.0),
+        net.plasmon_descriptor(0.0, 2.45e-3, 0.2),
         net.cavity_descriptor(0.0, gamma_c),
+        net.emitter_descriptor(3e-6, 83e-6),
     )
 
 
@@ -41,12 +43,12 @@ def solve_at(hamiltonian, detuning, drive_mode, channels):
 # ---------------------------------------------------------------------------
 
 def test_steady_state_single_lorentzian():
-    h = two_mode(0.0)
-    channels = net.standard_channels("mnp_only", h)
+    h = pumped_mnp(0.0)
+    channels = net.standard_channels(h)
     amps, powers = solve_at(h, 0.0, "plasmon", channels)
     gamma_1 = 0.2 + 2.45e-3
     assert abs(amps[h.index("plasmon")]) ** 2 == pytest.approx(4.0 / gamma_1**2, rel=1e-12)
-    assert powers["ohmic_plasmon"] / powers["rad_plasmon"] == pytest.approx(
+    assert powers["ohmic_plasmon"] / powers["rad_vacuum"] == pytest.approx(
         0.2 / 2.45e-3, rel=1e-12)
     assert 0.2 / 2.45e-3 == pytest.approx(81.7, abs=0.1)
 
@@ -54,10 +56,10 @@ def test_steady_state_single_lorentzian():
 def test_steady_state_two_mode_suppression():
     g1, gamma_c = 2.9e-3, 2.3094010767585034e-5
     gamma_1 = 0.2 + 2.45e-3
-    h = two_mode(g1)
-    channels = net.standard_channels("mnp_only", h)
+    h = pumped_mnp(g1)
+    channels = net.standard_channels(h)
     with_cavity, _ = solve_at(h, 0.0, "plasmon", channels)
-    bare, _ = solve_at(two_mode(0.0), 0.0, "plasmon", channels)
+    bare, _ = solve_at(pumped_mnp(0.0), 0.0, "plasmon", channels)
     ratio = (abs(with_cavity[h.index("plasmon")]) / abs(bare[h.index("plasmon")])) ** 2
     closed_form = (gamma_1 / (gamma_1 + 4.0 * g1**2 / gamma_c)) ** 2
     assert ratio == pytest.approx(closed_form, rel=1e-10)
@@ -65,11 +67,9 @@ def test_steady_state_two_mode_suppression():
 
 
 def test_steady_state_singular_lossless():
-    h = net.build_two_mode(
-        0.0, net.plasmon_descriptor(0.0, 0.0, 0.0), net.cavity_descriptor(0.0, 0.0))
-    channels = net.standard_channels("mnp_only", h)
+    h = two_mode_network(0.0, 0.0, 0.0)
     with pytest.raises(ConditioningError):
-        dyn.steady_state_sweep(h, [0.0], "plasmon", channels)
+        dyn.steady_state_sweep(h, [0.0], "plasmon", ())
 
 
 def test_power_balance_randomized():
@@ -96,7 +96,7 @@ def test_power_balance_randomized():
         net.cavity_descriptor(rng.uniform(-1.0, 1.0, n), rates[2]),
         net.emitter_descriptor(rates[3], rates[4]),
     )
-    channels = net.standard_channels("with_emitter", h)
+    channels = net.standard_channels(h)
     vacuum = next(c for c in channels if c.id == "rad_vacuum")
     detunings = rng.uniform(-2.0, 2.0, n)
     for mode in h.labels:
@@ -107,7 +107,7 @@ def test_power_balance_randomized():
 
 
 def test_far_off_resonance_suppression(paper_three_mode):
-    channels = net.standard_channels("with_emitter", paper_three_mode)
+    channels = net.standard_channels(paper_three_mode)
     scale = 100.0 * max(
         max(paper_three_mode.total_widths),
         abs(paper_three_mode.matrix[0, 1]),
@@ -131,13 +131,13 @@ def test_quantum_yield_no_absorption(omega1):
         net.cavity_descriptor(0.0, omega1 / 1e5),
         net.emitter_descriptor(3e-6, 0.0),
     )
-    channels = net.standard_channels("with_emitter", h)
+    channels = net.standard_channels(h)
     _, powers = solve_at(h, 0.0, "emitter", channels)
     assert dyn.yield_from_powers(channels, powers) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_quantum_yield_undefined(paper_three_mode):
-    channels = net.standard_channels("with_emitter", paper_three_mode)
+    channels = net.standard_channels(paper_three_mode)
     with pytest.raises(UndefinedYieldError):
         dyn.yield_from_powers(channels, {c.id: 0.0 for c in channels})
 
@@ -159,7 +159,7 @@ def test_fano_dip_location_with_j_zero(omega1):
         net.cavity_descriptor(0.0, gamma_c),
         net.emitter_descriptor(3e-6, 83e-6),
     )
-    channels = net.standard_channels("with_emitter", h)
+    channels = net.standard_channels(h)
     detunings = np.linspace(-5e-4, 5e-4, 4001)
     amps, _ = dyn.steady_state_sweep(h, detunings, "emitter", channels)
     dip = detunings[int(np.argmin(np.abs(amps[:, 0]) ** 2))]
@@ -185,11 +185,7 @@ def test_evolve_pure_decay():
 
 def test_evolve_textbook_rabi_period():
     g = 5e-3
-    h = net.build_two_mode(
-        g,
-        net.plasmon_descriptor(0.0, 0.0, 1e-8),
-        net.cavity_descriptor(0.0, 1e-8),
-    )
+    h = two_mode_network(g, 1e-8, 1e-8)
     period = math.pi / g
     t_nat = np.linspace(0.0, 3.0 * period, 1201)
     trace = dyn.evolve(h, [1, 0], to_fs(t_nat))
@@ -293,11 +289,7 @@ def test_evolve_eigendecomposition_matches_per_point_expm(
 def test_evolve_falls_back_to_expm_near_exceptional_point(offset, monkeypatch):
     # H = [[0, g], [g, -i gamma / 2]] is defective at g = gamma / 4
     gamma = 0.1
-    ham = net.build_two_mode(
-        gamma / 4.0 * (1.0 + offset),
-        net.plasmon_descriptor(0.0, 0.0, 0.0),
-        net.cavity_descriptor(0.0, gamma),
-    )
+    ham = two_mode_network(gamma / 4.0 * (1.0 + offset), 0.0, gamma)
     assert np.linalg.cond(np.linalg.eig(ham.matrix)[1]) > dyn.EIG_COND_LIMIT
     calls = _count_expm(monkeypatch)
     v0 = np.array([1.0, 0.0], dtype=complex)
@@ -325,7 +317,7 @@ def test_default_time_grid(paper_three_mode):
 
 
 def test_channel_cross_term(paper_three_mode):
-    channels = net.standard_channels("with_emitter", paper_three_mode)
+    channels = net.standard_channels(paper_three_mode)
     amps, powers = solve_at(paper_three_mode, 0.0, "emitter", channels)
     labels = paper_three_mode.labels
     rad1 = next(c for c in channels if c.id == "rad_vacuum")
@@ -454,7 +446,7 @@ def test_emission_spectrum_weak_coupling_lorentzian(omega1):
         net.cavity_descriptor(0.0, omega1 / 1e5),
         net.emitter_descriptor(3e-6, 83e-6),
     )
-    channels = net.standard_channels("with_emitter", h)
+    channels = net.standard_channels(h)
     detunings = np.linspace(-6e-4, 6e-4, 2001)
     _, powers = dyn.steady_state_sweep(h, detunings, "emitter", channels)
     power = dyn.radiated_power(channels, powers)
@@ -467,7 +459,7 @@ def test_emission_spectrum_weak_coupling_lorentzian(omega1):
 
 
 def test_spectrum_yield_curve(paper_three_mode):
-    channels = net.standard_channels("with_emitter", paper_three_mode)
+    channels = net.standard_channels(paper_three_mode)
     detunings = np.linspace(-1e-4, 2e-4, 301)
     _, powers = dyn.steady_state_sweep(paper_three_mode, detunings, "emitter", channels)
     eta = dyn.yield_from_powers(channels, powers)

@@ -14,7 +14,13 @@ from plasmonsim.errors import CalibrationError, DomainError
 
 @pytest.fixture(scope="module")
 def fig1c():
-    return exp.run_fig1c()
+    return exp.run_fig1c(parse_config("fig1c").scenario)
+
+
+@pytest.fixture(scope="module")
+def design():
+    """The system of the (D, Q) map and the optimal-Q search."""
+    return parse_config("fig2_first_principles").scenario
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +102,6 @@ def test_fig2_first_principles_close_to_quoted(fig2):
 def test_scenario_provenance_complete(fig2):
     scenario = fig2.scenario
     for key in scenario.params:
-        if key == "model":
-            continue
         assert key in scenario.provenance, f"no provenance for {key}"
         assert scenario.provenance[key] in (
             "first_principles", "paper_exact", "calibrated", "derived")
@@ -107,81 +111,89 @@ def test_scenario_provenance_complete(fig2):
 # enhancement map and optimal Q
 # ---------------------------------------------------------------------------
 
-def test_map_cell_reproducible():
-    a = exp.map_cell(10.0, 1e4)
-    b = exp.map_cell(10.0, 1e4)
+def test_with_emitter_at_own_distance_is_the_resolved_scenario(design):
+    at_d = exp.with_emitter_at(design, design["distance_nm"])
+    for key in ("G_ev", "delta_0_ev", "gamma_m_ev"):  # at the 10 nm anchor either law gives 83 ueV
+        assert at_d[key] == design[key], key
+    stack = exp.with_emitter_at(design, np.array([[3.0], [10.0]]))
+    assert stack["G_ev"].shape == stack["delta_0_ev"].shape == stack["gamma_m_ev"].shape == (2, 1)
+    assert stack["G_ev"][1, 0] == design["G_ev"]
+
+
+@pytest.mark.parametrize("builtin", ["fig2", "fig3"])
+def test_with_emitter_at_needs_a_first_principles_sphere(builtin):
+    with pytest.raises(DomainError, match="distance law"):
+        exp.with_emitter_at(parse_config(builtin).scenario, 5.0)
+
+
+def test_map_cell_reproducible(design):
+    a = exp.map_cell(design, 10.0, 1e4)
+    b = exp.map_cell(design, 10.0, 1e4)
     assert a == b  # bit-for-bit
 
 
-def test_map_matches_standalone_cells():
+def test_map_matches_standalone_cells(design):
     # non-square grid: a transposed broadcast cannot line up with the cells
     d = np.array([3.0, 10.0, 25.0])
     q = np.array([1e3, 1e5])
-    grid = exp.enhancement_map(d, q)
+    grid = exp.enhancement_map(design, d, q)
     for i, dd in enumerate(d):
         for j, qq in enumerate(q):
-            cell = exp.map_cell(dd, qq)
+            cell = exp.map_cell(design, dd, qq)
             assert grid.yield_enhancement[i, j] == cell.yield_enhancement
             assert grid.power_enhancement[i, j] == cell.power_enhancement
 
 
-def test_map_interior_maximum_at_d10():
+def test_map_interior_maximum_at_d10(design):
     q = np.geomspace(1e2, 1e7, 26)
-    enh = [exp.map_cell(10.0, qq).yield_enhancement for qq in q]
+    enh = [exp.map_cell(design, 10.0, qq).yield_enhancement for qq in q]
     i = int(np.argmax(enh))
     assert 0 < i < len(q) - 1
     assert not all(a <= b for a, b in zip(enh, enh[1:]))  # non-monotonic
 
 
-def test_map_rejects_bad_grid():
+def test_map_rejects_bad_grid(design):
     with pytest.raises(DomainError):
-        exp.enhancement_map(np.array([10.0, 5.0]), np.array([1e3, 1e4]))
+        exp.enhancement_map(design, np.array([10.0, 5.0]), np.array([1e3, 1e4]))
 
 
-def test_optimal_q_matches_brute_force():
+def test_optimal_q_matches_brute_force(design):
     q_grid = np.geomspace(1e2, 1e7, 41)
-    values = [exp.map_cell(10.0, q).yield_enhancement for q in q_grid]
+    values = [exp.map_cell(design, 10.0, q).yield_enhancement for q in q_grid]
     i = int(np.argmax(values))
-    result = exp.optimal_Q(10.0, "yield")
+    result = exp.optimal_Q(design, 10.0, "yield")
     assert not result.boundary
     assert q_grid[i - 1] <= result.q_opt <= q_grid[i + 1]
     assert result.value >= values[i] * (1.0 - 1e-6)
 
 
-def test_optimal_q_local_maximum():
-    result = exp.optimal_Q(10.0, "power")
-    v_half = exp.map_cell(10.0, 0.5 * result.q_opt).power_enhancement
-    v_twice = exp.map_cell(10.0, 2.0 * result.q_opt).power_enhancement
+def test_optimal_q_local_maximum(design):
+    result = exp.optimal_Q(design, 10.0, "power")
+    v_half = exp.map_cell(design, 10.0, 0.5 * result.q_opt).power_enhancement
+    v_twice = exp.map_cell(design, 10.0, 2.0 * result.q_opt).power_enhancement
     assert result.value >= v_half
     assert result.value >= v_twice
 
 
-def test_optimal_q_sensitive_to_quenching():
+def test_optimal_q_sensitive_to_quenching(design):
     """Doubling the quench rate moves the optimum (finite-difference check)."""
+    at_d = exp.with_emitter_at(design, 10.0)
+
     def best_q(scale):
+        scaled = replace(at_d, params={**at_d.params, "gamma_m_ev": scale * at_d["gamma_m_ev"]})
         grid = np.geomspace(1e3, 1e6, 61)
-        values = [exp.map_cell(10.0, q, gamma_m_scale=scale).yield_enhancement
-                  for q in grid]
+        values = [exp._enhancements(scaled, [q])[0][0] for q in grid]
         return grid[int(np.argmax(values))]
     q1, q2 = best_q(1.0), best_q(2.0)
     assert abs(np.log10(q2) - np.log10(q1)) > 0.02
 
 
-def test_low_q_dissipation_structure():
+def test_low_q_dissipation_structure(design):
     """At Q = 1e2 absorption still dominates the output, but the cavity port
     already collects a non-negligible share, so the enhancement over the bare
     system stays well above 1 (it approaches 1 only for Q << ~170, where the
     cavity-induced radiative rate 4 g1^2/gamma_c falls below gamma_1r)."""
-    metal, env, particle, v = exp.reference_sphere_system(q_factor=1e2)
-    gamma_m = exp.quench_rate_calibrated(10.0, particle, env, v["omega_1_ev"])
-    params = {
-        "model": "three_mode", "delta_1e_ev": 0.0, "delta_ce_ev": 0.0,
-        "gamma_1r_ev": v["gamma_1r_ev"], "gamma_o_ev": v["gamma_o_ev"],
-        "gamma_c_ev": v["gamma_c_ev"], "gamma_s_ev": v["gamma_s_ev"],
-        "gamma_m_ev": gamma_m, "g1_ev": -v["g1_magnitude_ev"],
-        "G_ev": -v["G_magnitude_ev"], "J_ev": -v["J_magnitude_ev"],
-    }
-    scenario = exp.Scenario("low_q", params, {})
+    scenario = exp.with_cavity(exp.with_emitter_at(design, 10.0), 0.0, 1e2)
     h = scenario.hamiltonian()
     channels = scenario.channels(h)
     _, powers = dyn.steady_state_sweep(h, [58e-6], "emitter", channels)
@@ -189,13 +201,12 @@ def test_low_q_dissipation_structure():
     ohmic = sum(powers[c.id][0] for c in channels if c.kind == "ohmic")
     total = radiative + ohmic
     assert ohmic / total > 0.8
-    cell = exp.map_cell(10.0, 1e2)
+    cell = exp.map_cell(design, 10.0, 1e2)
     assert 1.2 < cell.yield_enhancement < 2.5
 
 
-def test_quench_anchor():
-    metal, env, particle, v = exp.reference_sphere_system()
-    anchored = exp.quench_rate_calibrated(10.0, particle, env, v["omega_1_ev"])
+def test_quench_anchor(sphere10, vacuum, omega1):
+    anchored = exp.quench_rate_calibrated(10.0, sphere10, vacuum, omega1)
     assert anchored == pytest.approx(83e-6, rel=1e-12)
 
 

@@ -50,28 +50,22 @@ def test_three_mode_projected_geometry():
 
 
 def test_two_mode_closed_form_eigenvalues():
-    g1, gamma_1, gamma_c = 2.9e-3, 0.2025, 23.1e-6
-    h = net.build_two_mode(
-        g1,
+    # the pumped nanoparticle: the emitter decoupled (G = J = 0), so the plasmon-cavity
+    # pair has the two-mode closed form and the emitter keeps -i gamma_e / 2
+    g1, gamma_1, gamma_c, gamma_e = 2.9e-3, 0.2025, 23.1e-6, 86e-6
+    h = net.build_three_mode(
+        cpl.CouplingSet(g1, 0.0, 0.0),
         net.plasmon_descriptor(0.0, gamma_1 - 0.2, 0.2),
         net.cavity_descriptor(0.0, gamma_c),
+        net.emitter_descriptor(3e-6, gamma_e - 3e-6),
     )
     lam = np.linalg.eigvals(h.matrix)
     disc = complex(g1**2 - ((gamma_1 - gamma_c) / 4.0) ** 2)
     expected = [-0.25j * (gamma_1 + gamma_c) + np.sqrt(disc),
-                -0.25j * (gamma_1 + gamma_c) - np.sqrt(disc)]
-    assert sorted(lam, key=lambda z: z.real) == pytest.approx(
-        sorted(expected, key=lambda z: z.real), rel=1e-10)
-
-
-def test_two_mode_uncoupled_and_hermitian_limits():
-    uncoupled = net.build_two_mode(
-        0.0, net.plasmon_descriptor(0.3, 1e-3, 0.2), net.cavity_descriptor(-0.1, 1e-5))
-    assert uncoupled.matrix[0, 1] == 0.0
-    hermitian = net.build_two_mode(
-        5e-3, net.plasmon_descriptor(0.3, 0.0, 0.0), net.cavity_descriptor(-0.1, 0.0))
-    assert np.allclose(hermitian.matrix, hermitian.matrix.conj().T)
-    assert np.all(hermitian.matrix.imag == 0.0)
+                -0.25j * (gamma_1 + gamma_c) - np.sqrt(disc), -0.5j * gamma_e]
+    # overdamped here: all three eigenvalues lie on the imaginary axis
+    assert sorted(lam, key=lambda z: z.imag) == pytest.approx(
+        sorted(expected, key=lambda z: z.imag), rel=1e-10)
 
 
 def test_negative_width_rejected():
@@ -111,20 +105,8 @@ def test_symmetry_and_trace(g1, G, J, d1, dc, g_rad, g_ohm, g_c, g_s, g_m):
     assert np.sum(eigenvalues) == pytest.approx(np.trace(h.matrix), rel=1e-12, abs=bound)
 
 
-def test_channel_bookkeeping_mnp_only(paper_three_mode, omega1):
-    h = net.build_two_mode(
-        2.9e-3,
-        net.plasmon_descriptor(0.0, 2.45e-3, 0.2),
-        net.cavity_descriptor(0.0, omega1 / 1e5),
-    )
-    channels = net.standard_channels("mnp_only", h)
-    assert len(channels) == 3
-    total = sum(rate for c in channels for _, rate in c.terms)
-    assert total == pytest.approx(sum(h.total_widths), rel=1e-12)
-
-
 def test_channel_bookkeeping_with_emitter(paper_three_mode):
-    channels = net.standard_channels("with_emitter", paper_three_mode)
+    channels = net.standard_channels(paper_three_mode)
     assert len(channels) == 4
     by_id = {c.id: c for c in channels}
     assert by_id["rad_vacuum"].combine == "coherent"
@@ -144,14 +126,9 @@ def test_channels_degenerate_without_emitter_radiation(omega1):
         net.cavity_descriptor(0.0, omega1 / 1e5),
         net.emitter_descriptor(0.0, 83e-6),
     )
-    channels = net.standard_channels("with_emitter", h)
+    channels = net.standard_channels(h)
     rad1 = next(c for c in channels if c.id == "rad_vacuum")
     assert dict(rad1.terms)["emitter"] == 0.0
-
-
-def test_unknown_scenario_rejected(paper_three_mode):
-    with pytest.raises(DomainError):
-        net.standard_channels("bogus", paper_three_mode)
 
 
 def test_mode_lookup(paper_three_mode):
