@@ -26,6 +26,7 @@ from .experiments import (
     run_fig4,
     with_cavity,
 )
+from .network import radiated_power, yield_from_powers
 from .results import ResultTable, scenario_metadata
 
 
@@ -52,9 +53,17 @@ def _parse_sweep(text):
     return start + step * np.arange(count)
 
 
-def _detuning_sweep(args):
-    """Emitter-cavity detunings of --sweep, default -10..10 meV in 2 meV steps."""
-    return _parse_sweep(args.sweep) if args.sweep else 2e-3 * np.arange(-5, 6)
+def _detuning_sweep(args, scenario):
+    """Emitter-cavity detunings of --sweep, default -10..10 meV in 2 meV steps.
+
+    Each puts the scenario's cavity at omega_e - delta_ec, which must be > 0.
+    """
+    sweep = _parse_sweep(args.sweep) if args.sweep else 2e-3 * np.arange(-5, 6)
+    omega_c = scenario["omega_e_ev"] - sweep[-1]  # the sweep increases
+    if omega_c <= 0:
+        raise ConfigError(f"sweep value delta_ec = {sweep[-1]:g} eV puts the cavity at "
+                          f"non-positive frequency {omega_c} eV")
+    return sweep
 
 
 def _write(table, out_dir, fmt):
@@ -162,10 +171,11 @@ def _anticrossing_metadata(scenario, metrics):
 
 
 def cmd_fig4(args):
-    sweep = _detuning_sweep(args)
+    scenario = parse_config("fig4").scenario
+    sweep = _detuning_sweep(args, scenario)
     spectrum_points = args.grid or 801
     _check_points("the fig4 spectra map", sweep.size * spectrum_points)
-    result = run_fig4(parse_config("fig4").scenario, sweep, spectrum_points=spectrum_points)
+    result = run_fig4(scenario, sweep, spectrum_points=spectrum_points)
     meta = _anticrossing_metadata(result.scenario, result.metrics)
     _write(_branch_table("fig4_branches", result.branches, meta), args.out, args.format)
     detunings = result.detunings
@@ -191,19 +201,15 @@ def cmd_spectrum(args):
     parsed = _load(args)
     scenario = parsed.scenario
     h = scenario.hamiltonian()
-    channels = scenario.channels(h)
     grid = _spectral_grid(parsed, args.grid)
-    drive = scenario.params.get("drive_mode", "emitter")
-    amps, powers = dyn.steady_state_sweep(h, grid, drive, channels)
+    amps, powers = dyn.steady_state_sweep(h, grid, scenario["drive_mode"])
     # the vacuum port is coherent; report its interference part separately so
     # the diagonal (per-mode) decomposition is also available
-    rad_vacuum = next(c for c in channels if c.id == "rad_vacuum")
-    cross = dyn.channel_cross_term(rad_vacuum, h.labels, amps)
     table = ResultTable.from_arrays(
         "spectrum",
         ("detuning_ev", "phi_rad_total", "phi_rad_vacuum", "phi_rad_vacuum_cross",
          "phi_rad_cavity_port", "phi_ohmic_plasmon", "phi_ohmic_emitter"),
-        (grid, dyn.radiated_power(channels, powers), powers["rad_vacuum"], cross,
+        (grid, radiated_power(powers), powers["rad_vacuum"], h.vacuum_cross_term(amps),
          powers["rad_cavity"], powers["ohmic_plasmon"], powers["ohmic_emitter"]),
         scenario_metadata(scenario),
     )
@@ -216,16 +222,14 @@ def cmd_yield(args):
     scenario = parsed.scenario
     h = scenario.hamiltonian()
     h_bare = scenario.hamiltonian(bare=True)
-    channels = scenario.channels(h)
     grid = _spectral_grid(parsed, args.grid)
-    drive = scenario.params.get("drive_mode", "emitter")
-    _, powers = dyn.steady_state_sweep(h, grid, drive, channels)
-    _, powers_b = dyn.steady_state_sweep(h_bare, grid, drive, channels)
+    drive = scenario["drive_mode"]
+    _, powers = dyn.steady_state_sweep(h, grid, drive)
+    _, powers_b = dyn.steady_state_sweep(h_bare, grid, drive)
     table = ResultTable.from_arrays(
         "yield",
         ("detuning_ev", "yield_cavity", "yield_bare"),
-        (grid, dyn.yield_from_powers(channels, powers),
-         dyn.yield_from_powers(channels, powers_b)),
+        (grid, yield_from_powers(powers), yield_from_powers(powers_b)),
         scenario_metadata(scenario),
     )
     _write(table, args.out, args.format)
@@ -242,7 +246,7 @@ def cmd_evolve(args):
         times_fs = dyn.default_time_grid(h, points)
     else:
         times_fs = np.linspace(0.0, span_fs, points)
-    initial = np.zeros(len(h.modes), dtype=complex)
+    initial = np.zeros(len(h.labels), dtype=complex)
     initial[h.index("emitter")] = 1.0
     trace = dyn.evolve(h, initial, times_fs)
     table = ResultTable.from_arrays(
@@ -259,7 +263,7 @@ def cmd_evolve(args):
 def cmd_eigen(args):
     _reject_grid(args, "its points are those of --sweep")
     scenario = parse_config(args.config or "fig4").scenario
-    sweep = _detuning_sweep(args)
+    sweep = _detuning_sweep(args, scenario)
     branchset = dyn.eigen_branches(with_cavity(scenario, -sweep).hamiltonian().matrix, sweep)
     meta = _anticrossing_metadata(scenario, dyn.anticrossing_metrics(branchset))
     _write(_branch_table("eigen", branchset, meta), args.out, args.format)

@@ -6,8 +6,10 @@ starts a comment, on its own line or after a value.  Unknown
 keys are hard errors with a closest-match suggestion, missing required keys
 are reported all at once, every value must be finite, point counts are
 integers from 1 to MAX_POINTS, the particle axis is 1, 2 or 3, lengths, the plasma
-frequency and the cavity, map-axis and time-span quantities are > 0, and
-calibrated mode takes no explicit coupling or rate.
+frequency and the cavity, map-axis and time-span quantities are > 0,
+eps_inf and eps_b are >= 1, decay rates are >= 0, theta_deg is in [0, 90],
+the emitter and the cavity sit at positive frequencies, and calibrated mode
+takes no explicit coupling or rate.
 Values in meV and ueV are converted to eV by shifting their decimal text,
 so -7.2 meV is exactly -7.2e-3 eV.  parse_config resolves the file into a
 Scenario with defaults applied and per-parameter provenance recorded.
@@ -48,15 +50,16 @@ MAX_POINTS = 1_000_000
 _UNIT_EXPONENTS = {"mev": -3, "uev": -6}
 
 #: section -> key -> (type, default_or_None, choices); integer choices are the allowed
-#: values; meV and ueV values are Decimals until resolved
+#: values, float choices an inclusive range (low, high); meV and ueV values are
+#: Decimals until resolved
 SCHEMA = {
     "metal": {
-        "eps_inf": (_FLOAT, 1.0, None),
+        "eps_inf": (_FLOAT, 1.0, (1.0, math.inf)),
         "omega_p_ev": (_POSITIVE, 4.0, None),
-        "gamma_o_ev": (_FLOAT, 0.2, None),
+        "gamma_o_ev": (_FLOAT, 0.2, (0.0, math.inf)),
     },
     "environment": {
-        "eps_b": (_FLOAT, 1.0, None),
+        "eps_b": (_FLOAT, 1.0, (1.0, math.inf)),
     },
     "particle": {
         "shape": (_CHOICE, None, ("sphere", "ellipsoid")),
@@ -84,10 +87,10 @@ SCHEMA = {
         "g1_mev": (_FLOAT, None, None),
         "G_mev": (_FLOAT, None, None),
         "J_uev": (_FLOAT, None, None),
-        "gamma_m_uev": (_FLOAT, None, None),
-        "gamma_s_uev": (_FLOAT, None, None),
-        "gamma_1r_mev": (_FLOAT, None, None),
-        "theta_deg": (_FLOAT, None, None),
+        "gamma_m_uev": (_FLOAT, None, (0.0, math.inf)),
+        "gamma_s_uev": (_FLOAT, None, (0.0, math.inf)),
+        "gamma_1r_mev": (_FLOAT, None, (0.0, math.inf)),
+        "theta_deg": (_FLOAT, None, (0.0, 90.0)),
         "two_g_eff_mev": (_FLOAT, Decimal("3.5"), None),
         "kappa2_mev": (_FLOAT, Decimal("0.11"), None),
     },
@@ -279,6 +282,11 @@ def _validate(sections, origin):
                 if kind == _POSITIVE and value <= 0:
                     problems.append(f"[{section}] {key} = {raw!r} must be > 0")
                     continue
+                if choices is not None and not choices[0] <= value <= choices[1]:
+                    low, high = choices
+                    bound = f">= {low:g}" if high == math.inf else f"from {low:g} to {high:g}"
+                    problems.append(f"[{section}] {key} = {raw!r} must be {bound}")
+                    continue
                 if key[-3:] in _UNIT_EXPONENTS:
                     value = number
             elif kind in (_INT, _COUNT):
@@ -305,15 +313,16 @@ def _validate(sections, origin):
             else:
                 value = raw.strip()
             values.setdefault(section, {})[key] = value
+    # a key is missing only if absent: an invalid value is reported once, above
     for section, required in REQUIRED.items():
         if section not in sections:
             continue
         for key in required:
-            if key not in values.get(section, {}):
+            if key not in sections[section]:
                 problems.append(f"missing required key {key!r} in [{section}]")
 
-    got = values.get("particle", {})
-    shape = got.get("shape")
+    got = sections.get("particle", {})
+    shape = values.get("particle", {}).get("shape")
     if shape == "sphere" and "radius_nm" not in got:
         problems.append("missing required key 'radius_nm' in [particle] (shape = sphere)")
     if shape == "ellipsoid":
@@ -328,8 +337,8 @@ def _validate(sections, origin):
         hi = sweep.get(high, SCHEMA["sweep"][high][1])
         if lo >= hi:
             problems.append(f"[sweep] {low} = {lo:g} must be < {high} = {hi:g}")
-    couplings = values.get("couplings", {})
-    mode = couplings.get("mode", "first_principles")
+    couplings = sections.get("couplings", {})
+    mode = values.get("couplings", {}).get("mode", "first_principles")
     required = {"paper_exact": tuple(COUPLING_KEYS.values()), "calibrated": ("theta_deg",)}
     for key in required.get(mode, ()):
         if key not in couplings:
@@ -384,6 +393,9 @@ def _resolve_scenario(cfg, name):
         raise ConfigError(f"delta_1e_ev = {ec['delta_1e_ev']} puts the emitter at "
                           f"non-positive frequency {omega_e} eV")
     omega_c = omega_e + cc["delta_ce_ev"]
+    if omega_c <= 0:
+        raise ConfigError(f"delta_ce_ev = {cc['delta_ce_ev']} puts the cavity at "
+                          f"non-positive frequency {omega_c} eV")
     vc_nm3 = cc["vc_um3"] * 1e9
     gamma_s = cpl.free_space_decay(ec["mu_e_nm"], omega_e, env.eps_b)
 
@@ -419,7 +431,7 @@ def _resolve_scenario(cfg, name):
         targets = (_ev(co, "two_g_eff_mev"), _ev(co, "kappa2_mev"))
         fit, calibration = calibrate_fig3_couplings(
             Scenario(name, {**params, **rates}, {}), targets)
-        couplings = {**rates, "g1_ev": fit.g1, "G_ev": fit.G, "J_ev": fit.J}
+        couplings = {**rates, **fit}
         notes.append("gamma_m = 0: ellipsoid multipole modes are far detuned from the emitter")
         notes.append(f"couplings calibrated at q_factor = {ANTICROSSING_Q:g}")
     else:  # first_principles; explicit values win over the derived ones

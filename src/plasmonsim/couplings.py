@@ -59,18 +59,6 @@ class Emitter:
         return self.gamma_s + self.gamma_m
 
 
-@dataclass(frozen=True)
-class CouplingSet:
-    """Signed coupling constants entering the Hamiltonian (eV)."""
-
-    g1: float  # plasmon-cavity
-    G: float  # plasmon-emitter
-    J: float  # cavity-emitter
-
-    def __post_init__(self):
-        require_finite(g1=self.g1, G=self.G, J=self.J)
-
-
 def vacuum_coupling(mu, omega_c, mode_volume, eps_b=1.0):
     """Dipole-cavity vacuum coupling g = sqrt(2 pi k_e mu^2 omega_c / (eps_b V_c)) (eV).
 

@@ -15,12 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import (
-    ConditioningError,
-    DomainError,
-    TrackingAmbiguityError,
-    UndefinedYieldError,
-)
+from .errors import ConditioningError, DomainError, TrackingAmbiguityError
 from .quantities import from_fs, require_finite, to_fs
 
 #: reciprocal condition number below which a steady-state solve is rejected
@@ -42,7 +37,7 @@ def expm(a):
 
 def _drive_vector(hamiltonian, mode):
     """Unit drive on one mode."""
-    f = np.zeros(len(hamiltonian.modes), dtype=complex)
+    f = np.zeros(len(hamiltonian.labels), dtype=complex)
     f[hamiltonian.index(mode)] = 1.0
     return f
 
@@ -70,63 +65,18 @@ def _solve_amplitudes(hamiltonian, detunings, f):
     return np.linalg.solve(mats, rhs)[..., 0]
 
 
-def channel_power(channel, labels, amplitudes):
-    """Power in one output channel given the mode amplitudes.
-
-    Coherent channels: |sum_k sqrt(gamma_k) v_k|^2.
-    Incoherent channels: sum_k gamma_k |v_k|^2.
-    """
-    amps = np.asarray(amplitudes)
-    if channel.combine == "coherent":
-        total = 0.0 + 0.0j
-        for label, rate in channel.terms:
-            total += np.sqrt(rate) * amps[..., labels.index(label)]
-        return np.abs(total) ** 2
-    power = 0.0
-    for label, rate in channel.terms:
-        power = power + rate * np.abs(amps[..., labels.index(label)]) ** 2
-    return power
-
-
-def channel_cross_term(channel, labels, amplitudes):
-    """Interference part of a coherent channel: coherent power minus the diagonal sum."""
-    if channel.combine != "coherent":
-        return np.zeros(np.asarray(amplitudes).shape[:-1])
-    amps = np.asarray(amplitudes)
-    diag = 0.0
-    for label, rate in channel.terms:
-        diag = diag + rate * np.abs(amps[..., labels.index(label)]) ** 2
-    return channel_power(channel, labels, amplitudes) - diag
-
-
-def steady_state_sweep(hamiltonian, detunings, drive_mode, channels):
+def steady_state_sweep(hamiltonian, detunings, drive_mode):
     """Vectorized steady state under a unit drive on one mode, over a pump-detuning grid.
 
-    Returns (amplitudes (n_points, n_modes), powers {channel id -> array}).  For a
-    Hamiltonian stack the detunings broadcast against its leading shape.
+    Returns (amplitudes (n_points, n_modes), the Hamiltonian's port powers
+    {port -> array}).  For a Hamiltonian stack the detunings broadcast
+    against its leading shape.
     """
     d = np.asarray(detunings, dtype=float)
     if d.size == 0:
         raise DomainError("empty detuning sweep")
     v = _solve_amplitudes(hamiltonian, d, _drive_vector(hamiltonian, drive_mode))
-    labels = hamiltonian.labels
-    powers = {c.id: channel_power(c, labels, v) for c in channels}
-    return v, powers
-
-
-def radiated_power(channels, powers):
-    """Total power of the radiative channels in a channel-power mapping (arrays allowed)."""
-    return sum(np.asarray(powers[c.id]) for c in channels if c.kind == "radiative")
-
-
-def yield_from_powers(channels, powers):
-    """Quantum yield, the radiated fraction of the total output power, in [0, 1]."""
-    radiative = radiated_power(channels, powers)
-    ohmic = sum(np.asarray(powers[c.id]) for c in channels if c.kind == "ohmic")
-    total = radiative + ohmic
-    if np.any(total <= 0.0):
-        raise UndefinedYieldError("no output power in any channel; yield undefined")
-    return radiative / total
+    return v, hamiltonian.powers(v)
 
 
 def fano_detuning(J, g1, G):
@@ -168,8 +118,8 @@ def evolve(hamiltonian, initial, times_fs):
     if t_fs.size == 0 or t_fs[0] != 0.0 or np.any(np.diff(t_fs) <= 0):
         raise DomainError("time grid must increase from 0")
     v0 = np.asarray(initial, dtype=complex)
-    if v0.shape != (len(hamiltonian.modes),):
-        raise DomainError(f"initial amplitudes must have shape ({len(hamiltonian.modes)},)")
+    if v0.shape != (len(hamiltonian.labels),):
+        raise DomainError(f"initial amplitudes must have shape ({len(hamiltonian.labels)},)")
     h = hamiltonian.matrix
     t_nat = from_fs(t_fs)
     lam, vecs = np.linalg.eig(h)
@@ -215,7 +165,6 @@ class EigenBranchSet:
 
     sweep_values: np.ndarray
     eigenvalues: np.ndarray  # complex (n_sweep, n_modes)
-    eigenvectors: np.ndarray  # complex (n_sweep, n_modes, n_modes); [:, :, b] is branch b
 
     @property
     def detunings(self):
@@ -279,7 +228,7 @@ def eigen_branches(matrices, sweep_values):
     for k in range(1, sweep.size):
         cols = _match_branches(all_vecs[k - 1], all_vals[k - 1], all_vecs[k], all_vals[k])
         all_vals[k], all_vecs[k] = all_vals[k, cols], all_vecs[k][:, cols]
-    return EigenBranchSet(sweep, all_vals, all_vecs)
+    return EigenBranchSet(sweep, all_vals)
 
 
 @dataclass(frozen=True)
@@ -290,7 +239,6 @@ class AntiCrossingMetrics:
     kappa_1: float  # larger linewidth at the center (eV)
     kappa_2: float  # smaller linewidth at the center (eV)
     cooperativity: float  # 4 g_eff^2 / (kappa_1 kappa_2)
-    min_re_separation: float
     min_im_separation: float
 
 
@@ -316,6 +264,5 @@ def anticrossing_metrics(branchset):
         kappa_1=kappa_1,
         kappa_2=kappa_2,
         cooperativity=coop,
-        min_re_separation=float(np.min(re_sep)),
         min_im_separation=float(np.min(im_sep)),
     )

@@ -72,14 +72,11 @@ class Scenario:
         bare decouples the cavity (g1 = J = 0).
         """
         p = self.params
-        plasmon = net.plasmon_descriptor(p["delta_1e_ev"], p["gamma_1r_ev"], p["gamma_o_ev"])
-        cavity = net.cavity_descriptor(p["delta_ce_ev"], p["gamma_c_ev"])
-        emitter = net.emitter_descriptor(p["gamma_s_ev"], p["gamma_m_ev"])
         g1, J = (0.0, 0.0) if bare else (p["g1_ev"], p["J_ev"])
-        return net.build_three_mode(cpl.CouplingSet(g1, p["G_ev"], J), plasmon, cavity, emitter)
-
-    def channels(self, hamiltonian=None):
-        return net.standard_channels(hamiltonian or self.hamiltonian())
+        return net.build_three_mode(
+            g1=g1, G=p["G_ev"], J=J, delta_1e=p["delta_1e_ev"], delta_ce=p["delta_ce_ev"],
+            gamma_1r=p["gamma_1r_ev"], gamma_o=p["gamma_o_ev"], gamma_c=p["gamma_c_ev"],
+            gamma_s=p["gamma_s_ev"], gamma_m=p["gamma_m_ev"])
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +142,14 @@ def run_fig1c(scenario, points=2001, half_span_ev=2e-3):
     """
     h_cav = scenario.hamiltonian()
     h_bare = scenario.hamiltonian(bare=True)
-    channels = scenario.channels(h_cav)
     detunings = np.linspace(-half_span_ev, half_span_ev, points)
-    _, p_cav = dyn.steady_state_sweep(h_cav, detunings, scenario["drive_mode"], channels)
-    _, p_bare = dyn.steady_state_sweep(h_bare, detunings, scenario["drive_mode"], channels)
+    _, p_cav = dyn.steady_state_sweep(h_cav, detunings, scenario["drive_mode"])
+    _, p_bare = dyn.steady_state_sweep(h_bare, detunings, scenario["drive_mode"])
     return DissipationSpectra(
         scenario=scenario,
         detunings=detunings,
-        rad_cavity=dyn.radiated_power(channels, p_cav),
-        rad_bare=dyn.radiated_power(channels, p_bare),
+        rad_cavity=net.radiated_power(p_cav),
+        rad_bare=net.radiated_power(p_bare),
         abs_cavity=p_cav["ohmic_plasmon"],
         abs_bare=p_bare["ohmic_plasmon"],
     )
@@ -185,27 +181,26 @@ def run_fig2(scenario, points=401, half_span_ev=1e-3):
     delta_0 = scenario["delta_0_ev"]
     h = scenario.hamiltonian()
     h_bare = scenario.hamiltonian(bare=True)
-    channels = scenario.channels(h)
     detunings = delta_0 + np.linspace(-half_span_ev, half_span_ev, points)
 
     def solve(hamiltonian, grid):
-        return dyn.steady_state_sweep(hamiltonian, grid, "emitter", channels)[1]
+        return dyn.steady_state_sweep(hamiltonian, grid, "emitter")[1]
 
     sweep, sweep_b = solve(h, detunings), solve(h_bare, detunings)
     at_0, at_0_b = solve(h, [delta_0]), solve(h_bare, [delta_0])
     return YieldSpectra(
         scenario=scenario,
         detunings=detunings,
-        yield_cavity=dyn.yield_from_powers(channels, sweep),
-        yield_bare=dyn.yield_from_powers(channels, sweep_b),
-        rad_cavity=dyn.radiated_power(channels, sweep),
-        rad_bare=dyn.radiated_power(channels, sweep_b),
+        yield_cavity=net.yield_from_powers(sweep),
+        yield_bare=net.yield_from_powers(sweep_b),
+        rad_cavity=net.radiated_power(sweep),
+        rad_bare=net.radiated_power(sweep_b),
         abs_plasmon=sweep["ohmic_plasmon"] / np.max(sweep["ohmic_plasmon"]),
         delta_0=delta_0,
-        yield_at_delta0=float(dyn.yield_from_powers(channels, at_0)[0]),
-        bare_yield_at_delta0=float(dyn.yield_from_powers(channels, at_0_b)[0]),
+        yield_at_delta0=float(net.yield_from_powers(at_0)[0]),
+        bare_yield_at_delta0=float(net.yield_from_powers(at_0_b)[0]),
         rad_enhancement_at_delta0=float(
-            dyn.radiated_power(channels, at_0)[0] / dyn.radiated_power(channels, at_0_b)[0]),
+            net.radiated_power(at_0)[0] / net.radiated_power(at_0_b)[0]),
     )
 
 
@@ -254,14 +249,11 @@ def _enhancements(at_d, q_factor):
     The engineered and the bare system are each one batched steady-state solve.
     """
     stack = with_cavity(at_d, 0.0, np.asarray(q_factor, dtype=float))
-    h = stack.hamiltonian()
-    channels = stack.channels(h)
     delta_0 = at_d["delta_0_ev"]
-    _, powers = dyn.steady_state_sweep(h, delta_0, "emitter", channels)
-    _, powers_b = dyn.steady_state_sweep(
-        stack.hamiltonian(bare=True), delta_0, "emitter", channels)
-    yield_enh = dyn.yield_from_powers(channels, powers) / dyn.yield_from_powers(channels, powers_b)
-    power_enh = dyn.radiated_power(channels, powers) / dyn.radiated_power(channels, powers_b)
+    _, powers = dyn.steady_state_sweep(stack.hamiltonian(), delta_0, "emitter")
+    _, powers_b = dyn.steady_state_sweep(stack.hamiltonian(bare=True), delta_0, "emitter")
+    yield_enh = net.yield_from_powers(powers) / net.yield_from_powers(powers_b)
+    power_enh = net.radiated_power(powers) / net.radiated_power(powers_b)
     return yield_enh, power_enh
 
 
@@ -392,7 +384,7 @@ def calibrate_fig3_couplings(scenario, targets):
     cavity-emitter coupling J is held at zero (emitter dipole perpendicular
     to the cavity polarization).
 
-    Returns (CouplingSet, diagnostics).  The diagnostics include the
+    Returns ({"g1_ev", "G_ev", "J_ev"}, diagnostics).  The diagnostics include the
     first-principles point-dipole estimates at the scenario's tip distance
     and tilt theta_deg, which underestimate the near-tip coupling; the
     calibrated/estimated ratios are reported and expected to exceed 1.
@@ -475,7 +467,7 @@ def calibrate_fig3_couplings(scenario, targets):
         "q_factor": ANTICROSSING_Q,
         "residual_max": float(max(abs(r) for r in res)),
     }
-    return cpl.CouplingSet(g1=-g1_eff, G=-G_eff, J=0.0), diagnostics
+    return {"g1_ev": -g1_eff, "G_ev": -G_eff, "J_ev": 0.0}, diagnostics
 
 
 def fig3_hamiltonians(scenario):
@@ -521,13 +513,10 @@ def run_fig3(scenario, trace_points=4096, spectrum_points=2001):
         maxima[label] = dyn.count_oscillation_maxima(
             times_fs, traces[label], threshold=1e-3, settle_fs=settle_fs)
 
-    h = scenario.hamiltonian()
-    channels = scenario.channels(h)
     detunings = np.linspace(-8e-3, 8e-3, spectrum_points)
 
     def radiated(hamiltonian):
-        _, powers = dyn.steady_state_sweep(hamiltonian, detunings, "emitter", channels)
-        return dyn.radiated_power(channels, powers)
+        return net.radiated_power(dyn.steady_state_sweep(hamiltonian, detunings, "emitter")[1])
 
     return RabiTraces(
         scenario=scenario,
@@ -536,7 +525,7 @@ def run_fig3(scenario, trace_points=4096, spectrum_points=2001):
         trace_maxima=maxima,
         settle_fs=settle_fs,
         detunings=detunings,
-        rad_cavity=radiated(h),
+        rad_cavity=radiated(scenario.hamiltonian()),
         rad_bare=radiated(hams["no_cavity"]),
     )
 
@@ -562,18 +551,16 @@ def run_fig4(scenario, sweep_values, spectrum_points=801):
     branches = dyn.eigen_branches(with_cavity(scenario, -sweep).hamiltonian().matrix, sweep)
     at_q = replace(with_cavity(scenario, 0.0, SPECTRA_Q),
                    name=f"{scenario.name}_q{SPECTRA_Q:g}")
-    shifted = with_cavity(at_q, -sweep[:, None])
-    h = shifted.hamiltonian()
+    h = with_cavity(at_q, -sweep[:, None]).hamiltonian()
     detunings = np.linspace(-8e-3, 8e-3, spectrum_points)
-    channels = shifted.channels(h)
-    _, powers = dyn.steady_state_sweep(h, detunings, "emitter", channels)
+    _, powers = dyn.steady_state_sweep(h, detunings, "emitter")
     return AntiCrossing(
         scenario=scenario,
         branches=branches,
         metrics=dyn.anticrossing_metrics(branches),
         spectra_scenario=at_q,
         detunings=detunings,
-        spectra=dyn.radiated_power(channels, powers),
+        spectra=net.radiated_power(powers),
     )
 
 

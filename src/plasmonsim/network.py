@@ -1,4 +1,4 @@
-"""Non-Hermitian effective Hamiltonian assembly and output channels.
+"""Non-Hermitian effective Hamiltonian of the three-mode system and its four output ports.
 
 All couplings are real, so every Hamiltonian built here is complex
 symmetric (H = H^T) with -i gamma/2 on the diagonal.  There is one model:
@@ -6,6 +6,11 @@ the three modes (plasmon, cavity, emitter) in the frame rotating at the
 emitter frequency (detunings Delta_1e, Delta_ce); a system without an
 emitter is the same model with G = J = 0.  Input noise is dropped: only
 mean amplitudes and single-excitation dynamics are simulated.
+
+The model has four fixed output ports.  Plasmon and emitter radiate
+coherently into one vacuum port, the cavity leaks into its own port, and
+the plasmon's Ohmic loss and the emitter's multipole quenching are
+absorbed.  Each partial width feeds exactly one port.
 
 Any detuning, decay rate or coupling may be an array: the builder then
 returns a stack of matrices, shape (..., n, n), whose leading shape is the
@@ -17,54 +22,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import CouplingSet
-from .errors import DomainError
+from .errors import DomainError, UndefinedYieldError
 from .quantities import require_finite
-
-
-@dataclass(frozen=True)
-class ModeDescriptor:
-    """One dynamical mode: detuning vs the frame reference plus its decay split.
-
-    decay_split maps physical channel ids ("rad", "ohmic") to partial widths
-    whose sum is the mode's total width.
-    """
-
-    label: str
-    detuning: float  # eV, or an array of them
-    decay_split: tuple  # ((channel_id, rate_ev), ...); rates may be arrays
-
-    def __post_init__(self):
-        require_finite(detuning=self.detuning)
-        for channel, rate in self.decay_split:
-            require_finite(**{f"{self.label}.{channel}": rate})
-            if np.any(np.asarray(rate) < 0):
-                raise DomainError(f"decay rate {self.label}.{channel} must be >= 0, got {rate}")
-
-    @property
-    def total_width(self):
-        return sum(rate for _, rate in self.decay_split)
-
-    def split_rate(self, channel):
-        for name, rate in self.decay_split:
-            if name == channel:
-                return rate
-        return 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class EffectiveHamiltonian:
-    """Complex-symmetric mode matrix with its basis descriptors."""
+    """Complex-symmetric mode matrix, its basis labels and its partial widths.
 
-    modes: tuple  # of ModeDescriptor, ordering the basis
+    rates holds gamma_1r, gamma_o, gamma_c, gamma_s and gamma_m (eV, arrays
+    allowed) of the three-mode system; a bare matrix has none and no ports.
+    """
+
     matrix: np.ndarray  # complex (..., n, n)
+    labels: tuple  # mode labels, ordering the basis
+    rates: dict = None
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
-
-    @property
-    def labels(self):
-        return tuple(m.label for m in self.modes)
 
     def index(self, label):
         try:
@@ -72,87 +47,65 @@ class EffectiveHamiltonian:
         except ValueError:
             raise DomainError(f"no mode {label!r} in basis {self.labels}") from None
 
-    def mode(self, label):
-        return self.modes[self.index(label)]
+    def powers(self, v):
+        """The four port powers at mode amplitudes v (..., 3), each of shape v.shape[:-1].
 
-    @property
-    def total_widths(self):
-        return tuple(m.total_width for m in self.modes)
+        rad_vacuum = |sqrt(gamma_1r) v_p + sqrt(gamma_s) v_e|^2, rad_cavity =
+        gamma_c |v_c|^2, ohmic_plasmon = gamma_o |v_p|^2, ohmic_emitter =
+        gamma_m |v_e|^2.
+        """
+        r = self.rates
+        plasmon, cavity, emitter = v[..., 0], v[..., 1], v[..., 2]
+        return {
+            "rad_vacuum": np.abs(np.sqrt(r["gamma_1r"]) * plasmon
+                                 + np.sqrt(r["gamma_s"]) * emitter) ** 2,
+            "rad_cavity": r["gamma_c"] * np.abs(cavity) ** 2,
+            "ohmic_plasmon": r["gamma_o"] * np.abs(plasmon) ** 2,
+            "ohmic_emitter": r["gamma_m"] * np.abs(emitter) ** 2,
+        }
 
-
-@dataclass(frozen=True)
-class OutputChannel:
-    """One output port: amplitude-rate terms sqrt(gamma_k) on listed modes.
-
-    Coherent channels sum amplitudes before squaring; incoherent channels
-    sum mode powers.
-    """
-
-    id: str
-    kind: str  # "radiative" | "ohmic"
-    terms: tuple  # ((mode_label, rate_ev), ...)
-    combine: str = "incoherent"
-
-    def __post_init__(self):
-        if self.kind not in ("radiative", "ohmic"):
-            raise DomainError(f"channel kind must be radiative or ohmic, got {self.kind!r}")
-        if self.combine not in ("coherent", "incoherent"):
-            raise DomainError(f"combine must be coherent or incoherent, got {self.combine!r}")
-        for _, rate in self.terms:
-            if np.any(np.asarray(rate) < 0):
-                raise DomainError("channel rates must be >= 0")
+    def vacuum_cross_term(self, v):
+        """Interference part of the vacuum port: its power minus the two per-mode powers."""
+        r = self.rates
+        diagonal = r["gamma_1r"] * np.abs(v[..., 0]) ** 2 + r["gamma_s"] * np.abs(v[..., 2]) ** 2
+        return self.powers(v)["rad_vacuum"] - diagonal
 
 
-def plasmon_descriptor(detuning, gamma_rad, gamma_ohmic):
-    return ModeDescriptor("plasmon", detuning, (("rad", gamma_rad), ("ohmic", gamma_ohmic)))
-
-
-def cavity_descriptor(detuning, gamma_c):
-    return ModeDescriptor("cavity", detuning, (("rad", gamma_c),))
-
-
-def emitter_descriptor(gamma_s, gamma_m, detuning=0.0):
-    return ModeDescriptor("emitter", detuning, (("rad", gamma_s), ("ohmic", gamma_m)))
-
-
-def build_three_mode(couplings, plasmon, cavity, emitter):
+def build_three_mode(*, g1, G, J, delta_1e, delta_ce, gamma_1r, gamma_o, gamma_c, gamma_s,
+                     gamma_m):
     """Three-mode Hamiltonian in basis (plasmon a1, cavity c, emitter sigma).
 
-    Diagonal: (Delta_1e - i gamma_1/2, Delta_ce - i gamma_c/2, -i gamma_e/2);
+    Diagonal: (Delta_1e - i gamma_1/2, Delta_ce - i gamma_c/2, -i gamma_e/2)
+    with gamma_1 = gamma_1r + gamma_o and gamma_e = gamma_s + gamma_m;
     off-diagonal: the signed couplings (g1, G, J).  Frame: emitter.
     """
-    if not isinstance(couplings, CouplingSet):
-        couplings = CouplingSet(*couplings)
-    modes = (plasmon, cavity, emitter)
-    diagonal = [mode.detuning - 0.5j * mode.total_width for mode in modes]
-    off_diagonal = {(0, 1): couplings.g1, (0, 2): couplings.G, (1, 2): couplings.J}
+    rates = {"gamma_1r": gamma_1r, "gamma_o": gamma_o, "gamma_c": gamma_c,
+             "gamma_s": gamma_s, "gamma_m": gamma_m}
+    require_finite(g1=g1, G=G, J=J, delta_1e=delta_1e, delta_ce=delta_ce, **rates)
+    for name, rate in rates.items():
+        if np.any(np.asarray(rate) < 0):
+            raise DomainError(f"decay rate {name} must be >= 0, got {rate}")
+    diagonal = [delta_1e - 0.5j * (gamma_1r + gamma_o), delta_ce - 0.5j * gamma_c,
+                0.0 - 0.5j * (gamma_s + gamma_m)]
+    off_diagonal = {(0, 1): g1, (0, 2): G, (1, 2): J}
     batch = np.broadcast_shapes(*map(np.shape, diagonal), *map(np.shape, off_diagonal.values()))
     h = np.zeros(batch + (3, 3), dtype=complex)
     for i, value in enumerate(diagonal):
         h[..., i, i] = value
     for (i, j), value in off_diagonal.items():
         h[..., i, j] = h[..., j, i] = value
-    return EffectiveHamiltonian(modes=modes, matrix=h)
+    return EffectiveHamiltonian(h, ("plasmon", "cavity", "emitter"), rates)
 
 
-def standard_channels(hamiltonian):
-    """Output channels of the three-mode system.
+def radiated_power(powers):
+    """Total power of the two radiative ports (arrays allowed)."""
+    return powers["rad_vacuum"] + powers["rad_cavity"]
 
-    Plasmon and emitter radiate coherently into the same vacuum port; the
-    cavity leaks into its own port; the plasmon's Ohmic loss and the
-    emitter's multipole quenching are absorbed.  Every (mode, split) pair
-    appears in exactly one channel.
-    """
-    h = hamiltonian
-    return (
-        OutputChannel("rad_vacuum", "radiative",
-                      (("plasmon", h.mode("plasmon").split_rate("rad")),
-                       ("emitter", h.mode("emitter").split_rate("rad"))),
-                      combine="coherent"),
-        OutputChannel("rad_cavity", "radiative",
-                      (("cavity", h.mode("cavity").split_rate("rad")),)),
-        OutputChannel("ohmic_plasmon", "ohmic",
-                      (("plasmon", h.mode("plasmon").split_rate("ohmic")),)),
-        OutputChannel("ohmic_emitter", "ohmic",
-                      (("emitter", h.mode("emitter").split_rate("ohmic")),)),
-    )
+
+def yield_from_powers(powers):
+    """Quantum yield, the radiated fraction of the total output power, in [0, 1]."""
+    radiative = radiated_power(powers)
+    total = radiative + (powers["ohmic_plasmon"] + powers["ohmic_emitter"])
+    if np.any(total <= 0.0):
+        raise UndefinedYieldError("no output power in any port; yield undefined")
+    return radiative / total

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from plasmonsim import couplings as cpl
 from plasmonsim import experiments as exp
 from plasmonsim import materials as mat
 from plasmonsim import network as net
@@ -49,21 +48,10 @@ PAPER_SET = {
 def paper_three_mode(omega1):
     """Resonant three-mode system with the quoted coupling set, Q = 1e5."""
     p = PAPER_SET
-    plasmon = net.plasmon_descriptor(0.0, p["gamma_1r"], p["gamma_o"])
-    cavity = net.cavity_descriptor(0.0, omega1 / 1e5)
-    emitter = net.emitter_descriptor(p["gamma_s"], p["gamma_m"])
-    couplings = cpl.CouplingSet(p["g1"], p["G"], p["J"])
-    return net.build_three_mode(couplings, plasmon, cavity, emitter)
-
-
-@pytest.fixture(scope="session")
-def paper_three_mode_bare(omega1):
-    """Same system with the cavity decoupled (g1 = J = 0)."""
-    p = PAPER_SET
-    plasmon = net.plasmon_descriptor(0.0, p["gamma_1r"], p["gamma_o"])
-    cavity = net.cavity_descriptor(0.0, omega1 / 1e5)
-    emitter = net.emitter_descriptor(p["gamma_s"], p["gamma_m"])
-    return net.build_three_mode(cpl.CouplingSet(0.0, p["G"], 0.0), plasmon, cavity, emitter)
+    return net.build_three_mode(
+        g1=p["g1"], G=p["G"], J=p["J"], delta_1e=0.0, delta_ce=0.0,
+        gamma_1r=p["gamma_1r"], gamma_o=p["gamma_o"], gamma_c=omega1 / 1e5,
+        gamma_s=p["gamma_s"], gamma_m=p["gamma_m"])
 
 
 def two_mode_network(g, plasmon_width, cavity_width):
@@ -73,10 +61,8 @@ def two_mode_network(g, plasmon_width, cavity_width):
     textbook Rabi period and a singular solve.  The package's model is the
     three-mode one.
     """
-    modes = (net.plasmon_descriptor(0.0, 0.0, plasmon_width),
-             net.cavity_descriptor(0.0, cavity_width))
     matrix = np.array([[-0.5j * plasmon_width, g], [g, -0.5j * cavity_width]])
-    return net.EffectiveHamiltonian(modes, matrix)
+    return net.EffectiveHamiltonian(matrix, ("plasmon", "cavity"))
 
 
 def random_system(rng, n_modes=None):

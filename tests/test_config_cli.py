@@ -82,6 +82,18 @@ def test_non_finite_value_rejected():
         parse_config_text(text)
 
 
+def test_invalid_value_is_not_also_reported_missing():
+    text = (BUILTIN_CONFIGS["fig3"].replace("theta_deg = 60.0", "theta_deg = 120")
+            .replace("a1_nm = 33.0", "a1_nm = -33").replace("distance_nm = 5.0", "distance_nm = 0"))
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    message = str(err.value)
+    assert "theta_deg = '120' must be from 0 to 90" in message
+    assert "a1_nm = '-33' must be > 0" in message
+    assert "distance_nm = '0' must be > 0" in message
+    assert "missing" not in message
+
+
 def test_paper_exact_requires_overrides():
     text = BUILTIN_CONFIGS["fig2"].replace("G_mev = -7.2\n", "")
     with pytest.raises(ConfigError, match="G_mev"):
@@ -293,6 +305,17 @@ BOUNDARY_PROBES = {
     "a1_negative": (["spectrum"], ("a1_nm = 33.0", "a1_nm = -33"), "fig3"),
     "mu_e_zero": (["spectrum"], ("mu_e_nm = 1.0", "mu_e_nm = 0")),
     "omega_p_zero": (["spectrum"], ("omega_p_ev = 4.0", "omega_p_ev = 0")),
+    # values outside a physical range, and detunings that put the cavity at omega_c <= 0
+    "eps_inf_below_one": (["spectrum"], ("eps_inf = 1.0", "eps_inf = 0.5")),
+    "eps_b_below_one": (["spectrum"], ("eps_b = 1.0", "eps_b = 0.5")),
+    "theta_over_90": (["spectrum"], ("theta_deg = 60.0", "theta_deg = 120.0"), "fig3"),
+    "gamma_o_negative": (["spectrum"], ("gamma_o_ev = 0.2", "gamma_o_ev = -0.2")),
+    "gamma_s_negative": (["spectrum"], ("gamma_s_uev = 3", "gamma_s_uev = -3")),
+    "gamma_m_negative": (["spectrum"], ("gamma_m_uev = 83", "gamma_m_uev = -83")),
+    "gamma_1r_negative": (["spectrum"], ("gamma_1r_mev = 2.45", "gamma_1r_mev = -2.45")),
+    "delta_ce_cavity_below_zero": (["spectrum"], ("delta_ce_ev = 0.0", "delta_ce_ev = -5.0")),
+    "eigen_sweep_cavity_below_zero": (["eigen", "--sweep", "-3:3:1"], None),
+    "fig4_sweep_cavity_below_zero": (["fig4", "--sweep", "-3:3:1"], None),
     "sweep_nan_start": (["fig4", "--sweep", "nan:1:0.1"], None),
     "sweep_inf_stop": (["fig4", "--sweep", "0:inf:1"], None),
     "sweep_minus_inf_start": (["eigen", "--sweep", "-inf:0:1"], None),

@@ -6,7 +6,6 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
-from plasmonsim import couplings as cpl
 from plasmonsim import dynamics as dyn
 from plasmonsim import experiments as exp
 from plasmonsim import network as net
@@ -25,16 +24,13 @@ from conftest import PAPER_SET, random_system, two_mode_network
 def pumped_mnp(g1, gamma_c=2.3094010767585034e-5):
     """The pumped nanoparticle: plasmon and cavity coupled by g1, the emitter decoupled."""
     return net.build_three_mode(
-        cpl.CouplingSet(g1, 0.0, 0.0),
-        net.plasmon_descriptor(0.0, 2.45e-3, 0.2),
-        net.cavity_descriptor(0.0, gamma_c),
-        net.emitter_descriptor(3e-6, 83e-6),
-    )
+        g1=g1, G=0.0, J=0.0, delta_1e=0.0, delta_ce=0.0,
+        gamma_1r=2.45e-3, gamma_o=0.2, gamma_c=gamma_c, gamma_s=3e-6, gamma_m=83e-6)
 
 
-def solve_at(hamiltonian, detuning, drive_mode, channels):
-    """Amplitudes and channel powers at one pump detuning: a 1-point steady-state sweep."""
-    amps, powers = dyn.steady_state_sweep(hamiltonian, [detuning], drive_mode, channels)
+def solve_at(hamiltonian, detuning, drive_mode):
+    """Amplitudes and port powers at one pump detuning: a 1-point steady-state sweep."""
+    amps, powers = dyn.steady_state_sweep(hamiltonian, [detuning], drive_mode)
     return amps[0], {key: float(p[0]) for key, p in powers.items()}
 
 
@@ -44,8 +40,7 @@ def solve_at(hamiltonian, detuning, drive_mode, channels):
 
 def test_steady_state_single_lorentzian():
     h = pumped_mnp(0.0)
-    channels = net.standard_channels(h)
-    amps, powers = solve_at(h, 0.0, "plasmon", channels)
+    amps, powers = solve_at(h, 0.0, "plasmon")
     gamma_1 = 0.2 + 2.45e-3
     assert abs(amps[h.index("plasmon")]) ** 2 == pytest.approx(4.0 / gamma_1**2, rel=1e-12)
     assert powers["ohmic_plasmon"] / powers["rad_vacuum"] == pytest.approx(
@@ -57,9 +52,8 @@ def test_steady_state_two_mode_suppression():
     g1, gamma_c = 2.9e-3, 2.3094010767585034e-5
     gamma_1 = 0.2 + 2.45e-3
     h = pumped_mnp(g1)
-    channels = net.standard_channels(h)
-    with_cavity, _ = solve_at(h, 0.0, "plasmon", channels)
-    bare, _ = solve_at(pumped_mnp(0.0), 0.0, "plasmon", channels)
+    with_cavity, _ = solve_at(h, 0.0, "plasmon")
+    bare, _ = solve_at(pumped_mnp(0.0), 0.0, "plasmon")
     ratio = (abs(with_cavity[h.index("plasmon")]) / abs(bare[h.index("plasmon")])) ** 2
     closed_form = (gamma_1 / (gamma_1 + 4.0 * g1**2 / gamma_c)) ** 2
     assert ratio == pytest.approx(closed_form, rel=1e-10)
@@ -69,7 +63,7 @@ def test_steady_state_two_mode_suppression():
 def test_steady_state_singular_lossless():
     h = two_mode_network(0.0, 0.0, 0.0)
     with pytest.raises(ConditioningError):
-        dyn.steady_state_sweep(h, [0.0], "plasmon", ())
+        dyn.steady_state_sweep(h, [0.0], "plasmon")
 
 
 def test_power_balance_randomized():
@@ -86,38 +80,34 @@ def test_power_balance_randomized():
         injected = 2.0 * float(np.imag(v.conj() @ f))
         assert dissipated == pytest.approx(injected, rel=1e-9)
     # the package path: 500 random three-mode networks in one stack, one batched solve
-    # per drive mode; the standard channels hold every partial width once, except the
+    # per drive mode; the four ports hold every partial width once, except the
     # interference part of the coherent vacuum port, and a unit drive injects -2 Im v_k
     n = 500
     rates = rng.uniform(1e-6, 0.15, (5, n))
+    g1, G, J = rng.uniform(-0.05, 0.05, (3, n))
     h = net.build_three_mode(
-        cpl.CouplingSet(*rng.uniform(-0.05, 0.05, (3, n))),
-        net.plasmon_descriptor(rng.uniform(-1.0, 1.0, n), rates[0], rates[1]),
-        net.cavity_descriptor(rng.uniform(-1.0, 1.0, n), rates[2]),
-        net.emitter_descriptor(rates[3], rates[4]),
-    )
-    channels = net.standard_channels(h)
-    vacuum = next(c for c in channels if c.id == "rad_vacuum")
+        g1=g1, G=G, J=J, delta_1e=rng.uniform(-1.0, 1.0, n),
+        delta_ce=rng.uniform(-1.0, 1.0, n), gamma_1r=rates[0], gamma_o=rates[1],
+        gamma_c=rates[2], gamma_s=rates[3], gamma_m=rates[4])
     detunings = rng.uniform(-2.0, 2.0, n)
     for mode in h.labels:
-        amps, powers = dyn.steady_state_sweep(h, detunings, mode, channels)
-        dissipated = sum(powers.values()) - dyn.channel_cross_term(vacuum, h.labels, amps)
+        amps, powers = dyn.steady_state_sweep(h, detunings, mode)
+        dissipated = sum(powers.values()) - h.vacuum_cross_term(amps)
         injected = -2.0 * amps[:, h.index(mode)].imag
         assert dissipated == pytest.approx(injected, rel=1e-9), mode
 
 
 def test_far_off_resonance_suppression(paper_three_mode):
-    channels = net.standard_channels(paper_three_mode)
     scale = 100.0 * max(
-        max(paper_three_mode.total_widths),
+        max(-2.0 * np.diag(paper_three_mode.matrix).imag),
         abs(paper_three_mode.matrix[0, 1]),
         abs(paper_three_mode.matrix[0, 2]),
     )
-    _, on = solve_at(paper_three_mode, 0.0, "emitter", channels)
-    _, off = solve_at(paper_three_mode, scale, "emitter", channels)
-    for channel in channels:
-        if on[channel.id] > 0:
-            assert off[channel.id] < 1e-4 * on[channel.id]
+    _, on = solve_at(paper_three_mode, 0.0, "emitter")
+    _, off = solve_at(paper_three_mode, scale, "emitter")
+    for port in on:
+        if on[port] > 0:
+            assert off[port] < 1e-4 * on[port]
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +116,16 @@ def test_far_off_resonance_suppression(paper_three_mode):
 
 def test_quantum_yield_no_absorption(omega1):
     h = net.build_three_mode(
-        cpl.CouplingSet(-2.9e-3, -7.2e-3, -144e-6),
-        net.plasmon_descriptor(0.0, 2.45e-3, 0.0),
-        net.cavity_descriptor(0.0, omega1 / 1e5),
-        net.emitter_descriptor(3e-6, 0.0),
-    )
-    channels = net.standard_channels(h)
-    _, powers = solve_at(h, 0.0, "emitter", channels)
-    assert dyn.yield_from_powers(channels, powers) == pytest.approx(1.0, rel=1e-12)
+        g1=-2.9e-3, G=-7.2e-3, J=-144e-6, delta_1e=0.0, delta_ce=0.0,
+        gamma_1r=2.45e-3, gamma_o=0.0, gamma_c=omega1 / 1e5, gamma_s=3e-6, gamma_m=0.0)
+    _, powers = solve_at(h, 0.0, "emitter")
+    assert net.yield_from_powers(powers) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_quantum_yield_undefined(paper_three_mode):
-    channels = net.standard_channels(paper_three_mode)
+    # no amplitude, no output power in any port
     with pytest.raises(UndefinedYieldError):
-        dyn.yield_from_powers(channels, {c.id: 0.0 for c in channels})
+        net.yield_from_powers(paper_three_mode.powers(np.zeros(3, dtype=complex)))
 
 
 def test_fano_detuning():
@@ -154,14 +140,10 @@ def test_fano_dip_location_with_j_zero(omega1):
     """With J = 0 the dipolar amplitude dips at the cavity line within gamma_c/2."""
     gamma_c = omega1 / 1e5
     h = net.build_three_mode(
-        cpl.CouplingSet(-2.9e-3, -7.2e-3, 0.0),
-        net.plasmon_descriptor(0.0, 2.45e-3, 0.2),
-        net.cavity_descriptor(0.0, gamma_c),
-        net.emitter_descriptor(3e-6, 83e-6),
-    )
-    channels = net.standard_channels(h)
+        g1=-2.9e-3, G=-7.2e-3, J=0.0, delta_1e=0.0, delta_ce=0.0,
+        gamma_1r=2.45e-3, gamma_o=0.2, gamma_c=gamma_c, gamma_s=3e-6, gamma_m=83e-6)
     detunings = np.linspace(-5e-4, 5e-4, 4001)
-    amps, _ = dyn.steady_state_sweep(h, detunings, "emitter", channels)
+    amps, _ = dyn.steady_state_sweep(h, detunings, "emitter")
     dip = detunings[int(np.argmin(np.abs(amps[:, 0]) ** 2))]
     assert abs(dip - 0.0) <= gamma_c / 2.0
 
@@ -172,11 +154,8 @@ def test_fano_dip_location_with_j_zero(omega1):
 
 def test_evolve_pure_decay():
     h = net.build_three_mode(
-        cpl.CouplingSet(0.0, 0.0, 0.0),
-        net.plasmon_descriptor(0.0, 2.45e-3, 0.2),
-        net.cavity_descriptor(0.0, 1e-5),
-        net.emitter_descriptor(3e-6, 83e-6),
-    )
+        g1=0.0, G=0.0, J=0.0, delta_1e=0.0, delta_ce=0.0,
+        gamma_1r=2.45e-3, gamma_o=0.2, gamma_c=1e-5, gamma_s=3e-6, gamma_m=83e-6)
     gamma_e = 86e-6
     t_nat = np.linspace(0.0, 3.0 / gamma_e, 200)
     trace = dyn.evolve(h, [0, 0, 1], to_fs(t_nat))
@@ -212,13 +191,10 @@ def test_evolve_population_monotone_and_initial_slope():
     rng = np.random.default_rng(1234)
     for _ in range(20):
         h, widths = random_system(rng, 3)
-        modes = (
-            net.plasmon_descriptor(h[0, 0].real, 0.0, widths[0]),
-            net.cavity_descriptor(h[1, 1].real, widths[1]),
-            net.emitter_descriptor(0.0, widths[2]),
-        )
         ham = net.build_three_mode(
-            cpl.CouplingSet(h[0, 1].real, h[0, 2].real, h[1, 2].real), *modes)
+            g1=h[0, 1].real, G=h[0, 2].real, J=h[1, 2].real,
+            delta_1e=h[0, 0].real, delta_ce=h[1, 1].real,
+            gamma_1r=0.0, gamma_o=widths[0], gamma_c=widths[1], gamma_s=0.0, gamma_m=widths[2])
         v0 = rng.normal(size=3) + 1j * rng.normal(size=3)
         v0 /= np.linalg.norm(v0)
         t_nat = np.linspace(0.0, 30.0, 400)
@@ -316,18 +292,6 @@ def test_default_time_grid(paper_three_mode):
     assert from_fs(grid[-1]) == pytest.approx(10.0 / slowest, rel=1e-9)
 
 
-def test_channel_cross_term(paper_three_mode):
-    channels = net.standard_channels(paper_three_mode)
-    amps, powers = solve_at(paper_three_mode, 0.0, "emitter", channels)
-    labels = paper_three_mode.labels
-    rad1 = next(c for c in channels if c.id == "rad_vacuum")
-    cross = dyn.channel_cross_term(rad1, labels, amps)
-    diag = sum(rate * abs(amps[labels.index(label)]) ** 2 for label, rate in rad1.terms)
-    assert diag + cross == pytest.approx(powers["rad_vacuum"], rel=1e-12)
-    incoherent = next(c for c in channels if c.id == "ohmic_plasmon")
-    assert dyn.channel_cross_term(incoherent, labels, amps) == 0.0
-
-
 def test_count_oscillation_maxima_settle_window():
     t = np.linspace(0.0, 10.0, 1001)
     pop = np.exp(-0.2 * t) * (0.5 + 0.5 * np.cos(4.0 * t))
@@ -348,7 +312,7 @@ def test_eigen_branches_zero_coupling_lines():
     assert branches.detunings[:, 0] == pytest.approx(sweep)
     assert branches.detunings[:, 1] == pytest.approx(np.zeros_like(sweep))
     metrics = dyn.anticrossing_metrics(branches)
-    assert metrics.min_re_separation == pytest.approx(0.0, abs=1e-12)
+    assert metrics.two_g_eff == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eigen_branches_hermitian_anticrossing():
@@ -367,16 +331,15 @@ def test_eigen_branches_no_crossing_when_coupled(paper_three_mode, omega1):
     sweep = np.arange(-10e-3, 10.0001e-3, 0.5e-3)
     mats = []
     for dec in sweep:
+        p = PAPER_SET
         h = net.build_three_mode(
-            cpl.CouplingSet(PAPER_SET["g1"], PAPER_SET["G"], PAPER_SET["J"]),
-            net.plasmon_descriptor(0.0, PAPER_SET["gamma_1r"], PAPER_SET["gamma_o"]),
-            net.cavity_descriptor(-dec, omega1 / 1e5),
-            net.emitter_descriptor(PAPER_SET["gamma_s"], PAPER_SET["gamma_m"]),
-        )
+            g1=p["g1"], G=p["G"], J=p["J"], delta_1e=0.0, delta_ce=-dec,
+            gamma_1r=p["gamma_1r"], gamma_o=p["gamma_o"], gamma_c=omega1 / 1e5,
+            gamma_s=p["gamma_s"], gamma_m=p["gamma_m"])
         mats.append(h.matrix)
     branches = dyn.eigen_branches(mats, sweep)
     metrics = dyn.anticrossing_metrics(branches)
-    assert metrics.min_re_separation > 0.0
+    assert metrics.two_g_eff > 0.0
 
 
 def test_eigen_branches_tracking_ambiguity():
@@ -441,15 +404,11 @@ def test_eigen_branches_match_per_point_tracking():
 def test_emission_spectrum_weak_coupling_lorentzian(omega1):
     gamma_e = 86e-6
     h = net.build_three_mode(
-        cpl.CouplingSet(-2.9e-3, 0.0, 0.0),
-        net.plasmon_descriptor(0.0, 2.45e-3, 0.2),
-        net.cavity_descriptor(0.0, omega1 / 1e5),
-        net.emitter_descriptor(3e-6, 83e-6),
-    )
-    channels = net.standard_channels(h)
+        g1=-2.9e-3, G=0.0, J=0.0, delta_1e=0.0, delta_ce=0.0,
+        gamma_1r=2.45e-3, gamma_o=0.2, gamma_c=omega1 / 1e5, gamma_s=3e-6, gamma_m=83e-6)
     detunings = np.linspace(-6e-4, 6e-4, 2001)
-    _, powers = dyn.steady_state_sweep(h, detunings, "emitter", channels)
-    power = dyn.radiated_power(channels, powers)
+    _, powers = dyn.steady_state_sweep(h, detunings, "emitter")
+    power = net.radiated_power(powers)
     peak = detunings[int(np.argmax(power))]
     assert abs(peak) < 2e-6
     # half-max width equals the emitter width
@@ -459,8 +418,7 @@ def test_emission_spectrum_weak_coupling_lorentzian(omega1):
 
 
 def test_spectrum_yield_curve(paper_three_mode):
-    channels = net.standard_channels(paper_three_mode)
     detunings = np.linspace(-1e-4, 2e-4, 301)
-    _, powers = dyn.steady_state_sweep(paper_three_mode, detunings, "emitter", channels)
-    eta = dyn.yield_from_powers(channels, powers)
+    _, powers = dyn.steady_state_sweep(paper_three_mode, detunings, "emitter")
+    eta = net.yield_from_powers(powers)
     assert np.all((eta > 0.0) & (eta < 1.0))

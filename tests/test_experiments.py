@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.optimize import root
 
-from plasmonsim import couplings as cpl
 from plasmonsim import dynamics as dyn
 from plasmonsim import experiments as exp
 from plasmonsim import network as net
@@ -194,11 +193,9 @@ def test_low_q_dissipation_structure(design):
     system stays well above 1 (it approaches 1 only for Q << ~170, where the
     cavity-induced radiative rate 4 g1^2/gamma_c falls below gamma_1r)."""
     scenario = exp.with_cavity(exp.with_emitter_at(design, 10.0), 0.0, 1e2)
-    h = scenario.hamiltonian()
-    channels = scenario.channels(h)
-    _, powers = dyn.steady_state_sweep(h, [58e-6], "emitter", channels)
-    radiative = dyn.radiated_power(channels, powers)[0]
-    ohmic = sum(powers[c.id][0] for c in channels if c.kind == "ohmic")
+    _, powers = dyn.steady_state_sweep(scenario.hamiltonian(), [58e-6], "emitter")
+    radiative = net.radiated_power(powers)[0]
+    ohmic = powers["ohmic_plasmon"][0] + powers["ohmic_emitter"][0]
     total = radiative + ohmic
     assert ohmic / total > 0.8
     cell = exp.map_cell(design, 10.0, 1e2)
@@ -273,8 +270,8 @@ def test_newton_calibration_matches_hybrid_root(builtin, edit, targets):
     fit, diagnostics = exp.calibrate_fig3_couplings(scenario, targets)
     sol, residual = _calibrate_by_hybrid_root(scenario, targets)
     assert sol.success and residual <= 1e-12
-    assert abs(fit.G) == pytest.approx(abs(sol.x[0]), rel=1e-10)
-    assert abs(fit.g1) == pytest.approx(abs(sol.x[1]), rel=1e-10)
+    assert abs(fit["G_ev"]) == pytest.approx(abs(sol.x[0]), rel=1e-10)
+    assert abs(fit["g1_ev"]) == pytest.approx(abs(sol.x[1]), rel=1e-10)
     assert diagnostics["residual_max"] <= 1e-12
 
 
@@ -313,7 +310,7 @@ def test_spectrum_doublet_separation(fig3):
 
 
 def test_branches_never_cross(fig4):
-    assert fig4.metrics.min_re_separation > 0.0
+    assert fig4.metrics.two_g_eff > 0.0
     assert fig4.metrics.min_im_separation > 0.0
 
 
@@ -336,11 +333,9 @@ def test_detuning_stack_slices_match_scalar_builds():
     for k, dec in enumerate(sweep.tolist()):
         omega_c = p["omega_e_ev"] - dec
         h = net.build_three_mode(
-            cpl.CouplingSet(p["g1_ev"], p["G_ev"], p["J_ev"]),
-            net.plasmon_descriptor(p["delta_1e_ev"], p["gamma_1r_ev"], p["gamma_o_ev"]),
-            net.cavity_descriptor(-dec, omega_c / p["q_factor"]),
-            net.emitter_descriptor(p["gamma_s_ev"], p["gamma_m_ev"]),
-        )
+            g1=p["g1_ev"], G=p["G_ev"], J=p["J_ev"], delta_1e=p["delta_1e_ev"], delta_ce=-dec,
+            gamma_1r=p["gamma_1r_ev"], gamma_o=p["gamma_o_ev"],
+            gamma_c=omega_c / p["q_factor"], gamma_s=p["gamma_s_ev"], gamma_m=p["gamma_m_ev"])
         assert np.array_equal(stack[k], h.matrix), k
 
 

@@ -40,9 +40,7 @@ for argv in json.loads(sys.argv[1]):
     loaded[" ".join(argv)] = "scipy" in sys.modules if code == 0 else f"exit {code}"
 from plasmonsim import dynamics, network
 # the 2x2 network [[-0.1i, 0.05], [0.05, 0]], defective at g = gamma / 4
-h = network.EffectiveHamiltonian(
-    (network.plasmon_descriptor(0.0, 0.0, 0.2), network.cavity_descriptor(0.0, 0.0)),
-    np.array([[-0.1j, 0.05], [0.05, 0.0]]))
+h = network.EffectiveHamiltonian(np.array([[-0.1j, 0.05], [0.05, 0.0]]), ("plasmon", "cavity"))
 dynamics.evolve(h, np.array([1.0, 0.0], dtype=complex), np.linspace(0.0, 50.0, 5))
 loaded["near-exceptional-point evolve"] = "scipy" in sys.modules
 print(json.dumps(loaded))

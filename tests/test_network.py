@@ -25,11 +25,8 @@ def test_three_mode_paper_matrix(paper_three_mode):
 
 def test_three_mode_zero_couplings_diagonal():
     h = net.build_three_mode(
-        cpl.CouplingSet(0.0, 0.0, 0.0),
-        net.plasmon_descriptor(0.1, 1e-3, 0.2),
-        net.cavity_descriptor(0.05, 1e-5),
-        net.emitter_descriptor(1e-6, 5e-6),
-    )
+        g1=0.0, G=0.0, J=0.0, delta_1e=0.1, delta_ce=0.05,
+        gamma_1r=1e-3, gamma_o=0.2, gamma_c=1e-5, gamma_s=1e-6, gamma_m=5e-6)
     off = h.matrix - np.diag(np.diag(h.matrix))
     assert np.all(off == 0)
 
@@ -39,11 +36,8 @@ def test_three_mode_projected_geometry():
     # tilted particle axis still couples to both
     G, g1 = cpl.project_couplings(-7.2e-3, -2.9e-3, 60.0)
     h = net.build_three_mode(
-        cpl.CouplingSet(g1, G, 0.0),
-        net.plasmon_descriptor(0.6, 1e-3, 0.2),
-        net.cavity_descriptor(0.0, 1e-5),
-        net.emitter_descriptor(1e-6, 0.0),
-    )
+        g1=g1, G=G, J=0.0, delta_1e=0.6, delta_ce=0.0,
+        gamma_1r=1e-3, gamma_o=0.2, gamma_c=1e-5, gamma_s=1e-6, gamma_m=0.0)
     assert h.matrix[1, 2] == 0.0
     assert h.matrix[0, 1] != 0.0
     assert h.matrix[0, 2] != 0.0
@@ -54,11 +48,9 @@ def test_two_mode_closed_form_eigenvalues():
     # pair has the two-mode closed form and the emitter keeps -i gamma_e / 2
     g1, gamma_1, gamma_c, gamma_e = 2.9e-3, 0.2025, 23.1e-6, 86e-6
     h = net.build_three_mode(
-        cpl.CouplingSet(g1, 0.0, 0.0),
-        net.plasmon_descriptor(0.0, gamma_1 - 0.2, 0.2),
-        net.cavity_descriptor(0.0, gamma_c),
-        net.emitter_descriptor(3e-6, gamma_e - 3e-6),
-    )
+        g1=g1, G=0.0, J=0.0, delta_1e=0.0, delta_ce=0.0,
+        gamma_1r=gamma_1 - 0.2, gamma_o=0.2, gamma_c=gamma_c,
+        gamma_s=3e-6, gamma_m=gamma_e - 3e-6)
     lam = np.linalg.eigvals(h.matrix)
     disc = complex(g1**2 - ((gamma_1 - gamma_c) / 4.0) ** 2)
     expected = [-0.25j * (gamma_1 + gamma_c) + np.sqrt(disc),
@@ -68,16 +60,20 @@ def test_two_mode_closed_form_eigenvalues():
         sorted(expected, key=lambda z: z.imag), rel=1e-10)
 
 
+RESONANT = dict(g1=0.0, G=0.0, J=0.0, delta_1e=0.0, delta_ce=0.0,
+                gamma_1r=1e-3, gamma_o=0.2, gamma_c=1e-5, gamma_s=1e-6, gamma_m=5e-6)
+
+
 def test_negative_width_rejected():
     with pytest.raises(DomainError):
-        net.plasmon_descriptor(0.0, -1e-3, 0.2)
+        net.build_three_mode(**{**RESONANT, "gamma_1r": -1e-3})
 
 
 def test_non_finite_inputs_rejected():
     with pytest.raises(DomainError):
-        cpl.CouplingSet(float("nan"), 0.0, 0.0)
+        net.build_three_mode(**{**RESONANT, "g1": float("nan")})
     with pytest.raises(DomainError):
-        net.plasmon_descriptor(float("inf"), 1e-3, 0.2)
+        net.build_three_mode(**{**RESONANT, "delta_1e": float("inf")})
 
 
 @settings(max_examples=100, deadline=None)
@@ -87,11 +83,8 @@ def test_non_finite_inputs_rejected():
 @example(g1=0.0, G=1.0, J=1.0, d1=0.0, dc=0.0, g_rad=0.0, g_ohm=0.0, g_c=0.0, g_s=0.0, g_m=0.0)
 def test_symmetry_and_trace(g1, G, J, d1, dc, g_rad, g_ohm, g_c, g_s, g_m):
     h = net.build_three_mode(
-        cpl.CouplingSet(g1, G, J),
-        net.plasmon_descriptor(d1, g_rad, g_ohm),
-        net.cavity_descriptor(dc, g_c),
-        net.emitter_descriptor(g_s, g_m),
-    )
+        g1=g1, G=G, J=J, delta_1e=d1, delta_ce=dc,
+        gamma_1r=g_rad, gamma_o=g_ohm, gamma_c=g_c, gamma_s=g_s, gamma_m=g_m)
     assert np.array_equal(h.matrix, h.matrix.T)
     assert np.all(np.diag(h.matrix).imag <= 0.0)
     eigenvalues = np.linalg.eigvals(h.matrix)
@@ -105,35 +98,52 @@ def test_symmetry_and_trace(g1, G, J, d1, dc, g_rad, g_ohm, g_c, g_s, g_m):
     assert np.sum(eigenvalues) == pytest.approx(np.trace(h.matrix), rel=1e-12, abs=bound)
 
 
-def test_channel_bookkeeping_with_emitter(paper_three_mode):
-    channels = net.standard_channels(paper_three_mode)
-    assert len(channels) == 4
-    by_id = {c.id: c for c in channels}
-    assert by_id["rad_vacuum"].combine == "coherent"
-    assert dict(by_id["rad_vacuum"].terms) == pytest.approx(
-        {"plasmon": 2.45e-3, "emitter": 3e-6})
-    total = sum(rate for c in channels for _, rate in c.terms)
-    assert total == pytest.approx(sum(paper_three_mode.total_widths), rel=1e-12)
-    # each (mode, split) pair shows up exactly once
-    pairs = [(label, c.id) for c in channels for label, _ in c.terms]
-    assert len(pairs) == len(set(pairs))
+@pytest.mark.parametrize("gamma_s", ["random", 0.0])
+def test_port_powers_match_written_formulas(gamma_s):
+    """The four ports at random amplitudes and widths, against expanded formulas.
 
-
-def test_channels_degenerate_without_emitter_radiation(omega1):
-    h = net.build_three_mode(
-        cpl.CouplingSet(-2.9e-3, -7.2e-3, -144e-6),
-        net.plasmon_descriptor(0.0, 2.45e-3, 0.2),
-        net.cavity_descriptor(0.0, omega1 / 1e5),
-        net.emitter_descriptor(0.0, 83e-6),
-    )
-    channels = net.standard_channels(h)
-    rad1 = next(c for c in channels if c.id == "rad_vacuum")
-    assert dict(rad1.terms)["emitter"] == 0.0
+    The vacuum port is the coherent sum, |a|^2 + |b|^2 + 2 Re(a b*); the other
+    three are incoherent.  Every partial width feeds one port, so the ports
+    minus the interference part are sum_k gamma_k |v_k|^2.  With gamma_s = 0
+    the vacuum port is the plasmon's alone and has no interference part.
+    """
+    rng = np.random.default_rng(2024)
+    n = 200
+    rates = dict(zip(("gamma_1r", "gamma_o", "gamma_c", "gamma_s", "gamma_m"),
+                     rng.uniform(0.0, 0.1, (5, n))))
+    if gamma_s == 0.0:
+        rates["gamma_s"] = 0.0
+    h = net.build_three_mode(g1=rng.uniform(-0.05, 0.05, n), G=0.01, J=-0.002,
+                             delta_1e=0.0, delta_ce=0.0, **rates)
+    total_width = -2.0 * np.trace(h.matrix, axis1=-2, axis2=-1).imag
+    assert sum(h.rates.values()) == pytest.approx(total_width, rel=1e-12)
+    v = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    plasmon, emitter = v[:, 0], v[:, 2]
+    mod2 = v.real**2 + v.imag**2
+    cross = 2.0 * np.sqrt(rates["gamma_1r"] * rates["gamma_s"]) * (plasmon * emitter.conj()).real
+    powers = h.powers(v)
+    assert sorted(powers) == ["ohmic_emitter", "ohmic_plasmon", "rad_cavity", "rad_vacuum"]
+    assert powers["rad_vacuum"] == pytest.approx(
+        rates["gamma_1r"] * mod2[:, 0] + rates["gamma_s"] * mod2[:, 2] + cross, rel=1e-12)
+    assert powers["rad_cavity"] == pytest.approx(rates["gamma_c"] * mod2[:, 1], rel=1e-12)
+    assert powers["ohmic_plasmon"] == pytest.approx(rates["gamma_o"] * mod2[:, 0], rel=1e-12)
+    assert powers["ohmic_emitter"] == pytest.approx(rates["gamma_m"] * mod2[:, 2], rel=1e-12)
+    assert h.vacuum_cross_term(v) == pytest.approx(cross, rel=1e-9, abs=1e-15)
+    per_mode = (rates["gamma_1r"] + rates["gamma_o"]) * mod2[:, 0] \
+        + rates["gamma_c"] * mod2[:, 1] + (rates["gamma_s"] + rates["gamma_m"]) * mod2[:, 2]
+    assert sum(powers.values()) - h.vacuum_cross_term(v) == pytest.approx(per_mode, rel=1e-9)
+    radiated = powers["rad_vacuum"] + powers["rad_cavity"]
+    assert np.array_equal(net.radiated_power(powers), radiated)
+    assert net.yield_from_powers(powers) == pytest.approx(
+        radiated / sum(powers.values()), rel=1e-12)
+    if gamma_s == 0.0:
+        assert powers["rad_vacuum"] == pytest.approx(rates["gamma_1r"] * mod2[:, 0], rel=1e-12)
+        assert h.vacuum_cross_term(v) == pytest.approx(np.zeros(n), abs=1e-15)
 
 
 def test_mode_lookup(paper_three_mode):
     assert paper_three_mode.index("cavity") == 1
-    assert paper_three_mode.mode("emitter").split_rate("ohmic") == pytest.approx(83e-6)
+    assert paper_three_mode.rates["gamma_m"] == pytest.approx(83e-6)
     with pytest.raises(DomainError):
         paper_three_mode.index("phonon")
 
