@@ -292,6 +292,17 @@ def test_default_time_grid(paper_three_mode):
     assert from_fs(grid[-1]) == pytest.approx(10.0 / slowest, rel=1e-9)
 
 
+def test_channel_cross_term(paper_three_mode):
+    h = paper_three_mode
+    amps, powers = solve_at(h, 0.0, "emitter")
+    cross = h.vacuum_cross_term(amps)
+    diag = h.rates["gamma_1r"] * abs(amps[0]) ** 2 + h.rates["gamma_s"] * abs(amps[2]) ** 2
+    assert diag + cross == pytest.approx(powers["rad_vacuum"], rel=1e-12)
+    # an incoherent port is its per-mode power alone
+    ohmic = h.rates["gamma_o"] * abs(amps[0]) ** 2
+    assert powers["ohmic_plasmon"] == pytest.approx(ohmic, rel=1e-12)
+
+
 def test_count_oscillation_maxima_settle_window():
     t = np.linspace(0.0, 10.0, 1001)
     pop = np.exp(-0.2 * t) * (0.5 + 0.5 * np.cos(4.0 * t))

@@ -98,6 +98,23 @@ def test_symmetry_and_trace(g1, G, J, d1, dc, g_rad, g_ohm, g_c, g_s, g_m):
     assert np.sum(eigenvalues) == pytest.approx(np.trace(h.matrix), rel=1e-12, abs=bound)
 
 
+def test_channel_bookkeeping_with_emitter(paper_three_mode):
+    h = paper_three_mode
+    unit = np.eye(3, dtype=complex)
+    assert len(h.powers(unit[0])) == 4
+    # the vacuum port carries the plasmon's and the emitter's radiative widths
+    vacuum = {label: float(h.powers(unit[k])["rad_vacuum"]) for k, label in enumerate(h.labels)}
+    assert vacuum == pytest.approx({"plasmon": 2.45e-3, "cavity": 0.0, "emitter": 3e-6})
+    # and adds them coherently: |sqrt(gamma_1r) + sqrt(gamma_s)|^2 for in-phase amplitudes
+    in_phase = h.powers(unit[0] + unit[2])["rad_vacuum"]
+    assert in_phase == pytest.approx((np.sqrt(2.45e-3) + np.sqrt(3e-6)) ** 2, rel=1e-12)
+    total_widths = -2.0 * np.diag(h.matrix).imag
+    assert sum(h.rates.values()) == pytest.approx(np.sum(total_widths), rel=1e-12)
+    # each mode's width shows up in the ports exactly once
+    for k in range(3):
+        assert sum(h.powers(unit[k]).values()) == pytest.approx(total_widths[k], rel=1e-12)
+
+
 @pytest.mark.parametrize("gamma_s", ["random", 0.0])
 def test_port_powers_match_written_formulas(gamma_s):
     """The four ports at random amplitudes and widths, against expanded formulas.
