@@ -1,5 +1,9 @@
 """Command-line interface: paper-figure regressions and generic scenario runs.
 
+Each command parses its arguments, checks them at the boundary, resolves
+its config and grid, and writes the tables that the experiments module
+builds; no table is assembled here.
+
 Exit codes: 0 success, 1 configuration error, 2 numerical error.  All
 errors go to stderr with a machine-parseable "ERROR[code]:" prefix.  A
 closed stdout (a reader such as `head` that exits early) also ends the
@@ -14,20 +18,20 @@ import sys
 
 import numpy as np
 
-from . import dynamics as dyn
 from .config import BUILTIN_CONFIGS, MAX_POINTS, parse_config
 from .errors import ConfigError, PlasmonSimError
 from .experiments import (
+    branch_table,
     enhancement_map,
-    optimal_Q,
+    evolve_table,
+    optq_table,
     run_fig1c,
     run_fig2,
     run_fig3,
     run_fig4,
-    with_cavity,
+    spectrum_table,
+    yield_table,
 )
-from .network import radiated_power, yield_from_powers
-from .results import ResultTable, scenario_metadata
 
 
 def _check_points(what, count):
@@ -66,13 +70,15 @@ def _detuning_sweep(args, scenario):
     return sweep
 
 
-def _write(table, out_dir, fmt):
-    os.makedirs(out_dir, exist_ok=True)
-    ext = "csv" if fmt == "csv" else "json"
-    path = os.path.join(out_dir, f"{table.name}.{ext}")
-    table.write(path, fmt)
-    print(path)
-    return path
+def _write(tables, args):
+    """Write each table into --out in --format, print its path, and return exit code 0."""
+    os.makedirs(args.out, exist_ok=True)
+    ext = "csv" if args.format == "csv" else "json"
+    for table in tables:
+        path = os.path.join(args.out, f"{table.name}.{ext}")
+        table.write(path, args.format)
+        print(path)
+    return 0
 
 
 def _reject_grid(args, reason):
@@ -92,82 +98,17 @@ def _spectral_grid(parsed, points_override):
 
 
 def cmd_fig1c(args):
-    result = run_fig1c(parse_config("fig1c").scenario, points=args.grid or 2001)
-    table = ResultTable.from_arrays(
-        "fig1c",
-        ("detuning_ev", "phi_rad_cavity", "phi_rad_bare", "phi_abs_cavity", "phi_abs_bare"),
-        (result.detunings, result.rad_cavity, result.rad_bare,
-         result.abs_cavity, result.abs_bare),
-        scenario_metadata(result.scenario),
-    )
-    _write(table, args.out, args.format)
-    return 0
+    return _write([run_fig1c(parse_config("fig1c").scenario, points=args.grid or 2001)], args)
 
 
 def cmd_fig2(args):
     builtin = "fig2_first_principles" if args.first_principles else "fig2"
-    result = run_fig2(parse_config(builtin).scenario, points=args.grid or 401)
-    meta = scenario_metadata(result.scenario)
-    meta["result.yield_at_delta0"] = result.yield_at_delta0
-    meta["result.bare_yield_at_delta0"] = result.bare_yield_at_delta0
-    meta["result.rad_enhancement_at_delta0"] = result.rad_enhancement_at_delta0
-    table_yield = ResultTable.from_arrays(
-        "fig2_yield",
-        ("detuning_ev", "yield_cavity", "yield_bare", "abs_plasmon_norm"),
-        (result.detunings, result.yield_cavity, result.yield_bare, result.abs_plasmon),
-        meta,
-    )
-    table_power = ResultTable.from_arrays(
-        "fig2_power",
-        ("detuning_ev", "phi_rad_cavity", "phi_rad_bare"),
-        (result.detunings, result.rad_cavity, result.rad_bare),
-        meta,
-    )
-    _write(table_yield, args.out, args.format)
-    _write(table_power, args.out, args.format)
-    return 0
+    return _write(run_fig2(parse_config(builtin).scenario, points=args.grid or 401), args)
 
 
 def cmd_fig3(args):
-    result = run_fig3(parse_config("fig3").scenario, spectrum_points=args.grid or 2001)
-    meta = scenario_metadata(result.scenario)
-    meta["result.settle_fs"] = result.settle_fs
-    for label, count in sorted(result.trace_maxima.items()):
-        meta[f"result.maxima_{label}"] = count
-    table_traces = ResultTable.from_arrays(
-        "fig3_traces",
-        ("time_fs", "pop_q1e3", "pop_q1e4", "pop_q1e5", "pop_no_cavity"),
-        (result.times_fs, result.traces["q1e3"], result.traces["q1e4"],
-         result.traces["q1e5"], result.traces["no_cavity"]),
-        meta,
-    )
-    table_spec = ResultTable.from_arrays(
-        "fig3_spectrum",
-        ("detuning_ev", "phi_rad_cavity", "phi_rad_bare"),
-        (result.detunings, result.rad_cavity, result.rad_bare),
-        meta,
-    )
-    _write(table_traces, args.out, args.format)
-    _write(table_spec, args.out, args.format)
-    return 0
-
-
-def _branch_table(name, branchset, metadata):
-    columns = ["delta_ec_ev"]
-    arrays = [branchset.sweep_values]
-    for b in range(branchset.n_branches):
-        columns += [f"branch{b}_re_ev", f"branch{b}_im_ev"]
-        arrays += [branchset.eigenvalues[:, b].real, branchset.eigenvalues[:, b].imag]
-    return ResultTable.from_arrays(name, columns, arrays, metadata)
-
-
-def _anticrossing_metadata(scenario, metrics):
-    meta = scenario_metadata(scenario)
-    meta["result.two_g_eff_ev"] = metrics.two_g_eff
-    meta["result.kappa_1_ev"] = metrics.kappa_1
-    meta["result.kappa_2_ev"] = metrics.kappa_2
-    meta["result.cooperativity"] = metrics.cooperativity
-    return meta
+    return _write(
+        run_fig3(parse_config("fig3").scenario, spectrum_points=args.grid or 2001), args)
 
 
 def cmd_fig4(args):
@@ -175,19 +116,7 @@ def cmd_fig4(args):
     sweep = _detuning_sweep(args, scenario)
     spectrum_points = args.grid or 801
     _check_points("the fig4 spectra map", sweep.size * spectrum_points)
-    result = run_fig4(scenario, sweep, spectrum_points=spectrum_points)
-    meta = _anticrossing_metadata(result.scenario, result.metrics)
-    _write(_branch_table("fig4_branches", result.branches, meta), args.out, args.format)
-    detunings = result.detunings
-    table = ResultTable.from_arrays(
-        "fig4_spectra",
-        ("delta_ec_ev", "detuning_ev", "phi_rad_total"),
-        (np.repeat(sweep, detunings.size), np.tile(detunings, sweep.size),
-         result.spectra.ravel()),
-        scenario_metadata(result.spectra_scenario),
-    )
-    _write(table, args.out, args.format)
-    return 0
+    return _write(run_fig4(scenario, sweep, spectrum_points=spectrum_points), args)
 
 
 def _load(args):
@@ -199,75 +128,25 @@ def _load(args):
 
 def cmd_spectrum(args):
     parsed = _load(args)
-    scenario = parsed.scenario
-    h = scenario.hamiltonian()
-    grid = _spectral_grid(parsed, args.grid)
-    amps, powers = dyn.steady_state_sweep(h, grid, scenario["drive_mode"])
-    # the vacuum port is coherent; report its interference part separately so
-    # the diagonal (per-mode) decomposition is also available
-    table = ResultTable.from_arrays(
-        "spectrum",
-        ("detuning_ev", "phi_rad_total", "phi_rad_vacuum", "phi_rad_vacuum_cross",
-         "phi_rad_cavity_port", "phi_ohmic_plasmon", "phi_ohmic_emitter"),
-        (grid, radiated_power(powers), powers["rad_vacuum"], h.vacuum_cross_term(amps),
-         powers["rad_cavity"], powers["ohmic_plasmon"], powers["ohmic_emitter"]),
-        scenario_metadata(scenario),
-    )
-    _write(table, args.out, args.format)
-    return 0
+    return _write([spectrum_table(parsed.scenario, _spectral_grid(parsed, args.grid))], args)
 
 
 def cmd_yield(args):
     parsed = _load(args)
-    scenario = parsed.scenario
-    h = scenario.hamiltonian()
-    h_bare = scenario.hamiltonian(bare=True)
-    grid = _spectral_grid(parsed, args.grid)
-    drive = scenario["drive_mode"]
-    _, powers = dyn.steady_state_sweep(h, grid, drive)
-    _, powers_b = dyn.steady_state_sweep(h_bare, grid, drive)
-    table = ResultTable.from_arrays(
-        "yield",
-        ("detuning_ev", "yield_cavity", "yield_bare"),
-        (grid, yield_from_powers(powers), yield_from_powers(powers_b)),
-        scenario_metadata(scenario),
-    )
-    _write(table, args.out, args.format)
-    return 0
+    return _write([yield_table(parsed.scenario, _spectral_grid(parsed, args.grid))], args)
 
 
 def cmd_evolve(args):
     parsed = _load(args)
-    scenario = parsed.scenario
-    h = scenario.hamiltonian()
     points = args.grid or parsed.sweep.get("t_points", 4096)
-    span_fs = parsed.sweep.get("t_span_fs")
-    if span_fs is None:
-        times_fs = dyn.default_time_grid(h, points)
-    else:
-        times_fs = np.linspace(0.0, span_fs, points)
-    initial = np.zeros(len(h.labels), dtype=complex)
-    initial[h.index("emitter")] = 1.0
-    trace = dyn.evolve(h, initial, times_fs)
-    table = ResultTable.from_arrays(
-        "evolve",
-        ("time_fs", "pop_plasmon", "pop_cavity", "pop_emitter", "pop_total"),
-        (times_fs, trace.population("plasmon"), trace.population("cavity"),
-         trace.population("emitter"), trace.total),
-        scenario_metadata(scenario),
-    )
-    _write(table, args.out, args.format)
-    return 0
+    return _write(
+        [evolve_table(parsed.scenario, points, parsed.sweep.get("t_span_fs"))], args)
 
 
 def cmd_eigen(args):
     _reject_grid(args, "its points are those of --sweep")
     scenario = parse_config(args.config or "fig4").scenario
-    sweep = _detuning_sweep(args, scenario)
-    branchset = dyn.eigen_branches(with_cavity(scenario, -sweep).hamiltonian().matrix, sweep)
-    meta = _anticrossing_metadata(scenario, dyn.anticrossing_metrics(branchset))
-    _write(_branch_table("eigen", branchset, meta), args.out, args.format)
-    return 0
+    return _write([branch_table("eigen", scenario, _detuning_sweep(args, scenario))], args)
 
 
 #: the scenario map and optq sweep over emitter distance and cavity Q
@@ -282,19 +161,9 @@ def cmd_map(args):
     sweep = parse_config(args.config).sweep if args.config else design.sweep
     n_d, n_q = args.grid or sweep["d_points"], args.grid or sweep["q_points"]
     _check_points("the map", n_d * n_q)
-    grid = enhancement_map(design.scenario,
-                           np.geomspace(sweep["d_min_nm"], sweep["d_max_nm"], n_d),
-                           np.geomspace(sweep["q_min"], sweep["q_max"], n_q))
-    dd, qq = np.meshgrid(grid.d_nm, grid.q_factor, indexing="ij")
-    table = ResultTable.from_arrays(
-        "map",
-        ("d_nm", "q_factor", "yield_enhancement", "power_enhancement"),
-        (dd.ravel(), qq.ravel(), grid.yield_enhancement.ravel(),
-         grid.power_enhancement.ravel()),
-        {**scenario_metadata(design.scenario), "d_points": n_d, "q_points": n_q},
-    )
-    _write(table, args.out, args.format)
-    return 0
+    return _write([enhancement_map(
+        design.scenario, np.geomspace(sweep["d_min_nm"], sweep["d_max_nm"], n_d),
+        np.geomspace(sweep["q_min"], sweep["q_max"], n_q))], args)
 
 
 def cmd_optq(args):
@@ -303,15 +172,8 @@ def cmd_optq(args):
     for d in distances:
         if not (math.isfinite(d) and d > 0):
             raise ConfigError(f"--d-nm must be a finite distance > 0 nm, got {d}")
-    scenario = parse_config(DESIGN_SCENARIO).scenario
-    rows = []
-    for d in distances:
-        res = optimal_Q(scenario, d, objective=args.objective)
-        rows.append((d, res.q_opt, res.value, res.objective, int(res.boundary)))
-    table = ResultTable("optq", ("d_nm", "q_opt", "value", "objective", "boundary"), rows,
-                        {**scenario_metadata(scenario), "objective": args.objective})
-    _write(table, args.out, args.format)
-    return 0
+    return _write(
+        [optq_table(parse_config(DESIGN_SCENARIO).scenario, distances, args.objective)], args)
 
 
 def cmd_validate(args):

@@ -2,14 +2,15 @@
 
 Sections are fixed ([metal], [environment], [particle], [emitter], [cavity],
 [couplings], [sweep], [run]); keys carry their unit in the name, and "#"
-starts a comment, on its own line or after a value.  Unknown
-keys are hard errors with a closest-match suggestion, missing required keys
-are reported all at once, every value must be finite, point counts are
-integers from 1 to MAX_POINTS, the particle axis is 1, 2 or 3, lengths, the plasma
-frequency and the cavity, map-axis and time-span quantities are > 0,
-eps_inf and eps_b are >= 1, decay rates are >= 0, theta_deg is in [0, 90],
-the emitter and the cavity sit at positive frequencies, and calibrated mode
-takes no explicit coupling or rate.
+starts a comment, on its own line or after a value.  Unknown keys are hard
+errors with a closest-match suggestion, missing required keys are reported
+all at once, every value must be finite, point counts are integers from 1 to
+MAX_POINTS, the particle axis is 1, 2 or 3, lengths, the plasma frequency,
+the calibration targets and the cavity, map-axis and time-span quantities
+are > 0, eps_inf and eps_b are >= 1, decay rates are >= 0, theta_deg is in
+[0, 90], the emitter and the cavity sit at positive frequencies, and
+calibrated mode takes no explicit coupling or rate.  A sphere beyond the
+quasi-static validity radius is resolved with a note, not rejected.
 Values in meV and ueV are converted to eV by shifting their decimal text,
 so -7.2 meV is exactly -7.2e-3 eV.  parse_config resolves the file into a
 Scenario with defaults applied and per-parameter provenance recorded.
@@ -91,8 +92,8 @@ SCHEMA = {
         "gamma_s_uev": (_FLOAT, None, (0.0, math.inf)),
         "gamma_1r_mev": (_FLOAT, None, (0.0, math.inf)),
         "theta_deg": (_FLOAT, None, (0.0, 90.0)),
-        "two_g_eff_mev": (_FLOAT, Decimal("3.5"), None),
-        "kappa2_mev": (_FLOAT, Decimal("0.11"), None),
+        "two_g_eff_mev": (_POSITIVE, Decimal("3.5"), None),
+        "kappa2_mev": (_POSITIVE, Decimal("0.11"), None),
     },
     "sweep": {
         "start_ev": (_FLOAT, None, None),
@@ -385,6 +386,10 @@ def _resolve_scenario(cfg, name):
             metal, env, mat.depolarization_factors(shape)[axis - 1])
     particle = mat.Nanoparticle(shape, metal)
     gamma_1r = mat.dipolar_radiative_rate(particle, env, axis)
+    notes = []
+    if not particle.quasi_static_valid:
+        notes.append(f"sphere radius {pc['radius_nm']} nm exceeds the quasi-static "
+                     f"validity limit of {mat.QUASI_STATIC_RADIUS_NM} nm")
 
     ec = cfg["emitter"]
     cc = cfg["cavity"]
@@ -422,7 +427,6 @@ def _resolve_scenario(cfg, name):
     if "theta_deg" in co:
         params["theta_deg"] = co["theta_deg"]
     given = {param: _ev(co, key) for param, key in COUPLING_KEYS.items() if key in co}
-    notes = []
     calibration = {}
     if mode == "paper_exact":
         couplings = given

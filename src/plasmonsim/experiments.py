@@ -1,4 +1,4 @@
-"""Figure runners, (D, Q) enhancement maps and coupling calibration.
+"""Figure runners, (D, Q) enhancement maps, coupling calibration and every output table.
 
 A Scenario is a flat parameter dictionary with per-parameter provenance
 (first_principles | paper_exact | calibrated | derived), embedded verbatim
@@ -7,6 +7,10 @@ scenarios are the builtin configs of the config module, so each is
 described once.  Sweeps build one Hamiltonian stack and solve it in one
 batched call; a standalone map cell is a 1x1 batch of the same code, so it
 reproduces its map entry bit for bit.
+
+This is the only module that builds output tables: the figure runners,
+enhancement_map and the *_table functions return ResultTables whose column
+names and result.* metadata keys are written here and nowhere else.
 """
 
 import math
@@ -20,6 +24,7 @@ from . import materials as mat
 from . import network as net
 from .errors import CalibrationError, DomainError
 from .quantities import to_fs
+from .results import ResultTable, scenario_metadata
 
 #: cavity quality factors bracketing every feature of the enhancement map: the
 #: default Q axis of the map and the search interval of optimal_Q
@@ -124,59 +129,35 @@ def quench_rate_calibrated(distance_nm, particle, env, omega, mu_e=1.0,
 # dissipation spectra and quantum yield
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class DissipationSpectra:
-    scenario: Scenario
-    detunings: np.ndarray
-    rad_cavity: np.ndarray  # total radiated power, engineered system
-    rad_bare: np.ndarray
-    abs_cavity: np.ndarray  # Ohmic absorption of the dipolar mode
-    abs_bare: np.ndarray
-
-
 def run_fig1c(scenario, points=2001, half_span_ev=2e-3):
-    """Output powers of a pumped scenario vs pump detuning, with and without its cavity.
+    """Table fig1c: a pumped scenario's output powers vs pump detuning, with and without cavity.
 
     The scenario is driven on its configured drive mode; for the builtin
     fig1c that is the plasmon of the nanoparticle, with the emitter decoupled.
+    The absorbed power is the Ohmic loss of the dipolar mode.
     """
-    h_cav = scenario.hamiltonian()
-    h_bare = scenario.hamiltonian(bare=True)
     detunings = np.linspace(-half_span_ev, half_span_ev, points)
-    _, p_cav = dyn.steady_state_sweep(h_cav, detunings, scenario["drive_mode"])
-    _, p_bare = dyn.steady_state_sweep(h_bare, detunings, scenario["drive_mode"])
-    return DissipationSpectra(
-        scenario=scenario,
-        detunings=detunings,
-        rad_cavity=net.radiated_power(p_cav),
-        rad_bare=net.radiated_power(p_bare),
-        abs_cavity=p_cav["ohmic_plasmon"],
-        abs_bare=p_bare["ohmic_plasmon"],
+    _, p_cav = dyn.steady_state_sweep(scenario.hamiltonian(), detunings, scenario["drive_mode"])
+    _, p_bare = dyn.steady_state_sweep(
+        scenario.hamiltonian(bare=True), detunings, scenario["drive_mode"])
+    return ResultTable.from_arrays(
+        "fig1c",
+        ("detuning_ev", "phi_rad_cavity", "phi_rad_bare", "phi_abs_cavity", "phi_abs_bare"),
+        (detunings, net.radiated_power(p_cav), net.radiated_power(p_bare),
+         p_cav["ohmic_plasmon"], p_bare["ohmic_plasmon"]),
+        scenario_metadata(scenario),
     )
 
 
-@dataclass(frozen=True, eq=False)
-class YieldSpectra:
-    scenario: Scenario
-    detunings: np.ndarray
-    yield_cavity: np.ndarray
-    yield_bare: np.ndarray
-    rad_cavity: np.ndarray
-    rad_bare: np.ndarray
-    abs_plasmon: np.ndarray  # normalized dipolar-mode absorption, engineered system
-    delta_0: float
-    yield_at_delta0: float
-    bare_yield_at_delta0: float
-    rad_enhancement_at_delta0: float
-
-
 def run_fig2(scenario, points=401, half_span_ev=1e-3):
-    """Quantum yield and radiated power vs pump-cavity detuning of an emitter-driven scenario.
+    """Tables fig2_yield and fig2_power of an emitter-driven scenario vs pump-cavity detuning.
 
     The grid is centered on the scenario's interference detuning Delta_0
     with a 5 ueV step by default; the physical yield maximum sits a few ueV
     below Delta_0 (the Fano zero of the dipolar amplitude rides the shoulder
-    of the cavity feature), so finer steps would resolve that offset.
+    of the cavity feature), so finer steps would resolve that offset.  The
+    dipolar-mode absorption is normalized to its maximum; the yields and the
+    radiated-power enhancement at Delta_0 itself are result.* metadata.
     """
     delta_0 = scenario["delta_0_ev"]
     h = scenario.hamiltonian()
@@ -188,19 +169,79 @@ def run_fig2(scenario, points=401, half_span_ev=1e-3):
 
     sweep, sweep_b = solve(h, detunings), solve(h_bare, detunings)
     at_0, at_0_b = solve(h, [delta_0]), solve(h_bare, [delta_0])
-    return YieldSpectra(
-        scenario=scenario,
-        detunings=detunings,
-        yield_cavity=net.yield_from_powers(sweep),
-        yield_bare=net.yield_from_powers(sweep_b),
-        rad_cavity=net.radiated_power(sweep),
-        rad_bare=net.radiated_power(sweep_b),
-        abs_plasmon=sweep["ohmic_plasmon"] / np.max(sweep["ohmic_plasmon"]),
-        delta_0=delta_0,
-        yield_at_delta0=float(net.yield_from_powers(at_0)[0]),
-        bare_yield_at_delta0=float(net.yield_from_powers(at_0_b)[0]),
-        rad_enhancement_at_delta0=float(
+    meta = {
+        **scenario_metadata(scenario),
+        "result.yield_at_delta0": float(net.yield_from_powers(at_0)[0]),
+        "result.bare_yield_at_delta0": float(net.yield_from_powers(at_0_b)[0]),
+        "result.rad_enhancement_at_delta0": float(
             net.radiated_power(at_0)[0] / net.radiated_power(at_0_b)[0]),
+    }
+    table_yield = ResultTable.from_arrays(
+        "fig2_yield",
+        ("detuning_ev", "yield_cavity", "yield_bare", "abs_plasmon_norm"),
+        (detunings, net.yield_from_powers(sweep), net.yield_from_powers(sweep_b),
+         sweep["ohmic_plasmon"] / np.max(sweep["ohmic_plasmon"])),
+        meta,
+    )
+    table_power = ResultTable.from_arrays(
+        "fig2_power", ("detuning_ev", "phi_rad_cavity", "phi_rad_bare"),
+        (detunings, net.radiated_power(sweep), net.radiated_power(sweep_b)), meta)
+    return table_yield, table_power
+
+
+def spectrum_table(scenario, grid):
+    """Table spectrum: every output port of the scenario over the pump detunings grid.
+
+    The vacuum port is coherent; its interference part is reported
+    separately, so the diagonal (per-mode) decomposition is also available.
+    """
+    h = scenario.hamiltonian()
+    amps, powers = dyn.steady_state_sweep(h, grid, scenario["drive_mode"])
+    return ResultTable.from_arrays(
+        "spectrum",
+        ("detuning_ev", "phi_rad_total", "phi_rad_vacuum", "phi_rad_vacuum_cross",
+         "phi_rad_cavity_port", "phi_ohmic_plasmon", "phi_ohmic_emitter"),
+        (grid, net.radiated_power(powers), powers["rad_vacuum"], h.vacuum_cross_term(amps),
+         powers["rad_cavity"], powers["ohmic_plasmon"], powers["ohmic_emitter"]),
+        scenario_metadata(scenario),
+    )
+
+
+def yield_table(scenario, grid):
+    """Table yield: quantum yield over the pump detunings grid, with and without cavity.
+
+    The scenario is driven on its configured drive mode.
+    """
+    drive = scenario["drive_mode"]
+    _, powers = dyn.steady_state_sweep(scenario.hamiltonian(), grid, drive)
+    _, powers_b = dyn.steady_state_sweep(scenario.hamiltonian(bare=True), grid, drive)
+    return ResultTable.from_arrays(
+        "yield", ("detuning_ev", "yield_cavity", "yield_bare"),
+        (grid, net.yield_from_powers(powers), net.yield_from_powers(powers_b)),
+        scenario_metadata(scenario),
+    )
+
+
+def evolve_table(scenario, points, span_fs):
+    """Table evolve: mode populations of the scenario with its emitter excited at t = 0.
+
+    The time grid has `points` samples over span_fs, or over ten lifetimes
+    of the slowest branch when span_fs is None.
+    """
+    h = scenario.hamiltonian()
+    if span_fs is None:
+        times_fs = dyn.default_time_grid(h, points)
+    else:
+        times_fs = np.linspace(0.0, span_fs, points)
+    initial = np.zeros(len(h.labels), dtype=complex)
+    initial[h.index("emitter")] = 1.0
+    trace = dyn.evolve(h, initial, times_fs)
+    return ResultTable.from_arrays(
+        "evolve",
+        ("time_fs", "pop_plasmon", "pop_cavity", "pop_emitter", "pop_total"),
+        (times_fs, trace.population("plasmon"), trace.population("cavity"),
+         trace.population("emitter"), trace.total),
+        scenario_metadata(scenario),
     )
 
 
@@ -274,18 +315,11 @@ def map_cell(scenario, d_nm, q_factor):
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SweepGrid:
-    """Per-cell scalar outputs over strictly monotone (D, Q) axes."""
-
-    d_nm: np.ndarray
-    q_factor: np.ndarray
-    yield_enhancement: np.ndarray  # (len(d), len(q))
-    power_enhancement: np.ndarray
-
-
 def enhancement_map(scenario, d_grid, q_grid):
-    """Yield- and power-enhancement maps of a scenario over emitter distance and cavity Q."""
+    """Table map: yield and power enhancement of a scenario over emitter distance and cavity Q.
+
+    One row per (D, Q) cell, D-major; the metadata names the axis lengths.
+    """
     d = np.asarray(d_grid, dtype=float)
     q = np.asarray(q_grid, dtype=float)
     if d.ndim != 1 or q.ndim != 1 or d.size == 0 or q.size == 0:
@@ -295,7 +329,12 @@ def enhancement_map(scenario, d_grid, q_grid):
     ye, pe = _enhancements(with_emitter_at(scenario, d[:, None]), q[None, :])
     if not (np.all(np.isfinite(ye)) and np.all(np.isfinite(pe))):
         raise DomainError("non-finite enhancement in map")
-    return SweepGrid(d, q, ye, pe)
+    dd, qq = np.meshgrid(d, q, indexing="ij")
+    return ResultTable.from_arrays(
+        "map", ("d_nm", "q_factor", "yield_enhancement", "power_enhancement"),
+        (dd.ravel(), qq.ravel(), ye.ravel(), pe.ravel()),
+        {**scenario_metadata(scenario), "d_points": d.size, "q_points": q.size},
+    )
 
 
 @dataclass(frozen=True)
@@ -344,6 +383,16 @@ def optimal_Q(scenario, d_nm, objective="yield"):
             fd = value_at(d_pt)
     x_opt = 0.5 * (a + b)
     return OptimalQ(10.0**x_opt, value_at(x_opt), objective, boundary=False)
+
+
+def optq_table(scenario, distances_nm, objective):
+    """Table optq: the optimal_Q search at each emitter distance, in the given order."""
+    rows = []
+    for d in distances_nm:
+        res = optimal_Q(scenario, d, objective=objective)
+        rows.append((d, res.q_opt, res.value, res.objective, int(res.boundary)))
+    return ResultTable("optq", ("d_nm", "q_opt", "value", "objective", "boundary"), rows,
+                       {**scenario_metadata(scenario), "objective": objective})
 
 
 # ---------------------------------------------------------------------------
@@ -478,24 +527,14 @@ def fig3_hamiltonians(scenario):
     return hams
 
 
-@dataclass(frozen=True, eq=False)
-class RabiTraces:
-    scenario: Scenario
-    times_fs: np.ndarray
-    traces: dict  # label ("q1e3", ..., "no_cavity") -> emitter population array
-    trace_maxima: dict  # label -> oscillation maxima count
-    settle_fs: float
-    detunings: np.ndarray  # pump detunings of the emission spectrum
-    rad_cavity: np.ndarray  # radiated power of the scenario itself
-    rad_bare: np.ndarray  # and without its cavity
-
-
 def run_fig3(scenario, trace_points=4096, spectrum_points=2001):
-    """Rabi-oscillation traces and the emission doublet of a calibrated scenario.
+    """Tables fig3_traces and fig3_spectrum: Rabi oscillations and the emission doublet.
 
-    The emitter starts excited; the traces span nine periods of the
-    calibration's target splitting, at each TRACE_Q_FACTORS Q and without
-    the cavity.  The spectrum is the scenario's own, with and without cavity.
+    The scenario must be calibrated.  The emitter starts excited; the traces
+    span nine periods of the calibration's target splitting, at each
+    TRACE_Q_FACTORS Q and without the cavity, and the oscillation maxima of
+    each after the settling window are result.* metadata.  The spectrum is
+    the scenario's own, with and without cavity.
     """
     if not scenario.calibration:
         raise DomainError(f"fig3 needs a calibrated scenario; {scenario.name!r} has no calibration")
@@ -506,62 +545,70 @@ def run_fig3(scenario, trace_points=4096, spectrum_points=2001):
     hams = fig3_hamiltonians(scenario)
     initial = np.array([0.0, 0.0, 1.0], dtype=complex)  # the emitter excited
 
+    meta = {**scenario_metadata(scenario), "result.settle_fs": settle_fs}
     traces = {}
-    maxima = {}
     for label, h in hams.items():
         traces[label] = dyn.evolve(h, initial, times_fs).population("emitter")
-        maxima[label] = dyn.count_oscillation_maxima(
+        meta[f"result.maxima_{label}"] = dyn.count_oscillation_maxima(
             times_fs, traces[label], threshold=1e-3, settle_fs=settle_fs)
+    table_traces = ResultTable.from_arrays(
+        "fig3_traces", ("time_fs", *(f"pop_{label}" for label in traces)),
+        (times_fs, *traces.values()), meta)
 
     detunings = np.linspace(-8e-3, 8e-3, spectrum_points)
 
     def radiated(hamiltonian):
         return net.radiated_power(dyn.steady_state_sweep(hamiltonian, detunings, "emitter")[1])
 
-    return RabiTraces(
-        scenario=scenario,
-        times_fs=times_fs,
-        traces=traces,
-        trace_maxima=maxima,
-        settle_fs=settle_fs,
-        detunings=detunings,
-        rad_cavity=radiated(scenario.hamiltonian()),
-        rad_bare=radiated(hams["no_cavity"]),
-    )
+    table_spectrum = ResultTable.from_arrays(
+        "fig3_spectrum", ("detuning_ev", "phi_rad_cavity", "phi_rad_bare"),
+        (detunings, radiated(scenario.hamiltonian()), radiated(hams["no_cavity"])), meta)
+    return table_traces, table_spectrum
 
 
-@dataclass(frozen=True, eq=False)
-class AntiCrossing:
-    scenario: Scenario
-    branches: dyn.EigenBranchSet  # over emitter-cavity detuning
-    metrics: dyn.AntiCrossingMetrics
-    spectra_scenario: Scenario  # the scenario at SPECTRA_Q, cavity on resonance
-    detunings: np.ndarray
-    spectra: np.ndarray  # radiated power, (len(sweep), len(detunings))
+def branch_table(name, scenario, sweep):
+    """Table `name`: the scenario's eigenvalue branches over emitter-cavity detunings sweep.
+
+    The anti-crossing metrics of the branch pair nearest zero detuning are
+    result.* metadata.
+    """
+    branches = dyn.eigen_branches(with_cavity(scenario, -sweep).hamiltonian().matrix, sweep)
+    metrics = dyn.anticrossing_metrics(branches)
+    meta = {
+        **scenario_metadata(scenario),
+        "result.two_g_eff_ev": metrics.two_g_eff,
+        "result.kappa_1_ev": metrics.kappa_1,
+        "result.kappa_2_ev": metrics.kappa_2,
+        "result.cooperativity": metrics.cooperativity,
+    }
+    columns = ["delta_ec_ev"]
+    arrays = [branches.sweep_values]
+    for b in range(branches.n_branches):
+        columns += [f"branch{b}_re_ev", f"branch{b}_im_ev"]
+        arrays += [branches.eigenvalues[:, b].real, branches.eigenvalues[:, b].imag]
+    return ResultTable.from_arrays(name, columns, arrays, meta)
 
 
 def run_fig4(scenario, sweep_values, spectrum_points=801):
-    """Eigen branches over emitter-cavity detuning and the emission-spectra map.
+    """Tables fig4_branches and fig4_spectra: the anti-crossing and its emission-spectra map.
 
     The branches are the scenario's own; the spectra are those of the same
     system at cavity quality factor SPECTRA_Q, one batched solve over
-    (detuning sweep, pump detuning).
+    (detuning sweep, pump detuning), one row per pair, sweep-major.
     """
     sweep = np.asarray(sweep_values, dtype=float)
-    branches = dyn.eigen_branches(with_cavity(scenario, -sweep).hamiltonian().matrix, sweep)
+    table_branches = branch_table("fig4_branches", scenario, sweep)
     at_q = replace(with_cavity(scenario, 0.0, SPECTRA_Q),
                    name=f"{scenario.name}_q{SPECTRA_Q:g}")
     h = with_cavity(at_q, -sweep[:, None]).hamiltonian()
     detunings = np.linspace(-8e-3, 8e-3, spectrum_points)
     _, powers = dyn.steady_state_sweep(h, detunings, "emitter")
-    return AntiCrossing(
-        scenario=scenario,
-        branches=branches,
-        metrics=dyn.anticrossing_metrics(branches),
-        spectra_scenario=at_q,
-        detunings=detunings,
-        spectra=net.radiated_power(powers),
-    )
+    table_spectra = ResultTable.from_arrays(
+        "fig4_spectra", ("delta_ec_ev", "detuning_ev", "phi_rad_total"),
+        (np.repeat(sweep, detunings.size), np.tile(detunings, sweep.size),
+         net.radiated_power(powers).ravel()),
+        scenario_metadata(at_q))
+    return table_branches, table_spectra
 
 
 def spectrum_peak_separation(detunings, power):

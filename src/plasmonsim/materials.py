@@ -8,7 +8,6 @@ damping enters only the width.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,14 +95,6 @@ class Nanoparticle:
 
     shape: Sphere | Ellipsoid
     metal: DrudeMetal
-
-    def __post_init__(self):
-        if isinstance(self.shape, Sphere) and self.shape.radius > QUASI_STATIC_RADIUS_NM:
-            warnings.warn(
-                f"sphere radius {self.shape.radius} nm exceeds the quasi-static "
-                f"validity limit of {QUASI_STATIC_RADIUS_NM} nm",
-                stacklevel=2,
-            )
 
     @property
     def quasi_static_valid(self):

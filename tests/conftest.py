@@ -77,15 +77,23 @@ def random_system(rng, n_modes=None):
     return h, widths
 
 
+def column(table, name):
+    """One column of a ResultTable as an array, each cell exactly as the table holds it."""
+    i = table.columns.index(name)
+    return np.array([row[i] for row in table.rows])
+
+
 # the anti-crossing sweep the tests check: -10..10 meV in 0.5 meV steps, exact zero at the centre
 FIG4_TEST_SWEEP = 0.5e-3 * np.arange(-20, 21)
 
 
 @pytest.fixture(scope="session")
 def fig3():
+    """The fig3_traces and fig3_spectrum tables of builtin fig3."""
     return exp.run_fig3(parse_config("fig3").scenario)
 
 
 @pytest.fixture(scope="session")
 def fig4():
+    """The fig4_branches and fig4_spectra tables of builtin fig4 over FIG4_TEST_SWEEP."""
     return exp.run_fig4(parse_config("fig4").scenario, FIG4_TEST_SWEEP)

@@ -21,7 +21,7 @@ from plasmonsim.cli import main
 from plasmonsim.config import parse_config
 from plasmonsim.quantities import to_fs
 
-from conftest import random_system
+from conftest import column, random_system
 
 
 def _criterion(number, checks):
@@ -79,22 +79,24 @@ def test_criterion_1_constants_chain(gold, vacuum, sphere10):
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_dissipation_spectra():
-    result = exp.run_fig1c(parse_config("fig1c").scenario)
-    i0 = int(np.argmin(np.abs(result.detunings)))
-    reduction = result.abs_bare[i0] / result.abs_cavity[i0]
-    enhancement = result.rad_cavity[i0] / result.rad_bare[i0]
+    table = exp.run_fig1c(parse_config("fig1c").scenario)
+    d = column(table, "detuning_ev")
+    rad_cavity, rad_bare = column(table, "phi_rad_cavity"), column(table, "phi_rad_bare")
+    abs_cavity, abs_bare = column(table, "phi_abs_cavity"), column(table, "phi_abs_bare")
+    i0 = int(np.argmin(np.abs(d)))
+    reduction = abs_bare[i0] / abs_cavity[i0]
+    enhancement = rad_cavity[i0] / rad_bare[i0]
 
-    p = result.scenario.params
-    g1, gamma_c = p["g1_ev"], p["gamma_c_ev"]
-    gamma_1 = p["gamma_1r_ev"] + p["gamma_o_ev"]
-    d = result.detunings
+    meta = table.metadata
+    g1, gamma_c = meta["param.g1_ev"], meta["param.gamma_c_ev"]
+    gamma_1 = meta["param.gamma_1r_ev"] + meta["param.gamma_o_ev"]
     a1 = (d + 0.5j * gamma_c) / ((d + 0.5j * gamma_1) * (d + 0.5j * gamma_c) - g1**2)
     c = g1 * a1 / (d + 0.5j * gamma_c)
-    rad = p["gamma_1r_ev"] * np.abs(a1) ** 2 + gamma_c * np.abs(c) ** 2
-    absorbed = p["gamma_o_ev"] * np.abs(a1) ** 2
+    rad = meta["param.gamma_1r_ev"] * np.abs(a1) ** 2 + gamma_c * np.abs(c) ** 2
+    absorbed = meta["param.gamma_o_ev"] * np.abs(a1) ** 2
     mismatch = max(
-        np.max(np.abs(result.rad_cavity / rad - 1.0)),
-        np.max(np.abs(result.abs_cavity / absorbed - 1.0)),
+        np.max(np.abs(rad_cavity / rad - 1.0)),
+        np.max(np.abs(abs_cavity / absorbed - 1.0)),
     )
     _criterion(2, [
         ("absorption reduced >= 30x", reduction >= 30.0, f"{reduction:.1f}"),
@@ -108,21 +110,24 @@ def test_criterion_2_dissipation_spectra():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_yield_regression():
-    result = exp.run_fig2(parse_config("fig2").scenario)
-    step = result.detunings[1] - result.detunings[0]
-    peak = result.detunings[int(np.argmax(result.yield_cavity))]
+    table, _ = exp.run_fig2(parse_config("fig2").scenario)
+    meta = table.metadata
+    d = column(table, "detuning_ev")
+    step = d[1] - d[0]
+    peak = d[int(np.argmax(column(table, "yield_cavity")))]
+    offset = abs(peak - meta["param.delta_0_ev"])
     _criterion(3, [
-        ("yield at delta_0 >= 0.40", result.yield_at_delta0 >= 0.40,
-         f"{result.yield_at_delta0:.3f}"),
+        ("yield at delta_0 >= 0.40", meta["result.yield_at_delta0"] >= 0.40,
+         f"{meta['result.yield_at_delta0']:.3f}"),
         ("bare yield in [0.005, 0.025]",
-         0.005 <= result.bare_yield_at_delta0 <= 0.025,
-         f"{result.bare_yield_at_delta0:.4f}"),
+         0.005 <= meta["result.bare_yield_at_delta0"] <= 0.025,
+         f"{meta['result.bare_yield_at_delta0']:.4f}"),
         ("radiated power enhancement >= 10",
-         result.rad_enhancement_at_delta0 >= 10.0,
-         f"{result.rad_enhancement_at_delta0:.1f}"),
+         meta["result.rad_enhancement_at_delta0"] >= 10.0,
+         f"{meta['result.rad_enhancement_at_delta0']:.1f}"),
         ("argmax yield within one grid step of delta_0",
-         abs(peak - result.delta_0) <= step * (1.0 + 1e-9),
-         f"offset {abs(peak - result.delta_0):.2e} vs step {step:.2e}"),
+         offset <= step * (1.0 + 1e-9),
+         f"offset {offset:.2e} vs step {step:.2e}"),
     ])
 
 
@@ -162,27 +167,35 @@ def test_criterion_4_enhancement_map():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_strong_coupling(fig3, fig4):
+    traces, spectrum = fig3
+    branches, _ = fig4
     sep, _, kappa_2 = exp._pair_metrics(exp.with_cavity(
-        fig3.scenario, 0.0, exp.ANTICROSSING_Q).hamiltonian().matrix)
-    doublet = exp.spectrum_peak_separation(fig3.detunings, fig3.rad_cavity)
+        parse_config("fig3").scenario, 0.0, exp.ANTICROSSING_Q).hamiltonian().matrix)
+    doublet = exp.spectrum_peak_separation(
+        column(spectrum, "detuning_ev"), column(spectrum, "phi_rad_cavity"))
+    eigenvalues = np.stack([column(branches, f"branch{b}_re_ev")
+                            + 1j * column(branches, f"branch{b}_im_ev") for b in range(3)], axis=1)
+    min_im_separation = dyn.anticrossing_metrics(dyn.EigenBranchSet(
+        column(branches, "delta_ec_ev"), eigenvalues)).min_im_separation
+    meta, maxima = branches.metadata, traces.metadata
     _criterion(5, [
         ("calibration hits 2g_eff to 1e-3", _rel(sep, 3.5e-3) <= 1e-3, f"{sep:.6e}"),
         ("calibration hits kappa_2 to 1e-3", _rel(kappa_2, 0.11e-3) <= 1e-3,
          f"{kappa_2:.6e}"),
-        ("kappa_1 = 1.28 meV +/- 25%", _rel(fig4.metrics.kappa_1, 1.28e-3) <= 0.25,
-         f"{fig4.metrics.kappa_1:.3e}"),
-        ("cooperativity > 80", fig4.metrics.cooperativity > 80.0,
-         f"{fig4.metrics.cooperativity:.1f}"),
-        ("Q=1e5 trace >= 5 maxima", fig3.trace_maxima["q1e5"] >= 5,
-         str(fig3.trace_maxima["q1e5"])),
-        ("no-cavity trace 0 maxima", fig3.trace_maxima["no_cavity"] == 0,
-         str(fig3.trace_maxima["no_cavity"])),
+        ("kappa_1 = 1.28 meV +/- 25%", _rel(meta["result.kappa_1_ev"], 1.28e-3) <= 0.25,
+         f"{meta['result.kappa_1_ev']:.3e}"),
+        ("cooperativity > 80", meta["result.cooperativity"] > 80.0,
+         f"{meta['result.cooperativity']:.1f}"),
+        ("Q=1e5 trace >= 5 maxima", maxima["result.maxima_q1e5"] >= 5,
+         str(maxima["result.maxima_q1e5"])),
+        ("no-cavity trace 0 maxima", maxima["result.maxima_no_cavity"] == 0,
+         str(maxima["result.maxima_no_cavity"])),
         ("doublet separation 4 meV +/- 25%", _rel(doublet, 4e-3) <= 0.25,
          f"{doublet:.3e}"),
-        ("Re branch separation > 0", fig4.metrics.two_g_eff > 0.0,
-         f"{fig4.metrics.two_g_eff:.3e}"),
-        ("Im branch separation > 0", fig4.metrics.min_im_separation > 0.0,
-         f"{fig4.metrics.min_im_separation:.3e}"),
+        ("Re branch separation > 0", meta["result.two_g_eff_ev"] > 0.0,
+         f"{meta['result.two_g_eff_ev']:.3e}"),
+        ("Im branch separation > 0", min_im_separation > 0.0,
+         f"{min_im_separation:.3e}"),
     ])
 
 

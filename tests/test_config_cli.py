@@ -341,6 +341,9 @@ BOUNDARY_PROBES = {
     "optq_grid_ignored": (["optq", "--grid", "5"], None),
     "validate_grid_ignored": (["validate", "--config", "fig2", "--grid", "5"], None),
     "map_config_grid_ignored": (["map", "--grid", "5"], MAP_SWEEP),
+    # calibration targets that no coupling can reach
+    "two_g_eff_zero": (["spectrum"], ("two_g_eff_mev = 3.5", "two_g_eff_mev = 0"), "fig3"),
+    "kappa2_negative": (["spectrum"], ("kappa2_mev = 0.11", "kappa2_mev = -0.11"), "fig3"),
 }
 
 
@@ -362,12 +365,18 @@ def test_cli_rejects_bad_input_at_boundary(probe, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_closed_stdout_exits_quietly(tmp_path):
-    """A reader that closed its end of the pipe gets exit 1 and no traceback."""
+def _subprocess_env():
+    """The environment of a plasmonsim child process that imports this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH"))
         if p)
+    return env
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    """A reader that closed its end of the pipe gets exit 1 and no traceback."""
+    env = _subprocess_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -380,6 +389,37 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
     assert proc.returncode == 1
+
+
+LARGE_SPHERE_NOTE = "sphere radius 40.0 nm exceeds the quasi-static validity limit of 30.0 nm"
+
+
+def test_large_sphere_validity_is_a_note_not_a_warning(tmp_path, capsys):
+    cfg = tmp_path / "r40.ini"
+    cfg.write_text(BUILTIN_CONFIGS["fig2"].replace("radius_nm = 10.0", "radius_nm = 40.0"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "plasmonsim", "spectrum", "--config", str(cfg), "--grid", "11",
+         "--out", str(tmp_path / "o")],
+        cwd=tmp_path, env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    meta = read_metadata((tmp_path / "o" / "spectrum.csv").read_text())
+    assert meta["note.0"] == LARGE_SPHERE_NOTE
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert f"  note: {LARGE_SPHERE_NOTE}\n" in capsys.readouterr().out
+
+
+def test_eigen_writes_the_fig4_branch_table(tmp_path):
+    """eigen --config fig4 and fig4 share one branch-table builder and the default sweep."""
+    out = tmp_path / "o"
+    assert main(["eigen", "--config", "fig4", "--out", str(out)]) == 0
+    assert main(["fig4", "--grid", "11", "--out", str(out)]) == 0
+
+    def without_name(table):
+        lines = (out / f"{table}.csv").read_text().splitlines()
+        assert lines.count(f"# table = {table}") == 1
+        return [line for line in lines if line != f"# table = {table}"]
+
+    assert without_name("eigen") == without_name("fig4_branches")
 
 
 def test_cli_json_format(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -433,3 +434,85 @@ def test_spectrum_yield_curve(paper_three_mode):
     _, powers = dyn.steady_state_sweep(paper_three_mode, detunings, "emitter")
     eta = net.yield_from_powers(powers)
     assert np.all((eta > 0.0) & (eta < 1.0))
+
+
+# ---------------------------------------------------------------------------
+# 50-digit oracles (mpmath)
+# ---------------------------------------------------------------------------
+
+#: unit roundoff of IEEE double precision
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _mp_matrix(a):
+    """A float64 array as an mpmath matrix: the same numbers, now exact."""
+    return mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in np.atleast_2d(a)])
+
+
+def test_steady_state_matches_50_digit_lu_solve():
+    """Builtin fig2's amplitudes at Delta_0, 0 and Delta_0 + 1 meV against mp.lu_solve.
+
+    The oracle solves (Delta_p I - H) v = f at 50 digits from the same float64
+    H and Delta_p, so it is exact to ~45 digits at these condition numbers.
+    The bound is the forward-error bound of LU with partial pivoting (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed.): the computed v
+    solves (M + dM) v = f with ||dM||_inf <= gamma_3n (1 + 2 (n^2 - n) rho_n)
+    ||M||_inf (Thm 9.4, Lemma 9.6), growth factor rho_n <= 2^(n-1).  Complex
+    arithmetic replaces u by sqrt(2) gamma_4, the worst of +, * and / (Lemma
+    3.5), and forming Delta_p - H_ii adds u ||M||_inf.  Then the relative
+    error is at most kappa eps / (1 - kappa eps), kappa = kappa_inf(M) (Thm 7.2).
+    """
+    n = 3
+    u = UNIT_ROUNDOFF
+    u_complex = math.sqrt(2.0) * 4 * u / (1 - 4 * u)
+    gamma_3n = 3 * n * u_complex / (1 - 3 * n * u_complex)
+    eps = gamma_3n * (1 + 2 * (n * n - n) * 2 ** (n - 1)) + u
+
+    scenario = parse_config("fig2").scenario
+    h = scenario.hamiltonian()
+    delta_0 = scenario["delta_0_ev"]
+    detunings = np.array([delta_0, 0.0, delta_0 + 1e-3])
+    amps, _ = dyn.steady_state_sweep(h, detunings, "emitter")
+    with mpmath.workdps(50):
+        f = mpmath.matrix(n, 1)
+        f[h.index("emitter")] = 1
+        for d, v in zip(detunings, amps):
+            m = mpmath.mpf(d) * mpmath.eye(n) - _mp_matrix(h.matrix)
+            exact = mpmath.lu_solve(m, f)
+            kappa = mpmath.mnorm(m, mpmath.inf) * mpmath.mnorm(mpmath.inverse(m), mpmath.inf)
+            error = mpmath.mnorm(_mp_matrix(v).T - exact, mpmath.inf) / mpmath.mnorm(
+                exact, mpmath.inf)
+            assert error <= kappa * eps / (1 - kappa * eps), (d, float(error), float(kappa))
+
+
+def test_eigenvalues_near_exceptional_point_match_50_digit_eig():
+    """Branches of [[0, g], [g, -i gamma/2]] as g -> gamma/4, from both sides, against mp.eig.
+
+    The QR algorithm returns the exact eigenvalues of H + E with ||E||_2 <=
+    p(n) u ||H||_2, p(n) a modest function of n (Golub & Van Loan, Matrix
+    Computations, 4th ed., 7.5.6), taken here as 10 n.  By Bauer-Fike each
+    computed eigenvalue then lies within kappa_2(V) ||E||_2 of an exact one,
+    V the unit eigenvectors of H.  For two unit vectors with overlap
+    c = |v1^H v2|, kappa_2(V) = sqrt((1 + c) / (1 - c)); it grows like
+    1 / |lambda_1 - lambda_2| towards the exceptional point, where the
+    eigenvectors coalesce (Trefethen & Embree, Spectra and Pseudospectra, 2005).
+    """
+    n = 2
+    gamma = 0.2
+    approach = 10.0 ** -np.arange(1, 9)
+    for side in (1.0, -1.0):
+        g_values = 0.25 * gamma * (1.0 + side * approach)
+        matrices = [two_mode_network(g, 0.0, gamma).matrix for g in g_values]
+        computed = dyn.eigen_branches(matrices, g_values).eigenvalues
+        for matrix, lams in zip(matrices, computed):
+            with mpmath.workdps(50):
+                m = _mp_matrix(matrix)
+                exact, vecs = mpmath.eig(m)
+                v1, v2 = (vecs[:, k] / mpmath.norm(vecs[:, k]) for k in range(n))
+                c = abs(sum(mpmath.conj(a) * b for a, b in zip(v1, v2)))
+                kappa = mpmath.sqrt((1 + c) / (1 - c))
+                bound = kappa * 10 * n * UNIT_ROUNDOFF * mpmath.mnorm(m, "F")
+                for lam in lams:
+                    error = min(abs(mpmath.mpc(complex(lam)) - e) for e in exact)
+                    assert error <= bound, (float(matrix[0, 1].real), float(error), float(bound))
+

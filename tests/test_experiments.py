@@ -10,6 +10,8 @@ from plasmonsim import network as net
 from plasmonsim.config import BUILTIN_CONFIGS, parse_config, parse_config_text
 from plasmonsim.errors import CalibrationError, DomainError
 
+from conftest import column
+
 
 @pytest.fixture(scope="module")
 def fig1c():
@@ -24,7 +26,8 @@ def design():
 
 @pytest.fixture(scope="module")
 def fig2():
-    return exp.run_fig2(parse_config("fig2").scenario)
+    """The fig2_yield table of builtin fig2."""
+    return exp.run_fig2(parse_config("fig2").scenario)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -32,34 +35,36 @@ def fig2():
 # ---------------------------------------------------------------------------
 
 def test_fig1c_on_resonance_ratios(fig1c):
-    i0 = int(np.argmin(np.abs(fig1c.detunings)))
-    assert fig1c.detunings[i0] == 0.0
-    assert fig1c.abs_bare[i0] / fig1c.abs_cavity[i0] >= 30.0
-    assert fig1c.rad_cavity[i0] / fig1c.rad_bare[i0] >= 8.0
+    d = column(fig1c, "detuning_ev")
+    i0 = int(np.argmin(np.abs(d)))
+    assert d[i0] == 0.0
+    assert column(fig1c, "phi_abs_bare")[i0] / column(fig1c, "phi_abs_cavity")[i0] >= 30.0
+    assert column(fig1c, "phi_rad_cavity")[i0] / column(fig1c, "phi_rad_bare")[i0] >= 8.0
 
 
 def test_fig1c_matches_closed_form_elimination(fig1c):
     """Solver output equals the explicit two-mode elimination everywhere."""
-    p = fig1c.scenario.params
-    g1, gamma_c = p["g1_ev"], p["gamma_c_ev"]
-    gamma_1 = p["gamma_1r_ev"] + p["gamma_o_ev"]
-    d = fig1c.detunings
+    meta = fig1c.metadata
+    g1, gamma_c = meta["param.g1_ev"], meta["param.gamma_c_ev"]
+    gamma_1r = meta["param.gamma_1r_ev"]
+    gamma_1 = gamma_1r + meta["param.gamma_o_ev"]
+    d = column(fig1c, "detuning_ev")
     a1 = (d + 0.5j * gamma_c) / ((d + 0.5j * gamma_1) * (d + 0.5j * gamma_c) - g1**2)
     c = g1 * a1 / (d + 0.5j * gamma_c)
-    rad = p["gamma_1r_ev"] * np.abs(a1) ** 2 + gamma_c * np.abs(c) ** 2
-    absorbed = p["gamma_o_ev"] * np.abs(a1) ** 2
+    rad = gamma_1r * np.abs(a1) ** 2 + gamma_c * np.abs(c) ** 2
+    absorbed = meta["param.gamma_o_ev"] * np.abs(a1) ** 2
     a1_bare = 1.0 / (d + 0.5j * gamma_1)
-    assert np.max(np.abs(fig1c.rad_cavity / rad - 1.0)) < 1e-6
-    assert np.max(np.abs(fig1c.abs_cavity / absorbed - 1.0)) < 1e-6
+    assert np.max(np.abs(column(fig1c, "phi_rad_cavity") / rad - 1.0)) < 1e-6
+    assert np.max(np.abs(column(fig1c, "phi_abs_cavity") / absorbed - 1.0)) < 1e-6
     assert np.max(np.abs(
-        fig1c.rad_bare / (p["gamma_1r_ev"] * np.abs(a1_bare) ** 2) - 1.0)) < 1e-6
+        column(fig1c, "phi_rad_bare") / (gamma_1r * np.abs(a1_bare) ** 2) - 1.0)) < 1e-6
 
 
 def test_fig1c_detuned_cavity_decouples(fig1c):
     edge = [0, -1]
-    for i in edge:
-        assert fig1c.abs_cavity[i] == pytest.approx(fig1c.abs_bare[i], rel=0.05)
-        assert fig1c.rad_cavity[i] == pytest.approx(fig1c.rad_bare[i], rel=0.05)
+    for cavity, bare in (("phi_abs_cavity", "phi_abs_bare"), ("phi_rad_cavity", "phi_rad_bare")):
+        for i in edge:
+            assert column(fig1c, cavity)[i] == pytest.approx(column(fig1c, bare)[i], rel=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -67,42 +72,44 @@ def test_fig1c_detuned_cavity_decouples(fig1c):
 # ---------------------------------------------------------------------------
 
 def test_fig2_yield_levels(fig2):
-    assert fig2.yield_at_delta0 >= 0.40
-    assert 0.005 <= fig2.bare_yield_at_delta0 <= 0.025
-    assert fig2.rad_enhancement_at_delta0 >= 10.0
+    assert fig2.metadata["result.yield_at_delta0"] >= 0.40
+    assert 0.005 <= fig2.metadata["result.bare_yield_at_delta0"] <= 0.025
+    assert fig2.metadata["result.rad_enhancement_at_delta0"] >= 10.0
 
 
 def test_fig2_delta0(fig2):
-    assert fig2.delta_0 == pytest.approx(58e-6, rel=1e-9)
+    assert fig2.metadata["param.delta_0_ev"] == pytest.approx(58e-6, rel=1e-9)
 
 
 def test_fig2_yield_peak_near_delta0(fig2):
-    step = fig2.detunings[1] - fig2.detunings[0]
-    peak = fig2.detunings[int(np.argmax(fig2.yield_cavity))]
-    assert abs(peak - fig2.delta_0) <= step * (1.0 + 1e-9)
+    d = column(fig2, "detuning_ev")
+    step = d[1] - d[0]
+    peak = d[int(np.argmax(column(fig2, "yield_cavity")))]
+    assert abs(peak - fig2.metadata["param.delta_0_ev"]) <= step * (1.0 + 1e-9)
 
 
 def test_fig2_yield_peak_at_absorption_valley(fig2):
-    peak = int(np.argmax(fig2.yield_cavity))
-    valley = int(np.argmin(fig2.abs_plasmon))
+    peak = int(np.argmax(column(fig2, "yield_cavity")))
+    valley = int(np.argmin(column(fig2, "abs_plasmon_norm")))
     assert abs(peak - valley) <= 2
 
 
 def test_fig2_first_principles_close_to_quoted(fig2):
-    fp = exp.run_fig2(parse_config("fig2_first_principles").scenario)
-    assert fp.scenario.provenance["g1_ev"] == "first_principles"
-    assert fp.yield_at_delta0 == pytest.approx(fig2.yield_at_delta0, rel=0.10)
-    assert fp.scenario["g1_ev"] == pytest.approx(-2.9e-3, rel=0.02)
-    assert fp.scenario["G_ev"] == pytest.approx(-7.2e-3, rel=0.02)
-    assert fp.scenario["J_ev"] == pytest.approx(-144e-6, rel=0.02)
-    assert fp.scenario["gamma_m_ev"] == pytest.approx(83e-6, rel=1e-9)
+    fp = exp.run_fig2(parse_config("fig2_first_principles").scenario)[0].metadata
+    assert fp["provenance.g1_ev"] == "first_principles"
+    assert fp["result.yield_at_delta0"] == pytest.approx(
+        fig2.metadata["result.yield_at_delta0"], rel=0.10)
+    assert fp["param.g1_ev"] == pytest.approx(-2.9e-3, rel=0.02)
+    assert fp["param.G_ev"] == pytest.approx(-7.2e-3, rel=0.02)
+    assert fp["param.J_ev"] == pytest.approx(-144e-6, rel=0.02)
+    assert fp["param.gamma_m_ev"] == pytest.approx(83e-6, rel=1e-9)
 
 
 def test_scenario_provenance_complete(fig2):
-    scenario = fig2.scenario
-    for key in scenario.params:
-        assert key in scenario.provenance, f"no provenance for {key}"
-        assert scenario.provenance[key] in (
+    meta = fig2.metadata
+    for key in (k[len("param."):] for k in meta if k.startswith("param.")):
+        assert f"provenance.{key}" in meta, f"no provenance for {key}"
+        assert meta[f"provenance.{key}"] in (
             "first_principles", "paper_exact", "calibrated", "derived")
 
 
@@ -135,12 +142,14 @@ def test_map_matches_standalone_cells(design):
     # non-square grid: a transposed broadcast cannot line up with the cells
     d = np.array([3.0, 10.0, 25.0])
     q = np.array([1e3, 1e5])
-    grid = exp.enhancement_map(design, d, q)
+    table = exp.enhancement_map(design, d, q)
+    yield_enh = column(table, "yield_enhancement").reshape(d.size, q.size)
+    power_enh = column(table, "power_enhancement").reshape(d.size, q.size)
     for i, dd in enumerate(d):
         for j, qq in enumerate(q):
             cell = exp.map_cell(design, dd, qq)
-            assert grid.yield_enhancement[i, j] == cell.yield_enhancement
-            assert grid.power_enhancement[i, j] == cell.power_enhancement
+            assert yield_enh[i, j] == cell.yield_enhancement
+            assert power_enh[i, j] == cell.power_enhancement
 
 
 def test_map_interior_maximum_at_d10(design):
@@ -212,21 +221,22 @@ def test_quench_anchor(sphere10, vacuum, omega1):
 # ---------------------------------------------------------------------------
 
 def test_calibration_hits_targets(fig3):
-    sep, kappa_1, kappa_2 = exp._pair_metrics(
-        exp.with_cavity(fig3.scenario, 0.0, exp.ANTICROSSING_Q).hamiltonian().matrix)
+    sep, kappa_1, kappa_2 = exp._pair_metrics(exp.with_cavity(
+        parse_config("fig3").scenario, 0.0, exp.ANTICROSSING_Q).hamiltonian().matrix)
     assert sep == pytest.approx(3.5e-3, rel=1e-3)
     assert kappa_2 == pytest.approx(0.11e-3, rel=1e-3)
-    assert fig3.scenario["J_ev"] == 0.0
+    assert fig3[0].metadata["param.J_ev"] == 0.0
 
 
 def test_calibration_emergent_linewidth_and_cooperativity(fig4):
-    assert fig4.metrics.kappa_1 == pytest.approx(1.28e-3, rel=0.25)
-    assert 70.0 <= fig4.metrics.cooperativity <= 110.0
+    meta = fig4[0].metadata
+    assert meta["result.kappa_1_ev"] == pytest.approx(1.28e-3, rel=0.25)
+    assert 70.0 <= meta["result.cooperativity"] <= 110.0
 
 
 def test_calibration_flags_point_dipole_underestimate(fig3):
-    assert fig3.scenario.calibration["ratio_G_calibrated_over_estimate"] > 1.0
-    assert fig3.scenario.calibration["ratio_g1_calibrated_over_estimate"] > 1.0
+    assert fig3[0].metadata["calibration.ratio_G_calibrated_over_estimate"] > 1.0
+    assert fig3[0].metadata["calibration.ratio_g1_calibrated_over_estimate"] > 1.0
 
 
 def test_calibration_unreachable_target_raises():
@@ -292,26 +302,35 @@ def test_fig3_rejects_uncalibrated_scenario():
 
 
 def test_trace_oscillation_counts(fig3):
-    assert fig3.trace_maxima["q1e5"] >= 5
-    assert fig3.trace_maxima["no_cavity"] == 0
+    assert fig3[0].metadata["result.maxima_q1e5"] >= 5
+    assert fig3[0].metadata["result.maxima_no_cavity"] == 0
 
 
 def test_trace_populations_bounded(fig3):
-    for label, pop in fig3.traces.items():
+    traces = fig3[0]
+    for label in traces.columns[1:]:
+        pop = column(traces, label)
         assert np.all(pop <= 1.0 + 1e-9), label
         assert np.all(pop >= 0.0), label
 
 
 def test_spectrum_doublet_separation(fig3):
-    sep = exp.spectrum_peak_separation(fig3.detunings, fig3.rad_cavity)
+    spectrum = fig3[1]
+    d = column(spectrum, "detuning_ev")
+    sep = exp.spectrum_peak_separation(d, column(spectrum, "phi_rad_cavity"))
     assert sep == pytest.approx(4e-3, rel=0.25)
-    sep_bare = exp.spectrum_peak_separation(fig3.detunings, fig3.rad_bare)
+    sep_bare = exp.spectrum_peak_separation(d, column(spectrum, "phi_rad_bare"))
     assert sep_bare == 0.0  # single peak without the cavity
 
 
 def test_branches_never_cross(fig4):
-    assert fig4.metrics.two_g_eff > 0.0
-    assert fig4.metrics.min_im_separation > 0.0
+    branches = fig4[0]
+    eigenvalues = np.stack([column(branches, f"branch{b}_re_ev")
+                            + 1j * column(branches, f"branch{b}_im_ev") for b in range(3)], axis=1)
+    metrics = dyn.anticrossing_metrics(
+        dyn.EigenBranchSet(column(branches, "delta_ec_ev"), eigenvalues))
+    assert branches.metadata["result.two_g_eff_ev"] > 0.0
+    assert metrics.min_im_separation > 0.0
 
 
 @pytest.mark.parametrize("edit", [("delta_1e_ev = 0.6", "delta_1e_ev = 0.3"),
@@ -340,15 +359,15 @@ def test_detuning_stack_slices_match_scalar_builds():
 
 
 def test_branch_sweep_span(fig4):
-    sweep = fig4.branches.sweep_values
+    sweep = column(fig4[0], "delta_ec_ev")
     assert sweep[0] == pytest.approx(-10e-3)
     assert sweep[-1] == pytest.approx(10e-3)
     assert np.any(sweep == 0.0)
 
 
 def test_strong_coupling_scenario_provenance(fig3):
-    scenario = fig3.scenario
-    assert scenario.provenance["G_ev"] == "calibrated"
-    assert scenario.provenance["g1_ev"] == "calibrated"
-    assert scenario["J_ev"] == 0.0
-    assert any("far detuned" in note for note in scenario.notes)
+    meta = fig3[0].metadata
+    assert meta["provenance.G_ev"] == "calibrated"
+    assert meta["provenance.g1_ev"] == "calibrated"
+    assert meta["param.J_ev"] == 0.0
+    assert any("far detuned" in v for k, v in meta.items() if k.startswith("note."))

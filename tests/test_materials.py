@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -427,6 +428,10 @@ def test_multipole_response_peaks_near_mode(gold, vacuum):
 # ---------------------------------------------------------------------------
 
 def test_quasi_static_warning(gold):
-    with pytest.warns(UserWarning, match="quasi-static"):
+    """A sphere beyond the validity radius is flagged, not warned about; the
+    config resolver turns the flag into a scenario note."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         particle = mat.Nanoparticle(mat.Sphere(40.0), gold)
     assert not particle.quasi_static_valid
+    assert mat.Nanoparticle(mat.Sphere(mat.QUASI_STATIC_RADIUS_NM), gold).quasi_static_valid
