@@ -58,29 +58,30 @@ class ResultTable:
         return cls(name, columns, rows, metadata)
 
     def to_csv(self):
-        lines = [f"# plasmonsim {__version__}", f"# table = {self.name}"]
-        for key in sorted(self.metadata):
-            lines.append(f"# {key} = {_format_meta(self.metadata[key])}")
-        lines.append(",".join(self.columns))
+        return "".join(self._csv_chunks())
+
+    def _csv_chunks(self, rows_per_chunk=4096):
+        """The CSV text in blocks of rows, so a large table's text is never held whole."""
+        header = [f"# plasmonsim {__version__}", f"# table = {self.name}"]
+        header += [f"# {key} = {_format_meta(self.metadata[key])}" for key in sorted(self.metadata)]
+        header.append(",".join(self.columns))
+        yield "\n".join(header) + "\n"
         # one %-template per table: "%.9g" on a float column prints what
         # format(x, ".9g") does, inf, nan and -0.0 included; a column holding
         # any other type is converted by format_cell first and printed by "%s"
-        formats = []
-        convert = []
+        formats, convert = [], []
         for i in range(len(self.columns)):
             types = set(map(type, map(itemgetter(i), self.rows)))
-            if types <= {float}:
-                formats.append("%.9g")
-            else:
-                formats.append("%s")
-                if not types <= {str}:
-                    convert.append(i)
-        rows = self.rows
-        if convert:
-            rows = [tuple(format_cell(v) if i in convert else v for i, v in enumerate(row))
-                    for row in rows]
-        lines.extend(map(",".join(formats).__mod__, rows))
-        return "\n".join(lines) + "\n"
+            formats.append("%.9g" if types <= {float} else "%s")
+            if not (types <= {float} or types <= {str}):
+                convert.append(i)
+        line = (",".join(formats) + "\n").__mod__
+        for start in range(0, len(self.rows), rows_per_chunk):
+            rows = self.rows[start:start + rows_per_chunk]
+            if convert:
+                rows = [tuple(format_cell(v) if i in convert else v for i, v in enumerate(row))
+                        for row in rows]
+            yield "".join(map(line, rows))
 
     def to_json(self):
         payload = {
@@ -93,9 +94,9 @@ class ResultTable:
         return json.dumps(payload, indent=1, sort_keys=False) + "\n"
 
     def write(self, path, fmt="csv"):
-        text = self.to_csv() if fmt == "csv" else self.to_json()
+        chunks = self._csv_chunks() if fmt == "csv" else (self.to_json(),)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return path
 
 

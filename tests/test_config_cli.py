@@ -186,6 +186,19 @@ def test_csv_rows_match_format_cell_on_every_cell_type():
     assert table.to_csv().endswith("\na,b,c,d,e,f,g,h\n" + _csv_by_cell(table))
 
 
+def test_written_csv_spanning_many_row_blocks(tmp_path):
+    # the file is written a block of rows at a time; a column's format is
+    # still chosen from all of its rows (the one int sits in the last block)
+    rows = [(i / 7.0, i * 1e-9) for i in range(9001)]
+    rows[-1] = (rows[-1][0], 3)
+    table = ResultTable("t", ("a", "b"), rows, {"k": 1.5})
+    path = table.write(str(tmp_path / "t.csv"))
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    assert text == table.to_csv()
+    assert text.endswith("\na,b\n" + _csv_by_cell(table))
+
+
 def test_metadata_round_trip_exact():
     parsed = parse_config("fig2")
     meta = scenario_metadata(parsed.scenario)
