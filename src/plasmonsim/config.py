@@ -33,8 +33,6 @@ from .experiments import (
     Q_RANGE,
     Scenario,
     calibrate_fig3_couplings,
-    plasmon_emitter_coupling,
-    quench_rate_calibrated,
 )
 
 _FLOAT = "float"
@@ -441,18 +439,16 @@ def _resolve_scenario(cfg, name):
     else:  # first_principles; explicit values win over the derived ones
         mu_1 = cpl.plasmon_effective_dipole(gamma_1r, omega_1)
         J_mag = cpl.vacuum_coupling(ec["mu_e_nm"], omega_c, vc_nm3, env.eps_b)
-        if pc["shape"] == "sphere":
-            gamma_m = quench_rate_calibrated(
-                ec["distance_nm"], particle, env, omega_e, ec["mu_e_nm"], ec["orientation"])
-        else:
+        G, gamma_m = cpl.distance_law(ec["distance_nm"], particle, env, omega_e, mu_1,
+                                      ec["mu_e_nm"], ec["orientation"], axis)
+        if gamma_m is None:
             gamma_m = 0.0
             notes.append("gamma_m = 0: multipole quenching sum is defined for spheres only")
         couplings = {
             "g1_ev": -cpl.vacuum_coupling(mu_1, omega_c, vc_nm3, env.eps_b),
-            "G_ev": plasmon_emitter_coupling(
-                {**params, "gamma_1r_ev": gamma_1r}, ec["distance_nm"]),
+            "G_ev": float(G),
             "J_ev": -J_mag * math.cos(math.radians(ec["angle_to_cavity_deg"])),
-            "gamma_1r_ev": gamma_1r, "gamma_s_ev": gamma_s, "gamma_m_ev": gamma_m,
+            "gamma_1r_ev": gamma_1r, "gamma_s_ev": gamma_s, "gamma_m_ev": float(gamma_m),
             **given,
         }
     if "theta_deg" in co and mode != "calibrated":

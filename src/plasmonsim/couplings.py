@@ -10,53 +10,24 @@ plasmon-emitter couplings of a single geometry are mutually consistent.
 """
 
 import math
-import warnings
-from dataclasses import dataclass
 
-from .errors import DomainError
-from .materials import Nanoparticle, Sphere, multipole_absorption_response
+import numpy as np
+
+from .errors import ConfigError, DomainError
+from .materials import Sphere, multipole_absorption_response
 from .quantities import COULOMB, HBAR_C, require_finite, require_positive
 
 #: stop the multipole sum when a term falls below this fraction of the total
 QUENCH_TERM_CUTOFF = 1e-4
 QUENCH_L_MAX = 400
 
+#: distances summed per block, so a block's (distances, orders) term array stays near 13 MB
+QUENCH_BLOCK = 4096
 
-@dataclass(frozen=True)
-class Emitter:
-    """Point-dipole quantum emitter near the particle surface.
-
-    distance is measured from the particle surface (nm); orientation is the
-    dipole direction relative to the emitter-particle axis; angle_to_cavity
-    (deg) sets the projection of the dipole on the cavity polarization.
-    gamma_s / gamma_m are the resolved free-space and quenching widths (eV).
-    """
-
-    mu: float  # e nm
-    omega_e: float  # eV
-    distance: float  # nm, from particle surface
-    orientation: str = "radial"
-    angle_to_cavity_deg: float = 0.0
-    gamma_s: float = 0.0
-    gamma_m: float = 0.0
-
-    def __post_init__(self):
-        require_finite(
-            mu=self.mu, omega_e=self.omega_e, distance=self.distance,
-            gamma_s=self.gamma_s, gamma_m=self.gamma_m,
-        )
-        if self.mu < 0:
-            raise DomainError("dipole moment magnitude must be >= 0")
-        if self.distance <= 0:
-            raise DomainError("emitter-surface distance must be > 0")
-        if self.orientation not in ("radial", "tangential"):
-            raise DomainError(f"orientation must be radial or tangential, got {self.orientation!r}")
-        if self.gamma_s < 0 or self.gamma_m < 0:
-            raise DomainError("emitter decay rates must be >= 0")
-
-    @property
-    def gamma_e(self):
-        return self.gamma_s + self.gamma_m
+#: the quoted quench rate and the emitter distance it is quoted at: the multipole sum
+#: fixes gamma_m's distance dependence, this one point its scale
+QUENCH_ANCHOR_NM = 10.0
+QUENCH_ANCHOR_EV = 83e-6
 
 
 def vacuum_coupling(mu, omega_c, mode_volume, eps_b=1.0):
@@ -78,13 +49,11 @@ def plasmon_effective_dipole(gamma_rad, omega):
     return math.sqrt(0.375 * gamma_rad * HBAR_C**3 / (COULOMB * omega**3))
 
 
-def dipole_dipole_coupling(mu_a, mu_b, d, eps_b=1.0, geometry="longitudinal", extent=None):
+def dipole_dipole_coupling(mu_a, mu_b, d, eps_b=1.0, geometry="longitudinal"):
     """Quasi-static dipole-dipole coupling kappa mu_a mu_b k_e / (eps_b d^3) (eV).
 
-    d is the center-to-emitter distance in nm; kappa = 2 for dipoles along
-    the line of centers (longitudinal), -1 for transverse.  If extent is
-    given and d does not clear the particle along that line, a warning is
-    emitted (the point-dipole value degrades there).
+    d is the center-to-emitter distance in nm, a scalar or an array; kappa = 2
+    for dipoles along the line of centers (longitudinal), -1 for transverse.
     """
     require_finite(mu_a=mu_a, mu_b=mu_b)
     require_positive(d=d, eps_b=eps_b)
@@ -94,12 +63,6 @@ def dipole_dipole_coupling(mu_a, mu_b, d, eps_b=1.0, geometry="longitudinal", ex
         kappa = -1.0
     else:
         raise DomainError(f"geometry must be longitudinal or transverse, got {geometry!r}")
-    if extent is not None and d <= extent:
-        warnings.warn(
-            f"center-to-emitter distance {d} nm does not clear the particle extent "
-            f"{extent} nm; point-dipole coupling is unreliable",
-            stacklevel=2,
-        )
     return kappa * mu_a * mu_b * COULOMB / (eps_b * d**3)
 
 
@@ -110,51 +73,81 @@ def free_space_decay(mu, omega, eps_b=1.0):
     return (4.0 / 3.0) * COULOMB * mu**2 * k**3
 
 
-def _quench_weight(order, orientation):
-    if orientation == "radial":
-        return (order + 1) ** 2
-    return order * (order + 1) / 2.0
+def multipole_quench_rates(distance_nm, particle, env, omega, mu, orientation):
+    """Emitter decay into a sphere's absorptive multipoles (eV), one rate per surface distance.
 
+    Quasi-static image-multipole sum over orders l >= 2 (Ruppin, J. Chem.
+    Phys. 76, 1681, 1982):
 
-def multipole_quench_rate(emitter, particle, env, omega):
-    """Emitter decay into the particle's absorptive multipoles (eV).
-
-    Quasi-static image-multipole sum over orders l >= 2:
-
-        gamma_m = 2 (mu^2 k_e / eps_b) sum_l w_l R^(2l+1) Im f_l(omega) / d^(2l+4)
+        gamma_m = 2 (mu^2 k_e / eps_b) sum_l w_l Im f_l(omega) (R/d)^(2l+1) / d^3
 
     with d = R + D the center-to-emitter distance and orientation weights
-    w_l = (l+1)^2 (radial) or l(l+1)/2 (tangential).  The sum is truncated
-    adaptively once a term drops below 1e-4 of the running total.
+    w_l = (l+1)^2 (radial) or l(l+1)/2 (tangential).  Im f_l is computed once
+    for l = 2..QUENCH_L_MAX, the terms of every distance form one array, and
+    each distance's running sum stops at the first term below
+    QUENCH_TERM_CUTOFF of it.  distance_nm may have any shape.  A sum that
+    has not met the cutoff by QUENCH_L_MAX is a ConfigError naming the
+    radius and the distance.
     """
-    if isinstance(particle, Nanoparticle):
-        shape, metal = particle.shape, particle.metal
-    else:
-        raise DomainError("multipole_quench_rate needs a Nanoparticle")
-    if not isinstance(shape, Sphere):
+    if not isinstance(particle.shape, Sphere):
         raise DomainError("multipole quenching sum is defined for spheres only")
-    require_positive(omega=omega)
-    radius = shape.radius
-    d = radius + emitter.distance
-    if d <= radius:
-        raise DomainError(f"emitter at d={d} nm is inside the particle (R={radius} nm)")
+    require_positive(distance_nm=distance_nm, omega=omega, mu=mu)
+    orders = np.arange(2, QUENCH_L_MAX + 1)
+    weights = {"radial": (orders + 1.0) ** 2, "tangential": orders * (orders + 1) / 2.0}
+    if orientation not in weights:
+        raise DomainError(f"orientation must be radial or tangential, got {orientation!r}")
+    weighted_im_f = weights[orientation] * multipole_absorption_response(
+        particle.metal, env, orders, omega).imag
+    radius = particle.shape.radius
+    flat = np.ravel(distance_nm).astype(float)
+    sums = np.empty(flat.size)
+    for start in range(0, flat.size, QUENCH_BLOCK):
+        D = flat[start:start + QUENCH_BLOCK, None]
+        # (R/d)^(2l+1) = exp(-(2l+1) log1p(D/R)): a rounded R/d raised to the
+        # (2l+1)th power would carry (2l+1) times its rounding error
+        terms = (weighted_im_f * np.exp(-(2 * orders + 1) * np.log1p(D / radius))
+                 / (radius + D) ** 3)
+        totals = np.add.accumulate(terms, axis=-1)
+        cut = (totals > 0) & (terms < QUENCH_TERM_CUTOFF * totals)
+        stalled = ~np.any(cut, axis=-1)
+        if np.any(stalled):
+            distance = float(D[np.argmax(stalled), 0])
+            raise ConfigError(
+                f"the multipole quench sum of an emitter {distance:g} nm from a {radius:g} nm "
+                f"sphere has not converged by order {QUENCH_L_MAX}; place it further out")
+        sums[start:start + QUENCH_BLOCK] = np.take_along_axis(
+            totals, np.argmax(cut, axis=-1)[:, None], axis=-1)[:, 0]
+    return (2.0 * mu**2 * COULOMB / env.eps_b * sums).reshape(np.shape(distance_nm))
 
-    ratio2 = (radius / d) ** 2
-    prefactor = 2.0 * emitter.mu**2 * COULOMB / env.eps_b
-    total = 0.0
-    term = 0.0
-    for order in range(2, QUENCH_L_MAX + 1):
-        im_f = multipole_absorption_response(metal, env, order, omega).imag
-        term = (
-            _quench_weight(order, emitter.orientation)
-            * radius ** (2 * order + 1)
-            * im_f
-            / d ** (2 * order + 4)
-        )
-        total += term
-        if total > 0 and term < QUENCH_TERM_CUTOFF * total and ratio2 < 1.0:
-            break
-    return prefactor * total
+
+def distance_law(distance_nm, particle, env, omega, mu_1, mu_e, orientation, axis=1,
+                 quench_orientation=None):
+    """Plasmon-emitter coupling G(D) and quench rate gamma_m(D) (eV) at surface distances D.
+
+    distance_nm may have any shape; G and gamma_m have its shape (numpy
+    scalars for one distance).  G is the near field of the dipolar mode's
+    effective dipole mu_1 at the emitter, the particle's extent along mode
+    axis `axis` plus D from its centre: longitudinal for a radial emitter,
+    transverse for a tangential one, signed negative.  For a sphere, gamma_m
+    is the multipole sum at quench_orientation (default: orientation),
+    rescaled so that gamma_m(QUENCH_ANCHOR_NM) = QUENCH_ANCHOR_EV: the sum
+    fixes the distance dependence and the one constant absorbs the unknown
+    orientation convention of the quoted rate.  The anchor is summed in the
+    same array as the distances.  For any other particle gamma_m is None.
+    """
+    shape = np.shape(distance_nm)
+    d = np.ravel(distance_nm).astype(float)  # 1-D even for one distance: it rounds as in an array
+    require_positive(distance_nm=d)
+    if orientation not in ("radial", "tangential"):
+        raise DomainError(f"orientation must be radial or tangential, got {orientation!r}")
+    geometry = "longitudinal" if orientation == "radial" else "transverse"
+    extent = particle.shape.semi_axes[axis - 1]
+    G = -np.abs(dipole_dipole_coupling(mu_1, mu_e, extent + d, env.eps_b, geometry))
+    if not isinstance(particle.shape, Sphere):
+        return G.reshape(shape)[()], None
+    rates = multipole_quench_rates(np.append(d, QUENCH_ANCHOR_NM), particle, env, omega, mu_e,
+                                   quench_orientation or orientation)
+    return G.reshape(shape)[()], (QUENCH_ANCHOR_EV * rates[:-1] / rates[-1]).reshape(shape)[()]
 
 
 def project_couplings(G, g1, theta_deg):

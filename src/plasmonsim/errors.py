@@ -35,4 +35,8 @@ class CalibrationError(PlasmonSimError):
 
 
 class ConfigError(PlasmonSimError):
-    """Scenario configuration file is malformed or fails validation."""
+    """A scenario configuration or command-line input is malformed or fails validation.
+
+    Also raised for an input the model cannot compute, such as an emitter so
+    near a sphere that its multipole quench sum does not converge.
+    """

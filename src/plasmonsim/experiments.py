@@ -30,10 +30,10 @@ from .results import ResultTable, scenario_metadata
 #: default Q axis of the map and the search interval of optimal_Q
 Q_RANGE = (1e2, 1e7)
 
-#: the design map's quench law: gamma_m(D) is the calibrated multipole sum of a
+#: the design map's quench law: gamma_m(D) is the anchored multipole sum of a
 #: tangential dipole whatever the emitter's orientation, as the map has always
 #: computed it.  The swept builtin's emitter is radial, so its G and gamma_m follow
-#: different orientations; ROADMAP.md item 3 makes the law the scenario's own.
+#: different orientations; ROADMAP.md item 5 makes the law the scenario's own.
 MAP_QUENCH_ORIENTATION = "tangential"
 
 #: quality factor of the coupling calibration (and of the builtin fig4
@@ -88,41 +88,17 @@ class Scenario:
 # ingredient helpers
 # ---------------------------------------------------------------------------
 
-def plasmon_emitter_coupling(params, distance_nm):
-    """Signed plasmon-emitter coupling G (eV) of an emitter distance_nm from the particle surface.
-
-    The quasi-static near field of the dipolar mode's effective dipole at the
-    particle's extent along the mode axis plus distance_nm from its centre:
-    longitudinal for a radial emitter, transverse for a tangential one.
-    """
-    p = params
-    mu_1 = cpl.plasmon_effective_dipole(p["gamma_1r_ev"], p["omega_1_ev"])
+def _distance_law(p, distance_nm, quench_orientation=None):
+    """couplings.distance_law of the particle, plasmon and emitter of resolved params p."""
+    metal = mat.DrudeMetal(p["eps_inf"], p["omega_p_ev"], p["gamma_o_ev"])
     if "radius_nm" in p:
-        extent = p["radius_nm"]
+        shape = mat.Sphere(p["radius_nm"])
     else:
-        extent = (p["a1_nm"], p["a2_nm"], p["a3_nm"])[p["axis"] - 1]
-    geometry = "longitudinal" if p["orientation"] == "radial" else "transverse"
-    return -abs(cpl.dipole_dipole_coupling(
-        mu_1, p["mu_e_nm"], extent + distance_nm, p["eps_b"], geometry, extent=extent))
-
-
-def quench_rate_calibrated(distance_nm, particle, env, omega, mu_e=1.0,
-                           orientation="tangential", anchor_nm=10.0, anchor_ev=83e-6):
-    """Multipole quench rate rescaled so gamma_m(anchor_nm) equals anchor_ev.
-
-    The first-principles sum fixes the distance dependence; the single
-    calibration constant absorbs the unknown orientation convention of the
-    quoted 83 ueV value.  A distance array gives an array of its shape, with
-    one sum per distance and one for the anchor.
-    """
-    def raw(d):
-        emitter = cpl.Emitter(mu=mu_e, omega_e=omega, distance=d, orientation=orientation)
-        return cpl.multipole_quench_rate(emitter, particle, env, omega)
-
-    if np.ndim(distance_nm) == 0:
-        return anchor_ev * raw(distance_nm) / raw(anchor_nm)
-    sums = np.array([raw(d) for d in np.ravel(distance_nm)]).reshape(np.shape(distance_nm))
-    return anchor_ev * sums / raw(anchor_nm)
+        shape = mat.Ellipsoid(p["a1_nm"], p["a2_nm"], p["a3_nm"])
+    return cpl.distance_law(
+        distance_nm, mat.Nanoparticle(shape, metal), mat.Environment(p["eps_b"]),
+        p["omega_e_ev"], cpl.plasmon_effective_dipole(p["gamma_1r_ev"], p["omega_1_ev"]),
+        p["mu_e_nm"], p["orientation"], p.get("axis", 1), quench_orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +238,17 @@ def with_emitter_at(scenario, distance_nm):
     """The sphere scenario with its emitter distance_nm from the particle surface.
 
     distance_nm may be an array; G, gamma_m and Delta_0 are then arrays of its
-    shape, one scalar derivation per distance.  G follows the resolver's
-    near-field rule (plasmon_emitter_coupling), gamma_m the calibrated
-    multipole sum at MAP_QUENCH_ORIENTATION, and Delta_0 = -J g1 / G.  Only a
-    first-principles sphere has a distance law for both.
+    shape.  G and gamma_m come from one couplings.distance_law call, G at the
+    scenario's orientation and gamma_m at MAP_QUENCH_ORIENTATION, and
+    Delta_0 = -J g1 / G.  Only a first-principles sphere has a distance law
+    for both.
     """
     p = scenario.params
     if "radius_nm" not in p or scenario.provenance.get("G_ev") != "first_principles":
         raise DomainError(f"scenario {scenario.name!r} has no distance law: "
                           "the emitter can be moved only around a first-principles sphere")
     d = np.asarray(distance_nm, dtype=float)[()]  # one distance stays a scalar
-    G = np.array([plasmon_emitter_coupling(p, dd) for dd in d.ravel()]).reshape(d.shape)
-    metal = mat.DrudeMetal(p["eps_inf"], p["omega_p_ev"], p["gamma_o_ev"])
-    gamma_m = quench_rate_calibrated(
-        d, mat.Nanoparticle(mat.Sphere(p["radius_nm"]), metal), mat.Environment(p["eps_b"]),
-        p["omega_e_ev"], p["mu_e_nm"], MAP_QUENCH_ORIENTATION)
+    G, gamma_m = _distance_law(p, d, MAP_QUENCH_ORIENTATION)
     return replace(scenario, params={
         **p, "distance_nm": d, "G_ev": G, "gamma_m_ev": gamma_m,
         "delta_0_ev": dyn.fano_detuning(p["J_ev"], p["g1_ev"], G)})
@@ -503,7 +475,7 @@ def calibrate_fig3_couplings(scenario, targets):
     G_eff, g1_eff = (abs(float(v)) for v in x)
 
     mu_1 = cpl.plasmon_effective_dipole(p["gamma_1r_ev"], p["omega_1_ev"])
-    G_est = abs(plasmon_emitter_coupling(p, p["distance_nm"]))
+    G_est = abs(float(_distance_law(p, p["distance_nm"])[0]))
     g1_est = cpl.vacuum_coupling(mu_1, p["omega_e_ev"], p["vc_um3"] * 1e9, p["eps_b"])
     G_est_eff, g1_est_eff = cpl.project_couplings(G_est, g1_est, p["theta_deg"])
     diagnostics = {

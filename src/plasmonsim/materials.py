@@ -215,9 +215,10 @@ def multipole_absorption_response(metal, env, order, omega):
     """Dimensionless l-pole response f_l = l (eps_m - eps_b) / (l eps_m + (l+1) eps_b).
 
     Im f_l > 0 for a lossy metal and peaks near the l-th mode frequency;
-    for gamma_o = 0 the response diverges on resonance.
+    for gamma_o = 0 the response diverges on resonance.  order may be an
+    array of orders, giving one response per order.
     """
-    if order < 1:
+    if np.any(np.asarray(order) < 1):
         raise DomainError(f"mode order must be >= 1, got {order}")
     eps = drude_permittivity(metal, omega)
     return order * (eps - env.eps_b) / (order * eps + (order + 1) * env.eps_b)

@@ -317,6 +317,13 @@ BOUNDARY_PROBES = {
     "radius_zero": (["spectrum"], ("radius_nm = 10.0", "radius_nm = 0")),
     "a1_negative": (["spectrum"], ("a1_nm = 33.0", "a1_nm = -33"), "fig3"),
     "mu_e_zero": (["spectrum"], ("mu_e_nm = 1.0", "mu_e_nm = 0")),
+    "orientation_unknown": (["spectrum"], ("orientation = tangential", "orientation = diagonal")),
+    # an emitter so near the sphere that the multipole quench sum has not converged by
+    # couplings.QUENCH_L_MAX, at each entry point of the distance law
+    "distance_quench_unconverged": (["validate"], ("distance_nm = 10.0", "distance_nm = 0.05"),
+                                    "fig2_first_principles"),
+    "map_d_min_quench_unconverged": (["map"], MAP_SWEEP + "d_min_nm = 0.05\n"),
+    "optq_distance_quench_unconverged": (["optq", "--d-nm", "0.05"], None),
     "omega_p_zero": (["spectrum"], ("omega_p_ev = 4.0", "omega_p_ev = 0")),
     # values outside a physical range, and detunings that put the cavity at omega_c <= 0
     "eps_inf_below_one": (["spectrum"], ("eps_inf = 1.0", "eps_inf = 0.5")),
@@ -385,6 +392,44 @@ def _subprocess_env():
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH"))
         if p)
     return env
+
+
+#: emitters whose quench sum the distance law sums but whose terms R^(2l+1) overflowed a
+#: float in the old per-order form: config edits of builtin fig2_first_principles
+#: (None: no --config), and the table written (None: validate)
+NEAR_SURFACE_RUNS = {
+    "resolver_r10_d0.3": (["validate"], [("distance_nm = 10.0", "distance_nm = 0.3")], None),
+    "resolver_r30_d1": (["validate"], [("radius_nm = 10.0", "radius_nm = 30.0"),
+                                       ("distance_nm = 10.0", "distance_nm = 1.0")], None),
+    "map_d_min_0.3": (["map"], [("name = fig2_first_principles\n",
+                                 "name = near" + MAP_SWEEP + "d_min_nm = 0.3\n")], "map"),
+    "optq_d0.3": (["optq", "--d-nm", "0.3"], None, "optq"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(NEAR_SURFACE_RUNS))
+def test_near_surface_emitter_runs(probe, tmp_path, capsys):
+    argv, edits, table = NEAR_SURFACE_RUNS[probe]
+    if edits is not None:
+        text = BUILTIN_CONFIGS["fig2_first_principles"]
+        for old, new in edits:
+            text = text.replace(old, new)
+        path = tmp_path / "near.ini"
+        path.write_text(text)
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if table is None:
+        gamma_m = float(captured.out.split("gamma_m_ev = ", 1)[1].split()[0])
+        assert math.isfinite(gamma_m) and gamma_m > 83e-6
+    else:
+        cells = [line.split(",") for line in (out / f"{table}.csv").read_text().splitlines()
+                 if not line.startswith("#")][1:]
+        assert all(math.isfinite(float(cells[i][2])) for i in range(len(cells)))
 
 
 def test_closed_stdout_exits_quietly(tmp_path):

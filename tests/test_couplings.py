@@ -1,11 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from plasmonsim import couplings as cpl
 from plasmonsim import materials as mat
-from plasmonsim.errors import DomainError
+from plasmonsim.errors import ConfigError, DomainError
 from plasmonsim.quantities import COULOMB, HBAR_C
 
 
@@ -78,11 +79,6 @@ def test_dipole_dipole_transverse_sign():
     assert transverse == pytest.approx(-3.62e-3, abs=0.02e-3)
 
 
-def test_dipole_dipole_warns_inside_extent():
-    with pytest.warns(UserWarning, match="point-dipole"):
-        cpl.dipole_dipole_coupling(20.1, 1.0, 9.0, 1.0, "longitudinal", extent=10.0)
-
-
 def test_dipole_dipole_rejects_bad_distance():
     with pytest.raises(DomainError):
         cpl.dipole_dipole_coupling(1.0, 1.0, 0.0)
@@ -107,74 +103,132 @@ def test_free_space_decay_scalings(omega1):
 
 
 # ---------------------------------------------------------------------------
-# multipole quenching
+# the distance law: multipole quenching and the near-field coupling
 # ---------------------------------------------------------------------------
 
+def quench_rates(particle, env, omega, distance, mu=1.0, orientation="tangential"):
+    return cpl.multipole_quench_rates(distance, particle, env, omega, mu, orientation)
+
+
+def law(particle, env, omega, distance, mu_e=1.0, orientation="tangential"):
+    mu_1 = cpl.plasmon_effective_dipole(2.45e-3, omega)
+    return cpl.distance_law(distance, particle, env, omega, mu_1, mu_e, orientation)
+
+
 def test_quench_rate_near_quoted_value(sphere10, vacuum, omega1):
-    emitter = cpl.Emitter(mu=1.0, omega_e=omega1, distance=10.0, orientation="tangential")
-    rate = cpl.multipole_quench_rate(emitter, sphere10, vacuum, omega1)
-    # soft target: the quoted 83 ueV within a factor of two
+    rate = quench_rates(sphere10, vacuum, omega1, 10.0)
+    # soft target: the first-principles sum within a factor of two of the quoted 83 ueV
     assert 83e-6 / 2.0 <= rate <= 83e-6 * 2.0
 
 
 def test_quench_rate_radial_exceeds_tangential(sphere10, vacuum, omega1):
-    radial = cpl.Emitter(mu=1.0, omega_e=omega1, distance=10.0, orientation="radial")
-    tangential = cpl.Emitter(mu=1.0, omega_e=omega1, distance=10.0, orientation="tangential")
-    assert (cpl.multipole_quench_rate(radial, sphere10, vacuum, omega1)
-            > cpl.multipole_quench_rate(tangential, sphere10, vacuum, omega1))
+    distances = np.array([1.0, 10.0, 100.0])
+    radial = quench_rates(sphere10, vacuum, omega1, distances, orientation="radial")
+    tangential = quench_rates(sphere10, vacuum, omega1, distances, orientation="tangential")
+    assert np.all(radial > tangential)
 
 
 def test_quench_rate_vanishes_far_away(sphere10, vacuum, omega1):
-    rates = []
-    for distance in (5.0, 10.0, 40.0, 200.0, 1000.0):
-        emitter = cpl.Emitter(mu=1.0, omega_e=omega1, distance=distance,
-                              orientation="tangential")
-        rates.append(cpl.multipole_quench_rate(emitter, sphere10, vacuum, omega1))
-    assert all(a > b for a, b in zip(rates, rates[1:]))
-    assert rates[-1] < 1e-12
+    distances = np.array([5.0, 10.0, 40.0, 200.0, 1000.0])
+    for rates in (quench_rates(sphere10, vacuum, omega1, distances),
+                  law(sphere10, vacuum, omega1, distances)[1]):
+        assert np.all(np.diff(rates) < 0)
+        assert rates[-1] < 1e-12
 
 
 def test_quench_rate_dipole_scaling(sphere10, vacuum, omega1):
-    one = cpl.Emitter(mu=1.0, omega_e=omega1, distance=10.0, orientation="tangential")
-    two = cpl.Emitter(mu=2.0, omega_e=omega1, distance=10.0, orientation="tangential")
-    assert cpl.multipole_quench_rate(two, sphere10, vacuum, omega1) == pytest.approx(
-        4.0 * cpl.multipole_quench_rate(one, sphere10, vacuum, omega1), rel=1e-12)
+    distances = np.array([0.3, 3.0, 10.0, 300.0])
+    assert quench_rates(sphere10, vacuum, omega1, distances, mu=2.0) == pytest.approx(
+        4.0 * quench_rates(sphere10, vacuum, omega1, distances), rel=1e-12)
+    # the anchor absorbs the emitter dipole: G scales as mu_e, the anchored gamma_m not at all
+    G_1, gamma_1 = law(sphere10, vacuum, omega1, distances)
+    G_2, gamma_2 = law(sphere10, vacuum, omega1, distances, mu_e=2.0)
+    assert G_2 == pytest.approx(2.0 * G_1, rel=1e-12)
+    assert gamma_2 == pytest.approx(gamma_1, rel=1e-12)
 
 
 def test_quench_truncation_tail_bound(sphere10, vacuum, omega1):
-    # oracle: rebuild the series term by term; the retained tail estimated by
-    # the geometric ratio (R/d)^2 must sit below 1e-3 of the sum
-    emitter = cpl.Emitter(mu=1.0, omega_e=omega1, distance=3.0, orientation="tangential")
-    radius = sphere10.shape.radius
-    d = radius + emitter.distance
+    # oracle: rebuild the series term by term; the dropped tail, estimated by the
+    # geometric ratio (R/d)^2 and summed out to QUENCH_L_MAX, must sit below 1e-3
+    # of the retained sum, which is the program's rate
+    radius, distance = sphere10.shape.radius, 3.0
+    d = radius + distance
     ratio2 = (radius / d) ** 2
-    total = 0.0
     terms = []
     for order in range(2, cpl.QUENCH_L_MAX + 1):
         im_f = mat.multipole_absorption_response(sphere10.metal, vacuum, order, omega1).imag
-        term = (order * (order + 1) / 2.0) * radius ** (2 * order + 1) * im_f / d ** (2 * order + 4)
+        terms.append(order * (order + 1) / 2.0 * im_f * (radius / d) ** (2 * order + 1) / d**3)
+    total = 0.0
+    for cut, term in enumerate(terms):
         total += term
         if total > 0 and term < cpl.QUENCH_TERM_CUTOFF * total:
             break
-        terms.append(term)
+    order = cut + 2
     weight_growth = (order + 2) / order  # bound on w_{l+1}/w_l for the tangential weights
     tail = term * ratio2 * weight_growth / (1.0 - ratio2 * weight_growth)
     assert tail < 1e-3 * total
+    assert sum(terms[cut + 1:]) < 1e-3 * total
+    assert quench_rates(sphere10, vacuum, omega1, distance) == pytest.approx(
+        2.0 * COULOMB * total, rel=1e-13)
 
 
 def test_quench_rate_rejects_ellipsoid(ellipsoid, vacuum, omega1):
-    emitter = cpl.Emitter(mu=1.0, omega_e=omega1, distance=5.0)
     with pytest.raises(DomainError, match="sphere"):
-        cpl.multipole_quench_rate(emitter, ellipsoid, vacuum, omega1)
+        quench_rates(ellipsoid, vacuum, omega1, 5.0)
+    # the law gives an ellipsoid its near-field G along axis 1, and no quench rate
+    G, gamma_m = law(ellipsoid, vacuum, omega1, 5.0, orientation="radial")
+    assert gamma_m is None
+    assert G == -cpl.dipole_dipole_coupling(
+        cpl.plasmon_effective_dipole(2.45e-3, omega1), 1.0, 33.0 + 5.0)
 
 
-def test_emitter_validation():
-    with pytest.raises(DomainError):
-        cpl.Emitter(mu=1.0, omega_e=2.3, distance=-1.0)
-    with pytest.raises(DomainError):
-        cpl.Emitter(mu=1.0, omega_e=2.3, distance=5.0, orientation="diagonal")
-    emitter = cpl.Emitter(mu=1.0, omega_e=2.3, distance=5.0, gamma_s=1e-6, gamma_m=4e-6)
-    assert emitter.gamma_e == pytest.approx(5e-6)
+def test_quench_sum_rejects_an_unconverged_sum(sphere10, vacuum, omega1):
+    # 0.05 nm from a 10 nm sphere the terms fall as (10/10.05)^(2l): no cutoff by l = 400
+    with pytest.raises(ConfigError, match="0.05 nm from a 10 nm sphere"):
+        law(sphere10, vacuum, omega1, np.array([5.0, 0.05]))
+
+
+def _mp_truncated_sum(radius, distance, metal, omega, orientation):
+    """The truncated multipole sum in vacuum, without its prefactor, at 50 digits."""
+    with mp.workdps(50):
+        w = mp.mpf(omega)
+        eps = metal.eps_inf - mp.mpf(metal.omega_p) ** 2 / (w**2 + 1j * w * metal.gamma_o)
+        R, d = mp.mpf(radius), mp.mpf(radius) + mp.mpf(distance)
+        total = mp.mpf(0)
+        for order in range(2, cpl.QUENCH_L_MAX + 1):
+            weight = (order + 1) ** 2 if orientation == "radial" else mp.mpf(order * (order + 1)) / 2
+            im_f = mp.im(order * (eps - 1) / (order * eps + (order + 1)))
+            term = weight * im_f * (R / d) ** (2 * order + 1) / d**3
+            total += term
+            if total > 0 and term < mp.mpf(cpl.QUENCH_TERM_CUTOFF) * total:
+                return 2 * mp.mpf(COULOMB) * total
+    raise AssertionError("the oracle sum did not converge")
+
+
+@pytest.mark.parametrize("orientation", ["radial", "tangential"])
+def test_quench_sum_matches_mpmath_oracle(orientation, gold, vacuum, omega1):
+    cases = [(10.0, d) for d in np.geomspace(0.3, 1000.0, 12)] + [(30.0, 1.0)]
+    for radius, distance in cases:
+        sphere = mat.Nanoparticle(mat.Sphere(radius), gold)
+        rate = cpl.multipole_quench_rates(distance, sphere, vacuum, omega1, 1.0, orientation)
+        exact = _mp_truncated_sum(radius, distance, gold, omega1, orientation)
+        assert abs(float(rate) / exact - 1) < 1e-14, (radius, distance)
+
+
+def test_distance_law_array_equals_scalar_calls(sphere10, vacuum, omega1, monkeypatch):
+    distances = np.geomspace(0.3, 1000.0, 24).reshape(4, 6)
+    for orientation in ("radial", "tangential"):
+        G, gamma_m = law(sphere10, vacuum, omega1, distances, orientation=orientation)
+        assert G.shape == gamma_m.shape == distances.shape
+        # in blocks of five distances: neither the block edges nor the anchor's place show
+        with monkeypatch.context() as patch:
+            patch.setattr(cpl, "QUENCH_BLOCK", 5)
+            G_blocked, gamma_blocked = law(
+                sphere10, vacuum, omega1, distances, orientation=orientation)
+        for index, distance in np.ndenumerate(distances):
+            G_1, gamma_1 = law(sphere10, vacuum, omega1, float(distance), orientation=orientation)
+            assert G_1 == G[index] == G_blocked[index]
+            assert gamma_1 == gamma_m[index] == gamma_blocked[index]
 
 
 # ---------------------------------------------------------------------------

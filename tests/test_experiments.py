@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import root
 
+from plasmonsim import couplings as cpl
 from plasmonsim import dynamics as dyn
 from plasmonsim import experiments as exp
 from plasmonsim import network as net
@@ -212,8 +213,11 @@ def test_low_q_dissipation_structure(design):
 
 
 def test_quench_anchor(sphere10, vacuum, omega1):
-    anchored = exp.quench_rate_calibrated(10.0, sphere10, vacuum, omega1)
-    assert anchored == pytest.approx(83e-6, rel=1e-12)
+    # at the anchor distance the law gives the quoted 83 ueV whatever the orientation
+    mu_1 = cpl.plasmon_effective_dipole(2.45e-3, omega1)
+    for orientation in ("radial", "tangential"):
+        _, anchored = cpl.distance_law(10.0, sphere10, vacuum, omega1, mu_1, 1.0, orientation)
+        assert anchored == pytest.approx(83e-6, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
