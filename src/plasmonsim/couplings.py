@@ -86,8 +86,9 @@ def multipole_quench_rates(distance_nm, particle, env, omega, mu, orientation):
     for l = 2..QUENCH_L_MAX, the terms of every distance form one array, and
     each distance's running sum stops at the first term below
     QUENCH_TERM_CUTOFF of it.  distance_nm may have any shape.  A sum that
-    has not met the cutoff by QUENCH_L_MAX is a ConfigError naming the
-    radius and the distance.
+    has not met the cutoff by QUENCH_L_MAX, or whose total underflows below
+    the smallest normal float, is a ConfigError naming the radius and the
+    distance.
     """
     if not isinstance(particle.shape, Sphere):
         raise DomainError("multipole quenching sum is defined for spheres only")
@@ -111,10 +112,13 @@ def multipole_quench_rates(distance_nm, particle, env, omega, mu, orientation):
         cut = (totals > 0) & (terms < QUENCH_TERM_CUTOFF * totals)
         stalled = ~np.any(cut, axis=-1)
         if np.any(stalled):
-            distance = float(D[np.argmax(stalled), 0])
-            raise ConfigError(
-                f"the multipole quench sum of an emitter {distance:g} nm from a {radius:g} nm "
-                f"sphere has not converged by order {QUENCH_L_MAX}; place it further out")
+            i = np.argmax(stalled)
+            where = f"an emitter {float(D[i, 0]):g} nm from a {radius:g} nm sphere"
+            if totals[i, -1] < np.finfo(float).tiny:  # too small for the cutoff to resolve
+                raise ConfigError(f"the multipole quench sum of {where} underflows; "
+                                  "place it nearer")
+            raise ConfigError(f"the multipole quench sum of {where} has not converged by "
+                              f"order {QUENCH_L_MAX}; place it further out")
         sums[start:start + QUENCH_BLOCK] = np.take_along_axis(
             totals, np.argmax(cut, axis=-1)[:, None], axis=-1)[:, 0]
     return (2.0 * mu**2 * COULOMB / env.eps_b * sums).reshape(np.shape(distance_nm))

@@ -52,11 +52,12 @@ def _solve_amplitudes(hamiltonian, detunings, f):
     n = h.shape[-1]
     d = np.atleast_1d(np.asarray(detunings, dtype=float))
     mats = d[..., None, None] * np.eye(n) - h
-    # guard the all-lossless edge case where the matrix can become singular
-    rcond = np.abs(np.linalg.det(mats)) / np.maximum(
-        np.linalg.norm(mats, axis=(-2, -1)) ** n, np.finfo(float).tiny
-    )
-    if np.any(rcond < RCOND_LIMIT):
+    # guard the all-lossless edge case where the matrix can become singular;
+    # |det(M / ||M||_F)| = |det M| / ||M||_F^n without overflowing, and a
+    # non-finite ratio fails the check
+    norm = np.maximum(np.linalg.norm(mats, axis=(-2, -1)), np.finfo(float).tiny)
+    rcond = np.abs(np.linalg.det(mats / norm[..., None, None]))
+    if not np.all(rcond >= RCOND_LIMIT):
         raise ConditioningError(
             "steady-state matrix is singular or near-singular; "
             "every mode needs a positive width or a detuned pump"

@@ -38,5 +38,6 @@ class ConfigError(PlasmonSimError):
     """A scenario configuration or command-line input is malformed or fails validation.
 
     Also raised for an input the model cannot compute, such as an emitter so
-    near a sphere that its multipole quench sum does not converge.
+    near a sphere that its multipole quench sum does not converge, or so far
+    that the sum underflows.
     """

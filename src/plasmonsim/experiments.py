@@ -359,12 +359,12 @@ def optimal_Q(scenario, d_nm, objective="yield"):
 
 def optq_table(scenario, distances_nm, objective):
     """Table optq: the optimal_Q search at each emitter distance, in the given order."""
-    rows = []
-    for d in distances_nm:
-        res = optimal_Q(scenario, d, objective=objective)
-        rows.append((d, res.q_opt, res.value, res.objective, int(res.boundary)))
-    return ResultTable("optq", ("d_nm", "q_opt", "value", "objective", "boundary"), rows,
-                       {**scenario_metadata(scenario), "objective": objective})
+    found = [optimal_Q(scenario, d, objective=objective) for d in distances_nm]
+    return ResultTable.from_arrays(
+        "optq", ("d_nm", "q_opt", "value", "objective", "boundary"),
+        (distances_nm, [r.q_opt for r in found], [r.value for r in found],
+         [r.objective for r in found], [int(r.boundary) for r in found]),
+        {**scenario_metadata(scenario), "objective": objective})
 
 
 # ---------------------------------------------------------------------------

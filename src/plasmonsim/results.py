@@ -1,29 +1,23 @@
 """Deterministic result tables: CSV with a metadata comment block, or JSON.
 
-Data cells are serialized with 9 significant digits; metadata values keep
-full repr precision so a re-parsed metadata block reconstructs the exact
-resolved scenario.  Output is byte-identical across runs: no timestamps,
-no environment-dependent content, sorted metadata keys.
+A table's rows are one numpy record array with a typed field per column.
+Float cells are serialized with 9 significant digits, integer and boolean
+cells as integers and string cells as text; metadata values keep full repr
+precision so a re-parsed metadata block reconstructs the exact resolved
+scenario.  Output is byte-identical across runs: no timestamps, no
+environment-dependent content, sorted metadata keys.
 """
 
 import json
-from operator import itemgetter
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError
 
-
-def format_cell(value):
-    """Serialize one data cell: floats at 9 significant digits."""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".9g")
-    return str(value)
+#: %-template of a data cell per dtype kind; "%.9g" prints what
+#: format(x, ".9g") does, inf, nan and -0.0 included
+CELL_FORMATS = {"f": "%.9g", "i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 
 
 def _format_meta(value):
@@ -35,27 +29,25 @@ def _format_meta(value):
 
 
 class ResultTable:
-    """Column-ordered table plus a flat metadata mapping."""
+    """A named record array, one typed field per column, plus a flat metadata mapping.
 
-    def __init__(self, name, columns, rows, metadata=None):
+    Build one with from_arrays.
+    """
+
+    def __init__(self, name, rows, metadata):
         self.name = name
-        self.columns = tuple(columns)
-        self.rows = [tuple(row) for row in rows]
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ConfigError(
-                    f"row width {len(row)} != column count {len(self.columns)} in {name}")
+        self.rows = rows
+        self.columns = rows.dtype.names
         self.metadata = dict(metadata or {})
 
     @classmethod
     def from_arrays(cls, name, columns, arrays, metadata=None):
-        stacked = [np.asarray(a) for a in arrays]
-        n = stacked[0].shape[0]
-        for a in stacked:
-            if a.shape[0] != n:
-                raise ConfigError(f"column length mismatch in {name}")
-        rows = list(zip(*(a.tolist() for a in stacked)))
-        return cls(name, columns, rows, metadata)
+        """The table whose columns are `arrays`, one equal-length array per name in `columns`."""
+        if len(arrays) != len(columns):
+            raise ConfigError(f"{len(arrays)} arrays for {len(columns)} columns in {name}")
+        if len({len(a) for a in arrays}) > 1:
+            raise ConfigError(f"column length mismatch in {name}")
+        return cls(name, np.rec.fromarrays(arrays, names=list(columns)), metadata)
 
     def to_csv(self):
         return "".join(self._csv_chunks())
@@ -66,22 +58,10 @@ class ResultTable:
         header += [f"# {key} = {_format_meta(self.metadata[key])}" for key in sorted(self.metadata)]
         header.append(",".join(self.columns))
         yield "\n".join(header) + "\n"
-        # one %-template per table: "%.9g" on a float column prints what
-        # format(x, ".9g") does, inf, nan and -0.0 included; a column holding
-        # any other type is converted by format_cell first and printed by "%s"
-        formats, convert = [], []
-        for i in range(len(self.columns)):
-            types = set(map(type, map(itemgetter(i), self.rows)))
-            formats.append("%.9g" if types <= {float} else "%s")
-            if not (types <= {float} or types <= {str}):
-                convert.append(i)
+        formats = (CELL_FORMATS[self.rows.dtype[c].kind] for c in self.columns)
         line = (",".join(formats) + "\n").__mod__
         for start in range(0, len(self.rows), rows_per_chunk):
-            rows = self.rows[start:start + rows_per_chunk]
-            if convert:
-                rows = [tuple(format_cell(v) if i in convert else v for i, v in enumerate(row))
-                        for row in rows]
-            yield "".join(map(line, rows))
+            yield "".join(map(line, self.rows[start:start + rows_per_chunk].tolist()))
 
     def to_json(self):
         payload = {
@@ -89,7 +69,7 @@ class ResultTable:
             "table": self.name,
             "metadata": {k: self.metadata[k] for k in sorted(self.metadata)},
             "columns": list(self.columns),
-            "rows": [[_json_cell(v) for v in row] for row in self.rows],
+            "rows": self.rows.tolist(),
         }
         return json.dumps(payload, indent=1, sort_keys=False) + "\n"
 
@@ -98,16 +78,6 @@ class ResultTable:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
         return path
-
-
-def _json_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return str(value)
 
 
 def read_metadata(text):

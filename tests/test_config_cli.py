@@ -14,7 +14,7 @@ from plasmonsim import dynamics as dyn
 from plasmonsim.cli import main
 from plasmonsim.config import BUILTIN_CONFIGS, MAX_POINTS, parse_config, parse_config_text
 from plasmonsim.errors import ConfigError
-from plasmonsim.results import ResultTable, format_cell, read_metadata, scenario_metadata
+from plasmonsim.results import ResultTable, read_metadata, scenario_metadata
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +151,33 @@ def test_builtin_fig3_calibrated():
 # result tables
 # ---------------------------------------------------------------------------
 
+def format_cell(value):
+    """One data cell as the CSV writer must print it: the oracle of its per-column templates."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".9g")
+    return str(value)
+
+
+def _table(columns, rows, metadata=None):
+    """The table of the given row tuples, built column by column."""
+    return ResultTable.from_arrays("t", columns, list(zip(*rows)), metadata)
+
+
+def _csv_by_cell(rows):
+    """Oracle: the data rows serialized cell by cell with format_cell."""
+    return "".join(",".join(format_cell(v) for v in row) + "\n" for row in rows)
+
+
 def test_csv_format_nine_significant_digits(tmp_path):
-    table = ResultTable("t", ("a", "b"), [(1.0 / 3.0, 2), (1.23456789012e-7, 3)])
+    table = _table(("a", "b"), [(1.0 / 3.0, 2), (1.23456789012e-7, 3)])
     text = table.to_csv()
     lines = text.strip().splitlines()
     assert lines[-2].split(",")[0] == "0.333333333"
     assert lines[-1].split(",")[0] == "1.23456789e-07"
-
-
-def _csv_by_cell(table):
-    """Oracle: the data rows serialized cell by cell with format_cell."""
-    return "".join(",".join(format_cell(v) for v in row) + "\n" for row in table.rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -169,8 +185,8 @@ def _csv_by_cell(table):
                           st.floats(allow_nan=True, allow_infinity=True, width=32)),
                 min_size=1, max_size=20))
 def test_csv_rows_match_format_cell_on_floats(rows):
-    table = ResultTable("t", ("a", "b"), rows)
-    assert table.to_csv().endswith("\na,b\n" + _csv_by_cell(table))
+    table = _table(("a", "b"), rows)
+    assert table.to_csv().endswith("\na,b\n" + _csv_by_cell(rows))
 
 
 def test_csv_rows_match_format_cell_on_every_cell_type():
@@ -181,28 +197,25 @@ def test_csv_rows_match_format_cell_on_every_cell_type():
         for i, x in enumerate(specials)
     ]
     rows.append((1.0, "text", 2, True, 3.0, 4.0, 5, False))
-    rows.append((np.float64(2.5), 7, 2.5, "s", 1, np.int32(3), 1.5, 0))  # mixed columns
-    table = ResultTable("t", tuple("abcdefgh"), rows)
-    assert table.to_csv().endswith("\na,b,c,d,e,f,g,h\n" + _csv_by_cell(table))
+    table = _table(tuple("abcdefgh"), rows)
+    assert table.to_csv().endswith("\na,b,c,d,e,f,g,h\n" + _csv_by_cell(rows))
 
 
 def test_written_csv_spanning_many_row_blocks(tmp_path):
-    # the file is written a block of rows at a time; a column's format is
-    # still chosen from all of its rows (the one int sits in the last block)
+    # the file is written a block of rows at a time
     rows = [(i / 7.0, i * 1e-9) for i in range(9001)]
-    rows[-1] = (rows[-1][0], 3)
-    table = ResultTable("t", ("a", "b"), rows, {"k": 1.5})
+    table = _table(("a", "b"), rows, {"k": 1.5})
     path = table.write(str(tmp_path / "t.csv"))
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
     assert text == table.to_csv()
-    assert text.endswith("\na,b\n" + _csv_by_cell(table))
+    assert text.endswith("\na,b\n" + _csv_by_cell(rows))
 
 
 def test_metadata_round_trip_exact():
     parsed = parse_config("fig2")
     meta = scenario_metadata(parsed.scenario)
-    table = ResultTable("t", ("x",), [(1.0,)], meta)
+    table = _table(("x",), [(1.0,)], meta)
     recovered = read_metadata(table.to_csv())
     for key, value in parsed.scenario.params.items():
         assert recovered[f"param.{key}"] == value, key
@@ -211,8 +224,9 @@ def test_metadata_round_trip_exact():
 
 
 def test_row_width_checked():
-    with pytest.raises(ConfigError):
-        ResultTable("t", ("a", "b"), [(1.0,)])
+    for arrays in (([1.0],), ([1.0], [2.0], [3.0]), ([1.0], [2.0, 3.0])):
+        with pytest.raises(ConfigError):
+            ResultTable.from_arrays("t", ("a", "b"), arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +338,8 @@ BOUNDARY_PROBES = {
                                     "fig2_first_principles"),
     "map_d_min_quench_unconverged": (["map"], MAP_SWEEP + "d_min_nm = 0.05\n"),
     "optq_distance_quench_unconverged": (["optq", "--d-nm", "0.05"], None),
+    # an emitter so far out that its quench sum underflows below the smallest normal float
+    "optq_distance_quench_underflow": (["optq", "--d-nm", "1e41"], None),
     "omega_p_zero": (["spectrum"], ("omega_p_ev = 4.0", "omega_p_ev = 0")),
     # values outside a physical range, and detunings that put the cavity at omega_c <= 0
     "eps_inf_below_one": (["spectrum"], ("eps_inf = 1.0", "eps_inf = 0.5")),
@@ -487,6 +503,31 @@ def test_cli_json_format(tmp_path):
     payload = json.loads((out / "fig1c.json").read_text())
     assert payload["columns"][0] == "detuning_ev"
     assert len(payload["rows"]) == 11
+
+
+def test_cli_json_typed_columns_match_csv(tmp_path):
+    """optq's objective and boundary are a JSON string and integer, and match the CSV cells."""
+    out = tmp_path / "o"
+    argv = ["optq", "--d-nm", "10", "--d-nm", "1e40", "--out", str(out)]
+    assert main(argv) == 0
+    assert main(argv + ["--format", "json"]) == 0
+    import json
+    payload = json.loads((out / "optq.json").read_text())
+    lines = [line.split(",") for line in (out / "optq.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    assert payload["columns"] == lines[0]
+    assert [[format_cell(v) for v in row] for row in payload["rows"]] == lines[1:]
+    assert [type(v) for v in payload["rows"][0]] == [float, float, float, str, int]
+    assert [row[4] for row in payload["rows"]] == [0, 1]
+
+
+def test_far_emitter_steady_state_does_not_overflow(tmp_path):
+    """optq at D = 1e40 nm, where Delta_0 is ~7e111 eV: the steady-state guard passes quietly."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "plasmonsim", "optq", "--d-nm", "1e40", "--out", str(tmp_path)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "optq.csv").read_text().splitlines()[-1] == "1e+40,100,1,yield,1"
 
 
 def test_cli_spectrum_yield_evolve_run(tmp_path):

@@ -184,8 +184,12 @@ def test_quench_rate_rejects_ellipsoid(ellipsoid, vacuum, omega1):
 
 def test_quench_sum_rejects_an_unconverged_sum(sphere10, vacuum, omega1):
     # 0.05 nm from a 10 nm sphere the terms fall as (10/10.05)^(2l): no cutoff by l = 400
-    with pytest.raises(ConfigError, match="0.05 nm from a 10 nm sphere"):
+    with pytest.raises(ConfigError, match="0.05 nm from a 10 nm sphere has not converged"):
         law(sphere10, vacuum, omega1, np.array([5.0, 0.05]))
+    # 1e41 nm out (R/d)^(2l+1) / d^3 is below the smallest normal float at every order
+    with pytest.raises(ConfigError, match="1e\\+41 nm from a 10 nm sphere underflows; place "
+                                          "it nearer"):
+        law(sphere10, vacuum, omega1, np.array([5.0, 1e41]))
 
 
 def _mp_truncated_sum(radius, distance, metal, omega, orientation):
