@@ -3,13 +3,25 @@
 Steady state solves (Delta_p I - H) v = f for the mode amplitudes under a
 weak drive of unit amplitude; all powers are quadratic in the drive and
 therefore relative, so only ratios and enhancement factors are physical.
+The solve takes one of two paths:
+- spectral: when a Hamiltonian, or a stack of them, meets more pump
+  detunings than there are matrices, each H = V Lambda V^-1 is diagonalized
+  once and v(Delta) = V (Delta - Lambda)^-1 V^-1 f at every detuning;
+- LU: otherwise (one detuning per matrix), or when any eigenbasis is
+  ill-conditioned, cond_2(V) > EIG_COND_LIMIT (near an exceptional point),
+  one batched inverse of M = Delta I - H gives v = M^-1 f.
+Either path bounds kappa_2(M) from above, by cond_2(V)^2 max_k |Delta -
+lambda_k| / min_k |Delta - lambda_k| (Trefethen & Embree, Spectra and
+Pseudospectra, 2005, ch. 2) or by kappa_F(M) = ||M||_F ||M^-1||_F (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 6-7), and
+the solve raises ConditioningError where the bound exceeds 1 / RCOND_LIMIT.
 Time evolution propagates a single-excitation amplitude vector under the
-non-Hermitian Hamiltonian through one eigendecomposition, v(t) =
-V exp(-i Lambda t) V^-1 v(0); near an exceptional point, where the
-eigenvectors are ill-conditioned, it falls back to the scaling-and-squaring
-matrix exponential (Moler & Van Loan, SIAM Rev. 45, 2003).
+non-Hermitian Hamiltonian through the same eigendecomposition, v(t) =
+V exp(-i Lambda t) V^-1 v(0); above EIG_COND_LIMIT it falls back to the
+scaling-and-squaring matrix exponential (Moler & Van Loan, SIAM Rev. 45, 2003).
 """
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -18,9 +30,9 @@ import numpy as np
 from .errors import ConditioningError, DomainError, TrackingAmbiguityError
 from .quantities import from_fs, require_finite, to_fs
 
-#: reciprocal condition number below which a steady-state solve is rejected
+#: reciprocal of the largest condition-number bound a steady-state solve accepts
 RCOND_LIMIT = 1e-13
-#: eigenvector condition number above which evolve uses the matrix exponential
+#: eigenvector condition number above which steady state and evolve leave the eigenbasis
 EIG_COND_LIMIT = 1e3
 
 
@@ -42,28 +54,66 @@ def _drive_vector(hamiltonian, mode):
     return f
 
 
+def _eig(h):
+    """Eigenvalues, unit eigenvectors and the 2-norm condition number of the eigenvectors.
+
+    h is one (n, n) matrix or a (..., n, n) stack; cond_2(V) has the stack's
+    leading shape.
+    """
+    lam, vecs = np.linalg.eig(h)
+    return lam, vecs, np.linalg.cond(vecs)
+
+
+def _frobenius(a):
+    """||a||_F over the last two axes, with no temporary the size of the stack."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat).real)
+
+
+def _resolvent_solve(h, detunings, f):
+    """Solve (Delta I - h) v = f; return (v, K, path) with K >= kappa_2(Delta I - h).
+
+    The detunings broadcast against the leading shape of the (..., n, n)
+    stack h; v has shape (broadcast shape, n) and K the broadcast shape.
+    path is "spectral" or "lu" (see the module docstring).  K is inf or nan
+    where the matrix is singular; the caller applies the guard.
+    """
+    d = np.atleast_1d(np.asarray(detunings, dtype=float))
+    lead = h.shape[:-2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if math.prod(np.broadcast_shapes(d.shape, lead)) > math.prod(lead):
+            lam, vecs, cond_v = _eig(h)
+            if np.all(cond_v <= EIG_COND_LIMIT):
+                gap = d[..., None] - lam
+                dist = np.abs(gap)
+                bound = cond_v**2 * dist.max(axis=-1) / dist.min(axis=-1)
+                # einsum, not @: a tall (points, n) @ (n, n) product goes to threaded gemm
+                v = np.einsum("...ij,...j->...i", vecs, np.linalg.solve(vecs, f) / gap)
+                return v, bound, "spectral"
+        mats = d[..., None, None] * np.eye(h.shape[-1]) - h
+        try:
+            inv = np.linalg.inv(mats)
+        except np.linalg.LinAlgError:
+            raise ConditioningError(
+                "steady-state matrix is singular (LU path); "
+                "every mode needs a positive width or a detuned pump") from None
+        # ||A||_2 <= ||A||_F, so kappa_2 <= kappa_F
+        return inv @ f, _frobenius(mats) * _frobenius(inv), "lu"
+
+
 def _solve_amplitudes(hamiltonian, detunings, f):
-    """Batched solve of (Delta_p I - H) v = f.
+    """Batched solve of (Delta_p I - H) v = f, guarded by a bound on kappa_2.
 
     The detuning array broadcasts against the leading shape of a Hamiltonian
     stack; the amplitudes have shape (broadcast shape, n).
     """
-    h = hamiltonian.matrix
-    n = h.shape[-1]
-    d = np.atleast_1d(np.asarray(detunings, dtype=float))
-    mats = d[..., None, None] * np.eye(n) - h
-    # guard the all-lossless edge case where the matrix can become singular;
-    # |det(M / ||M||_F)| = |det M| / ||M||_F^n without overflowing, and a
-    # non-finite ratio fails the check
-    norm = np.maximum(np.linalg.norm(mats, axis=(-2, -1)), np.finfo(float).tiny)
-    rcond = np.abs(np.linalg.det(mats / norm[..., None, None]))
-    if not np.all(rcond >= RCOND_LIMIT):
+    v, bound, path = _resolvent_solve(hamiltonian.matrix, detunings, f)
+    if not np.all(bound * RCOND_LIMIT <= 1.0):
         raise ConditioningError(
-            "steady-state matrix is singular or near-singular; "
-            "every mode needs a positive width or a detuned pump"
-        )
-    rhs = np.broadcast_to(f[:, None], mats.shape[:-1] + (1,))
-    return np.linalg.solve(mats, rhs)[..., 0]
+            f"steady-state matrix is singular or near-singular ({path} path, condition "
+            f"bound {np.max(bound):.3g} > {1.0 / RCOND_LIMIT:.0e}); "
+            "every mode needs a positive width or a detuned pump")
+    return v
 
 
 def steady_state_sweep(hamiltonian, detunings, drive_mode):
@@ -123,8 +173,8 @@ def evolve(hamiltonian, initial, times_fs):
         raise DomainError(f"initial amplitudes must have shape ({len(hamiltonian.labels)},)")
     h = hamiltonian.matrix
     t_nat = from_fs(t_fs)
-    lam, vecs = np.linalg.eig(h)
-    if np.linalg.cond(vecs) <= EIG_COND_LIMIT:
+    lam, vecs, cond_v = _eig(h)
+    if cond_v <= EIG_COND_LIMIT:
         weights = np.linalg.solve(vecs, v0)
         amps = (np.exp(-1j * np.multiply.outer(t_nat, lam)) * weights) @ vecs.T
     else:

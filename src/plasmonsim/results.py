@@ -80,33 +80,6 @@ class ResultTable:
         return path
 
 
-def read_metadata(text):
-    """Parse the '#' metadata block of an emitted CSV back into a dict.
-
-    Values are restored with float() when they parse as numbers, so the
-    round trip through repr is exact.
-    """
-    meta = {}
-    for line in text.splitlines():
-        if not line.startswith("#"):
-            break
-        body = line[1:].strip()
-        if "=" not in body:
-            continue
-        key, _, value = body.partition("=")
-        key, value = key.strip(), value.strip()
-        try:
-            as_float = float(value)
-        except ValueError:
-            meta[key] = value
-            continue
-        if value.lstrip("+-").isdigit():
-            meta[key] = int(value)
-        else:
-            meta[key] = as_float
-    return meta
-
-
 def scenario_metadata(scenario):
     """Flatten a Scenario into metadata entries with provenance tags and calibration diagnostics."""
     meta = {"scenario": scenario.name}

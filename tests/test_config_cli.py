@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -14,7 +15,34 @@ from plasmonsim import dynamics as dyn
 from plasmonsim.cli import main
 from plasmonsim.config import BUILTIN_CONFIGS, MAX_POINTS, parse_config, parse_config_text
 from plasmonsim.errors import ConfigError
-from plasmonsim.results import ResultTable, read_metadata, scenario_metadata
+from plasmonsim.results import ResultTable, scenario_metadata
+
+
+def read_metadata(text):
+    """Parse the '#' metadata block of an emitted CSV back into a dict.
+
+    Values are restored with float() when they parse as numbers, so the
+    round trip through repr is exact.
+    """
+    meta = {}
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            break
+        body = line[1:].strip()
+        if "=" not in body:
+            continue
+        key, _, value = body.partition("=")
+        key, value = key.strip(), value.strip()
+        try:
+            as_float = float(value)
+        except ValueError:
+            meta[key] = value
+            continue
+        if value.lstrip("+-").isdigit():
+            meta[key] = int(value)
+        else:
+            meta[key] = as_float
+    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +556,30 @@ def test_far_emitter_steady_state_does_not_overflow(tmp_path):
         env=_subprocess_env(), capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert (tmp_path / "optq.csv").read_text().splitlines()[-1] == "1e+40,100,1,yield,1"
+
+
+def test_near_singular_but_well_posed_system_solves(tmp_path, capsys):
+    """Decoupled modes of widths 1e-8, ~1e-8 and 1 eV: kappa_2 = 1e8 at Delta = 0.
+
+    The guard bounds the condition number, so it accepts this system, which
+    |det(M)| / ||M||_F^3 = 1e-16 would call singular.
+    """
+    text = BUILTIN_CONFIGS["fig2"]
+    for old, new in (("g1_mev = -2.9", "g1_mev = 0"), ("G_mev = -7.2", "G_mev = 0"),
+                     ("J_uev = -144", "J_uev = 0"), ("gamma_o_ev = 0.2", "gamma_o_ev = 0"),
+                     ("gamma_1r_mev = 2.45", "gamma_1r_mev = 1e-5"),
+                     ("gamma_s_uev = 3", "gamma_s_uev = 500000"),
+                     ("gamma_m_uev = 83", "gamma_m_uev = 500000"),
+                     ("q_factor = 1e5", "q_factor = 2.3e8"), ("drive = emitter", "drive = plasmon")):
+        text = text.replace(old, new)
+    cfg = tmp_path / "narrow.ini"
+    cfg.write_text(text + "\n[sweep]\nstart_ev = -1e-3\nstop_ev = 1e-3\npoints = 5\n")
+    assert main(["spectrum", "--config", str(cfg), "--format", "json", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = json.loads((tmp_path / "spectrum.json").read_text())["rows"]
+    gamma_1r = gamma_1 = 1e-8  # gamma_o = 0
+    assert rows[2][0] == 0.0
+    assert rows[2][1] == pytest.approx(4.0 * gamma_1r / gamma_1**2, rel=1e-12)
 
 
 def test_cli_spectrum_yield_evolve_run(tmp_path):

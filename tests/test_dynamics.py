@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -63,8 +64,36 @@ def test_steady_state_two_mode_suppression():
 
 def test_steady_state_singular_lossless():
     h = two_mode_network(0.0, 0.0, 0.0)
-    with pytest.raises(ConditioningError):
+    with pytest.raises(ConditioningError, match="LU path"):
         dyn.steady_state_sweep(h, [0.0], "plasmon")
+
+
+def test_steady_state_sweep_onto_an_eigenvalue_raises_on_spectral_path():
+    # lossless, so the eigenvalues +-g are real, and the sweep lands on both
+    g = 0.01
+    h = two_mode_network(g, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError, match="spectral path"):
+            dyn.steady_state_sweep(h, np.linspace(-2 * g, 2 * g, 5), "plasmon")
+
+
+@pytest.mark.parametrize("points", [1, 40])
+def test_condition_bound_holds_on_both_paths(points):
+    """The guard's K bounds kappa_2(Delta I - H) from above on random damped systems."""
+    rng = np.random.default_rng(1301 + points)
+    for _ in range(300):
+        h, _ = random_system(rng)
+        n = h.shape[-1]
+        d = rng.uniform(-1.5, 1.5, points)
+        f = np.zeros(n, dtype=complex)
+        f[rng.integers(0, n)] = 1.0
+        v, bound, path = dyn._resolvent_solve(h, d, f)
+        cond_v = np.linalg.cond(np.linalg.eig(h)[1])
+        assert path == ("spectral" if points > 1 and cond_v <= dyn.EIG_COND_LIMIT else "lu")
+        mats = d[:, None, None] * np.eye(n) - h
+        assert np.all(np.linalg.cond(mats) <= bound * (1 + 1e-12)), path
+        np.testing.assert_allclose(v, np.linalg.solve(mats, f), rtol=1e-9)
 
 
 def test_power_balance_randomized():
@@ -516,3 +545,67 @@ def test_eigenvalues_near_exceptional_point_match_50_digit_eig():
                     error = min(abs(mpmath.mpc(complex(lam)) - e) for e in exact)
                     assert error <= bound, (float(matrix[0, 1].real), float(error), float(bound))
 
+
+def _assert_within_condition_bound(h, detunings, f, v, bound):
+    """Every 40th point and the 20 nearest a resonance against mp.lu_solve at 50 digits.
+
+    The relative 2-norm error of each solve must be at most n u K, K the
+    guard's own bound on kappa_2(Delta I - H), for either path.
+    """
+    n = h.shape[-1]
+    shape = bound.shape
+    mats = np.broadcast_to(h, shape + (n, n)).reshape(-1, n, n)
+    d = np.broadcast_to(detunings, shape).ravel()
+    v, bound = v.reshape(-1, n), bound.ravel()
+    distance = np.min(np.abs(d[:, None] - np.linalg.eigvals(mats)), axis=1)
+    picks = np.union1d(np.arange(0, d.size, 40), np.argsort(distance, kind="stable")[:20])
+    with mpmath.workdps(50):
+        rhs = _mp_matrix(f).T
+        for k in picks:
+            m = mpmath.mpf(float(d[k])) * mpmath.eye(n) - _mp_matrix(mats[k])
+            exact = mpmath.lu_solve(m, rhs)
+            error = mpmath.norm(_mp_matrix(v[k]).T - exact) / mpmath.norm(exact)
+            assert error <= n * UNIT_ROUNDOFF * bound[k], (k, float(error), float(bound[k]))
+
+
+#: builtin -> its figure runner, each making every steady-state solve of that figure
+FIGURE_RUNS = {
+    "fig1c": exp.run_fig1c,
+    "fig2": exp.run_fig2,
+    "fig2_first_principles": exp.run_fig2,
+    "fig3": exp.run_fig3,
+    "fig4": lambda scenario: exp.run_fig4(scenario, 2e-3 * np.arange(-5, 6)),
+}
+
+
+@pytest.mark.parametrize("builtin", sorted(FIGURE_RUNS))
+def test_figure_solves_match_50_digit_lu_solve(builtin, monkeypatch):
+    """Each figure's solves take the spectral path for a sweep and LU for one point."""
+    solves = []
+    resolvent_solve = dyn._resolvent_solve
+
+    def recording(h, detunings, f):
+        result = resolvent_solve(h, detunings, f)
+        solves.append((h, np.atleast_1d(np.asarray(detunings, dtype=float)), f, *result))
+        return result
+
+    monkeypatch.setattr(dyn, "_resolvent_solve", recording)
+    FIGURE_RUNS[builtin](parse_config(builtin).scenario)
+    assert solves
+    for h, detunings, f, v, bound, path in solves:
+        assert path == ("spectral" if bound.size > h[..., 0, 0].size else "lu")
+        _assert_within_condition_bound(h, detunings, f, v, bound)
+
+
+def test_near_exceptional_point_member_sends_the_whole_stack_to_lu():
+    """One defective-looking member of a stack puts every member on the LU path."""
+    gamma = 0.1
+    couplings = [0.01, gamma / 4.0 * (1.0 + 1e-10), 0.05]
+    stack = np.stack([two_mode_network(g, 0.0, gamma).matrix for g in couplings])[:, None]
+    detunings = np.linspace(-0.1, 0.1, 201)
+    f = np.array([1.0, 0.0], dtype=complex)
+    assert list(dyn._eig(stack)[2][:, 0] > dyn.EIG_COND_LIMIT) == [False, True, False]
+    assert dyn._resolvent_solve(stack[[0, 2]], detunings, f)[2] == "spectral"
+    v, bound, path = dyn._resolvent_solve(stack, detunings, f)
+    assert path == "lu" and v.shape == (3, 201, 2)
+    _assert_within_condition_bound(stack, detunings, f, v, bound)

@@ -60,3 +60,16 @@ def test_cli_commands_do_not_import_scipy(tmp_path):
     assert [step for step, scipy in loaded.items() if scipy is not False] == []
     assert len(loaded) == 1 + len(COMMANDS)
     assert exempt is True
+
+
+def test_openblas_threads_default_to_one_and_a_set_value_wins():
+    program = "import os, plasmonsim; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    for preset, expected in ((None, "1"), ("2", "2")):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", program], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout.strip()) == (0, expected), proc.stderr
