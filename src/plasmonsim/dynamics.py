@@ -75,8 +75,9 @@ def _resolvent_solve(h, detunings, f):
 
     The detunings broadcast against the leading shape of the (..., n, n)
     stack h; v has shape (broadcast shape, n) and K the broadcast shape.
-    path is "spectral" or "lu" (see the module docstring).  K is inf or nan
-    where the matrix is singular; the caller applies the guard.
+    path is "spectral" or "lu" (see the module docstring).  The caller
+    applies the guard: K is inf or nan where a detuning hits an eigenvalue,
+    and an exactly singular matrix on the LU path raises ConditioningError.
     """
     d = np.atleast_1d(np.asarray(detunings, dtype=float))
     lead = h.shape[:-2]
