@@ -7,14 +7,17 @@ The solve takes one of two paths:
 - spectral: when a Hamiltonian, or a stack of them, meets more pump
   detunings than there are matrices, each H = V Lambda V^-1 is diagonalized
   once and v(Delta) = V (Delta - Lambda)^-1 V^-1 f at every detuning;
-- LU: otherwise (one detuning per matrix), or when any eigenbasis is
+- LU: otherwise (one detuning per matrix), when any eigenbasis is
   ill-conditioned, cond_2(V) > EIG_COND_LIMIT (near an exceptional point),
-  one batched inverse of M = Delta I - H gives v = M^-1 f.
+  or when the spectral bound below fails the guard, one batched inverse of
+  M = Delta I - H gives v = M^-1 f.
 Either path bounds kappa_2(M) from above, by cond_2(V)^2 max_k |Delta -
 lambda_k| / min_k |Delta - lambda_k| (Trefethen & Embree, Spectra and
 Pseudospectra, 2005, ch. 2) or by kappa_F(M) = ||M||_F ||M^-1||_F (Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 6-7), and
 the solve raises ConditioningError where the bound exceeds 1 / RCOND_LIMIT.
+The spectral bound can exceed kappa_2 by up to cond_2(V)^2, so a sweep it
+rejects is retried on the LU path before the solve raises.
 Time evolution propagates a single-excitation amplitude vector under the
 non-Hermitian Hamiltonian through the same eigendecomposition, v(t) =
 V exp(-i Lambda t) V^-1 v(0); above EIG_COND_LIMIT it falls back to the
@@ -66,8 +69,13 @@ def _eig(h):
 
 def _frobenius(a):
     """||a||_F over the last two axes, with no temporary the size of the stack."""
-    flat = a.reshape(a.shape[:-2] + (-1,))
-    return np.sqrt(np.vecdot(flat, flat).real)
+    re, im = a.real, a.imag
+    return np.sqrt(np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im))
+
+
+def _accepted(bound):
+    """The guard: every K * RCOND_LIMIT <= 1, so NaN and inf fail."""
+    return bool(np.all(bound * RCOND_LIMIT <= 1.0))
 
 
 def _resolvent_solve(h, detunings, f):
@@ -75,9 +83,10 @@ def _resolvent_solve(h, detunings, f):
 
     The detunings broadcast against the leading shape of the (..., n, n)
     stack h; v has shape (broadcast shape, n) and K the broadcast shape.
-    path is "spectral" or "lu" (see the module docstring).  The caller
-    applies the guard: K is inf or nan where a detuning hits an eigenvalue,
-    and an exactly singular matrix on the LU path raises ConditioningError.
+    path is "spectral" or "lu" (see the module docstring); a spectral bound
+    that fails the guard sends the solve to the LU path.  The caller applies
+    the guard: K is inf or nan where a detuning hits an eigenvalue, and an
+    exactly singular matrix on the LU path raises ConditioningError.
     """
     d = np.atleast_1d(np.asarray(detunings, dtype=float))
     lead = h.shape[:-2]
@@ -88,9 +97,14 @@ def _resolvent_solve(h, detunings, f):
                 gap = d[..., None] - lam
                 dist = np.abs(gap)
                 bound = cond_v**2 * dist.max(axis=-1) / dist.min(axis=-1)
-                # einsum, not @: a tall (points, n) @ (n, n) product goes to threaded gemm
-                v = np.einsum("...ij,...j->...i", vecs, np.linalg.solve(vecs, f) / gap)
-                return v, bound, "spectral"
+                if _accepted(bound):
+                    # numpy 1 and 2 read a 1-D right-hand side against a stack differently;
+                    # f as one column per matrix means the same on both
+                    rhs = np.broadcast_to(f[:, None], vecs.shape[:-1] + (1,))
+                    weights = np.linalg.solve(vecs, rhs)[..., 0]
+                    # einsum, not @: a tall (points, n) @ (n, n) product goes to threaded gemm
+                    v = np.einsum("...ij,...j->...i", vecs, weights / gap)
+                    return v, bound, "spectral"
         mats = d[..., None, None] * np.eye(h.shape[-1]) - h
         try:
             inv = np.linalg.inv(mats)
@@ -109,7 +123,7 @@ def _solve_amplitudes(hamiltonian, detunings, f):
     stack; the amplitudes have shape (broadcast shape, n).
     """
     v, bound, path = _resolvent_solve(hamiltonian.matrix, detunings, f)
-    if not np.all(bound * RCOND_LIMIT <= 1.0):
+    if not _accepted(bound):
         raise ConditioningError(
             f"steady-state matrix is singular or near-singular ({path} path, condition "
             f"bound {np.max(bound):.3g} > {1.0 / RCOND_LIMIT:.0e}); "

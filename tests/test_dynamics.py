@@ -68,14 +68,18 @@ def test_steady_state_singular_lossless():
         dyn.steady_state_sweep(h, [0.0], "plasmon")
 
 
-def test_steady_state_sweep_onto_an_eigenvalue_raises_on_spectral_path():
-    # lossless, so the eigenvalues +-g are real, and the sweep lands on both
+def test_steady_state_sweep_onto_an_eigenvalue_raises():
+    # lossless, so the eigenvalues +-g are real, and the sweep lands on both: the
+    # spectral bound is inf there, and the LU path it hands the sweep to raises
     g = 0.01
     h = two_mode_network(g, 0.0, 0.0)
+    detunings = np.linspace(-2 * g, 2 * g, 5)
+    lam, _, cond_v = dyn._eig(h.matrix)
+    assert cond_v <= dyn.EIG_COND_LIMIT and np.min(np.abs(detunings[:, None] - lam)) == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConditioningError, match="spectral path"):
-            dyn.steady_state_sweep(h, np.linspace(-2 * g, 2 * g, 5), "plasmon")
+        with pytest.raises(ConditioningError, match="LU path"):
+            dyn.steady_state_sweep(h, detunings, "plasmon")
 
 
 @pytest.mark.parametrize("points", [1, 40])
@@ -609,3 +613,30 @@ def test_near_exceptional_point_member_sends_the_whole_stack_to_lu():
     v, bound, path = dyn._resolvent_solve(stack, detunings, f)
     assert path == "lu" and v.shape == (3, 201, 2)
     _assert_within_condition_bound(stack, detunings, f, v, bound)
+
+
+def test_spectral_bound_over_the_guard_retries_on_lu():
+    """A narrow line beside a near-exceptional-point pair: the spectral K fails, LU solves.
+
+    The plasmon and a lossless cavity sit 1e-5 above their exceptional point
+    (cond_2(V) ~ 450, inside EIG_COND_LIMIT), 0.1 eV above a decoupled
+    emitter of width 2 neV.  On the emitter line cond_2(V)^2 max/min reaches
+    2e13 while kappa_2 is ~1e8, so the sweep goes to the LU path and meets
+    the 50-digit oracle within its K.
+    """
+    gamma = 0.05
+    g1 = gamma / 4.0 * (1.0 + np.array([[1e-2], [1e-5]]))
+    h = net.build_three_mode(
+        g1=g1, G=0.0, J=0.0, delta_1e=0.1, delta_ce=0.1, gamma_1r=0.0, gamma_o=gamma,
+        gamma_c=0.0, gamma_s=1e-9, gamma_m=1e-9)
+    detunings = np.linspace(-0.01, 0.01, 201)
+    f = dyn._drive_vector(h, "plasmon")
+    lam, _, cond_v = dyn._eig(h.matrix)
+    dist = np.abs(detunings[:, None] - lam)
+    spectral = cond_v**2 * dist.max(axis=-1) / dist.min(axis=-1)
+    assert np.all(cond_v <= dyn.EIG_COND_LIMIT) and not dyn._accepted(spectral)
+    v, bound, path = dyn._resolvent_solve(h.matrix, detunings, f)
+    assert path == "lu" and v.shape == (2, 201, 3) and dyn._accepted(bound)
+    _assert_within_condition_bound(h.matrix, detunings, f, v, bound)
+    amps, _ = dyn.steady_state_sweep(h, detunings, "plasmon")
+    np.testing.assert_array_equal(amps, v)

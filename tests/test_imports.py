@@ -2,7 +2,9 @@
 
 The one exemption is evolve's matrix-exponential fallback near an
 exceptional point, which imports scipy.linalg on first use; the last check
-runs it to show that the guard does see a scipy import.
+runs it to show that the guard does see a scipy import.  The last two
+tests check that import plasmonsim leaves OpenBLAS one thread unless the
+user set another count.
 """
 
 import json
@@ -10,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,14 +66,28 @@ def test_cli_commands_do_not_import_scipy(tmp_path):
     assert exempt is True
 
 
+def _cold_python(program, openblas_threads):
+    """Run program in a new interpreter with OPENBLAS_NUM_THREADS unset or preset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    proc = subprocess.run([sys.executable, "-c", program], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_openblas_threads_default_to_one_and_a_set_value_wins():
     program = "import os, plasmonsim; print(os.environ['OPENBLAS_NUM_THREADS'])"
     for preset, expected in ((None, "1"), ("2", "2")):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        if preset is not None:
-            env["OPENBLAS_NUM_THREADS"] = preset
-        proc = subprocess.run([sys.executable, "-c", program], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stdout.strip()) == (0, expected), proc.stderr
+        assert _cold_python(program, preset) == expected
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+def test_cold_import_starts_no_blas_worker_threads():
+    # OpenBLAS starts its workers when numpy loads it, so the process's thread
+    # count after a cold import is the setting's effect, not just its value
+    program = "import os, plasmonsim; print(len(os.listdir('/proc/self/task')))"
+    assert _cold_python(program, None) == "1"
