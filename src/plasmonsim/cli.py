@@ -21,6 +21,7 @@ import numpy as np
 from .config import BUILTIN_CONFIGS, MAX_POINTS, parse_config
 from .errors import ConfigError, PlasmonSimError
 from .experiments import (
+    FIG4_SPECTRUM_POINTS,
     branch_table,
     enhancement_map,
     evolve_table,
@@ -97,26 +98,31 @@ def _spectral_grid(parsed, points_override):
     return np.linspace(delta_0 - 8e-3, delta_0 + 8e-3, points)
 
 
+def _grid(args, keyword):
+    """--grid as the runner's `keyword` argument; without --grid the runner's default holds."""
+    return {} if args.grid is None else {keyword: args.grid}
+
+
 def cmd_fig1c(args):
-    return _write([run_fig1c(parse_config("fig1c").scenario, points=args.grid or 2001)], args)
+    return _write([run_fig1c(parse_config("fig1c").scenario, **_grid(args, "points"))], args)
 
 
 def cmd_fig2(args):
     builtin = "fig2_first_principles" if args.first_principles else "fig2"
-    return _write(run_fig2(parse_config(builtin).scenario, points=args.grid or 401), args)
+    return _write(run_fig2(parse_config(builtin).scenario, **_grid(args, "points")), args)
 
 
 def cmd_fig3(args):
     return _write(
-        run_fig3(parse_config("fig3").scenario, spectrum_points=args.grid or 2001), args)
+        run_fig3(parse_config("fig3").scenario, **_grid(args, "spectrum_points")), args)
 
 
 def cmd_fig4(args):
     scenario = parse_config("fig4").scenario
     sweep = _detuning_sweep(args, scenario)
-    spectrum_points = args.grid or 801
+    spectrum_points = args.grid or FIG4_SPECTRUM_POINTS
     _check_points("the fig4 spectra map", sweep.size * spectrum_points)
-    return _write(run_fig4(scenario, sweep, spectrum_points=spectrum_points), args)
+    return _write(run_fig4(scenario, sweep, spectrum_points), args)
 
 
 def _load(args):
@@ -138,7 +144,7 @@ def cmd_yield(args):
 
 def cmd_evolve(args):
     parsed = _load(args)
-    points = args.grid or parsed.sweep.get("t_points", 4096)
+    points = args.grid or parsed.sweep["t_points"]
     return _write(
         [evolve_table(parsed.scenario, points, parsed.sweep.get("t_span_fs"))], args)
 

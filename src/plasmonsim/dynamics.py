@@ -161,8 +161,7 @@ class TimeTrace:
     """Mode populations |v_i(t)|^2 on a femtosecond time grid."""
 
     times_fs: np.ndarray
-    labels: tuple
-    populations: dict  # label -> np.ndarray
+    populations: dict  # mode label -> np.ndarray, in basis order
 
     def population(self, label):
         return self.populations[label]
@@ -198,20 +197,20 @@ def evolve(hamiltonian, initial, times_fs):
     populations = {
         label: np.abs(amps[:, i]) ** 2 for i, label in enumerate(hamiltonian.labels)
     }
-    return TimeTrace(times_fs=t_fs, labels=hamiltonian.labels, populations=populations)
+    return TimeTrace(times_fs=t_fs, populations=populations)
 
 
-def default_time_grid(hamiltonian, points=4096, lifetimes=10.0):
-    """Femtosecond grid of `points` samples spanning `lifetimes` of the slowest branch."""
+def default_time_grid(hamiltonian, points):
+    """Femtosecond grid of `points` samples spanning ten lifetimes of the slowest branch."""
     widths = [-2.0 * lam.imag for lam in np.linalg.eigvals(hamiltonian.matrix)]
     positive = [w for w in widths if w > 0]
     if not positive:
         raise DomainError("no decaying branch; cannot size a default time grid")
-    return np.linspace(0.0, float(to_fs(lifetimes / min(positive))), points)
+    return np.linspace(0.0, float(to_fs(10.0 / min(positive))), points)
 
 
-def count_oscillation_maxima(times_fs, population, threshold=1e-3, settle_fs=0.0):
-    """Number of strict local maxima above threshold, after an initial settling window.
+def count_oscillation_maxima(times_fs, population, settle_fs):
+    """Number of strict local maxima above 1e-3, after an initial settling window.
 
     The settling window excludes the fast virtual-excursion transient of
     strongly damped far-detuned modes, which would otherwise register as
@@ -221,7 +220,7 @@ def count_oscillation_maxima(times_fs, population, threshold=1e-3, settle_fs=0.0
     t = np.asarray(times_fs)
     p = np.asarray(population)
     interior = (p[1:-1] > p[:-2]) & (p[1:-1] > p[2:])
-    eligible = (p[1:-1] > threshold) & (t[1:-1] >= settle_fs)
+    eligible = (p[1:-1] > 1e-3) & (t[1:-1] >= settle_fs)
     return int(np.sum(interior & eligible))
 
 
@@ -231,14 +230,6 @@ class EigenBranchSet:
 
     sweep_values: np.ndarray
     eigenvalues: np.ndarray  # complex (n_sweep, n_modes)
-
-    @property
-    def detunings(self):
-        return self.eigenvalues.real
-
-    @property
-    def linewidths(self):
-        return -2.0 * self.eigenvalues.imag
 
     @property
     def n_branches(self):

@@ -29,10 +29,6 @@ class TrackingAmbiguityError(PlasmonSimError):
 class CalibrationError(PlasmonSimError):
     """Coupling calibration did not converge to its targets."""
 
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
-
 
 class ConfigError(PlasmonSimError):
     """A scenario configuration or command-line input is malformed or fails validation.

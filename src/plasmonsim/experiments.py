@@ -5,8 +5,7 @@ A Scenario is a flat parameter dictionary with per-parameter provenance
 in result metadata.  Every runner receives a resolved Scenario; the paper's
 scenarios are the builtin configs of the config module, so each is
 described once.  Sweeps build one Hamiltonian stack and solve it in one
-batched call; a standalone map cell is a 1x1 batch of the same code, so it
-reproduces its map entry bit for bit.
+batched call.
 
 This is the only module that builds output tables: the figure runners,
 enhancement_map and the *_table functions return ResultTables whose column
@@ -45,8 +44,9 @@ ANTICROSSING_Q = 1e3
 #: (label, cavity quality factor) of the fig3 Rabi-oscillation traces
 TRACE_Q_FACTORS = (("q1e3", 1e3), ("q1e4", 1e4), ("q1e5", 1e5))
 
-#: cavity quality factor of the fig4 emission-spectra map
+#: cavity quality factor of the fig4 emission-spectra map, and its pump detunings per row
 SPECTRA_Q = 1e4
+FIG4_SPECTRUM_POINTS = 801
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -105,14 +105,15 @@ def _distance_law(p, distance_nm, quench_orientation=None):
 # dissipation spectra and quantum yield
 # ---------------------------------------------------------------------------
 
-def run_fig1c(scenario, points=2001, half_span_ev=2e-3):
+def run_fig1c(scenario, points=2001):
     """Table fig1c: a pumped scenario's output powers vs pump detuning, with and without cavity.
 
-    The scenario is driven on its configured drive mode; for the builtin
-    fig1c that is the plasmon of the nanoparticle, with the emitter decoupled.
-    The absorbed power is the Ohmic loss of the dipolar mode.
+    The detunings span +/- 2 meV.  The scenario is driven on its configured
+    drive mode; for the builtin fig1c that is the plasmon of the
+    nanoparticle, with the emitter decoupled.  The absorbed power is the
+    Ohmic loss of the dipolar mode.
     """
-    detunings = np.linspace(-half_span_ev, half_span_ev, points)
+    detunings = np.linspace(-2e-3, 2e-3, points)
     _, p_cav = dyn.steady_state_sweep(scenario.hamiltonian(), detunings, scenario["drive_mode"])
     _, p_bare = dyn.steady_state_sweep(
         scenario.hamiltonian(bare=True), detunings, scenario["drive_mode"])
@@ -125,11 +126,11 @@ def run_fig1c(scenario, points=2001, half_span_ev=2e-3):
     )
 
 
-def run_fig2(scenario, points=401, half_span_ev=1e-3):
+def run_fig2(scenario, points=401):
     """Tables fig2_yield and fig2_power of an emitter-driven scenario vs pump-cavity detuning.
 
-    The grid is centered on the scenario's interference detuning Delta_0
-    with a 5 ueV step by default; the physical yield maximum sits a few ueV
+    The grid spans +/- 1 meV around the scenario's interference detuning
+    Delta_0, a 5 ueV step by default; the physical yield maximum sits a few ueV
     below Delta_0 (the Fano zero of the dipolar amplitude rides the shoulder
     of the cavity feature), so finer steps would resolve that offset.  The
     dipolar-mode absorption is normalized to its maximum; the yields and the
@@ -138,7 +139,7 @@ def run_fig2(scenario, points=401, half_span_ev=1e-3):
     delta_0 = scenario["delta_0_ev"]
     h = scenario.hamiltonian()
     h_bare = scenario.hamiltonian(bare=True)
-    detunings = delta_0 + np.linspace(-half_span_ev, half_span_ev, points)
+    detunings = delta_0 + np.linspace(-1e-3, 1e-3, points)
 
     def solve(hamiltonian, grid):
         return dyn.steady_state_sweep(hamiltonian, grid, "emitter")[1]
@@ -225,15 +226,6 @@ def evolve_table(scenario, points, span_fs):
 # (D, Q) enhancement maps and the optimal quality factor
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MapCell:
-    d_nm: float
-    q_factor: float
-    yield_enhancement: float
-    power_enhancement: float
-    delta_0_ev: float
-
-
 def with_emitter_at(scenario, distance_nm):
     """The sphere scenario with its emitter distance_nm from the particle surface.
 
@@ -268,23 +260,6 @@ def _enhancements(at_d, q_factor):
     yield_enh = net.yield_from_powers(powers) / net.yield_from_powers(powers_b)
     power_enh = net.radiated_power(powers) / net.radiated_power(powers_b)
     return yield_enh, power_enh
-
-
-def map_cell(scenario, d_nm, q_factor):
-    """One (D, Q) cell of the scenario's enhancement map, at Delta_p,c = Delta_0(D).
-
-    A 1x1 batch of the map's code, so standalone calls reproduce map
-    entries bit for bit.
-    """
-    at_d = with_emitter_at(scenario, d_nm)
-    ye, pe = _enhancements(at_d, [q_factor])
-    return MapCell(
-        d_nm=d_nm,
-        q_factor=q_factor,
-        yield_enhancement=float(ye[0]),
-        power_enhancement=float(pe[0]),
-        delta_0_ev=float(at_d["delta_0_ev"]),
-    )
 
 
 def enhancement_map(scenario, d_grid, q_grid):
@@ -370,15 +345,6 @@ def optq_table(scenario, distances_nm, objective):
 # ---------------------------------------------------------------------------
 # strong coupling: calibration, Rabi traces and the anti-crossing
 # ---------------------------------------------------------------------------
-
-def _pair_metrics(matrix):
-    """(Re separation, larger width, smaller width) of the two near-zero branches."""
-    lam = np.linalg.eigvals(matrix)
-    order = np.argsort(np.abs(lam.real), kind="stable")
-    a, b = lam[order[0]], lam[order[1]]
-    widths = sorted((-2.0 * a.imag, -2.0 * b.imag), reverse=True)
-    return abs(a.real - b.real), widths[0], widths[1]
-
 
 def with_cavity(scenario, delta_ce_ev, q_factor=None):
     """The scenario with its cavity at delta_ce_ev = omega_c - omega_e and quality factor q_factor.
@@ -466,12 +432,10 @@ def calibrate_fig3_couplings(scenario, targets):
             converged = True
             break
     if converged:
-        sep, _, kappa2 = _pair_metrics(hamiltonian(x))
-        res = [sep / two_g_target - 1.0, kappa2 / kappa2_target - 1.0]
+        res = residuals_and_jacobian(x)[0]
     res = [float(r) for r in res]
     if not converged or max(abs(r) for r in res) > 1e-3:
-        raise CalibrationError(
-            f"coupling calibration did not converge: residuals {res}", residuals=res)
+        raise CalibrationError(f"coupling calibration did not converge: residuals {res}")
     G_eff, g1_eff = (abs(float(v)) for v in x)
 
     mu_1 = cpl.plasmon_effective_dipole(p["gamma_1r_ev"], p["omega_1_ev"])
@@ -499,20 +463,21 @@ def fig3_hamiltonians(scenario):
     return hams
 
 
-def run_fig3(scenario, trace_points=4096, spectrum_points=2001):
+def run_fig3(scenario, spectrum_points=2001):
     """Tables fig3_traces and fig3_spectrum: Rabi oscillations and the emission doublet.
 
     The scenario must be calibrated.  The emitter starts excited; the traces
-    span nine periods of the calibration's target splitting, at each
-    TRACE_Q_FACTORS Q and without the cavity, and the oscillation maxima of
-    each after the settling window are result.* metadata.  The spectrum is
+    have 4096 points over nine periods of the calibration's target
+    splitting, at each TRACE_Q_FACTORS Q and without the cavity, and the
+    oscillation maxima of each after the settling window are result.*
+    metadata.  The spectrum is
     the scenario's own, with and without cavity.
     """
     if not scenario.calibration:
         raise DomainError(f"fig3 needs a calibrated scenario; {scenario.name!r} has no calibration")
     p = scenario.params
     span_natural = 9.0 * 2.0 * math.pi / scenario.calibration["two_g_eff_target_ev"]
-    times_fs = to_fs(np.linspace(0.0, span_natural, trace_points))
+    times_fs = to_fs(np.linspace(0.0, span_natural, 4096))
     settle_fs = float(to_fs(10.0 / (p["gamma_1r_ev"] + p["gamma_o_ev"])))
     hams = fig3_hamiltonians(scenario)
     initial = np.array([0.0, 0.0, 1.0], dtype=complex)  # the emitter excited
@@ -522,7 +487,7 @@ def run_fig3(scenario, trace_points=4096, spectrum_points=2001):
     for label, h in hams.items():
         traces[label] = dyn.evolve(h, initial, times_fs).population("emitter")
         meta[f"result.maxima_{label}"] = dyn.count_oscillation_maxima(
-            times_fs, traces[label], threshold=1e-3, settle_fs=settle_fs)
+            times_fs, traces[label], settle_fs)
     table_traces = ResultTable.from_arrays(
         "fig3_traces", ("time_fs", *(f"pop_{label}" for label in traces)),
         (times_fs, *traces.values()), meta)
@@ -561,7 +526,7 @@ def branch_table(name, scenario, sweep):
     return ResultTable.from_arrays(name, columns, arrays, meta)
 
 
-def run_fig4(scenario, sweep_values, spectrum_points=801):
+def run_fig4(scenario, sweep_values, spectrum_points=FIG4_SPECTRUM_POINTS):
     """Tables fig4_branches and fig4_spectra: the anti-crossing and its emission-spectra map.
 
     The branches are the scenario's own; the spectra are those of the same
@@ -581,13 +546,3 @@ def run_fig4(scenario, sweep_values, spectrum_points=801):
          net.radiated_power(powers).ravel()),
         scenario_metadata(at_q))
     return table_branches, table_spectra
-
-
-def spectrum_peak_separation(detunings, power):
-    """Separation of the two tallest local maxima of a spectrum (0 if single-peaked)."""
-    p = np.asarray(power)
-    idx = np.nonzero((p[1:-1] > p[:-2]) & (p[1:-1] > p[2:]))[0] + 1
-    if len(idx) < 2:
-        return 0.0
-    top = sorted(idx, key=lambda i: -p[i])[:2]
-    return float(abs(detunings[top[0]] - detunings[top[1]]))

@@ -37,11 +37,6 @@ class DrudeMetal:
             raise DomainError(f"gamma_o must be >= 0, got {self.gamma_o}")
 
 
-def drude_gold():
-    """Drude parameters for gold used throughout: eps_inf=1, omega_p=4 eV, gamma_o=0.2 eV."""
-    return DrudeMetal(eps_inf=1.0, omega_p=4.0, gamma_o=0.2)
-
-
 @dataclass(frozen=True)
 class Environment:
     """Non-absorbing background with relative permittivity eps_b >= 1."""

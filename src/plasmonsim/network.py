@@ -65,10 +65,15 @@ class EffectiveHamiltonian:
         }
 
     def vacuum_cross_term(self, v):
-        """Interference part of the vacuum port: its power minus the two per-mode powers."""
+        """Interference part of the vacuum port, 2 sqrt(gamma_1r gamma_s) Re(conj(v_p) v_e).
+
+        The vacuum power minus the two per-mode powers, in closed form, so an
+        exactly vanishing interference is 0 and not rounding noise; + 0.0
+        turns -0.0 into 0.0.
+        """
         r = self.rates
-        diagonal = r["gamma_1r"] * np.abs(v[..., 0]) ** 2 + r["gamma_s"] * np.abs(v[..., 2]) ** 2
-        return self.powers(v)["rad_vacuum"] - diagonal
+        interference = (v[..., 0].conj() * v[..., 2]).real
+        return 2.0 * np.sqrt(r["gamma_1r"] * r["gamma_s"]) * interference + 0.0
 
 
 def build_three_mode(*, g1, G, J, delta_1e, delta_ce, gamma_1r, gamma_o, gamma_c, gamma_s,

@@ -19,6 +19,9 @@ from .errors import ConfigError
 #: format(x, ".9g") does, inf, nan and -0.0 included
 CELL_FORMATS = {"f": "%.9g", "i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 
+#: rows per block of CSV text, so a large table's text is never held whole
+CHUNK_ROWS = 4096
+
 
 def _format_meta(value):
     if isinstance(value, (float, np.floating)):
@@ -49,19 +52,16 @@ class ResultTable:
             raise ConfigError(f"column length mismatch in {name}")
         return cls(name, np.rec.fromarrays(arrays, names=list(columns)), metadata)
 
-    def to_csv(self):
-        return "".join(self._csv_chunks())
-
-    def _csv_chunks(self, rows_per_chunk=4096):
-        """The CSV text in blocks of rows, so a large table's text is never held whole."""
+    def _csv_chunks(self):
+        """The CSV text in blocks of CHUNK_ROWS rows."""
         header = [f"# plasmonsim {__version__}", f"# table = {self.name}"]
         header += [f"# {key} = {_format_meta(self.metadata[key])}" for key in sorted(self.metadata)]
         header.append(",".join(self.columns))
         yield "\n".join(header) + "\n"
         formats = (CELL_FORMATS[self.rows.dtype[c].kind] for c in self.columns)
         line = (",".join(formats) + "\n").__mod__
-        for start in range(0, len(self.rows), rows_per_chunk):
-            yield "".join(map(line, self.rows[start:start + rows_per_chunk].tolist()))
+        for start in range(0, len(self.rows), CHUNK_ROWS):
+            yield "".join(map(line, self.rows[start:start + CHUNK_ROWS].tolist()))
 
     def to_json(self):
         payload = {

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plasmonsim import dynamics as dyn
 from plasmonsim import experiments as exp
 from plasmonsim import materials as mat
 from plasmonsim import network as net
@@ -9,7 +10,8 @@ from plasmonsim.config import parse_config
 
 @pytest.fixture(scope="session")
 def gold():
-    return mat.drude_gold()
+    """Drude gold as the builtin configs set it: eps_inf = 1, omega_p = 4 eV, gamma_o = 0.2 eV."""
+    return mat.DrudeMetal(eps_inf=1.0, omega_p=4.0, gamma_o=0.2)
 
 
 @pytest.fixture(scope="session")
@@ -80,6 +82,26 @@ def random_system(rng, n_modes=None):
 def column(table, name):
     """One column of a ResultTable as an array, each cell exactly as the table holds it."""
     return table.rows[name]
+
+
+def spectrum_peak_separation(detunings, power):
+    """Separation of the two tallest local maxima of a spectrum (0 if single-peaked)."""
+    p = np.asarray(power)
+    idx = np.nonzero((p[1:-1] > p[:-2]) & (p[1:-1] > p[2:]))[0] + 1
+    if len(idx) < 2:
+        return 0.0
+    top = sorted(idx, key=lambda i: -p[i])[:2]
+    return float(abs(detunings[top[0]] - detunings[top[1]]))
+
+
+def pair_metrics(matrix):
+    """Anti-crossing metrics of the two branches of one matrix nearest zero detuning."""
+    return dyn.anticrossing_metrics(dyn.eigen_branches([matrix], [0.0]))
+
+
+def map_column(scenario, d_nm, q_grid, name):
+    """One column of the scenario's enhancement map at one distance over q_grid."""
+    return column(exp.enhancement_map(scenario, [d_nm], q_grid), name)
 
 
 # the anti-crossing sweep the tests check: -10..10 meV in 0.5 meV steps, exact zero at the centre

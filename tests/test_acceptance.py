@@ -21,7 +21,7 @@ from plasmonsim.cli import main
 from plasmonsim.config import parse_config
 from plasmonsim.quantities import to_fs
 
-from conftest import column, random_system
+from conftest import column, map_column, pair_metrics, random_system, spectrum_peak_separation
 
 
 def _criterion(number, checks):
@@ -138,7 +138,7 @@ def test_criterion_3_yield_regression():
 def test_criterion_4_enhancement_map():
     scenario = parse_config("fig2_first_principles").scenario
     q_grid = np.geomspace(1e2, 1e7, 26)
-    at_d10 = [exp.map_cell(scenario, 10.0, q).yield_enhancement for q in q_grid]
+    at_d10 = map_column(scenario, 10.0, q_grid, "yield_enhancement").tolist()
     i_max = int(np.argmax(at_d10))
     non_monotonic = (0 < i_max < len(q_grid) - 1) and not all(
         a <= b for a, b in zip(at_d10, at_d10[1:]))
@@ -150,7 +150,7 @@ def test_criterion_4_enhancement_map():
     # cavity-induced radiative rate 4 g1^2/gamma_c falls below gamma_1r only
     # for Q well under ~170 at these parameters.  The check is kept at its
     # stated tolerance and documents the discrepancy.
-    low_q = exp.map_cell(scenario, 10.0, 1e2).yield_enhancement
+    low_q = map_column(scenario, 10.0, [1e2], "yield_enhancement")[0]
 
     _criterion(4, [
         ("interior maximum vs Q at D=10", non_monotonic,
@@ -169,9 +169,10 @@ def test_criterion_4_enhancement_map():
 def test_criterion_5_strong_coupling(fig3, fig4):
     traces, spectrum = fig3
     branches, _ = fig4
-    sep, _, kappa_2 = exp._pair_metrics(exp.with_cavity(
+    calibrated = pair_metrics(exp.with_cavity(
         parse_config("fig3").scenario, 0.0, exp.ANTICROSSING_Q).hamiltonian().matrix)
-    doublet = exp.spectrum_peak_separation(
+    sep, kappa_2 = calibrated.two_g_eff, calibrated.kappa_2
+    doublet = spectrum_peak_separation(
         column(spectrum, "detuning_ev"), column(spectrum, "phi_rad_cavity"))
     eigenvalues = np.stack([column(branches, f"branch{b}_re_ev")
                             + 1j * column(branches, f"branch{b}_im_ev") for b in range(3)], axis=1)
@@ -203,7 +204,7 @@ def test_criterion_5_strong_coupling(fig3, fig4):
 # criterion 6: invariant property suites
 # ---------------------------------------------------------------------------
 
-def test_criterion_6_property_suites(paper_three_mode, omega1):
+def test_criterion_6_property_suites(paper_three_mode, omega1, gold):
     checks = []
     rng = np.random.default_rng(424242)
 
@@ -288,7 +289,6 @@ def test_criterion_6_property_suites(paper_three_mode, omega1):
         exponents_ok &= math.isclose(
             cpl.free_space_decay(mu, s * w), s**3 * cpl.free_space_decay(mu, w),
             rel_tol=1e-10)
-    gold = mat.drude_gold()
     env = mat.Environment(1.0)
     for r1, r2 in ((5.0, 10.0), (7.0, 21.0)):
         a = mat.dipolar_radiative_rate(mat.Nanoparticle(mat.Sphere(r1), gold), env)

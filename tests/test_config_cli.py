@@ -195,15 +195,25 @@ def _table(columns, rows, metadata=None):
     return ResultTable.from_arrays("t", columns, list(zip(*rows)), metadata)
 
 
+@pytest.fixture(scope="module")
+def csv_text(tmp_path_factory):
+    """A function giving the CSV text that table.write puts in a file."""
+    path = str(tmp_path_factory.mktemp("csv") / "t.csv")
+
+    def read(table):
+        with open(table.write(path), encoding="utf-8", newline="") as fh:
+            return fh.read()
+    return read
+
+
 def _csv_by_cell(rows):
     """Oracle: the data rows serialized cell by cell with format_cell."""
     return "".join(",".join(format_cell(v) for v in row) + "\n" for row in rows)
 
 
-def test_csv_format_nine_significant_digits(tmp_path):
+def test_csv_format_nine_significant_digits(csv_text):
     table = _table(("a", "b"), [(1.0 / 3.0, 2), (1.23456789012e-7, 3)])
-    text = table.to_csv()
-    lines = text.strip().splitlines()
+    lines = csv_text(table).strip().splitlines()
     assert lines[-2].split(",")[0] == "0.333333333"
     assert lines[-1].split(",")[0] == "1.23456789e-07"
 
@@ -212,12 +222,12 @@ def test_csv_format_nine_significant_digits(tmp_path):
 @given(st.lists(st.tuples(st.floats(allow_nan=True, allow_infinity=True),
                           st.floats(allow_nan=True, allow_infinity=True, width=32)),
                 min_size=1, max_size=20))
-def test_csv_rows_match_format_cell_on_floats(rows):
+def test_csv_rows_match_format_cell_on_floats(csv_text, rows):
     table = _table(("a", "b"), rows)
-    assert table.to_csv().endswith("\na,b\n" + _csv_by_cell(rows))
+    assert csv_text(table).endswith("\na,b\n" + _csv_by_cell(rows))
 
 
-def test_csv_rows_match_format_cell_on_every_cell_type():
+def test_csv_rows_match_format_cell_on_every_cell_type(csv_text):
     specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308,
                 1.0 / 3.0, 123456789.5, 1e16, 0.1]
     rows = [
@@ -226,25 +236,23 @@ def test_csv_rows_match_format_cell_on_every_cell_type():
     ]
     rows.append((1.0, "text", 2, True, 3.0, 4.0, 5, False))
     table = _table(tuple("abcdefgh"), rows)
-    assert table.to_csv().endswith("\na,b,c,d,e,f,g,h\n" + _csv_by_cell(rows))
+    assert csv_text(table).endswith("\na,b,c,d,e,f,g,h\n" + _csv_by_cell(rows))
 
 
-def test_written_csv_spanning_many_row_blocks(tmp_path):
+def test_written_csv_spanning_many_row_blocks(csv_text):
     # the file is written a block of rows at a time
     rows = [(i / 7.0, i * 1e-9) for i in range(9001)]
     table = _table(("a", "b"), rows, {"k": 1.5})
-    path = table.write(str(tmp_path / "t.csv"))
-    with open(path, encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    assert text == table.to_csv()
+    text = csv_text(table)
+    assert "\n# k = 1.5\na,b\n" in text
     assert text.endswith("\na,b\n" + _csv_by_cell(rows))
 
 
-def test_metadata_round_trip_exact():
+def test_metadata_round_trip_exact(csv_text):
     parsed = parse_config("fig2")
     meta = scenario_metadata(parsed.scenario)
     table = _table(("x",), [(1.0,)], meta)
-    recovered = read_metadata(table.to_csv())
+    recovered = read_metadata(csv_text(table))
     for key, value in parsed.scenario.params.items():
         assert recovered[f"param.{key}"] == value, key
     for key, value in parsed.scenario.provenance.items():
@@ -287,6 +295,21 @@ def test_cli_eigen_sweep_row_count(tmp_path):
     rows = [l for l in (out / "eigen.csv").read_text().splitlines()
             if not l.startswith("#")]
     assert len(rows) == 1 + 11  # header + 11 sweep points
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["fig1c"], {"fig1c": 2001}),
+    (["fig2"], {"fig2_yield": 401, "fig2_power": 401}),
+    (["fig3"], {"fig3_traces": 4096, "fig3_spectrum": 2001}),
+    (["fig4"], {"fig4_branches": 11, "fig4_spectra": 11 * 801}),
+    (["evolve", "--config", "fig3"], {"evolve": 4096}),
+], ids=["fig1c", "fig2", "fig3", "fig4", "evolve"])
+def test_cli_default_grid_row_counts(tmp_path, argv, rows):
+    """Without --grid each command writes the point counts of its one stated default."""
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    for name, count in rows.items():
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        assert len([l for l in lines if not l.startswith("#")]) == 1 + count, name
 
 
 def test_cli_validate_runs_nothing(tmp_path, capsys):

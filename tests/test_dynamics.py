@@ -274,7 +274,7 @@ def _count_expm(monkeypatch):
 
 def _max_population_gap(trace, amps):
     return max(np.max(np.abs(trace.population(label) - np.abs(amps[:, i]) ** 2))
-               for i, label in enumerate(trace.labels))
+               for i, label in enumerate(trace.populations))
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +313,7 @@ def test_evolve_falls_back_to_expm_near_exceptional_point(offset, monkeypatch):
 def test_evolve_first_row_is_initial_state(paper_three_mode):
     v0 = np.array([0.36, 0.48j, -0.8], dtype=complex)
     trace = dyn.evolve(paper_three_mode, v0, np.linspace(0.0, 5e4, 7))
-    for i, label in enumerate(trace.labels):
+    for i, label in enumerate(trace.populations):
         assert trace.population(label)[0] == np.abs(v0[i]) ** 2
 
 
@@ -340,8 +340,8 @@ def test_channel_cross_term(paper_three_mode):
 def test_count_oscillation_maxima_settle_window():
     t = np.linspace(0.0, 10.0, 1001)
     pop = np.exp(-0.2 * t) * (0.5 + 0.5 * np.cos(4.0 * t))
-    n_all = dyn.count_oscillation_maxima(t, pop, threshold=1e-3, settle_fs=0.0)
-    n_late = dyn.count_oscillation_maxima(t, pop, threshold=1e-3, settle_fs=5.0)
+    n_all = dyn.count_oscillation_maxima(t, pop, 0.0)
+    n_late = dyn.count_oscillation_maxima(t, pop, 5.0)
     assert n_all > n_late > 0
 
 
@@ -354,8 +354,8 @@ def test_eigen_branches_zero_coupling_lines():
     mats = [np.diag([d - 0.05j, -0.1j]) for d in sweep]
     branches = dyn.eigen_branches(mats, sweep)
     # tracked branches stay with their mode through the crossing
-    assert branches.detunings[:, 0] == pytest.approx(sweep)
-    assert branches.detunings[:, 1] == pytest.approx(np.zeros_like(sweep))
+    assert branches.eigenvalues[:, 0].real == pytest.approx(sweep)
+    assert branches.eigenvalues[:, 1].real == pytest.approx(np.zeros_like(sweep))
     metrics = dyn.anticrossing_metrics(branches)
     assert metrics.two_g_eff == pytest.approx(0.0, abs=1e-12)
 
@@ -365,8 +365,8 @@ def test_eigen_branches_hermitian_anticrossing():
     sweep = np.linspace(-1.0, 1.0, 81)
     mats = [np.array([[d, g], [g, 0.0]], dtype=complex) for d in sweep]
     branches = dyn.eigen_branches(mats, sweep)
-    assert np.max(np.abs(branches.linewidths)) < 1e-12
-    separation = np.abs(branches.detunings[:, 0] - branches.detunings[:, 1])
+    assert np.max(np.abs(branches.eigenvalues.imag)) < 0.5e-12
+    separation = np.abs(branches.eigenvalues[:, 0].real - branches.eigenvalues[:, 1].real)
     assert separation == pytest.approx(np.sqrt(sweep**2 + 4.0 * g**2), rel=1e-10)
     metrics = dyn.anticrossing_metrics(branches)
     assert metrics.two_g_eff == pytest.approx(2.0 * g, rel=1e-10)

@@ -1,6 +1,7 @@
 """Smoke tests: the scripts in scripts/ run end to end and write their tables."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,24 @@ def test_design_sweep(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert csv_names(out) == ["map.csv", "optq.csv"]
     assert "peak yield enhancement" in proc.stdout
+
+
+def test_compare_outputs_same_tree_has_no_differences(tmp_path):
+    cases = ("fig1c_grid11", "validate_fig2", "error_grid_zero")
+    proc = run_script("compare_outputs.py", ROOT / "src", ROOT / "src",
+                      *(arg for case in cases for arg in ("--only", case)), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "3 invocations, 1 table files, 55 data cells: 0 differences" in proc.stdout
+
+
+def test_compare_outputs_reports_each_changed_cell(tmp_path):
+    # a copy of src that writes 8 significant digits moves every float cell of fig1c --grid 11
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
+    results = changed / "plasmonsim" / "results.py"
+    results.write_text(results.read_text().replace('"f": "%.9g"', '"f": "%.8g"'))
+    proc = run_script("compare_outputs.py", ROOT / "src", changed, "--only", "fig1c_grid11",
+                      cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "fig1c.csv: row 0 phi_rad_cavity: " in proc.stdout
+    assert "fig1c_grid11 fig1c.csv phi_rad_bare: 11 cells" in proc.stdout
