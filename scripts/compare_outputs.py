@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare what two plasmonsim source trees write for one fixed set of commands.
 
-    python3 scripts/compare_outputs.py OLD_SRC NEW_SRC [--only ID ...] [--list]
+    python3 scripts/compare_outputs.py OLD_SRC NEW_SRC [--only ID ...]
 
 OLD_SRC and NEW_SRC are directories holding a `plasmonsim` package (a
 checkout's `src`).  Every command runs twice as a cold `python -m
@@ -188,19 +188,12 @@ def compare(old_src, new_src, selected, work):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("old_src", nargs="?")
-    parser.add_argument("new_src", nargs="?")
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
     parser.add_argument("--only", action="append", default=None, metavar="ID",
                         help="run only this case (repeatable)")
-    parser.add_argument("--list", action="store_true", help="print the case ids and argv")
     args = parser.parse_args(argv)
     every = cases()
-    if args.list:
-        for case_id, command, _ in every:
-            print(case_id, " ".join(command))
-        return 0
-    if not (args.old_src and args.new_src):
-        parser.error("OLD_SRC and NEW_SRC are required")
     selected = [c for c in every if args.only is None or c[0] in args.only]
     unknown = set(args.only or ()) - {c[0] for c in every}
     if unknown:

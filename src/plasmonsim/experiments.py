@@ -526,7 +526,7 @@ def branch_table(name, scenario, sweep):
     return ResultTable.from_arrays(name, columns, arrays, meta)
 
 
-def run_fig4(scenario, sweep_values, spectrum_points=FIG4_SPECTRUM_POINTS):
+def run_fig4(scenario, sweep_values, spectrum_points):
     """Tables fig4_branches and fig4_spectra: the anti-crossing and its emission-spectra map.
 
     The branches are the scenario's own; the spectra are those of the same

@@ -117,4 +117,4 @@ def fig3():
 @pytest.fixture(scope="session")
 def fig4():
     """The fig4_branches and fig4_spectra tables of builtin fig4 over FIG4_TEST_SWEEP."""
-    return exp.run_fig4(parse_config("fig4").scenario, FIG4_TEST_SWEEP)
+    return exp.run_fig4(parse_config("fig4").scenario, FIG4_TEST_SWEEP, exp.FIG4_SPECTRUM_POINTS)

@@ -578,7 +578,8 @@ FIGURE_RUNS = {
     "fig2": exp.run_fig2,
     "fig2_first_principles": exp.run_fig2,
     "fig3": exp.run_fig3,
-    "fig4": lambda scenario: exp.run_fig4(scenario, 2e-3 * np.arange(-5, 6)),
+    "fig4": lambda scenario: exp.run_fig4(scenario, 2e-3 * np.arange(-5, 6),
+                                           exp.FIG4_SPECTRUM_POINTS),
 }
 
 

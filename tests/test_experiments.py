@@ -135,8 +135,8 @@ def test_with_emitter_at_needs_a_first_principles_sphere(builtin):
 
 def _map_cell(design, d_nm, q_factor):
     """The (yield, power) enhancement of a 1x1 map at (d_nm, q_factor)."""
-    rows = exp.enhancement_map(design, [d_nm], [q_factor]).rows
-    return rows["yield_enhancement"][0], rows["power_enhancement"][0]
+    return tuple(map_column(design, d_nm, [q_factor], name)[0]
+                 for name in ("yield_enhancement", "power_enhancement"))
 
 
 def test_map_cell_reproducible(design):
