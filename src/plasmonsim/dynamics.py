@@ -171,23 +171,25 @@ class TimeTrace:
         return sum(self.populations.values())
 
 
-def evolve(hamiltonian, initial, times_fs):
+def evolve(hamiltonian, initial, times_fs, points=None):
     """Propagate amplitudes v(t) = exp(-i H t) v(0) on an increasing time grid.
 
-    times_fs starts at 0 and need not be uniform.  H is diagonalized once and
+    times_fs starts at 0 and need not be uniform; None asks for
+    default_time_grid(eigenvalues of H, points).  H is diagonalized once and
     every point is v(t) = V exp(-i Lambda t) V^-1 v(0); if cond(V) exceeds
     EIG_COND_LIMIT (near an exceptional point) the points are evaluated
     instead by one batched scaling-and-squaring matrix exponential.
     """
-    t_fs = np.asarray(times_fs, dtype=float)
-    if t_fs.size == 0 or t_fs[0] != 0.0 or np.any(np.diff(t_fs) <= 0):
-        raise DomainError("time grid must increase from 0")
     v0 = np.asarray(initial, dtype=complex)
     if v0.shape != (len(hamiltonian.labels),):
         raise DomainError(f"initial amplitudes must have shape ({len(hamiltonian.labels)},)")
     h = hamiltonian.matrix
-    t_nat = from_fs(t_fs)
     lam, vecs, cond_v = _eig(h)
+    t_fs = np.asarray(default_time_grid(lam, points) if times_fs is None else times_fs,
+                      dtype=float)
+    if t_fs.size == 0 or t_fs[0] != 0.0 or np.any(np.diff(t_fs) <= 0):
+        raise DomainError("time grid must increase from 0")
+    t_nat = from_fs(t_fs)
     if cond_v <= EIG_COND_LIMIT:
         weights = np.linalg.solve(vecs, v0)
         amps = (np.exp(-1j * np.multiply.outer(t_nat, lam)) * weights) @ vecs.T
@@ -200,9 +202,12 @@ def evolve(hamiltonian, initial, times_fs):
     return TimeTrace(times_fs=t_fs, populations=populations)
 
 
-def default_time_grid(hamiltonian, points):
-    """Femtosecond grid of `points` samples spanning ten lifetimes of the slowest branch."""
-    widths = [-2.0 * lam.imag for lam in np.linalg.eigvals(hamiltonian.matrix)]
+def default_time_grid(eigenvalues, points):
+    """Femtosecond grid of `points` samples spanning ten lifetimes of the slowest branch.
+
+    The branches are the complex eigenvalues of the Hamiltonian, width -2 Im.
+    """
+    widths = [-2.0 * lam.imag for lam in eigenvalues]
     positive = [w for w in widths if w > 0]
     if not positive:
         raise DomainError("no decaying branch; cannot size a default time grid")

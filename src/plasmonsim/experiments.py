@@ -206,17 +206,14 @@ def evolve_table(scenario, points, span_fs):
     of the slowest branch when span_fs is None.
     """
     h = scenario.hamiltonian()
-    if span_fs is None:
-        times_fs = dyn.default_time_grid(h, points)
-    else:
-        times_fs = np.linspace(0.0, span_fs, points)
+    times_fs = None if span_fs is None else np.linspace(0.0, span_fs, points)
     initial = np.zeros(len(h.labels), dtype=complex)
     initial[h.index("emitter")] = 1.0
-    trace = dyn.evolve(h, initial, times_fs)
+    trace = dyn.evolve(h, initial, times_fs, points)
     return ResultTable.from_arrays(
         "evolve",
         ("time_fs", "pop_plasmon", "pop_cavity", "pop_emitter", "pop_total"),
-        (times_fs, trace.population("plasmon"), trace.population("cavity"),
+        (trace.times_fs, trace.population("plasmon"), trace.population("cavity"),
          trace.population("emitter"), trace.total),
         scenario_metadata(scenario),
     )

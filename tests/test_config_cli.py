@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -240,12 +241,70 @@ def test_csv_rows_match_format_cell_on_every_cell_type(csv_text):
 
 
 def test_written_csv_spanning_many_row_blocks(csv_text):
-    # the file is written a block of rows at a time
-    rows = [(i / 7.0, i * 1e-9) for i in range(9001)]
-    table = _table(("a", "b"), rows, {"k": 1.5})
+    # the file is written a block of cells at a time; column c mixes fixed
+    # and exponent notation, d and e are formatted by their templates
+    rows = [(i / 7.0, i * 1e-9, (-1) ** i * 10.0 ** (i % 25 - 12) * (1 + i / 9001), i, f"s{i}")
+            for i in range(9001)]
+    table = _table(("a", "b", "c", "d", "e"), rows, {"k": 1.5})
     text = csv_text(table)
-    assert "\n# k = 1.5\na,b\n" in text
-    assert text.endswith("\na,b\n" + _csv_by_cell(rows))
+    assert "\n# k = 1.5\na,b,c,d,e\n" in text
+    assert text.endswith("\na,b,c,d,e\n" + _csv_by_cell(rows))
+
+
+def _assert_written_as_format_cell(csv_text, *columns):
+    """Each written data line equals the row printed cell by cell with format_cell."""
+    names = tuple(f"c{i}" for i in range(len(columns)))
+    lines = csv_text(ResultTable.from_arrays("t", names, columns)).splitlines()
+    lines = lines[len(lines) - len(columns[0]):]
+    expected = [",".join(format_cell(v) for v in row) for row in zip(*columns)]
+    wrong = [(got, want) for got, want in zip(lines, expected) if got != want]
+    assert wrong == [], wrong[:5]
+
+
+def test_csv_floats_match_format_cell_on_random_bit_patterns(csv_text):
+    rng = np.random.default_rng(15)
+    special = [0, 1 << 63, 1, 0x000FFFFFFFFFFFFF, 0x8000000000000001, 0x0010000000000000,
+               0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
+               0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000123, 0xFFFFFFFFFFFFFFFF]
+    bits = np.concatenate([rng.integers(0, 2**64, 100_000, dtype=np.uint64),
+                           np.array(special, dtype=np.uint64)])
+    values = bits.view(np.float64)
+    assert np.isnan(values).any() and (values == 0).any() and np.isinf(values).any()
+    assert ((values != 0) & (np.abs(values) < np.finfo(np.float64).tiny)).any()
+    _assert_written_as_format_cell(csv_text, values)
+    # float32 cells print their exact double value
+    single = rng.integers(0, 2**32, 20_000, dtype=np.uint32).view(np.float32)
+    _assert_written_as_format_cell(csv_text, single, np.array(single.tolist()))
+
+
+def test_csv_floats_match_format_cell_at_powers_of_ten_and_ties(csv_text):
+    powers = np.array([10.0 ** k if k > -300 else float(f"1e{k}") for k in range(-324, 309)])
+    _assert_written_as_format_cell(csv_text, powers, powers * (1 - 1e-12), powers * (1 + 1e-12))
+    rng = np.random.default_rng(16)
+    m = rng.integers(10**8, 10**9, 20_000)
+    e = rng.integers(-300, 300, 20_000).astype(np.float64)
+    _assert_written_as_format_cell(
+        csv_text, (m + 0.5) * 10.0**e, -(m + 0.5) * 10.0 ** (e % 20 - 10))
+    # ties and near-ties where rounding carries into a tenth digit
+    carry = np.array([float(f"9.999999995e{k}") for k in range(-300, 300)])
+    _assert_written_as_format_cell(
+        csv_text, np.nextafter(carry, 0.0), carry, np.nextafter(carry, np.inf))
+
+
+def test_csv_writer_memory_stays_near_one_block(tmp_path):
+    # the writer formats CHUNK_CELLS cells at a time, about 0.8 MB of temporaries;
+    # formatting the whole 100,000 x 7 table at once would take over 100 MB
+    rng = np.random.default_rng(17)
+    columns = [rng.standard_normal(100_000) * 10.0 ** rng.integers(-8, 12, 100_000)
+               for _ in range(7)]
+    table = ResultTable.from_arrays("t", tuple("abcdefg"), columns)
+    tracemalloc.start()
+    try:
+        table.write(str(tmp_path / "t.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
 
 
 def test_metadata_round_trip_exact(csv_text):

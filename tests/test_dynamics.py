@@ -289,7 +289,8 @@ def test_evolve_eigendecomposition_matches_per_point_expm(
     v0 = np.array([0.0, 0.0, 1.0], dtype=complex)
     for name, ham in {**fig3_hamiltonians, "paper": paper_three_mode}.items():
         # non-uniform grid, denser early, over ten lifetimes of the slowest branch
-        times = dyn.default_time_grid(ham, 2)[-1] * np.linspace(0.0, 1.0, 500) ** 2
+        times = dyn.default_time_grid(np.linalg.eigvals(ham.matrix), 2)[-1] \
+            * np.linspace(0.0, 1.0, 500) ** 2
         trace = dyn.evolve(ham, v0, times)
         assert _max_population_gap(trace, _expm_per_point(ham, v0, times)) <= 1e-12, name
     assert calls == []
@@ -318,12 +319,27 @@ def test_evolve_first_row_is_initial_state(paper_three_mode):
 
 
 def test_default_time_grid(paper_three_mode):
-    grid = dyn.default_time_grid(paper_three_mode, points=128)
+    eigenvalues = np.linalg.eigvals(paper_three_mode.matrix)
+    grid = dyn.default_time_grid(eigenvalues, points=128)
     assert grid.shape == (128,)
     assert grid[0] == 0.0
-    widths = [-2.0 * lam.imag for lam in np.linalg.eigvals(paper_three_mode.matrix)]
-    slowest = min(w for w in widths if w > 0)
+    slowest = min(w for w in -2.0 * eigenvalues.imag if w > 0)
     assert from_fs(grid[-1]) == pytest.approx(10.0 / slowest, rel=1e-9)
+
+
+def test_evolve_sizes_its_default_grid_from_its_one_eigendecomposition(
+        paper_three_mode, monkeypatch):
+    grid = dyn.default_time_grid(np.linalg.eigvals(paper_three_mode.matrix), 128)
+    explicit = dyn.evolve(paper_three_mode, [0, 0, 1], grid)
+    calls = []
+    eig = dyn._eig
+    monkeypatch.setattr(dyn, "_eig", lambda h: calls.append(h) or eig(h))
+    monkeypatch.setattr(np.linalg, "eigvals", None)
+    trace = dyn.evolve(paper_three_mode, [0, 0, 1], None, 128)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(trace.times_fs, grid)
+    for label in trace.populations:
+        np.testing.assert_array_equal(trace.population(label), explicit.population(label))
 
 
 def test_channel_cross_term(paper_three_mode):

@@ -48,11 +48,14 @@ def test_compare_outputs_same_tree_has_no_differences(tmp_path):
 
 
 def test_compare_outputs_reports_each_changed_cell(tmp_path):
-    # a copy of src that writes 8 significant digits moves every float cell of fig1c --grid 11
+    # a copy of src that prints every float cell negated moves every float cell of fig1c --grid 11
     changed = tmp_path / "src"
     shutil.copytree(ROOT / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
     results = changed / "plasmonsim" / "results.py"
-    results.write_text(results.read_text().replace('"f": "%.9g"', '"f": "%.8g"'))
+    source = results.read_text()
+    negated = source.replace("values = np.stack(", "values = -np.stack(")
+    assert negated != source
+    results.write_text(negated)
     proc = run_script("compare_outputs.py", ROOT / "src", changed, "--only", "fig1c_grid11",
                       cwd=tmp_path)
     assert proc.returncode == 1
