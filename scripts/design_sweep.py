@@ -25,7 +25,8 @@ def run():
     if code != 0:
         return code
     scenario = parse_config(DESIGN_SCENARIO).scenario
-    best = max((optimal_Q(scenario, d).value, d) for d in np.linspace(5.0, 15.0, 11))
+    distances = np.linspace(5.0, 15.0, 11)
+    best = max(zip((r.value for r in optimal_Q(scenario, distances)), distances))
     print(f"peak yield enhancement {best[0]:.1f} at D = {best[1]:.1f} nm")
     return 0
 

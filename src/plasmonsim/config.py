@@ -383,7 +383,6 @@ def _resolve_scenario(cfg, name):
         omega_1 = mat.ellipsoid_mode_frequency(
             metal, env, mat.depolarization_factors(shape)[axis - 1])
     particle = mat.Nanoparticle(shape, metal)
-    gamma_1r = mat.dipolar_radiative_rate(particle, env, axis)
     notes = []
     if not particle.quasi_static_valid:
         notes.append(f"sphere radius {pc['radius_nm']} nm exceeds the quasi-static "
@@ -400,7 +399,12 @@ def _resolve_scenario(cfg, name):
         raise ConfigError(f"delta_ce_ev = {cc['delta_ce_ev']} puts the cavity at "
                           f"non-positive frequency {omega_c} eV")
     vc_nm3 = cc["vc_um3"] * 1e9
-    gamma_s = cpl.free_space_decay(ec["mu_e_nm"], omega_e, env.eps_b)
+    try:  # an extreme size, plasma frequency or dipole puts a width beyond float range
+        gamma_1r = mat.dipolar_radiative_rate(particle, env, axis)
+        gamma_s = cpl.free_space_decay(ec["mu_e_nm"], omega_e, env.eps_b)
+    except (OverflowError, ZeroDivisionError):
+        raise ConfigError("a radiative width is beyond floating-point range: check the "
+                          "[particle] size, [metal] omega_p_ev and [emitter] mu_e_nm") from None
 
     params = {
         "eps_inf": metal.eps_inf, "omega_p_ev": metal.omega_p, "gamma_o_ev": metal.gamma_o,

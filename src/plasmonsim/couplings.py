@@ -63,7 +63,8 @@ def dipole_dipole_coupling(mu_a, mu_b, d, eps_b=1.0, geometry="longitudinal"):
         kappa = -1.0
     else:
         raise DomainError(f"geometry must be longitudinal or transverse, got {geometry!r}")
-    return kappa * mu_a * mu_b * COULOMB / (eps_b * d**3)
+    with np.errstate(over="ignore"):  # a far dipole's coupling underflows to 0
+        return kappa * mu_a * mu_b * COULOMB / (eps_b * d**3)
 
 
 def free_space_decay(mu, omega, eps_b=1.0):
@@ -106,8 +107,9 @@ def multipole_quench_rates(distance_nm, particle, env, omega, mu, orientation):
         D = flat[start:start + QUENCH_BLOCK, None]
         # (R/d)^(2l+1) = exp(-(2l+1) log1p(D/R)): a rounded R/d raised to the
         # (2l+1)th power would carry (2l+1) times its rounding error
-        terms = (weighted_im_f * np.exp(-(2 * orders + 1) * np.log1p(D / radius))
-                 / (radius + D) ** 3)
+        with np.errstate(over="ignore"):  # a far emitter's sum underflows, and is rejected below
+            terms = (weighted_im_f * np.exp(-(2 * orders + 1) * np.log1p(D / radius))
+                     / (radius + D) ** 3)
         totals = np.add.accumulate(terms, axis=-1)
         cut = (totals > 0) & (terms < QUENCH_TERM_CUTOFF * totals)
         stalled = ~np.any(cut, axis=-1)

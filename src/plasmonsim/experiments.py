@@ -21,7 +21,7 @@ from . import couplings as cpl
 from . import dynamics as dyn
 from . import materials as mat
 from . import network as net
-from .errors import CalibrationError, DomainError
+from .errors import CalibrationError, ConfigError, DomainError
 from .quantities import to_fs
 from .results import ResultTable, scenario_metadata
 
@@ -289,49 +289,56 @@ class OptimalQ:
     boundary: bool  # true when the maximum sits on the search boundary
 
 
-def optimal_Q(scenario, d_nm, objective="yield"):
-    """Quality factor maximizing the scenario's enhancement with its emitter at d_nm.
+def optimal_Q(scenario, distances_nm, objective="yield"):
+    """Quality factor maximizing the scenario's enhancement at each emitter distance.
 
-    The distance is derived once.  A coarse scan of OPTQ_COARSE_POINTS
-    log-spaced Q over Q_RANGE brackets the maximum (verifying unimodality at
-    scan resolution), then golden-section refinement narrows Q to
-    OPTQ_REL_TOL.  A maximum on the scan boundary is reported, not raised.
+    Returns one OptimalQ per distance, in input order.  The distances form
+    one (distances, 1) stack, so one quench sum covers them.  A coarse scan
+    of OPTQ_COARSE_POINTS log-spaced Q over Q_RANGE brackets each maximum
+    (verifying unimodality at scan resolution); golden-section steps then
+    narrow every bracket in lockstep, each distance stopping when its own
+    meets OPTQ_REL_TOL.  A maximum on the scan boundary is reported, not
+    raised, and takes no steps.  A stopped distance is probed at its scan
+    maximum, a Q already solved, so each result equals a search at its
+    distance alone.
     """
     if objective not in ("yield", "power"):
         raise DomainError(f"objective must be yield or power, got {objective!r}")
-    at_d = with_emitter_at(scenario, d_nm)
+    at_d = with_emitter_at(scenario, np.asarray(distances_nm, dtype=float).reshape(-1, 1))
     which = 0 if objective == "yield" else 1
 
-    def value_at(log_q):
-        return float(_enhancements(at_d, [10.0**log_q])[which][0])
+    def values_at(log_q):  # the scalar power: numpy's array power can differ in the last bit
+        return _enhancements(at_d, [[10.0 ** float(x)] for x in log_q])[which][:, 0]
 
     grid = np.linspace(math.log10(Q_RANGE[0]), math.log10(Q_RANGE[1]), OPTQ_COARSE_POINTS)
-    values = _enhancements(at_d, [10.0**x for x in grid])[which].tolist()
-    i_best = int(np.argmax(values))
-    if i_best in (0, len(grid) - 1):
-        return OptimalQ(10.0**grid[i_best], values[i_best], objective, boundary=True)
-
-    a, b = grid[i_best - 1], grid[i_best + 1]
+    values = _enhancements(at_d, [10.0 ** float(x) for x in grid])[which]
+    i_best = np.argmax(values, axis=1)
+    x_best, boundary = grid[i_best], (i_best == 0) | (i_best == grid.size - 1)
+    inner = np.clip(i_best, 1, grid.size - 2)
+    a, b = grid[inner - 1], grid[inner + 1]
     tol = math.log10(1.0 + OPTQ_REL_TOL)
-    c = b - GOLDEN * (b - a)
-    d_pt = a + GOLDEN * (b - a)
-    fc, fd = value_at(c), value_at(d_pt)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d_pt, fd = d_pt, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = value_at(c)
-        else:
-            a, c, fc = c, d_pt, fd
-            d_pt = a + GOLDEN * (b - a)
-            fd = value_at(d_pt)
-    x_opt = 0.5 * (a + b)
-    return OptimalQ(10.0**x_opt, value_at(x_opt), objective, boundary=False)
+    c, d_pt = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    fc, fd = values_at(np.where(boundary, x_best, c)), values_at(np.where(boundary, x_best, d_pt))
+    active = ~boundary & ((b - a) > tol)
+    while active.any():
+        left = active & (fc > fd)  # the maximum lies in [a, d], else in [c, b]
+        right = active & ~left
+        b, d_pt, fd = np.where(left, d_pt, b), np.where(left, c, d_pt), np.where(left, fc, fd)
+        a, c, fc = np.where(right, c, a), np.where(right, d_pt, c), np.where(right, fd, fc)
+        x_new = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        f_new = values_at(np.where(active, x_new, x_best))
+        c, fc = np.where(left, x_new, c), np.where(left, f_new, fc)
+        d_pt, fd = np.where(right, x_new, d_pt), np.where(right, f_new, fd)
+        active &= (b - a) > tol
+    x_opt = np.where(boundary, x_best, 0.5 * (a + b))
+    value = np.where(boundary, values.max(axis=1), values_at(x_opt))
+    return tuple(OptimalQ(10.0 ** float(x), float(v), objective, bool(edge))
+                 for x, v, edge in zip(x_opt, value, boundary))
 
 
 def optq_table(scenario, distances_nm, objective):
     """Table optq: the optimal_Q search at each emitter distance, in the given order."""
-    found = [optimal_Q(scenario, d, objective=objective) for d in distances_nm]
+    found = optimal_Q(scenario, distances_nm, objective)
     return ResultTable.from_arrays(
         "optq", ("d_nm", "q_opt", "value", "objective", "boundary"),
         (distances_nm, [r.q_opt for r in found], [r.value for r in found],
@@ -389,7 +396,7 @@ def calibrate_fig3_couplings(scenario, targets):
 
     # closed-form seed from adiabatic elimination of the far-detuned plasmon
     s = 1.0 / (p["delta_1e_ev"] - 0.5j * gamma_1)
-    total = two_g_target / s.real
+    total = two_g_target / (abs(s.real) or abs(s))  # Re s is 0 with the plasmon on resonance
     frac = min(max((kappa2_target - gamma_e) / (gamma_c - gamma_e), 1e-6), 1 - 1e-6)
     seed = np.array([math.sqrt(frac * total), math.sqrt((1.0 - frac) * total)])
 
@@ -439,6 +446,9 @@ def calibrate_fig3_couplings(scenario, targets):
     G_est = abs(float(_distance_law(p, p["distance_nm"])[0]))
     g1_est = cpl.vacuum_coupling(mu_1, p["omega_e_ev"], p["vc_um3"] * 1e9, p["eps_b"])
     G_est_eff, g1_est_eff = cpl.project_couplings(G_est, g1_est, p["theta_deg"])
+    if G_est_eff == 0.0 or g1_est_eff == 0.0:
+        raise ConfigError(f"distance_nm = {p['distance_nm']:g} with theta_deg = {p['theta_deg']:g} "
+                          "gives a point-dipole coupling of 0: no calibrated/estimated ratio")
     diagnostics = {
         "two_g_eff_target_ev": two_g_target,
         "kappa_2_target_ev": kappa2_target,

@@ -490,12 +490,33 @@ BOUNDARY_PROBES = {
     # calibration targets that no coupling can reach
     "two_g_eff_zero": (["spectrum"], ("two_g_eff_mev = 3.5", "two_g_eff_mev = 0"), "fig3"),
     "kappa2_negative": (["spectrum"], ("kappa2_mev = 0.11", "kappa2_mev = -0.11"), "fig3"),
+    # a calibrated emitter whose point-dipole coupling estimate is 0: underflow, or no projection
+    "calibrated_distance_estimate_underflow": (
+        ["spectrum"], ("distance_nm = 5.0", "distance_nm = 1e200"), "fig3"),
+    "calibrated_theta_zero": (["spectrum"], ("theta_deg = 60.0", "theta_deg = 0"), "fig3"),
+    # an emitter so far out that its near-field coupling and quench terms overflow to 0
+    "distance_far_no_overflow_warning": (["yield"], ("distance_nm = 10.0", "distance_nm = 1e300"),
+                                         "fig2_first_principles"),
+    # radiative widths beyond floating-point range
+    "mu_e_width_overflow": (["spectrum"], ("mu_e_nm = 1.0", "mu_e_nm = 1e300"), "fig3"),
+    "omega_p_width_underflow": (["validate"], ("omega_p_ev = 4.0", "omega_p_ev = 5e-324"),
+                                "fig2_first_principles"),
+}
+
+#: probes that resolve but that the coupling calibration cannot fit: each must exit 2
+#: with ERROR[numeric]
+NUMERIC_PROBES = {
+    # the plasmon resonant with the emitter, where the Newton seed's s is purely imaginary
+    "calibrated_plasmon_on_resonance": (["spectrum"], ("delta_1e_ev = 0.6", "delta_1e_ev = 0"),
+                                        "fig3"),
+    "calibrated_gamma_o_huge": (["evolve"], ("gamma_o_ev = 0.2", "gamma_o_ev = 1e300"), "fig4"),
 }
 
 
-@pytest.mark.parametrize("probe", sorted(BOUNDARY_PROBES))
+@pytest.mark.parametrize("probe", sorted(BOUNDARY_PROBES) + sorted(NUMERIC_PROBES))
 def test_cli_rejects_bad_input_at_boundary(probe, tmp_path, capsys):
-    argv, config, *base = BOUNDARY_PROBES[probe]
+    numeric = probe in NUMERIC_PROBES
+    argv, config, *base = (NUMERIC_PROBES if numeric else BOUNDARY_PROBES)[probe]
     if config is not None:
         text = BUILTIN_CONFIGS[base[0] if base else "fig2"]
         text = text.replace(*config) if isinstance(config, tuple) else text + config
@@ -506,8 +527,8 @@ def test_cli_rejects_bad_input_at_boundary(probe, tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv + ["--out", str(out)])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("ERROR[config]:")
+    assert code == (2 if numeric else 1)
+    assert capsys.readouterr().err.startswith("ERROR[numeric]:" if numeric else "ERROR[config]:")
     assert not out.exists()
 
 

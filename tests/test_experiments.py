@@ -180,14 +180,60 @@ def test_optimal_q_matches_brute_force(design):
     q_grid = np.geomspace(1e2, 1e7, 41)
     values = map_column(design, 10.0, q_grid, "yield_enhancement").tolist()
     i = int(np.argmax(values))
-    result = exp.optimal_Q(design, 10.0, "yield")
+    result = exp.optimal_Q(design, 10.0, "yield")[0]
     assert not result.boundary
     assert q_grid[i - 1] <= result.q_opt <= q_grid[i + 1]
     assert result.value >= values[i] * (1.0 - 1e-6)
 
 
+def _optimal_q_one_distance(scenario, d_nm, objective):
+    """Oracle: the golden-section search at one distance, one scalar probe per step."""
+    at_d = exp.with_emitter_at(scenario, d_nm)
+    which = 0 if objective == "yield" else 1
+
+    def value_at(log_q):
+        return float(exp._enhancements(at_d, [10.0**log_q])[which][0])
+
+    grid = np.linspace(np.log10(exp.Q_RANGE[0]), np.log10(exp.Q_RANGE[1]), exp.OPTQ_COARSE_POINTS)
+    values = exp._enhancements(at_d, [10.0**x for x in grid])[which].tolist()
+    i_best = int(np.argmax(values))
+    if i_best in (0, len(grid) - 1):
+        return exp.OptimalQ(10.0**grid[i_best], values[i_best], objective, boundary=True)
+    a, b = grid[i_best - 1], grid[i_best + 1]
+    tol = np.log10(1.0 + exp.OPTQ_REL_TOL)
+    c, d_pt = b - exp.GOLDEN * (b - a), a + exp.GOLDEN * (b - a)
+    fc, fd = value_at(c), value_at(d_pt)
+    while (b - a) > tol:
+        if fc > fd:
+            b, d_pt, fd = d_pt, c, fc
+            c = b - exp.GOLDEN * (b - a)
+            fc = value_at(c)
+        else:
+            a, c, fc = c, d_pt, fd
+            d_pt = a + exp.GOLDEN * (b - a)
+            fd = value_at(d_pt)
+    x_opt = 0.5 * (a + b)
+    return exp.OptimalQ(10.0**x_opt, value_at(x_opt), objective, boundary=False)
+
+
+@pytest.mark.parametrize("objective", ["yield", "power"])
+def test_optimal_q_lockstep_equals_one_distance_search(design, objective):
+    """The lockstep search over all distances is bit-identical to a search at each alone.
+
+    Unsorted, with one distance repeated; power has its maximum on the scan
+    boundary at 100 and 300 nm, so interior and boundary maxima are mixed.
+    """
+    distances = [30.0, 0.3, 300.0, 3.0, 10.0, 100.0, 1.0, 3.0]
+    found = exp.optimal_Q(design, distances, objective)
+    expected = [_optimal_q_one_distance(design, d, objective) for d in distances]
+    assert [(r.q_opt, r.value, r.boundary) for r in found] == [
+        (r.q_opt, r.value, r.boundary) for r in expected]
+    assert any(r.boundary for r in expected) == (objective == "power")
+    assert not all(r.boundary for r in expected)
+
+
 def test_optimal_q_local_maximum(design):
-    result = exp.optimal_Q(design, 10.0, "power")
+    result = exp.optimal_Q(design, 10.0, "power")[0]
     v_half, v_twice = map_column(
         design, 10.0, [0.5 * result.q_opt, 2.0 * result.q_opt], "power_enhancement")
     assert result.value >= v_half
@@ -256,6 +302,15 @@ def test_calibration_flags_point_dipole_underestimate(fig3):
 def test_calibration_unreachable_target_raises():
     with pytest.raises(CalibrationError):
         exp.calibrate_fig3_couplings(parse_config("fig3").scenario, targets=(3.5e-3, 5e-3))
+
+
+def test_calibration_with_emitter_above_plasmon():
+    """delta_1e < 0 seeds Newton from |Re s| and still meets the anti-crossing targets."""
+    text = BUILTIN_CONFIGS["fig3"].replace("delta_1e_ev = 0.6", "delta_1e_ev = -0.6")
+    scenario = parse_config_text(text).scenario
+    metrics = pair_metrics(exp.with_cavity(scenario, 0.0, exp.ANTICROSSING_Q).hamiltonian().matrix)
+    assert metrics.two_g_eff == pytest.approx(3.5e-3, rel=1e-3)
+    assert metrics.kappa_2 == pytest.approx(0.11e-3, rel=1e-3)
 
 
 def _calibrate_by_hybrid_root(scenario, targets):
