@@ -503,10 +503,11 @@ BOUNDARY_PROBES = {
                                 "fig2_first_principles"),
 }
 
-#: probes that resolve but that the coupling calibration cannot fit: each must exit 2
-#: with ERROR[numeric]
+#: inputs whose coupling calibration cannot meet its targets: each must exit 2 with
+#: ERROR[numeric]
 NUMERIC_PROBES = {
-    # the plasmon resonant with the emitter, where the Newton seed's s is purely imaginary
+    # the plasmon resonant with the emitter, or so broad that Re s underflows: the Newton
+    # seed's s = 1 / (delta_1e - i gamma_1 / 2) has no real part
     "calibrated_plasmon_on_resonance": (["spectrum"], ("delta_1e_ev = 0.6", "delta_1e_ev = 0"),
                                         "fig3"),
     "calibrated_gamma_o_huge": (["evolve"], ("gamma_o_ev = 0.2", "gamma_o_ev = 1e300"), "fig4"),

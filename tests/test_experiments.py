@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -194,13 +195,14 @@ def _optimal_q_one_distance(scenario, d_nm, objective):
     def value_at(log_q):
         return float(exp._enhancements(at_d, [10.0**log_q])[which][0])
 
-    grid = np.linspace(np.log10(exp.Q_RANGE[0]), np.log10(exp.Q_RANGE[1]), exp.OPTQ_COARSE_POINTS)
+    grid = np.linspace(math.log10(exp.Q_RANGE[0]), math.log10(exp.Q_RANGE[1]),
+                       exp.OPTQ_COARSE_POINTS)
     values = exp._enhancements(at_d, [10.0**x for x in grid])[which].tolist()
     i_best = int(np.argmax(values))
     if i_best in (0, len(grid) - 1):
         return exp.OptimalQ(10.0**grid[i_best], values[i_best], objective, boundary=True)
     a, b = grid[i_best - 1], grid[i_best + 1]
-    tol = np.log10(1.0 + exp.OPTQ_REL_TOL)
+    tol = math.log10(1.0 + exp.OPTQ_REL_TOL)
     c, d_pt = b - exp.GOLDEN * (b - a), a + exp.GOLDEN * (b - a)
     fc, fd = value_at(c), value_at(d_pt)
     while (b - a) > tol:
