@@ -399,12 +399,14 @@ def _resolve_scenario(cfg, name):
         raise ConfigError(f"delta_ce_ev = {cc['delta_ce_ev']} puts the cavity at "
                           f"non-positive frequency {omega_c} eV")
     vc_nm3 = cc["vc_um3"] * 1e9
-    try:  # an extreme size, plasma frequency or dipole puts a width beyond float range
+    try:  # an extreme size, plasma frequency, dipole or background overflows or zeroes a width
         gamma_1r = mat.dipolar_radiative_rate(particle, env, axis)
         gamma_s = cpl.free_space_decay(ec["mu_e_nm"], omega_e, env.eps_b)
     except (OverflowError, ZeroDivisionError):
-        raise ConfigError("a radiative width is beyond floating-point range: check the "
-                          "[particle] size, [metal] omega_p_ev and [emitter] mu_e_nm") from None
+        gamma_1r = gamma_s = 0.0
+    if not (gamma_1r > 0.0 and gamma_s > 0.0):
+        raise ConfigError("a radiative width is beyond floating-point range: check [particle] "
+                          "size, [metal] omega_p_ev, [emitter] mu_e_nm and [environment] eps_b")
 
     params = {
         "eps_inf": metal.eps_inf, "omega_p_ev": metal.omega_p, "gamma_o_ev": metal.gamma_o,

@@ -26,6 +26,7 @@ scaling-and-squaring matrix exponential (Moler & Van Loan, SIAM Rev. 45, 2003).
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
@@ -96,7 +97,9 @@ def _resolvent_solve(h, detunings, f):
             if np.all(cond_v <= EIG_COND_LIMIT):
                 gap = d[..., None] - lam
                 dist = np.abs(gap)
-                bound = cond_v**2 * dist.max(axis=-1) / dist.min(axis=-1)
+                # elementwise over the n columns: a reduction over the last axis is ~10x slower
+                cols = np.moveaxis(dist, -1, 0)
+                bound = cond_v**2 * reduce(np.maximum, cols) / reduce(np.minimum, cols)
                 if _accepted(bound):
                     # numpy 1 and 2 read a 1-D right-hand side against a stack differently;
                     # f as one column per matrix means the same on both
@@ -192,7 +195,8 @@ def evolve(hamiltonian, initial, times_fs, points=None):
     t_nat = from_fs(t_fs)
     if cond_v <= EIG_COND_LIMIT:
         weights = np.linalg.solve(vecs, v0)
-        amps = (np.exp(-1j * np.multiply.outer(t_nat, lam)) * weights) @ vecs.T
+        with np.errstate(over="ignore"):  # t (-i lambda) overflows to a factor 0, not nan
+            amps = (np.exp(np.multiply.outer(t_nat, -1j * lam)) * weights) @ vecs.T
     else:
         amps = expm(-1j * np.multiply.outer(t_nat, h)) @ v0
     amps[0] = v0

@@ -9,14 +9,13 @@ is byte-identical across runs: no timestamps, no environment-dependent
 content, sorted metadata keys.
 
 The CSV writer formats a block of about CHUNK_CELLS cells at a time, column
-by column in numpy rather than cell by cell: each float becomes a
-NUL-padded 16-byte field built from two little-endian words (its decimal
-exponent from log10, nine digits from one rounding, digit groups from a
-10**4-entry ASCII table, masks that drop trailing zeros and a bare point,
-and fixed or exponent notation chosen by the "%g" rule), and one compress
-of the block's non-NUL bytes gives its text.  The rounding is exact unless
-the scaled value lies within _TIE_MARGIN of a .5 tie; such cells, and
-subnormals, are printed by Python's own "%.9g".
+by column in numpy: each float becomes a NUL-padded 16-byte field of two
+little-endian words (decimal exponent from log10, nine digits from one
+rounding, digit groups from a 10**4-entry ASCII table, masks that drop
+trailing zeros and a bare point, "%g"'s choice of fixed or exponent
+notation).  Fields and separators fill one line buffer, and deleting its
+NUL bytes gives the block's text.  A cell near a rounding tie, inf, nan
+and subnormals are printed by Python's own "%.9g".
 """
 
 import functools
@@ -32,15 +31,14 @@ from .errors import ConfigError
 #: printed by _float_fields as "%.9g" prints them, inf, nan and -0.0 included
 CELL_FORMATS = {"i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 
-#: data cells per block of CSV text: a block's working set stays under 1 MB,
-#: so a large table's text is never held whole
-CHUNK_CELLS = 4096
+#: data cells per block of CSV text: a block of float cells peaks at about
+#: 92 B per cell (0.75 MB), so a large table's text is never held whole
+CHUNK_CELLS = 8192
 
-_WORD = np.dtype("<u8")
+_WORD = np.dtype("<i8")
 #: bytes of a float cell's NUL-padded field: "-1.23456789e-100" is the longest
 FIELD = 16
 _TINY = np.finfo(np.float64).tiny
-_HUGE = np.finfo(np.float64).max
 #: the lowest decimal exponent of a normal double: the tables' index offset
 _X_MIN = -308
 #: a scaled value this close to a .5 tie may round the other way in float
@@ -50,12 +48,8 @@ _TIE_MARGIN = 1e-5
 
 @functools.cache
 def _tables():
-    """The float formatter's lookup tables, built on the first write.
-
-    Not at import: the first use of each numpy loop pages in its code, and
-    building the tables at import added about 1 MB to every command's peak
-    memory.  The 10**4-entry tables use the loops that formatting uses; the
-    135 per-layout entries are plain Python.
+    """The float formatter's lookup tables, built on the first write: built at
+    import, they paged in numpy code that added ~1 MB to every command's peak.
 
     A cell's field is two little-endian words: byte 0 holds the sign, the
     rest one of three layouts chosen by the decimal exponent X as "%g"
@@ -70,25 +64,24 @@ def _tables():
     places = [np.arange(10).reshape((10,) + (1,) * (3 - i)) for i in range(4)]
     ascii4 = (digit[places[0]] | digit[places[1]] << 8 | digit[places[2]] << 16
               | digit[places[3]] << 24).ravel()
-
-    def last_nonzero(first):
-        at = [np.array([0] + [first + i] * 9, np.int8)[p] for i, p in enumerate(places)]
-        return np.maximum(np.maximum(at[0], at[1]), np.maximum(at[2], at[3])).ravel()
+    sig = functools.reduce(np.maximum, [(p > 0) * (i + 1) for i, p in enumerate(places)]).ravel()
 
     # per decimal exponent X of a normal double: 10**(8 - X) in two halves,
-    # the exponent suffix "e+XX" and the layout (X clipped to -5..9)
+    # the exponent suffix "e+XX" and 9 times the layout (X clipped to -5..9)
     x = np.arange(_X_MIN, 309)
     pow10 = np.array([10.0**k for k in range(-150, 159)])
-    k = 8 - x
-    scale_a, scale_b = pow10[k // 2 + 150], pow10[k - k // 2 + 150]
     e = np.abs(x)
-    tail = (0x65 | np.where(x < 0, 0x2D, 0x2B).astype(_WORD) << 8
-            | ascii4[e] >> np.where(e < 100, 16, 8).astype(_WORD) << 16) << 24
+    tail = (0x65 | np.where(x < 0, 0x2D, 0x2B) << 8
+            | ascii4[e] >> np.where(e < 100, 16, 8) << 16) << 24
     tail[(x >= -4) & (x < 9)] = 0
-    layout = np.clip(x, -5, 9) + 5
+    t = SimpleNamespace(ascii4=ascii4, sig_hi=sig.astype(np.int8), tail=tail,
+                        sig_lo=np.where(sig > 0, sig + 4, 0).astype(np.int8),
+                        scale=np.stack([pow10[(8 - x) // 2 + 150], pow10[(9 - x) // 2 + 150]]),
+                        layout=9 * (np.clip(x, -5, 9) + 5))
 
-    # per layout and f: which of d1..d8 stand before the point and which after
-    # it, the point unless X < 0 or no digit follows it, and the "0." prefix
+    # per layout and f, three pairs: which of d1..d8 stand before the point
+    # and which after it; the shifts that place d0 and the digits before the
+    # point; the "0." prefix and the point, unless X < 0 or no digit follows it
     low = [(1 << 8 * n) - 1 for n in range(9)]  # the low n bytes set
     rows = []
     for x in range(-5, 10):
@@ -98,33 +91,30 @@ def _tables():
         for f in range(9):
             before = low[f if lead else xp]
             point = 0x2E << 8 * (2 + xp) if f > xp and not lead else 0
-            rows.append((before, low[f] & ~before, head | point & low[8], point >> 64,
-                         48 if lead else 8))
-    before, after, lo, hi, d0_shift = np.array(rows, _WORD).T.copy()
-    return SimpleNamespace(
-        ascii4=ascii4, sig_hi=last_nonzero(1), sig_lo=last_nonzero(5), digit=digit,
-        scale_a=scale_a, scale_b=scale_b, tail=tail, layout=layout,
-        d0_shift=d0_shift, before=before, after=after, lo=lo, hi=hi)
-
-
-_ZERO, _INF, _NAN = (int.from_bytes(b"\0" + s, "little") for s in (b"0", b"inf", b"nan"))
+            rows.append((before, low[f] & ~before, 48 if lead else 8, 8 if lead else 48,
+                         head | point & low[8], point >> 64))
+    t.by_lf = np.array(rows, np.uint64).view(_WORD).reshape(-1, 3, 2).transpose(1, 2, 0).copy()
+    return t
 
 
 def _float_fields(x):
-    """(len(x), FIELD) uint8: each float64 of x as "%.9g" prints it, NUL-padded.
+    """(2, len(x)) words: each float64 of x as "%.9g" prints it, a NUL-padded field.
 
-    A normal value a of decimal exponent X prints the nine digits of
+    Word 0 holds bytes 0..7 of a cell's field and word 1 bytes 8..15.  A
+    normal value a of decimal exponent X prints the nine digits of
     m = round(a * 10**(8 - X)), laid out by lookup tables (_tables).
-    A cell whose scaled value lies within _TIE_MARGIN of a .5 tie, and a
-    subnormal, is printed by Python's own "%.9g" instead.
+    A cell whose scaled value lies within _TIE_MARGIN of a .5 tie, inf, nan
+    and a subnormal are printed by Python's own "%.9g" instead.  To keep the
+    working set small, steps work in place and one buffer holds each pair.
     """
     t = _tables()
-    a = np.abs(x)
-    normal = (a >= _TINY) & (a <= _HUGE)
-    scaled = np.where(normal, a, 1.0)
+    scaled = np.abs(x)
+    normal = np.isfinite(scaled) & (scaled >= _TINY)
+    np.copyto(scaled, 1.0, where=~normal)
     j = np.floor(np.log10(scaled)).astype(np.intp) - _X_MIN
-    scaled *= t.scale_a[j]
-    scaled *= t.scale_b[j]
+    pair = np.take(t.scale, j, axis=1)
+    scaled *= pair[0]
+    scaled *= pair[1]
     m = np.rint(scaled)
     python = np.abs(scaled - m) > 0.5 - _TIE_MARGIN
     # rounding can carry to 10**9, and floor(log10) can fall one short just
@@ -136,61 +126,65 @@ def _float_fields(x):
         scaled[high] /= 10.0
         m = np.rint(scaled)
         python |= np.abs(scaled - m) > 0.5 - _TIE_MARGIN
+    rest = m.astype(np.intp)
+    del scaled, m
 
-    d0, rest = np.divmod(m.astype(np.intp), 100_000_000)
-    g1, g2 = np.divmod(rest, 10_000)
-    frac = t.ascii4[g1] | t.ascii4[g2] << 32  # d1..d8
-    lf = t.layout[j] * 9 + np.maximum(t.sig_hi[g1], t.sig_lo[g2])
-    before = frac & t.before[lf]
-    after = frac & t.after[lf]
-    shift = t.d0_shift[lf]
-    words = np.empty((len(x), 2), _WORD)
-    words[:, 0] = ((x < 0).view(np.uint8) * 0x2D | t.lo[lf] | t.digit[d0] << shift
-                   | before << (shift + 8) | after << 24)
-    words[:, 1] = before >> (56 - shift) | after >> 40 | t.hi[lf] | t.tail[j]
-    if not normal.all():
-        odd = ~normal
-        python |= odd & (a > 0) & (a < _TINY)
-        nan = np.isnan(x)
-        text = np.where(nan, _NAN, np.where(np.isinf(x), _INF, _ZERO))
-        words[odd, 0] = (text | (np.signbit(x) & ~nan) * 0x2D)[odd]
-        words[odd, 1] = 0
-    fields = words.view(np.uint8).reshape(len(x), FIELD)
-    for i in np.flatnonzero(python):
-        fields[i] = np.frombuffer((b"%.9g" % x[i]).ljust(FIELD, b"\0"), np.uint8)
-    return fields
+    lo, hi = words = np.empty((2, len(x)), _WORD)
+    np.floor_divide(rest, 100_000_000, out=lo)  # d0
+    rest -= lo * 100_000_000
+    lo[x == 0] = 0  # a zero's stand-in 1.0 prints as "0"
+    g1 = rest // 10_000
+    rest -= g1 * 10_000  # now g2
+    frac = np.take(t.ascii4, rest) << 32 | np.take(t.ascii4, g1)  # d1..d8
+    lf = np.take(t.layout, j)
+    lf += np.maximum(np.take(t.sig_hi, g1), np.take(t.sig_lo, rest))
+    np.take(t.tail, j, out=hi, mode="clip")  # "raise" would fill out through a buffer
+    del g1, rest, j
+    pair = pair.view(_WORD)
+    np.take(t.by_lf[0], lf, axis=1, out=pair, mode="clip")
+    after = frac & pair[1]
+    before = np.bitwise_and(frac, pair[0], out=frac)
+    hi |= after >> 40
+    after <<= 24
+    np.take(t.by_lf[1], lf, axis=1, out=pair, mode="clip")
+    hi |= before >> pair[1]
+    before <<= pair[0] + 8
+    np.left_shift(lo + 48, pair[0], out=lo)
+    lo |= before | after
+    words |= np.take(t.by_lf[2], lf, axis=1, out=pair, mode="clip")
+    np.bitwise_or(lo, 0x2D, out=lo, where=np.signbit(x))
+    for i in np.flatnonzero(python | ~normal & (x != 0)):
+        words[:, i] = np.frombuffer((b"%.9g" % x[i]).ljust(FIELD, b"\0"), _WORD)
+    return words
 
 
 def _csv_block(rows):
-    """The CSV text of a structured array's rows, as uint8.
+    """The CSV text of a structured array's rows, as a bytearray.
 
-    Each column becomes a NUL-padded fixed-width field per row, followed by
-    its "," or newline; one compress of the non-NUL bytes gives the text.
-    Float columns go through _float_fields together, other kinds through
-    their CELL_FORMATS template.
+    Fixed-width NUL-padded fields (floats from _float_fields, other kinds from
+    their CELL_FORMATS template) and their "," or newline fill one line
+    buffer; deleting its NUL bytes gives the text.
     """
     names = rows.dtype.names
     floats = [c for c in names if rows.dtype[c].kind == "f"]
     if floats:
         with np.errstate(invalid="ignore"):  # a float32 signalling NaN widens quietly
-            values = np.stack([rows[c] for c in floats], axis=1).astype(np.float64)
-        float_fields = _float_fields(values.ravel()).reshape(len(rows), len(floats), FIELD)
-    fields = []
-    for c in names:
-        if c in floats:
-            fields.append(float_fields[:, floats.index(c)])
-        else:
-            template = CELL_FORMATS[rows.dtype[c].kind]
-            text = np.array([(template % v).encode() for v in rows[c].tolist()], dtype=bytes)
-            fields.append(text.view(np.uint8).reshape(len(rows), -1))
-    ends = np.cumsum([field.shape[1] + 1 for field in fields])
-    buf = np.zeros((len(rows), ends[-1]), np.uint8)
-    for field, end in zip(fields, ends):
-        buf[:, end - 1 - field.shape[1]:end - 1] = field
-    buf[:, ends - 1] = ord(",")
-    buf[:, -1] = ord("\n")
-    flat = buf.ravel()
-    return flat.compress(flat != 0)
+            values = np.stack([rows[c] for c in floats], axis=1, dtype=np.float64)
+        words = _float_fields(values.ravel()).reshape(2, len(rows), len(floats))
+    texts = {c: np.array([(CELL_FORMATS[rows.dtype[c].kind] % v).encode() for v in
+                          rows[c].tolist()], dtype=bytes) for c in names if c not in floats}
+    widths = [texts[c].itemsize if c in texts else FIELD for c in names]
+    ends = np.cumsum(widths) + np.arange(1, len(names) + 1)
+    text = bytearray(len(rows) * int(ends[-1]))
+    lines = np.frombuffer(text, np.uint8).reshape(len(rows), -1)
+    for c, width, end in zip(names, widths, ends):
+        if c in texts:
+            lines[:, end - 1 - width:end - 1] = texts[c].view(np.uint8).reshape(len(rows), -1)
+        else:  # the field's two words, at any byte offset of each line
+            field = np.ndarray((2, len(rows)), _WORD, text, end - 1 - width, (8, lines.shape[1]))
+            field[...] = words[:, :, floats.index(c)]
+    lines[:, ends - 1] = np.frombuffer(b"," * (len(names) - 1) + b"\n", np.uint8)
+    return text.translate(None, b"\0")
 
 
 def _format_meta(value):

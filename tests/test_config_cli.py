@@ -16,7 +16,7 @@ from plasmonsim import dynamics as dyn
 from plasmonsim.cli import main
 from plasmonsim.config import BUILTIN_CONFIGS, MAX_POINTS, parse_config, parse_config_text
 from plasmonsim.errors import ConfigError
-from plasmonsim.results import ResultTable, scenario_metadata
+from plasmonsim.results import CELL_FORMATS, CHUNK_CELLS, ResultTable, scenario_metadata
 
 
 def read_metadata(text):
@@ -291,8 +291,31 @@ def test_csv_floats_match_format_cell_at_powers_of_ten_and_ties(csv_text):
         csv_text, np.nextafter(carry, 0.0), carry, np.nextafter(carry, np.inf))
 
 
+OPTQ_COLUMNS = ("d_nm", "q_opt", "value", "objective", "boundary")
+
+
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 2)])
+def test_csv_written_across_block_boundaries(tmp_path, blocks, extra):
+    # optq's kinds (float, str, bool) in tables of a whole number of row blocks, one
+    # row short of one, one row over one, and over three, against a cell-by-cell oracle
+    rows = blocks * (CHUNK_CELLS // len(OPTQ_COLUMNS)) + extra
+    rng = np.random.default_rng(rows)
+    columns = (rng.uniform(1.0, 40.0, rows), 10.0 ** rng.uniform(2.0, 7.0, rows),
+               rng.standard_normal(rows) * 10.0 ** rng.integers(-12, 12, rows),
+               np.where(rng.random(rows) < 0.5, "yield", "power"), rng.random(rows) < 0.3)
+    table = ResultTable.from_arrays("optq", OPTQ_COLUMNS, columns)
+    kinds = [a.dtype.kind for a in columns]
+    expected = b"".join(
+        b",".join(b"%.9g" % v if k == "f" else (CELL_FORMATS[k] % v).encode()
+                  for k, v in zip(kinds, row)) + b"\n"
+        for row in zip(*(a.tolist() for a in columns)))
+    written = Path(table.write(str(tmp_path / "optq.csv"))).read_bytes()
+    assert written.endswith(b"\n" + ",".join(OPTQ_COLUMNS).encode() + b"\n" + expected)
+
+
 def test_csv_writer_memory_stays_near_one_block(tmp_path):
-    # the writer formats CHUNK_CELLS cells at a time, about 0.8 MB of temporaries;
+    # the writer formats CHUNK_CELLS = 8192 cells at a time, about 90 B of temporaries
+    # per cell (0.75 MB; 0.9 MB when this write builds the lookup tables);
     # formatting the whole 100,000 x 7 table at once would take over 100 MB
     rng = np.random.default_rng(17)
     columns = [rng.standard_normal(100_000) * 10.0 ** rng.integers(-8, 12, 100_000)
@@ -501,6 +524,8 @@ BOUNDARY_PROBES = {
     "mu_e_width_overflow": (["spectrum"], ("mu_e_nm = 1.0", "mu_e_nm = 1e300"), "fig3"),
     "omega_p_width_underflow": (["validate"], ("omega_p_ev = 4.0", "omega_p_ev = 5e-324"),
                                 "fig2_first_principles"),
+    "eps_b_width_underflow": (["validate"], ("eps_b = 1.0", "eps_b = 1e300"),
+                              "fig2_first_principles"),
 }
 
 #: inputs whose coupling calibration cannot meet its targets: each must exit 2 with
@@ -532,6 +557,23 @@ def test_cli_rejects_bad_input_at_boundary(probe, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR[numeric]:" if numeric else "ERROR[config]:")
     assert not out.exists()
 
+
+def test_evolve_with_an_overflowing_width_writes_a_finite_table(tmp_path, capsys):
+    # a plasmon of width 1.8e308 meV decays within the first step; propagating it
+    # overflowed the exponent t * Im(lambda) and printed numpy RuntimeWarnings
+    text = BUILTIN_CONFIGS["fig1c"].replace("gamma_1r_mev = 2.45",
+                                            "gamma_1r_mev = 1.7976931348623157e308")
+    assert "e308" in text
+    path = tmp_path / "probe.ini"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["evolve", "--config", str(path), "--grid", "7", "--out", str(tmp_path)])
+    assert code == 0 and capsys.readouterr().err == ""
+    lines = (tmp_path / "evolve.csv").read_text().splitlines()
+    values = np.array([line.split(",") for line in lines if not line.startswith("#")][1:], float)
+    assert values.shape == (7, 5) and np.isfinite(values).all()
+    assert np.all(values[1:, 1] == 0.0) and np.all(np.diff(values[:, 3]) < 0)
 
 def _subprocess_env():
     """The environment of a plasmonsim child process that imports this checkout."""

@@ -82,6 +82,57 @@ def test_steady_state_sweep_onto_an_eigenvalue_raises():
             dyn.steady_state_sweep(h, detunings, "plasmon")
 
 
+def _reduced_spectral_bound(h, detunings):
+    """Oracle: the spectral bound cond_2(V)^2 max_k / min_k |Delta - lambda_k| by reductions."""
+    lam, _, cond_v = dyn._eig(h)
+    dist = np.abs(np.asarray(detunings)[..., None] - lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return cond_v**2 * dist.max(-1) / dist.min(-1)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+def test_spectral_bound_equals_its_reduction_form(n_modes):
+    # the guard takes max and min elementwise over the n columns; every bit must match
+    rng = np.random.default_rng(1700 + n_modes)
+    singles = [h for h, _ in (random_system(rng, n_modes) for _ in range(60))
+               if dyn._eig(h)[2] <= dyn.EIG_COND_LIMIT][:40]
+    f = np.zeros(n_modes, dtype=complex)
+    f[-1] = 1.0
+    for h in singles:
+        d = rng.uniform(-1.5, 1.5, 25)
+        _, bound, path = dyn._resolvent_solve(h, d, f)
+        assert path == "spectral"
+        assert np.array_equal(bound, _reduced_spectral_bound(h, d))
+    stack = np.stack(singles)[:, None]  # (40, 1, n, n) against 25 detunings
+    d = rng.uniform(-1.5, 1.5, 25)
+    _, bound, path = dyn._resolvent_solve(stack, d, f)
+    assert path == "spectral" and bound.shape == (len(singles), 25)
+    assert np.array_equal(bound, _reduced_spectral_bound(stack, d))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_detuning_on_an_eigenvalue_fails_the_spectral_guard(stacked, monkeypatch):
+    # lossless, so the eigenvalues +-g are real and the sweep hits them: the spectral
+    # bound is inf or nan there, so the sweep goes to the LU path or raises
+    g = 0.01
+    h = two_mode_network(g, 0.0, 0.0).matrix
+    if stacked:
+        h = np.stack([two_mode_network(2 * g, 0.0, 0.1).matrix, h])[:, None]
+    detunings = np.linspace(-2 * g, 2 * g, 5)
+    seen = []
+    accepted = dyn._accepted
+    monkeypatch.setattr(dyn, "_accepted", lambda bound: seen.append(bound) or accepted(bound))
+    try:
+        _, bound, path = dyn._resolvent_solve(h, detunings, np.array([1.0, 0.0], complex))
+    except ConditioningError:
+        pass
+    else:
+        assert path == "lu" and not accepted(bound)
+    spectral, oracle = seen[0], _reduced_spectral_bound(h, detunings)
+    assert not np.isfinite(oracle).all() and not accepted(spectral)
+    assert np.array_equal(spectral, oracle, equal_nan=True)
+
+
 @pytest.mark.parametrize("points", [1, 40])
 def test_condition_bound_holds_on_both_paths(points):
     """The guard's K bounds kappa_2(Delta I - H) from above on random damped systems."""
