@@ -575,6 +575,7 @@ def test_evolve_with_an_overflowing_width_writes_a_finite_table(tmp_path, capsys
     assert values.shape == (7, 5) and np.isfinite(values).all()
     assert np.all(values[1:, 1] == 0.0) and np.all(np.diff(values[:, 3]) < 0)
 
+
 def _subprocess_env():
     """The environment of a plasmonsim child process that imports this checkout."""
     env = dict(os.environ)
