@@ -13,6 +13,9 @@ appended, so the printed paths are the same on both sides.  The set is:
   `--first-principles` and `--sweep`; `eigen`, `map` and `optq` variants;
 - `spectrum`, `yield`, `evolve` and `validate` on every builtin config, and
   one JSON `spectrum`;
+- sweeps of several steady-state blocks: `yield --config fig2 --grid 30000`,
+  and `spectrum --config fig2_first_principles --grid 30000` as JSON, which
+  prints every float's repr;
 - three error exits and a steady state of condition number ~1e8;
 - every command of the benchmark workloads (`bench/workloads.py`) at seeds
   0 and 7.
@@ -61,6 +64,9 @@ PLAIN = [
     ("optq", ["optq"]),
     ("optq_power", ["optq", "--objective", "power", "--d-nm", "3", "--d-nm", "22"]),
     ("spectrum_fig2_json", ["spectrum", "--config", "fig2", "--format", "json"]),
+    ("yield_fig2_grid30000", ["yield", "--config", "fig2", "--grid", "30000"]),
+    ("spectrum_fig2_first_principles_grid30000_json",
+     ["spectrum", "--config", "fig2_first_principles", "--grid", "30000", "--format", "json"]),
     ("error_no_config", ["spectrum"]),
     ("error_grid_zero", ["fig1c", "--grid", "0"]),
 ]

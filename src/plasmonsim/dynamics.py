@@ -17,7 +17,9 @@ Pseudospectra, 2005, ch. 2) or by kappa_F(M) = ||M||_F ||M^-1||_F (Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 6-7), and
 the solve raises ConditioningError where the bound exceeds 1 / RCOND_LIMIT.
 The spectral bound can exceed kappa_2 by up to cond_2(V)^2, so a sweep it
-rejects is retried on the LU path before the solve raises.
+rejects is retried on the LU path before the solve raises.  Path and guard
+are decided once per sweep; steady_state_blocks then bounds, solves and hands
+on a spectral sweep in blocks of SWEEP_BLOCK_POINTS points, an LU sweep whole.
 Time evolution propagates a single-excitation amplitude vector under the
 non-Hermitian Hamiltonian through the same eigendecomposition, v(t) =
 V exp(-i Lambda t) V^-1 v(0); above EIG_COND_LIMIT it falls back to the
@@ -38,6 +40,9 @@ from .quantities import from_fs, require_finite, to_fs
 RCOND_LIMIT = 1e-13
 #: eigenvector condition number above which steady state and evolve leave the eigenbasis
 EIG_COND_LIMIT = 1e3
+#: broadcast points per block of a spectral steady-state sweep: a block's
+#: temporaries take about 2 MB, and no array but the bound spans the sweep
+SWEEP_BLOCK_POINTS = 8192
 
 
 def expm(a):
@@ -79,35 +84,41 @@ def _accepted(bound):
     return bool(np.all(bound * RCOND_LIMIT <= 1.0))
 
 
-def _resolvent_solve(h, detunings, f):
-    """Solve (Delta I - h) v = f; return (v, K, path) with K >= kappa_2(Delta I - h).
+def _resolvent_blocks(h, detunings, f):
+    """Solve (Delta I - h) v = f; return (K, path, blocks) with K >= kappa_2(Delta I - h).
 
     The detunings broadcast against the leading shape of the (..., n, n)
-    stack h; v has shape (broadcast shape, n) and K the broadcast shape.
-    path is "spectral" or "lu" (see the module docstring); a spectral bound
-    that fails the guard sends the solve to the LU path.  The caller applies
-    the guard: K is inf or nan where a detuning hits an eigenvalue, and an
-    exactly singular matrix on the LU path raises ConditioningError.
+    stack h; K has the broadcast shape, and blocks yields (index, v), v the
+    amplitudes at the points K[index] with the modes on its last axis.
+    path is "spectral" or "lu" (see the module docstring), decided for the
+    whole sweep: a spectral bound that fails the guard anywhere sends the
+    solve to the LU path, as one block.  The caller applies the guard: K is
+    inf or nan where a detuning hits an eigenvalue, and an exactly singular
+    matrix on the LU path raises ConditioningError.
     """
     d = np.atleast_1d(np.asarray(detunings, dtype=float))
     lead = h.shape[:-2]
+    shape = np.broadcast_shapes(d.shape, lead)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if math.prod(np.broadcast_shapes(d.shape, lead)) > math.prod(lead):
+        if math.prod(shape) > math.prod(lead):
             lam, vecs, cond_v = _eig(h)
             if np.all(cond_v <= EIG_COND_LIMIT):
-                gap = d[..., None] - lam
-                dist = np.abs(gap)
-                # elementwise over the n columns: a reduction over the last axis is ~10x slower
-                cols = np.moveaxis(dist, -1, 0)
-                bound = cond_v**2 * reduce(np.maximum, cols) / reduce(np.minimum, cols)
+                # blocks split the last axis, unless the matrices vary along it
+                width = (max(1, SWEEP_BLOCK_POINTS // math.prod(shape[:-1]))
+                         if lead[-1:] in ((), (1,)) else shape[-1])
+                head = (slice(None),) * (len(shape) - 1)
+                index = [head + (slice(k, k + width),) for k in range(0, shape[-1], width)]
+                bound = np.empty(shape)
+                for block in index:
+                    # elementwise over the n columns: a reduction over the last axis is ~10x slower
+                    cols = np.moveaxis(np.abs(d[block[-d.ndim:]][..., None] - lam), -1, 0)
+                    bound[block] = cond_v**2 * reduce(np.maximum, cols) / reduce(np.minimum, cols)
                 if _accepted(bound):
                     # numpy 1 and 2 read a 1-D right-hand side against a stack differently;
                     # f as one column per matrix means the same on both
                     rhs = np.broadcast_to(f[:, None], vecs.shape[:-1] + (1,))
                     weights = np.linalg.solve(vecs, rhs)[..., 0]
-                    # einsum, not @: a tall (points, n) @ (n, n) product goes to threaded gemm
-                    v = np.einsum("...ij,...j->...i", vecs, weights / gap)
-                    return v, bound, "spectral"
+                    return bound, "spectral", _spectral_blocks(index, d, lam, vecs, weights)
         mats = d[..., None, None] * np.eye(h.shape[-1]) - h
         try:
             inv = np.linalg.inv(mats)
@@ -116,36 +127,57 @@ def _resolvent_solve(h, detunings, f):
                 "steady-state matrix is singular (LU path); "
                 "every mode needs a positive width or a detuned pump") from None
         # ||A||_2 <= ||A||_F, so kappa_2 <= kappa_F
-        return inv @ f, _frobenius(mats) * _frobenius(inv), "lu"
+        return _frobenius(mats) * _frobenius(inv), "lu", iter([(np.s_[...], inv @ f)])
 
 
-def _solve_amplitudes(hamiltonian, detunings, f):
-    """Batched solve of (Delta_p I - H) v = f, guarded by a bound on kappa_2.
+def _spectral_blocks(index, d, lam, vecs, weights):
+    """(index, v) per block: v = V ((V^-1 f) / (Delta - lambda)), weights = V^-1 f."""
+    for block in index:
+        gap = d[block[-d.ndim:]][..., None] - lam
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # einsum, not @: a tall (points, n) @ (n, n) product goes to threaded gemm
+            v = np.einsum("...ij,...j->...i", vecs, weights / gap)
+        yield block, v
 
-    The detuning array broadcasts against the leading shape of a Hamiltonian
-    stack; the amplitudes have shape (broadcast shape, n).
+
+def steady_state_blocks(hamiltonian, detunings, drive_mode):
+    """Steady state under a unit drive on one mode, one block of the pump-detuning sweep at a time.
+
+    For a Hamiltonian stack the detunings broadcast against its leading
+    shape.  The path and the guard are decided for the whole sweep before
+    this returns, so an ill-conditioned sweep raises here; the iterator
+    then yields (index, amplitudes (..., n_modes), the Hamiltonian's port
+    powers {port -> array}) for consecutive blocks of at most
+    SWEEP_BLOCK_POINTS points, index selecting them from the broadcast shape.
     """
-    v, bound, path = _resolvent_solve(hamiltonian.matrix, detunings, f)
+    d = np.asarray(detunings, dtype=float)
+    if d.size == 0:
+        raise DomainError("empty detuning sweep")
+    bound, path, blocks = _resolvent_blocks(
+        hamiltonian.matrix, d, _drive_vector(hamiltonian, drive_mode))
     if not _accepted(bound):
+        worst = np.max(bound)
+        cause = ("the bound overflows: the matrix or its inverse is too large for a double"
+                 if np.isinf(worst) else "every mode needs a positive width or a detuned pump")
         raise ConditioningError(
             f"steady-state matrix is singular or near-singular ({path} path, condition "
-            f"bound {np.max(bound):.3g} > {1.0 / RCOND_LIMIT:.0e}); "
-            "every mode needs a positive width or a detuned pump")
-    return v
+            f"bound {worst:.3g} > {1.0 / RCOND_LIMIT:.0e}); {cause}")
+    return ((index, v, hamiltonian.powers(v)) for index, v in blocks)
 
 
 def steady_state_sweep(hamiltonian, detunings, drive_mode):
     """Vectorized steady state under a unit drive on one mode, over a pump-detuning grid.
 
     Returns (amplitudes (n_points, n_modes), the Hamiltonian's port powers
-    {port -> array}).  For a Hamiltonian stack the detunings broadcast
-    against its leading shape.
+    {port -> array}): the blocks of steady_state_blocks, joined along the
+    last axis of the broadcast shape when there are more than one.
     """
-    d = np.asarray(detunings, dtype=float)
-    if d.size == 0:
-        raise DomainError("empty detuning sweep")
-    v = _solve_amplitudes(hamiltonian, d, _drive_vector(hamiltonian, drive_mode))
-    return v, hamiltonian.powers(v)
+    blocks = list(steady_state_blocks(hamiltonian, detunings, drive_mode))
+    if len(blocks) == 1:
+        return blocks[0][1:]
+    _, amps, powers = zip(*blocks)
+    return (np.concatenate(amps, axis=-2),
+            {port: np.concatenate([p[port] for p in powers], axis=-1) for port in powers[0]})
 
 
 def fano_detuning(J, g1, G):

@@ -166,37 +166,45 @@ def run_fig2(scenario, points=401):
     return table_yield, table_power
 
 
+def _sweep_rows(columns, grid):
+    """The float record array of a table over the detunings grid, its detuning_ev column set."""
+    rows = np.recarray(len(grid), [(name, float) for name in columns])
+    rows["detuning_ev"] = grid
+    return rows
+
+
 def spectrum_table(scenario, grid):
     """Table spectrum: every output port of the scenario over the pump detunings grid.
 
     The vacuum port is coherent; its interference part is reported
     separately, so the diagonal (per-mode) decomposition is also available.
+    The rows are filled one solved block at a time.
     """
     h = scenario.hamiltonian()
-    amps, powers = dyn.steady_state_sweep(h, grid, scenario["drive_mode"])
-    return ResultTable.from_arrays(
-        "spectrum",
-        ("detuning_ev", "phi_rad_total", "phi_rad_vacuum", "phi_rad_vacuum_cross",
-         "phi_rad_cavity_port", "phi_ohmic_plasmon", "phi_ohmic_emitter"),
-        (grid, net.radiated_power(powers), powers["rad_vacuum"], h.vacuum_cross_term(amps),
-         powers["rad_cavity"], powers["ohmic_plasmon"], powers["ohmic_emitter"]),
-        scenario_metadata(scenario),
-    )
+    rows = _sweep_rows(("detuning_ev", "phi_rad_total", "phi_rad_vacuum", "phi_rad_vacuum_cross",
+                        "phi_rad_cavity_port", "phi_ohmic_plasmon", "phi_ohmic_emitter"), grid)
+    for index, amps, powers in dyn.steady_state_blocks(h, grid, scenario["drive_mode"]):
+        for name, column in zip(rows.dtype.names[1:], (
+                net.radiated_power(powers), powers["rad_vacuum"], h.vacuum_cross_term(amps),
+                powers["rad_cavity"], powers["ohmic_plasmon"], powers["ohmic_emitter"])):
+            rows[name][index] = column
+    return ResultTable("spectrum", rows, scenario_metadata(scenario))
 
 
 def yield_table(scenario, grid):
     """Table yield: quantum yield over the pump detunings grid, with and without cavity.
 
-    The scenario is driven on its configured drive mode.
+    The scenario is driven on its configured drive mode.  Both sweeps pass
+    their guards before the rows are filled, one solved block at a time.
     """
     drive = scenario["drive_mode"]
-    _, powers = dyn.steady_state_sweep(scenario.hamiltonian(), grid, drive)
-    _, powers_b = dyn.steady_state_sweep(scenario.hamiltonian(bare=True), grid, drive)
-    return ResultTable.from_arrays(
-        "yield", ("detuning_ev", "yield_cavity", "yield_bare"),
-        (grid, net.yield_from_powers(powers), net.yield_from_powers(powers_b)),
-        scenario_metadata(scenario),
-    )
+    rows = _sweep_rows(("detuning_ev", "yield_cavity", "yield_bare"), grid)
+    sweeps = {"yield_cavity": dyn.steady_state_blocks(scenario.hamiltonian(), grid, drive),
+              "yield_bare": dyn.steady_state_blocks(scenario.hamiltonian(bare=True), grid, drive)}
+    for name, blocks in sweeps.items():
+        for index, _, powers in blocks:
+            rows[name][index] = net.yield_from_powers(powers)
+    return ResultTable("yield", rows, scenario_metadata(scenario))
 
 
 def evolve_table(scenario, points, span_fs):

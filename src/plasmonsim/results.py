@@ -198,7 +198,7 @@ def _format_meta(value):
 class ResultTable:
     """A named record array, one typed field per column, plus a flat metadata mapping.
 
-    Build one with from_arrays.
+    Build one with from_arrays, or from a record array filled in place.
     """
 
     def __init__(self, name, rows, metadata):

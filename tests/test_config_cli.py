@@ -429,6 +429,8 @@ def test_cli_numerical_error_exit_code(tmp_path, capsys):
 
 
 MAP_SWEEP = "\n[sweep]\nd_points = 5\nq_points = 5\n"
+#: the builtin fig1c's plasmon radiative width raised to the largest double
+WIDTH_OVERFLOW = ("gamma_1r_mev = 2.45", "gamma_1r_mev = 1.7976931348623157e308")
 OVER = MAX_POINTS + 1
 
 #: probe -> (argv, config text or (old, new) edit or None[, builtin edited instead
@@ -536,6 +538,14 @@ NUMERIC_PROBES = {
     "calibrated_plasmon_on_resonance": (["spectrum"], ("delta_1e_ev = 0.6", "delta_1e_ev = 0"),
                                         "fig3"),
     "calibrated_gamma_o_huge": (["evolve"], ("gamma_o_ev = 0.2", "gamma_o_ev = 1e300"), "fig4"),
+    # a plasmon width of 1.8e308 meV: the LU path's bound ||M||_F ||M^-1||_F overflows
+    "width_overflow_spectrum": (["spectrum"], WIDTH_OVERFLOW, "fig1c"),
+    "width_overflow_yield": (["yield"], WIDTH_OVERFLOW, "fig1c"),
+}
+#: probe -> what its ERROR[numeric] message must say
+NUMERIC_MESSAGES = {
+    "width_overflow_spectrum": "condition bound inf > 1e+13); the bound overflows",
+    "width_overflow_yield": "condition bound inf > 1e+13); the bound overflows",
 }
 
 
@@ -554,7 +564,9 @@ def test_cli_rejects_bad_input_at_boundary(probe, tmp_path, capsys):
         warnings.simplefilter("error")
         code = main(argv + ["--out", str(out)])
     assert code == (2 if numeric else 1)
-    assert capsys.readouterr().err.startswith("ERROR[numeric]:" if numeric else "ERROR[config]:")
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR[numeric]:" if numeric else "ERROR[config]:")
+    assert NUMERIC_MESSAGES.get(probe, "") in err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -28,6 +29,15 @@ def pumped_mnp(g1, gamma_c=2.3094010767585034e-5):
     return net.build_three_mode(
         g1=g1, G=0.0, J=0.0, delta_1e=0.0, delta_ce=0.0,
         gamma_1r=2.45e-3, gamma_o=0.2, gamma_c=gamma_c, gamma_s=3e-6, gamma_m=83e-6)
+
+
+def resolvent_solve(h, detunings, f):
+    """(v, K, path) of dyn._resolvent_blocks, its blocks put together into one array."""
+    bound, path, blocks = dyn._resolvent_blocks(h, detunings, f)
+    v = np.empty(bound.shape + f.shape, dtype=complex)
+    for index, block in blocks:
+        v[index] = block
+    return v, bound, path
 
 
 def solve_at(hamiltonian, detuning, drive_mode):
@@ -100,12 +110,12 @@ def test_spectral_bound_equals_its_reduction_form(n_modes):
     f[-1] = 1.0
     for h in singles:
         d = rng.uniform(-1.5, 1.5, 25)
-        _, bound, path = dyn._resolvent_solve(h, d, f)
+        _, bound, path = resolvent_solve(h, d, f)
         assert path == "spectral"
         assert np.array_equal(bound, _reduced_spectral_bound(h, d))
     stack = np.stack(singles)[:, None]  # (40, 1, n, n) against 25 detunings
     d = rng.uniform(-1.5, 1.5, 25)
-    _, bound, path = dyn._resolvent_solve(stack, d, f)
+    _, bound, path = resolvent_solve(stack, d, f)
     assert path == "spectral" and bound.shape == (len(singles), 25)
     assert np.array_equal(bound, _reduced_spectral_bound(stack, d))
 
@@ -123,7 +133,7 @@ def test_detuning_on_an_eigenvalue_fails_the_spectral_guard(stacked, monkeypatch
     accepted = dyn._accepted
     monkeypatch.setattr(dyn, "_accepted", lambda bound: seen.append(bound) or accepted(bound))
     try:
-        _, bound, path = dyn._resolvent_solve(h, detunings, np.array([1.0, 0.0], complex))
+        _, bound, path = resolvent_solve(h, detunings, np.array([1.0, 0.0], complex))
     except ConditioningError:
         pass
     else:
@@ -143,12 +153,132 @@ def test_condition_bound_holds_on_both_paths(points):
         d = rng.uniform(-1.5, 1.5, points)
         f = np.zeros(n, dtype=complex)
         f[rng.integers(0, n)] = 1.0
-        v, bound, path = dyn._resolvent_solve(h, d, f)
+        v, bound, path = resolvent_solve(h, d, f)
         cond_v = np.linalg.cond(np.linalg.eig(h)[1])
         assert path == ("spectral" if points > 1 and cond_v <= dyn.EIG_COND_LIMIT else "lu")
         mats = d[:, None, None] * np.eye(n) - h
         assert np.all(np.linalg.cond(mats) <= bound * (1 + 1e-12)), path
         np.testing.assert_allclose(v, np.linalg.solve(mats, f), rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# blocks of a sweep
+# ---------------------------------------------------------------------------
+
+BLOCK = dyn.SWEEP_BLOCK_POINTS
+#: sweep lengths on either side of one block boundary, and over three
+BLOCK_LENGTHS = [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2]
+
+
+def _whole_grid_spectral(h, detunings, f):
+    """Oracle: the spectral solve over every point of the sweep at once, as before blocks."""
+    lam, vecs, _ = dyn._eig(h)
+    gap = np.atleast_1d(np.asarray(detunings, dtype=float))[..., None] - lam
+    rhs = np.broadcast_to(f[:, None], vecs.shape[:-1] + (1,))
+    weights = np.linalg.solve(vecs, rhs)[..., 0]
+    return np.einsum("...ij,...j->...i", vecs, weights / gap)
+
+
+def _assert_sweep_is_the_whole_grid_solve(h, detunings, drive_mode, blocks):
+    """The sweep takes the spectral path in `blocks` blocks; amplitudes and powers are the
+    oracle's, bit for bit.  Returns the oracle's amplitudes and powers."""
+    f = dyn._drive_vector(h, drive_mode)
+    bound, path, index = dyn._resolvent_blocks(h.matrix, detunings, f)
+    assert path == "spectral" and len(list(index)) == blocks
+    oracle = _whole_grid_spectral(h.matrix, detunings, f)
+    amps, powers = dyn.steady_state_sweep(h, detunings, drive_mode)
+    assert amps.tobytes() == oracle.tobytes()
+    expected = h.powers(oracle)
+    assert powers.keys() == expected.keys()
+    for port, power in expected.items():
+        assert powers[port].tobytes() == power.tobytes(), port
+    return oracle, expected
+
+
+@pytest.mark.parametrize("points", BLOCK_LENGTHS)
+def test_blocked_sweep_and_tables_equal_the_whole_grid_solve(points):
+    scenario = parse_config("fig2").scenario
+    drive = scenario["drive_mode"]
+    h, h_bare = scenario.hamiltonian(), scenario.hamiltonian(bare=True)
+    grid = scenario["delta_0_ev"] + np.linspace(-2e-3, 2e-3, points)
+    blocks = -(-points // BLOCK)
+    amps, powers = _assert_sweep_is_the_whole_grid_solve(h, grid, drive, blocks)
+    _, powers_b = _assert_sweep_is_the_whole_grid_solve(h_bare, grid, drive, blocks)
+    rows = exp.spectrum_table(scenario, grid).rows
+    expected = {
+        "detuning_ev": grid, "phi_rad_total": net.radiated_power(powers),
+        "phi_rad_vacuum": powers["rad_vacuum"], "phi_rad_vacuum_cross": h.vacuum_cross_term(amps),
+        "phi_rad_cavity_port": powers["rad_cavity"], "phi_ohmic_plasmon": powers["ohmic_plasmon"],
+        "phi_ohmic_emitter": powers["ohmic_emitter"]}
+    assert rows.dtype.names == tuple(expected)
+    for name, column in expected.items():
+        assert rows[name].tobytes() == column.tobytes(), name
+    rows = exp.yield_table(scenario, grid).rows
+    expected = {"detuning_ev": grid, "yield_cavity": net.yield_from_powers(powers),
+                "yield_bare": net.yield_from_powers(powers_b)}
+    assert rows.dtype.names == tuple(expected)
+    for name, column in expected.items():
+        assert rows[name].tobytes() == column.tobytes(), name
+
+
+def test_blocked_stack_sweep_equals_the_whole_grid_solve():
+    # fig4's spectra map: an (11, 1) stack against 801 detunings is 8,811 points, two blocks
+    scenario = exp.with_cavity(parse_config("fig4").scenario, 0.0, exp.SPECTRA_Q)
+    sweep = 2e-3 * np.arange(-5, 6)
+    h = exp.with_cavity(scenario, -sweep[:, None]).hamiltonian()
+    detunings = np.linspace(-8e-3, 8e-3, exp.FIG4_SPECTRUM_POINTS)
+    assert h.matrix.shape == (11, 1, 3, 3) and BLOCK < 11 * detunings.size < 2 * BLOCK
+    _assert_sweep_is_the_whole_grid_solve(h, detunings, "emitter", 2)
+
+
+def test_a_guard_failure_in_the_last_block_sends_the_whole_sweep_to_lu():
+    """The narrow line of the spectral-retry test, met only by the sweep's last point."""
+    gamma = 0.05
+    h = net.build_three_mode(
+        g1=gamma / 4.0 * (1.0 + 1e-5), G=0.0, J=0.0, delta_1e=0.1, delta_ce=0.1, gamma_1r=0.0,
+        gamma_o=gamma, gamma_c=0.0, gamma_s=1e-9, gamma_m=1e-9)
+    detunings = np.linspace(-0.01, 0.0, 3 * BLOCK + 2)
+    spectral = _reduced_spectral_bound(h.matrix, detunings)
+    assert list(np.flatnonzero(~(spectral * dyn.RCOND_LIMIT <= 1.0))) == [detunings.size - 1]
+    f = dyn._drive_vector(h, "plasmon")
+    bound, path, blocks = dyn._resolvent_blocks(h.matrix, detunings, f)
+    (index, v), = blocks
+    assert path == "lu" and index is Ellipsis and dyn._accepted(bound)
+    unblocked = np.linalg.inv(detunings[:, None, None] * np.eye(3) - h.matrix) @ f
+    assert v.tobytes() == unblocked.tobytes()
+    amps, _ = dyn.steady_state_sweep(h, detunings, "plasmon")
+    assert amps.tobytes() == unblocked.tobytes()
+
+
+def test_a_failing_sweep_reports_its_worst_bound():
+    # a lossless pair of eigenvalues +-g, passed at 1e-13 relative in the first block
+    # and at 1e-14 at the sweep's last point: the message names the worse, over the sweep
+    g = 0.01
+    h = two_mode_network(g, 0.0, 0.0)
+    detunings = np.append(np.linspace(-0.05, -0.02, 3 * BLOCK + 1), g * (1.0 + 1e-14))
+    detunings[5] = -g * (1.0 + 1e-13)
+    bound, path, _ = dyn._resolvent_blocks(h.matrix, detunings, np.array([1.0, 0.0], complex))
+    worst = np.max(bound)
+    assert path == "lu" and np.argmax(bound) == detunings.size - 1
+    assert bound[5] * dyn.RCOND_LIMIT > 1.0 and f"{bound[5]:.3g}" != f"{worst:.3g}"
+    with pytest.raises(ConditioningError) as raised:
+        dyn.steady_state_blocks(h, detunings, "plasmon")
+    assert f"(lu path, condition bound {worst:.3g} > 1e+13)" in str(raised.value)
+
+
+def test_spectrum_table_memory_stays_near_the_table():
+    # the 200,000-row table is 11.2 MB; the bound K of the whole sweep (1.6 MB) and
+    # one block's temporaries come on top; solving the whole grid at once peaked at 35 MB
+    scenario = parse_config("fig2").scenario
+    grid = scenario["delta_0_ev"] + np.linspace(-8e-3, 8e-3, 200_000)
+    exp.spectrum_table(scenario, grid[:10])
+    tracemalloc.start()
+    try:
+        rows = exp.spectrum_table(scenario, grid).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes + 4e6
 
 
 def test_power_balance_randomized():
@@ -652,19 +782,32 @@ FIGURE_RUNS = {
 
 @pytest.mark.parametrize("builtin", sorted(FIGURE_RUNS))
 def test_figure_solves_match_50_digit_lu_solve(builtin, monkeypatch):
-    """Each figure's solves take the spectral path for a sweep and LU for one point."""
+    """Each figure's solves take the spectral path for a sweep and LU for one point.
+
+    Every block of every solve is recorded as the figure consumes it, and
+    every point of each solve must have been handed on.
+    """
     solves = []
-    resolvent_solve = dyn._resolvent_solve
+    resolvent_blocks = dyn._resolvent_blocks
 
     def recording(h, detunings, f):
-        result = resolvent_solve(h, detunings, f)
-        solves.append((h, np.atleast_1d(np.asarray(detunings, dtype=float)), f, *result))
-        return result
+        bound, path, blocks = resolvent_blocks(h, detunings, f)
+        v = np.empty(bound.shape + f.shape, dtype=complex)
+        seen = np.zeros(bound.shape, dtype=bool)
+        solves.append((h, np.atleast_1d(np.asarray(detunings, dtype=float)), f, v, seen, bound,
+                       path))
 
-    monkeypatch.setattr(dyn, "_resolvent_solve", recording)
+        def recorded():
+            for index, block in blocks:
+                v[index], seen[index] = block, True
+                yield index, block
+        return bound, path, recorded()
+
+    monkeypatch.setattr(dyn, "_resolvent_blocks", recording)
     FIGURE_RUNS[builtin](parse_config(builtin).scenario)
     assert solves
-    for h, detunings, f, v, bound, path in solves:
+    for h, detunings, f, v, seen, bound, path in solves:
+        assert seen.all()
         assert path == ("spectral" if bound.size > h[..., 0, 0].size else "lu")
         _assert_within_condition_bound(h, detunings, f, v, bound)
 
@@ -677,8 +820,8 @@ def test_near_exceptional_point_member_sends_the_whole_stack_to_lu():
     detunings = np.linspace(-0.1, 0.1, 201)
     f = np.array([1.0, 0.0], dtype=complex)
     assert list(dyn._eig(stack)[2][:, 0] > dyn.EIG_COND_LIMIT) == [False, True, False]
-    assert dyn._resolvent_solve(stack[[0, 2]], detunings, f)[2] == "spectral"
-    v, bound, path = dyn._resolvent_solve(stack, detunings, f)
+    assert resolvent_solve(stack[[0, 2]], detunings, f)[2] == "spectral"
+    v, bound, path = resolvent_solve(stack, detunings, f)
     assert path == "lu" and v.shape == (3, 201, 2)
     _assert_within_condition_bound(stack, detunings, f, v, bound)
 
@@ -703,7 +846,7 @@ def test_spectral_bound_over_the_guard_retries_on_lu():
     dist = np.abs(detunings[:, None] - lam)
     spectral = cond_v**2 * dist.max(axis=-1) / dist.min(axis=-1)
     assert np.all(cond_v <= dyn.EIG_COND_LIMIT) and not dyn._accepted(spectral)
-    v, bound, path = dyn._resolvent_solve(h.matrix, detunings, f)
+    v, bound, path = resolvent_solve(h.matrix, detunings, f)
     assert path == "lu" and v.shape == (2, 201, 3) and dyn._accepted(bound)
     _assert_within_condition_bound(h.matrix, detunings, f, v, bound)
     amps, _ = dyn.steady_state_sweep(h, detunings, "plasmon")
