@@ -7,10 +7,12 @@ OLD_SRC and NEW_SRC are directories holding a `plasmonsim` package (a
 checkout's `src`).  Every command runs twice as a cold `python -m
 plasmonsim` child, once with PYTHONPATH set to each directory, in a fresh
 work directory that holds the command's config files; `--out out` is
-appended, so the printed paths are the same on both sides.  The set is:
+appended, so the printed paths are the same on both sides.  The set of 71
+commands is:
 
 - the figure commands, with and without `--grid`, `--format json`,
-  `--first-principles` and `--sweep`; `eigen`, `map` and `optq` variants;
+  `--first-principles` and `--sweep`, and with grids of several
+  steady-state blocks; `eigen`, `map` and `optq` variants;
 - `spectrum`, `yield`, `evolve` and `validate` on every builtin config, and
   one JSON `spectrum`;
 - sweeps of several steady-state blocks: `yield --config fig2 --grid 30000`,
@@ -56,6 +58,11 @@ PLAIN = [
     ("fig2_first_principles", ["fig2", "--first-principles"]),
     ("fig3_grid101_json", ["fig3", "--grid", "101", "--format", "json"]),
     ("fig4_sweep_grid51", ["fig4", "--sweep", "-6e-3:6e-3:1e-3", "--grid", "51"]),
+    ("fig2_json", ["fig2", "--format", "json"]),
+    ("fig1c_grid20000", ["fig1c", "--grid", "20000"]),
+    ("fig2_grid20000", ["fig2", "--grid", "20000"]),
+    ("fig3_grid20000", ["fig3", "--grid", "20000"]),
+    ("fig4_grid2000", ["fig4", "--grid", "2000"]),
     ("eigen", ["eigen"]),
     ("eigen_fig3", ["eigen", "--config", "fig3"]),
     ("eigen_fig4_sweep", ["eigen", "--config", "fig4", "--sweep", "-10e-3:10e-3:5e-4"]),

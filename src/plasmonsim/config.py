@@ -7,10 +7,11 @@ errors with a closest-match suggestion, missing required keys are reported
 all at once, every value must be finite, point counts are integers from 1 to
 MAX_POINTS, the particle axis is 1, 2 or 3, lengths, the plasma frequency,
 the calibration targets and the cavity, map-axis and time-span quantities
-are > 0, eps_inf and eps_b are >= 1, decay rates are >= 0, theta_deg is in
-[0, 90], the emitter and the cavity sit at positive frequencies, and
-calibrated mode takes no explicit coupling or rate.  A sphere beyond the
-quasi-static validity radius is resolved with a note, not rejected.
+are > 0, a time span is finite in natural units, eps_inf and eps_b are >= 1,
+decay rates are >= 0, theta_deg is in [0, 90], the emitter and the cavity sit
+at positive frequencies, and calibrated mode takes no explicit coupling or
+rate.  A sphere beyond the quasi-static validity radius is resolved with a
+note, not rejected.
 Values in meV and ueV are converted to eV by shifting their decimal text,
 so -7.2 meV is exactly -7.2e-3 eV.  parse_config resolves the file into a
 Scenario with defaults applied and per-parameter provenance recorded.
@@ -34,6 +35,7 @@ from .experiments import (
     Scenario,
     calibrate_fig3_couplings,
 )
+from .quantities import HBAR_EV_FS
 
 _FLOAT = "float"
 _POSITIVE = "positive"  # float > 0
@@ -104,7 +106,7 @@ SCHEMA = {
         "q_min": (_POSITIVE, Q_RANGE[0], None),
         "q_max": (_POSITIVE, Q_RANGE[1], None),
         "q_points": (_COUNT, 61, None),
-        "t_span_fs": (_POSITIVE, None, None),
+        "t_span_fs": (_POSITIVE, None, (0.0, math.nextafter(math.inf, 0.0) * HBAR_EV_FS)),
         "t_points": (_COUNT, 4096, None),
     },
     "run": {
@@ -331,6 +333,8 @@ def _validate(sections, origin):
     sweep = values.get("sweep", {})
     if ("start_ev" in sweep) != ("stop_ev" in sweep):
         problems.append("[sweep] start_ev and stop_ev go together: give both or neither")
+    elif math.isinf(2.0 * (sweep.get("stop_ev", 0.0) - sweep.get("start_ev", 0.0))):
+        problems.append("[sweep] stop_ev - start_ev must be below half the largest double")
     for low, high in (("d_min_nm", "d_max_nm"), ("q_min", "q_max")):
         lo = sweep.get(low, SCHEMA["sweep"][low][1])
         hi = sweep.get(high, SCHEMA["sweep"][high][1])
@@ -375,14 +379,10 @@ def _resolve_scenario(cfg, name):
     env = mat.Environment(cfg["environment"]["eps_b"])
     pc = cfg["particle"]
     axis = pc["axis"]
-    if pc["shape"] == "sphere":
-        shape = mat.Sphere(pc["radius_nm"])
-        omega_1 = mat.sphere_mode_frequency(metal, env, 1)
-    else:
-        shape = mat.Ellipsoid(pc["a1_nm"], pc["a2_nm"], pc["a3_nm"])
-        omega_1 = mat.ellipsoid_mode_frequency(
-            metal, env, mat.depolarization_factors(shape)[axis - 1])
+    shape = (mat.Sphere(pc["radius_nm"]) if pc["shape"] == "sphere"
+             else mat.Ellipsoid(pc["a1_nm"], pc["a2_nm"], pc["a3_nm"]))
     particle = mat.Nanoparticle(shape, metal)
+    omega_1 = mat.dipolar_mode(particle, env, axis)[1]
     notes = []
     if not particle.quasi_static_valid:
         notes.append(f"sphere radius {pc['radius_nm']} nm exceeds the quasi-static "
@@ -404,9 +404,10 @@ def _resolve_scenario(cfg, name):
         gamma_s = cpl.free_space_decay(ec["mu_e_nm"], omega_e, env.eps_b)
     except (OverflowError, ZeroDivisionError):
         gamma_1r = gamma_s = 0.0
-    if not (gamma_1r > 0.0 and gamma_s > 0.0):
+    if not (gamma_1r > 0.0 and gamma_s > 0.0 and omega_c / cc["q_factor"] < math.inf):
         raise ConfigError("a radiative width is beyond floating-point range: check [particle] "
-                          "size, [metal] omega_p_ev, [emitter] mu_e_nm and [environment] eps_b")
+                          "size, [metal] omega_p_ev, [emitter] mu_e_nm, [environment] eps_b and "
+                          "[cavity] q_factor")
 
     params = {
         "eps_inf": metal.eps_inf, "omega_p_ev": metal.omega_p, "gamma_o_ev": metal.gamma_o,

@@ -169,8 +169,8 @@ def steady_state_sweep(hamiltonian, detunings, drive_mode):
     """Vectorized steady state under a unit drive on one mode, over a pump-detuning grid.
 
     Returns (amplitudes (n_points, n_modes), the Hamiltonian's port powers
-    {port -> array}): the blocks of steady_state_blocks, joined along the
-    last axis of the broadcast shape when there are more than one.
+    {port -> array}): the blocks of steady_state_blocks, joined along the last
+    axis of the broadcast shape.  The (D, Q) enhancements use it; tables do not.
     """
     blocks = list(steady_state_blocks(hamiltonian, detunings, drive_mode))
     if len(blocks) == 1:
@@ -188,7 +188,8 @@ def fano_detuning(J, g1, G):
     require_finite(J=J, g1=g1, G=G)
     if np.any(np.asarray(G) == 0.0):
         raise DomainError("Fano detuning undefined for G = 0")
-    return -J * g1 / G
+    require_finite(delta_0=(delta_0 := -J * g1 / G))  # J g1 can overflow
+    return delta_0
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,14 +228,14 @@ def evolve(hamiltonian, initial, times_fs, points=None):
     t_nat = from_fs(t_fs)
     if cond_v <= EIG_COND_LIMIT:
         weights = np.linalg.solve(vecs, v0)
-        with np.errstate(over="ignore"):  # t (-i lambda) overflows to a factor 0, not nan
+        with np.errstate(over="ignore", invalid="ignore"):  # t (-i lambda) overflows to 0 or inf
             amps = (np.exp(np.multiply.outer(t_nat, -1j * lam)) * weights) @ vecs.T
     else:
         amps = expm(-1j * np.multiply.outer(t_nat, h)) @ v0
     amps[0] = v0
-    populations = {
-        label: np.abs(amps[:, i]) ** 2 for i, label in enumerate(hamiltonian.labels)
-    }
+    if not np.all(np.isfinite(amps)):  # a passive H cannot grow: widths span too many decades
+        raise ConditioningError(f"time evolution overflows: max Im lambda = {lam.imag.max():.3g} eV")
+    populations = {label: np.abs(amps[:, i]) ** 2 for i, label in enumerate(hamiltonian.labels)}
     return TimeTrace(times_fs=t_fs, populations=populations)
 
 
@@ -243,11 +244,11 @@ def default_time_grid(eigenvalues, points):
 
     The branches are the complex eigenvalues of the Hamiltonian, width -2 Im.
     """
-    widths = [-2.0 * lam.imag for lam in eigenvalues]
-    positive = [w for w in widths if w > 0]
-    if not positive:
-        raise DomainError("no decaying branch; cannot size a default time grid")
-    return np.linspace(0.0, float(to_fs(10.0 / min(positive))), points)
+    positive = [float(-2.0 * lam.imag) for lam in eigenvalues if lam.imag < 0]
+    span_fs = float(to_fs(10.0 / min(positive))) if positive else math.inf  # floats overflow silently
+    if span_fs == math.inf:
+        raise DomainError("no branch decays within floating-point range; cannot size a time grid")
+    return np.linspace(0.0, span_fs, points)
 
 
 def count_oscillation_maxima(times_fs, population, settle_fs):
@@ -356,11 +357,9 @@ def anticrossing_metrics(branchset):
     widths = sorted((-2.0 * lam_a[center].imag, -2.0 * lam_b[center].imag), reverse=True)
     two_g = float(np.min(re_sep))
     kappa_1, kappa_2 = float(widths[0]), float(widths[1])
-    coop = two_g**2 / (kappa_1 * kappa_2) if kappa_1 * kappa_2 > 0 else float("inf")
-    return AntiCrossingMetrics(
-        two_g_eff=two_g,
-        kappa_1=kappa_1,
-        kappa_2=kappa_2,
-        cooperativity=coop,
-        min_im_separation=float(np.min(im_sep)),
-    )
+    try:
+        coop = two_g**2 / (kappa_1 * kappa_2) if kappa_1 * kappa_2 > 0 else float("inf")
+    except OverflowError:
+        raise DomainError(f"2 g_eff = {two_g:.3g} eV overflows the cooperativity") from None
+    return AntiCrossingMetrics(two_g_eff=two_g, kappa_1=kappa_1, kappa_2=kappa_2,
+                               cooperativity=coop, min_im_separation=float(np.min(im_sep)))

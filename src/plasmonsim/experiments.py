@@ -4,8 +4,8 @@ A Scenario is a flat parameter dictionary with per-parameter provenance
 (first_principles | paper_exact | calibrated | derived), embedded verbatim
 in result metadata.  Every runner receives a resolved Scenario; the paper's
 scenarios are the builtin configs of the config module, so each is
-described once.  Sweeps build one Hamiltonian stack and solve it in one
-batched call.
+described once.  Every pump-detuning table is filled block by block by one
+row builder, _sweep_rows; the (D, Q) map solves its stack in one call.
 
 This is the only module that builds output tables: the figure runners,
 enhancement_map and the *_table functions return ResultTables whose column
@@ -91,10 +91,8 @@ class Scenario:
 def _distance_law(p, distance_nm, quench_orientation=None):
     """couplings.distance_law of the particle, plasmon and emitter of resolved params p."""
     metal = mat.DrudeMetal(p["eps_inf"], p["omega_p_ev"], p["gamma_o_ev"])
-    if "radius_nm" in p:
-        shape = mat.Sphere(p["radius_nm"])
-    else:
-        shape = mat.Ellipsoid(p["a1_nm"], p["a2_nm"], p["a3_nm"])
+    shape = (mat.Sphere(p["radius_nm"]) if "radius_nm" in p
+             else mat.Ellipsoid(p["a1_nm"], p["a2_nm"], p["a3_nm"]))
     return cpl.distance_law(
         distance_nm, mat.Nanoparticle(shape, metal), mat.Environment(p["eps_b"]),
         p["omega_e_ev"], cpl.plasmon_effective_dipole(p["gamma_1r_ev"], p["omega_1_ev"]),
@@ -105,6 +103,43 @@ def _distance_law(p, distance_nm, quench_orientation=None):
 # dissipation spectra and quantum yield
 # ---------------------------------------------------------------------------
 
+def _radiated(_, powers):
+    return net.radiated_power(powers)
+
+
+def _yield(_, powers):
+    return net.yield_from_powers(powers)
+
+
+def _port(name):
+    return lambda _, powers: powers[name]
+
+
+def _sweep_rows(grid, drive, columns):
+    """The float record array of a pump-detuning sweep, filled one solved block at a time.
+
+    columns maps each column name, in table order, to (hamiltonian,
+    fn(amplitudes, port powers)), or to values broadcast into the column
+    (the grid itself, say).  Each distinct Hamiltonian is one sweep of the
+    grid under a unit drive on mode `drive`, and every sweep passes its
+    guard before a row is filled.  The rows span the broadcast shape of the
+    grid and the stacks' leading shapes, flattened in C order.
+    """
+    solved = {name: spec for name, spec in columns.items() if isinstance(spec, tuple)}
+    sweeps = {h: dyn.steady_state_blocks(h, grid, drive)
+              for h in dict.fromkeys(h for h, _ in solved.values())}
+    shape = np.broadcast_shapes(np.shape(grid), *(h.matrix.shape[:-2] for h in sweeps))
+    rows = np.recarray(shape, [(name, float) for name in columns])
+    for name in columns.keys() - solved.keys():
+        rows[name] = columns[name]
+    for h, blocks in sweeps.items():
+        for index, amps, powers in blocks:
+            for name, (column_h, fn) in solved.items():
+                if column_h is h:
+                    rows[name][index] = fn(amps, powers)
+    return rows.reshape(-1)
+
+
 def run_fig1c(scenario, points=2001):
     """Table fig1c: a pumped scenario's output powers vs pump detuning, with and without cavity.
 
@@ -114,16 +149,12 @@ def run_fig1c(scenario, points=2001):
     Ohmic loss of the dipolar mode.
     """
     detunings = np.linspace(-2e-3, 2e-3, points)
-    _, p_cav = dyn.steady_state_sweep(scenario.hamiltonian(), detunings, scenario["drive_mode"])
-    _, p_bare = dyn.steady_state_sweep(
-        scenario.hamiltonian(bare=True), detunings, scenario["drive_mode"])
-    return ResultTable.from_arrays(
-        "fig1c",
-        ("detuning_ev", "phi_rad_cavity", "phi_rad_bare", "phi_abs_cavity", "phi_abs_bare"),
-        (detunings, net.radiated_power(p_cav), net.radiated_power(p_bare),
-         p_cav["ohmic_plasmon"], p_bare["ohmic_plasmon"]),
-        scenario_metadata(scenario),
-    )
+    h, h_bare = scenario.hamiltonian(), scenario.hamiltonian(bare=True)
+    rows = _sweep_rows(detunings, scenario["drive_mode"], {
+        "detuning_ev": detunings, "phi_rad_cavity": (h, _radiated),
+        "phi_rad_bare": (h_bare, _radiated), "phi_abs_cavity": (h, _port("ohmic_plasmon")),
+        "phi_abs_bare": (h_bare, _port("ohmic_plasmon"))})
+    return ResultTable("fig1c", rows, scenario_metadata(scenario))
 
 
 def run_fig2(scenario, points=401):
@@ -134,43 +165,25 @@ def run_fig2(scenario, points=401):
     below Delta_0 (the Fano zero of the dipolar amplitude rides the shoulder
     of the cavity feature), so finer steps would resolve that offset.  The
     dipolar-mode absorption is normalized to its maximum; the yields and the
-    radiated-power enhancement at Delta_0 itself are result.* metadata.
+    radiated-power enhancement at Delta_0 itself are result.* metadata.  Both
+    tables are views of one record array.
     """
     delta_0 = scenario["delta_0_ev"]
-    h = scenario.hamiltonian()
-    h_bare = scenario.hamiltonian(bare=True)
+    h, h_bare = scenario.hamiltonian(), scenario.hamiltonian(bare=True)
     detunings = delta_0 + np.linspace(-1e-3, 1e-3, points)
-
-    def solve(hamiltonian, grid):
-        return dyn.steady_state_sweep(hamiltonian, grid, "emitter")[1]
-
-    sweep, sweep_b = solve(h, detunings), solve(h_bare, detunings)
-    at_0, at_0_b = solve(h, [delta_0]), solve(h_bare, [delta_0])
-    meta = {
-        **scenario_metadata(scenario),
-        "result.yield_at_delta0": float(net.yield_from_powers(at_0)[0]),
-        "result.bare_yield_at_delta0": float(net.yield_from_powers(at_0_b)[0]),
-        "result.rad_enhancement_at_delta0": float(
-            net.radiated_power(at_0)[0] / net.radiated_power(at_0_b)[0]),
-    }
-    table_yield = ResultTable.from_arrays(
-        "fig2_yield",
-        ("detuning_ev", "yield_cavity", "yield_bare", "abs_plasmon_norm"),
-        (detunings, net.yield_from_powers(sweep), net.yield_from_powers(sweep_b),
-         sweep["ohmic_plasmon"] / np.max(sweep["ohmic_plasmon"])),
-        meta,
-    )
-    table_power = ResultTable.from_arrays(
-        "fig2_power", ("detuning_ev", "phi_rad_cavity", "phi_rad_bare"),
-        (detunings, net.radiated_power(sweep), net.radiated_power(sweep_b)), meta)
-    return table_yield, table_power
-
-
-def _sweep_rows(columns, grid):
-    """The float record array of a table over the detunings grid, its detuning_ev column set."""
-    rows = np.recarray(len(grid), [(name, float) for name in columns])
-    rows["detuning_ev"] = grid
-    return rows
+    columns = {"yield_cavity": (h, _yield), "yield_bare": (h_bare, _yield),
+               "phi_rad_cavity": (h, _radiated), "phi_rad_bare": (h_bare, _radiated)}
+    rows = _sweep_rows(detunings, "emitter", {
+        "detuning_ev": detunings, **columns, "abs_plasmon_norm": (h, _port("ohmic_plasmon"))})
+    rows["abs_plasmon_norm"] /= np.max(rows["abs_plasmon_norm"])
+    at0 = _sweep_rows([delta_0], "emitter", columns)[0]
+    meta = {**scenario_metadata(scenario),
+            "result.yield_at_delta0": float(at0["yield_cavity"]),
+            "result.bare_yield_at_delta0": float(at0["yield_bare"]),
+            "result.rad_enhancement_at_delta0": float(at0["phi_rad_cavity"] / at0["phi_rad_bare"])}
+    yields = rows[["detuning_ev", "yield_cavity", "yield_bare", "abs_plasmon_norm"]]
+    powers = rows[["detuning_ev", "phi_rad_cavity", "phi_rad_bare"]]
+    return ResultTable("fig2_yield", yields, meta), ResultTable("fig2_power", powers, meta)
 
 
 def spectrum_table(scenario, grid):
@@ -178,32 +191,26 @@ def spectrum_table(scenario, grid):
 
     The vacuum port is coherent; its interference part is reported
     separately, so the diagonal (per-mode) decomposition is also available.
-    The rows are filled one solved block at a time.
     """
     h = scenario.hamiltonian()
-    rows = _sweep_rows(("detuning_ev", "phi_rad_total", "phi_rad_vacuum", "phi_rad_vacuum_cross",
-                        "phi_rad_cavity_port", "phi_ohmic_plasmon", "phi_ohmic_emitter"), grid)
-    for index, amps, powers in dyn.steady_state_blocks(h, grid, scenario["drive_mode"]):
-        for name, column in zip(rows.dtype.names[1:], (
-                net.radiated_power(powers), powers["rad_vacuum"], h.vacuum_cross_term(amps),
-                powers["rad_cavity"], powers["ohmic_plasmon"], powers["ohmic_emitter"])):
-            rows[name][index] = column
+    rows = _sweep_rows(grid, scenario["drive_mode"], {
+        "detuning_ev": grid, "phi_rad_total": (h, _radiated),
+        "phi_rad_vacuum": (h, _port("rad_vacuum")),
+        "phi_rad_vacuum_cross": (h, lambda amps, _: h.vacuum_cross_term(amps)),
+        "phi_rad_cavity_port": (h, _port("rad_cavity")),
+        "phi_ohmic_plasmon": (h, _port("ohmic_plasmon")),
+        "phi_ohmic_emitter": (h, _port("ohmic_emitter"))})
     return ResultTable("spectrum", rows, scenario_metadata(scenario))
 
 
 def yield_table(scenario, grid):
     """Table yield: quantum yield over the pump detunings grid, with and without cavity.
 
-    The scenario is driven on its configured drive mode.  Both sweeps pass
-    their guards before the rows are filled, one solved block at a time.
+    The scenario is driven on its configured drive mode.
     """
-    drive = scenario["drive_mode"]
-    rows = _sweep_rows(("detuning_ev", "yield_cavity", "yield_bare"), grid)
-    sweeps = {"yield_cavity": dyn.steady_state_blocks(scenario.hamiltonian(), grid, drive),
-              "yield_bare": dyn.steady_state_blocks(scenario.hamiltonian(bare=True), grid, drive)}
-    for name, blocks in sweeps.items():
-        for index, _, powers in blocks:
-            rows[name][index] = net.yield_from_powers(powers)
+    rows = _sweep_rows(grid, scenario["drive_mode"], {
+        "detuning_ev": grid, "yield_cavity": (scenario.hamiltonian(), _yield),
+        "yield_bare": (scenario.hamiltonian(bare=True), _yield)})
     return ResultTable("yield", rows, scenario_metadata(scenario))
 
 
@@ -431,20 +438,21 @@ def calibrate_fig3_couplings(scenario, targets):
     # Newton's method on the exact Jacobian, until the step is 1e-13 relative
     x = seed
     converged = False
-    for _ in range(CALIBRATION_MAX_STEPS):
-        res, jac = residuals_and_jacobian(x)
-        try:
-            step = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError:
-            break
-        x = x - step
-        if not np.all(np.isfinite(x)):
-            break
-        if np.linalg.norm(step) <= 1e-13 * np.linalg.norm(x):
-            converged = True
-            break
-    if converged:
-        res = residuals_and_jacobian(x)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a value beyond range cannot converge
+        for _ in range(CALIBRATION_MAX_STEPS):
+            res, jac = residuals_and_jacobian(x)
+            try:
+                step = np.linalg.solve(jac, res)
+            except np.linalg.LinAlgError:
+                break
+            x = x - step
+            if not np.all(np.isfinite(x)):
+                break
+            if np.linalg.norm(step) <= 1e-13 * np.linalg.norm(x) < math.inf:
+                converged = True
+                break
+        if converged:
+            res = residuals_and_jacobian(x)[0]
     res = [float(r) for r in res]
     if not converged or max(abs(r) for r in res) > 1e-3:
         raise CalibrationError(f"coupling calibration did not converge: residuals {res}")
@@ -508,14 +516,10 @@ def run_fig3(scenario, spectrum_points=2001):
         (times_fs, *traces.values()), meta)
 
     detunings = np.linspace(-8e-3, 8e-3, spectrum_points)
-
-    def radiated(hamiltonian):
-        return net.radiated_power(dyn.steady_state_sweep(hamiltonian, detunings, "emitter")[1])
-
-    table_spectrum = ResultTable.from_arrays(
-        "fig3_spectrum", ("detuning_ev", "phi_rad_cavity", "phi_rad_bare"),
-        (detunings, radiated(scenario.hamiltonian()), radiated(hams["no_cavity"])), meta)
-    return table_traces, table_spectrum
+    rows = _sweep_rows(detunings, "emitter", {
+        "detuning_ev": detunings, "phi_rad_cavity": (scenario.hamiltonian(), _radiated),
+        "phi_rad_bare": (hams["no_cavity"], _radiated)})
+    return table_traces, ResultTable("fig3_spectrum", rows, meta)
 
 
 def branch_table(name, scenario, sweep):
@@ -554,10 +558,6 @@ def run_fig4(scenario, sweep_values, spectrum_points):
                    name=f"{scenario.name}_q{SPECTRA_Q:g}")
     h = with_cavity(at_q, -sweep[:, None]).hamiltonian()
     detunings = np.linspace(-8e-3, 8e-3, spectrum_points)
-    _, powers = dyn.steady_state_sweep(h, detunings, "emitter")
-    table_spectra = ResultTable.from_arrays(
-        "fig4_spectra", ("delta_ec_ev", "detuning_ev", "phi_rad_total"),
-        (np.repeat(sweep, detunings.size), np.tile(detunings, sweep.size),
-         net.radiated_power(powers).ravel()),
-        scenario_metadata(at_q))
-    return table_branches, table_spectra
+    rows = _sweep_rows(detunings, "emitter", {
+        "delta_ec_ev": sweep[:, None], "detuning_ev": detunings, "phi_rad_total": (h, _radiated)})
+    return table_branches, ResultTable("fig4_spectra", rows, scenario_metadata(at_q))

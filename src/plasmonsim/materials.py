@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .quantities import HBAR_C, require_finite, require_positive
 
 #: sphere radius (nm) above which the quasi-static treatment degrades
@@ -93,9 +93,7 @@ class Nanoparticle:
 
     @property
     def quasi_static_valid(self):
-        if isinstance(self.shape, Sphere):
-            return self.shape.radius <= QUASI_STATIC_RADIUS_NM
-        return True
+        return not isinstance(self.shape, Sphere) or self.shape.radius <= QUASI_STATIC_RADIUS_NM
 
 
 def drude_permittivity(metal, omega):
@@ -107,10 +105,9 @@ def drude_permittivity(metal, omega):
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0):
         raise DomainError("omega must be > 0")
-    eps = metal.eps_inf - metal.omega_p**2 / (w**2 + 1j * w * metal.gamma_o)
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return complex(eps)
-    return eps
+    with np.errstate(over="ignore"):  # a damping beyond range leaves eps = eps_inf
+        eps = metal.eps_inf - metal.omega_p**2 / (w**2 + 1j * w * metal.gamma_o)
+    return complex(eps) if np.ndim(omega) == 0 else eps
 
 
 def sphere_mode_frequency(metal, env, order):
@@ -169,22 +166,31 @@ def depolarization_factors(ellipsoid):
     """
     a1, a2, a3 = ellipsoid.semi_axes
     s1, s2, s3 = a1 * a1, a2 * a2, a3 * a3
+    if not all(0.0 < s < math.inf for s in (s1, s2, s3)):  # R_D needs z > 0
+        raise ConfigError(f"ellipsoid semi-axes {ellipsoid.semi_axes} nm: a square is out of range")
     third = a1 * a2 * a3 / 3.0
     return (third * carlson_rd(s2, s3, s1),
             third * carlson_rd(s3, s1, s2),
             third * carlson_rd(s1, s2, s3))
 
 
-def ellipsoid_mode_frequency(metal, env, depol_factor):
+def ellipsoid_mode_frequency(metal, env, L):
     """Dipolar resonance along an axis with depolarization factor L.
 
     Root of eps_b + L (eps_m - eps_b) = 0 with the undamped permittivity:
     omega = omega_p sqrt(L / (L eps_inf + (1 - L) eps_b)).
     """
-    L = depol_factor
     if not 0.0 < L < 1.0:
         raise DomainError(f"depolarization factor must be in (0, 1), got {L}")
     return metal.omega_p * math.sqrt(L / (L * metal.eps_inf + (1.0 - L) * env.eps_b))
+
+
+def dipolar_mode(particle, env, axis):
+    """(L, omega_1) of the dipolar mode along an axis; a sphere's is (1/3, its l = 1 mode)."""
+    if isinstance(particle.shape, Sphere):
+        return 1.0 / 3.0, sphere_mode_frequency(particle.metal, env, 1)
+    L = depolarization_factors(particle.shape)[axis - 1]
+    return L, ellipsoid_mode_frequency(particle.metal, env, L)
 
 
 def dipolar_radiative_rate(particle, env, axis=1):
@@ -195,15 +201,9 @@ def dipolar_radiative_rate(particle, env, axis=1):
     which reduces to 2 eps_b R^3 omega_1^6 / (omega_p^2 c^3) for a sphere
     (L = 1/3, abc = R^3).  Scales as particle volume and omega_1^6.
     """
-    metal = particle.metal
-    if isinstance(particle.shape, Sphere):
-        L = 1.0 / 3.0
-        omega1 = sphere_mode_frequency(metal, env, 1)
-    else:
-        L = depolarization_factors(particle.shape)[axis - 1]
-        omega1 = ellipsoid_mode_frequency(metal, env, L)
-    abc = particle.shape.volume_abc
-    return (2.0 / 9.0) * env.eps_b * abc * omega1**6 / (L**2 * metal.omega_p**2 * HBAR_C**3)
+    L, omega1 = dipolar_mode(particle, env, axis)
+    return ((2.0 / 9.0) * env.eps_b * particle.shape.volume_abc * omega1**6
+            / (L**2 * particle.metal.omega_p**2 * HBAR_C**3))
 
 
 def multipole_absorption_response(metal, env, order, omega):

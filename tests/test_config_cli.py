@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,7 +18,8 @@ from hypothesis import strategies as st
 
 from plasmonsim import dynamics as dyn
 from plasmonsim.cli import main
-from plasmonsim.config import BUILTIN_CONFIGS, MAX_POINTS, parse_config, parse_config_text
+from plasmonsim.config import (BUILTIN_CONFIGS, MAX_POINTS, SCHEMA, parse_config,
+                               parse_config_text)
 from plasmonsim.errors import ConfigError
 from plasmonsim.results import CELL_FORMATS, CHUNK_CELLS, ResultTable, scenario_metadata
 
@@ -433,8 +438,8 @@ MAP_SWEEP = "\n[sweep]\nd_points = 5\nq_points = 5\n"
 WIDTH_OVERFLOW = ("gamma_1r_mev = 2.45", "gamma_1r_mev = 1.7976931348623157e308")
 OVER = MAX_POINTS + 1
 
-#: probe -> (argv, config text or (old, new) edit or None[, builtin edited instead
-#: of fig2]); each must exit 1 with ERROR[config]
+#: probe -> (argv, config text, an (old, new) edit or a list of them, or None[, builtin
+#: edited instead of fig2]); each must exit 1 with ERROR[config]
 BOUNDARY_PROBES = {
     "grid_zero": (["fig1c", "--grid", "0"], None),
     "spectrum_grid_negative": (["spectrum", "--config", "fig2", "--grid", "-3"], None),
@@ -528,10 +533,27 @@ BOUNDARY_PROBES = {
                                 "fig2_first_principles"),
     "eps_b_width_underflow": (["validate"], ("eps_b = 1.0", "eps_b = 1e300"),
                               "fig2_first_principles"),
+    # a cavity width omega_c / Q beyond range: eigen's swept cavity overflowed with a warning
+    "q_factor_width_overflow": (["eigen"], ("q_factor = 1e5", "q_factor = 5e-324"), "fig1c"),
+    # a detuning range whose width, or whose np.linspace steps, overflow
+    "sweep_range_overflow": (["spectrum", "--grid", "9"],
+                             "\n[sweep]\nstart_ev = -1.7976931348623157e308\nstop_ev = 1e300\n"),
+    "sweep_range_steps_overflow": (
+        ["spectrum", "--grid", "7"],
+        "\n[sweep]\nstart_ev = 1.7976931348623157e308\nstop_ev = -5e-324\n", "fig3"),
+    # a time span whose natural-unit value, t / hbar, overflows
+    "evolve_t_span_beyond_range": (["evolve", "--grid", "9"],
+                                   "\n[sweep]\nt_span_fs = 1.7976931348623157e308\n"),
+    # an ellipsoid semi-axis whose square underflows: R_D(x, y, 0) divided by zero
+    "ellipsoid_axis_square_underflow": (["validate"], ("a3_nm = 5.5", "a3_nm = 1e-300"), "fig4"),
+    # a metal damping of the largest double overflowed the Drude denominator with a warning
+    "gamma_o_max_no_overflow_warning": (
+        ["validate"], ("gamma_o_ev = 0.2", "gamma_o_ev = 1.7976931348623157e308"),
+        "fig2_first_principles"),
 }
 
-#: inputs whose coupling calibration cannot meet its targets: each must exit 2 with
-#: ERROR[numeric]
+#: inputs the model cannot compute (a calibration that cannot meet its targets, a value
+#: beyond floating-point range): each must exit 2 with ERROR[numeric]
 NUMERIC_PROBES = {
     # the plasmon resonant with the emitter, or so broad that Re s underflows: the Newton
     # seed's s = 1 / (delta_1e - i gamma_1 / 2) has no real part
@@ -541,11 +563,42 @@ NUMERIC_PROBES = {
     # a plasmon width of 1.8e308 meV: the LU path's bound ||M||_F ||M^-1||_F overflows
     "width_overflow_spectrum": (["spectrum"], WIDTH_OVERFLOW, "fig1c"),
     "width_overflow_yield": (["yield"], WIDTH_OVERFLOW, "fig1c"),
+    # splittings whose square overflows the anti-crossing's cooperativity
+    "eigen_cooperativity_overflow": (["eigen"], ("g1_mev = -2.9", "g1_mev = -1e300"), "fig1c"),
+    "eigen_cooperativity_overflow_fig2": (
+        ["eigen"], [("G_mev = -7.2", "G_mev = -1e300"), ("q_factor = 1e5", "q_factor = 1")]),
+    # a cavity width of 1e30 eV: the eigensolver's error at ||H|| gives a growing branch
+    "evolve_growing_branch": (["evolve", "--grid", "7"], [
+        ("q_factor = 1e5", "q_factor = 1e-30"), ("gamma_o_ev = 0.2", "gamma_o_ev = 0.5")],
+        "fig2_first_principles"),
+    # calibration targets beyond floating-point range: the iterate's norm, or the
+    # residuals, overflow
+    "calibrated_two_g_max": (
+        ["validate"], ("two_g_eff_mev = 3.5", "two_g_eff_mev = 1.7976931348623157e308"), "fig4"),
+    "calibrated_two_g_tiny": (["validate"], ("two_g_eff_mev = 3.5", "two_g_eff_mev = 1e-300"),
+                              "fig3"),
+    # a Newton step under the smallest normal kappa_2: its Jacobian row / kappa_2 overflows
+    "calibrated_kappa2_tiny": (["yield", "--grid", "7"], [
+        ("kappa2_mev = 0.11", "kappa2_mev = 2.2250738585072014e-308"),
+        ("two_g_eff_mev = 3.5", "two_g_eff_mev = 1"), ("theta_deg = 60.0", "theta_deg = 0")],
+        "fig4"),
+    # an emitter of subnormal width: ten lifetimes, the default time span, overflow
+    "evolve_default_span_overflow": (["evolve", "--grid", "13"], [
+        ("gamma_m_uev = 83", "gamma_m_uev = -0"),
+        ("gamma_s_uev = 3", "gamma_s_uev = 2.2250738585072014e-308")], "fig1c"),
+    # couplings whose product J g1 in Delta_0 = -J g1 / G overflows
+    "fano_detuning_overflow": (["spectrum", "--grid", "8"], [
+        ("g1_mev = -2.9", "g1_mev = -1.7976931348623157e308"),
+        ("J_uev = -144", "J_uev = -1.7976931348623157e308")]),
 }
 #: probe -> what its ERROR[numeric] message must say
 NUMERIC_MESSAGES = {
     "width_overflow_spectrum": "condition bound inf > 1e+13); the bound overflows",
     "width_overflow_yield": "condition bound inf > 1e+13); the bound overflows",
+    "eigen_cooperativity_overflow": "2 g_eff = 1e+297 eV overflows the cooperativity",
+    "evolve_growing_branch": "time evolution overflows: max Im lambda = 3.96e+13 eV",
+    "fano_detuning_overflow": "delta_0 must be finite, got inf",
+    "evolve_default_span_overflow": "no branch decays within floating-point range",
 }
 
 
@@ -555,7 +608,12 @@ def test_cli_rejects_bad_input_at_boundary(probe, tmp_path, capsys):
     argv, config, *base = (NUMERIC_PROBES if numeric else BOUNDARY_PROBES)[probe]
     if config is not None:
         text = BUILTIN_CONFIGS[base[0] if base else "fig2"]
-        text = text.replace(*config) if isinstance(config, tuple) else text + config
+        if isinstance(config, str):
+            text += config
+        else:
+            for old, new in [config] if isinstance(config, tuple) else config:
+                assert old in text
+                text = text.replace(old, new)
         path = tmp_path / "probe.ini"
         path.write_text(text)
         argv = argv + ["--config", str(path)]
@@ -568,6 +626,62 @@ def test_cli_rejects_bad_input_at_boundary(probe, tmp_path, capsys):
     assert err.startswith("ERROR[numeric]:" if numeric else "ERROR[config]:")
     assert NUMERIC_MESSAGES.get(probe, "") in err
     assert not out.exists()
+
+
+#: values at and beyond the edges of a double, set into config keys by the fuzz property
+EXTREMES = ("0", "-0", "1", "-1", "1e-300", "-1e-300", "5e-324", "-5e-324",
+            "2.2250738585072014e-308", "1e300", "-1e300", "1.7976931348623157e308",
+            "-1.7976931348623157e308", "nan", "inf")
+SCHEMA_KEYS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
+#: argv of the fuzzed runs: a steady-state or time grid of at most 16 points, validate, or
+#: eigen over 3 detunings
+FUZZ_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["spectrum", "yield", "evolve"]), st.integers(1, 16)).map(
+        lambda run: [run[0], "--grid", str(run[1])]),
+    st.just(["validate"]),
+    st.just(["eigen", "--sweep", "-1e-3:1e-3:1e-3"]))
+
+
+def _with_values(text, values):
+    """Config text with each (section, key) set to its value: the key's line replaced, or the
+    key added at the top of its section, or the section appended."""
+    for (section, key), value in values.items():
+        line = re.compile(rf"^{key} = .*$", re.M)
+        if line.search(text):
+            text = line.sub(f"{key} = {value}", text)
+        elif f"[{section}]\n" in text:
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        else:
+            text += f"\n[{section}]\n{key} = {value}\n"
+    return text
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(builtin=st.sampled_from(sorted(BUILTIN_CONFIGS)),
+       values=st.dictionaries(st.sampled_from(SCHEMA_KEYS), st.sampled_from(EXTREMES),
+                              min_size=1, max_size=3),
+       argv=FUZZ_ARGV)
+def test_cli_fuzz_exits_with_a_prefixed_error_or_finite_tables(builtin, values, argv):
+    """A builtin config with 1-3 schema keys at extreme values: the CLI exits 0, 1 or 2;
+    escapes no exception; prints no warning and, on error, one prefixed message; and every
+    cell of a table written with exit 0 is finite."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ini"
+        path.write_text(_with_values(BUILTIN_CONFIGS[builtin], values))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(argv + ["--config", str(path), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []  # each would be an unprefixed stderr line
+        assert code in (0, 1, 2)
+        assert err.getvalue().startswith(("", "ERROR[config]: ", "ERROR[numeric]: ")[code])
+        assert (err.getvalue() == "") == (code == 0)
+        for table in out.glob("*.csv") if code == 0 else ():
+            lines = [line for line in table.read_text().splitlines() if not line.startswith("#")]
+            cells = np.array([line.split(",") for line in lines[1:]], dtype=float)
+            assert np.isfinite(cells).all(), table.name
 
 
 def test_evolve_with_an_overflowing_width_writes_a_finite_table(tmp_path, capsys):

@@ -195,6 +195,13 @@ def _assert_sweep_is_the_whole_grid_solve(h, detunings, drive_mode, blocks):
     return oracle, expected
 
 
+def _assert_columns(rows, expected):
+    """The table's columns are `expected`'s, in order, each equal by its bytes."""
+    assert rows.dtype.names == tuple(expected)
+    for name, column in expected.items():
+        assert rows[name].tobytes() == column.tobytes(), name
+
+
 @pytest.mark.parametrize("points", BLOCK_LENGTHS)
 def test_blocked_sweep_and_tables_equal_the_whole_grid_solve(points):
     scenario = parse_config("fig2").scenario
@@ -204,31 +211,70 @@ def test_blocked_sweep_and_tables_equal_the_whole_grid_solve(points):
     blocks = -(-points // BLOCK)
     amps, powers = _assert_sweep_is_the_whole_grid_solve(h, grid, drive, blocks)
     _, powers_b = _assert_sweep_is_the_whole_grid_solve(h_bare, grid, drive, blocks)
-    rows = exp.spectrum_table(scenario, grid).rows
-    expected = {
+    _assert_columns(exp.spectrum_table(scenario, grid).rows, {
         "detuning_ev": grid, "phi_rad_total": net.radiated_power(powers),
         "phi_rad_vacuum": powers["rad_vacuum"], "phi_rad_vacuum_cross": h.vacuum_cross_term(amps),
         "phi_rad_cavity_port": powers["rad_cavity"], "phi_ohmic_plasmon": powers["ohmic_plasmon"],
-        "phi_ohmic_emitter": powers["ohmic_emitter"]}
-    assert rows.dtype.names == tuple(expected)
-    for name, column in expected.items():
-        assert rows[name].tobytes() == column.tobytes(), name
-    rows = exp.yield_table(scenario, grid).rows
-    expected = {"detuning_ev": grid, "yield_cavity": net.yield_from_powers(powers),
-                "yield_bare": net.yield_from_powers(powers_b)}
-    assert rows.dtype.names == tuple(expected)
-    for name, column in expected.items():
-        assert rows[name].tobytes() == column.tobytes(), name
+        "phi_ohmic_emitter": powers["ohmic_emitter"]})
+    _assert_columns(exp.yield_table(scenario, grid).rows, {
+        "detuning_ev": grid, "yield_cavity": net.yield_from_powers(powers),
+        "yield_bare": net.yield_from_powers(powers_b)})
+
+    # the figure tables, each over its own grid against the whole-grid solve of each of its
+    # Hamiltonians: fig1c, fig2 (both tables and the Delta_0 metadata) and fig3's spectrum
+    def whole_grid_powers(scenario, grid, drive):
+        return [_assert_sweep_is_the_whole_grid_solve(h, grid, drive, blocks)[1]
+                for h in (scenario.hamiltonian(), scenario.hamiltonian(bare=True))]
+
+    fig1c = parse_config("fig1c").scenario
+    grid = np.linspace(-2e-3, 2e-3, points)
+    cavity, bare = whole_grid_powers(fig1c, grid, fig1c["drive_mode"])
+    _assert_columns(exp.run_fig1c(fig1c, points).rows, {
+        "detuning_ev": grid, "phi_rad_cavity": net.radiated_power(cavity),
+        "phi_rad_bare": net.radiated_power(bare), "phi_abs_cavity": cavity["ohmic_plasmon"],
+        "phi_abs_bare": bare["ohmic_plasmon"]})
+
+    fig2 = parse_config("fig2").scenario
+    delta_0 = fig2["delta_0_ev"]
+    grid = delta_0 + np.linspace(-1e-3, 1e-3, points)
+    cavity, bare = whole_grid_powers(fig2, grid, "emitter")
+    table_yield, table_power = exp.run_fig2(fig2, points)
+    _assert_columns(table_yield.rows, {
+        "detuning_ev": grid, "yield_cavity": net.yield_from_powers(cavity),
+        "yield_bare": net.yield_from_powers(bare),
+        "abs_plasmon_norm": cavity["ohmic_plasmon"] / np.max(cavity["ohmic_plasmon"])})
+    _assert_columns(table_power.rows, {
+        "detuning_ev": grid, "phi_rad_cavity": net.radiated_power(cavity),
+        "phi_rad_bare": net.radiated_power(bare)})
+    at_0 = dyn.steady_state_sweep(fig2.hamiltonian(), [delta_0], "emitter")[1]
+    at_0_b = dyn.steady_state_sweep(fig2.hamiltonian(bare=True), [delta_0], "emitter")[1]
+    assert table_yield.metadata == table_power.metadata
+    assert table_yield.metadata["result.yield_at_delta0"] == net.yield_from_powers(at_0)[0]
+    assert table_yield.metadata["result.bare_yield_at_delta0"] == net.yield_from_powers(at_0_b)[0]
+    assert table_yield.metadata["result.rad_enhancement_at_delta0"] == (
+        net.radiated_power(at_0)[0] / net.radiated_power(at_0_b)[0])
+
+    fig3 = parse_config("fig3").scenario
+    grid = np.linspace(-8e-3, 8e-3, points)
+    cavity, bare = whole_grid_powers(fig3, grid, "emitter")
+    _assert_columns(exp.run_fig3(fig3, points)[1].rows, {
+        "detuning_ev": grid, "phi_rad_cavity": net.radiated_power(cavity),
+        "phi_rad_bare": net.radiated_power(bare)})
 
 
 def test_blocked_stack_sweep_equals_the_whole_grid_solve():
     # fig4's spectra map: an (11, 1) stack against 801 detunings is 8,811 points, two blocks
-    scenario = exp.with_cavity(parse_config("fig4").scenario, 0.0, exp.SPECTRA_Q)
+    fig4 = parse_config("fig4").scenario
+    scenario = exp.with_cavity(fig4, 0.0, exp.SPECTRA_Q)
     sweep = 2e-3 * np.arange(-5, 6)
     h = exp.with_cavity(scenario, -sweep[:, None]).hamiltonian()
     detunings = np.linspace(-8e-3, 8e-3, exp.FIG4_SPECTRUM_POINTS)
     assert h.matrix.shape == (11, 1, 3, 3) and BLOCK < 11 * detunings.size < 2 * BLOCK
-    _assert_sweep_is_the_whole_grid_solve(h, detunings, "emitter", 2)
+    _, powers = _assert_sweep_is_the_whole_grid_solve(h, detunings, "emitter", 2)
+    _assert_columns(exp.run_fig4(fig4, sweep, detunings.size)[1].rows, {
+        "delta_ec_ev": np.repeat(sweep, detunings.size),
+        "detuning_ev": np.tile(detunings, sweep.size),
+        "phi_rad_total": net.radiated_power(powers).ravel()})
 
 
 def test_a_guard_failure_in_the_last_block_sends_the_whole_sweep_to_lu():
@@ -279,6 +325,21 @@ def test_spectrum_table_memory_stays_near_the_table():
     finally:
         tracemalloc.stop()
     assert peak < rows.nbytes + 4e6
+
+
+def test_fig1c_memory_stays_near_the_table():
+    # the 200,000-row table is 8 MB; the bounds K of its two sweeps (1.6 MB each) and one
+    # block's temporaries come on top; whole-grid amplitude, power and column arrays peaked
+    # at 49.6 MB
+    scenario = parse_config("fig1c").scenario
+    exp.run_fig1c(scenario, 10)
+    tracemalloc.start()
+    try:
+        rows = exp.run_fig1c(scenario, 200_000).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes + 5e6
 
 
 def test_power_balance_randomized():
