@@ -7,18 +7,21 @@ OLD_SRC and NEW_SRC are directories holding a `plasmonsim` package (a
 checkout's `src`).  Every command runs twice as a cold `python -m
 plasmonsim` child, once with PYTHONPATH set to each directory, in a fresh
 work directory that holds the command's config files; `--out out` is
-appended, so the printed paths are the same on both sides.  The set of 71
+appended, so the printed paths are the same on both sides.  The set of 75
 commands is:
 
 - the figure commands, with and without `--grid`, `--format json`,
   `--first-principles` and `--sweep`, and with grids of several
-  steady-state blocks; `eigen`, `map` and `optq` variants;
+  steady-state blocks, of whole rows of a `fig4` map and of rows longer
+  than a block; `eigen`, `map` and `optq` variants;
 - `spectrum`, `yield`, `evolve` and `validate` on every builtin config, and
   one JSON `spectrum`;
 - sweeps of several steady-state blocks: `yield --config fig2 --grid 30000`,
   and `spectrum --config fig2_first_principles --grid 30000` as JSON, which
   prints every float's repr;
-- three error exits and a steady state of condition number ~1e8;
+- three error exits, a steady state of condition number ~1e8, and a
+  `spectrum` and a `yield` whose sweep near an exceptional point takes the
+  LU path in several blocks;
 - every command of the benchmark workloads (`bench/workloads.py`) at seeds
   0 and 7.
 
@@ -63,6 +66,8 @@ PLAIN = [
     ("fig2_grid20000", ["fig2", "--grid", "20000"]),
     ("fig3_grid20000", ["fig3", "--grid", "20000"]),
     ("fig4_grid2000", ["fig4", "--grid", "2000"]),
+    ("fig4_sweep41_grid2000", ["fig4", "--sweep", "-10e-3:10e-3:5e-4", "--grid", "2000"]),
+    ("fig4_sweep3_grid10000", ["fig4", "--sweep", "-2e-3:2e-3:2e-3", "--grid", "10000"]),
     ("eigen", ["eigen"]),
     ("eigen_fig3", ["eigen", "--config", "fig3"]),
     ("eigen_fig4_sweep", ["eigen", "--config", "fig4", "--sweep", "-10e-3:10e-3:5e-4"]),
@@ -110,6 +115,20 @@ def cases():
         ("q_factor = 1e5", "q_factor = 2.3e8"), ("drive = emitter", "drive = plasmon")])
     found.append(("cond_1e8", ["spectrum", "--config", "narrow.ini", "--format", "json"], {
         "narrow.ini": narrow + "\n[sweep]\nstart_ev = -1e-3\nstop_ev = 1e-3\npoints = 5\n"}))
+    # the plasmon and a lossless cavity 1e-5 above their exceptional point, beside a 2 neV
+    # emitter line that the grid meets: the spectral bound fails, so the cavity sweep takes
+    # the LU path in three blocks, while the bare sweep of yield stays spectral
+    near_ep = _edited(BUILTIN_CONFIGS["fig2"], [
+        ("g1_mev = -2.9", "g1_mev = 12.500125"), ("G_mev = -7.2", "G_mev = 0"),
+        ("J_uev = -144", "J_uev = 0"), ("gamma_o_ev = 0.2", "gamma_o_ev = 0.05"),
+        ("gamma_1r_mev = 2.45", "gamma_1r_mev = 0"), ("gamma_s_uev = 3", "gamma_s_uev = 0.001"),
+        ("gamma_m_uev = 83", "gamma_m_uev = 0.001"), ("q_factor = 1e5", "q_factor = 1e30"),
+        ("delta_1e_ev = 0.0", "delta_1e_ev = 0.1"), ("delta_ce_ev = 0.0", "delta_ce_ev = 0.1"),
+        ("drive = emitter", "drive = plasmon")])
+    near_ep += "\n[sweep]\nstart_ev = -0.01\nstop_ev = 0.01\npoints = 20001\n"
+    for command in ("spectrum", "yield"):
+        found.append((f"{command}_lu_grid20001", [command, "--config", "near_ep.ini"],
+                      {"near_ep.ini": near_ep}))
     for name in sorted(workloads.GENERATORS):
         for seed in BENCH_SEEDS:
             workload = workloads.generate(name, seed)

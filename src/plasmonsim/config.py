@@ -382,7 +382,7 @@ def _resolve_scenario(cfg, name):
     shape = (mat.Sphere(pc["radius_nm"]) if pc["shape"] == "sphere"
              else mat.Ellipsoid(pc["a1_nm"], pc["a2_nm"], pc["a3_nm"]))
     particle = mat.Nanoparticle(shape, metal)
-    omega_1 = mat.dipolar_mode(particle, env, axis)[1]
+    L, omega_1 = mat.dipolar_mode(particle, env, axis)
     notes = []
     if not particle.quasi_static_valid:
         notes.append(f"sphere radius {pc['radius_nm']} nm exceeds the quasi-static "
@@ -400,7 +400,7 @@ def _resolve_scenario(cfg, name):
                           f"non-positive frequency {omega_c} eV")
     vc_nm3 = cc["vc_um3"] * 1e9
     try:  # an extreme size, plasma frequency, dipole or background overflows or zeroes a width
-        gamma_1r = mat.dipolar_radiative_rate(particle, env, axis)
+        gamma_1r = mat.dipolar_radiative_rate(particle, env, L, omega_1)
         gamma_s = cpl.free_space_decay(ec["mu_e_nm"], omega_e, env.eps_b)
     except (OverflowError, ZeroDivisionError):
         gamma_1r = gamma_s = 0.0

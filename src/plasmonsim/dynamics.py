@@ -18,8 +18,9 @@ Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 6-7), and
 the solve raises ConditioningError where the bound exceeds 1 / RCOND_LIMIT.
 The spectral bound can exceed kappa_2 by up to cond_2(V)^2, so a sweep it
 rejects is retried on the LU path before the solve raises.  Path and guard
-are decided once per sweep; steady_state_blocks then bounds, solves and hands
-on a spectral sweep in blocks of SWEEP_BLOCK_POINTS points, an LU sweep whole.
+are decided once per sweep: steady_state_blocks bounds the whole sweep in
+blocks of at most SWEEP_BLOCK_POINTS points, in row order, then solves each
+block again as it hands it on, so no array but the bound spans the sweep.
 Time evolution propagates a single-excitation amplitude vector under the
 non-Hermitian Hamiltonian through the same eigendecomposition, v(t) =
 V exp(-i Lambda t) V^-1 v(0); above EIG_COND_LIMIT it falls back to the
@@ -27,7 +28,7 @@ scaling-and-squaring matrix exponential (Moler & Van Loan, SIAM Rev. 45, 2003).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import permutations
 
@@ -40,8 +41,8 @@ from .quantities import from_fs, require_finite, to_fs
 RCOND_LIMIT = 1e-13
 #: eigenvector condition number above which steady state and evolve leave the eigenbasis
 EIG_COND_LIMIT = 1e3
-#: broadcast points per block of a spectral steady-state sweep: a block's
-#: temporaries take about 2 MB, and no array but the bound spans the sweep
+#: broadcast points per block of a steady-state sweep: a block's temporaries
+#: take about 2 MB, and no array but the bound spans the sweep
 SWEEP_BLOCK_POINTS = 8192
 
 
@@ -84,59 +85,84 @@ def _accepted(bound):
     return bool(np.all(bound * RCOND_LIMIT <= 1.0))
 
 
+def _row_blocks(shape):
+    """Index tuples of consecutive blocks of `shape` in row (C) order, each of at most
+    SWEEP_BLOCK_POINTS points: whole leading rows where they fit, else parts of one row."""
+    inner = math.prod(shape[1:])
+    if inner <= SWEEP_BLOCK_POINTS:
+        step = max(1, SWEEP_BLOCK_POINTS // inner)
+        yield from ((slice(k, k + step),) for k in range(0, shape[0], step))
+    else:
+        for i in range(shape[0]):
+            yield from ((i,) + rest for rest in _row_blocks(shape[1:]))
+
+
+def _inverse(d, h):
+    """(M, M^-1) for M = Delta I - h at the points of one block."""
+    mats = d[..., None, None] * np.eye(h.shape[-1]) - h
+    try:
+        return mats, np.linalg.inv(mats)
+    except np.linalg.LinAlgError:
+        raise ConditioningError(
+            "steady-state matrix is singular (LU path); "
+            "every mode needs a positive width or a detuned pump") from None
+
+
 def _resolvent_blocks(h, detunings, f):
     """Solve (Delta I - h) v = f; return (K, path, blocks) with K >= kappa_2(Delta I - h).
 
     The detunings broadcast against the leading shape of the (..., n, n)
     stack h; K has the broadcast shape, and blocks yields (index, v), v the
-    amplitudes at the points K[index] with the modes on its last axis.
-    path is "spectral" or "lu" (see the module docstring), decided for the
-    whole sweep: a spectral bound that fails the guard anywhere sends the
-    solve to the LU path, as one block.  The caller applies the guard: K is
-    inf or nan where a detuning hits an eigenvalue, and an exactly singular
-    matrix on the LU path raises ConditioningError.
+    amplitudes at the points K[index] with the modes on its last axis, for
+    the blocks of _row_blocks.  path is "spectral" or "lu" (see the module
+    docstring), decided for the whole sweep: a spectral bound that fails the
+    guard anywhere sends the solve to the LU path.  Either path computes K
+    block by block before it returns and solves a block as it is handed on;
+    the LU path inverts a block a second time, unless the sweep is one
+    block.  The caller applies the guard: K is inf or nan where a
+    detuning hits an eigenvalue, and an exactly singular matrix on the LU
+    path raises ConditioningError.
     """
     d = np.atleast_1d(np.asarray(detunings, dtype=float))
-    lead = h.shape[:-2]
-    shape = np.broadcast_shapes(d.shape, lead)
+    n = h.shape[-1]
+    shape = np.broadcast_shapes(d.shape, h.shape[:-2])
+    index = list(_row_blocks(shape))
+    bound = np.empty(shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if math.prod(shape) > math.prod(lead):
+        if math.prod(shape) > math.prod(h.shape[:-2]):
             lam, vecs, cond_v = _eig(h)
             if np.all(cond_v <= EIG_COND_LIMIT):
-                # blocks split the last axis, unless the matrices vary along it
-                width = (max(1, SWEEP_BLOCK_POINTS // math.prod(shape[:-1]))
-                         if lead[-1:] in ((), (1,)) else shape[-1])
-                head = (slice(None),) * (len(shape) - 1)
-                index = [head + (slice(k, k + width),) for k in range(0, shape[-1], width)]
-                bound = np.empty(shape)
+                d = np.broadcast_to(d, shape)
+                lam, cond_v = np.broadcast_to(lam, shape + (n,)), np.broadcast_to(cond_v, shape)
                 for block in index:
                     # elementwise over the n columns: a reduction over the last axis is ~10x slower
-                    cols = np.moveaxis(np.abs(d[block[-d.ndim:]][..., None] - lam), -1, 0)
-                    bound[block] = cond_v**2 * reduce(np.maximum, cols) / reduce(np.minimum, cols)
+                    cols = np.moveaxis(np.abs(d[block][..., None] - lam[block]), -1, 0)
+                    bound[block] = (cond_v[block]**2 * reduce(np.maximum, cols)
+                                    / reduce(np.minimum, cols))
                 if _accepted(bound):
                     # numpy 1 and 2 read a 1-D right-hand side against a stack differently;
                     # f as one column per matrix means the same on both
                     rhs = np.broadcast_to(f[:, None], vecs.shape[:-1] + (1,))
                     weights = np.linalg.solve(vecs, rhs)[..., 0]
-                    return bound, "spectral", _spectral_blocks(index, d, lam, vecs, weights)
-        mats = d[..., None, None] * np.eye(h.shape[-1]) - h
-        try:
-            inv = np.linalg.inv(mats)
-        except np.linalg.LinAlgError:
-            raise ConditioningError(
-                "steady-state matrix is singular (LU path); "
-                "every mode needs a positive width or a detuned pump") from None
-        # ||A||_2 <= ||A||_F, so kappa_2 <= kappa_F
-        return _frobenius(mats) * _frobenius(inv), "lu", iter([(np.s_[...], inv @ f)])
+                    return bound, "spectral", _spectral_blocks(
+                        index, d, lam, np.broadcast_to(vecs, shape + (n, n)),
+                        np.broadcast_to(weights, shape + (n,)))
+        if len(index) == 1:  # one block, as every map and optq solve: invert it once
+            mats, inv = _inverse(d, h)
+            return _frobenius(mats) * _frobenius(inv), "lu", iter([(index[0], inv @ f)])
+        d, h = np.broadcast_to(d, shape), np.broadcast_to(h, shape + (n, n))
+        for block in index:  # ||A||_2 <= ||A||_F, so kappa_2 <= kappa_F
+            bound[block] = np.multiply(*map(_frobenius, _inverse(d[block], h[block])))
+    return bound, "lu", ((block, _inverse(d[block], h[block])[1] @ f) for block in index)
 
 
 def _spectral_blocks(index, d, lam, vecs, weights):
     """(index, v) per block: v = V ((V^-1 f) / (Delta - lambda)), weights = V^-1 f."""
     for block in index:
-        gap = d[block[-d.ndim:]][..., None] - lam
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # einsum, not @: a tall (points, n) @ (n, n) product goes to threaded gemm
-            v = np.einsum("...ij,...j->...i", vecs, weights / gap)
+            v = np.einsum("...ij,...j->...i", vecs[block],
+                          weights[block] / (d[block][..., None] - lam[block]))
         yield block, v
 
 
@@ -148,7 +174,9 @@ def steady_state_blocks(hamiltonian, detunings, drive_mode):
     this returns, so an ill-conditioned sweep raises here; the iterator
     then yields (index, amplitudes (..., n_modes), the Hamiltonian's port
     powers {port -> array}) for consecutive blocks of at most
-    SWEEP_BLOCK_POINTS points, index selecting them from the broadcast shape.
+    SWEEP_BLOCK_POINTS points in row (C) order, index selecting them from
+    the broadcast shape.  The blocks depend on that shape alone, so sweeps of
+    one shape advance together whichever path each takes.
     """
     d = np.asarray(detunings, dtype=float)
     if d.size == 0:
@@ -162,22 +190,35 @@ def steady_state_blocks(hamiltonian, detunings, drive_mode):
         raise ConditioningError(
             f"steady-state matrix is singular or near-singular ({path} path, condition "
             f"bound {worst:.3g} > {1.0 / RCOND_LIMIT:.0e}); {cause}")
-    return ((index, v, hamiltonian.powers(v)) for index, v in blocks)
+    return _with_powers(hamiltonian, bound.shape, blocks)
+
+
+def _with_powers(hamiltonian, shape, blocks):
+    """(index, v, port powers) per block; a block short of the sweep takes the rates at
+    its points."""
+    for index, v in blocks:
+        at = hamiltonian if v.shape[:-1] == shape else replace(hamiltonian, rates={
+            k: np.broadcast_to(r, shape)[index] for k, r in hamiltonian.rates.items()})
+        yield index, v, at.powers(v)
 
 
 def steady_state_sweep(hamiltonian, detunings, drive_mode):
     """Vectorized steady state under a unit drive on one mode, over a pump-detuning grid.
 
-    Returns (amplitudes (n_points, n_modes), the Hamiltonian's port powers
-    {port -> array}): the blocks of steady_state_blocks, joined along the last
-    axis of the broadcast shape.  The (D, Q) enhancements use it; tables do not.
+    Returns (amplitudes (..., n_modes), the Hamiltonian's port powers
+    {port -> array}) over the broadcast shape: the blocks of
+    steady_state_blocks put together.  The (D, Q) enhancements use it; tables do not.
     """
     blocks = list(steady_state_blocks(hamiltonian, detunings, drive_mode))
     if len(blocks) == 1:
         return blocks[0][1:]
-    _, amps, powers = zip(*blocks)
-    return (np.concatenate(amps, axis=-2),
-            {port: np.concatenate([p[port] for p in powers], axis=-1) for port in powers[0]})
+    shape = np.broadcast_shapes(np.shape(np.atleast_1d(detunings)), hamiltonian.matrix.shape[:-2])
+    amps, powers = np.empty(shape + (len(hamiltonian.labels),), complex), {}
+    for index, v, block_powers in blocks:
+        amps[index] = v
+        for port, power in block_powers.items():
+            powers.setdefault(port, np.empty(shape))[index] = power
+    return amps, powers
 
 
 def fano_detuning(J, g1, G):

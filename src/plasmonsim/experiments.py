@@ -4,8 +4,9 @@ A Scenario is a flat parameter dictionary with per-parameter provenance
 (first_principles | paper_exact | calibrated | derived), embedded verbatim
 in result metadata.  Every runner receives a resolved Scenario; the paper's
 scenarios are the builtin configs of the config module, so each is
-described once.  Every pump-detuning table is filled block by block by one
-row builder, _sweep_rows; the (D, Q) map solves its stack in one call.
+described once.  Every pump-detuning table is one _sweep_table, whose rows
+are solved block by block as the writer reads them; the (D, Q) map solves
+its stack in one call.
 
 This is the only module that builds output tables: the figure runners,
 enhancement_map and the *_table functions return ResultTables whose column
@@ -115,29 +116,41 @@ def _port(name):
     return lambda _, powers: powers[name]
 
 
-def _sweep_rows(grid, drive, columns):
-    """The float record array of a pump-detuning sweep, filled one solved block at a time.
+def _sweep_table(name, grid, drive, columns, metadata):
+    """Table `name` of a pump-detuning sweep, its rows solved one block at a time as they are read.
 
     columns maps each column name, in table order, to (hamiltonian,
     fn(amplitudes, port powers)), or to values broadcast into the column
     (the grid itself, say).  Each distinct Hamiltonian is one sweep of the
-    grid under a unit drive on mode `drive`, and every sweep passes its
-    guard before a row is filled.  The rows span the broadcast shape of the
-    grid and the stacks' leading shapes, flattened in C order.
+    grid under a unit drive on mode `drive`, created here, so every guard
+    runs before any row is read.  The rows span the broadcast shape of the
+    grid and the stacks' leading shapes, in C order; the sweeps of that one
+    shape advance together, one block of steady_state_blocks per step.
     """
-    solved = {name: spec for name, spec in columns.items() if isinstance(spec, tuple)}
-    sweeps = {h: dyn.steady_state_blocks(h, grid, drive)
-              for h in dict.fromkeys(h for h, _ in solved.values())}
-    shape = np.broadcast_shapes(np.shape(grid), *(h.matrix.shape[:-2] for h in sweeps))
-    rows = np.recarray(shape, [(name, float) for name in columns])
-    for name in columns.keys() - solved.keys():
-        rows[name] = columns[name]
-    for h, blocks in sweeps.items():
-        for index, amps, powers in blocks:
-            for name, (column_h, fn) in solved.items():
-                if column_h is h:
-                    rows[name][index] = fn(amps, powers)
-    return rows.reshape(-1)
+    hams = dict.fromkeys(spec[0] for spec in columns.values() if isinstance(spec, tuple))
+    shape = np.broadcast_shapes(np.shape(grid), *(h.matrix.shape[:-2] for h in hams))
+    grid = np.broadcast_to(grid, shape)
+    given = {c: np.broadcast_to(spec, shape) for c, spec in columns.items()
+             if not isinstance(spec, tuple)}
+    dtype = np.dtype([(c, float) for c in columns])
+    # the first read takes these sweeps; a later one (ResultTable.rows) solves again
+    unread = [[dyn.steady_state_blocks(h, grid, drive) for h in hams]]
+
+    def blocks():
+        sweeps = unread.pop() if unread else [dyn.steady_state_blocks(h, grid, drive) for h in hams]
+        for solved in zip(*sweeps):
+            index = solved[0][0]
+            rows = np.empty(grid[index].shape, dtype)
+            at = dict(zip(hams, solved))
+            for c, spec in columns.items():
+                if c in given:
+                    rows[c] = given[c][index]
+                else:
+                    _, amps, powers = at[spec[0]]
+                    rows[c] = spec[1](amps, powers)
+            yield rows.reshape(-1)
+
+    return ResultTable(name, dtype, math.prod(shape), blocks, metadata)
 
 
 def run_fig1c(scenario, points=2001):
@@ -150,11 +163,10 @@ def run_fig1c(scenario, points=2001):
     """
     detunings = np.linspace(-2e-3, 2e-3, points)
     h, h_bare = scenario.hamiltonian(), scenario.hamiltonian(bare=True)
-    rows = _sweep_rows(detunings, scenario["drive_mode"], {
+    return _sweep_table("fig1c", detunings, scenario["drive_mode"], {
         "detuning_ev": detunings, "phi_rad_cavity": (h, _radiated),
         "phi_rad_bare": (h_bare, _radiated), "phi_abs_cavity": (h, _port("ohmic_plasmon")),
-        "phi_abs_bare": (h_bare, _port("ohmic_plasmon"))})
-    return ResultTable("fig1c", rows, scenario_metadata(scenario))
+        "phi_abs_bare": (h_bare, _port("ohmic_plasmon"))}, scenario_metadata(scenario))
 
 
 def run_fig2(scenario, points=401):
@@ -165,25 +177,27 @@ def run_fig2(scenario, points=401):
     below Delta_0 (the Fano zero of the dipolar amplitude rides the shoulder
     of the cavity feature), so finer steps would resolve that offset.  The
     dipolar-mode absorption is normalized to its maximum; the yields and the
-    radiated-power enhancement at Delta_0 itself are result.* metadata.  Both
-    tables are views of one record array.
+    radiated-power enhancement at Delta_0 itself are result.* metadata.  The
+    normalization needs every row, so both tables are views of one record array.
     """
     delta_0 = scenario["delta_0_ev"]
     h, h_bare = scenario.hamiltonian(), scenario.hamiltonian(bare=True)
     detunings = delta_0 + np.linspace(-1e-3, 1e-3, points)
     columns = {"yield_cavity": (h, _yield), "yield_bare": (h_bare, _yield),
                "phi_rad_cavity": (h, _radiated), "phi_rad_bare": (h_bare, _radiated)}
-    rows = _sweep_rows(detunings, "emitter", {
-        "detuning_ev": detunings, **columns, "abs_plasmon_norm": (h, _port("ohmic_plasmon"))})
+    rows = _sweep_table("fig2", detunings, "emitter", {
+        "detuning_ev": detunings, **columns, "abs_plasmon_norm": (h, _port("ohmic_plasmon"))},
+        None).rows
     rows["abs_plasmon_norm"] /= np.max(rows["abs_plasmon_norm"])
-    at0 = _sweep_rows([delta_0], "emitter", columns)[0]
+    at0 = _sweep_table("fig2", [delta_0], "emitter", columns, None).rows[0]
     meta = {**scenario_metadata(scenario),
             "result.yield_at_delta0": float(at0["yield_cavity"]),
             "result.bare_yield_at_delta0": float(at0["yield_bare"]),
             "result.rad_enhancement_at_delta0": float(at0["phi_rad_cavity"] / at0["phi_rad_bare"])}
     yields = rows[["detuning_ev", "yield_cavity", "yield_bare", "abs_plasmon_norm"]]
     powers = rows[["detuning_ev", "phi_rad_cavity", "phi_rad_bare"]]
-    return ResultTable("fig2_yield", yields, meta), ResultTable("fig2_power", powers, meta)
+    return (ResultTable.from_rows("fig2_yield", yields, meta),
+            ResultTable.from_rows("fig2_power", powers, meta))
 
 
 def spectrum_table(scenario, grid):
@@ -193,14 +207,13 @@ def spectrum_table(scenario, grid):
     separately, so the diagonal (per-mode) decomposition is also available.
     """
     h = scenario.hamiltonian()
-    rows = _sweep_rows(grid, scenario["drive_mode"], {
+    return _sweep_table("spectrum", grid, scenario["drive_mode"], {
         "detuning_ev": grid, "phi_rad_total": (h, _radiated),
         "phi_rad_vacuum": (h, _port("rad_vacuum")),
         "phi_rad_vacuum_cross": (h, lambda amps, _: h.vacuum_cross_term(amps)),
         "phi_rad_cavity_port": (h, _port("rad_cavity")),
         "phi_ohmic_plasmon": (h, _port("ohmic_plasmon")),
-        "phi_ohmic_emitter": (h, _port("ohmic_emitter"))})
-    return ResultTable("spectrum", rows, scenario_metadata(scenario))
+        "phi_ohmic_emitter": (h, _port("ohmic_emitter"))}, scenario_metadata(scenario))
 
 
 def yield_table(scenario, grid):
@@ -208,10 +221,9 @@ def yield_table(scenario, grid):
 
     The scenario is driven on its configured drive mode.
     """
-    rows = _sweep_rows(grid, scenario["drive_mode"], {
+    return _sweep_table("yield", grid, scenario["drive_mode"], {
         "detuning_ev": grid, "yield_cavity": (scenario.hamiltonian(), _yield),
-        "yield_bare": (scenario.hamiltonian(bare=True), _yield)})
-    return ResultTable("yield", rows, scenario_metadata(scenario))
+        "yield_bare": (scenario.hamiltonian(bare=True), _yield)}, scenario_metadata(scenario))
 
 
 def evolve_table(scenario, points, span_fs):
@@ -453,6 +465,10 @@ def calibrate_fig3_couplings(scenario, targets):
                 break
         if converged:
             res = residuals_and_jacobian(x)[0]
+        elif np.all(np.isfinite(x)) and np.isinf(np.linalg.norm(x)):  # the step test needs it
+            raise CalibrationError(
+                f"coupling calibration target 2 g_eff = {two_g_target:.3g} eV is beyond what a "
+                "double can square: the fitted couplings' norm overflows")
     res = [float(r) for r in res]
     if not converged or max(abs(r) for r in res) > 1e-3:
         raise CalibrationError(f"coupling calibration did not converge: residuals {res}")
@@ -516,10 +532,9 @@ def run_fig3(scenario, spectrum_points=2001):
         (times_fs, *traces.values()), meta)
 
     detunings = np.linspace(-8e-3, 8e-3, spectrum_points)
-    rows = _sweep_rows(detunings, "emitter", {
+    return table_traces, _sweep_table("fig3_spectrum", detunings, "emitter", {
         "detuning_ev": detunings, "phi_rad_cavity": (scenario.hamiltonian(), _radiated),
-        "phi_rad_bare": (hams["no_cavity"], _radiated)})
-    return table_traces, ResultTable("fig3_spectrum", rows, meta)
+        "phi_rad_bare": (hams["no_cavity"], _radiated)}, meta)
 
 
 def branch_table(name, scenario, sweep):
@@ -558,6 +573,6 @@ def run_fig4(scenario, sweep_values, spectrum_points):
                    name=f"{scenario.name}_q{SPECTRA_Q:g}")
     h = with_cavity(at_q, -sweep[:, None]).hamiltonian()
     detunings = np.linspace(-8e-3, 8e-3, spectrum_points)
-    rows = _sweep_rows(detunings, "emitter", {
-        "delta_ec_ev": sweep[:, None], "detuning_ev": detunings, "phi_rad_total": (h, _radiated)})
-    return table_branches, ResultTable("fig4_spectra", rows, scenario_metadata(at_q))
+    return table_branches, _sweep_table("fig4_spectra", detunings, "emitter", {
+        "delta_ec_ev": sweep[:, None], "detuning_ev": detunings, "phi_rad_total": (h, _radiated)},
+        scenario_metadata(at_q))

@@ -193,15 +193,14 @@ def dipolar_mode(particle, env, axis):
     return L, ellipsoid_mode_frequency(particle.metal, env, L)
 
 
-def dipolar_radiative_rate(particle, env, axis=1):
-    """Radiative width of the dipolar LSPR along one principal axis (eV).
+def dipolar_radiative_rate(particle, env, L, omega1):
+    """Radiative width (eV) of the dipolar LSPR (L, omega1) of dipolar_mode along one axis.
 
     gamma_r = (2/9) eps_b (a1 a2 a3) omega_1^6 / (L^2 omega_p^2 (hbar c)^3)
 
     which reduces to 2 eps_b R^3 omega_1^6 / (omega_p^2 c^3) for a sphere
     (L = 1/3, abc = R^3).  Scales as particle volume and omega_1^6.
     """
-    L, omega1 = dipolar_mode(particle, env, axis)
     return ((2.0 / 9.0) * env.eps_b * particle.shape.volume_abc * omega1**6
             / (L**2 * particle.metal.omega_p**2 * HBAR_C**3))
 

@@ -1,6 +1,8 @@
 """Deterministic result tables: CSV with a metadata comment block, or JSON.
 
-A table's rows are one numpy record array with a typed field per column.
+A table's rows are read block by block, each block a numpy structured array
+with a typed field per column, and written a chunk of about CHUNK_CELLS
+cells at a time, so no table's text is held whole.
 Float cells are serialized with 9 significant digits, byte for byte as
 Python's "%.9g" prints them; integer and boolean cells as integers and
 string cells as text; metadata values keep full repr precision so a
@@ -8,14 +10,16 @@ re-parsed metadata block reconstructs the exact resolved scenario.  Output
 is byte-identical across runs: no timestamps, no environment-dependent
 content, sorted metadata keys.
 
-The CSV writer formats a block of about CHUNK_CELLS cells at a time, column
-by column in numpy: each float becomes a NUL-padded 16-byte field of two
+The CSV writer formats a chunk column by column in numpy: each float
+becomes a NUL-padded 16-byte field of two
 little-endian words (decimal exponent from log10, nine digits from one
 rounding, digit groups from a 10**4-entry ASCII table, masks that drop
 trailing zeros and a bare point, "%g"'s choice of fixed or exponent
 notation).  Fields and separators fill one line buffer, and deleting its
-NUL bytes gives the block's text.  A cell near a rounding tie, inf, nan
-and subnormals are printed by Python's own "%.9g".
+NUL bytes gives the chunk's text.  A cell near a rounding tie, inf, nan
+and subnormals are printed by Python's own "%.9g".  The JSON writer prints
+json.dumps(indent=1) of the table byte for byte, a chunk at a time through
+json's C encoder.
 """
 
 import functools
@@ -31,8 +35,8 @@ from .errors import ConfigError
 #: printed by _float_fields as "%.9g" prints them, inf, nan and -0.0 included
 CELL_FORMATS = {"i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 
-#: data cells per block of CSV text: a block of float cells peaks at about
-#: 92 B per cell (0.75 MB), so a large table's text is never held whole
+#: data cells per chunk of CSV or JSON text: a CSV chunk of float cells peaks
+#: at about 92 B per cell (0.75 MB)
 CHUNK_CELLS = 8192
 
 _WORD = np.dtype("<i8")
@@ -163,14 +167,17 @@ def _csv_block(rows):
 
     Fixed-width NUL-padded fields (floats from _float_fields, other kinds from
     their CELL_FORMATS template) and their "," or newline fill one line
-    buffer; deleting its NUL bytes gives the text.
+    buffer; deleting its NUL bytes gives the text.  The float cells of a
+    contiguous all-float64 block are read in place, through a view.
     """
     names = rows.dtype.names
     floats = [c for c in names if rows.dtype[c].kind == "f"]
     if floats:
+        packed = rows.dtype == np.dtype([(c, np.float64) for c in names])
         with np.errstate(invalid="ignore"):  # a float32 signalling NaN widens quietly
-            values = np.stack([rows[c] for c in floats], axis=1, dtype=np.float64)
-        words = _float_fields(values.ravel()).reshape(2, len(rows), len(floats))
+            values = (rows.view(np.float64) if packed else
+                      np.stack([rows[c] for c in floats], axis=1, dtype=np.float64).ravel())
+        words = _float_fields(values).reshape(2, len(rows), len(floats))
     texts = {c: np.array([(CELL_FORMATS[rows.dtype[c].kind] % v).encode() for v in
                           rows[c].tolist()], dtype=bytes) for c in names if c not in floats}
     widths = [texts[c].itemsize if c in texts else FIELD for c in names]
@@ -196,16 +203,36 @@ def _format_meta(value):
 
 
 class ResultTable:
-    """A named record array, one typed field per column, plus a flat metadata mapping.
+    """A named table of typed columns, read block by block, plus a flat metadata mapping.
 
-    Build one with from_arrays, or from a record array filled in place.
+    blocks() returns a new iterator over structured arrays of the table's
+    dtype, one field per column, that hold its `size` rows in order.
+    from_arrays and from_rows build a table of one block; a steady-state
+    sweep's table solves a block as the writer reads it, so it is never held
+    whole.
     """
 
-    def __init__(self, name, rows, metadata):
+    def __init__(self, name, dtype, size, blocks, metadata):
         self.name = name
-        self.rows = rows
-        self.columns = rows.dtype.names
+        self.dtype = np.dtype(dtype)
+        self.columns = self.dtype.names
+        self.size = size
+        self.blocks = blocks
         self.metadata = dict(metadata or {})
+
+    @property
+    def rows(self):
+        """Every row in one structured array, filled from the blocks on each call."""
+        rows, start = np.empty(self.size, self.dtype), 0
+        for block in self.blocks():
+            rows[start:start + len(block)] = block
+            start += len(block)
+        return rows
+
+    @classmethod
+    def from_rows(cls, name, rows, metadata=None):
+        """The table of one structured array, such as a view of some fields of a wider one."""
+        return cls(name, rows.dtype, len(rows), lambda: iter((rows,)), metadata)
 
     @classmethod
     def from_arrays(cls, name, columns, arrays, metadata=None):
@@ -214,31 +241,51 @@ class ResultTable:
             raise ConfigError(f"{len(arrays)} arrays for {len(columns)} columns in {name}")
         if len({len(a) for a in arrays}) > 1:
             raise ConfigError(f"column length mismatch in {name}")
-        return cls(name, np.rec.fromarrays(arrays, names=list(columns)), metadata)
+        return cls.from_rows(
+            name, np.rec.fromarrays(arrays, names=list(columns)).view(np.ndarray), metadata)
+
+    def _chunks(self):
+        """The rows, each block cut into chunks of about CHUNK_CELLS cells."""
+        step = max(1, CHUNK_CELLS // len(self.columns))
+        for block in self.blocks():
+            for start in range(0, len(block), step):
+                yield block[start:start + step]
 
     def _csv_chunks(self):
-        """The CSV bytes: the header, then the data in blocks of about CHUNK_CELLS cells."""
+        """The CSV bytes: the header, then the data chunk by chunk."""
         header = [f"# plasmonsim {__version__}", f"# table = {self.name}"]
         header += [f"# {key} = {_format_meta(self.metadata[key])}" for key in sorted(self.metadata)]
         header.append(",".join(self.columns))
         yield ("\n".join(header) + "\n").encode()
-        rows = self.rows.view(np.ndarray)
-        block_rows = max(1, CHUNK_CELLS // len(self.columns))
-        for start in range(0, len(rows), block_rows):
-            yield _csv_block(rows[start:start + block_rows])
+        yield from map(_csv_block, self._chunks())
 
-    def to_json(self):
+    def _json_chunks(self):
+        """The bytes of json.dumps(indent=1) of the table, its rows encoded chunk by chunk.
+
+        The header is the payload with no rows, cut before its "[]".  Each
+        chunk goes through json's C encoder (which takes no indent), its
+        separators those of a row's cells, and its row brackets spliced in:
+        an encoded string holds no raw newline, so "],\n   [" is always one.
+        """
         payload = {
             "tool": f"plasmonsim {__version__}",
             "table": self.name,
             "metadata": {k: self.metadata[k] for k in sorted(self.metadata)},
             "columns": list(self.columns),
-            "rows": self.rows.tolist(),
+            "rows": [],
         }
-        return json.dumps(payload, indent=1, sort_keys=False) + "\n"
+        head, tail = json.dumps(payload, indent=1).rsplit("[]", 1)
+        yield head.encode()
+        encode = json.JSONEncoder(separators=(",\n   ", ": ")).encode
+        opening = "[\n"
+        for rows in self._chunks():
+            text = encode(rows.tolist())[2:-2].replace("],\n   [", "\n  ],\n  [\n   ")
+            yield f"{opening}  [\n   {text}\n  ]".encode()
+            opening = ",\n"
+        yield (("[]" if opening == "[\n" else "\n ]") + tail + "\n").encode()
 
     def write(self, path, fmt="csv"):
-        chunks = self._csv_chunks() if fmt == "csv" else (self.to_json().encode(),)
+        chunks = self._csv_chunks() if fmt == "csv" else self._json_chunks()
         with open(path, "wb") as fh:
             fh.writelines(chunks)
         return path

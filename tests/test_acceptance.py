@@ -52,7 +52,7 @@ def test_criterion_1_constants_chain(gold, vacuum, sphere10):
     checks.append(("omega_1", abs(omega_1 - oracle) < 1e-4 and abs(omega_1 - 2.3094) < 1e-4,
                    f"{omega_1:.6f}"))
 
-    gamma_1r = mat.dipolar_radiative_rate(sphere10, vacuum)
+    gamma_1r = mat.dipolar_radiative_rate(sphere10, vacuum, *mat.dipolar_mode(sphere10, vacuum, 1))
     checks.append(("gamma_1r", _rel(gamma_1r, 2.45e-3) <= 0.02, f"{gamma_1r:.4e}"))
 
     gamma_s = cpl.free_space_decay(1.0, omega_1, 1.0)
@@ -291,8 +291,8 @@ def test_criterion_6_property_suites(paper_three_mode, omega1, gold):
             rel_tol=1e-10)
     env = mat.Environment(1.0)
     for r1, r2 in ((5.0, 10.0), (7.0, 21.0)):
-        a = mat.dipolar_radiative_rate(mat.Nanoparticle(mat.Sphere(r1), gold), env)
-        b = mat.dipolar_radiative_rate(mat.Nanoparticle(mat.Sphere(r2), gold), env)
+        a, b = (mat.dipolar_radiative_rate(p, env, *mat.dipolar_mode(p, env, 1))
+                for p in (mat.Nanoparticle(mat.Sphere(r), gold) for r in (r1, r2)))
         exponents_ok &= math.isclose(b / a, (r2 / r1) ** 3, rel_tol=1e-10)
     checks.append(("scaling exponents (V^-1/2, d^-3, mu^2, omega^3, R^3)",
                    exponents_ok, "exponent mismatch"))

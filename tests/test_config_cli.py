@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plasmonsim import __version__
 from plasmonsim import dynamics as dyn
 from plasmonsim.cli import main
 from plasmonsim.config import (BUILTIN_CONFIGS, MAX_POINTS, SCHEMA, parse_config,
@@ -335,6 +336,54 @@ def test_csv_writer_memory_stays_near_one_block(tmp_path):
     assert peak < 1.2e6
 
 
+def _json_oracle(table):
+    """json.dumps(indent=1) of the whole table at once, as the writer printed it before."""
+    return json.dumps({"tool": f"plasmonsim {__version__}", "table": table.name,
+                       "metadata": {k: table.metadata[k] for k in sorted(table.metadata)},
+                       "columns": list(table.columns), "rows": table.rows.tolist()},
+                      indent=1) + "\n"
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 2)])
+def test_json_written_across_block_boundaries(tmp_path, blocks, extra):
+    # optq's kinds (float, str, bool) with nan, inf and -0.0 cells, in an empty table, a
+    # one-row table and tables around chunk boundaries, against one json.dumps
+    rows = blocks * (CHUNK_CELLS // len(OPTQ_COLUMNS)) + extra
+    rng = np.random.default_rng(rows)
+    special = np.resize([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324], rows)
+    columns = (rng.uniform(1.0, 40.0, rows), special,
+               rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+               np.where(rng.random(rows) < 0.5, "yield", "power"), rng.random(rows) < 0.3)
+    table = ResultTable.from_arrays("optq", OPTQ_COLUMNS, columns, {"k": 1.5, "s": "[]"})
+    written = Path(table.write(str(tmp_path / "optq.json"), "json")).read_text()
+    assert written == _json_oracle(table)
+
+
+def test_json_skips_empty_blocks():
+    # a table of one-row, empty and many-row blocks reads as the table of their rows
+    rows = ResultTable.from_arrays("t", ("a", "b"), ([1.0, -0.0, 3.0], [np.nan, 2.0, 1e300])).rows
+    table = ResultTable("t", rows.dtype, 3, lambda: iter((rows[:1], rows[:0], rows[1:], rows[:0])),
+                        {})
+    assert b"".join(table._json_chunks()).decode() == _json_oracle(table)
+
+
+def test_json_writer_memory_stays_near_one_block(tmp_path):
+    # the JSON writer encodes CHUNK_CELLS = 8192 cells at a time through json's C encoder;
+    # json.dumps(indent=1) of the whole 100,000 x 7 table peaked at over 100 MB
+    rng = np.random.default_rng(17)
+    columns = [rng.standard_normal(100_000) * 10.0 ** rng.integers(-8, 12, 100_000)
+               for _ in range(7)]
+    table = ResultTable.from_arrays("t", tuple("abcdefg"), columns)
+    table.write(str(tmp_path / "warm.json"), "json")
+    tracemalloc.start()
+    try:
+        table.write(str(tmp_path / "t.json"), "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def test_metadata_round_trip_exact(csv_text):
     parsed = parse_config("fig2")
     meta = scenario_metadata(parsed.scenario)
@@ -598,6 +647,7 @@ NUMERIC_MESSAGES = {
     "eigen_cooperativity_overflow": "2 g_eff = 1e+297 eV overflows the cooperativity",
     "evolve_growing_branch": "time evolution overflows: max Im lambda = 3.96e+13 eV",
     "fano_detuning_overflow": "delta_0 must be finite, got inf",
+    "calibrated_two_g_max": "target 2 g_eff = 1.8e+305 eV is beyond what a double can square",
     "evolve_default_span_overflow": "no branch decays within floating-point range",
 }
 

@@ -259,7 +259,7 @@ def test_project_couplings_rejects_out_of_range():
 
 def test_coupling_consistency_triangle(sphere10, vacuum, omega1):
     """One effective dipole reproduces the quoted {g1, J, G} triple together."""
-    gamma_1r = mat.dipolar_radiative_rate(sphere10, vacuum)
+    gamma_1r = mat.dipolar_radiative_rate(sphere10, vacuum, *mat.dipolar_mode(sphere10, vacuum, 1))
     mu1 = cpl.plasmon_effective_dipole(gamma_1r, omega1)
     g1 = cpl.vacuum_coupling(mu1, omega1, 1e9, 1.0)
     J = cpl.vacuum_coupling(1.0, omega1, 1e9, 1.0)

@@ -288,12 +288,56 @@ def test_a_guard_failure_in_the_last_block_sends_the_whole_sweep_to_lu():
     assert list(np.flatnonzero(~(spectral * dyn.RCOND_LIMIT <= 1.0))) == [detunings.size - 1]
     f = dyn._drive_vector(h, "plasmon")
     bound, path, blocks = dyn._resolvent_blocks(h.matrix, detunings, f)
-    (index, v), = blocks
-    assert path == "lu" and index is Ellipsis and dyn._accepted(bound)
+    index, v = zip(*blocks)
+    assert path == "lu" and index == tuple(dyn._row_blocks(detunings.shape)) and len(v) == 4
+    assert dyn._accepted(bound)
     unblocked = np.linalg.inv(detunings[:, None, None] * np.eye(3) - h.matrix) @ f
-    assert v.tobytes() == unblocked.tobytes()
+    assert np.concatenate(v).tobytes() == unblocked.tobytes()
     amps, _ = dyn.steady_state_sweep(h, detunings, "plasmon")
     assert amps.tobytes() == unblocked.tobytes()
+
+
+def _near_exceptional_point():
+    """The plasmon and a lossless cavity 1e-5 above their exceptional point, 0.1 eV above a
+    decoupled emitter of width 2 neV: one member of the spectral-retry system."""
+    gamma = 0.05
+    return net.build_three_mode(
+        g1=gamma / 4.0 * (1.0 + 1e-5), G=0.0, J=0.0, delta_1e=0.1, delta_ce=0.1,
+        gamma_1r=0.0, gamma_o=gamma, gamma_c=0.0, gamma_s=1e-9, gamma_m=1e-9)
+
+
+@pytest.mark.parametrize("points", BLOCK_LENGTHS)
+def test_lu_sweep_blocks_equal_the_whole_grid_lu_solve(points):
+    """An LU-path sweep is bounded and solved in row blocks; its amplitudes, powers and bound
+    equal those of one whole-grid LU solve by their bytes."""
+    h = _near_exceptional_point()
+    detunings = np.linspace(-0.01, 0.0, points)  # the last point meets the emitter line
+    f = dyn._drive_vector(h, "plasmon")
+    mats = detunings[:, None, None] * np.eye(3) - h.matrix
+    inv = np.linalg.inv(mats)
+    bound, path, blocks = dyn._resolvent_blocks(h.matrix, detunings, f)
+    assert path == "lu" and len(list(blocks)) == -(-points // BLOCK)
+    assert bound.tobytes() == (dyn._frobenius(mats) * dyn._frobenius(inv)).tobytes()
+    amps, powers = dyn.steady_state_sweep(h, detunings, "plasmon")
+    assert amps.tobytes() == (inv @ f).tobytes()
+    for port, power in h.powers(inv @ f).items():
+        assert powers[port].tobytes() == power.tobytes(), port
+
+
+def test_lu_sweep_memory_stays_near_its_bound():
+    # 200,001 points through the emitter line: the bound K (1.6 MB) and one block's
+    # matrices, inverses and amplitudes; the whole-grid LU path peaked at 70.5 MB
+    h = _near_exceptional_point()
+    detunings = np.linspace(-0.01, 0.01, 200_001)
+    tracemalloc.start()
+    try:
+        for _ in dyn.steady_state_blocks(h, detunings, "plasmon"):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dyn._resolvent_blocks(h.matrix, detunings, dyn._drive_vector(h, "plasmon"))[1] == "lu"
+    assert peak < 5e6
 
 
 def test_a_failing_sweep_reports_its_worst_bound():
@@ -312,34 +356,35 @@ def test_a_failing_sweep_reports_its_worst_bound():
     assert f"(lu path, condition bound {worst:.3g} > 1e+13)" in str(raised.value)
 
 
-def test_spectrum_table_memory_stays_near_the_table():
-    # the 200,000-row table is 11.2 MB; the bound K of the whole sweep (1.6 MB) and
-    # one block's temporaries come on top; solving the whole grid at once peaked at 35 MB
+def test_spectrum_table_memory_stays_near_the_table(tmp_path):
+    # building and writing the 200,000-row table (11.2 MB) holds the bound K of the sweep
+    # (1.6 MB), one block's solve and rows and one chunk's text; filling the whole table
+    # before writing it peaked at 13.0 MB, solving the whole grid at once at 35 MB
     scenario = parse_config("fig2").scenario
     grid = scenario["delta_0_ev"] + np.linspace(-8e-3, 8e-3, 200_000)
-    exp.spectrum_table(scenario, grid[:10])
+    exp.spectrum_table(scenario, grid[:10]).write(tmp_path / "warm.csv")
     tracemalloc.start()
     try:
-        rows = exp.spectrum_table(scenario, grid).rows
+        exp.spectrum_table(scenario, grid).write(tmp_path / "spectrum.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < rows.nbytes + 4e6
+    assert peak < 5e6
 
 
-def test_fig1c_memory_stays_near_the_table():
-    # the 200,000-row table is 8 MB; the bounds K of its two sweeps (1.6 MB each) and one
-    # block's temporaries come on top; whole-grid amplitude, power and column arrays peaked
-    # at 49.6 MB
+def test_fig1c_memory_stays_near_the_table(tmp_path):
+    # building and writing the 200,000-row table (8 MB) holds its grid and the bounds K of
+    # its two sweeps (1.6 MB each), one block's solves and rows and one chunk's text (6.2 MB);
+    # filling the whole table first peaked above 8 MB, whole-grid arrays at 49.6 MB
     scenario = parse_config("fig1c").scenario
-    exp.run_fig1c(scenario, 10)
+    exp.run_fig1c(scenario, 10).write(tmp_path / "warm.csv")
     tracemalloc.start()
     try:
-        rows = exp.run_fig1c(scenario, 200_000).rows
+        exp.run_fig1c(scenario, 200_000).write(tmp_path / "fig1c.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < rows.nbytes + 5e6
+    assert peak < 7e6
 
 
 def test_power_balance_randomized():
@@ -832,7 +877,7 @@ def _assert_within_condition_bound(h, detunings, f, v, bound):
 
 #: builtin -> its figure runner, each making every steady-state solve of that figure
 FIGURE_RUNS = {
-    "fig1c": exp.run_fig1c,
+    "fig1c": lambda scenario: (exp.run_fig1c(scenario),),
     "fig2": exp.run_fig2,
     "fig2_first_principles": exp.run_fig2,
     "fig3": exp.run_fig3,
@@ -865,7 +910,8 @@ def test_figure_solves_match_50_digit_lu_solve(builtin, monkeypatch):
         return bound, path, recorded()
 
     monkeypatch.setattr(dyn, "_resolvent_blocks", recording)
-    FIGURE_RUNS[builtin](parse_config(builtin).scenario)
+    for table in FIGURE_RUNS[builtin](parse_config(builtin).scenario):
+        table.rows  # a sweep's table solves its blocks as they are read
     assert solves
     for h, detunings, f, v, seen, bound, path in solves:
         assert seen.all()

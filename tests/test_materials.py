@@ -360,26 +360,41 @@ def test_reduction_multiple_resonances():
 # ---------------------------------------------------------------------------
 
 def test_radiative_rate_sphere(sphere10, vacuum):
-    rate = mat.dipolar_radiative_rate(sphere10, vacuum)
+    rate = mat.dipolar_radiative_rate(sphere10, vacuum, *mat.dipolar_mode(sphere10, vacuum, 1))
     assert rate == pytest.approx(2.45e-3, rel=0.02)
 
 
 def test_radiative_rate_volume_scaling(gold, vacuum, sphere10):
     big = mat.Nanoparticle(mat.Sphere(20.0), gold)
-    assert mat.dipolar_radiative_rate(big, vacuum) == pytest.approx(
-        8.0 * mat.dipolar_radiative_rate(sphere10, vacuum), rel=1e-12)
+    assert mat.dipolar_radiative_rate(big, vacuum, *mat.dipolar_mode(big, vacuum, 1)) == (
+        pytest.approx(8.0 * mat.dipolar_radiative_rate(
+            sphere10, vacuum, *mat.dipolar_mode(sphere10, vacuum, 1)), rel=1e-12))
 
 
 def test_radiative_rate_ellipsoid(ellipsoid, vacuum):
-    rate = mat.dipolar_radiative_rate(ellipsoid, vacuum, axis=1)
+    rate = mat.dipolar_radiative_rate(ellipsoid, vacuum, *mat.dipolar_mode(ellipsoid, vacuum, 1))
     assert rate == pytest.approx(0.32e-3, abs=0.02e-3)
 
 
 def test_radiative_rate_sphere_equals_ellipsoid_formula(gold, vacuum, sphere10):
     # a sphere is the L = 1/3, abc = R^3 special case of the ellipsoid formula
     degenerate = mat.Nanoparticle(mat.Ellipsoid(10.0, 10.0, 10.0), gold)
-    assert mat.dipolar_radiative_rate(degenerate, vacuum, axis=2) == pytest.approx(
-        mat.dipolar_radiative_rate(sphere10, vacuum), rel=1e-8)
+    assert mat.dipolar_radiative_rate(
+        degenerate, vacuum, *mat.dipolar_mode(degenerate, vacuum, 2)) == pytest.approx(
+        mat.dipolar_radiative_rate(sphere10, vacuum, *mat.dipolar_mode(sphere10, vacuum, 1)),
+        rel=1e-8)
+
+
+def test_ellipsoid_resolve_computes_its_depolarization_factors_once(monkeypatch):
+    # the radiative width takes the (L, omega_1) that the resolve already decided
+    from plasmonsim.config import parse_config
+
+    calls = []
+    factors = mat.depolarization_factors
+    monkeypatch.setattr(mat, "depolarization_factors",
+                        lambda shape: calls.append(shape) or factors(shape))
+    parse_config("fig4")
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

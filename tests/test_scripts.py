@@ -1,10 +1,13 @@
 """Smoke tests: the scripts in scripts/ run end to end and write their tables."""
 
+import json
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,7 +56,7 @@ def test_compare_outputs_reports_each_changed_cell(tmp_path):
     shutil.copytree(ROOT / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
     results = changed / "plasmonsim" / "results.py"
     source = results.read_text()
-    negated = source.replace("values = np.stack(", "values = -np.stack(")
+    negated = source.replace("values = (", "values = -(")
     assert negated != source
     results.write_text(negated)
     proc = run_script("compare_outputs.py", ROOT / "src", changed, "--only", "fig1c_grid11",
@@ -61,3 +64,34 @@ def test_compare_outputs_reports_each_changed_cell(tmp_path):
     assert proc.returncode == 1
     assert "fig1c.csv: row 0 phi_rad_cavity: " in proc.stdout
     assert "fig1c_grid11 fig1c.csv phi_rad_bare: 11 cells" in proc.stdout
+
+
+#: one small command of each kind the benchmark workloads run (bench/workloads.py)
+TRACED_COMMANDS = {
+    "map": ["map", "--grid", "3"],
+    "optq": ["optq", "--d-nm", "5"],
+    "fig3": ["fig3", "--grid", "11"],
+    "fig4": ["fig4", "--grid", "11"],
+    "evolve": ["evolve", "--config", "fig3", "--grid", "16"],
+    "eigen": ["eigen"],
+    "spectrum": ["spectrum", "--config", "fig2", "--grid", "20000"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRACED_COMMANDS))
+def test_bench_tracer_runs_each_workload_command(tmp_path, command):
+    """The benchmark's traced child (bench/child.py --trace) wraps the program's layers from
+    outside and reads its results after each call: each command exits 0 with an empty
+    stderr, and the spans count every data row of the tables written."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    record, spans, out = tmp_path / "record.json", tmp_path / "spans.json", tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), str(record), "--trace", str(spans),
+         "--", *TRACED_COMMANDS[command], "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(record.read_text())["exit"] == 0
+    rows = sum(len([line for line in path.read_text().splitlines() if not line.startswith("#")])
+               - 1 for path in out.glob("*.csv"))
+    assert rows > 0 and json.loads(spans.read_text())["tally"]["rows_written"] == rows
