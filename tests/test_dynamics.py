@@ -374,7 +374,7 @@ def test_spectrum_table_memory_stays_near_the_table(tmp_path):
 
 def test_fig1c_memory_stays_near_the_table(tmp_path):
     # building and writing the 200,000-row table (8 MB) holds its grid and the bounds K of
-    # its two sweeps (1.6 MB each), one block's solves and rows and one chunk's text (6.2 MB);
+    # its two sweeps (1.6 MB each), one block's solves and rows and one chunk's text (5.5 MB);
     # filling the whole table first peaked above 8 MB, whole-grid arrays at 49.6 MB
     scenario = parse_config("fig1c").scenario
     exp.run_fig1c(scenario, 10).write(tmp_path / "warm.csv")
