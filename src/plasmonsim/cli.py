@@ -195,15 +195,43 @@ def cmd_validate(args):
     return 0
 
 
-def build_parser():
+#: subcommand -> (help, takes --config, takes --sweep), in the order the usage lists them;
+#: the handler of each is this module's cmd_<subcommand>
+COMMANDS = {
+    "fig1c": ("MNP dissipation spectra with/without cavity (builtin fig1c)", False, False),
+    "fig2": ("quantum yield and radiated power spectra (builtin fig2)", False, False),
+    "fig3": ("Rabi oscillation traces and emission doublet (builtin fig3)", False, False),
+    "fig4": ("anti-crossing eigen branches and spectra map (builtin fig4)", False, True),
+    "spectrum": ("emission spectrum of a configured scenario", True, False),
+    "yield": ("quantum yield spectrum of a configured scenario", True, False),
+    "evolve": ("single-excitation time evolution of a configured scenario", True, False),
+    "eigen": ("eigenvalue branches over emitter-cavity detuning (default config: fig4)",
+              True, True),
+    "map": (f"(D, Q) enhancement maps of builtin {DESIGN_SCENARIO} "
+            "(--config sets only the [sweep] axes)", True, False),
+    "optq": (f"optimal cavity Q per emitter distance (builtin {DESIGN_SCENARIO})", False, False),
+    "validate": ("parse and print a resolved scenario, run nothing", True, False),
+}
+
+
+def build_parser(argv=()):
+    """The parser of the subcommand that argv names, or of every subcommand if it names none.
+
+    argv names none when it is empty, starts with an option (-h included) or
+    starts with a word that is no subcommand; the top-level usage and an
+    invalid choice then list them all, and a single subcommand's usage lists
+    them too.  Handlers are looked up by name as the parser is built.
+    """
     parser = argparse.ArgumentParser(
         prog="plasmonsim",
         description="Coupled-mode simulator for a microcavity-engineered plasmonic "
                     "nanoparticle interacting with a single quantum emitter.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text, config=True, sweep=False):
+    names = argv[:1] if argv and argv[0] in COMMANDS else list(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        None if len(names) > 1 else "{" + ",".join(COMMANDS) + "}"))
+    for name in names:
+        help_text, config, sweep = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default="./out", help="output directory (default ./out)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -215,33 +243,15 @@ def build_parser():
         if sweep:
             p.add_argument("--sweep", default=None,
                            help="detuning sweep start:stop:step in eV (inclusive)")
-        p.set_defaults(fn=fn)
-        return p
-
-    add("fig1c", cmd_fig1c, "MNP dissipation spectra with/without cavity (builtin fig1c)",
-        config=False)
-    p2 = add("fig2", cmd_fig2, "quantum yield and radiated power spectra (builtin fig2)",
-             config=False)
-    p2.add_argument("--first-principles", action="store_true",
-                    help="derive all couplings from the geometry instead of the quoted set "
-                         "(builtin fig2_first_principles)")
-    add("fig3", cmd_fig3, "Rabi oscillation traces and emission doublet (builtin fig3)",
-        config=False)
-    add("fig4", cmd_fig4, "anti-crossing eigen branches and spectra map (builtin fig4)",
-        config=False, sweep=True)
-    add("spectrum", cmd_spectrum, "emission spectrum of a configured scenario")
-    add("yield", cmd_yield, "quantum yield spectrum of a configured scenario")
-    add("evolve", cmd_evolve, "single-excitation time evolution of a configured scenario")
-    add("eigen", cmd_eigen, "eigenvalue branches over emitter-cavity detuning "
-        "(default config: fig4)", sweep=True)
-    add("map", cmd_map, f"(D, Q) enhancement maps of builtin {DESIGN_SCENARIO} "
-        "(--config sets only the [sweep] axes)")
-    popt = add("optq", cmd_optq, f"optimal cavity Q per emitter distance (builtin {DESIGN_SCENARIO})",
-               config=False)
-    popt.add_argument("--objective", choices=("yield", "power"), default="yield")
-    popt.add_argument("--d-nm", type=float, action="append", default=None,
-                      help="emitter distance(s) in nm (repeatable; default 5, 10, 15)")
-    add("validate", cmd_validate, "parse and print a resolved scenario, run nothing")
+        if name == "fig2":
+            p.add_argument("--first-principles", action="store_true",
+                           help="derive all couplings from the geometry instead of the quoted "
+                                "set (builtin fig2_first_principles)")
+        if name == "optq":
+            p.add_argument("--objective", choices=("yield", "power"), default="yield")
+            p.add_argument("--d-nm", type=float, action="append", default=None,
+                           help="emitter distance(s) in nm (repeatable; default 5, 10, 15)")
+        p.set_defaults(fn=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -260,12 +270,11 @@ def _merge_sweep_values(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = _merge_sweep_values(list(sys.argv[1:] if argv is None else argv))
+    parser = build_parser(argv)
     try:
         try:
-            args = parser.parse_args(_merge_sweep_values(list(argv)))
+            args = parser.parse_args(argv)
             if args.grid is not None and args.grid < 1:
                 raise ConfigError(f"--grid must be an integer >= 1, got {args.grid}")
             _check_points("--grid", args.grid or 0)

@@ -270,20 +270,29 @@ def with_emitter_at(scenario, distance_nm):
         "delta_0_ev": dyn.fano_detuning(p["J_ev"], p["g1_ev"], G)})
 
 
-def _enhancements(at_d, q_factor):
+def _bare_reference(at_d):
+    """(yield, radiated power) of the bare system at Delta_p,c = Delta_0, over the distance shape.
+
+    at_d is a scenario placed by with_emitter_at.  With g1 = J = 0 the exact
+    zeros keep the plasmon and emitter amplitudes independent of the cavity
+    width, bit for bit, and the cavity port radiates gamma_c * 0 = 0, so one
+    solve at the scenario's own Q serves every Q.
+    """
+    _, powers = dyn.steady_state_sweep(
+        with_cavity(at_d, 0.0).hamiltonian(bare=True), at_d["delta_0_ev"], "emitter")
+    return net.yield_from_powers(powers), net.radiated_power(powers)
+
+
+def _enhancements(at_d, q_factor, bare):
     """Yield and power enhancement over the bare system at Delta_p,c = Delta_0.
 
-    at_d is a scenario placed by with_emitter_at; its cavity is put on
-    resonance at each q_factor, which broadcasts against the distance shape.
-    The engineered and the bare system are each one batched steady-state solve.
+    at_d is a scenario placed by with_emitter_at, and bare its _bare_reference;
+    its cavity is put on resonance at each q_factor, which broadcasts against
+    the distance shape, in one batched steady-state solve.
     """
     stack = with_cavity(at_d, 0.0, np.asarray(q_factor, dtype=float))
-    delta_0 = at_d["delta_0_ev"]
-    _, powers = dyn.steady_state_sweep(stack.hamiltonian(), delta_0, "emitter")
-    _, powers_b = dyn.steady_state_sweep(stack.hamiltonian(bare=True), delta_0, "emitter")
-    yield_enh = net.yield_from_powers(powers) / net.yield_from_powers(powers_b)
-    power_enh = net.radiated_power(powers) / net.radiated_power(powers_b)
-    return yield_enh, power_enh
+    _, powers = dyn.steady_state_sweep(stack.hamiltonian(), at_d["delta_0_ev"], "emitter")
+    return net.yield_from_powers(powers) / bare[0], net.radiated_power(powers) / bare[1]
 
 
 def enhancement_map(scenario, d_grid, q_grid):
@@ -297,7 +306,8 @@ def enhancement_map(scenario, d_grid, q_grid):
         raise DomainError("map grids must be non-empty 1-D arrays")
     if np.any(np.diff(d) <= 0) or np.any(np.diff(q) <= 0):
         raise DomainError("map grids must be strictly increasing")
-    ye, pe = _enhancements(with_emitter_at(scenario, d[:, None]), q[None, :])
+    at_d = with_emitter_at(scenario, d[:, None])
+    ye, pe = _enhancements(at_d, q[None, :], _bare_reference(at_d))
     if not (np.all(np.isfinite(ye)) and np.all(np.isfinite(pe))):
         raise DomainError("non-finite enhancement in map")
     dd, qq = np.meshgrid(d, q, indexing="ij")
@@ -333,12 +343,13 @@ def optimal_Q(scenario, distances_nm, objective="yield"):
         raise DomainError(f"objective must be yield or power, got {objective!r}")
     at_d = with_emitter_at(scenario, np.asarray(distances_nm, dtype=float).reshape(-1, 1))
     which = 0 if objective == "yield" else 1
+    bare = _bare_reference(at_d)
 
     def values_at(log_q):  # the scalar power: numpy's array power can differ in the last bit
-        return _enhancements(at_d, [[10.0 ** float(x)] for x in log_q])[which][:, 0]
+        return _enhancements(at_d, [[10.0 ** float(x)] for x in log_q], bare)[which][:, 0]
 
     grid = np.linspace(math.log10(Q_RANGE[0]), math.log10(Q_RANGE[1]), OPTQ_COARSE_POINTS)
-    values = _enhancements(at_d, [10.0 ** float(x) for x in grid])[which]
+    values = _enhancements(at_d, [10.0 ** float(x) for x in grid], bare)[which]
     i_best = np.argmax(values, axis=1)
     x_best, boundary = grid[i_best], (i_best == 0) | (i_best == grid.size - 1)
     inner = np.clip(i_best, 1, grid.size - 2)

@@ -31,12 +31,12 @@ class EffectiveHamiltonian:
     """Complex-symmetric mode matrix, its basis labels and its partial widths.
 
     rates holds gamma_1r, gamma_o, gamma_c, gamma_s and gamma_m (eV, arrays
-    allowed) of the three-mode system; a bare matrix has none and no ports.
+    allowed) of the three-mode system.
     """
 
     matrix: np.ndarray  # complex (..., n, n)
     labels: tuple  # mode labels, ordering the basis
-    rates: dict = None
+    rates: dict
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -73,7 +73,11 @@ class EffectiveHamiltonian:
         """
         r = self.rates
         interference = (v[..., 0].conj() * v[..., 2]).real
-        return 2.0 * np.sqrt(r["gamma_1r"] * r["gamma_s"]) * interference + 0.0
+        with np.errstate(over="ignore"):
+            scale = np.sqrt(r["gamma_1r"] * r["gamma_s"])
+        if not np.all(np.isfinite(scale)):  # the widths' product overflows; their roots' cannot
+            scale = np.sqrt(r["gamma_1r"]) * np.sqrt(r["gamma_s"])
+        return 2.0 * scale * interference + 0.0
 
 
 def build_three_mode(*, g1, G, J, delta_1e, delta_ce, gamma_1r, gamma_o, gamma_c, gamma_s,
@@ -86,12 +90,9 @@ def build_three_mode(*, g1, G, J, delta_1e, delta_ce, gamma_1r, gamma_o, gamma_c
     """
     rates = {"gamma_1r": gamma_1r, "gamma_o": gamma_o, "gamma_c": gamma_c,
              "gamma_s": gamma_s, "gamma_m": gamma_m}
-    require_finite(g1=g1, G=G, J=J, delta_1e=delta_1e, delta_ce=delta_ce, **rates)
-    for name, rate in rates.items():
-        if np.any(np.asarray(rate) < 0):
-            raise DomainError(f"decay rate {name} must be >= 0, got {rate}")
-    diagonal = [delta_1e - 0.5j * (gamma_1r + gamma_o), delta_ce - 0.5j * gamma_c,
-                0.0 - 0.5j * (gamma_s + gamma_m)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite input is named below
+        diagonal = [delta_1e - 0.5j * (gamma_1r + gamma_o), delta_ce - 0.5j * gamma_c,
+                    0.0 - 0.5j * (gamma_s + gamma_m)]
     off_diagonal = {(0, 1): g1, (0, 2): G, (1, 2): J}
     batch = np.broadcast_shapes(*map(np.shape, diagonal), *map(np.shape, off_diagonal.values()))
     h = np.zeros(batch + (3, 3), dtype=complex)
@@ -99,6 +100,11 @@ def build_three_mode(*, g1, G, J, delta_1e, delta_ce, gamma_1r, gamma_o, gamma_c
         h[..., i, i] = value
     for (i, j), value in off_diagonal.items():
         h[..., i, j] = h[..., j, i] = value
+    if not (h.size and np.isfinite(h).all()):  # every input is in a nonempty h
+        require_finite(g1=g1, G=G, J=J, delta_1e=delta_1e, delta_ce=delta_ce, **rates)
+    for name, rate in rates.items():
+        if np.any(np.asarray(rate) < 0):
+            raise DomainError(f"decay rate {name} must be >= 0, got {rate}")
     return EffectiveHamiltonian(h, ("plasmon", "cavity", "emitter"), rates)
 
 

@@ -241,15 +241,17 @@ class ResultTable:
             raise ConfigError(f"{len(arrays)} arrays for {len(columns)} columns in {name}")
         if len({len(a) for a in arrays}) > 1:
             raise ConfigError(f"column length mismatch in {name}")
-        return cls.from_rows(
-            name, np.rec.fromarrays(arrays, names=list(columns)).view(np.ndarray), metadata)
+        arrays = [np.asarray(a) for a in arrays]
+        rows = np.empty(len(arrays[0]), [(c, a.dtype) for c, a in zip(columns, arrays)])
+        for c, a in zip(columns, arrays):
+            rows[c] = a
+        return cls.from_rows(name, rows, metadata)
 
     def _chunks(self):
-        """The rows, each block cut into chunks of about CHUNK_CELLS cells."""
-        step = max(1, CHUNK_CELLS // len(self.columns))
+        """The rows, each block cut into the fewest equal chunks of about CHUNK_CELLS cells."""
         for block in self.blocks():
-            for start in range(0, len(block), step):
-                yield block[start:start + step]
+            parts = -(-len(block) * len(self.columns) // CHUNK_CELLS)
+            yield from np.array_split(block, parts) if parts else ()
 
     def _csv_chunks(self):
         """The CSV bytes: the header, then the data chunk by chunk."""

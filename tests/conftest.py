@@ -64,7 +64,8 @@ def two_mode_network(g, plasmon_width, cavity_width):
     three-mode one.
     """
     matrix = np.array([[-0.5j * plasmon_width, g], [g, -0.5j * cavity_width]])
-    return net.EffectiveHamiltonian(matrix, ("plasmon", "cavity"))
+    return net.EffectiveHamiltonian(matrix, ("plasmon", "cavity"),
+                                    {"gamma_o": plasmon_width, "gamma_c": cavity_width})
 
 
 def random_system(rng, n_modes=None):

@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plasmonsim import __version__
+from plasmonsim import __version__, cli
 from plasmonsim import dynamics as dyn
 from plasmonsim.cli import main
 from plasmonsim.config import (BUILTIN_CONFIGS, MAX_POINTS, SCHEMA, parse_config,
                                parse_config_text)
 from plasmonsim.errors import ConfigError
-from plasmonsim.results import CELL_FORMATS, CHUNK_CELLS, ResultTable, scenario_metadata
+from plasmonsim.results import (CELL_FORMATS, CHUNK_CELLS, ResultTable, _csv_block,
+                                scenario_metadata)
 
 
 def read_metadata(text):
@@ -357,6 +358,20 @@ def test_json_written_across_block_boundaries(tmp_path, blocks, extra):
     table = ResultTable.from_arrays("optq", OPTQ_COLUMNS, columns, {"k": 1.5, "s": "[]"})
     written = Path(table.write(str(tmp_path / "optq.json"), "json")).read_text()
     assert written == _json_oracle(table)
+
+
+def test_each_block_is_cut_into_equal_chunks(monkeypatch):
+    # two 8,192-row blocks of 7 columns: 7 chunks each, of 1,171 or 1,170 rows; chunks of
+    # CHUNK_CELLS // 7 = 1,170 rows left a 2-row eighth in each block
+    rows = np.random.default_rng(7).standard_normal((2 * 8192, 7)).view(
+        [(c, float) for c in "abcdefg"])[:, 0]
+    table = ResultTable("t", rows.dtype, rows.size, lambda: iter((rows[:8192], rows[8192:])), {})
+    assert [len(chunk) for chunk in table._chunks()] == 2 * ([1171] * 2 + [1170] * 5)
+    calls = []
+    monkeypatch.setattr("plasmonsim.results._csv_block",
+                        lambda chunk: calls.append(len(chunk)) or _csv_block(chunk))
+    text = b"".join(table._csv_chunks())
+    assert len(calls) == 14 and text.endswith(b"\na,b,c,d,e,f,g\n" + _csv_block(rows))
 
 
 def test_json_skips_empty_blocks():
@@ -750,6 +765,53 @@ def test_evolve_with_an_overflowing_width_writes_a_finite_table(tmp_path, capsys
     values = np.array([line.split(",") for line in lines if not line.startswith("#")][1:], float)
     assert values.shape == (7, 5) and np.isfinite(values).all()
     assert np.all(values[1:, 1] == 0.0) and np.all(np.diff(values[:, 3]) < 0)
+
+
+def test_spectrum_with_an_overflowing_width_product_writes_a_finite_cross_term(tmp_path, capsys):
+    # sqrt(gamma_1r gamma_s) overflowed to inf while the interference underflowed to 0, so
+    # phi_rad_vacuum_cross was nan in every row, after an unprefixed numpy RuntimeWarning
+    text = BUILTIN_CONFIGS["fig2"]
+    for old, new in (("gamma_o_ev = 0.2", "gamma_o_ev = 1e300"),
+                     ("gamma_1r_mev = 2.45", "gamma_1r_mev = 1e303"),
+                     ("gamma_s_uev = 3", "gamma_s_uev = 1e306"),
+                     ("gamma_m_uev = 83", "gamma_m_uev = 1e306"), ("q_factor = 1e5", "q_factor = 1e-300")):
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "probe.ini"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["spectrum", "--config", str(path), "--grid", "5", "--out", str(tmp_path)])
+    assert code == 0 and capsys.readouterr().err == ""
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    values = np.array([line.split(",") for line in lines if not line.startswith("#")][1:], float)
+    assert values.shape == (5, 7) and np.isfinite(values).all()
+
+
+#: argv of which the parser of one subcommand must print what the parser of all prints
+PARSER_RUNS = {"help": ["--help"], "map_help": ["map", "--help"], "unknown": ["nosuch"],
+               "none": [], "option_first": ["--out", "x", "map"],
+               "map_extra_word": ["map", "extra"], "optq_bad_choice": ["optq", "--objective", "x"],
+               "fig4_sweep_help": ["fig4", "--sweep", "-1:1:1", "-h"]}
+
+
+@pytest.mark.parametrize("run", sorted(PARSER_RUNS))
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(run, capsys):
+    argv = PARSER_RUNS[run]
+
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(argv)
+        return exit_info.value.code, *capsys.readouterr()
+
+    full = cli.build_parser()
+    assert outcome(main) == outcome(lambda a: full.parse_args(cli._merge_sweep_values(a)))
+
+
+def test_a_named_subcommand_builds_only_its_own_parser(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser(["map"]).parse_args(["fig1c"])
+    assert "invalid choice: 'fig1c' (choose from 'map')" in capsys.readouterr().err
 
 
 def _subprocess_env():

@@ -187,17 +187,51 @@ def test_optimal_q_matches_brute_force(design):
     assert result.value >= values[i] * (1.0 - 1e-6)
 
 
+def _enhancements_every_cell(at_d, q_factor):
+    """Oracle: the (yield, power) enhancements with the bare system solved at every (D, Q)
+    cell, beside the engineered one, as the map solved it before it had one bare solve per D."""
+    stack = exp.with_cavity(at_d, 0.0, np.asarray(q_factor, dtype=float))
+    delta_0 = at_d["delta_0_ev"]
+    _, powers = dyn.steady_state_sweep(stack.hamiltonian(), delta_0, "emitter")
+    _, powers_b = dyn.steady_state_sweep(stack.hamiltonian(bare=True), delta_0, "emitter")
+    return (net.yield_from_powers(powers) / net.yield_from_powers(powers_b),
+            net.radiated_power(powers) / net.radiated_power(powers_b))
+
+
+def test_map_equals_a_bare_solve_at_every_cell(design):
+    # the default 61 x 61 map solves its bare system once per distance
+    sweep = parse_config("fig2_first_principles").sweep
+    d = np.geomspace(sweep["d_min_nm"], sweep["d_max_nm"], sweep["d_points"])
+    q = np.geomspace(sweep["q_min"], sweep["q_max"], sweep["q_points"])
+    rows = exp.enhancement_map(design, d, q).rows
+    expected = _enhancements_every_cell(exp.with_emitter_at(design, d[:, None]), q[None, :])
+    assert (d.size, q.size) == (61, 61)
+    assert rows["yield_enhancement"].tobytes() == expected[0].tobytes()
+    assert rows["power_enhancement"].tobytes() == expected[1].tobytes()
+
+
+def test_optq_equals_a_bare_solve_at_every_step(design):
+    # optq's default distances; every search step solves the bare system again here
+    for objective in ("yield", "power"):
+        found = exp.optimal_Q(design, [5.0, 10.0, 15.0], objective)
+        expected = [_optimal_q_one_distance(design, d, objective) for d in (5.0, 10.0, 15.0)]
+        assert np.array([(r.q_opt, r.value) for r in found]).tobytes() == np.array(
+            [(r.q_opt, r.value) for r in expected]).tobytes()
+        assert [r.boundary for r in found] == [r.boundary for r in expected]
+
+
 def _optimal_q_one_distance(scenario, d_nm, objective):
-    """Oracle: the golden-section search at one distance, one scalar probe per step."""
+    """Oracle: the golden-section search at one distance, one scalar probe per step, that
+    solves the bare system at every probe."""
     at_d = exp.with_emitter_at(scenario, d_nm)
     which = 0 if objective == "yield" else 1
 
     def value_at(log_q):
-        return float(exp._enhancements(at_d, [10.0**log_q])[which][0])
+        return float(_enhancements_every_cell(at_d, [10.0**log_q])[which][0])
 
     grid = np.linspace(math.log10(exp.Q_RANGE[0]), math.log10(exp.Q_RANGE[1]),
                        exp.OPTQ_COARSE_POINTS)
-    values = exp._enhancements(at_d, [10.0**x for x in grid])[which].tolist()
+    values = _enhancements_every_cell(at_d, [10.0**x for x in grid])[which].tolist()
     i_best = int(np.argmax(values))
     if i_best in (0, len(grid) - 1):
         return exp.OptimalQ(10.0**grid[i_best], values[i_best], objective, boundary=True)
@@ -249,7 +283,7 @@ def test_optimal_q_sensitive_to_quenching(design):
     def best_q(scale):
         scaled = replace(at_d, params={**at_d.params, "gamma_m_ev": scale * at_d["gamma_m_ev"]})
         grid = np.geomspace(1e3, 1e6, 61)
-        values = [exp._enhancements(scaled, [q])[0][0] for q in grid]
+        values = [_enhancements_every_cell(scaled, [q])[0][0] for q in grid]
         return grid[int(np.argmax(values))]
     q1, q2 = best_q(1.0), best_q(2.0)
     assert abs(np.log10(q2) - np.log10(q1)) > 0.02

@@ -44,7 +44,8 @@ for argv in json.loads(sys.argv[1]):
     loaded[" ".join(argv)] = "scipy" in sys.modules if code == 0 else f"exit {code}"
 from plasmonsim import dynamics, network
 # the 2x2 network [[-0.1i, 0.05], [0.05, 0]], defective at g = gamma / 4
-h = network.EffectiveHamiltonian(np.array([[-0.1j, 0.05], [0.05, 0.0]]), ("plasmon", "cavity"))
+h = network.EffectiveHamiltonian(np.array([[-0.1j, 0.05], [0.05, 0.0]]), ("plasmon", "cavity"),
+                                 {"gamma_o": 0.2, "gamma_c": 0.0})
 dynamics.evolve(h, np.array([1.0, 0.0], dtype=complex), np.linspace(0.0, 50.0, 5))
 loaded["near-exceptional-point evolve"] = "scipy" in sys.modules
 print(json.dumps(loaded))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -74,6 +76,34 @@ def test_non_finite_inputs_rejected():
         net.build_three_mode(**{**RESONANT, "g1": float("nan")})
     with pytest.raises(DomainError):
         net.build_three_mode(**{**RESONANT, "delta_1e": float("inf")})
+
+
+def _build_error(**inputs):
+    """The DomainError text of build_three_mode at inputs, with numpy warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            net.build_three_mode(**inputs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 np.array([0.0, float("nan")])], ids=["nan", "inf", "-inf", "array"])
+@pytest.mark.parametrize("name", sorted(RESONANT))
+def test_each_non_finite_input_is_named(name, bad):
+    # one pass over the matrix finds a non-finite input; the error still names it
+    assert _build_error(**{**RESONANT, name: bad}) == f"{name} must be finite, got {bad!r}"
+
+
+def test_build_errors_keep_their_order():
+    # inputs are named in signature order, and the finite check precedes the rate check
+    assert _build_error(**{**RESONANT, "gamma_m": float("nan"), "J": float("inf"),
+                           "gamma_1r": -1.0}) == "J must be finite, got inf"
+    assert _build_error(**{**RESONANT, "gamma_o": -1.0, "gamma_m": -2.0}) == (
+        "decay rate gamma_o must be >= 0, got -1.0")
+    # a stack of no matrices holds no input, and its non-finite scalar is still named
+    assert _build_error(**{**RESONANT, "delta_1e": np.zeros(0), "g1": float("nan")}) == (
+        "g1 must be finite, got nan")
 
 
 @settings(max_examples=100, deadline=None)
