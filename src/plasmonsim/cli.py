@@ -214,7 +214,7 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=()):
+def build_parser(argv):
     """The parser of the subcommand that argv names, or of every subcommand if it names none.
 
     argv names none when it is empty, starts with an option (-h included) or

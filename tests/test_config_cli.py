@@ -774,7 +774,8 @@ def test_spectrum_with_an_overflowing_width_product_writes_a_finite_cross_term(t
     for old, new in (("gamma_o_ev = 0.2", "gamma_o_ev = 1e300"),
                      ("gamma_1r_mev = 2.45", "gamma_1r_mev = 1e303"),
                      ("gamma_s_uev = 3", "gamma_s_uev = 1e306"),
-                     ("gamma_m_uev = 83", "gamma_m_uev = 1e306"), ("q_factor = 1e5", "q_factor = 1e-300")):
+                     ("gamma_m_uev = 83", "gamma_m_uev = 1e306"),
+                     ("q_factor = 1e5", "q_factor = 1e-300")):
         assert old in text
         text = text.replace(old, new)
     path = tmp_path / "probe.ini"
@@ -804,7 +805,7 @@ def test_one_subcommand_parser_prints_what_the_full_parser_prints(run, capsys):
             parse(argv)
         return exit_info.value.code, *capsys.readouterr()
 
-    full = cli.build_parser()
+    full = cli.build_parser([])
     assert outcome(main) == outcome(lambda a: full.parse_args(cli._merge_sweep_values(a)))
 
 

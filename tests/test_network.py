@@ -88,7 +88,8 @@ def _build_error(**inputs):
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
-                                 np.array([0.0, float("nan")])], ids=["nan", "inf", "-inf", "array"])
+                                 np.array([0.0, float("nan")])],
+                         ids=["nan", "inf", "-inf", "array"])
 @pytest.mark.parametrize("name", sorted(RESONANT))
 def test_each_non_finite_input_is_named(name, bad):
     # one pass over the matrix finds a non-finite input; the error still names it
