@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from .config import BUILTIN_CONFIGS, MAX_POINTS, parse_config
+from .dynamics import Linspace
 from .errors import ConfigError, PlasmonSimError
 from .experiments import (
     FIG4_SPECTRUM_POINTS,
@@ -89,13 +90,14 @@ def _reject_grid(args, reason):
 
 
 def _spectral_grid(parsed, points_override):
-    """Pump detunings of [sweep] start_ev..stop_ev, default Delta_0 +/- 8 meV, 2001 points."""
+    """Pump detunings of [sweep] start_ev..stop_ev, default Delta_0 +/- 8 meV, 2001 points,
+    as a Linspace."""
     sweep = parsed.sweep
     points = points_override or sweep.get("points", 2001)
     if "start_ev" in sweep:  # the config requires stop_ev with it
-        return np.linspace(sweep["start_ev"], sweep["stop_ev"], points)
+        return Linspace(sweep["start_ev"], sweep["stop_ev"], points)
     delta_0 = parsed.scenario["delta_0_ev"]
-    return np.linspace(delta_0 - 8e-3, delta_0 + 8e-3, points)
+    return Linspace(delta_0 - 8e-3, delta_0 + 8e-3, points)
 
 
 def _grid(args, keyword):

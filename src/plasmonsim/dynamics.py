@@ -19,8 +19,9 @@ the solve raises ConditioningError where the bound exceeds 1 / RCOND_LIMIT.
 The spectral bound can exceed kappa_2 by up to cond_2(V)^2, so a sweep it
 rejects is retried on the LU path before the solve raises.  Path and guard
 are decided once per sweep: steady_state_blocks bounds the whole sweep in
-blocks of at most SWEEP_BLOCK_POINTS points, in row order, then solves each
-block again as it hands it on, so no array but the bound spans the sweep.
+blocks of at most SWEEP_BLOCK_POINTS points, in row order, keeping only the
+worst bound and whether every point passed, then solves a block when asked.
+A Linspace grid is made a block at a time too, so no array spans the sweep.
 Time evolution propagates a single-excitation amplitude vector under the
 non-Hermitian Hamiltonian through the same eigendecomposition, v(t) =
 V exp(-i Lambda t) V^-1 v(0); above EIG_COND_LIMIT it falls back to the
@@ -42,7 +43,7 @@ RCOND_LIMIT = 1e-13
 #: eigenvector condition number above which steady state and evolve leave the eigenbasis
 EIG_COND_LIMIT = 1e3
 #: broadcast points per block of a steady-state sweep: a block's temporaries
-#: take about 2 MB, and no array but the bound spans the sweep
+#: take about 2 MB, and no array spans the sweep
 SWEEP_BLOCK_POINTS = 8192
 
 
@@ -80,11 +81,6 @@ def _frobenius(a):
     return np.sqrt(np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im))
 
 
-def _accepted(bound):
-    """The guard: every K * RCOND_LIMIT <= 1, so NaN and inf fail."""
-    return bool(np.all(bound * RCOND_LIMIT <= 1.0))
-
-
 def _row_blocks(shape):
     """Index tuples of consecutive blocks of `shape` in row (C) order, each of at most
     SWEEP_BLOCK_POINTS points: whole leading rows where they fit, else parts of one row."""
@@ -97,109 +93,173 @@ def _row_blocks(shape):
             yield from ((i,) + rest for rest in _row_blocks(shape[1:]))
 
 
+@dataclass(frozen=True)
+class Linspace:
+    """np.linspace(start, stop, num) broadcast to shape = lead + (num,), made a block at a time:
+    indexed by a block of _row_blocks(shape), it gives that block by np.linspace's own formula."""
+
+    start: float
+    stop: float
+    num: int
+    lead: tuple = ()
+
+    @property
+    def shape(self):
+        return self.lead + (self.num,)
+
+    def __getitem__(self, index):
+        *rows, last = index + (slice(None),) * (len(self.shape) - len(index))
+        a, b, _ = last.indices(self.num)
+        div, delta = self.num - 1, self.stop - self.start
+        y = np.arange(a, b, dtype=float)
+        if div > 0 and delta / div == 0:  # a step that underflows (numpy gh-5437)
+            y /= div
+            y *= delta
+        else:  # num = 1 has no step: y = 0 * delta
+            y *= delta / div if div > 0 else delta
+        y += self.start
+        if b == self.num > 1:
+            y[-1] = self.stop
+        lead = [len(range(n)[i]) for n, i in zip(self.lead, rows) if isinstance(i, slice)]
+        return np.broadcast_to(y, (*lead, len(y)))
+
+
+def broadcast_grid(detunings, shape=()):
+    """Pump detunings broadcast against shape: a Linspace whose points lie on the last axis stays
+    one, and anything else becomes a broadcast float array of at least one dimension."""
+    if isinstance(detunings, Linspace):
+        full = np.broadcast_shapes(detunings.shape, shape)
+        if full[-1] == detunings.num:
+            return replace(detunings, lead=full[:-1])
+        detunings, shape = np.linspace(detunings.start, detunings.stop, detunings.num), full
+    d = np.atleast_1d(np.asarray(detunings, dtype=float))
+    return np.broadcast_to(d, np.broadcast_shapes(d.shape, shape))
+
+
 def _inverse(d, h):
-    """(M, M^-1) for M = Delta I - h at the points of one block."""
+    """(K, M^-1) for M = Delta I - h at the points of one block, K = kappa_F(M) =
+    ||M||_F ||M^-1||_F >= kappa_2(M), since ||A||_2 <= ||A||_F."""
     mats = d[..., None, None] * np.eye(h.shape[-1]) - h
     try:
-        return mats, np.linalg.inv(mats)
+        inv = np.linalg.inv(mats)
     except np.linalg.LinAlgError:
         raise ConditioningError(
             "steady-state matrix is singular (LU path); "
             "every mode needs a positive width or a detuned pump") from None
+    return _frobenius(mats) * _frobenius(inv), inv
 
 
-def _resolvent_blocks(h, detunings, f):
-    """Solve (Delta I - h) v = f; return (K, path, blocks) with K >= kappa_2(Delta I - h).
+def _bounds(h, grid, eig=None):
+    """(index, K) per block of _row_blocks(grid.shape), K >= kappa_2(Delta I - h) at its points.
 
-    The detunings broadcast against the leading shape of the (..., n, n)
-    stack h; K has the broadcast shape, and blocks yields (index, v), v the
-    amplitudes at the points K[index] with the modes on its last axis, for
-    the blocks of _row_blocks.  path is "spectral" or "lu" (see the module
-    docstring), decided for the whole sweep: a spectral bound that fails the
-    guard anywhere sends the solve to the LU path.  Either path computes K
-    block by block before it returns and solves a block as it is handed on;
-    the LU path inverts a block a second time, unless the sweep is one
-    block.  The caller applies the guard: K is inf or nan where a
-    detuning hits an eigenvalue, and an exactly singular matrix on the LU
-    path raises ConditioningError.
+    grid is the sweep's broadcast_grid against the stack h.  K is the spectral
+    bound of eig = _eig(h), else the LU bound (see the module docstring), and
+    inf or nan where a detuning hits an eigenvalue; an exactly singular matrix
+    raises ConditioningError.
     """
-    d = np.atleast_1d(np.asarray(detunings, dtype=float))
-    n = h.shape[-1]
-    shape = np.broadcast_shapes(d.shape, h.shape[:-2])
-    index = list(_row_blocks(shape))
-    bound = np.empty(shape)
+    shape, n = grid.shape, h.shape[-1]
+    if eig:
+        lam, cond_v = np.broadcast_to(eig[0], shape + (n,)), np.broadcast_to(eig[2], shape)
+    h = np.broadcast_to(h, shape + (n, n))
+    for block in _row_blocks(shape):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if eig:
+                # elementwise over the n columns: a reduction over the last axis is ~10x slower
+                cols = np.moveaxis(np.abs(grid[block][..., None] - lam[block]), -1, 0)
+                bound = cond_v[block]**2 * reduce(np.maximum, cols) / reduce(np.minimum, cols)
+            else:
+                bound = _inverse(grid[block], h[block])[0]
+        yield block, bound
+
+
+def _guard(bounds):
+    """(worst K, whether every K * RCOND_LIMIT <= 1) over (index, K) blocks.
+
+    NaN and inf fail, and a NaN K makes the worst NaN, as np.max does.
+    """
+    worst, passed = -math.inf, True
+    for _, bound in bounds:
+        worst = np.maximum(worst, np.max(bound))
+        passed = passed and bool(np.all(bound * RCOND_LIMIT <= 1.0))
+    return worst, passed
+
+
+def _resolvent(h, grid, f):
+    """(path, solve) of (Delta I - h) v = f over the sweep grid (broadcast_grid).
+
+    solve(index) is v at the points of one block of _row_blocks(grid.shape),
+    the modes on its last axis.  path is "spectral" or "lu" (see the module
+    docstring), decided for the whole sweep: a spectral bound that fails the
+    guard anywhere sends the solve to the LU path, and an LU bound that fails
+    it raises ConditioningError naming the worst K.  The bounds are computed
+    block by block, and only the worst K and whether every point passed are
+    kept; the LU path inverts a block again as it solves it, unless the
+    sweep is one block.
+    """
+    shape, n = grid.shape, h.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if math.prod(shape) > math.prod(h.shape[:-2]):
-            lam, vecs, cond_v = _eig(h)
-            if np.all(cond_v <= EIG_COND_LIMIT):
-                d = np.broadcast_to(d, shape)
-                lam, cond_v = np.broadcast_to(lam, shape + (n,)), np.broadcast_to(cond_v, shape)
-                for block in index:
-                    # elementwise over the n columns: a reduction over the last axis is ~10x slower
-                    cols = np.moveaxis(np.abs(d[block][..., None] - lam[block]), -1, 0)
-                    bound[block] = (cond_v[block]**2 * reduce(np.maximum, cols)
-                                    / reduce(np.minimum, cols))
-                if _accepted(bound):
-                    # numpy 1 and 2 read a 1-D right-hand side against a stack differently;
-                    # f as one column per matrix means the same on both
-                    rhs = np.broadcast_to(f[:, None], vecs.shape[:-1] + (1,))
-                    weights = np.linalg.solve(vecs, rhs)[..., 0]
-                    return bound, "spectral", _spectral_blocks(
-                        index, d, lam, np.broadcast_to(vecs, shape + (n, n)),
-                        np.broadcast_to(weights, shape + (n,)))
+            eig = _eig(h)
+            if np.all(eig[2] <= EIG_COND_LIMIT) and _guard(_bounds(h, grid, eig))[1]:
+                lam, vecs, _ = eig
+                # numpy 1 and 2 read a 1-D right-hand side against a stack differently;
+                # f as one column per matrix means the same on both
+                weights = np.linalg.solve(vecs, np.broadcast_to(f[:, None], lam.shape + (1,)))
+                lam, weights = (np.broadcast_to(a, shape + (n,)) for a in (lam, weights[..., 0]))
+                vecs = np.broadcast_to(vecs, shape + (n, n))
+                return "spectral", lambda block: _spectral_solve(
+                    grid[block], lam[block], vecs[block], weights[block])
+        index = list(_row_blocks(shape))
+        h = np.broadcast_to(h, shape + (n, n))
         if len(index) == 1:  # one block, as every map and optq solve: invert it once
-            mats, inv = _inverse(d, h)
-            return _frobenius(mats) * _frobenius(inv), "lu", iter([(index[0], inv @ f)])
-        d, h = np.broadcast_to(d, shape), np.broadcast_to(h, shape + (n, n))
-        for block in index:  # ||A||_2 <= ||A||_F, so kappa_2 <= kappa_F
-            bound[block] = np.multiply(*map(_frobenius, _inverse(d[block], h[block])))
-    return bound, "lu", ((block, _inverse(d[block], h[block])[1] @ f) for block in index)
+            bound, inv = _inverse(grid[index[0]], h[index[0]])
+            v = inv @ f
+            solve, bounds = (lambda block: v), [(index[0], bound)]
+        else:
+            solve, bounds = (lambda block: _inverse(grid[block], h[block])[1] @ f), _bounds(h, grid)
+        worst, passed = _guard(bounds)
+    if not passed:
+        cause = ("the bound overflows: the matrix or its inverse is too large for a double"
+                 if np.isinf(worst) else "every mode needs a positive width or a detuned pump")
+        raise ConditioningError(
+            f"steady-state matrix is singular or near-singular (lu path, condition "
+            f"bound {worst:.3g} > {1.0 / RCOND_LIMIT:.0e}); {cause}")
+    return "lu", solve
 
 
-def _spectral_blocks(index, d, lam, vecs, weights):
-    """(index, v) per block: v = V ((V^-1 f) / (Delta - lambda)), weights = V^-1 f."""
-    for block in index:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # einsum, not @: a tall (points, n) @ (n, n) product goes to threaded gemm
-            v = np.einsum("...ij,...j->...i", vecs[block],
-                          weights[block] / (d[block][..., None] - lam[block]))
-        yield block, v
+def _spectral_solve(d, lam, vecs, weights):
+    """v = V ((V^-1 f) / (Delta - lambda)) at the points of one block, weights = V^-1 f."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gap = d[..., None] - lam
+        # einsum, not @: a tall (points, n) @ (n, n) product goes to threaded gemm
+        return np.einsum("...ij,...j->...i", vecs, np.divide(weights, gap, out=gap))
 
 
 def steady_state_blocks(hamiltonian, detunings, drive_mode):
     """Steady state under a unit drive on one mode, one block of the pump-detuning sweep at a time.
 
-    For a Hamiltonian stack the detunings broadcast against its leading
-    shape.  The path and the guard are decided for the whole sweep before
-    this returns, so an ill-conditioned sweep raises here; the iterator
-    then yields (index, amplitudes (..., n_modes), the Hamiltonian's port
-    powers {port -> array}) for consecutive blocks of at most
-    SWEEP_BLOCK_POINTS points in row (C) order, index selecting them from
-    the broadcast shape.  The blocks depend on that shape alone, so sweeps of
-    one shape advance together whichever path each takes.
+    detunings is an array or a Linspace; for a Hamiltonian stack they
+    broadcast against its leading shape.  Returns (index, solve): index lists
+    consecutive blocks of at most SWEEP_BLOCK_POINTS points of the broadcast
+    shape in row (C) order, and solve(block) gives (amplitudes (...,
+    n_modes), the Hamiltonian's port powers {port -> array}) at a block's
+    points.  The path and the guard are decided for the whole sweep before
+    this returns, so an ill-conditioned sweep raises here.  The blocks depend
+    on the broadcast shape alone, so sweeps of one shape advance together
+    whichever path each takes.
     """
-    d = np.asarray(detunings, dtype=float)
-    if d.size == 0:
+    if math.prod(np.shape(detunings)) == 0:
         raise DomainError("empty detuning sweep")
-    bound, path, blocks = _resolvent_blocks(
-        hamiltonian.matrix, d, _drive_vector(hamiltonian, drive_mode))
-    if not _accepted(bound):
-        worst = np.max(bound)
-        cause = ("the bound overflows: the matrix or its inverse is too large for a double"
-                 if np.isinf(worst) else "every mode needs a positive width or a detuned pump")
-        raise ConditioningError(
-            f"steady-state matrix is singular or near-singular ({path} path, condition "
-            f"bound {worst:.3g} > {1.0 / RCOND_LIMIT:.0e}); {cause}")
-    return _with_powers(hamiltonian, bound.shape, blocks)
+    grid = broadcast_grid(detunings, hamiltonian.matrix.shape[:-2])
+    amplitudes = _resolvent(hamiltonian.matrix, grid, _drive_vector(hamiltonian, drive_mode))[1]
+    index = list(_row_blocks(grid.shape))
 
-
-def _with_powers(hamiltonian, shape, blocks):
-    """(index, v, port powers) per block; a block short of the sweep takes the rates at
-    its points."""
-    for index, v in blocks:
-        at = hamiltonian if v.shape[:-1] == shape else replace(hamiltonian, rates={
-            k: np.broadcast_to(r, shape)[index] for k, r in hamiltonian.rates.items()})
-        yield index, v, at.powers(v)
+    def solve(block):  # a block short of the sweep takes the rates at its points
+        v = amplitudes(block)
+        at = hamiltonian if len(index) == 1 else replace(hamiltonian, rates={
+            k: np.broadcast_to(r, grid.shape)[block] for k, r in hamiltonian.rates.items()})
+        return v, at.powers(v)
+    return index, solve
 
 
 def steady_state_sweep(hamiltonian, detunings, drive_mode):
@@ -209,15 +269,16 @@ def steady_state_sweep(hamiltonian, detunings, drive_mode):
     {port -> array}) over the broadcast shape: the blocks of
     steady_state_blocks put together.  The (D, Q) enhancements use it; tables do not.
     """
-    blocks = list(steady_state_blocks(hamiltonian, detunings, drive_mode))
-    if len(blocks) == 1:
-        return blocks[0][1:]
-    shape = np.broadcast_shapes(np.shape(np.atleast_1d(detunings)), hamiltonian.matrix.shape[:-2])
+    index, solve = steady_state_blocks(hamiltonian, detunings, drive_mode)
+    if len(index) == 1:
+        return solve(index[0])
+    shape = broadcast_grid(detunings, hamiltonian.matrix.shape[:-2]).shape
     amps, powers = np.empty(shape + (len(hamiltonian.labels),), complex), {}
-    for index, v, block_powers in blocks:
-        amps[index] = v
+    for block in index:
+        v, block_powers = solve(block)
+        amps[block] = v
         for port, power in block_powers.items():
-            powers.setdefault(port, np.empty(shape))[index] = power
+            powers.setdefault(port, np.empty(shape))[block] = power
     return amps, powers
 
 

@@ -119,36 +119,48 @@ def _port(name):
 def _sweep_table(name, grid, drive, columns, metadata):
     """Table `name` of a pump-detuning sweep, its rows solved one block at a time as they are read.
 
-    columns maps each column name, in table order, to (hamiltonian,
-    fn(amplitudes, port powers)), or to values broadcast into the column
-    (the grid itself, say).  Each distinct Hamiltonian is one sweep of the
-    grid under a unit drive on mode `drive`, created here, so every guard
-    runs before any row is read.  The rows span the broadcast shape of the
-    grid and the stacks' leading shapes, in C order; the sweeps of that one
-    shape advance together, one block of steady_state_blocks per step.
+    grid is an array or a dynamics.Linspace.  columns maps each column name,
+    in table order, to (hamiltonian, fn(amplitudes, port powers)), or to
+    values broadcast into the column (the grid itself, say).  Each distinct
+    Hamiltonian is one sweep of the grid under a unit drive on mode `drive`,
+    created here, so every guard runs before any row is read.  The rows span
+    the broadcast shape of the grid and the stacks' leading shapes, in C
+    order; the sweeps of that one shape advance together, one block of
+    steady_state_blocks per step, and a block's amplitudes and port powers
+    are dropped before its rows are handed on.
     """
-    hams = dict.fromkeys(spec[0] for spec in columns.values() if isinstance(spec, tuple))
+    hams = {}
+    for c, spec in columns.items():
+        if isinstance(spec, tuple):
+            hams.setdefault(spec[0], []).append((c, spec[1]))
     shape = np.broadcast_shapes(np.shape(grid), *(h.matrix.shape[:-2] for h in hams))
-    grid = np.broadcast_to(grid, shape)
-    given = {c: np.broadcast_to(spec, shape) for c, spec in columns.items()
+    given = {c: dyn.broadcast_grid(spec, shape) for c, spec in columns.items()
              if not isinstance(spec, tuple)}
+    grid = dyn.broadcast_grid(grid, shape)
     dtype = np.dtype([(c, float) for c in columns])
     # the first read takes these sweeps; a later one (ResultTable.rows) solves again
     unread = [[dyn.steady_state_blocks(h, grid, drive) for h in hams]]
 
+    def rows(index, sweeps):
+        block = None
+        for (_, solve), fns in zip(sweeps, hams.values()):
+            amps, powers = solve(index)
+            # the rows follow the first solve, so its temporaries are freed below them and
+            # serve the next block: freed at the heap's top, malloc returned them to the
+            # system and every block faulted them in again
+            if block is None:
+                block = np.empty(amps.shape[:-1], dtype)
+            for c, fn in fns:
+                block[c] = fn(amps, powers)
+            del amps, powers  # before the next sweep's block is solved
+        for c, values in given.items():
+            block[c] = values[index]
+        return block.reshape(-1)
+
     def blocks():
         sweeps = unread.pop() if unread else [dyn.steady_state_blocks(h, grid, drive) for h in hams]
-        for solved in zip(*sweeps):
-            index = solved[0][0]
-            rows = np.empty(grid[index].shape, dtype)
-            at = dict(zip(hams, solved))
-            for c, spec in columns.items():
-                if c in given:
-                    rows[c] = given[c][index]
-                else:
-                    _, amps, powers = at[spec[0]]
-                    rows[c] = spec[1](amps, powers)
-            yield rows.reshape(-1)
+        for index in sweeps[0][0]:
+            yield rows(index, sweeps)
 
     return ResultTable(name, dtype, math.prod(shape), blocks, metadata)
 
@@ -161,7 +173,7 @@ def run_fig1c(scenario, points=2001):
     nanoparticle, with the emitter decoupled.  The absorbed power is the
     Ohmic loss of the dipolar mode.
     """
-    detunings = np.linspace(-2e-3, 2e-3, points)
+    detunings = dyn.Linspace(-2e-3, 2e-3, points)
     h, h_bare = scenario.hamiltonian(), scenario.hamiltonian(bare=True)
     return _sweep_table("fig1c", detunings, scenario["drive_mode"], {
         "detuning_ev": detunings, "phi_rad_cavity": (h, _radiated),
@@ -398,9 +410,11 @@ def with_cavity(scenario, delta_ce_ev, q_factor=None):
     p = scenario.params
     q = p["q_factor"] if q_factor is None else q_factor
     omega_c = p["omega_e_ev"] + delta_ce_ev
+    with np.errstate(over="ignore"):  # build_three_mode names a gamma_c beyond range
+        gamma_c = omega_c / q
     return replace(scenario, params={
         **p, "q_factor": q, "delta_ce_ev": delta_ce_ev, "omega_c_ev": omega_c,
-        "gamma_c_ev": omega_c / q})
+        "gamma_c_ev": gamma_c})
 
 
 def calibrate_fig3_couplings(scenario, targets):
@@ -542,7 +556,7 @@ def run_fig3(scenario, spectrum_points=2001):
         "fig3_traces", ("time_fs", *(f"pop_{label}" for label in traces)),
         (times_fs, *traces.values()), meta)
 
-    detunings = np.linspace(-8e-3, 8e-3, spectrum_points)
+    detunings = dyn.Linspace(-8e-3, 8e-3, spectrum_points)
     return table_traces, _sweep_table("fig3_spectrum", detunings, "emitter", {
         "detuning_ev": detunings, "phi_rad_cavity": (scenario.hamiltonian(), _radiated),
         "phi_rad_bare": (hams["no_cavity"], _radiated)}, meta)
@@ -583,7 +597,7 @@ def run_fig4(scenario, sweep_values, spectrum_points):
     at_q = replace(with_cavity(scenario, 0.0, SPECTRA_Q),
                    name=f"{scenario.name}_q{SPECTRA_Q:g}")
     h = with_cavity(at_q, -sweep[:, None]).hamiltonian()
-    detunings = np.linspace(-8e-3, 8e-3, spectrum_points)
+    detunings = dyn.Linspace(-8e-3, 8e-3, spectrum_points)
     return table_branches, _sweep_table("fig4_spectra", detunings, "emitter", {
         "delta_ec_ev": sweep[:, None], "detuning_ev": detunings, "phi_rad_total": (h, _radiated)},
         scenario_metadata(at_q))

@@ -650,6 +650,8 @@ NUMERIC_PROBES = {
     "evolve_default_span_overflow": (["evolve", "--grid", "13"], [
         ("gamma_m_uev = 83", "gamma_m_uev = -0"),
         ("gamma_s_uev = 3", "gamma_s_uev = 2.2250738585072014e-308")], "fig1c"),
+    # a map Q axis from the smallest double: its cavity width omega_c / Q overflows
+    "map_q_min_width_overflow": (["map"], MAP_SWEEP + "q_min = 5e-324\n"),
     # couplings whose product J g1 in Delta_0 = -J g1 / G overflows
     "fano_detuning_overflow": (["spectrum", "--grid", "8"], [
         ("g1_mev = -2.9", "g1_mev = -1.7976931348623157e308"),
@@ -662,6 +664,7 @@ NUMERIC_MESSAGES = {
     "eigen_cooperativity_overflow": "2 g_eff = 1e+297 eV overflows the cooperativity",
     "evolve_growing_branch": "time evolution overflows: max Im lambda = 3.96e+13 eV",
     "fano_detuning_overflow": "delta_0 must be finite, got inf",
+    "map_q_min_width_overflow": "gamma_c must be finite, got array(",
     "calibrated_two_g_max": "target 2 g_eff = 1.8e+305 eV is beyond what a double can square",
     "evolve_default_span_overflow": "no branch decays within floating-point range",
 }
@@ -689,6 +692,7 @@ def test_cli_rejects_bad_input_at_boundary(probe, tmp_path, capsys):
     assert code == (2 if numeric else 1)
     err = capsys.readouterr().err
     assert err.startswith("ERROR[numeric]:" if numeric else "ERROR[config]:")
+    assert err.count("ERROR[") == 1
     assert NUMERIC_MESSAGES.get(probe, "") in err
     assert not out.exists()
 

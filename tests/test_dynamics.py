@@ -12,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 from plasmonsim import dynamics as dyn
 from plasmonsim import experiments as exp
 from plasmonsim import network as net
-from plasmonsim.config import parse_config
+from plasmonsim.config import MAX_POINTS, parse_config
 from plasmonsim.errors import (
     ConditioningError,
     DomainError,
@@ -31,13 +31,39 @@ def pumped_mnp(g1, gamma_c=2.3094010767585034e-5):
         gamma_1r=2.45e-3, gamma_o=0.2, gamma_c=gamma_c, gamma_s=3e-6, gamma_m=83e-6)
 
 
-def resolvent_solve(h, detunings, f):
-    """(v, K, path) of dyn._resolvent_blocks, its blocks put together into one array."""
-    bound, path, blocks = dyn._resolvent_blocks(h, detunings, f)
-    v = np.empty(bound.shape + f.shape, dtype=complex)
+def accepted(bound):
+    """The guard's test at every point: K * RCOND_LIMIT <= 1, so NaN and inf fail."""
+    return bool(np.all(bound * dyn.RCOND_LIMIT <= 1.0))
+
+
+def put_together(blocks, shape, dtype=float):
+    """One array of `shape` from its (index, block) pairs."""
+    whole = np.empty(shape, dtype)
     for index, block in blocks:
-        v[index] = block
-    return v, bound, path
+        whole[index] = block
+    return whole
+
+
+def grid_values(grid):
+    """Every detuning of a broadcast grid (an array or a dyn.Linspace), put together from its
+    blocks."""
+    return put_together(((index, grid[index]) for index in dyn._row_blocks(grid.shape)),
+                        grid.shape)
+
+
+def sweep_bound(h, grid, path):
+    """K at every point of a sweep: the per-block bounds of dyn._bounds on `path`, put together."""
+    return put_together(dyn._bounds(h, grid, dyn._eig(h) if path == "spectral" else None),
+                        grid.shape)
+
+
+def resolvent_solve(h, detunings, f):
+    """(v, K, path) of dyn._resolvent: its blocks and their bounds, each put together."""
+    grid = dyn.broadcast_grid(detunings, h.shape[:-2])
+    path, solve = dyn._resolvent(h, grid, f)
+    v = put_together(((index, solve(index)) for index in dyn._row_blocks(grid.shape)),
+                     grid.shape + f.shape, complex)
+    return v, sweep_bound(h, grid, path), path
 
 
 def solve_at(hamiltonian, detuning, drive_mode):
@@ -130,15 +156,12 @@ def test_detuning_on_an_eigenvalue_fails_the_spectral_guard(stacked, monkeypatch
         h = np.stack([two_mode_network(2 * g, 0.0, 0.1).matrix, h])[:, None]
     detunings = np.linspace(-2 * g, 2 * g, 5)
     seen = []
-    accepted = dyn._accepted
-    monkeypatch.setattr(dyn, "_accepted", lambda bound: seen.append(bound) or accepted(bound))
-    try:
-        _, bound, path = resolvent_solve(h, detunings, np.array([1.0, 0.0], complex))
-    except ConditioningError:
-        pass
-    else:
-        assert path == "lu" and not accepted(bound)
-    spectral, oracle = seen[0], _reduced_spectral_bound(h, detunings)
+    guard = dyn._guard
+    monkeypatch.setattr(dyn, "_guard", lambda bounds: guard(seen.append(list(bounds)) or seen[-1]))
+    with pytest.raises(ConditioningError):
+        resolvent_solve(h, detunings, np.array([1.0, 0.0], complex))
+    spectral = put_together(seen[0], np.broadcast_shapes(detunings.shape, h.shape[:-2]))
+    oracle = _reduced_spectral_bound(h, detunings)
     assert not np.isfinite(oracle).all() and not accepted(spectral)
     assert np.array_equal(spectral, oracle, equal_nan=True)
 
@@ -183,8 +206,9 @@ def _assert_sweep_is_the_whole_grid_solve(h, detunings, drive_mode, blocks):
     """The sweep takes the spectral path in `blocks` blocks; amplitudes and powers are the
     oracle's, bit for bit.  Returns the oracle's amplitudes and powers."""
     f = dyn._drive_vector(h, drive_mode)
-    bound, path, index = dyn._resolvent_blocks(h.matrix, detunings, f)
-    assert path == "spectral" and len(list(index)) == blocks
+    grid = dyn.broadcast_grid(detunings, h.matrix.shape[:-2])
+    assert dyn._resolvent(h.matrix, grid, f)[0] == "spectral"
+    assert len(dyn.steady_state_blocks(h, detunings, drive_mode)[0]) == blocks
     oracle = _whole_grid_spectral(h.matrix, detunings, f)
     amps, powers = dyn.steady_state_sweep(h, detunings, drive_mode)
     assert amps.tobytes() == oracle.tobytes()
@@ -286,11 +310,14 @@ def test_a_guard_failure_in_the_last_block_sends_the_whole_sweep_to_lu():
     detunings = np.linspace(-0.01, 0.0, 3 * BLOCK + 2)
     spectral = _reduced_spectral_bound(h.matrix, detunings)
     assert list(np.flatnonzero(~(spectral * dyn.RCOND_LIMIT <= 1.0))) == [detunings.size - 1]
+    grid = dyn.broadcast_grid(detunings)
+    assert sweep_bound(h.matrix, grid, "spectral").tobytes() == spectral.tobytes()
     f = dyn._drive_vector(h, "plasmon")
-    bound, path, blocks = dyn._resolvent_blocks(h.matrix, detunings, f)
-    index, v = zip(*blocks)
-    assert path == "lu" and index == tuple(dyn._row_blocks(detunings.shape)) and len(v) == 4
-    assert dyn._accepted(bound)
+    path, solve = dyn._resolvent(h.matrix, grid, f)
+    index = dyn.steady_state_blocks(h, detunings, "plasmon")[0]
+    v = [solve(block) for block in index]
+    assert path == "lu" and index == list(dyn._row_blocks(detunings.shape)) and len(v) == 4
+    assert accepted(sweep_bound(h.matrix, grid, "lu"))
     unblocked = np.linalg.inv(detunings[:, None, None] * np.eye(3) - h.matrix) @ f
     assert np.concatenate(v).tobytes() == unblocked.tobytes()
     amps, _ = dyn.steady_state_sweep(h, detunings, "plasmon")
@@ -315,8 +342,10 @@ def test_lu_sweep_blocks_equal_the_whole_grid_lu_solve(points):
     f = dyn._drive_vector(h, "plasmon")
     mats = detunings[:, None, None] * np.eye(3) - h.matrix
     inv = np.linalg.inv(mats)
-    bound, path, blocks = dyn._resolvent_blocks(h.matrix, detunings, f)
-    assert path == "lu" and len(list(blocks)) == -(-points // BLOCK)
+    grid = dyn.broadcast_grid(detunings)
+    assert dyn._resolvent(h.matrix, grid, f)[0] == "lu"
+    assert len(dyn.steady_state_blocks(h, detunings, "plasmon")[0]) == -(-points // BLOCK)
+    bound = sweep_bound(h.matrix, grid, "lu")
     assert bound.tobytes() == (dyn._frobenius(mats) * dyn._frobenius(inv)).tobytes()
     amps, powers = dyn.steady_state_sweep(h, detunings, "plasmon")
     assert amps.tobytes() == (inv @ f).tobytes()
@@ -325,19 +354,22 @@ def test_lu_sweep_blocks_equal_the_whole_grid_lu_solve(points):
 
 
 def test_lu_sweep_memory_stays_near_its_bound():
-    # 200,001 points through the emitter line: the bound K (1.6 MB) and one block's
-    # matrices, inverses and amplitudes; the whole-grid LU path peaked at 70.5 MB
+    # 200,001 points through the emitter line: one block's matrices, inverses and bounds, then
+    # its amplitudes, at 2.7 MB; with a bound K that spanned the sweep (1.6 MB) it peaked at
+    # 4.3 MB, and the whole-grid LU path at 70.5 MB
     h = _near_exceptional_point()
     detunings = np.linspace(-0.01, 0.01, 200_001)
     tracemalloc.start()
     try:
-        for _ in dyn.steady_state_blocks(h, detunings, "plasmon"):
-            pass
+        index, solve = dyn.steady_state_blocks(h, detunings, "plasmon")
+        for block in index:
+            solve(block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dyn._resolvent_blocks(h.matrix, detunings, dyn._drive_vector(h, "plasmon"))[1] == "lu"
-    assert peak < 5e6
+    grid = dyn.broadcast_grid(detunings)
+    assert dyn._resolvent(h.matrix, grid, dyn._drive_vector(h, "plasmon"))[0] == "lu"
+    assert peak < 3.1e6  # 0.4 MB above the measured peak
 
 
 def test_a_failing_sweep_reports_its_worst_bound():
@@ -347,19 +379,72 @@ def test_a_failing_sweep_reports_its_worst_bound():
     h = two_mode_network(g, 0.0, 0.0)
     detunings = np.append(np.linspace(-0.05, -0.02, 3 * BLOCK + 1), g * (1.0 + 1e-14))
     detunings[5] = -g * (1.0 + 1e-13)
-    bound, path, _ = dyn._resolvent_blocks(h.matrix, detunings, np.array([1.0, 0.0], complex))
+    grid = dyn.broadcast_grid(detunings)
+    bound = sweep_bound(h.matrix, grid, "lu")
     worst = np.max(bound)
-    assert path == "lu" and np.argmax(bound) == detunings.size - 1
+    assert np.argmax(bound) == detunings.size - 1
     assert bound[5] * dyn.RCOND_LIMIT > 1.0 and f"{bound[5]:.3g}" != f"{worst:.3g}"
+    assert dyn._guard(dyn._bounds(h.matrix, grid)) == (worst, False)
     with pytest.raises(ConditioningError) as raised:
         dyn.steady_state_blocks(h, detunings, "plasmon")
     assert f"(lu path, condition bound {worst:.3g} > 1e+13)" in str(raised.value)
 
 
+def test_the_guard_keeps_the_worst_bound_of_its_blocks():
+    # the worst K over the blocks is np.max's over the whole sweep: a NaN anywhere makes it NaN
+    blocks = [np.array([1.0, 3e13]), np.array([np.nan, 2.0]), np.array([np.inf])]
+    for order in ([0, 1, 2], [2, 1, 0], [0, 2]):
+        picked = [(k, blocks[k]) for k in order]
+        whole = np.max(np.concatenate([blocks[k] for k in order]))
+        worst, passed = dyn._guard(picked)
+        assert not passed and np.array_equal(worst, whole, equal_nan=True)
+    assert dyn._guard([(0, blocks[0][:1]), (1, np.array([1e13]))]) == (1e13, True)
+
+
+#: (start, stop, num) of np.linspace grids that a Linspace must reproduce bit for bit: one
+#: and two points, lengths about one and three blocks, MAX_POINTS, and a constant grid
+LINSPACE_CASES = [(-8e-3, 8e-3, n) for n in (1, 2, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 2)] + [
+    (0.1 - 8e-3, 0.1 + 8e-3, MAX_POINTS), (0.25, 0.25, BLOCK + 1)]
+
+
+@pytest.mark.parametrize("start, stop, num", LINSPACE_CASES)
+def test_linspace_blocks_put_together_are_np_linspace(start, stop, num):
+    grid = dyn.broadcast_grid(dyn.Linspace(start, stop, num))
+    assert grid.shape == (num,)
+    assert grid_values(grid).tobytes() == np.linspace(start, stop, num).tobytes()
+
+
+def test_linspace_takes_np_linspace_branch_for_a_step_that_underflows():
+    # 1e-322 over 100 steps: the step is 0, so np.linspace scales k / 100 by the width
+    start, stop, num = 0.0, 1e-322, 101
+    expected = np.linspace(start, stop, num)
+    assert (stop - start) / (num - 1) == 0.0 and len(set(expected[1:-1])) > 1
+    assert grid_values(dyn.broadcast_grid(dyn.Linspace(start, stop, num))).tobytes() == (
+        expected.tobytes())
+
+
+@pytest.mark.parametrize("points", [exp.FIG4_SPECTRUM_POINTS, 20_000])
+def test_linspace_blocks_across_the_fig4_stack(points):
+    # fig4's (sweep, pump) map: 801 points a row fill whole-row blocks, 20,000 parts of a row
+    sweep = 2e-3 * np.arange(-5, 6)
+    grid = dyn.broadcast_grid(dyn.Linspace(-8e-3, 8e-3, points), sweep[:, None].shape)
+    index = list(dyn._row_blocks(grid.shape))
+    assert grid.shape == (sweep.size, points)
+    assert all(isinstance(block[0], slice) == (points < BLOCK) for block in index)
+    expected = np.broadcast_to(np.linspace(-8e-3, 8e-3, points), grid.shape)
+    assert grid_values(grid).tobytes() == expected.tobytes()
+    # a stack of two leading axes, and one point against a longer stack axis
+    deep = dyn.broadcast_grid(dyn.Linspace(-8e-3, 8e-3, points), (2, 3, 1))
+    assert grid_values(deep).tobytes() == np.broadcast_to(expected[0], deep.shape).tobytes()
+    one = dyn.broadcast_grid(dyn.Linspace(-8e-3, 8e-3, 1), (3,))
+    assert grid_values(one).tobytes() == np.full(3, -8e-3).tobytes()
+
+
 def test_spectrum_table_memory_stays_near_the_table(tmp_path):
-    # building and writing the 200,000-row table (11.2 MB) holds the bound K of the sweep
-    # (1.6 MB), one block's solve and rows and one chunk's text; filling the whole table
-    # before writing it peaked at 13.0 MB, solving the whole grid at once at 35 MB
+    # building and writing the 200,000-row table (11.2 MB) holds one block's solve and rows
+    # and one chunk's text, at 1.87 MB beside the grid array made outside; with a bound K
+    # that spanned the sweep it peaked at 3.5 MB, filling the whole table before writing it
+    # at 13.0 MB, solving the whole grid at once at 35 MB
     scenario = parse_config("fig2").scenario
     grid = scenario["delta_0_ev"] + np.linspace(-8e-3, 8e-3, 200_000)
     exp.spectrum_table(scenario, grid[:10]).write(tmp_path / "warm.csv")
@@ -369,13 +454,34 @@ def test_spectrum_table_memory_stays_near_the_table(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5e6
+    assert peak < 2.3e6  # 0.4 MB above the measured peak
+
+
+def test_spectrum_table_memory_does_not_grow_with_the_grid(tmp_path):
+    # the grid is a Linspace made in the traced region, and nothing spans the sweep: 1.87 and
+    # 1.89 MB at 100,000 and 1,000,000 rows, where a grid array, the bound K and the guard's
+    # temporaries that spanned it peaked at 3.5 and 25.1 MB
+    scenario = parse_config("fig2").scenario
+    delta_0 = scenario["delta_0_ev"]
+    exp.spectrum_table(scenario, dyn.Linspace(delta_0, delta_0 + 1e-3, 10)).write(
+        tmp_path / "warm.csv")
+    peaks = []
+    for points in (100_000, MAX_POINTS):
+        tracemalloc.start()
+        try:
+            grid = dyn.Linspace(delta_0 - 8e-3, delta_0 + 8e-3, points)
+            exp.spectrum_table(scenario, grid).write(tmp_path / "spectrum.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2.5e6 and abs(peaks[1] - peaks[0]) < 1e5, peaks
 
 
 def test_fig1c_memory_stays_near_the_table(tmp_path):
-    # building and writing the 200,000-row table (8 MB) holds its grid and the bounds K of
-    # its two sweeps (1.6 MB each), one block's solves and rows and one chunk's text (5.5 MB);
-    # filling the whole table first peaked above 8 MB, whole-grid arrays at 49.6 MB
+    # building and writing the 200,000-row table (8 MB) holds one block's rows, one sweep's
+    # solve of that block at a time and one chunk's text (1.55 MB); with a grid array and
+    # two bounds K that spanned the sweep it peaked at 5.5 MB, filling the whole table first
+    # above 8 MB, whole-grid arrays at 49.6 MB
     scenario = parse_config("fig1c").scenario
     exp.run_fig1c(scenario, 10).write(tmp_path / "warm.csv")
     tracemalloc.start()
@@ -384,7 +490,7 @@ def test_fig1c_memory_stays_near_the_table(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7e6
+    assert peak < 2e6  # 0.45 MB above the measured peak
 
 
 def test_power_balance_randomized():
@@ -894,29 +1000,28 @@ def test_figure_solves_match_50_digit_lu_solve(builtin, monkeypatch):
     every point of each solve must have been handed on.
     """
     solves = []
-    resolvent_blocks = dyn._resolvent_blocks
+    resolvent = dyn._resolvent
 
-    def recording(h, detunings, f):
-        bound, path, blocks = resolvent_blocks(h, detunings, f)
-        v = np.empty(bound.shape + f.shape, dtype=complex)
-        seen = np.zeros(bound.shape, dtype=bool)
-        solves.append((h, np.atleast_1d(np.asarray(detunings, dtype=float)), f, v, seen, bound,
-                       path))
+    def recording(h, grid, f):
+        path, solve = resolvent(h, grid, f)
+        v = np.empty(grid.shape + f.shape, dtype=complex)
+        seen = np.zeros(grid.shape, dtype=bool)
+        solves.append((h, grid, f, v, seen, path))
 
-        def recorded():
-            for index, block in blocks:
-                v[index], seen[index] = block, True
-                yield index, block
-        return bound, path, recorded()
+        def recorded(index):
+            block = solve(index)
+            v[index], seen[index] = block, True
+            return block
+        return path, recorded
 
-    monkeypatch.setattr(dyn, "_resolvent_blocks", recording)
+    monkeypatch.setattr(dyn, "_resolvent", recording)
     for table in FIGURE_RUNS[builtin](parse_config(builtin).scenario):
         table.rows  # a sweep's table solves its blocks as they are read
     assert solves
-    for h, detunings, f, v, seen, bound, path in solves:
+    for h, grid, f, v, seen, path in solves:
         assert seen.all()
-        assert path == ("spectral" if bound.size > h[..., 0, 0].size else "lu")
-        _assert_within_condition_bound(h, detunings, f, v, bound)
+        assert path == ("spectral" if math.prod(grid.shape) > h[..., 0, 0].size else "lu")
+        _assert_within_condition_bound(h, grid_values(grid), f, v, sweep_bound(h, grid, path))
 
 
 def test_near_exceptional_point_member_sends_the_whole_stack_to_lu():
@@ -952,9 +1057,9 @@ def test_spectral_bound_over_the_guard_retries_on_lu():
     lam, _, cond_v = dyn._eig(h.matrix)
     dist = np.abs(detunings[:, None] - lam)
     spectral = cond_v**2 * dist.max(axis=-1) / dist.min(axis=-1)
-    assert np.all(cond_v <= dyn.EIG_COND_LIMIT) and not dyn._accepted(spectral)
+    assert np.all(cond_v <= dyn.EIG_COND_LIMIT) and not accepted(spectral)
     v, bound, path = resolvent_solve(h.matrix, detunings, f)
-    assert path == "lu" and v.shape == (2, 201, 3) and dyn._accepted(bound)
+    assert path == "lu" and v.shape == (2, 201, 3) and accepted(bound)
     _assert_within_condition_bound(h.matrix, detunings, f, v, bound)
     amps, _ = dyn.steady_state_sweep(h, detunings, "plasmon")
     np.testing.assert_array_equal(amps, v)
