@@ -7,13 +7,15 @@ OLD_SRC and NEW_SRC are directories holding a `plasmonsim` package (a
 checkout's `src`).  Every command runs twice as a cold `python -m
 plasmonsim` child, once with PYTHONPATH set to each directory, in a fresh
 work directory that holds the command's config files; `--out out` is
-appended, so the printed paths are the same on both sides.  The set of 77
+appended, so the printed paths are the same on both sides.  The set of 78
 commands is:
 
 - the figure commands, with and without `--grid`, `--format json`,
   `--first-principles` and `--sweep`, and with grids of several
   steady-state blocks, of whole rows of a `fig4` map and of rows longer
-  than a block; `eigen`, `map` and `optq` variants;
+  than a block; `eigen`, `map` and `optq` variants, one of them an `optq`
+  at 3,400 distances, whose float, str and bool columns span three CSV
+  chunks;
 - `spectrum`, `yield`, `evolve` and `validate` on every builtin config, and
   one JSON `spectrum`;
 - sweeps of several steady-state blocks: `yield --config fig2 --grid 30000`,
@@ -82,6 +84,9 @@ PLAIN = [
     ("spectrum_fig2_first_principles_grid30000_json",
      ["spectrum", "--config", "fig2_first_principles", "--grid", "30000", "--format", "json"]),
     ("spectrum_fig2_grid1000000", ["spectrum", "--config", "fig2", "--grid", "1000000"]),
+    # float, str and bool columns over three chunks: the writer's path for a mixed table
+    ("optq_d3400", ["optq", *(arg for k in range(3400)
+                              for arg in ("--d-nm", repr(2.0 + 28.0 * k / 3399)))]),
     ("error_no_config", ["spectrum"]),
     ("error_grid_zero", ["fig1c", "--grid", "0"]),
 ]
@@ -226,7 +231,9 @@ def compare(old_src, new_src, selected, work):
             cells += n
             found += lines
             per_column.update({(case_id, name, c): k for c, k in columns.items()})
-        print(f"{case_id} ({' '.join(argv)}): {len(found)} differences", flush=True)
+        shown = " ".join(argv)
+        shown = shown if len(shown) <= 200 else f"{shown[:200]}... ({len(argv)} arguments)"
+        print(f"{case_id} ({shown}): {len(found)} differences", flush=True)
         for line in found:
             print(f"  {line}")
         differences += len(found)

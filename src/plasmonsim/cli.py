@@ -12,6 +12,7 @@ byte-identical across runs.
 """
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -272,7 +273,18 @@ def _merge_sweep_values(argv):
 
 
 def main(argv=None):
-    argv = _merge_sweep_values(list(sys.argv[1:] if argv is None else argv))
+    # what import built lives as long as the process, so a collection that scans it during
+    # the command is wasted work (about 1 ms, whenever one falls inside the command): the
+    # command's collections see only the objects it makes
+    gc.freeze()
+    try:
+        return _run(list(sys.argv[1:] if argv is None else argv))
+    finally:
+        gc.unfreeze()
+
+
+def _run(argv):
+    argv = _merge_sweep_values(argv)
     parser = build_parser(argv)
     try:
         try:

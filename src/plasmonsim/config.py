@@ -21,7 +21,6 @@ commands resolve them like any other config.
 """
 
 import configparser
-import difflib
 import math
 from decimal import Decimal, InvalidOperation
 
@@ -235,6 +234,8 @@ BUILTIN_CONFIGS["fig4"] = (
 
 
 def _suggest(key, candidates):
+    import difflib  # only a misspelt name needs it: a valid config does not load it
+
     close = difflib.get_close_matches(key, candidates, n=1, cutoff=0.5)
     return f"; did you mean {close[0]!r}?" if close else ""
 

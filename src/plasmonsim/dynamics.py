@@ -95,13 +95,15 @@ def _row_blocks(shape):
 
 @dataclass(frozen=True)
 class Linspace:
-    """np.linspace(start, stop, num) broadcast to shape = lead + (num,), made a block at a time:
-    indexed by a block of _row_blocks(shape), it gives that block by np.linspace's own formula."""
+    """offset + np.linspace(start, stop, num) broadcast to shape = lead + (num,), made a block at
+    a time: indexed by a block of _row_blocks(shape), it gives that block by np.linspace's own
+    formula, to which a nonzero offset is added."""
 
     start: float
     stop: float
     num: int
     lead: tuple = ()
+    offset: float = 0.0
 
     @property
     def shape(self):
@@ -120,6 +122,8 @@ class Linspace:
         y += self.start
         if b == self.num > 1:
             y[-1] = self.stop
+        if self.offset:
+            y += self.offset
         lead = [len(range(n)[i]) for n, i in zip(self.lead, rows) if isinstance(i, slice)]
         return np.broadcast_to(y, (*lead, len(y)))
 
@@ -131,7 +135,7 @@ def broadcast_grid(detunings, shape=()):
         full = np.broadcast_shapes(detunings.shape, shape)
         if full[-1] == detunings.num:
             return replace(detunings, lead=full[:-1])
-        detunings, shape = np.linspace(detunings.start, detunings.stop, detunings.num), full
+        detunings, shape = detunings[()], full
     d = np.atleast_1d(np.asarray(detunings, dtype=float))
     return np.broadcast_to(d, np.broadcast_shapes(d.shape, shape))
 
@@ -254,10 +258,11 @@ def steady_state_blocks(hamiltonian, detunings, drive_mode):
     amplitudes = _resolvent(hamiltonian.matrix, grid, _drive_vector(hamiltonian, drive_mode))[1]
     index = list(_row_blocks(grid.shape))
 
-    def solve(block):  # a block short of the sweep takes the rates at its points
-        v = amplitudes(block)
+    def solve(block):  # a block short of the sweep takes the rates at its points; a scalar
+        v = amplitudes(block)  # rate serves every point as it is
         at = hamiltonian if len(index) == 1 else replace(hamiltonian, rates={
-            k: np.broadcast_to(r, grid.shape)[block] for k, r in hamiltonian.rates.items()})
+            k: r if np.ndim(r) == 0 else np.broadcast_to(r, grid.shape)[block]
+            for k, r in hamiltonian.rates.items()})
         return v, at.powers(v)
     return index, solve
 

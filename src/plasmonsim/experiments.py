@@ -188,28 +188,30 @@ def run_fig2(scenario, points=401):
     Delta_0, a 5 ueV step by default; the physical yield maximum sits a few ueV
     below Delta_0 (the Fano zero of the dipolar amplitude rides the shoulder
     of the cavity feature), so finer steps would resolve that offset.  The
-    dipolar-mode absorption is normalized to its maximum; the yields and the
-    radiated-power enhancement at Delta_0 itself are result.* metadata.  The
-    normalization needs every row, so both tables are views of one record array.
+    dipolar-mode absorption is normalized to its maximum, taken in a first
+    pass over the sweep, so both tables are streamed like any other; the
+    yields and the radiated-power enhancement at Delta_0 itself are result.*
+    metadata.
     """
     delta_0 = scenario["delta_0_ev"]
     h, h_bare = scenario.hamiltonian(), scenario.hamiltonian(bare=True)
-    detunings = delta_0 + np.linspace(-1e-3, 1e-3, points)
+    detunings = dyn.Linspace(-1e-3, 1e-3, points, offset=delta_0)
+    index, solve = dyn.steady_state_blocks(h, detunings, "emitter")
+    peak = np.max([np.max(solve(block)[1]["ohmic_plasmon"]) for block in index])
     columns = {"yield_cavity": (h, _yield), "yield_bare": (h_bare, _yield),
                "phi_rad_cavity": (h, _radiated), "phi_rad_bare": (h_bare, _radiated)}
-    rows = _sweep_table("fig2", detunings, "emitter", {
-        "detuning_ev": detunings, **columns, "abs_plasmon_norm": (h, _port("ohmic_plasmon"))},
-        None).rows
-    rows["abs_plasmon_norm"] /= np.max(rows["abs_plasmon_norm"])
     at0 = _sweep_table("fig2", [delta_0], "emitter", columns, None).rows[0]
     meta = {**scenario_metadata(scenario),
             "result.yield_at_delta0": float(at0["yield_cavity"]),
             "result.bare_yield_at_delta0": float(at0["yield_bare"]),
             "result.rad_enhancement_at_delta0": float(at0["phi_rad_cavity"] / at0["phi_rad_bare"])}
-    yields = rows[["detuning_ev", "yield_cavity", "yield_bare", "abs_plasmon_norm"]]
-    powers = rows[["detuning_ev", "phi_rad_cavity", "phi_rad_bare"]]
-    return (ResultTable.from_rows("fig2_yield", yields, meta),
-            ResultTable.from_rows("fig2_power", powers, meta))
+    yields = {c: columns[c] for c in ("yield_cavity", "yield_bare")}
+    yields["abs_plasmon_norm"] = (h, lambda _, powers: powers["ohmic_plasmon"] / peak)
+    powers = {c: columns[c] for c in ("phi_rad_cavity", "phi_rad_bare")}
+    return (_sweep_table("fig2_yield", detunings, "emitter",
+                         {"detuning_ev": detunings, **yields}, meta),
+            _sweep_table("fig2_power", detunings, "emitter",
+                         {"detuning_ev": detunings, **powers}, meta))
 
 
 def spectrum_table(scenario, grid):

@@ -10,20 +10,19 @@ re-parsed metadata block reconstructs the exact resolved scenario.  Output
 is byte-identical across runs: no timestamps, no environment-dependent
 content, sorted metadata keys.
 
-The CSV writer formats a chunk column by column in numpy: each float
-becomes a NUL-padded 16-byte field of two
-little-endian words (decimal exponent from log10, nine digits from one
-rounding, digit groups from a 10**4-entry ASCII table, masks that drop
-trailing zeros and a bare point, "%g"'s choice of fixed or exponent
-notation).  Fields and separators fill one line buffer, and deleting its
-NUL bytes gives the chunk's text.  A cell near a rounding tie, inf, nan
-and subnormals are printed by Python's own "%.9g".  The JSON writer prints
-json.dumps(indent=1) of the table byte for byte, a chunk at a time through
-json's C encoder.
+The CSV writer formats a chunk's float cells in numpy: each becomes a
+NUL-padded 16-byte field of two little-endian words (decimal exponent from
+log10, nine digits from one rounding, digit groups from a 10**4-entry ASCII
+table, masks that drop trailing zeros and a bare point, "%g"'s choice of
+fixed or exponent notation).  Fields and separators fill one line buffer,
+and deleting its NUL bytes gives the chunk's text; an all-float64 chunk's
+fields are written straight into it.  A cell near a rounding tie, inf, nan
+and a cell under 1e-299 are printed by Python's own "%.9g".  The JSON
+writer prints json.dumps(indent=1) of the table byte for byte, a chunk at
+a time through json's C encoder.
 """
 
 import functools
-import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,9 +41,11 @@ CHUNK_CELLS = 8192
 _WORD = np.dtype("<i8")
 #: bytes of a float cell's NUL-padded field: "-1.23456789e-100" is the longest
 FIELD = 16
-_TINY = np.finfo(np.float64).tiny
 #: the lowest decimal exponent of a normal double: the tables' index offset
 _X_MIN = -308
+#: the lowest decimal exponent X whose 10**(8 - X) is a finite double: a cell
+#: below it (under 1e-299, subnormals included) is printed by Python
+_X_SCALED = -299
 #: a scaled value this close to a .5 tie may round the other way in float
 #: arithmetic (its error is below 1e-6), so its cell is printed by Python
 _TIE_MARGIN = 1e-5
@@ -70,96 +71,117 @@ def _tables():
               | digit[places[3]] << 24).ravel()
     sig = functools.reduce(np.maximum, [(p > 0) * (i + 1) for i, p in enumerate(places)]).ravel()
 
-    # per decimal exponent X of a normal double: 10**(8 - X) in two halves,
-    # the exponent suffix "e+XX" and 9 times the layout (X clipped to -5..9)
+    # per decimal exponent X of a normal double: 10**(8 - X) from _X_SCALED
+    # up (nan below, so the cell is printed by Python), the exponent suffix
+    # "e+XX" and 9 times the layout (X clipped to -5..9)
     x = np.arange(_X_MIN, 309)
-    pow10 = np.array([10.0**k for k in range(-150, 159)])
+    scale = np.full(x.size, np.nan)
+    scale[_X_SCALED - _X_MIN:] = [10.0 ** (8 - k) for k in range(_X_SCALED, 309)]
     e = np.abs(x)
     tail = (0x65 | np.where(x < 0, 0x2D, 0x2B) << 8
             | ascii4[e] >> np.where(e < 100, 16, 8) << 16) << 24
     tail[(x >= -4) & (x < 9)] = 0
     t = SimpleNamespace(ascii4=ascii4, sig_hi=sig.astype(np.int8), tail=tail,
                         sig_lo=np.where(sig > 0, sig + 4, 0).astype(np.int8),
-                        scale=np.stack([pow10[(8 - x) // 2 + 150], pow10[(9 - x) // 2 + 150]]),
-                        layout=9 * (np.clip(x, -5, 9) + 5))
+                        scale=scale, layout=9 * (np.minimum(np.maximum(x, -5), 9) + 5))
 
-    # per layout and f, three pairs: which of d1..d8 stand before the point
-    # and which after it; the shifts that place d0 and the digits before the
-    # point; the "0." prefix and the point, unless X < 0 or no digit follows it
-    low = [(1 << 8 * n) - 1 for n in range(9)]  # the low n bytes set
-    rows = []
-    for x in range(-5, 10):
-        lead = -4 <= x < 0
-        xp = x if 0 <= x < 9 else 0  # digits after d0 before the point
-        head = int.from_bytes(b"\0" + b"0." + b"0" * (-x - 1), "little") if lead else 0
-        for f in range(9):
-            before = low[f if lead else xp]
-            point = 0x2E << 8 * (2 + xp) if f > xp and not lead else 0
-            rows.append((before, low[f] & ~before, 48 if lead else 8, 8 if lead else 48,
-                         head | point & low[8], point >> 64))
-    t.by_lf = np.array(rows, np.uint64).view(_WORD).reshape(-1, 3, 2).transpose(1, 2, 0).copy()
+    # per layout (X clipped to -5..9) and f, three pairs: which of d1..d8 stand before the
+    # point and which after it; the shifts that place d0 and the digits before the point; the
+    # "0" of d0's ASCII, the "0." prefix and the point, unless X < 0 or no digit follows it
+    x, f = np.arange(-5, 10)[:, None], np.arange(9)
+    low = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64).view(_WORD)  # low n bytes
+    lead = (x >= -4) & (x < 0)
+    xp = np.where((x >= 0) & (x < 9), x, 0)  # digits after d0 before the point
+    before = low[np.where(lead, f, xp)]
+    zeros = 0x3030303030303030 & low[np.where(lead, 2 - x, 3)] & ~low[3]  # bytes 3..1-X
+    head = np.where(lead, 0x2E3000 | zeros, 0)
+    point = np.where((f > xp) & ~lead, 0x2E << 8 * ((2 + xp) % 8), 0)
+    far = 2 + xp >= 8  # the point falls in word 1
+    s0 = np.where(lead, 48, 8) + 0 * f  # the shift that places d0
+    t.by_lf = np.stack([before, low[f] & ~before, s0, 56 - s0, 0x30 << s0 | head
+                        | np.where(far, 0, point), np.where(far, point, 0)], -1)
+    t.by_lf = t.by_lf.reshape(-1, 3, 2).transpose(1, 0, 2).copy()
     return t
 
 
-def _float_fields(x):
-    """(2, len(x)) words: each float64 of x as "%.9g" prints it, a NUL-padded field.
+def _float_fields(x, out=None):
+    """(2, len(x)) words, in out if given: each float64 of contiguous x as "%.9g" prints it, a
+    NUL-padded field.
 
     Word 0 holds bytes 0..7 of a cell's field and word 1 bytes 8..15.  A
     normal value a of decimal exponent X prints the nine digits of
     m = round(a * 10**(8 - X)), laid out by lookup tables (_tables).
     A cell whose scaled value lies within _TIE_MARGIN of a .5 tie, inf, nan
-    and a subnormal are printed by Python's own "%.9g" instead.  To keep the
-    working set small, steps work in place and one buffer holds each pair.
+    and a cell of exponent below _X_SCALED are printed by Python's own "%.9g"
+    instead: inf and nan stay inf and nan through the scaling, and take any
+    table entry until then.
+    To keep the working set small, steps work in place and one buffer holds
+    each pair.
     """
     t = _tables()
     scaled = np.abs(x)
-    normal = np.isfinite(scaled) & (scaled >= _TINY)
-    np.copyto(scaled, 1.0, where=~normal)
-    j = np.floor(np.log10(scaled)).astype(np.intp) - _X_MIN
-    pair = np.take(t.scale, j, axis=1)
-    scaled *= pair[0]
-    scaled *= pair[1]
-    m = np.rint(scaled)
-    python = np.abs(scaled - m) > 0.5 - _TIE_MARGIN
-    # rounding can carry to 10**9, and floor(log10) can fall one short just
-    # above a power of ten; just below one, where it can overshoot, m rounds
-    # to 10**8 at the same exponent that the exact digits carry to
-    high = m >= 1e9
-    if high.any():
-        j += high
-        scaled[high] /= 10.0
+    zero = scaled == 0
+    scaled[zero] = 1.0  # a zero's stand-in, which prints as "0" once d0 is cleared
+    with np.errstate(invalid="ignore"):  # inf and nan cast to any index
+        j = np.log10(scaled)
+        j -= _X_MIN  # >= 0 for a normal value, so the cast floors it
+        j = j.astype(np.intp)
+        scaled *= np.take(t.scale, j, mode="clip")
         m = np.rint(scaled)
-        python |= np.abs(scaled - m) > 0.5 - _TIE_MARGIN
-    rest = m.astype(np.intp)
+        # a near-tie, inf, nan, or nan from the scale of a cell under 1e-299
+        python = ~(np.abs(scaled - m) <= 0.5 - _TIE_MARGIN)
+        # rounding can carry to 10**9, and the exponent can fall one short just
+        # above a power of ten; just below one, where it can overshoot, m rounds
+        # to 10**8 at the same exponent that the exact digits carry to
+        high = m >= 1e9
+        if high.any():
+            j += high
+            scaled[high] /= 10.0
+            m = np.rint(scaled)
+            python |= np.abs(scaled - m) > 0.5 - _TIE_MARGIN
+        rest = m.astype(np.intp)
     del scaled, m
 
     lo, hi = words = np.empty((2, len(x)), _WORD)
     np.floor_divide(rest, 100_000_000, out=lo)  # d0
     rest -= lo * 100_000_000
-    lo[x == 0] = 0  # a zero's stand-in 1.0 prints as "0"
+    lo[zero] = 0
     g1 = rest // 10_000
     rest -= g1 * 10_000  # now g2
-    frac = np.take(t.ascii4, rest) << 32 | np.take(t.ascii4, g1)  # d1..d8
-    lf = np.take(t.layout, j)
-    lf += np.maximum(np.take(t.sig_hi, g1), np.take(t.sig_lo, rest))
+    frac = np.take(t.ascii4, rest, mode="clip")
+    frac <<= 32
+    frac |= np.take(t.ascii4, g1, mode="clip")  # d1..d8
+    lf = np.take(t.layout, j, mode="clip")
+    lf += np.maximum(np.take(t.sig_hi, g1, mode="clip"), np.take(t.sig_lo, rest, mode="clip"))
     np.take(t.tail, j, out=hi, mode="clip")  # "raise" would fill out through a buffer
     del g1, rest, j
-    pair = pair.view(_WORD)
-    np.take(t.by_lf[0], lf, axis=1, out=pair, mode="clip")
-    after = frac & pair[1]
-    before = np.bitwise_and(frac, pair[0], out=frac)
+    pair = np.take(t.by_lf[0], lf, axis=0, mode="clip")
+    after = frac & pair[:, 1]
+    before = np.bitwise_and(frac, pair[:, 0], out=frac)
     hi |= after >> 40
     after <<= 24
-    np.take(t.by_lf[1], lf, axis=1, out=pair, mode="clip")
-    hi |= before >> pair[1]
-    before <<= pair[0] + 8
-    np.left_shift(lo + 48, pair[0], out=lo)
-    lo |= before | after
-    words |= np.take(t.by_lf[2], lf, axis=1, out=pair, mode="clip")
-    np.bitwise_or(lo, 0x2D, out=lo, where=np.signbit(x))
-    for i in np.flatnonzero(python | ~normal & (x != 0)):
-        words[:, i] = np.frombuffer((b"%.9g" % x[i]).ljust(FIELD, b"\0"), _WORD)
-    return words
+    np.take(t.by_lf[1], lf, axis=0, out=pair, mode="clip")
+    hi |= before >> pair[:, 1]
+    before <<= 8
+    before |= lo  # d0 just below the digits before the point
+    before <<= pair[:, 0]
+    np.bitwise_or(before, after, out=lo)
+    del before, after
+    lo |= x.view(_WORD) >> 63 & 0x2D  # "-" where the sign bit is set
+    out = np.bitwise_or(words, np.take(t.by_lf[2], lf, axis=0, out=pair, mode="clip").T, out=out)
+    for i in np.flatnonzero(python):
+        out[:, i] = np.frombuffer((b"%.9g" % x[i]).ljust(FIELD, b"\0"), _WORD)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(dtype):
+    """What _csv_block needs of a row dtype, once per table: its float columns, whether
+    every column is a packed float64, and the "," or newline after each column's cell."""
+    names = dtype.names
+    floats = [c for c in names if dtype[c].kind == "f"]
+    packed = dtype == np.dtype([(c, np.float64) for c in names])
+    return floats, packed, np.frombuffer(b"," * (len(names) - 1) + b"\n", np.uint8)
 
 
 def _csv_block(rows):
@@ -167,30 +189,39 @@ def _csv_block(rows):
 
     Fixed-width NUL-padded fields (floats from _float_fields, other kinds from
     their CELL_FORMATS template) and their "," or newline fill one line
-    buffer; deleting its NUL bytes gives the text.  The float cells of a
-    contiguous all-float64 block are read in place, through a view.
+    buffer; deleting its NUL bytes gives the text.  A contiguous all-float64
+    block is read through a view, and its fields are placed through one
+    strided view of the buffer: its lines are the cells' FIELD + 1 byte slots
+    end to end.
     """
-    names = rows.dtype.names
-    floats = [c for c in names if rows.dtype[c].kind == "f"]
+    floats, packed, seps = _layout(rows.dtype)
     if floats:
-        packed = rows.dtype == np.dtype([(c, np.float64) for c in names])
         with np.errstate(invalid="ignore"):  # a float32 signalling NaN widens quietly
             values = (rows.view(np.float64) if packed else
                       np.stack([rows[c] for c in floats], axis=1, dtype=np.float64).ravel())
-        words = _float_fields(values).reshape(2, len(rows), len(floats))
+    if packed:  # every cell's FIELD + 1 byte slot, end to end
+        slot = FIELD + 1
+        text = bytearray(len(values) * slot)
+        _float_fields(values, np.ndarray((2, len(values)), _WORD, text, 0, (8, slot)))
+        np.ndarray((len(rows), len(seps)), np.uint8, text, FIELD,
+                   (slot * len(seps), slot))[...] = seps
+        return text.translate(None, b"\0")
+    names = rows.dtype.names
     texts = {c: np.array([(CELL_FORMATS[rows.dtype[c].kind] % v).encode() for v in
                           rows[c].tolist()], dtype=bytes) for c in names if c not in floats}
     widths = [texts[c].itemsize if c in texts else FIELD for c in names]
     ends = np.cumsum(widths) + np.arange(1, len(names) + 1)
     text = bytearray(len(rows) * int(ends[-1]))
     lines = np.frombuffer(text, np.uint8).reshape(len(rows), -1)
+    if floats:
+        words = _float_fields(values).reshape(2, len(rows), len(floats))
     for c, width, end in zip(names, widths, ends):
         if c in texts:
             lines[:, end - 1 - width:end - 1] = texts[c].view(np.uint8).reshape(len(rows), -1)
         else:  # the field's two words, at any byte offset of each line
             field = np.ndarray((2, len(rows)), _WORD, text, end - 1 - width, (8, lines.shape[1]))
             field[...] = words[:, :, floats.index(c)]
-    lines[:, ends - 1] = np.frombuffer(b"," * (len(names) - 1) + b"\n", np.uint8)
+    lines[:, ends - 1] = seps
     return text.translate(None, b"\0")
 
 
@@ -269,6 +300,8 @@ class ResultTable:
         separators those of a row's cells, and its row brackets spliced in:
         an encoded string holds no raw newline, so "],\n   [" is always one.
         """
+        import json  # only a JSON table needs it: a CSV command does not load it
+
         payload = {
             "tool": f"plasmonsim {__version__}",
             "table": self.name,

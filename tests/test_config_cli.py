@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -321,9 +322,9 @@ def test_csv_written_across_block_boundaries(tmp_path, blocks, extra):
 
 
 def test_csv_writer_memory_stays_near_one_block(tmp_path):
-    # the writer formats CHUNK_CELLS = 8192 cells at a time, about 90 B of temporaries
-    # per cell (0.75 MB; 0.9 MB when this write builds the lookup tables);
-    # formatting the whole 100,000 x 7 table at once would take over 100 MB
+    # the writer formats CHUNK_CELLS = 8192 cells at a time, about 87 B of temporaries per
+    # cell, the chunk's line buffer included (0.71 MB; 0.84 MB when this write builds the
+    # lookup tables); formatting the whole 100,000 x 7 table at once would take over 100 MB
     rng = np.random.default_rng(17)
     columns = [rng.standard_normal(100_000) * 10.0 ** rng.integers(-8, 12, 100_000)
                for _ in range(7)]
@@ -478,6 +479,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("ERROR[config]:")
+
+
+def test_cli_leaves_no_object_frozen_on_any_exit(tmp_path, capsys):
+    # main keeps what import built out of the command's collections (gc.freeze) and hands
+    # it back on every way out: a table written, a config error, and argparse's SystemExit
+    runs = (["fig1c", "--grid", "3", "--out", str(tmp_path)], ["spectrum", "--out", str(tmp_path)])
+    assert [main(argv) for argv in runs] == [0, 1] and gc.get_freeze_count() == 0
+    with pytest.raises(SystemExit):
+        main(["fig1c", "--help"])
+    assert gc.get_freeze_count() == 0
+    capsys.readouterr()
 
 
 def test_cli_missing_config_is_config_error(tmp_path, capsys):
@@ -702,6 +714,31 @@ EXTREMES = ("0", "-0", "1", "-1", "1e-300", "-1e-300", "5e-324", "-5e-324",
             "2.2250738585072014e-308", "1e300", "-1e300", "1.7976931348623157e308",
             "-1.7976931348623157e308", "nan", "inf")
 SCHEMA_KEYS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
+
+
+def _in_range(builtin):
+    """{(section, key): values} of every float key of SCHEMA that builtin sets or defaults to a
+    nonzero value: that value times 10**k, k in [-3, 3], held inside the key's schema range."""
+    sections = {}
+    for line in BUILTIN_CONFIGS[builtin].splitlines():
+        if line.startswith("["):
+            section = sections.setdefault(line.strip("[]"), {})
+        elif " = " in line and not line.startswith("#"):
+            key, _, value = line.partition(" = ")
+            section[key] = value
+    found = {}
+    for (section, key), (kind, default, choices) in ((k, SCHEMA[k[0]][k[1]]) for k in SCHEMA_KEYS):
+        value = sections.get(section, {}).get(key, default)
+        if kind not in ("float", "positive") or value is None or float(value) == 0:
+            continue  # a zero times 10**k is the builtin itself
+        low, high = choices or (-math.inf, math.inf)
+        found[section, key] = tuple(repr(min(max(float(value) * 10.0**k, low), high))
+                                    for k in range(-3, 4))
+    return found
+
+
+#: builtin -> (section, key) -> in-range values of the fuzz property
+IN_RANGE = {builtin: _in_range(builtin) for builtin in BUILTIN_CONFIGS}
 #: argv of the fuzzed runs: a steady-state or time grid of at most 16 points, validate, or
 #: eigen over 3 detunings
 FUZZ_ARGV = st.one_of(
@@ -709,6 +746,19 @@ FUZZ_ARGV = st.one_of(
         lambda run: [run[0], "--grid", str(run[1])]),
     st.just(["validate"]),
     st.just(["eigen", "--sweep", "-1e-3:1e-3:1e-3"]))
+
+
+@st.composite
+def fuzz_configs(draw):
+    """(builtin, {(section, key): value}) of 1-3 schema keys: half the examples set any keys
+    to EXTREMES, the other half keys that the builtin has a nonzero float for to IN_RANGE."""
+    builtin = draw(st.sampled_from(sorted(BUILTIN_CONFIGS)))
+    extreme = draw(st.booleans())
+    keys = SCHEMA_KEYS if extreme else sorted(IN_RANGE[builtin])
+    values = {}
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True)):
+        values[key] = draw(st.sampled_from(EXTREMES if extreme else IN_RANGE[builtin][key]))
+    return builtin, values
 
 
 def _with_values(text, values):
@@ -726,14 +776,12 @@ def _with_values(text, values):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(builtin=st.sampled_from(sorted(BUILTIN_CONFIGS)),
-       values=st.dictionaries(st.sampled_from(SCHEMA_KEYS), st.sampled_from(EXTREMES),
-                              min_size=1, max_size=3),
-       argv=FUZZ_ARGV)
-def test_cli_fuzz_exits_with_a_prefixed_error_or_finite_tables(builtin, values, argv):
-    """A builtin config with 1-3 schema keys at extreme values: the CLI exits 0, 1 or 2;
-    escapes no exception; prints no warning and, on error, one prefixed message; and every
-    cell of a table written with exit 0 is finite."""
+@given(config=fuzz_configs(), argv=FUZZ_ARGV)
+def test_cli_fuzz_exits_with_a_prefixed_error_or_finite_tables(config, argv):
+    """A builtin config with 1-3 schema keys at extreme values or scaled inside their range:
+    the CLI exits 0, 1 or 2; escapes no exception; prints no warning and, on error, one
+    prefixed message; and every cell of a table written with exit 0 is finite."""
+    builtin, values = config
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.ini"
         path.write_text(_with_values(BUILTIN_CONFIGS[builtin], values))

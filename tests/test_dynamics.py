@@ -493,6 +493,23 @@ def test_fig1c_memory_stays_near_the_table(tmp_path):
     assert peak < 2e6  # 0.45 MB above the measured peak
 
 
+def test_fig2_memory_stays_near_the_tables(tmp_path):
+    # fig2 takes its absorption maximum in a first pass over the sweep, then streams both
+    # 200,000-row tables (12.8 MB of text) like any other sweep table: 1.44 MB; filling one
+    # record array of the whole sweep to normalize the column peaked at 12.9 MB
+    scenario = parse_config("fig2").scenario
+    for table in exp.run_fig2(scenario, 10):
+        table.write(tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        for table in exp.run_fig2(scenario, 200_000):
+            table.write(tmp_path / f"{table.name}.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def test_power_balance_randomized():
     """sum_i gamma_i |v_i|^2 == 2 Im(v^dag f) over 1000 random valid systems."""
     rng = np.random.default_rng(7071)

@@ -1,13 +1,14 @@
-"""The command path is numpy-only: no CLI command loads scipy.
+"""The command path is numpy-only: no CLI command loads scipy, and no CSV command json or difflib.
 
-The one exemption is evolve's matrix-exponential fallback near an
-exceptional point, which imports scipy.linalg on first use; the last check
-runs it to show that the guard does see a scipy import.  The last two
-tests check that import plasmonsim leaves OpenBLAS one thread unless the
-user set another count.
+The one scipy exemption is evolve's matrix-exponential fallback near an
+exceptional point, which imports scipy.linalg on first use; the program
+runs it last to show that the check does see a scipy import.  Likewise a
+JSON table loads json and a misspelt config key difflib, after every CSV
+command has run.  The last two tests check that import plasmonsim leaves
+OpenBLAS one thread unless the user set another count.
 """
 
-import json
+import ast
 import os
 import subprocess
 import sys
@@ -32,39 +33,71 @@ COMMANDS = (
     ["yield", "--config", "fig2", "--grid", "11"],
 )
 
+#: modules that no CSV command may load; scipy is checked for every command
+WATCHED = ("scipy", "json", "difflib")
+
 PROGRAM = """
-import contextlib, io, json, sys
+import ast, contextlib, io, sys
 import numpy as np
+
+def loaded_now():
+    return [name for name in WATCHED if name in sys.modules]
+
+WATCHED = ast.literal_eval(sys.argv[3])
 loaded = {}
 import plasmonsim.cli
-loaded["import plasmonsim.cli"] = "scipy" in sys.modules
-for argv in json.loads(sys.argv[1]):
+loaded["import plasmonsim.cli"] = loaded_now()
+for argv in ast.literal_eval(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = plasmonsim.cli.main(argv + ["--out", sys.argv[2]])
-    loaded[" ".join(argv)] = "scipy" in sys.modules if code == 0 else f"exit {code}"
+    loaded[" ".join(argv)] = loaded_now() if code == 0 else f"exit {code}"
+exempt = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    plasmonsim.cli.main(["fig1c", "--grid", "3", "--format", "json", "--out", sys.argv[2]])
+exempt["json table"] = "json" in sys.modules
+with open(sys.argv[2] + ".ini", "w") as fh:
+    fh.write(plasmonsim.config.BUILTIN_CONFIGS["fig2"].replace("q_factor", "q_facter"))
+with contextlib.redirect_stderr(io.StringIO()):
+    exempt["misspelt key"] = (plasmonsim.cli.main(["validate", "--config", sys.argv[2] + ".ini"]),
+                              "difflib" in sys.modules)
 from plasmonsim import dynamics, network
 # the 2x2 network [[-0.1i, 0.05], [0.05, 0]], defective at g = gamma / 4
 h = network.EffectiveHamiltonian(np.array([[-0.1j, 0.05], [0.05, 0.0]]), ("plasmon", "cavity"),
                                  {"gamma_o": 0.2, "gamma_c": 0.0})
 dynamics.evolve(h, np.array([1.0, 0.0], dtype=complex), np.linspace(0.0, 50.0, 5))
-loaded["near-exceptional-point evolve"] = "scipy" in sys.modules
-print(json.dumps(loaded))
+exempt["near-exceptional-point evolve"] = "scipy" in sys.modules
+print(repr((loaded, exempt)))
 """
 
 
-def test_cli_commands_do_not_import_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def command_imports(tmp_path_factory):
+    """({step: the WATCHED modules loaded after it}, {exempt step: what it loaded}) of one
+    cold interpreter that runs every command of COMMANDS, then the exempt steps."""
+    tmp_path = tmp_path_factory.mktemp("imports")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", PROGRAM, json.dumps(COMMANDS), str(tmp_path / "out")],
+        [sys.executable, "-c", PROGRAM, repr(COMMANDS), str(tmp_path / "out"), repr(WATCHED)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    exempt = loaded.pop("near-exceptional-point evolve")
-    assert [step for step, scipy in loaded.items() if scipy is not False] == []
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_cli_commands_do_not_import_scipy(command_imports):
+    loaded, exempt = command_imports
+    assert [step for step, names in loaded.items()
+            if isinstance(names, str) or "scipy" in names] == []
     assert len(loaded) == 1 + len(COMMANDS)
-    assert exempt is True
+    assert exempt["near-exceptional-point evolve"] is True
+
+
+def test_csv_commands_do_not_import_json_or_difflib(command_imports):
+    # every command of COMMANDS writes CSV tables or validates a builtin config
+    loaded, exempt = command_imports
+    assert {step: names for step, names in loaded.items() if names} == {}
+    assert exempt["json table"] is True and exempt["misspelt key"] == (1, True)
 
 
 def _cold_python(program, openblas_threads):
