@@ -7,7 +7,7 @@ OLD_SRC and NEW_SRC are directories holding a `plasmonsim` package (a
 checkout's `src`).  Every command runs twice as a cold `python -m
 plasmonsim` child, once with PYTHONPATH set to each directory, in a fresh
 work directory that holds the command's config files; `--out out` is
-appended, so the printed paths are the same on both sides.  The set of 78
+appended, so the printed paths are the same on both sides.  The set of 80
 commands is:
 
 - the figure commands, with and without `--grid`, `--format json`,
@@ -20,9 +20,10 @@ commands is:
   one JSON `spectrum`;
 - sweeps of several steady-state blocks: `yield --config fig2 --grid 30000`,
   `spectrum --config fig2_first_principles --grid 30000` as JSON, which
-  prints every float's repr, `spectrum --config fig2 --grid 1000000`
-  (MAX_POINTS, 123 blocks), and a `[sweep] start_ev`/`stop_ev` range of
-  3 x 8192 + 2 points;
+  prints every float's repr, `spectrum --config fig2 --grid 1000000` and
+  `fig2 --grid 1000000` (MAX_POINTS, 123 blocks a sweep), and a `[sweep]`
+  `start_ev`/`stop_ev` range of 3 x 8192 + 2 points;
+- a `spectrum` of `fig2` whose G and g1 are projected by `theta_deg = 30`;
 - three error exits, a steady state of condition number ~1e8, and a
   `spectrum` and a `yield` whose sweep near an exceptional point takes the
   LU path in several blocks;
@@ -84,6 +85,7 @@ PLAIN = [
     ("spectrum_fig2_first_principles_grid30000_json",
      ["spectrum", "--config", "fig2_first_principles", "--grid", "30000", "--format", "json"]),
     ("spectrum_fig2_grid1000000", ["spectrum", "--config", "fig2", "--grid", "1000000"]),
+    ("fig2_grid1000000", ["fig2", "--grid", "1000000"]),
     # float, str and bool columns over three chunks: the writer's path for a mixed table
     ("optq_d3400", ["optq", *(arg for k in range(3400)
                               for arg in ("--d-nm", repr(2.0 + 28.0 * k / 3399)))]),
@@ -137,6 +139,11 @@ def cases():
     for command in ("spectrum", "yield"):
         found.append((f"{command}_lu_grid20001", [command, "--config", "near_ep.ini"],
                       {"near_ep.ini": near_ep}))
+    # G and g1 projected by a tilt outside calibrated mode
+    tilted = _edited(BUILTIN_CONFIGS["fig2"],
+                     [("mode = paper_exact", "mode = paper_exact\ntheta_deg = 30")])
+    found.append(("spectrum_theta30", ["spectrum", "--config", "tilted.ini"],
+                  {"tilted.ini": tilted}))
     # a configured detuning range over three blocks and two points
     span = BUILTIN_CONFIGS["fig2"] + "\n[sweep]\nstart_ev = -0.01\nstop_ev = 0.01\n"
     span += "points = 24578\n"

@@ -459,9 +459,11 @@ def _resolve_scenario(cfg, name):
             "gamma_1r_ev": gamma_1r, "gamma_s_ev": gamma_s, "gamma_m_ev": float(gamma_m),
             **given,
         }
-    if "theta_deg" in co and mode != "calibrated":
+    derived = ["delta_0_ev"]
+    if "theta_deg" in co and mode != "calibrated":  # a projection is neither quoted nor computed
         couplings["G_ev"], couplings["g1_ev"] = cpl.project_couplings(
             couplings["G_ev"], couplings["g1_ev"], co["theta_deg"])
+        derived += ["G_ev", "g1_ev"]
     params.update(couplings)
     G, g1, J = params["G_ev"], params["g1_ev"], params["J_ev"]
     params["delta_0_ev"] = dyn.fano_detuning(J, g1, G) if G != 0.0 else 0.0
@@ -475,7 +477,7 @@ def _resolve_scenario(cfg, name):
         if pc["shape"] == "sphere":
             prov["gamma_m_ev"] = "calibrated"
         prov.update({k: "paper_exact" for k in given})
-    prov["delta_0_ev"] = "derived"
+    prov.update(dict.fromkeys(derived, "derived"))
     return Scenario(name, params, prov, tuple(notes), calibration)
 
 

@@ -19,8 +19,8 @@ the solve raises ConditioningError where the bound exceeds 1 / RCOND_LIMIT.
 The spectral bound can exceed kappa_2 by up to cond_2(V)^2, so a sweep it
 rejects is retried on the LU path before the solve raises.  Path and guard
 are decided once per sweep: steady_state_blocks bounds the whole sweep in
-blocks of at most SWEEP_BLOCK_POINTS points, in row order, keeping only the
-worst bound and whether every point passed, then solves a block when asked.
+blocks of at most SWEEP_BLOCK_POINTS points, in row order, keeping only its
+path and worst bound, then solves a block at the detunings its reader made.
 A Linspace grid is made a block at a time too, so no array spans the sweep.
 Time evolution propagates a single-excitation amplitude vector under the
 non-Hermitian Hamiltonian through the same eigendecomposition, v(t) =
@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -129,12 +130,12 @@ class Linspace:
 
 
 def broadcast_grid(detunings, shape=()):
-    """Pump detunings broadcast against shape: a Linspace whose points lie on the last axis stays
-    one, and anything else becomes a broadcast float array of at least one dimension."""
+    """Pump detunings broadcast against shape: a Linspace on the last axis stays one (itself if
+    shape adds no axis), and anything else becomes a broadcast float array of at least 1-D."""
     if isinstance(detunings, Linspace):
         full = np.broadcast_shapes(detunings.shape, shape)
         if full[-1] == detunings.num:
-            return replace(detunings, lead=full[:-1])
+            return detunings if full == detunings.shape else replace(detunings, lead=full[:-1])
         detunings, shape = detunings[()], full
     d = np.atleast_1d(np.asarray(detunings, dtype=float))
     return np.broadcast_to(d, np.broadcast_shapes(d.shape, shape))
@@ -189,38 +190,38 @@ def _guard(bounds):
 
 
 def _resolvent(h, grid, f):
-    """(path, solve) of (Delta I - h) v = f over the sweep grid (broadcast_grid).
+    """(path, worst K, solve) of (Delta I - h) v = f over the sweep grid (broadcast_grid).
 
-    solve(index) is v at the points of one block of _row_blocks(grid.shape),
-    the modes on its last axis.  path is "spectral" or "lu" (see the module
-    docstring), decided for the whole sweep: a spectral bound that fails the
-    guard anywhere sends the solve to the LU path, and an LU bound that fails
-    it raises ConditioningError naming the worst K.  The bounds are computed
-    block by block, and only the worst K and whether every point passed are
-    kept; the LU path inverts a block again as it solves it, unless the
-    sweep is one block.
+    solve(index, d) is v at the points d = grid[index] of one block of
+    _row_blocks(grid.shape), the modes on its last axis.  path is "spectral"
+    or "lu" (see the module docstring), decided for the whole sweep: a
+    spectral bound that fails the guard anywhere sends the solve to the LU
+    path, and an LU bound that fails it raises ConditioningError naming the
+    worst K.  The bounds are computed block by block; the LU path inverts a
+    block again, without its bound, as it solves it, unless the sweep is one block.
     """
     shape, n = grid.shape, h.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if math.prod(shape) > math.prod(h.shape[:-2]):
             eig = _eig(h)
-            if np.all(eig[2] <= EIG_COND_LIMIT) and _guard(_bounds(h, grid, eig))[1]:
+            if np.all(eig[2] <= EIG_COND_LIMIT) and (spectral := _guard(_bounds(h, grid, eig)))[1]:
                 lam, vecs, _ = eig
                 # numpy 1 and 2 read a 1-D right-hand side against a stack differently;
                 # f as one column per matrix means the same on both
                 weights = np.linalg.solve(vecs, np.broadcast_to(f[:, None], lam.shape + (1,)))
                 lam, weights = (np.broadcast_to(a, shape + (n,)) for a in (lam, weights[..., 0]))
                 vecs = np.broadcast_to(vecs, shape + (n, n))
-                return "spectral", lambda block: _spectral_solve(
-                    grid[block], lam[block], vecs[block], weights[block])
+                return "spectral", spectral[0], lambda block, d: _spectral_solve(
+                    d, lam[block], vecs[block], weights[block])
         index = list(_row_blocks(shape))
         h = np.broadcast_to(h, shape + (n, n))
         if len(index) == 1:  # one block, as every map and optq solve: invert it once
             bound, inv = _inverse(grid[index[0]], h[index[0]])
             v = inv @ f
-            solve, bounds = (lambda block: v), [(index[0], bound)]
-        else:
-            solve, bounds = (lambda block: _inverse(grid[block], h[block])[1] @ f), _bounds(h, grid)
+            solve, bounds = (lambda block, d: v), [(index[0], bound)]
+        else:  # the guard has inverted every block, so the solve inverts it again unbounded
+            solve, bounds = (lambda block, d: np.linalg.inv(
+                d[..., None, None] * np.eye(n) - h[block]) @ f), _bounds(h, grid)
         worst, passed = _guard(bounds)
     if not passed:
         cause = ("the bound overflows: the matrix or its inverse is too large for a double"
@@ -228,7 +229,7 @@ def _resolvent(h, grid, f):
         raise ConditioningError(
             f"steady-state matrix is singular or near-singular (lu path, condition "
             f"bound {worst:.3g} > {1.0 / RCOND_LIMIT:.0e}); {cause}")
-    return "lu", solve
+    return "lu", worst, solve
 
 
 def _spectral_solve(d, lam, vecs, weights):
@@ -240,31 +241,31 @@ def _spectral_solve(d, lam, vecs, weights):
 
 
 def steady_state_blocks(hamiltonian, detunings, drive_mode):
-    """Steady state under a unit drive on one mode, one block of the pump-detuning sweep at a time.
+    """The steady-state sweep under a unit drive on one mode, solved a block at a time.
 
-    detunings is an array or a Linspace; for a Hamiltonian stack they
-    broadcast against its leading shape.  Returns (index, solve): index lists
-    consecutive blocks of at most SWEEP_BLOCK_POINTS points of the broadcast
-    shape in row (C) order, and solve(block) gives (amplitudes (...,
-    n_modes), the Hamiltonian's port powers {port -> array}) at a block's
-    points.  The path and the guard are decided for the whole sweep before
-    this returns, so an ill-conditioned sweep raises here.  The blocks depend
-    on the broadcast shape alone, so sweeps of one shape advance together
-    whichever path each takes.
+    detunings is an array or a Linspace, broadcast against a stack's leading
+    shape as the sweep's `grid` (broadcast_grid).  The sweep, a
+    SimpleNamespace, holds its `path` and worst bound `worst`, decided here,
+    so an ill-conditioned sweep raises before any block is solved; `index`,
+    the blocks of at most SWEEP_BLOCK_POINTS points of grid.shape in row (C)
+    order; and solve(block, d), a pure function of the block: (amplitudes
+    (..., n_modes), the Hamiltonian's port powers {port -> array}) at its
+    detunings d = grid[block].  Sweeps of one shape advance together.
     """
     if math.prod(np.shape(detunings)) == 0:
         raise DomainError("empty detuning sweep")
     grid = broadcast_grid(detunings, hamiltonian.matrix.shape[:-2])
-    amplitudes = _resolvent(hamiltonian.matrix, grid, _drive_vector(hamiltonian, drive_mode))[1]
+    path, worst, amplitudes = _resolvent(
+        hamiltonian.matrix, grid, _drive_vector(hamiltonian, drive_mode))
     index = list(_row_blocks(grid.shape))
 
-    def solve(block):  # a block short of the sweep takes the rates at its points; a scalar
-        v = amplitudes(block)  # rate serves every point as it is
+    def solve(block, d):  # a block short of the sweep takes the rates at its points; a scalar
+        v = amplitudes(block, d)  # rate serves every point as it is
         at = hamiltonian if len(index) == 1 else replace(hamiltonian, rates={
             k: r if np.ndim(r) == 0 else np.broadcast_to(r, grid.shape)[block]
             for k, r in hamiltonian.rates.items()})
         return v, at.powers(v)
-    return index, solve
+    return SimpleNamespace(grid=grid, path=path, worst=worst, index=index, solve=solve)
 
 
 def steady_state_sweep(hamiltonian, detunings, drive_mode):
@@ -274,14 +275,11 @@ def steady_state_sweep(hamiltonian, detunings, drive_mode):
     {port -> array}) over the broadcast shape: the blocks of
     steady_state_blocks put together.  The (D, Q) enhancements use it; tables do not.
     """
-    index, solve = steady_state_blocks(hamiltonian, detunings, drive_mode)
-    if len(index) == 1:
-        return solve(index[0])
-    shape = broadcast_grid(detunings, hamiltonian.matrix.shape[:-2]).shape
+    sweep = steady_state_blocks(hamiltonian, detunings, drive_mode)
+    shape = sweep.grid.shape
     amps, powers = np.empty(shape + (len(hamiltonian.labels),), complex), {}
-    for block in index:
-        v, block_powers = solve(block)
-        amps[block] = v
+    for block in sweep.index:
+        amps[block], block_powers = sweep.solve(block, sweep.grid[block])
         for port, power in block_powers.items():
             powers.setdefault(port, np.empty(shape))[block] = power
     return amps, powers

@@ -33,7 +33,7 @@ Q_RANGE = (1e2, 1e7)
 #: the design map's quench law: gamma_m(D) is the anchored multipole sum of a
 #: tangential dipole whatever the emitter's orientation, as the map has always
 #: computed it.  The swept builtin's emitter is radial, so its G and gamma_m follow
-#: different orientations; ROADMAP.md item 5 makes the law the scenario's own.
+#: different orientations until map and optq sweep the scenario under its own law.
 MAP_QUENCH_ORIENTATION = "tangential"
 
 #: quality factor of the coupling calibration (and of the builtin fig4
@@ -116,35 +116,36 @@ def _port(name):
     return lambda _, powers: powers[name]
 
 
-def _sweep_table(name, grid, drive, columns, metadata):
-    """Table `name` of a pump-detuning sweep, its rows solved one block at a time as they are read.
+def _sweeps(scenario, grid, drive):
+    """The steady-state sweeps of the scenario and of its bare system over grid."""
+    return (dyn.steady_state_blocks(scenario.hamiltonian(), grid, drive),
+            dyn.steady_state_blocks(scenario.hamiltonian(bare=True), grid, drive))
 
-    grid is an array or a dynamics.Linspace.  columns maps each column name,
-    in table order, to (hamiltonian, fn(amplitudes, port powers)), or to
-    values broadcast into the column (the grid itself, say).  Each distinct
-    Hamiltonian is one sweep of the grid under a unit drive on mode `drive`,
-    created here, so every guard runs before any row is read.  The rows span
-    the broadcast shape of the grid and the stacks' leading shapes, in C
-    order; the sweeps of that one shape advance together, one block of
-    steady_state_blocks per step, and a block's amplitudes and port powers
-    are dropped before its rows are handed on.
+
+def _sweep_table(name, columns, metadata):
+    """Table `name` of steady-state sweeps, its rows solved one block at a time as they are read.
+
+    columns maps each column name, in table order, to (sweep, fn(amplitudes,
+    port powers)), sweep a dynamics.steady_state_blocks value, or to values
+    broadcast into the column.  The sweeps share one grid and advance
+    together, one block per step, each block's detunings made once for them
+    and for a column whose values are that grid; a block's amplitudes and
+    port powers are dropped before its rows are handed on.
     """
-    hams = {}
+    solves = {}
     for c, spec in columns.items():
         if isinstance(spec, tuple):
-            hams.setdefault(spec[0], []).append((c, spec[1]))
-    shape = np.broadcast_shapes(np.shape(grid), *(h.matrix.shape[:-2] for h in hams))
-    given = {c: dyn.broadcast_grid(spec, shape) for c, spec in columns.items()
-             if not isinstance(spec, tuple)}
-    grid = dyn.broadcast_grid(grid, shape)
+            sweep = spec[0]  # any one: the sweeps share their grid and its blocks
+            solves.setdefault(sweep.solve, []).append((c, spec[1]))
+    grid = sweep.grid
+    given = {c: spec if spec is grid else dyn.broadcast_grid(spec, grid.shape)
+             for c, spec in columns.items() if not isinstance(spec, tuple)}
     dtype = np.dtype([(c, float) for c in columns])
-    # the first read takes these sweeps; a later one (ResultTable.rows) solves again
-    unread = [[dyn.steady_state_blocks(h, grid, drive) for h in hams]]
 
-    def rows(index, sweeps):
+    def rows(index, d):
         block = None
-        for (_, solve), fns in zip(sweeps, hams.values()):
-            amps, powers = solve(index)
+        for solve, fns in solves.items():
+            amps, powers = solve(index, d)
             # the rows follow the first solve, so its temporaries are freed below them and
             # serve the next block: freed at the heap's top, malloc returned them to the
             # system and every block faulted them in again
@@ -154,15 +155,11 @@ def _sweep_table(name, grid, drive, columns, metadata):
                 block[c] = fn(amps, powers)
             del amps, powers  # before the next sweep's block is solved
         for c, values in given.items():
-            block[c] = values[index]
+            block[c] = d if values is grid else values[index]
         return block.reshape(-1)
 
-    def blocks():
-        sweeps = unread.pop() if unread else [dyn.steady_state_blocks(h, grid, drive) for h in hams]
-        for index in sweeps[0][0]:
-            yield rows(index, sweeps)
-
-    return ResultTable(name, dtype, math.prod(shape), blocks, metadata)
+    return ResultTable(name, dtype, math.prod(grid.shape),
+                       lambda: (rows(index, grid[index]) for index in sweep.index), metadata)
 
 
 def run_fig1c(scenario, points=2001):
@@ -173,12 +170,11 @@ def run_fig1c(scenario, points=2001):
     nanoparticle, with the emitter decoupled.  The absorbed power is the
     Ohmic loss of the dipolar mode.
     """
-    detunings = dyn.Linspace(-2e-3, 2e-3, points)
-    h, h_bare = scenario.hamiltonian(), scenario.hamiltonian(bare=True)
-    return _sweep_table("fig1c", detunings, scenario["drive_mode"], {
-        "detuning_ev": detunings, "phi_rad_cavity": (h, _radiated),
-        "phi_rad_bare": (h_bare, _radiated), "phi_abs_cavity": (h, _port("ohmic_plasmon")),
-        "phi_abs_bare": (h_bare, _port("ohmic_plasmon"))}, scenario_metadata(scenario))
+    cavity, bare = _sweeps(scenario, dyn.Linspace(-2e-3, 2e-3, points), scenario["drive_mode"])
+    return _sweep_table("fig1c", {
+        "detuning_ev": cavity.grid, "phi_rad_cavity": (cavity, _radiated),
+        "phi_rad_bare": (bare, _radiated), "phi_abs_cavity": (cavity, _port("ohmic_plasmon")),
+        "phi_abs_bare": (bare, _port("ohmic_plasmon"))}, scenario_metadata(scenario))
 
 
 def run_fig2(scenario, points=401):
@@ -191,27 +187,28 @@ def run_fig2(scenario, points=401):
     dipolar-mode absorption is normalized to its maximum, taken in a first
     pass over the sweep, so both tables are streamed like any other; the
     yields and the radiated-power enhancement at Delta_0 itself are result.*
-    metadata.
+    metadata.  Each system is swept once over the grid and once at Delta_0.
     """
     delta_0 = scenario["delta_0_ev"]
     h, h_bare = scenario.hamiltonian(), scenario.hamiltonian(bare=True)
-    detunings = dyn.Linspace(-1e-3, 1e-3, points, offset=delta_0)
-    index, solve = dyn.steady_state_blocks(h, detunings, "emitter")
-    peak = np.max([np.max(solve(block)[1]["ohmic_plasmon"]) for block in index])
-    columns = {"yield_cavity": (h, _yield), "yield_bare": (h_bare, _yield),
-               "phi_rad_cavity": (h, _radiated), "phi_rad_bare": (h_bare, _radiated)}
-    at0 = _sweep_table("fig2", [delta_0], "emitter", columns, None).rows[0]
+    grid = dyn.Linspace(-1e-3, 1e-3, points, offset=delta_0)
+    cavity = dyn.steady_state_blocks(h, grid, "emitter")
+    peak = np.max([np.max(cavity.solve(block, cavity.grid[block])[1]["ohmic_plasmon"])
+                   for block in cavity.index])
+    at_delta0 = [dyn.steady_state_blocks(x, [delta_0], "emitter") for x in (h, h_bare)]
+    at0, at0_bare = (s.solve(s.index[0], s.grid)[1] for s in at_delta0)  # one block: the grid
+    bare = dyn.steady_state_blocks(h_bare, grid, "emitter")
     meta = {**scenario_metadata(scenario),
-            "result.yield_at_delta0": float(at0["yield_cavity"]),
-            "result.bare_yield_at_delta0": float(at0["yield_bare"]),
-            "result.rad_enhancement_at_delta0": float(at0["phi_rad_cavity"] / at0["phi_rad_bare"])}
-    yields = {c: columns[c] for c in ("yield_cavity", "yield_bare")}
-    yields["abs_plasmon_norm"] = (h, lambda _, powers: powers["ohmic_plasmon"] / peak)
-    powers = {c: columns[c] for c in ("phi_rad_cavity", "phi_rad_bare")}
-    return (_sweep_table("fig2_yield", detunings, "emitter",
-                         {"detuning_ev": detunings, **yields}, meta),
-            _sweep_table("fig2_power", detunings, "emitter",
-                         {"detuning_ev": detunings, **powers}, meta))
+            "result.yield_at_delta0": float(net.yield_from_powers(at0)[0]),
+            "result.bare_yield_at_delta0": float(net.yield_from_powers(at0_bare)[0]),
+            "result.rad_enhancement_at_delta0": float(
+                net.radiated_power(at0)[0] / net.radiated_power(at0_bare)[0])}
+    yields = _sweep_table("fig2_yield", {
+        "detuning_ev": cavity.grid, "yield_cavity": (cavity, _yield), "yield_bare": (bare, _yield),
+        "abs_plasmon_norm": (cavity, lambda _, powers: powers["ohmic_plasmon"] / peak)}, meta)
+    return yields, _sweep_table("fig2_power", {
+        "detuning_ev": cavity.grid, "phi_rad_cavity": (cavity, _radiated),
+        "phi_rad_bare": (bare, _radiated)}, meta)
 
 
 def spectrum_table(scenario, grid):
@@ -221,13 +218,14 @@ def spectrum_table(scenario, grid):
     separately, so the diagonal (per-mode) decomposition is also available.
     """
     h = scenario.hamiltonian()
-    return _sweep_table("spectrum", grid, scenario["drive_mode"], {
-        "detuning_ev": grid, "phi_rad_total": (h, _radiated),
-        "phi_rad_vacuum": (h, _port("rad_vacuum")),
-        "phi_rad_vacuum_cross": (h, lambda amps, _: h.vacuum_cross_term(amps)),
-        "phi_rad_cavity_port": (h, _port("rad_cavity")),
-        "phi_ohmic_plasmon": (h, _port("ohmic_plasmon")),
-        "phi_ohmic_emitter": (h, _port("ohmic_emitter"))}, scenario_metadata(scenario))
+    sweep = dyn.steady_state_blocks(h, grid, scenario["drive_mode"])
+    return _sweep_table("spectrum", {
+        "detuning_ev": sweep.grid, "phi_rad_total": (sweep, _radiated),
+        "phi_rad_vacuum": (sweep, _port("rad_vacuum")),
+        "phi_rad_vacuum_cross": (sweep, lambda amps, _: h.vacuum_cross_term(amps)),
+        "phi_rad_cavity_port": (sweep, _port("rad_cavity")),
+        "phi_ohmic_plasmon": (sweep, _port("ohmic_plasmon")),
+        "phi_ohmic_emitter": (sweep, _port("ohmic_emitter"))}, scenario_metadata(scenario))
 
 
 def yield_table(scenario, grid):
@@ -235,9 +233,9 @@ def yield_table(scenario, grid):
 
     The scenario is driven on its configured drive mode.
     """
-    return _sweep_table("yield", grid, scenario["drive_mode"], {
-        "detuning_ev": grid, "yield_cavity": (scenario.hamiltonian(), _yield),
-        "yield_bare": (scenario.hamiltonian(bare=True), _yield)}, scenario_metadata(scenario))
+    cavity, bare = _sweeps(scenario, grid, scenario["drive_mode"])
+    return _sweep_table("yield", {"detuning_ev": cavity.grid, "yield_cavity": (cavity, _yield),
+                                  "yield_bare": (bare, _yield)}, scenario_metadata(scenario))
 
 
 def evolve_table(scenario, points, span_fs):
@@ -559,9 +557,11 @@ def run_fig3(scenario, spectrum_points=2001):
         (times_fs, *traces.values()), meta)
 
     detunings = dyn.Linspace(-8e-3, 8e-3, spectrum_points)
-    return table_traces, _sweep_table("fig3_spectrum", detunings, "emitter", {
-        "detuning_ev": detunings, "phi_rad_cavity": (scenario.hamiltonian(), _radiated),
-        "phi_rad_bare": (hams["no_cavity"], _radiated)}, meta)
+    cavity, bare = (dyn.steady_state_blocks(h, detunings, "emitter")
+                    for h in (scenario.hamiltonian(), hams["no_cavity"]))
+    return table_traces, _sweep_table("fig3_spectrum", {
+        "detuning_ev": cavity.grid, "phi_rad_cavity": (cavity, _radiated),
+        "phi_rad_bare": (bare, _radiated)}, meta)
 
 
 def branch_table(name, scenario, sweep):
@@ -598,8 +598,8 @@ def run_fig4(scenario, sweep_values, spectrum_points):
     table_branches = branch_table("fig4_branches", scenario, sweep)
     at_q = replace(with_cavity(scenario, 0.0, SPECTRA_Q),
                    name=f"{scenario.name}_q{SPECTRA_Q:g}")
-    h = with_cavity(at_q, -sweep[:, None]).hamiltonian()
-    detunings = dyn.Linspace(-8e-3, 8e-3, spectrum_points)
-    return table_branches, _sweep_table("fig4_spectra", detunings, "emitter", {
-        "delta_ec_ev": sweep[:, None], "detuning_ev": detunings, "phi_rad_total": (h, _radiated)},
-        scenario_metadata(at_q))
+    spectra = dyn.steady_state_blocks(with_cavity(at_q, -sweep[:, None]).hamiltonian(),
+                                      dyn.Linspace(-8e-3, 8e-3, spectrum_points), "emitter")
+    return table_branches, _sweep_table("fig4_spectra", {
+        "delta_ec_ev": sweep[:, None], "detuning_ev": spectra.grid,
+        "phi_rad_total": (spectra, _radiated)}, scenario_metadata(at_q))

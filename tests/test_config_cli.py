@@ -157,6 +157,38 @@ def test_first_principles_sphere_resolution():
     assert s["gamma_m_ev"] == pytest.approx(83e-6, rel=1e-9)
 
 
+#: builtin fig3's tilted ellipsoid with every coupling derived from the geometry, untilted
+FIRST_PRINCIPLES_ELLIPSOID = (
+    BUILTIN_CONFIGS["fig3"].replace("mode = calibrated", "mode = first_principles")
+    .replace("theta_deg = 60.0\n", "").replace("two_g_eff_mev = 3.5\n", "")
+    .replace("kappa2_mev = 0.11\n", ""))
+
+
+def test_first_principles_ellipsoid_has_no_quench_rate():
+    s = parse_config_text(FIRST_PRINCIPLES_ELLIPSOID, name="fp_ellipsoid").scenario
+    assert s["gamma_m_ev"] == 0.0
+    assert s.notes == ("gamma_m = 0: multipole quenching sum is defined for spheres only",)
+    assert s.provenance == {**dict.fromkeys(s.params, "first_principles"), "delta_0_ev": "derived"}
+
+
+@pytest.mark.parametrize("text", [BUILTIN_CONFIGS["fig2"], FIRST_PRINCIPLES_ELLIPSOID],
+                         ids=["paper_exact", "first_principles"])
+def test_theta_deg_projects_and_tags_the_couplings_outside_calibrated_mode(text):
+    # G cos(theta) and g1 sin(theta) of the untilted resolve; a projected coupling is neither the
+    # quoted nor the computed value, so it is tagged derived, like Delta_0 that follows from it
+    plain = parse_config_text(text, name="s").scenario
+    tilted = parse_config_text(text.replace("[couplings]\n", "[couplings]\ntheta_deg = 30\n"),
+                               name="s").scenario
+    theta = math.radians(30.0)
+    assert tilted["G_ev"] == plain["G_ev"] * math.cos(theta)
+    assert tilted["g1_ev"] == plain["g1_ev"] * math.sin(theta)
+    changed = {"G_ev", "g1_ev", "delta_0_ev", "theta_deg"}
+    assert {k: v for k, v in tilted.params.items() if k not in changed} == {
+        k: v for k, v in plain.params.items() if k not in changed}
+    assert tilted.provenance == {**plain.provenance, "theta_deg": "first_principles",
+                                 "G_ev": "derived", "g1_ev": "derived"}
+
+
 def test_calibrated_mode_requires_ellipsoid():
     text = BUILTIN_CONFIGS["fig2"].replace("mode = paper_exact", "mode = calibrated")
     for key in ("g1_mev", "G_mev", "J_uev", "gamma_m_uev", "gamma_s_uev", "gamma_1r_mev"):

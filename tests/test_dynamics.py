@@ -12,6 +12,7 @@ from scipy.optimize import linear_sum_assignment
 from plasmonsim import dynamics as dyn
 from plasmonsim import experiments as exp
 from plasmonsim import network as net
+from plasmonsim.cli import main
 from plasmonsim.config import MAX_POINTS, parse_config
 from plasmonsim.errors import (
     ConditioningError,
@@ -58,12 +59,15 @@ def sweep_bound(h, grid, path):
 
 
 def resolvent_solve(h, detunings, f):
-    """(v, K, path) of dyn._resolvent: its blocks and their bounds, each put together."""
+    """(v, K, path) of dyn._resolvent: its blocks and their bounds, each put together.  The
+    worst K that it keeps is the largest of them."""
     grid = dyn.broadcast_grid(detunings, h.shape[:-2])
-    path, solve = dyn._resolvent(h, grid, f)
-    v = put_together(((index, solve(index)) for index in dyn._row_blocks(grid.shape)),
+    path, worst, solve = dyn._resolvent(h, grid, f)
+    v = put_together(((index, solve(index, grid[index])) for index in dyn._row_blocks(grid.shape)),
                      grid.shape + f.shape, complex)
-    return v, sweep_bound(h, grid, path), path
+    bound = sweep_bound(h, grid, path)
+    assert np.array_equal(worst, np.max(bound), equal_nan=True)
+    return v, bound, path
 
 
 def solve_at(hamiltonian, detuning, drive_mode):
@@ -207,8 +211,9 @@ def _assert_sweep_is_the_whole_grid_solve(h, detunings, drive_mode, blocks):
     oracle's, bit for bit.  Returns the oracle's amplitudes and powers."""
     f = dyn._drive_vector(h, drive_mode)
     grid = dyn.broadcast_grid(detunings, h.matrix.shape[:-2])
-    assert dyn._resolvent(h.matrix, grid, f)[0] == "spectral"
-    assert len(dyn.steady_state_blocks(h, detunings, drive_mode)[0]) == blocks
+    sweep = dyn.steady_state_blocks(h, detunings, drive_mode)
+    assert sweep.path == "spectral" and len(sweep.index) == blocks
+    assert sweep.worst == np.max(sweep_bound(h.matrix, grid, "spectral"))
     oracle = _whole_grid_spectral(h.matrix, detunings, f)
     amps, powers = dyn.steady_state_sweep(h, detunings, drive_mode)
     assert amps.tobytes() == oracle.tobytes()
@@ -313,11 +318,13 @@ def test_a_guard_failure_in_the_last_block_sends_the_whole_sweep_to_lu():
     grid = dyn.broadcast_grid(detunings)
     assert sweep_bound(h.matrix, grid, "spectral").tobytes() == spectral.tobytes()
     f = dyn._drive_vector(h, "plasmon")
-    path, solve = dyn._resolvent(h.matrix, grid, f)
-    index = dyn.steady_state_blocks(h, detunings, "plasmon")[0]
-    v = [solve(block) for block in index]
-    assert path == "lu" and index == list(dyn._row_blocks(detunings.shape)) and len(v) == 4
-    assert accepted(sweep_bound(h.matrix, grid, "lu"))
+    path, _, solve = dyn._resolvent(h.matrix, grid, f)
+    sweep = dyn.steady_state_blocks(h, detunings, "plasmon")
+    v = [solve(block, grid[block]) for block in sweep.index]
+    assert path == sweep.path == "lu" and len(v) == 4
+    assert sweep.index == list(dyn._row_blocks(detunings.shape))
+    bound = sweep_bound(h.matrix, grid, "lu")
+    assert accepted(bound) and sweep.worst == np.max(bound)
     unblocked = np.linalg.inv(detunings[:, None, None] * np.eye(3) - h.matrix) @ f
     assert np.concatenate(v).tobytes() == unblocked.tobytes()
     amps, _ = dyn.steady_state_sweep(h, detunings, "plasmon")
@@ -344,7 +351,7 @@ def test_lu_sweep_blocks_equal_the_whole_grid_lu_solve(points):
     inv = np.linalg.inv(mats)
     grid = dyn.broadcast_grid(detunings)
     assert dyn._resolvent(h.matrix, grid, f)[0] == "lu"
-    assert len(dyn.steady_state_blocks(h, detunings, "plasmon")[0]) == -(-points // BLOCK)
+    assert len(dyn.steady_state_blocks(h, detunings, "plasmon").index) == -(-points // BLOCK)
     bound = sweep_bound(h.matrix, grid, "lu")
     assert bound.tobytes() == (dyn._frobenius(mats) * dyn._frobenius(inv)).tobytes()
     amps, powers = dyn.steady_state_sweep(h, detunings, "plasmon")
@@ -361,9 +368,9 @@ def test_lu_sweep_memory_stays_near_its_bound():
     detunings = np.linspace(-0.01, 0.01, 200_001)
     tracemalloc.start()
     try:
-        index, solve = dyn.steady_state_blocks(h, detunings, "plasmon")
-        for block in index:
-            solve(block)
+        sweep = dyn.steady_state_blocks(h, detunings, "plasmon")
+        for block in sweep.index:
+            sweep.solve(block, sweep.grid[block])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -508,6 +515,27 @@ def test_fig2_memory_stays_near_the_tables(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["fig2"], {"_guard": 4, "_eig": 2, "__getitem__": 5}),
+    (["spectrum", "--config", "fig2", "--grid", "200000"],
+     {"_guard": 1, "_eig": 1, "__getitem__": 50})], ids=["fig2", "spectrum_200000"])
+def test_a_command_guards_each_sweep_once_and_makes_each_block_twice(
+        argv, expected, tmp_path, monkeypatch):
+    # one sweep value per (Hamiltonian, grid): fig2 guards its two grid sweeps and its two
+    # Delta_0 sweeps once each, and diagonalizes h and h_bare once; a Linspace block is made
+    # by the guard and once more for its solves and the detuning column.  With sweeps made
+    # again by every table, fig2 made 7 guards, 5 eigendecompositions and 12 blocks (one
+    # block a sweep), and the 25-block spectrum 75 blocks
+    counts = dict.fromkeys(expected, 0)
+    for owner, name in ((dyn, "_guard"), (dyn, "_eig"), (dyn.Linspace, "__getitem__")):
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert counts == expected
 
 
 def test_power_balance_randomized():
@@ -1020,16 +1048,16 @@ def test_figure_solves_match_50_digit_lu_solve(builtin, monkeypatch):
     resolvent = dyn._resolvent
 
     def recording(h, grid, f):
-        path, solve = resolvent(h, grid, f)
+        path, worst, solve = resolvent(h, grid, f)
         v = np.empty(grid.shape + f.shape, dtype=complex)
         seen = np.zeros(grid.shape, dtype=bool)
         solves.append((h, grid, f, v, seen, path))
 
-        def recorded(index):
-            block = solve(index)
+        def recorded(index, d):
+            block = solve(index, d)
             v[index], seen[index] = block, True
             return block
-        return path, recorded
+        return path, worst, recorded
 
     monkeypatch.setattr(dyn, "_resolvent", recording)
     for table in FIGURE_RUNS[builtin](parse_config(builtin).scenario):
