@@ -158,8 +158,8 @@ def _sweep_table(name, columns, metadata):
             block[c] = d if values is grid else values[index]
         return block.reshape(-1)
 
-    return ResultTable(name, dtype, math.prod(grid.shape),
-                       lambda: (rows(index, grid[index]) for index in sweep.index), metadata)
+    return ResultTable(name, dtype, lambda: (rows(index, grid[index]) for index in sweep.index),
+                       metadata)
 
 
 def run_fig1c(scenario, points=2001):

@@ -10,16 +10,17 @@ re-parsed metadata block reconstructs the exact resolved scenario.  Output
 is byte-identical across runs: no timestamps, no environment-dependent
 content, sorted metadata keys.
 
-The CSV writer formats a chunk's float cells in numpy: each becomes a
+The CSV writer formats an all-float64 chunk in numpy: each cell becomes a
 NUL-padded 16-byte field of two little-endian words (decimal exponent from
 log10, nine digits from one rounding, digit groups from a 10**4-entry ASCII
 table, masks that drop trailing zeros and a bare point, "%g"'s choice of
-fixed or exponent notation).  Fields and separators fill one line buffer,
-and deleting its NUL bytes gives the chunk's text; an all-float64 chunk's
-fields are written straight into it.  A cell near a rounding tie, inf, nan
-and a cell under 1e-299 are printed by Python's own "%.9g".  The JSON
-writer prints json.dumps(indent=1) of the table byte for byte, a chunk at
-a time through json's C encoder.
+fixed or exponent notation), written straight into the chunk's line buffer
+beside its separators; deleting the NUL bytes gives the chunk's text.  A
+cell near a rounding tie, inf, nan and a cell under 1e-299 are printed by
+Python's own "%.9g".  Any other chunk (optq's str and int columns) is
+printed row by row with one %-template per row, a CELL_FORMATS entry per
+column.  The JSON writer prints json.dumps(indent=1) of the table byte for
+byte, a chunk at a time through json's C encoder.
 """
 
 import functools
@@ -30,9 +31,9 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 
-#: %-template of a non-float data cell per dtype kind; float cells are
+#: %-template of a data cell per dtype kind; an all-float64 chunk's cells are
 #: printed by _float_fields as "%.9g" prints them, inf, nan and -0.0 included
-CELL_FORMATS = {"i": "%d", "u": "%d", "b": "%d", "U": "%s"}
+CELL_FORMATS = {"f": "%.9g", "i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 
 #: data cells per chunk of CSV or JSON text: a CSV chunk of float cells peaks
 #: at about 92 B per cell (0.75 MB)
@@ -104,8 +105,8 @@ def _tables():
     return t
 
 
-def _float_fields(x, out=None):
-    """(2, len(x)) words, in out if given: each float64 of contiguous x as "%.9g" prints it, a
+def _float_fields(x, out):
+    """(2, len(x)) words, in out: each float64 of contiguous x as "%.9g" prints it, a
     NUL-padded field.
 
     Word 0 holds bytes 0..7 of a cell's field and word 1 bytes 8..15.  A
@@ -176,52 +177,30 @@ def _float_fields(x, out=None):
 
 @functools.lru_cache(maxsize=16)
 def _layout(dtype):
-    """What _csv_block needs of a row dtype, once per table: its float columns, whether
-    every column is a packed float64, and the "," or newline after each column's cell."""
+    """How _csv_block prints a row dtype, worked out once per table: the "," or newline
+    after each cell if every column is a packed float64, else None and the row's %-template."""
     names = dtype.names
-    floats = [c for c in names if dtype[c].kind == "f"]
-    packed = dtype == np.dtype([(c, np.float64) for c in names])
-    return floats, packed, np.frombuffer(b"," * (len(names) - 1) + b"\n", np.uint8)
+    if dtype == np.dtype([(c, np.float64) for c in names]):
+        return np.frombuffer(b"," * (len(names) - 1) + b"\n", np.uint8), None
+    return None, ",".join(CELL_FORMATS[dtype[c].kind] for c in names) + "\n"
 
 
 def _csv_block(rows):
-    """The CSV text of a structured array's rows, as a bytearray.
+    """The CSV text of a structured array's rows.
 
-    Fixed-width NUL-padded fields (floats from _float_fields, other kinds from
-    their CELL_FORMATS template) and their "," or newline fill one line
-    buffer; deleting its NUL bytes gives the text.  A contiguous all-float64
-    block is read through a view, and its fields are placed through one
-    strided view of the buffer: its lines are the cells' FIELD + 1 byte slots
-    end to end.
+    A contiguous all-float64 block is read through a view, and its cells'
+    NUL-padded fields (from _float_fields) and their "," or newline fill one
+    line buffer through strided views: its lines are the cells' FIELD + 1
+    byte slots end to end, and deleting its NUL bytes gives the text.  Any
+    other block is printed row by row with its %-template.
     """
-    floats, packed, seps = _layout(rows.dtype)
-    if floats:
-        with np.errstate(invalid="ignore"):  # a float32 signalling NaN widens quietly
-            values = (rows.view(np.float64) if packed else
-                      np.stack([rows[c] for c in floats], axis=1, dtype=np.float64).ravel())
-    if packed:  # every cell's FIELD + 1 byte slot, end to end
-        slot = FIELD + 1
-        text = bytearray(len(values) * slot)
-        _float_fields(values, np.ndarray((2, len(values)), _WORD, text, 0, (8, slot)))
-        np.ndarray((len(rows), len(seps)), np.uint8, text, FIELD,
-                   (slot * len(seps), slot))[...] = seps
-        return text.translate(None, b"\0")
-    names = rows.dtype.names
-    texts = {c: np.array([(CELL_FORMATS[rows.dtype[c].kind] % v).encode() for v in
-                          rows[c].tolist()], dtype=bytes) for c in names if c not in floats}
-    widths = [texts[c].itemsize if c in texts else FIELD for c in names]
-    ends = np.cumsum(widths) + np.arange(1, len(names) + 1)
-    text = bytearray(len(rows) * int(ends[-1]))
-    lines = np.frombuffer(text, np.uint8).reshape(len(rows), -1)
-    if floats:
-        words = _float_fields(values).reshape(2, len(rows), len(floats))
-    for c, width, end in zip(names, widths, ends):
-        if c in texts:
-            lines[:, end - 1 - width:end - 1] = texts[c].view(np.uint8).reshape(len(rows), -1)
-        else:  # the field's two words, at any byte offset of each line
-            field = np.ndarray((2, len(rows)), _WORD, text, end - 1 - width, (8, lines.shape[1]))
-            field[...] = words[:, :, floats.index(c)]
-    lines[:, ends - 1] = seps
+    seps, template = _layout(rows.dtype)
+    if template:
+        return "".join(map(template.__mod__, rows.tolist())).encode()
+    values, slot = rows.view(np.float64), FIELD + 1
+    text = bytearray(len(values) * slot)
+    _float_fields(values, np.ndarray((2, len(values)), _WORD, text, 0, (8, slot)))
+    np.ndarray((len(rows), len(seps)), np.uint8, text, FIELD, (slot * len(seps), slot))[...] = seps
     return text.translate(None, b"\0")
 
 
@@ -237,33 +216,22 @@ class ResultTable:
     """A named table of typed columns, read block by block, plus a flat metadata mapping.
 
     blocks() returns a new iterator over structured arrays of the table's
-    dtype, one field per column, that hold its `size` rows in order.
-    from_arrays and from_rows build a table of one block; a steady-state
-    sweep's table solves a block as the writer reads it, so it is never held
-    whole.
+    dtype, one field per column, that hold its rows in order.  from_arrays
+    builds a table of one block; a steady-state sweep's table solves a block
+    as the writer reads it, so it is never held whole.
     """
 
-    def __init__(self, name, dtype, size, blocks, metadata):
+    def __init__(self, name, dtype, blocks, metadata):
         self.name = name
         self.dtype = np.dtype(dtype)
         self.columns = self.dtype.names
-        self.size = size
         self.blocks = blocks
         self.metadata = dict(metadata or {})
 
     @property
     def rows(self):
-        """Every row in one structured array, filled from the blocks on each call."""
-        rows, start = np.empty(self.size, self.dtype), 0
-        for block in self.blocks():
-            rows[start:start + len(block)] = block
-            start += len(block)
-        return rows
-
-    @classmethod
-    def from_rows(cls, name, rows, metadata=None):
-        """The table of one structured array, such as a view of some fields of a wider one."""
-        return cls(name, rows.dtype, len(rows), lambda: iter((rows,)), metadata)
+        """Every row in one structured array, joined from the blocks on each call."""
+        return np.concatenate([np.empty(0, self.dtype), *self.blocks()])
 
     @classmethod
     def from_arrays(cls, name, columns, arrays, metadata=None):
@@ -276,7 +244,7 @@ class ResultTable:
         rows = np.empty(len(arrays[0]), [(c, a.dtype) for c, a in zip(columns, arrays)])
         for c, a in zip(columns, arrays):
             rows[c] = a
-        return cls.from_rows(name, rows, metadata)
+        return cls(name, rows.dtype, lambda: iter((rows,)), metadata)
 
     def _chunks(self):
         """The rows, each block cut into the fewest equal chunks of about CHUNK_CELLS cells."""

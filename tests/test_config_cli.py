@@ -24,7 +24,7 @@ from plasmonsim.config import (BUILTIN_CONFIGS, MAX_POINTS, SCHEMA, parse_config
                                parse_config_text)
 from plasmonsim.errors import ConfigError
 from plasmonsim.results import (CELL_FORMATS, CHUNK_CELLS, ResultTable, _csv_block,
-                                scenario_metadata)
+                                _float_fields, scenario_metadata)
 
 
 def read_metadata(text):
@@ -336,11 +336,13 @@ OPTQ_COLUMNS = ("d_nm", "q_opt", "value", "objective", "boundary")
 
 @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 2)])
 def test_csv_written_across_block_boundaries(tmp_path, blocks, extra):
-    # optq's kinds (float, str, bool) in tables of a whole number of row blocks, one
-    # row short of one, one row over one, and over three, against a cell-by-cell oracle
+    # optq's kinds (float, str, bool) with nan, inf and -0.0 cells, in tables of a whole
+    # number of row blocks, one row short of one, one row over one, and over three, against
+    # a cell-by-cell oracle
     rows = blocks * (CHUNK_CELLS // len(OPTQ_COLUMNS)) + extra
     rng = np.random.default_rng(rows)
-    columns = (rng.uniform(1.0, 40.0, rows), 10.0 ** rng.uniform(2.0, 7.0, rows),
+    special = np.resize([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324], rows)
+    columns = (rng.uniform(1.0, 40.0, rows), special,
                rng.standard_normal(rows) * 10.0 ** rng.integers(-12, 12, rows),
                np.where(rng.random(rows) < 0.5, "yield", "power"), rng.random(rows) < 0.3)
     table = ResultTable.from_arrays("optq", OPTQ_COLUMNS, columns)
@@ -393,12 +395,17 @@ def test_json_written_across_block_boundaries(tmp_path, blocks, extra):
     assert written == _json_oracle(table)
 
 
+def _two_block_table():
+    """Rows of 7 float64 columns, and their table of two 8,192-row blocks."""
+    rows = np.random.default_rng(7).standard_normal((2 * 8192, 7)).view(
+        [(c, float) for c in "abcdefg"])[:, 0]
+    return rows, ResultTable("t", rows.dtype, lambda: iter((rows[:8192], rows[8192:])), {})
+
+
 def test_each_block_is_cut_into_equal_chunks(monkeypatch):
     # two 8,192-row blocks of 7 columns: 7 chunks each, of 1,171 or 1,170 rows; chunks of
     # CHUNK_CELLS // 7 = 1,170 rows left a 2-row eighth in each block
-    rows = np.random.default_rng(7).standard_normal((2 * 8192, 7)).view(
-        [(c, float) for c in "abcdefg"])[:, 0]
-    table = ResultTable("t", rows.dtype, rows.size, lambda: iter((rows[:8192], rows[8192:])), {})
+    rows, table = _two_block_table()
     assert [len(chunk) for chunk in table._chunks()] == 2 * ([1171] * 2 + [1170] * 5)
     calls = []
     monkeypatch.setattr("plasmonsim.results._csv_block",
@@ -407,11 +414,25 @@ def test_each_block_is_cut_into_equal_chunks(monkeypatch):
     assert len(calls) == 14 and text.endswith(b"\na,b,c,d,e,f,g\n" + _csv_block(rows))
 
 
+def test_only_all_float64_chunks_go_through_the_float_formatter(monkeypatch):
+    # optq's kinds (float, str, bool) are printed row by row by their %-template; the
+    # two-block float table above is formatted by one _float_fields call per chunk
+    calls = []
+    monkeypatch.setattr("plasmonsim.results._float_fields",
+                        lambda x, *out: calls.append(len(x)) or _float_fields(x, *out))
+    mixed = ResultTable.from_arrays("optq", OPTQ_COLUMNS, ([5.0, 6.0], [1e4, 2e4], [0.5, 0.25],
+                                                         ["yield", "power"], [True, False]))
+    assert b"".join(mixed._csv_chunks()).endswith(b"\n5,10000,0.5,yield,1\n6,20000,0.25,power,0\n")
+    assert calls == []
+    packed = _two_block_table()[1]
+    b"".join(packed._csv_chunks())
+    assert calls == [7 * len(chunk) for chunk in packed._chunks()] and len(calls) == 14
+
+
 def test_json_skips_empty_blocks():
     # a table of one-row, empty and many-row blocks reads as the table of their rows
     rows = ResultTable.from_arrays("t", ("a", "b"), ([1.0, -0.0, 3.0], [np.nan, 2.0, 1e300])).rows
-    table = ResultTable("t", rows.dtype, 3, lambda: iter((rows[:1], rows[:0], rows[1:], rows[:0])),
-                        {})
+    table = ResultTable("t", rows.dtype, lambda: iter((rows[:1], rows[:0], rows[1:], rows[:0])), {})
     assert b"".join(table._json_chunks()).decode() == _json_oracle(table)
 
 
@@ -812,7 +833,7 @@ def _with_values(text, values):
 def test_cli_fuzz_exits_with_a_prefixed_error_or_finite_tables(config, argv):
     """A builtin config with 1-3 schema keys at extreme values or scaled inside their range:
     the CLI exits 0, 1 or 2; escapes no exception; prints no warning and, on error, one
-    prefixed message; and every cell of a table written with exit 0 is finite."""
+    prefixed message; and every cell of a table written with exit 0 is finite and physical."""
     builtin, values = config
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.ini"
@@ -831,6 +852,33 @@ def test_cli_fuzz_exits_with_a_prefixed_error_or_finite_tables(config, argv):
             lines = [line for line in table.read_text().splitlines() if not line.startswith("#")]
             cells = np.array([line.split(",") for line in lines[1:]], dtype=float)
             assert np.isfinite(cells).all(), table.name
+            _assert_physical(table.name, dict(zip(lines[0].split(","), cells.T)))
+
+
+def _rounding(*cells):
+    """The most by which a sum of the cells can be off once each is printed to 9 significant
+    digits and read back: half a unit in each one's ninth digit, and the sum's own rounding."""
+    size = sum(np.abs(c) for c in cells)
+    return 5e-9 * size + 4 * np.spacing(size)
+
+
+def _assert_physical(name, col):
+    """A fuzzed table's physics: yields in [0, 1]; Ohmic, port and population cells >= 0 (the
+    vacuum cross term can be negative); the radiated total the sum of its two ports; the
+    total population never rising; every branch decaying."""
+    for c, values in col.items():
+        if c.startswith("yield_"):
+            assert ((values >= 0) & (values <= 1)).all(), (name, c)
+        if c.startswith(("phi_ohmic_", "pop_")) or c == "phi_rad_cavity_port":
+            assert (values >= 0).all(), (name, c)
+        if re.fullmatch(r"branch\d+_im_ev", c):
+            assert (values <= 0).all(), (name, c)
+    if "phi_rad_total" in col:
+        total, vacuum, port = col["phi_rad_total"], col["phi_rad_vacuum"], col["phi_rad_cavity_port"]
+        assert (np.abs(total - vacuum - port) <= _rounding(total, vacuum, port)).all(), name
+    if "pop_total" in col:
+        total = col["pop_total"]
+        assert (np.diff(total) <= _rounding(total[1:], total[:-1])).all(), name
 
 
 def test_evolve_with_an_overflowing_width_writes_a_finite_table(tmp_path, capsys):

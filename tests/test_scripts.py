@@ -56,7 +56,7 @@ def test_compare_outputs_reports_each_changed_cell(tmp_path):
     shutil.copytree(ROOT / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
     results = changed / "plasmonsim" / "results.py"
     source = results.read_text()
-    negated = source.replace("values = (", "values = -(")
+    negated = source.replace("_float_fields(values, ", "_float_fields(-values, ")
     assert negated != source
     results.write_text(negated)
     proc = run_script("compare_outputs.py", ROOT / "src", changed, "--only", "fig1c_grid11",
