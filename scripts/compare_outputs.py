@@ -7,7 +7,7 @@ OLD_SRC and NEW_SRC are directories holding a `plasmonsim` package (a
 checkout's `src`).  Every command runs twice as a cold `python -m
 plasmonsim` child, once with PYTHONPATH set to each directory, in a fresh
 work directory that holds the command's config files; `--out out` is
-appended, so the printed paths are the same on both sides.  The set of 80
+appended, so the printed paths are the same on both sides.  The set of 83
 commands is:
 
 - the figure commands, with and without `--grid`, `--format json`,
@@ -24,6 +24,8 @@ commands is:
   `fig2 --grid 1000000` (MAX_POINTS, 123 blocks a sweep), and a `[sweep]`
   `start_ev`/`stop_ev` range of 3 x 8192 + 2 points;
 - a `spectrum` of `fig2` whose G and g1 are projected by `theta_deg = 30`;
+- `validate` and `spectrum` of `fig3`'s ellipsoid in `first_principles`
+  mode, and a `validate` of a config with three problems at once;
 - three error exits, a steady state of condition number ~1e8, and a
   `spectrum` and a `yield` whose sweep near an exceptional point takes the
   LU path in several blocks;
@@ -144,6 +146,19 @@ def cases():
                      [("mode = paper_exact", "mode = paper_exact\ntheta_deg = 30")])
     found.append(("spectrum_theta30", ["spectrum", "--config", "tilted.ini"],
                   {"tilted.ini": tilted}))
+    # fig3's untilted ellipsoid with every coupling derived from the geometry: no quench sum
+    ellipsoid = _edited(BUILTIN_CONFIGS["fig3"], [
+        ("mode = calibrated", "mode = first_principles"), ("theta_deg = 60.0\n", ""),
+        ("two_g_eff_mev = 3.5\n", ""), ("kappa2_mev = 0.11\n", "")])
+    for command in ("validate", "spectrum"):
+        found.append((f"{command}_first_principles_ellipsoid", [command, "--config", "fpe.ini"],
+                      {"fpe.ini": ellipsoid}))
+    # a missing required key, an empty map axis and a missing paper_exact key: the validator's
+    # messages and their order
+    problems = _edited(BUILTIN_CONFIGS["fig2"], [("distance_nm = 10.0\n", ""),
+                                                 ("G_mev = -7.2\n", "")])
+    found.append(("error_three_problems", ["validate", "--config", "problems.ini"],
+                  {"problems.ini": problems + "\n[sweep]\nd_min_nm = 40\n"}))
     # a configured detuning range over three blocks and two points
     span = BUILTIN_CONFIGS["fig2"] + "\n[sweep]\nstart_ev = -0.01\nstop_ev = 0.01\n"
     span += "points = 24578\n"

@@ -189,6 +189,99 @@ def test_theta_deg_projects_and_tags_the_couplings_outside_calibrated_mode(text)
                                  "G_ev": "derived", "g1_ev": "derived"}
 
 
+#: the six coupling and rate keys of [couplings] at the paper's values, and the parameters
+#: they set
+PAPER_COUPLINGS = {"g1_mev": "-2.9", "G_mev": "-7.2", "J_uev": "-144", "gamma_m_uev": "83",
+                   "gamma_s_uev": "3", "gamma_1r_mev": "2.45"}
+COUPLING_PARAMS = ("g1_ev", "G_ev", "J_ev", "gamma_m_ev", "gamma_s_ev", "gamma_1r_ev")
+RESOLVE_MATRIX = [(mode, shape, theta, explicit)
+                  for mode in ("paper_exact", "first_principles", "calibrated")
+                  for shape in ("sphere", "ellipsoid") for theta in (False, True)
+                  for explicit in (False, True)]
+
+
+def _matrix_config(mode, shape, theta, explicit):
+    """fig2's sphere or fig3's ellipsoid with a [couplings] section of the given mode. `explicit`
+    says whether G_mev is given: paper_exact otherwise gives all six keys; theta tilts by 30
+    degrees outside calibrated mode and by 60 in it."""
+    base = BUILTIN_CONFIGS["fig2" if shape == "sphere" else "fig3"].split("[couplings]")[0]
+    keys = dict(PAPER_COUPLINGS) if mode == "paper_exact" else {"G_mev": "-7.2"}
+    if not explicit:
+        del keys["G_mev"]
+    if theta:
+        keys["theta_deg"] = "60" if mode == "calibrated" else "30"
+    lines = [f"mode = {mode}"] + [f"{key} = {value}" for key, value in keys.items()]
+    return base + "[couplings]\n" + "\n".join(lines) + "\n\n[run]\ndrive = emitter\n"
+
+
+def _matrix_problems(mode, shape, theta, explicit):
+    """The validator's problem lines for one combination of the matrix, in order."""
+    problems = []
+    if mode == "paper_exact" and not explicit:
+        problems.append("missing required key 'G_mev' in [couplings] (mode = paper_exact)")
+    if mode == "calibrated":
+        if not theta:
+            problems.append("missing required key 'theta_deg' in [couplings] (mode = calibrated)")
+        if explicit:
+            problems.append("[couplings] G_mev is not allowed with mode = calibrated: "
+                            "the couplings and rates are fitted or derived")
+        if shape == "sphere":
+            problems.append("mode = calibrated applies to the tilted-ellipsoid geometry")
+    return problems
+
+
+def _matrix_tags(params, mode, shape, theta, explicit):
+    """Each parameter's provenance as the README states it: inputs and computed values
+    first_principles, quoted values paper_exact, fitted couplings and the anchored sphere quench
+    rate calibrated, and a value that follows from others derived."""
+    tags = dict.fromkeys(params, "first_principles")
+    if mode == "paper_exact":
+        tags.update(dict.fromkeys(COUPLING_PARAMS, "paper_exact"))
+    elif mode == "calibrated":
+        tags.update(dict.fromkeys(("g1_ev", "G_ev", "J_ev", "gamma_m_ev"), "calibrated"))
+    else:
+        tags["gamma_m_ev"] = "calibrated" if shape == "sphere" else "first_principles"
+        if explicit:
+            tags["G_ev"] = "paper_exact"
+    tags["delta_0_ev"] = "derived"
+    if theta and mode != "calibrated":
+        tags["G_ev"] = tags["g1_ev"] = "derived"
+    return tags
+
+
+@pytest.mark.parametrize("mode, shape, theta, explicit", RESOLVE_MATRIX,
+                         ids=["-".join((m, s, "theta" if t else "flat", "G" if e else "noG"))
+                              for m, s, t, e in RESOLVE_MATRIX])
+def test_resolve_matrix_tags_and_derives_every_parameter(mode, shape, theta, explicit):
+    # every mode x shape x tilt x explicit G: an invalid combination is rejected with exactly its
+    # problems, a valid one carries the README's tag on each parameter and the derived values
+    text = _matrix_config(mode, shape, theta, explicit)
+    problems = _matrix_problems(mode, shape, theta, explicit)
+    if problems:
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text, origin="matrix.ini")
+        assert str(err.value) == "invalid configuration matrix.ini:\n  " + "\n  ".join(problems)
+        return
+    s = parse_config_text(text, name="matrix").scenario
+    shapes = {"sphere": {"radius_nm"}, "ellipsoid": {"a1_nm", "a2_nm", "a3_nm", "axis"}}
+    optional = {"theta_deg", *shapes["sphere"], *shapes["ellipsoid"]}
+    assert set(s.params) & optional == shapes[shape] | ({"theta_deg"} if theta else set())
+    assert {*COUPLING_PARAMS, "delta_0_ev"} <= set(s.params)
+    assert s.provenance == _matrix_tags(s.params, mode, shape, theta, explicit)
+    assert s["delta_0_ev"] == pytest.approx(-s["J_ev"] * s["g1_ev"] / s["G_ev"], rel=1e-15)
+    if mode == "calibrated":
+        return  # the fit sets |G| and |g1| on the tilted geometry: nothing is projected
+    flat = parse_config_text(_matrix_config(mode, shape, False, explicit), name="m").scenario
+    cos, sin = ((math.cos(math.radians(30.0)), math.sin(math.radians(30.0))) if theta
+                else (1.0, 1.0))
+    assert s["G_ev"] == pytest.approx(flat["G_ev"] * cos, rel=1e-15)
+    assert s["g1_ev"] == pytest.approx(flat["g1_ev"] * sin, rel=1e-15)
+    if explicit:
+        assert flat["G_ev"] == -7.2e-3
+    assert {k: s[k] for k in COUPLING_PARAMS if k not in ("G_ev", "g1_ev")} == {
+        k: flat[k] for k in COUPLING_PARAMS if k not in ("G_ev", "g1_ev")}
+
+
 def test_calibrated_mode_requires_ellipsoid():
     text = BUILTIN_CONFIGS["fig2"].replace("mode = paper_exact", "mode = calibrated")
     for key in ("g1_mev", "G_mev", "J_uev", "gamma_m_uev", "gamma_s_uev", "gamma_1r_mev"):
