@@ -91,10 +91,10 @@ def _reject_grid(args, reason):
 
 
 def _spectral_grid(parsed, points_override):
-    """Pump detunings of [sweep] start_ev..stop_ev, default Delta_0 +/- 8 meV, 2001 points,
+    """Pump detunings of [sweep] start_ev..stop_ev, default Delta_0 +/- 8 meV, at [sweep] points,
     as a Linspace."""
     sweep = parsed.sweep
-    points = points_override or sweep.get("points", 2001)
+    points = points_override or sweep["points"]
     if "start_ev" in sweep:  # the config requires stop_ev with it
         return Linspace(sweep["start_ev"], sweep["stop_ev"], points)
     delta_0 = parsed.scenario["delta_0_ev"]

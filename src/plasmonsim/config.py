@@ -97,7 +97,7 @@ SCHEMA = {
     "sweep": {
         "start_ev": (_FLOAT, None, None),
         "stop_ev": (_FLOAT, None, None),
-        "points": (_COUNT, None, None),
+        "points": (_COUNT, 2001, None),
         # the (D, Q) map axes, log-spaced; map without --config reads these defaults
         "d_min_nm": (_POSITIVE, 2.0, None),
         "d_max_nm": (_POSITIVE, 30.0, None),
@@ -114,16 +114,22 @@ SCHEMA = {
     },
 }
 
-REQUIRED = {
-    "particle": ("shape",),
-    "emitter": ("distance_nm",),
-    "cavity": ("vc_um3", "q_factor"),
-}
 REQUIRED_SECTIONS = ("metal", "environment", "particle", "emitter", "cavity", "couplings")
 #: scenario parameter -> the [couplings] key that sets it explicitly
 COUPLING_KEYS = {"g1_ev": "g1_mev", "G_ev": "G_mev", "J_ev": "J_uev",
                  "gamma_m_ev": "gamma_m_uev", "gamma_s_ev": "gamma_s_uev",
                  "gamma_1r_ev": "gamma_1r_mev"}
+#: (section, switch key, its value) -> the keys the section must give; a row without a switch
+#: key always applies
+REQUIRED = {
+    ("particle", None, None): ("shape",),
+    ("emitter", None, None): ("distance_nm",),
+    ("cavity", None, None): ("vc_um3", "q_factor"),
+    ("particle", "shape", "sphere"): ("radius_nm",),
+    ("particle", "shape", "ellipsoid"): ("a1_nm", "a2_nm", "a3_nm"),
+    ("couplings", "mode", "paper_exact"): tuple(COUPLING_KEYS.values()),
+    ("couplings", "mode", "calibrated"): ("theta_deg",),
+}
 
 BUILTIN_CONFIGS = {
     "fig2": """\
@@ -252,15 +258,13 @@ def _read_sections(text, origin):
 
 
 def _validate(sections, origin):
-    problems = []
-    for section in sections:
-        if section not in SCHEMA:
-            problems.append(
-                f"unknown section [{section}]{_suggest(section, list(SCHEMA))}")
-    for section in REQUIRED_SECTIONS:
-        if section not in sections:
-            problems.append(f"missing required section [{section}]")
-    values = {}
+    problems = [f"unknown section [{section}]{_suggest(section, list(SCHEMA))}"
+                for section in sections if section not in SCHEMA]
+    problems += [f"missing required section [{section}]"
+                 for section in REQUIRED_SECTIONS if section not in sections]
+    # every default first: an absent or invalid key reads its default in the checks below
+    resolved = {section: {key: default for key, (_, default, _) in schema.items()
+                          if default is not None} for section, schema in SCHEMA.items()}
     for section, keys in sections.items():
         if section not in SCHEMA:
             continue
@@ -314,58 +318,32 @@ def _validate(sections, origin):
                     continue
             else:
                 value = raw.strip()
-            values.setdefault(section, {})[key] = value
+            resolved[section][key] = value
     # a key is missing only if absent: an invalid value is reported once, above
-    for section, required in REQUIRED.items():
-        if section not in sections:
-            continue
-        for key in required:
-            if key not in sections[section]:
-                problems.append(f"missing required key {key!r} in [{section}]")
-
-    got = sections.get("particle", {})
-    shape = values.get("particle", {}).get("shape")
-    if shape == "sphere" and "radius_nm" not in got:
-        problems.append("missing required key 'radius_nm' in [particle] (shape = sphere)")
-    if shape == "ellipsoid":
-        for key in ("a1_nm", "a2_nm", "a3_nm"):
-            if key not in got:
-                problems.append(f"missing required key {key!r} in [particle] (shape = ellipsoid)")
-    sweep = values.get("sweep", {})
+    missing = [(section, f"missing required key {key!r} in [{section}]"
+                + (f" ({switch} = {value})" if switch else ""))
+               for (section, switch, value), keys in REQUIRED.items()
+               if section in sections and (switch is None or resolved[section].get(switch) == value)
+               for key in keys if key not in sections[section]]
+    problems += [problem for section, problem in missing if section != "couplings"]
+    sweep = resolved["sweep"]
     if ("start_ev" in sweep) != ("stop_ev" in sweep):
         problems.append("[sweep] start_ev and stop_ev go together: give both or neither")
-    elif math.isinf(2.0 * (sweep.get("stop_ev", 0.0) - sweep.get("start_ev", 0.0))):
+    elif "start_ev" in sweep and math.isinf(2.0 * (sweep["stop_ev"] - sweep["start_ev"])):
         problems.append("[sweep] stop_ev - start_ev must be below half the largest double")
     for low, high in (("d_min_nm", "d_max_nm"), ("q_min", "q_max")):
-        lo = sweep.get(low, SCHEMA["sweep"][low][1])
-        hi = sweep.get(high, SCHEMA["sweep"][high][1])
-        if lo >= hi:
-            problems.append(f"[sweep] {low} = {lo:g} must be < {high} = {hi:g}")
-    couplings = sections.get("couplings", {})
-    mode = values.get("couplings", {}).get("mode", "first_principles")
-    required = {"paper_exact": tuple(COUPLING_KEYS.values()), "calibrated": ("theta_deg",)}
-    for key in required.get(mode, ()):
-        if key not in couplings:
-            problems.append(f"missing required key {key!r} in [couplings] (mode = {mode})")
-    if mode == "calibrated":
-        for key in COUPLING_KEYS.values():
-            if key in couplings:
-                problems.append(f"[couplings] {key} is not allowed with mode = calibrated: "
-                                "the couplings and rates are fitted or derived")
-    if mode == "calibrated" and shape not in (None, "ellipsoid"):
-        problems.append("mode = calibrated applies to the tilted-ellipsoid geometry")
+        if sweep[low] >= sweep[high]:
+            problems.append(f"[sweep] {low} = {sweep[low]:g} must be < {high} = {sweep[high]:g}")
+    # the [couplings] rows are reported after the [sweep] checks
+    problems += [problem for section, problem in missing if section == "couplings"]
+    if resolved["couplings"]["mode"] == "calibrated":
+        problems += [f"[couplings] {key} is not allowed with mode = calibrated: the couplings "
+                     "and rates are fitted or derived"
+                     for key in COUPLING_KEYS.values() if key in sections["couplings"]]
+        if resolved["particle"].get("shape") == "sphere":
+            problems.append("mode = calibrated applies to the tilted-ellipsoid geometry")
     if problems:
         raise ConfigError(f"invalid configuration {origin}:\n  " + "\n  ".join(problems))
-
-    # apply defaults
-    resolved = {}
-    for section, schema in SCHEMA.items():
-        resolved[section] = {}
-        for key, (kind, default, _) in schema.items():
-            if key in values.get(section, {}):
-                resolved[section][key] = values[section][key]
-            elif default is not None:
-                resolved[section][key] = default
     return resolved
 
 
@@ -428,56 +406,52 @@ def _resolve_scenario(cfg, name):
         params.update({"a1_nm": pc["a1_nm"], "a2_nm": pc["a2_nm"], "a3_nm": pc["a3_nm"],
                        "axis": axis})
 
+    # each branch sets its couplings and their provenance; every other value is an input or
+    # computed from the inputs, tagged first_principles
     co = cfg["couplings"]
-    mode = co["mode"]
     if "theta_deg" in co:
         params["theta_deg"] = co["theta_deg"]
     given = {param: _ev(co, key) for param, key in COUPLING_KEYS.items() if key in co}
     calibration = {}
-    if mode == "paper_exact":
-        couplings = given
-    elif mode == "calibrated":
+    if co["mode"] == "calibrated":  # theta_deg tilts the fitted geometry: nothing is projected
         rates = {"gamma_1r_ev": gamma_1r, "gamma_s_ev": gamma_s, "gamma_m_ev": 0.0}
         targets = (_ev(co, "two_g_eff_mev"), _ev(co, "kappa2_mev"))
         fit, calibration = calibrate_fig3_couplings(
             Scenario(name, {**params, **rates}, {}), targets)
         couplings = {**rates, **fit}
+        tags = dict.fromkeys(("g1_ev", "G_ev", "J_ev", "gamma_m_ev"), "calibrated")
         notes.append("gamma_m = 0: ellipsoid multipole modes are far detuned from the emitter")
         notes.append(f"couplings calibrated at q_factor = {ANTICROSSING_Q:g}")
-    else:  # first_principles; explicit values win over the derived ones
-        mu_1 = cpl.plasmon_effective_dipole(gamma_1r, omega_1)
-        J_mag = cpl.vacuum_coupling(ec["mu_e_nm"], omega_c, vc_nm3, env.eps_b)
-        G, gamma_m = cpl.distance_law(ec["distance_nm"], particle, env, omega_e, mu_1,
-                                      ec["mu_e_nm"], ec["orientation"], axis)
-        if gamma_m is None:
-            gamma_m = 0.0
-            notes.append("gamma_m = 0: multipole quenching sum is defined for spheres only")
-        couplings = {
-            "g1_ev": -cpl.vacuum_coupling(mu_1, omega_c, vc_nm3, env.eps_b),
-            "G_ev": float(G),
-            "J_ev": -J_mag * math.cos(math.radians(ec["angle_to_cavity_deg"])),
-            "gamma_1r_ev": gamma_1r, "gamma_s_ev": gamma_s, "gamma_m_ev": float(gamma_m),
-            **given,
-        }
-    derived = ["delta_0_ev"]
-    if "theta_deg" in co and mode != "calibrated":  # a projection is neither quoted nor computed
-        couplings["G_ev"], couplings["g1_ev"] = cpl.project_couplings(
-            couplings["G_ev"], couplings["g1_ev"], co["theta_deg"])
-        derived += ["G_ev", "g1_ev"]
+    else:
+        tags = {}
+        if co["mode"] == "paper_exact":
+            couplings = given
+        else:  # first_principles; explicit values win over the derived ones
+            mu_1 = cpl.plasmon_effective_dipole(gamma_1r, omega_1)
+            J_mag = cpl.vacuum_coupling(ec["mu_e_nm"], omega_c, vc_nm3, env.eps_b)
+            G, gamma_m = cpl.distance_law(ec["distance_nm"], particle, env, omega_e, mu_1,
+                                          ec["mu_e_nm"], ec["orientation"], axis)
+            if gamma_m is None:
+                gamma_m = 0.0
+                notes.append("gamma_m = 0: multipole quenching sum is defined for spheres only")
+            else:  # a sphere's quench sum is anchored to the quoted rate at D = 10 nm
+                tags["gamma_m_ev"] = "calibrated"
+            couplings = {
+                "g1_ev": -cpl.vacuum_coupling(mu_1, omega_c, vc_nm3, env.eps_b),
+                "G_ev": float(G),
+                "J_ev": -J_mag * math.cos(math.radians(ec["angle_to_cavity_deg"])),
+                "gamma_1r_ev": gamma_1r, "gamma_s_ev": gamma_s, "gamma_m_ev": float(gamma_m),
+                **given,
+            }
+        tags.update(dict.fromkeys(given, "paper_exact"))
+        if "theta_deg" in co:  # a projection is neither the quoted nor the computed value
+            couplings["G_ev"], couplings["g1_ev"] = cpl.project_couplings(
+                couplings["G_ev"], couplings["g1_ev"], co["theta_deg"])
+            tags.update(G_ev="derived", g1_ev="derived")
     params.update(couplings)
     G, g1, J = params["G_ev"], params["g1_ev"], params["J_ev"]
     params["delta_0_ev"] = dyn.fano_detuning(J, g1, G) if G != 0.0 else 0.0
-
-    prov = {k: "first_principles" for k in params}
-    if mode == "paper_exact":
-        prov.update({k: "paper_exact" for k in COUPLING_KEYS})
-    elif mode == "calibrated":
-        prov.update({k: "calibrated" for k in ("g1_ev", "G_ev", "J_ev", "gamma_m_ev")})
-    else:
-        if pc["shape"] == "sphere":
-            prov["gamma_m_ev"] = "calibrated"
-        prov.update({k: "paper_exact" for k in given})
-    prov.update(dict.fromkeys(derived, "derived"))
+    prov = {**dict.fromkeys(params, "first_principles"), **tags, "delta_0_ev": "derived"}
     return Scenario(name, params, prov, tuple(notes), calibration)
 
 
