@@ -431,8 +431,8 @@ def _resolve_scenario(cfg, name):
             J_mag = cpl.vacuum_coupling(ec["mu_e_nm"], omega_c, vc_nm3, env.eps_b)
             G, gamma_m = cpl.distance_law(ec["distance_nm"], particle, env, omega_e, mu_1,
                                           ec["mu_e_nm"], ec["orientation"], axis)
-            if gamma_m is None:
-                gamma_m = 0.0
+            if gamma_m is None:  # no quench sum for this shape: 0 stands in, as the note says
+                gamma_m, tags["gamma_m_ev"] = 0.0, "derived"
                 notes.append("gamma_m = 0: multipole quenching sum is defined for spheres only")
             else:  # a sphere's quench sum is anchored to the quoted rate at D = 10 nm
                 tags["gamma_m_ev"] = "calibrated"

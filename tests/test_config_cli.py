@@ -168,7 +168,8 @@ def test_first_principles_ellipsoid_has_no_quench_rate():
     s = parse_config_text(FIRST_PRINCIPLES_ELLIPSOID, name="fp_ellipsoid").scenario
     assert s["gamma_m_ev"] == 0.0
     assert s.notes == ("gamma_m = 0: multipole quenching sum is defined for spheres only",)
-    assert s.provenance == {**dict.fromkeys(s.params, "first_principles"), "delta_0_ev": "derived"}
+    assert s.provenance == {**dict.fromkeys(s.params, "first_principles"), "delta_0_ev": "derived",
+                            "gamma_m_ev": "derived"}
 
 
 @pytest.mark.parametrize("text", [BUILTIN_CONFIGS["fig2"], FIRST_PRINCIPLES_ELLIPSOID],
@@ -233,14 +234,14 @@ def _matrix_problems(mode, shape, theta, explicit):
 def _matrix_tags(params, mode, shape, theta, explicit):
     """Each parameter's provenance as the README states it: inputs and computed values
     first_principles, quoted values paper_exact, fitted couplings and the anchored sphere quench
-    rate calibrated, and a value that follows from others derived."""
+    rate calibrated, and a value that follows from others or stands in for one derived."""
     tags = dict.fromkeys(params, "first_principles")
     if mode == "paper_exact":
         tags.update(dict.fromkeys(COUPLING_PARAMS, "paper_exact"))
     elif mode == "calibrated":
         tags.update(dict.fromkeys(("g1_ev", "G_ev", "J_ev", "gamma_m_ev"), "calibrated"))
     else:
-        tags["gamma_m_ev"] = "calibrated" if shape == "sphere" else "first_principles"
+        tags["gamma_m_ev"] = "calibrated" if shape == "sphere" else "derived"
         if explicit:
             tags["G_ev"] = "paper_exact"
     tags["delta_0_ev"] = "derived"
