@@ -258,10 +258,14 @@ def _read_sections(text, origin):
 
 
 def _validate(sections, origin):
-    problems = [f"unknown section [{section}]{_suggest(section, list(SCHEMA))}"
-                for section in sections if section not in SCHEMA]
-    problems += [f"missing required section [{section}]"
-                 for section in REQUIRED_SECTIONS if section not in sections]
+    problems = []
+    for section in sections:
+        if section not in SCHEMA:
+            problems.append(
+                f"unknown section [{section}]{_suggest(section, list(SCHEMA))}")
+    for section in REQUIRED_SECTIONS:
+        if section not in sections:
+            problems.append(f"missing required section [{section}]")
     # every default first: an absent or invalid key reads its default in the checks below
     resolved = {section: {key: default for key, (_, default, _) in schema.items()
                           if default is not None} for section, schema in SCHEMA.items()}
