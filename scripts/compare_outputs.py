@@ -7,15 +7,15 @@ OLD_SRC and NEW_SRC are directories holding a `plasmonsim` package (a
 checkout's `src`).  Every command runs twice as a cold `python -m
 plasmonsim` child, once with PYTHONPATH set to each directory, in a fresh
 work directory that holds the command's config files; `--out out` is
-appended, so the printed paths are the same on both sides.  The set of 83
+appended, so the printed paths are the same on both sides.  The set of 84
 commands is:
 
 - the figure commands, with and without `--grid`, `--format json`,
   `--first-principles` and `--sweep`, and with grids of several
   steady-state blocks, of whole rows of a `fig4` map and of rows longer
-  than a block; `eigen`, `map` and `optq` variants, one of them an `optq`
-  at 3,400 distances, whose float, str and bool columns span three CSV
-  chunks;
+  than a block; `eigen`, `map` and `optq` variants, among them a `map` of
+  10,000 cells in two steady-state blocks and an `optq` at 3,400
+  distances, whose float, str and bool columns span three CSV chunks;
 - `spectrum`, `yield`, `evolve` and `validate` on every builtin config, and
   one JSON `spectrum`;
 - sweeps of several steady-state blocks: `yield --config fig2 --grid 30000`,
@@ -80,6 +80,8 @@ PLAIN = [
     ("eigen_fig4_sweep", ["eigen", "--config", "fig4", "--sweep", "-10e-3:10e-3:5e-4"]),
     ("map", ["map"]),
     ("map_grid7", ["map", "--grid", "7"]),
+    # 10,000 cells: two LU blocks, each slicing the array rates gamma_c and gamma_m
+    ("map_grid100", ["map", "--grid", "100"]),
     ("optq", ["optq"]),
     ("optq_power", ["optq", "--objective", "power", "--d-nm", "3", "--d-nm", "22"]),
     ("spectrum_fig2_json", ["spectrum", "--config", "fig2", "--format", "json"]),

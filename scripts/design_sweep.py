@@ -26,7 +26,7 @@ def run():
         return code
     scenario = parse_config(DESIGN_SCENARIO).scenario
     distances = np.linspace(5.0, 15.0, 11)
-    best = max(zip((r.value for r in optimal_Q(scenario, distances)), distances))
+    best = max(zip(optimal_Q(scenario, distances)[1], distances))
     print(f"peak yield enhancement {best[0]:.1f} at D = {best[1]:.1f} nm")
     return 0
 

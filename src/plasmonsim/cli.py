@@ -76,9 +76,8 @@ def _detuning_sweep(args, scenario):
 def _write(tables, args):
     """Write each table into --out in --format, print its path, and return exit code 0."""
     os.makedirs(args.out, exist_ok=True)
-    ext = "csv" if args.format == "csv" else "json"
     for table in tables:
-        path = os.path.join(args.out, f"{table.name}.{ext}")
+        path = os.path.join(args.out, f"{table.name}.{args.format}")
         table.write(path, args.format)
         print(path)
     return 0

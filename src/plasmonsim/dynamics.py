@@ -215,7 +215,7 @@ def _resolvent(h, grid, f):
                     d, lam[block], vecs[block], weights[block])
         index = list(_row_blocks(shape))
         h = np.broadcast_to(h, shape + (n, n))
-        if len(index) == 1:  # one block, as every map and optq solve: invert it once
+        if len(index) == 1:  # one block, as the default map's and optq's solves: invert it once
             bound, inv = _inverse(grid[index[0]], h[index[0]])
             v = inv @ f
             solve, bounds = (lambda block, d: v), [(index[0], bound)]
@@ -273,7 +273,8 @@ def steady_state_sweep(hamiltonian, detunings, drive_mode):
 
     Returns (amplitudes (..., n_modes), the Hamiltonian's port powers
     {port -> array}) over the broadcast shape: the blocks of
-    steady_state_blocks put together.  The (D, Q) enhancements use it; tables do not.
+    steady_state_blocks put together.  The (D, Q) enhancements and fig2's Delta_0
+    metadata use it; tables do not.
     """
     sweep = steady_state_blocks(hamiltonian, detunings, drive_mode)
     shape = sweep.grid.shape
@@ -377,10 +378,6 @@ class EigenBranchSet:
 
     sweep_values: np.ndarray
     eigenvalues: np.ndarray  # complex (n_sweep, n_modes)
-
-    @property
-    def n_branches(self):
-        return self.eigenvalues.shape[1]
 
 
 def _best_assignment(score):

@@ -190,14 +190,11 @@ def run_fig2(scenario, points=401):
     metadata.  Each system is swept once over the grid and once at Delta_0.
     """
     delta_0 = scenario["delta_0_ev"]
-    h, h_bare = scenario.hamiltonian(), scenario.hamiltonian(bare=True)
-    grid = dyn.Linspace(-1e-3, 1e-3, points, offset=delta_0)
-    cavity = dyn.steady_state_blocks(h, grid, "emitter")
+    cavity, bare = _sweeps(scenario, dyn.Linspace(-1e-3, 1e-3, points, offset=delta_0), "emitter")
     peak = np.max([np.max(cavity.solve(block, cavity.grid[block])[1]["ohmic_plasmon"])
                    for block in cavity.index])
-    at_delta0 = [dyn.steady_state_blocks(x, [delta_0], "emitter") for x in (h, h_bare)]
-    at0, at0_bare = (s.solve(s.index[0], s.grid)[1] for s in at_delta0)  # one block: the grid
-    bare = dyn.steady_state_blocks(h_bare, grid, "emitter")
+    at0, at0_bare = (dyn.steady_state_sweep(scenario.hamiltonian(bare=b), delta_0, "emitter")[1]
+                     for b in (False, True))
     meta = {**scenario_metadata(scenario),
             "result.yield_at_delta0": float(net.yield_from_powers(at0)[0]),
             "result.bare_yield_at_delta0": float(net.yield_from_powers(at0_bare)[0]),
@@ -330,26 +327,19 @@ def enhancement_map(scenario, d_grid, q_grid):
     )
 
 
-@dataclass(frozen=True)
-class OptimalQ:
-    q_opt: float
-    value: float
-    objective: str
-    boundary: bool  # true when the maximum sits on the search boundary
-
-
 def optimal_Q(scenario, distances_nm, objective="yield"):
     """Quality factor maximizing the scenario's enhancement at each emitter distance.
 
-    Returns one OptimalQ per distance, in input order.  The distances form
-    one (distances, 1) stack, so one quench sum covers them.  A coarse scan
-    of OPTQ_COARSE_POINTS log-spaced Q over Q_RANGE brackets each maximum
-    (verifying unimodality at scan resolution); golden-section steps then
-    narrow every bracket in lockstep, each distance stopping when its own
-    meets OPTQ_REL_TOL.  A maximum on the scan boundary is reported, not
-    raised, and takes no steps.  A stopped distance is probed at its scan
-    maximum, a Q already solved, so each result equals a search at its
-    distance alone.
+    Returns the arrays (q_opt, value, boundary), one entry per distance in
+    input order; boundary is true where the maximum sits on the search
+    boundary.  The distances form one (distances, 1) stack, so one quench
+    sum covers them.  A coarse scan of OPTQ_COARSE_POINTS log-spaced Q over
+    Q_RANGE brackets each maximum (verifying unimodality at scan
+    resolution); golden-section steps then narrow every bracket in
+    lockstep, each distance stopping when its own meets OPTQ_REL_TOL.  A
+    maximum on the scan boundary is reported, not raised, and takes no
+    steps.  A stopped distance is probed at its scan maximum, a Q already
+    solved, so each result equals a search at its distance alone.
     """
     if objective not in ("yield", "power"):
         raise DomainError(f"objective must be yield or power, got {objective!r}")
@@ -382,17 +372,15 @@ def optimal_Q(scenario, distances_nm, objective="yield"):
         active &= (b - a) > tol
     x_opt = np.where(boundary, x_best, 0.5 * (a + b))
     value = np.where(boundary, values.max(axis=1), values_at(x_opt))
-    return tuple(OptimalQ(10.0 ** float(x), float(v), objective, bool(edge))
-                 for x, v, edge in zip(x_opt, value, boundary))
+    return np.array([10.0 ** float(x) for x in x_opt]), value, boundary
 
 
 def optq_table(scenario, distances_nm, objective):
     """Table optq: the optimal_Q search at each emitter distance, in the given order."""
-    found = optimal_Q(scenario, distances_nm, objective)
+    q_opt, value, boundary = optimal_Q(scenario, distances_nm, objective)
     return ResultTable.from_arrays(
         "optq", ("d_nm", "q_opt", "value", "objective", "boundary"),
-        (distances_nm, [r.q_opt for r in found], [r.value for r in found],
-         [r.objective for r in found], [int(r.boundary) for r in found]),
+        (distances_nm, q_opt, value, [objective] * len(q_opt), boundary.astype(int)),
         {**scenario_metadata(scenario), "objective": objective})
 
 
@@ -556,9 +544,7 @@ def run_fig3(scenario, spectrum_points=2001):
         "fig3_traces", ("time_fs", *(f"pop_{label}" for label in traces)),
         (times_fs, *traces.values()), meta)
 
-    detunings = dyn.Linspace(-8e-3, 8e-3, spectrum_points)
-    cavity, bare = (dyn.steady_state_blocks(h, detunings, "emitter")
-                    for h in (scenario.hamiltonian(), hams["no_cavity"]))
+    cavity, bare = _sweeps(scenario, dyn.Linspace(-8e-3, 8e-3, spectrum_points), "emitter")
     return table_traces, _sweep_table("fig3_spectrum", {
         "detuning_ev": cavity.grid, "phi_rad_cavity": (cavity, _radiated),
         "phi_rad_bare": (bare, _radiated)}, meta)
@@ -581,7 +567,7 @@ def branch_table(name, scenario, sweep):
     }
     columns = ["delta_ec_ev"]
     arrays = [branches.sweep_values]
-    for b in range(branches.n_branches):
+    for b in range(branches.eigenvalues.shape[1]):
         columns += [f"branch{b}_re_ev", f"branch{b}_im_ev"]
         arrays += [branches.eigenvalues[:, b].real, branches.eigenvalues[:, b].imag]
     return ResultTable.from_arrays(name, columns, arrays, meta)

@@ -143,7 +143,7 @@ def test_criterion_4_enhancement_map():
     non_monotonic = (0 < i_max < len(q_grid) - 1) and not all(
         a <= b for a, b in zip(at_d10, at_d10[1:]))
 
-    worst = min(r.value for r in exp.optimal_Q(scenario, np.linspace(5.0, 15.0, 11), "yield"))
+    worst = min(exp.optimal_Q(scenario, np.linspace(5.0, 15.0, 11), "yield")[1])
 
     # The faithful model does not reach enhancement ~ 1 at Q = 1e2: the cavity
     # output port still collects ~0.6x the dipolar radiation there, because the

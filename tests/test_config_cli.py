@@ -922,12 +922,27 @@ def _with_values(text, values):
     return text
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(argv=FUZZ_ARGV, config=fuzz_configs())
-def test_cli_fuzz_exits_with_a_prefixed_error_or_finite_tables(config, argv):
+#: tables that each table-writing subcommand must write with exit 0 over the fuzz examples
+FUZZ_MIN_TABLES = 5
+
+
+def test_cli_fuzz_exits_with_a_prefixed_error_or_finite_tables():
     """A builtin config with 1-3 schema keys at extreme values or scaled inside their range:
     the CLI exits 0, 1 or 2; escapes no exception; prints no warning and, on error, one
-    prefixed message; and every cell of a table written with exit 0 is finite and physical."""
+    prefixed message; and every cell of a table written with exit 0 is finite and physical.
+
+    The physics checks read only tables written with exit 0, so each table-writing
+    subcommand must write at least FUZZ_MIN_TABLES of them over the examples.
+    """
+    tables = dict.fromkeys(("spectrum", "yield", "evolve", "eigen"), 0)
+    _fuzz_cli(tables)
+    assert all(n >= FUZZ_MIN_TABLES for n in tables.values()), tables
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(argv=FUZZ_ARGV, config=fuzz_configs())
+def _fuzz_cli(tables, config, argv):
+    """One fuzz example; adds each table it writes with exit 0 to tables[subcommand]."""
     builtin, values = config
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.ini"
@@ -943,6 +958,7 @@ def test_cli_fuzz_exits_with_a_prefixed_error_or_finite_tables(config, argv):
         assert err.getvalue().startswith(("", "ERROR[config]: ", "ERROR[numeric]: ")[code])
         assert (err.getvalue() == "") == (code == 0)
         for table in out.glob("*.csv") if code == 0 else ():
+            tables[argv[0]] += 1
             lines = [line for line in table.read_text().splitlines() if not line.startswith("#")]
             cells = np.array([line.split(",") for line in lines[1:]], dtype=float)
             assert np.isfinite(cells).all(), table.name

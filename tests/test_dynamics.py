@@ -306,6 +306,28 @@ def test_blocked_stack_sweep_equals_the_whole_grid_solve():
         "phi_rad_total": net.radiated_power(powers).ravel()})
 
 
+@pytest.mark.parametrize("block_points, blocks", [(14, 3), (3, 15)])
+def test_blocked_lu_stack_slices_its_rates_per_block(monkeypatch, block_points, blocks):
+    # a map-shaped (5 distances, 7 Q) stack, gamma_m varying along D and gamma_c along Q, at
+    # one Delta_0 per distance: the LU path, one block at the default size; blocks of two
+    # whole rows, or of parts of one row, slice each array rate to their own points
+    design = parse_config("fig2_first_principles").scenario
+    at_d = exp.with_emitter_at(design, np.geomspace(3.0, 30.0, 5)[:, None])
+    h = exp.with_cavity(at_d, 0.0, np.geomspace(1e2, 1e7, 7)[None, :]).hamiltonian()
+    assert np.shape(h.rates["gamma_m"]) == (5, 1) and np.shape(h.rates["gamma_c"]) == (1, 7)
+    whole = dyn.steady_state_blocks(h, at_d["delta_0_ev"], "emitter")
+    assert whole.path == "lu" and len(whole.index) == 1
+    amps, powers = dyn.steady_state_sweep(h, at_d["delta_0_ev"], "emitter")
+    monkeypatch.setattr(dyn, "SWEEP_BLOCK_POINTS", block_points)
+    sweep = dyn.steady_state_blocks(h, at_d["delta_0_ev"], "emitter")
+    assert sweep.path == "lu" and len(sweep.index) == blocks
+    blocked_amps, blocked_powers = dyn.steady_state_sweep(h, at_d["delta_0_ev"], "emitter")
+    assert blocked_amps.tobytes() == amps.tobytes()
+    assert blocked_powers.keys() == powers.keys()
+    for port, power in powers.items():
+        assert blocked_powers[port].tobytes() == power.tobytes(), port
+
+
 def test_a_guard_failure_in_the_last_block_sends_the_whole_sweep_to_lu():
     """The narrow line of the spectral-retry test, met only by the sweep's last point."""
     gamma = 0.05

@@ -181,10 +181,10 @@ def test_optimal_q_matches_brute_force(design):
     q_grid = np.geomspace(1e2, 1e7, 41)
     values = map_column(design, 10.0, q_grid, "yield_enhancement").tolist()
     i = int(np.argmax(values))
-    result = exp.optimal_Q(design, 10.0, "yield")[0]
-    assert not result.boundary
-    assert q_grid[i - 1] <= result.q_opt <= q_grid[i + 1]
-    assert result.value >= values[i] * (1.0 - 1e-6)
+    (q_opt,), (value,), (boundary,) = exp.optimal_Q(design, 10.0, "yield")
+    assert not boundary
+    assert q_grid[i - 1] <= q_opt <= q_grid[i + 1]
+    assert value >= values[i] * (1.0 - 1e-6)
 
 
 def _enhancements_every_cell(at_d, q_factor):
@@ -211,8 +211,8 @@ def test_map_equals_a_bare_solve_at_every_cell(design):
 
 
 def _optimal_q_one_distance(scenario, d_nm, objective):
-    """Oracle: the golden-section search at one distance, one scalar probe per step, that
-    solves the bare system at every probe."""
+    """Oracle: (q_opt, value, boundary) of the golden-section search at one distance, one
+    scalar probe per step, that solves the bare system at every probe."""
     at_d = exp.with_emitter_at(scenario, d_nm)
     which = 0 if objective == "yield" else 1
 
@@ -224,7 +224,7 @@ def _optimal_q_one_distance(scenario, d_nm, objective):
     values = _enhancements_every_cell(at_d, [10.0**x for x in grid])[which].tolist()
     i_best = int(np.argmax(values))
     if i_best in (0, len(grid) - 1):
-        return exp.OptimalQ(10.0**grid[i_best], values[i_best], objective, boundary=True)
+        return 10.0**grid[i_best], values[i_best], True
     a, b = grid[i_best - 1], grid[i_best + 1]
     tol = math.log10(1.0 + exp.OPTQ_REL_TOL)
     c, d_pt = b - exp.GOLDEN * (b - a), a + exp.GOLDEN * (b - a)
@@ -239,7 +239,7 @@ def _optimal_q_one_distance(scenario, d_nm, objective):
             d_pt = a + exp.GOLDEN * (b - a)
             fd = value_at(d_pt)
     x_opt = 0.5 * (a + b)
-    return exp.OptimalQ(10.0**x_opt, value_at(x_opt), objective, boundary=False)
+    return 10.0**x_opt, value_at(x_opt), False
 
 
 @pytest.mark.parametrize("objective", ["yield", "power"])
@@ -252,21 +252,21 @@ def test_optimal_q_lockstep_equals_one_distance_search(design, objective):
     and boundary maxima are mixed.
     """
     distances = [30.0, 0.3, 300.0, 3.0, 10.0, 100.0, 1.0, 3.0, 5.0, 15.0]
-    found = exp.optimal_Q(design, distances, objective)
-    expected = [_optimal_q_one_distance(design, d, objective) for d in distances]
-    assert np.array([(r.q_opt, r.value) for r in found]).tobytes() == np.array(
-        [(r.q_opt, r.value) for r in expected]).tobytes()
-    assert [r.boundary for r in found] == [r.boundary for r in expected]
-    assert any(r.boundary for r in expected) == (objective == "power")
-    assert not all(r.boundary for r in expected)
+    q_opt, value, boundary = exp.optimal_Q(design, distances, objective)
+    expected_q, expected_value, expected_boundary = zip(
+        *(_optimal_q_one_distance(design, d, objective) for d in distances))
+    assert q_opt.tobytes() == np.array(expected_q).tobytes()
+    assert value.tobytes() == np.array(expected_value).tobytes()
+    assert boundary.tolist() == list(expected_boundary)
+    assert any(expected_boundary) == (objective == "power")
+    assert not all(expected_boundary)
 
 
 def test_optimal_q_local_maximum(design):
-    result = exp.optimal_Q(design, 10.0, "power")[0]
-    v_half, v_twice = map_column(
-        design, 10.0, [0.5 * result.q_opt, 2.0 * result.q_opt], "power_enhancement")
-    assert result.value >= v_half
-    assert result.value >= v_twice
+    (q_opt,), (value,), _ = exp.optimal_Q(design, 10.0, "power")
+    v_half, v_twice = map_column(design, 10.0, [0.5 * q_opt, 2.0 * q_opt], "power_enhancement")
+    assert value >= v_half
+    assert value >= v_twice
 
 
 def test_optimal_q_sensitive_to_quenching(design):
