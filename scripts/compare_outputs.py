@@ -7,7 +7,7 @@ OLD_SRC and NEW_SRC are directories holding a `plasmonsim` package (a
 checkout's `src`).  Every command runs twice as a cold `python -m
 plasmonsim` child, once with PYTHONPATH set to each directory, in a fresh
 work directory that holds the command's config files; `--out out` is
-appended, so the printed paths are the same on both sides.  The set of 84
+appended, so the printed paths are the same on both sides.  The set of 85
 commands is:
 
 - the figure commands, with and without `--grid`, `--format json`,
@@ -26,9 +26,10 @@ commands is:
 - a `spectrum` of `fig2` whose G and g1 are projected by `theta_deg = 30`;
 - `validate` and `spectrum` of `fig3`'s ellipsoid in `first_principles`
   mode, and a `validate` of a config with three problems at once;
-- three error exits, a steady state of condition number ~1e8, and a
+- three error exits, a steady state of condition number ~1e8, a
   `spectrum` and a `yield` whose sweep near an exceptional point takes the
-  LU path in several blocks;
+  LU path in several blocks, and an `evolve` at that exceptional point,
+  which propagates by the matrix exponential;
 - every command of the benchmark workloads (`bench/workloads.py`) at seeds
   0 and 7.
 
@@ -139,6 +140,10 @@ def cases():
         ("gamma_m_uev = 83", "gamma_m_uev = 0.001"), ("q_factor = 1e5", "q_factor = 1e30"),
         ("delta_1e_ev = 0.0", "delta_1e_ev = 0.1"), ("delta_ce_ev = 0.0", "delta_ce_ev = 0.1"),
         ("drive = emitter", "drive = plasmon")])
+    # the same pair at its exceptional point: the eigenbasis is defective, so evolve
+    # propagates by one (4096, 3, 3) matrix exponential
+    found.append(("evolve_near_ep", ["evolve", "--config", "ep.ini"],
+                  {"ep.ini": _edited(near_ep, [("g1_mev = 12.500125", "g1_mev = 12.5")])}))
     near_ep += "\n[sweep]\nstart_ev = -0.01\nstop_ev = 0.01\npoints = 20001\n"
     for command in ("spectrum", "yield"):
         found.append((f"{command}_lu_grid20001", [command, "--config", "near_ep.ini"],

@@ -49,18 +49,28 @@ SWEEP_BLOCK_POINTS = 8192
 
 
 def expm(a):
-    """Matrix exponential of a (..., n, n) stack: scipy.linalg.expm, imported on first call.
+    """Matrix exponential of a (T, n, n) stack, SWEEP_BLOCK_POINTS matrices at a time.
 
-    Only evolve's near-exceptional-point fallback needs it, so no other
-    command loads scipy.
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005):
+    each x = a / 2**s, the least s >= 0 with ||x||_1 < 5, goes into a degree-40
+    Taylor polynomial by Horner's rule, which is then squared s times.
     """
-    from scipy.linalg import expm as scipy_expm
+    out, eye = np.empty(a.shape, complex), np.eye(a.shape[-1])
+    for k in range(0, len(a), SWEEP_BLOCK_POINTS):
+        x = a[k:k + SWEEP_BLOCK_POINTS]
+        s = np.maximum(np.frexp(np.abs(x).sum(axis=-2).max(axis=-1) / 5.0)[1], 0)
+        x = x / (2.0 ** s)[:, None, None]
+        e = eye + x / 40.0
+        for j in range(39, 0, -1):
+            e = eye + x @ e / j
+        for i in range(s.max(initial=0)):
+            e[s > i] = e[s > i] @ e[s > i]
+        out[k:k + SWEEP_BLOCK_POINTS] = e
+    return out
 
-    return scipy_expm(a)
 
-
-def _drive_vector(hamiltonian, mode):
-    """Unit drive on one mode."""
+def mode_vector(hamiltonian, mode):
+    """Unit amplitude on one mode: a drive, or an initial state."""
     f = np.zeros(len(hamiltonian.labels), dtype=complex)
     f[hamiltonian.index(mode)] = 1.0
     return f
@@ -256,7 +266,7 @@ def steady_state_blocks(hamiltonian, detunings, drive_mode):
         raise DomainError("empty detuning sweep")
     grid = broadcast_grid(detunings, hamiltonian.matrix.shape[:-2])
     path, worst, amplitudes = _resolvent(
-        hamiltonian.matrix, grid, _drive_vector(hamiltonian, drive_mode))
+        hamiltonian.matrix, grid, mode_vector(hamiltonian, drive_mode))
     index = list(_row_blocks(grid.shape))
 
     def solve(block, d):  # a block short of the sweep takes the rates at its points; a scalar

@@ -243,9 +243,7 @@ def evolve_table(scenario, points, span_fs):
     """
     h = scenario.hamiltonian()
     times_fs = None if span_fs is None else np.linspace(0.0, span_fs, points)
-    initial = np.zeros(len(h.labels), dtype=complex)
-    initial[h.index("emitter")] = 1.0
-    trace = dyn.evolve(h, initial, times_fs, points)
+    trace = dyn.evolve(h, dyn.mode_vector(h, "emitter"), times_fs, points)
     return ResultTable.from_arrays(
         "evolve",
         ("time_fs", "pop_plasmon", "pop_cavity", "pop_emitter", "pop_total"),
@@ -531,13 +529,10 @@ def run_fig3(scenario, spectrum_points=2001):
     span_natural = 9.0 * 2.0 * math.pi / scenario.calibration["two_g_eff_target_ev"]
     times_fs = to_fs(np.linspace(0.0, span_natural, 4096))
     settle_fs = float(to_fs(10.0 / (p["gamma_1r_ev"] + p["gamma_o_ev"])))
-    hams = fig3_hamiltonians(scenario)
-    initial = np.array([0.0, 0.0, 1.0], dtype=complex)  # the emitter excited
-
     meta = {**scenario_metadata(scenario), "result.settle_fs": settle_fs}
     traces = {}
-    for label, h in hams.items():
-        traces[label] = dyn.evolve(h, initial, times_fs).population("emitter")
+    for label, h in fig3_hamiltonians(scenario).items():
+        traces[label] = dyn.evolve(h, dyn.mode_vector(h, "emitter"), times_fs).population("emitter")
         meta[f"result.maxima_{label}"] = dyn.count_oscillation_maxima(
             times_fs, traces[label], settle_fs)
     table_traces = ResultTable.from_arrays(

@@ -886,13 +886,15 @@ def _in_range(builtin):
 
 #: builtin -> (section, key) -> in-range values of the fuzz property
 IN_RANGE = {builtin: _in_range(builtin) for builtin in BUILTIN_CONFIGS}
-#: argv of the fuzzed runs, each subcommand equally likely and drawn before the config: a
-#: steady-state or time grid of at most 16 points, eigen over 3 detunings, or validate
-FUZZ_ARGV = st.one_of(
-    *(st.integers(1, 16).map(lambda points, command=command: [command, "--grid", str(points)])
-      for command in ("spectrum", "yield", "evolve")),
-    st.just(["eigen", "--sweep", "-1e-3:1e-3:1e-3"]),
-    st.just(["validate"]))
+#: subcommand -> argv of its fuzzed run of FUZZ_EXAMPLES examples: a steady-state or time grid
+#: of at most 16 points, eigen over 3 detunings, or validate
+FUZZ_ARGV = {
+    **{command: st.integers(1, 16).map(lambda n, command=command: [command, "--grid", str(n)])
+       for command in ("spectrum", "yield", "evolve")},
+    "eigen": st.just(["eigen", "--sweep", "-1e-3:1e-3:1e-3"]),
+    "validate": st.just(["validate"])}
+#: examples of each subcommand's run: every subcommand gets the same share
+FUZZ_EXAMPLES = 30
 
 
 @st.composite
@@ -931,19 +933,22 @@ def test_cli_fuzz_exits_with_a_prefixed_error_or_finite_tables():
     the CLI exits 0, 1 or 2; escapes no exception; prints no warning and, on error, one
     prefixed message; and every cell of a table written with exit 0 is finite and physical.
 
-    The physics checks read only tables written with exit 0, so each table-writing
-    subcommand must write at least FUZZ_MIN_TABLES of them over the examples.
+    Each subcommand runs for its own FUZZ_EXAMPLES examples.  The physics checks read
+    only tables written with exit 0, so each table-writing subcommand must write at least
+    FUZZ_MIN_TABLES of them.
     """
     tables = dict.fromkeys(("spectrum", "yield", "evolve", "eigen"), 0)
-    _fuzz_cli(tables)
+    for command in FUZZ_ARGV:
+        _fuzz_cli(tables, command)
     assert all(n >= FUZZ_MIN_TABLES for n in tables.values()), tables
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(argv=FUZZ_ARGV, config=fuzz_configs())
-def _fuzz_cli(tables, config, argv):
-    """One fuzz example; adds each table it writes with exit 0 to tables[subcommand]."""
-    builtin, values = config
+@settings(max_examples=FUZZ_EXAMPLES, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def _fuzz_cli(tables, command, data):
+    """One fuzz example of command; adds each table it writes with exit 0 to tables[command]."""
+    argv = data.draw(FUZZ_ARGV[command])
+    builtin, values = data.draw(fuzz_configs())
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.ini"
         path.write_text(_with_values(BUILTIN_CONFIGS[builtin], values))
@@ -958,7 +963,7 @@ def _fuzz_cli(tables, config, argv):
         assert err.getvalue().startswith(("", "ERROR[config]: ", "ERROR[numeric]: ")[code])
         assert (err.getvalue() == "") == (code == 0)
         for table in out.glob("*.csv") if code == 0 else ():
-            tables[argv[0]] += 1
+            tables[command] += 1
             lines = [line for line in table.read_text().splitlines() if not line.startswith("#")]
             cells = np.array([line.split(",") for line in lines[1:]], dtype=float)
             assert np.isfinite(cells).all(), table.name

@@ -209,7 +209,7 @@ def _whole_grid_spectral(h, detunings, f):
 def _assert_sweep_is_the_whole_grid_solve(h, detunings, drive_mode, blocks):
     """The sweep takes the spectral path in `blocks` blocks; amplitudes and powers are the
     oracle's, bit for bit.  Returns the oracle's amplitudes and powers."""
-    f = dyn._drive_vector(h, drive_mode)
+    f = dyn.mode_vector(h, drive_mode)
     grid = dyn.broadcast_grid(detunings, h.matrix.shape[:-2])
     sweep = dyn.steady_state_blocks(h, detunings, drive_mode)
     assert sweep.path == "spectral" and len(sweep.index) == blocks
@@ -339,7 +339,7 @@ def test_a_guard_failure_in_the_last_block_sends_the_whole_sweep_to_lu():
     assert list(np.flatnonzero(~(spectral * dyn.RCOND_LIMIT <= 1.0))) == [detunings.size - 1]
     grid = dyn.broadcast_grid(detunings)
     assert sweep_bound(h.matrix, grid, "spectral").tobytes() == spectral.tobytes()
-    f = dyn._drive_vector(h, "plasmon")
+    f = dyn.mode_vector(h, "plasmon")
     path, _, solve = dyn._resolvent(h.matrix, grid, f)
     sweep = dyn.steady_state_blocks(h, detunings, "plasmon")
     v = [solve(block, grid[block]) for block in sweep.index]
@@ -368,7 +368,7 @@ def test_lu_sweep_blocks_equal_the_whole_grid_lu_solve(points):
     equal those of one whole-grid LU solve by their bytes."""
     h = _near_exceptional_point()
     detunings = np.linspace(-0.01, 0.0, points)  # the last point meets the emitter line
-    f = dyn._drive_vector(h, "plasmon")
+    f = dyn.mode_vector(h, "plasmon")
     mats = detunings[:, None, None] * np.eye(3) - h.matrix
     inv = np.linalg.inv(mats)
     grid = dyn.broadcast_grid(detunings)
@@ -397,7 +397,7 @@ def test_lu_sweep_memory_stays_near_its_bound():
     finally:
         tracemalloc.stop()
     grid = dyn.broadcast_grid(detunings)
-    assert dyn._resolvent(h.matrix, grid, dyn._drive_vector(h, "plasmon"))[0] == "lu"
+    assert dyn._resolvent(h.matrix, grid, dyn.mode_vector(h, "plasmon"))[0] == "lu"
     assert peak < 3.1e6  # 0.4 MB above the measured peak
 
 
@@ -771,6 +771,67 @@ def test_evolve_falls_back_to_expm_near_exceptional_point(offset, monkeypatch):
     assert trace.population("plasmon")[0] == 1.0
 
 
+def _near_ep_stack(offset):
+    """-i H t of the defective [[0, g], [g, -i gamma / 2]], g = gamma / 4 (1 + offset), on the
+    fallback test's grid: 301 points up to 40 / gamma, ||A||_1 <= 30."""
+    gamma = 0.1
+    h = two_mode_network(gamma / 4.0 * (1.0 + offset), 0.0, gamma).matrix
+    t = np.concatenate(([0.0], np.geomspace(1e-2, 40.0 / gamma, 300)))
+    return -1j * np.multiply.outer(t, h)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-10])
+def test_evolve_near_exceptional_point_matches_per_point_expm_unpatched(offset):
+    # the fallback test's case through the package's own expm: 3e-16 here
+    gamma = 0.1
+    ham = two_mode_network(gamma / 4.0 * (1.0 + offset), 0.0, gamma)
+    v0 = np.array([1.0, 0.0], dtype=complex)
+    times = to_fs(np.concatenate(([0.0], np.geomspace(1e-2, 40.0 / gamma, 300))))
+    trace = dyn.evolve(ham, v0, times)
+    assert _max_population_gap(trace, _expm_per_point(ham, v0, times)) <= 1e-12
+
+
+def test_expm_blocks_give_the_same_bytes_and_bound_the_temporaries(monkeypatch):
+    # 40,000 matrices (2.6 MB in and out): in blocks of 8192 the result and the temporaries
+    # peaked at 4.8 MB, and the whole stack at once at 13.1 MB
+    a = np.tile(_near_ep_stack(0.0), (133, 1, 1))[:40_000]
+    small = dyn.expm(a[:1000])
+    tracemalloc.start()
+    try:
+        whole = dyn.expm(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes + 3e6
+    monkeypatch.setattr(dyn, "SWEEP_BLOCK_POINTS", 7)
+    assert dyn.expm(a[:1000]).tobytes() == small.tobytes() == whole[:1000].tobytes()
+    assert dyn.expm(a[:0]).shape == (0, 2, 2)
+
+
+def _expm_errors(a):
+    """Relative 1-norm error of dyn.expm at each matrix of the stack a, against mp.expm at 40
+    digits of the same float64 matrix."""
+    with mpmath.workdps(40):
+        return [float(mpmath.mnorm(_mp_matrix(e) - exact, 1) / mpmath.mnorm(exact, 1))
+                for e, exact in zip(dyn.expm(a), (mpmath.expm(_mp_matrix(x)) for x in a))]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-10])
+def test_expm_near_exceptional_point_matches_40_digit_expm(offset):
+    # 8.2e-15 at worst here; scipy.linalg.expm gives 1.8e-14
+    assert max(_expm_errors(_near_ep_stack(offset))) <= 1e-14
+
+
+def test_expm_over_fig3_spans_matches_40_digit_expm(fig3_hamiltonians):
+    # 41 points over ten lifetimes of each fig3 system, ||A||_1 up to 2.7e5 (16 squarings):
+    # 4.6e-12 at worst, as scipy.linalg.expm.  The floor is the exponential's own conditioning,
+    # ~||A||_1 u: over 401 points both reach 5.4e-12
+    for name, ham in fig3_hamiltonians.items():
+        span = from_fs(dyn.default_time_grid(np.linalg.eigvals(ham.matrix), 2)[-1])
+        a = -1j * np.multiply.outer(np.linspace(0.0, span, 41), ham.matrix)
+        assert max(_expm_errors(a)) <= 5e-12, name
+
+
 def test_evolve_first_row_is_initial_state(paper_three_mode):
     v0 = np.array([0.36, 0.48j, -0.8], dtype=complex)
     trace = dyn.evolve(paper_three_mode, v0, np.linspace(0.0, 5e4, 7))
@@ -1120,7 +1181,7 @@ def test_spectral_bound_over_the_guard_retries_on_lu():
         g1=g1, G=0.0, J=0.0, delta_1e=0.1, delta_ce=0.1, gamma_1r=0.0, gamma_o=gamma,
         gamma_c=0.0, gamma_s=1e-9, gamma_m=1e-9)
     detunings = np.linspace(-0.01, 0.01, 201)
-    f = dyn._drive_vector(h, "plasmon")
+    f = dyn.mode_vector(h, "plasmon")
     lam, _, cond_v = dyn._eig(h.matrix)
     dist = np.abs(detunings[:, None] - lam)
     spectral = cond_v**2 * dist.max(axis=-1) / dist.min(axis=-1)
