@@ -721,12 +721,13 @@ def _expm_per_point(hamiltonian, v0, times_fs):
 
 
 def _count_expm(monkeypatch):
-    """Replace dynamics.expm by a wrapper; returns the list of argument shapes."""
+    """Wrap dynamics.expm in a counter; returns the list of argument shapes."""
     calls = []
+    numpy_expm = dyn.expm
 
     def counting(a):
         calls.append(np.shape(a))
-        return expm(a)
+        return numpy_expm(a)
 
     monkeypatch.setattr(dyn, "expm", counting)
     return calls
@@ -778,17 +779,6 @@ def _near_ep_stack(offset):
     h = two_mode_network(gamma / 4.0 * (1.0 + offset), 0.0, gamma).matrix
     t = np.concatenate(([0.0], np.geomspace(1e-2, 40.0 / gamma, 300)))
     return -1j * np.multiply.outer(t, h)
-
-
-@pytest.mark.parametrize("offset", [0.0, 1e-10])
-def test_evolve_near_exceptional_point_matches_per_point_expm_unpatched(offset):
-    # the fallback test's case through the package's own expm: 3e-16 here
-    gamma = 0.1
-    ham = two_mode_network(gamma / 4.0 * (1.0 + offset), 0.0, gamma)
-    v0 = np.array([1.0, 0.0], dtype=complex)
-    times = to_fs(np.concatenate(([0.0], np.geomspace(1e-2, 40.0 / gamma, 300))))
-    trace = dyn.evolve(ham, v0, times)
-    assert _max_population_gap(trace, _expm_per_point(ham, v0, times)) <= 1e-12
 
 
 def test_expm_blocks_give_the_same_bytes_and_bound_the_temporaries(monkeypatch):

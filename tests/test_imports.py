@@ -70,8 +70,10 @@ from plasmonsim import dynamics, network
 # the 2x2 network [[-0.1i, 0.05], [0.05, 0]], defective at g = gamma / 4
 h = network.EffectiveHamiltonian(np.array([[-0.1j, 0.05], [0.05, 0.0]]), ("plasmon", "cavity"),
                                  {"gamma_o": 0.2, "gamma_c": 0.0})
+calls, expm = [], dynamics.expm
+dynamics.expm = lambda a: calls.append(a.shape) or expm(a)
 dynamics.evolve(h, np.array([1.0, 0.0], dtype=complex), np.linspace(0.0, 50.0, 5))
-later["near-exceptional-point evolve"] = "scipy" in loaded_now()
+later["near-exceptional-point evolve"] = (calls, "scipy" in loaded_now())
 import scipy.linalg
 later["scipy import"] = "scipy" in loaded_now()
 print(repr((loaded, later)))
@@ -98,7 +100,9 @@ def test_cli_commands_do_not_import_scipy(command_imports):
     assert [step for step, names in loaded.items()
             if isinstance(names, str) or "scipy" in names] == []
     assert len(loaded) == 1 + len(COMMANDS)
-    assert later["near-exceptional-point evolve"] is False and later["scipy import"] is True
+    # the 2x2 evolve takes the fallback, one expm of its 5 time points, and loads no scipy
+    assert later["near-exceptional-point evolve"] == ([(5, 2, 2)], False)
+    assert later["scipy import"] is True
 
 
 def test_csv_commands_do_not_import_json_or_difflib(command_imports):
