@@ -12,6 +12,7 @@ byte-identical across runs.
 """
 
 import argparse
+import atexit
 import gc
 import math
 import os
@@ -177,6 +178,7 @@ def cmd_map(args):
 def cmd_optq(args):
     _reject_grid(args, "its Q search is adaptive")
     distances = args.d_nm or [5.0, 10.0, 15.0]
+    _check_points("--d-nm", len(distances))
     for d in distances:
         if not (math.isfinite(d) and d > 0):
             raise ConfigError(f"--d-nm must be a finite distance > 0 nm, got {d}")
@@ -280,6 +282,10 @@ def main(argv=None):
         return _run(list(sys.argv[1:] if argv is None else argv))
     finally:
         gc.unfreeze()
+
+
+# frozen, what is left at exit skips the interpreter's final collections; the OS reclaims it
+atexit.register(gc.freeze)
 
 
 def _run(argv):

@@ -1241,6 +1241,17 @@ def test_cli_optq_and_map(tmp_path):
     assert len(map_rows) == 1 + 25
 
 
+def test_optq_checks_its_distance_count_before_any_work(tmp_path, capsys, monkeypatch):
+    # three distances against a limit of two: refused at the boundary, no table built
+    monkeypatch.setattr(cli, "MAX_POINTS", 2)
+    out = tmp_path / "o"
+    argv = ["optq", "--d-nm", "5", "--d-nm", "10", "--d-nm", "15", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "ERROR[config]: --d-nm asks for 3 points; at most 2 are allowed\n"
+    assert not (out / "optq.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

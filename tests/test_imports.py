@@ -5,11 +5,13 @@ fallback near an exceptional point, which loads no scipy either, and then
 imports scipy.linalg itself to show that the check does see a scipy import.
 Likewise a JSON table loads json and a misspelt config key difflib.  The
 fallback also runs in a new interpreter to which scipy cannot be imported.
-The last two tests check that import plasmonsim leaves OpenBLAS one thread
-unless the user set another count.
+The next two tests check that import plasmonsim leaves OpenBLAS one thread
+unless the user set another count.  The last checks, in new interpreters, that
+a CLI process freezes its heap at exit and that importing the library does not.
 """
 
 import ast
+import atexit
 import os
 import re
 import subprocess
@@ -171,3 +173,41 @@ def test_evolve_at_an_exceptional_point_needs_no_scipy(tmp_path, monkeypatch):
     _cold_python(WITHOUT_SCIPY, None, str(config), str(tmp_path / "blocks"))
     table = (tmp_path / "blocks" / "evolve.csv").read_bytes()
     assert table == (tmp_path / "one" / "evolve.csv").read_bytes()
+
+
+#: a probe that reads the heap at exit, registered before plasmonsim is imported: atexit
+#: calls handlers last in, first out, so it runs after every handler the program registers
+EXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit", gc.get_freeze_count() > 0))
+before = atexit._ncallbacks()
+"""
+
+CLI_AT_EXIT = EXIT_PROBE + """
+import plasmonsim.cli
+imported = atexit._ncallbacks()
+argv = ["fig1c", "--grid", "3", "--out", sys.argv[1]]
+codes = [plasmonsim.cli.main(argv), plasmonsim.cli.main(argv)]
+print("handlers", imported - before, atexit._ncallbacks() - imported)
+sys.exit(max(codes))
+"""
+
+LIBRARY_AT_EXIT = EXIT_PROBE + """
+import plasmonsim, plasmonsim.config
+print("handlers", atexit._ncallbacks() - before)
+"""
+
+
+def test_cli_process_freezes_its_heap_at_exit_and_the_library_does_not(tmp_path):
+    # the interpreter's collections at exit skip frozen objects: importing the CLI registers
+    # gc.freeze once however often main runs, and main hands back what it froze on return,
+    # while the library registers nothing
+    lines = _cold_python(CLI_AT_EXIT, None, str(tmp_path / "cold")).splitlines()
+    assert lines[-2:] == ["handlers 1 0", "frozen at exit True"]
+    callbacks = atexit._ncallbacks()
+    assert main(["fig1c", "--grid", "3", "--out", str(tmp_path / "warm")]) == 0
+    assert atexit._ncallbacks() == callbacks
+    table = (tmp_path / "cold" / "fig1c.csv").read_bytes()
+    assert table == (tmp_path / "warm" / "fig1c.csv").read_bytes()
+    lines = _cold_python(LIBRARY_AT_EXIT, None).splitlines()
+    assert lines == ["handlers 0", "frozen at exit False"]
