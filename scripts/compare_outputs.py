@@ -7,7 +7,7 @@ OLD_SRC and NEW_SRC are directories holding a `plasmonsim` package (a
 checkout's `src`).  Every command runs twice as a cold `python -m
 plasmonsim` child, once with PYTHONPATH set to each directory, in a fresh
 work directory that holds the command's config files; `--out out` is
-appended, so the printed paths are the same on both sides.  The set of 85
+appended, so the printed paths are the same on both sides.  The set of 87
 commands is:
 
 - the figure commands, with and without `--grid`, `--format json`,
@@ -28,8 +28,9 @@ commands is:
   mode, and a `validate` of a config with three problems at once;
 - three error exits, a steady state of condition number ~1e8, a
   `spectrum` and a `yield` whose sweep near an exceptional point takes the
-  LU path in several blocks, and an `evolve` at that exceptional point,
-  which propagates by the matrix exponential;
+  LU path in several blocks, and `evolve` at that exceptional point, at it
+  beside an emitter line of 2e-18 eV, and at a third-order exceptional
+  point;
 - every command of the benchmark workloads (`bench/workloads.py`) at seeds
   0 and 7.
 
@@ -140,10 +141,23 @@ def cases():
         ("gamma_m_uev = 83", "gamma_m_uev = 0.001"), ("q_factor = 1e5", "q_factor = 1e30"),
         ("delta_1e_ev = 0.0", "delta_1e_ev = 0.1"), ("delta_ce_ev = 0.0", "delta_ce_ev = 0.1"),
         ("drive = emitter", "drive = plasmon")])
-    # the same pair at its exceptional point: the eigenbasis is defective, so evolve
-    # propagates by one (4096, 3, 3) matrix exponential
-    found.append(("evolve_near_ep", ["evolve", "--config", "ep.ini"],
-                  {"ep.ini": _edited(near_ep, [("g1_mev = 12.500125", "g1_mev = 12.5")])}))
+    # the same pair at its exceptional point, where the eigenbasis is defective, and at it
+    # beside an emitter line of 2e-18 eV, which must decay as exp(-gamma_e t)
+    at_ep = _edited(near_ep, [("g1_mev = 12.500125", "g1_mev = 12.5")])
+    found.append(("evolve_near_ep", ["evolve", "--config", "ep.ini"], {"ep.ini": at_ep}))
+    found.append(("evolve_narrow_beside_ep", ["evolve", "--config", "narrow_ep.ini"], {
+        "narrow_ep.ini": _edited(at_ep, [("gamma_s_uev = 0.001", "gamma_s_uev = 1e-12"),
+                                         ("gamma_m_uev = 0.001", "gamma_m_uev = 1e-12")])}))
+    # a third-order exceptional point: emitter, cavity and plasmon widths k, k + 2 gamma and
+    # k + 4 gamma (k = 2 neV, gamma = 12.5 meV; q_factor = omega_c / (k + 2 gamma)), all
+    # resonant and chained by g1 = J = gamma / sqrt(2), G = 0
+    found.append(("evolve_ep3", ["evolve", "--config", "ep3.ini"], {"ep3.ini": _edited(
+        BUILTIN_CONFIGS["fig2"], [
+            ("g1_mev = -2.9", "g1_mev = 8.838834764831843"), ("G_mev = -7.2", "G_mev = 0"),
+            ("J_uev = -144", "J_uev = 8838.834764831843"),
+            ("gamma_o_ev = 0.2", "gamma_o_ev = 0.05"), ("gamma_1r_mev = 2.45", "gamma_1r_mev = 2e-6"),
+            ("gamma_s_uev = 3", "gamma_s_uev = 0.001"), ("gamma_m_uev = 83", "gamma_m_uev = 0.001"),
+            ("q_factor = 1e5", "q_factor = 92.37603568025727")])}))
     near_ep += "\n[sweep]\nstart_ev = -0.01\nstop_ev = 0.01\npoints = 20001\n"
     for command in ("spectrum", "yield"):
         found.append((f"{command}_lu_grid20001", [command, "--config", "near_ep.ini"],

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from plasmonsim import dynamics as dyn
 from plasmonsim import experiments as exp
 from plasmonsim import materials as mat
 from plasmonsim import network as net
-from plasmonsim.config import parse_config
+from plasmonsim.config import BUILTIN_CONFIGS, parse_config
 
 
 @pytest.fixture(scope="session")
@@ -66,6 +68,31 @@ def two_mode_network(g, plasmon_width, cavity_width):
     matrix = np.array([[-0.5j * plasmon_width, g], [g, -0.5j * cavity_width]])
     return net.EffectiveHamiltonian(matrix, ("plasmon", "cavity"),
                                     {"gamma_o": plasmon_width, "gamma_c": cavity_width})
+
+
+#: fig2's plasmon and a lossless cavity at their exceptional point, g1 = gamma_o / 4, 0.1 eV
+#: above an emitter decoupled from both, of width gamma_s + gamma_m = 2 neV: the system of
+#: scripts/compare_outputs.py's evolve_near_ep
+EXCEPTIONAL_POINT = {"g1_mev": "12.5", "G_mev": "0", "J_uev": "0", "gamma_o_ev": "0.05",
+                     "gamma_1r_mev": "0", "gamma_s_uev": "0.001", "gamma_m_uev": "0.001",
+                     "q_factor": "1e30", "delta_1e_ev": "0.1", "delta_ce_ev": "0.1",
+                     "drive": "plasmon"}
+
+#: a third-order exceptional point: emitter, cavity and plasmon widths k, k + 2 gamma and
+#: k + 4 gamma (k = 2 neV, gamma = 12.5 meV; q_factor = omega_c / (k + 2 gamma)), all resonant
+#: and chained by g1 = J = gamma / sqrt(2), G = 0; scripts/compare_outputs.py's evolve_ep3
+EP3 = {"g1_mev": "8.838834764831843", "G_mev": "0", "J_uev": "8838.834764831843",
+       "gamma_o_ev": "0.05", "gamma_1r_mev": "2e-6", "gamma_s_uev": "0.001",
+       "gamma_m_uev": "0.001", "q_factor": "92.37603568025727"}
+
+
+def fig2_with(values):
+    """The builtin fig2 config text with the line of each key set to its value."""
+    text = BUILTIN_CONFIGS["fig2"]
+    for key, value in values.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1, key
+    return text
 
 
 def random_system(rng, n_modes=None):

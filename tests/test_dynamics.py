@@ -13,7 +13,7 @@ from plasmonsim import dynamics as dyn
 from plasmonsim import experiments as exp
 from plasmonsim import network as net
 from plasmonsim.cli import main
-from plasmonsim.config import MAX_POINTS, parse_config
+from plasmonsim.config import MAX_POINTS, parse_config, parse_config_text
 from plasmonsim.errors import (
     ConditioningError,
     DomainError,
@@ -22,7 +22,7 @@ from plasmonsim.errors import (
 )
 from plasmonsim.quantities import from_fs, to_fs
 
-from conftest import PAPER_SET, random_system, two_mode_network
+from conftest import EP3, EXCEPTIONAL_POINT, PAPER_SET, fig2_with, random_system, two_mode_network
 
 
 def pumped_mnp(g1, gamma_c=2.3094010767585034e-5):
@@ -720,19 +720,6 @@ def _expm_per_point(hamiltonian, v0, times_fs):
     return np.array([expm(-1j * h * t) @ v0 for t in from_fs(times_fs)])
 
 
-def _count_expm(monkeypatch):
-    """Wrap dynamics.expm in a counter; returns the list of argument shapes."""
-    calls = []
-    numpy_expm = dyn.expm
-
-    def counting(a):
-        calls.append(np.shape(a))
-        return numpy_expm(a)
-
-    monkeypatch.setattr(dyn, "expm", counting)
-    return calls
-
-
 def _max_population_gap(trace, amps):
     return max(np.max(np.abs(trace.population(label) - np.abs(amps[:, i]) ** 2))
                for i, label in enumerate(trace.populations))
@@ -744,9 +731,7 @@ def fig3_hamiltonians():
     return exp.fig3_hamiltonians(parse_config("fig3").scenario)
 
 
-def test_evolve_eigendecomposition_matches_per_point_expm(
-        fig3_hamiltonians, paper_three_mode, monkeypatch):
-    calls = _count_expm(monkeypatch)
+def test_evolve_matches_per_point_expm(fig3_hamiltonians, paper_three_mode):
     v0 = np.array([0.0, 0.0, 1.0], dtype=complex)
     for name, ham in {**fig3_hamiltonians, "paper": paper_three_mode}.items():
         # non-uniform grid, denser early, over ten lifetimes of the slowest branch
@@ -754,72 +739,79 @@ def test_evolve_eigendecomposition_matches_per_point_expm(
             * np.linspace(0.0, 1.0, 500) ** 2
         trace = dyn.evolve(ham, v0, times)
         assert _max_population_gap(trace, _expm_per_point(ham, v0, times)) <= 1e-12, name
-    assert calls == []
+
+
+def _near_ep(offset):
+    """The defective [[0, g], [g, -i gamma / 2]], g = gamma / 4 (1 + offset), and 301 times
+    (natural units) up to 40 / gamma."""
+    gamma = 0.1
+    ham = two_mode_network(gamma / 4.0 * (1.0 + offset), 0.0, gamma)
+    return ham, np.concatenate(([0.0], np.geomspace(1e-2, 40.0 / gamma, 300)))
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-10])
-def test_evolve_falls_back_to_expm_near_exceptional_point(offset, monkeypatch):
-    # H = [[0, g], [g, -i gamma / 2]] is defective at g = gamma / 4
-    gamma = 0.1
-    ham = two_mode_network(gamma / 4.0 * (1.0 + offset), 0.0, gamma)
-    assert np.linalg.cond(np.linalg.eig(ham.matrix)[1]) > dyn.EIG_COND_LIMIT
-    calls = _count_expm(monkeypatch)
+def test_evolve_near_exceptional_point_matches_per_point_expm(offset):
+    ham, t_nat = _near_ep(offset)
+    # an eigenbasis too ill-conditioned for V exp(-i Lambda t) V^-1: cond_2(V) = 1.1e8, 1.4e5
+    assert np.linalg.cond(np.linalg.eig(ham.matrix)[1]) > 1e5
     v0 = np.array([1.0, 0.0], dtype=complex)
-    times = to_fs(np.concatenate(([0.0], np.geomspace(1e-2, 40.0 / gamma, 300))))
+    times = to_fs(t_nat)
     trace = dyn.evolve(ham, v0, times)
-    assert calls == [(times.size, 2, 2)]
     assert _max_population_gap(trace, _expm_per_point(ham, v0, times)) <= 1e-12
     assert trace.population("plasmon")[0] == 1.0
 
 
-def _near_ep_stack(offset):
-    """-i H t of the defective [[0, g], [g, -i gamma / 2]], g = gamma / 4 (1 + offset), on the
-    fallback test's grid: 301 points up to 40 / gamma, ||A||_1 <= 30."""
-    gamma = 0.1
-    h = two_mode_network(gamma / 4.0 * (1.0 + offset), 0.0, gamma).matrix
-    t = np.concatenate(([0.0], np.geomspace(1e-2, 40.0 / gamma, 300)))
-    return -1j * np.multiply.outer(t, h)
-
-
-def test_expm_blocks_give_the_same_bytes_and_bound_the_temporaries(monkeypatch):
-    # 40,000 matrices (2.6 MB in and out): in blocks of 8192 the result and the temporaries
-    # peaked at 4.8 MB, and the whole stack at once at 13.1 MB
-    a = np.tile(_near_ep_stack(0.0), (133, 1, 1))[:40_000]
-    small = dyn.expm(a[:1000])
-    tracemalloc.start()
-    try:
-        whole = dyn.expm(a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < a.nbytes + 3e6
-    monkeypatch.setattr(dyn, "SWEEP_BLOCK_POINTS", 7)
-    assert dyn.expm(a[:1000]).tobytes() == small.tobytes() == whole[:1000].tobytes()
-    assert dyn.expm(a[:0]).shape == (0, 2, 2)
-
-
-def _expm_errors(a):
-    """Relative 1-norm error of dyn.expm at each matrix of the stack a, against mp.expm at 40
-    digits of the same float64 matrix."""
+def _population_error(ham, t_nat):
+    """Worst absolute error of evolve's populations from every unit start at the times t_nat
+    (natural units), against mp.expm at 40 digits of -i t H of the same float64 matrix."""
+    n = len(ham.labels)
     with mpmath.workdps(40):
-        return [float(mpmath.mnorm(_mp_matrix(e) - exact, 1) / mpmath.mnorm(exact, 1))
-                for e, exact in zip(dyn.expm(a), (mpmath.expm(_mp_matrix(x)) for x in a))]
+        exact = [mpmath.expm(_mp_matrix(-1j * t * ham.matrix)) for t in t_nat]
+    worst = 0.0
+    for j in range(n):
+        trace = dyn.evolve(ham, np.eye(n)[j], to_fs(t_nat))
+        for i, label in enumerate(ham.labels):
+            reference = np.array([float(abs(e[i, j]) ** 2) for e in exact])
+            worst = max(worst, float(np.max(np.abs(trace.population(label) - reference))))
+    return worst
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-10])
-def test_expm_near_exceptional_point_matches_40_digit_expm(offset):
-    # 8.2e-15 at worst here; scipy.linalg.expm gives 1.8e-14
-    assert max(_expm_errors(_near_ep_stack(offset))) <= 1e-14
+def test_evolve_near_exceptional_point_matches_40_digit_expm(offset):
+    # 4.4e-16 at worst; scipy.linalg.expm errs by 1.8e-14 here
+    assert _population_error(*_near_ep(offset)) <= 1e-14
 
 
-def test_expm_over_fig3_spans_matches_40_digit_expm(fig3_hamiltonians):
-    # 41 points over ten lifetimes of each fig3 system, ||A||_1 up to 2.7e5 (16 squarings):
-    # 4.6e-12 at worst, as scipy.linalg.expm.  The floor is the exponential's own conditioning,
-    # ~||A||_1 u: over 401 points both reach 5.4e-12
+def test_evolve_over_fig3_spans_matches_40_digit_expm(fig3_hamiltonians):
+    # 41 points over ten lifetimes of each fig3 system, ||H t||_1 up to 2.7e5: 1.4e-15 at worst
     for name, ham in fig3_hamiltonians.items():
         span = from_fs(dyn.default_time_grid(np.linalg.eigvals(ham.matrix), 2)[-1])
-        a = -1j * np.multiply.outer(np.linspace(0.0, span, 41), ham.matrix)
-        assert max(_expm_errors(a)) <= 5e-12, name
+        assert _population_error(ham, np.linspace(0.0, span, 41)) <= 1e-14, name
+
+
+def test_evolve_at_a_third_order_exceptional_point_matches_40_digit_expm():
+    # the three eigenvalues lie within 1.2e-7 eV of each other, so every point past t = 0
+    # takes the second difference's series: 4.4e-16 at worst, 3.9e-7 by the quotient alone
+    ham = parse_config_text(fig2_with(EP3)).scenario.hamiltonian()
+    lam = np.linalg.eigvals(ham.matrix)
+    span = from_fs(dyn.default_time_grid(lam, 2)[-1])
+    assert np.max(np.abs(lam - lam[:, None])) * span < 1.0
+    t_nat = np.concatenate(([0.0], np.geomspace(1e-2, span, 60)))
+    assert _population_error(ham, t_nat) <= 1e-14
+
+
+@pytest.mark.parametrize("width_uev", ["1e-3", "1e-6", "1e-9", "1e-12"])
+def test_decoupled_emitter_beside_an_exceptional_point_decays_as_exp_gamma_t(width_uev):
+    # decoupled, the emitter's population is exp(-gamma_e t) over ten of its lifetimes, while
+    # the pair decays 1e7 to 1e16 times faster: an error of ||H t||_1 u would be 6e-8 to 64
+    h = parse_config_text(fig2_with(
+        {**EXCEPTIONAL_POINT, "gamma_s_uev": width_uev, "gamma_m_uev": width_uev})
+    ).scenario.hamiltonian()
+    trace = dyn.evolve(h, dyn.mode_vector(h, "emitter"), None, 4096)
+    gamma_e = h.rates["gamma_s"] + h.rates["gamma_m"]
+    expected = np.exp(-gamma_e * from_fs(trace.times_fs))
+    assert expected[-1] == pytest.approx(math.exp(-10.0), rel=1e-12)
+    assert np.max(np.abs(trace.population("emitter") / expected - 1.0)) <= 1e-14
 
 
 def test_evolve_first_row_is_initial_state(paper_three_mode):
@@ -838,14 +830,14 @@ def test_default_time_grid(paper_three_mode):
     assert from_fs(grid[-1]) == pytest.approx(10.0 / slowest, rel=1e-9)
 
 
-def test_evolve_sizes_its_default_grid_from_its_one_eigendecomposition(
+def test_evolve_sizes_its_default_grid_from_its_one_eigenvalue_call(
         paper_three_mode, monkeypatch):
     grid = dyn.default_time_grid(np.linalg.eigvals(paper_three_mode.matrix), 128)
     explicit = dyn.evolve(paper_three_mode, [0, 0, 1], grid)
     calls = []
-    eig = dyn._eig
-    monkeypatch.setattr(dyn, "_eig", lambda h: calls.append(h) or eig(h))
-    monkeypatch.setattr(np.linalg, "eigvals", None)
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda h: calls.append(h) or eigvals(h))
+    monkeypatch.setattr(dyn, "_eig", None)
     trace = dyn.evolve(paper_three_mode, [0, 0, 1], None, 128)
     assert len(calls) == 1
     np.testing.assert_array_equal(trace.times_fs, grid)

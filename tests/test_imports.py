@@ -1,10 +1,10 @@
 """The command path is numpy-only: no CLI command loads scipy, and no CSV command json or difflib.
 
-After every command has run, the program takes evolve's matrix-exponential
-fallback near an exceptional point, which loads no scipy either, and then
-imports scipy.linalg itself to show that the check does see a scipy import.
-Likewise a JSON table loads json and a misspelt config key difflib.  The
-fallback also runs in a new interpreter to which scipy cannot be imported.
+After every command has run, the program propagates a 2x2 system at its
+exceptional point, which loads no scipy either, and then imports scipy.linalg
+itself to show that the check does see a scipy import.  Likewise a JSON table
+loads json and a misspelt config key difflib.  An evolve at an exceptional
+point also runs in a new interpreter to which scipy cannot be imported.
 The next two tests check that import plasmonsim leaves OpenBLAS one thread
 unless the user set another count.  The last checks, in new interpreters, that
 a CLI process freezes its heap at exit and that importing the library does not.
@@ -12,16 +12,16 @@ a CLI process freezes its heap at exit and that importing the library does not.
 
 import ast
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from plasmonsim import dynamics
 from plasmonsim.cli import main
-from plasmonsim.config import BUILTIN_CONFIGS
+
+from conftest import EXCEPTIONAL_POINT, fig2_with
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -71,9 +71,10 @@ from plasmonsim import dynamics, network
 # the 2x2 network [[-0.1i, 0.05], [0.05, 0]], defective at g = gamma / 4
 h = network.EffectiveHamiltonian(np.array([[-0.1j, 0.05], [0.05, 0.0]]), ("plasmon", "cavity"),
                                  {"gamma_o": 0.2, "gamma_c": 0.0})
-calls, expm = [], dynamics.expm
-dynamics.expm = lambda a: calls.append(a.shape) or expm(a)
+calls, eigvals = [], np.linalg.eigvals
+np.linalg.eigvals = lambda a: calls.append(a.shape) or eigvals(a)
 dynamics.evolve(h, np.array([1.0, 0.0], dtype=complex), np.linspace(0.0, 50.0, 5))
+np.linalg.eigvals = eigvals
 later["near-exceptional-point evolve"] = (calls, "scipy" in loaded_now())
 import scipy.linalg
 later["scipy import"] = "scipy" in loaded_now()
@@ -101,8 +102,8 @@ def test_cli_commands_do_not_import_scipy(command_imports):
     assert [step for step, names in loaded.items()
             if isinstance(names, str) or "scipy" in names] == []
     assert len(loaded) == 1 + len(COMMANDS)
-    # the 2x2 evolve takes the fallback, one expm of its 5 time points, and loads no scipy
-    assert later["near-exceptional-point evolve"] == ([(5, 2, 2)], False)
+    # the 2x2 evolve takes its one eigenvalue call and loads no scipy
+    assert later["near-exceptional-point evolve"] == ([(2, 2)], False)
     assert later["scipy import"] is True
 
 
@@ -140,37 +141,25 @@ def test_cold_import_starts_no_blas_worker_threads():
     assert _cold_python(program, None) == "1"
 
 
-#: fig2 with the plasmon and a lossless cavity at their exceptional point and the emitter
-#: decoupled 0.1 eV away: evolve's eigenbasis is defective, so it takes the matrix exponential
-EXCEPTIONAL_POINT = {"g1_mev": "12.5", "G_mev": "0", "J_uev": "0", "gamma_o_ev": "0.05",
-                     "gamma_1r_mev": "0", "gamma_s_uev": "0.001", "gamma_m_uev": "0.001",
-                     "q_factor": "1e30", "delta_1e_ev": "0.1", "delta_ce_ev": "0.1",
-                     "drive": "plasmon"}
-
 WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None  # import scipy now raises ImportError
-from plasmonsim import cli, dynamics
-dynamics.SWEEP_BLOCK_POINTS = 1000
+from plasmonsim import cli
 sys.exit(cli.main(["evolve", "--config", sys.argv[1], "--out", sys.argv[2]]))
 """
 
 
 def test_evolve_at_an_exceptional_point_needs_no_scipy(tmp_path, monkeypatch):
-    # in blocks of 1000 matrices where scipy cannot be imported, the bytes of one block
-    text = BUILTIN_CONFIGS["fig2"]
-    for key, value in EXCEPTIONAL_POINT.items():
-        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
-        assert count == 1, key
+    # the same bytes in process and where scipy cannot be imported, from one eigenvalue call
     config = tmp_path / "ep.ini"
-    config.write_text(text)
+    config.write_text(fig2_with(EXCEPTIONAL_POINT))
     calls = []
-    monkeypatch.setattr(dynamics, "expm",
-                        lambda a, expm=dynamics.expm: calls.append(a.shape) or expm(a))
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a, eigvals=np.linalg.eigvals: calls.append(a.shape) or eigvals(a))
     assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "one")]) == 0
-    assert calls == [(4096, 3, 3)]
-    _cold_python(WITHOUT_SCIPY, None, str(config), str(tmp_path / "blocks"))
-    table = (tmp_path / "blocks" / "evolve.csv").read_bytes()
+    assert calls == [(3, 3)]
+    _cold_python(WITHOUT_SCIPY, None, str(config), str(tmp_path / "cold"))
+    table = (tmp_path / "cold" / "evolve.csv").read_bytes()
     assert table == (tmp_path / "one" / "evolve.csv").read_bytes()
 
 
