@@ -255,51 +255,19 @@ def build_parser(argv):
             p.add_argument("--objective", choices=("yield", "power"), default="yield")
             p.add_argument("--d-nm", type=float, action="append", default=None,
                            help="emitter distance(s) in nm (repeatable; default 5, 10, 15)")
-            p.add_argument(FOLDED_D_NM, dest="d_nm", action="extend", help=argparse.SUPPRESS,
-                           type=lambda text: [float(v) for v in text.split("\0")])
         p.set_defaults(fn=globals()[f"cmd_{name}"])
     return parser
 
 
-#: the hidden option of optq that a run of adjacent `--d-nm V` pairs is folded into, its values
-#: joined by NUL: argparse's time grows with the square of the number of option occurrences
-#: (1.6 s for 6,800 distances), and one occurrence takes a few ms
-FOLDED_D_NM = "---d-nm"
-
-
-def _distance_pair(argv, i):
-    """Whether argv[i:i + 2] is `--d-nm V` with a V that argparse takes as the value and float
-    accepts."""
-    if argv[i:i + 1] != ["--d-nm"] or i + 1 == len(argv) or argv[i + 1].startswith("-"):
-        return False
-    try:
-        float(argv[i + 1])
-    except ValueError:
-        return False
-    return True
-
-
 def _merge_sweep_values(argv):
-    """Let --sweep accept values with a leading minus (e.g. -10e-3:10e-3:2e-3), and fold each
-    run of adjacent optq `--d-nm V` pairs, V a number, into one FOLDED_D_NM occurrence.
-
-    A run parses as its pairs would, in the same place, so the values keep their order and
-    every other token, and any message, is unchanged; nothing after `--` is folded.
-    """
+    """Let --sweep accept values with a leading minus (e.g. -10e-3:10e-3:2e-3)."""
     merged = []
-    i, folding = 0, argv[:1] == ["optq"]
+    i = 0
     while i < len(argv):
         if argv[i] == "--sweep" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
             merged.append(f"--sweep={argv[i + 1]}")
             i += 2
-        elif folding and _distance_pair(argv, i):
-            run = []
-            while _distance_pair(argv, i):
-                run.append(argv[i + 1])
-                i += 2
-            merged += [FOLDED_D_NM, "\0".join(run)]
         else:
-            folding = folding and argv[i] != "--"
             merged.append(argv[i])
             i += 1
     return merged

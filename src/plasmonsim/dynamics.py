@@ -25,7 +25,8 @@ A Linspace grid is made a block at a time too, so no array spans the sweep.
 Time evolution propagates a single-excitation amplitude vector under the
 non-Hermitian Hamiltonian by one closed form on its eigenvalues alone,
 Newton's divided differences of the exponential, which needs no eigenbasis
-and so holds at an exceptional point as anywhere else.
+and so holds at an exceptional point as anywhere else; it too goes a block of
+time points at a time.
 """
 
 import math
@@ -43,8 +44,8 @@ from .quantities import from_fs, require_finite, to_fs
 RCOND_LIMIT = 1e-13
 #: eigenvector condition number above which a steady-state sweep leaves the eigenbasis
 EIG_COND_LIMIT = 1e3
-#: broadcast points per block of a steady-state sweep: a block's temporaries
-#: take about 2 MB, and no array spans the sweep
+#: broadcast points per block of a steady-state sweep, and time points per block of evolve:
+#: a block's temporaries take about 2 MB, and no array spans the sweep
 SWEEP_BLOCK_POINTS = 8192
 
 
@@ -305,35 +306,35 @@ class TimeTrace:
 def evolve(hamiltonian, initial, times_fs, points=None):
     """Propagate amplitudes v(t) = exp(-i H t) v(0) on an increasing time grid.
 
-    times_fs starts at 0 and need not be uniform; None asks for
-    default_time_grid(eigenvalues of H, points).  One eigenvalue call serves
+    H has 2 or 3 modes.  times_fs starts at 0 and need not be uniform; None asks
+    for default_time_grid(eigenvalues of H, points).  One eigenvalue call serves
     both, and every point is exact at and near an exceptional point (_propagate).
     """
+    n = len(hamiltonian.labels)
+    if n not in (2, 3):
+        raise DomainError(f"evolve propagates 2 or 3 modes, not {n}")
     v0 = np.asarray(initial, dtype=complex)
-    if v0.shape != (len(hamiltonian.labels),):
-        raise DomainError(f"initial amplitudes must have shape ({len(hamiltonian.labels)},)")
+    if v0.shape != (n,):
+        raise DomainError(f"initial amplitudes must have shape ({n},)")
     lam = np.linalg.eigvals(hamiltonian.matrix)
     t_fs = np.asarray(default_time_grid(lam, points) if times_fs is None else times_fs,
                       dtype=float)
     if t_fs.size == 0 or t_fs[0] != 0.0 or np.any(np.diff(t_fs) <= 0):
         raise DomainError("time grid must increase from 0")
-    terms = _propagate(hamiltonian.matrix, lam, v0, from_fs(t_fs))
-    populations = {}
-    for i, label in enumerate(hamiltonian.labels):  # a mode at a time: no (T, n) temporaries
-        amp = terms[0][0] * terms[0][1][i]
-        for c, w in terms[1:]:
-            amp += c * w[i]
-        with np.errstate(over="ignore", invalid="ignore"):
-            populations[label] = np.abs(amp) ** 2
-        if not np.all(np.isfinite(populations[label])):  # a passive H cannot grow: widths
-            raise ConditioningError(  # span too many decades
-                f"time evolution overflows: max Im lambda = {lam.imag.max():.3g} eV")
-    return TimeTrace(times_fs=t_fs, populations=populations)
+    t = from_fs(t_fs)
+    populations = np.empty((n, t.size))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # t lambda overflows
+        for k in range(0, t.size, SWEEP_BLOCK_POINTS):
+            amps = _propagate(hamiltonian.matrix, lam, v0, t[k:k + SWEEP_BLOCK_POINTS])
+            populations[:, k:k + SWEEP_BLOCK_POINTS] = np.abs(amps) ** 2
+    if not np.all(np.isfinite(populations)):  # a passive H cannot grow: widths span too many decades
+        raise ConditioningError(f"time evolution overflows: max Im lambda = {lam.imag.max():.3g} eV")
+    return TimeTrace(times_fs=t_fs, populations=dict(zip(hamiltonian.labels, populations)))
 
 
 def _propagate(h, lam, v0, t):
-    """[(coefficient (T,), vector (n,))] whose products sum to exp(-i h t) v0 at the times t
-    (natural units), from the n = 2 or 3 eigenvalues lam of h.
+    """The (n, T) amplitudes exp(-i h t) v0 at the times t (natural units), from the
+    n = 2 or 3 eigenvalues lam of h.
 
     With f(z) = exp(-i z t), Newton's interpolant of f on the eigenvalues, taken
     at h, is exp(-i h t) for every h, defective or not (Cayley-Hamilton; McCurdy,
@@ -347,28 +348,24 @@ def _propagate(h, lam, v0, t):
         far = int(np.argmin([abs(lam[1] - lam[2]), abs(lam[2] - lam[0]), abs(lam[0] - lam[1])]))
         lam = (lam[far], *sorted(np.delete(lam, far), key=lambda y: abs(y - lam[far])))
     a, b = lam[:2]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # t lambda overflows
-        f_a, f_b = np.exp(t * (-1j * a)), np.exp(t * (-1j * b))
-        w = h @ v0 - a * v0
-        terms = [(f_a, v0), (_first_difference(t, a, b, f_a, f_b), w)]
-        if len(lam) == 3:
-            c = lam[2]
-            f_abc = _first_difference(t, b, c, f_b, np.exp(t * (-1j * c)))
-            del f_b  # one (T,) complex array fewer at the peak
-            f_abc -= terms[1][0]
-            f_abc /= c - a
-            near = abs(c - a) * t < 1.0
-            f_abc[near] = f_a[near] * _second_difference_series(t[near], b - a, c - a)
-            terms.append((f_abc, h @ w - b * w))
-    return terms
+    f_a, f_b = np.exp(t * (-1j * a)), np.exp(t * (-1j * b))
+    w = h @ v0 - a * v0
+    f_ab = _first_difference(t, a, b, f_a, f_b)
+    amps = v0[:, None] * f_a + w[:, None] * f_ab
+    if len(lam) == 3:
+        c = lam[2]
+        f_abc = (_first_difference(t, b, c, f_b, np.exp(t * (-1j * c))) - f_ab) / (c - a)
+        near = abs(c - a) * t < 1.0
+        f_abc[near] = f_a[near] * _second_difference_series(t[near], b - a, c - a)
+        amps += (h @ w - b * w)[:, None] * f_abc
+    return amps
 
 
 def _first_difference(t, u, w, f_u, f_w):
     """f[u, w] = (f_w - f_u) / (w - u) of the values f_y = exp(-i y t), or, where |z| < 1,
     z = -i t (w - u), f_u (-i t) expm1(z) / z, which cannot overflow there (|expm1(z) / z| < e)
     and stays exact as the nodes merge."""
-    d = f_w - f_u
-    d /= w - u
+    d = (f_w - f_u) / (w - u)
     near = abs(w - u) * t < 1.0
     z = t[near] * (-1j * (w - u))
     d[near] = f_u[near] * (-1j * t[near]) * np.where(z == 0, 1.0, np.expm1(z) / z)
@@ -378,20 +375,16 @@ def _first_difference(t, u, w, f_u, f_w):
 def _second_difference_series(t, p, q):
     """f[a, b, c] / f[a] of f(z) = exp(x z), x = -i t, as sum_k x^(k+2) / (k+2)! h_k(p, q),
     p = b - a, q = c - a, |p| <= |q| and |q t| < 1, h_k the complete homogeneous symmetric
-    polynomial: the k-th term is at most (k + 1) r^k / (k + 2)! of the first, r = max |q t|,
-    and the sum stops where that falls below 1e-17 (at k = 18 for r = 1, k = 1 for r = 0)."""
+    polynomial: the k-th term is at most 2 (k + 1) / (k + 2)! of the first, and the terms
+    past k = 18 add less than 1e-18 of it."""
     x = -1j * t
     p, q = x * p, x * q
-    r = np.max(np.abs(q), initial=0.0)
     power = h_k = np.ones_like(x)
-    total, factorial = h_k / 2.0, 2.0
-    for k in range(1, 30):
-        factorial *= k + 2
-        if (k + 1) * r ** k < 1e-17 * factorial:
-            break
+    total = h_k / 2.0
+    for k in range(1, 19):
         power = power * p
         h_k = q * h_k + power
-        total = total + h_k / factorial
+        total = total + h_k / math.factorial(k + 2)
     return x * x * total
 
 

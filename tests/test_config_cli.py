@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -1251,58 +1250,6 @@ def test_optq_checks_its_distance_count_before_any_work(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err == "ERROR[config]: --d-nm asks for 3 points; at most 2 are allowed\n"
     assert not (out / "optq.csv").exists()
-
-
-def test_optq_parses_6800_repeated_distances_in_linear_time(tmp_path, capsys, monkeypatch):
-    # argparse took 1.6 s over 6,800 `--d-nm V` options: its time grows with the square of
-    # the number of option occurrences, and the pre-pass folds the pairs into one
-    monkeypatch.setattr(cli, "MAX_POINTS", 2)
-    argv = ["optq", *(arg for k in range(6800) for arg in ("--d-nm", repr(2.0 + k / 1000)))]
-    start = time.perf_counter()
-    assert main(argv + ["--out", str(tmp_path)]) == 1
-    assert time.perf_counter() - start < 0.25
-    err = capsys.readouterr().err
-    assert err == "ERROR[config]: --d-nm asks for 6800 points; at most 2 are allowed\n"
-
-
-#: optq argv that parse alike folded and unfolded: runs of pairs around other options, a
-#: lone pair, an abbreviation, the = form, a negative and a spaced value, and argparse's
-#: float spellings
-FOLDED_ARGV = [
-    ["optq", "--d-nm", "5", "--d-nm", "10", "--objective", "power", "--d-nm", "3"],
-    ["optq", "--d-nm", "5", "--d", "7", "--d-nm=9", "--d-nm", "-2", "--d-nm", " 1e1"],
-    ["optq", "--d-nm", "+4", "--d-nm", "inf", "--d-nm", "1_0", "--out", "x"],
-]
-
-#: optq argv that fail alike folded and unfolded: an invalid or missing value after a run,
-#: a stray word, an option that lacks its value, and pairs after `--`
-FOLDED_ERRORS = {
-    "invalid": ["optq", "--d-nm", "5", "--d-nm", "x"],
-    "missing": ["optq", "--d-nm", "5", "--d-nm"],
-    "stray": ["optq", "--d-nm", "5", "--d-nm", "6", "stray"],
-    "out_without_value": ["optq", "--out", "--d-nm", "5", "x"],
-    "after_double_dash": ["optq", "--d-nm", "5", "--", "--d-nm", "6"],
-}
-
-
-def test_folded_distances_parse_as_their_pairs():
-    for argv in FOLDED_ARGV:
-        parser = cli.build_parser(argv)
-        folded = cli._merge_sweep_values(argv)
-        assert cli.FOLDED_D_NM in folded
-        assert parser.parse_args(folded) == parser.parse_args(argv)
-
-
-@pytest.mark.parametrize("run", sorted(FOLDED_ERRORS))
-def test_folded_distances_fail_as_their_pairs(run, capsys):
-    argv = FOLDED_ERRORS[run]
-
-    def outcome(parse):
-        with pytest.raises(SystemExit) as exit_info:
-            parse(argv)
-        return exit_info.value.code, *capsys.readouterr()
-
-    assert outcome(main) == outcome(cli.build_parser(argv).parse_args)
 
 
 # ---------------------------------------------------------------------------

@@ -714,6 +714,48 @@ def test_evolve_grid_validation(paper_three_mode):
         dyn.evolve(paper_three_mode, [0, 0, 1], np.array([0.0, 2.0, 1.0]))
 
 
+@pytest.mark.parametrize("n", [1, 4])
+def test_evolve_takes_two_or_three_modes(n):
+    ham = net.EffectiveHamiltonian(-0.1j * np.eye(n), tuple("abcd"[:n]), {})
+    with pytest.raises(DomainError, match=f"evolve propagates 2 or 3 modes, not {n}"):
+        dyn.evolve(ham, np.eye(n)[0], np.linspace(0.0, 1.0, 3))
+
+
+def test_evolve_blocks_give_the_same_bytes_and_bound_the_temporaries(monkeypatch):
+    fig3 = exp.fig3_hamiltonians(parse_config("fig3").scenario)
+    for ham in (fig3["q1e4"], parse_config_text(fig2_with(EP3)).scenario.hamiltonian()):
+        times = dyn.default_time_grid(np.linalg.eigvals(ham.matrix), 2)[-1] \
+            * np.linspace(0.0, 1.0, 101) ** 4  # near and far points in one block
+        whole = dyn.evolve(ham, dyn.mode_vector(ham, "emitter"), times)
+        with monkeypatch.context() as patch:
+            patch.setattr(dyn, "SWEEP_BLOCK_POINTS", 7)
+            blocked = dyn.evolve(ham, dyn.mode_vector(ham, "emitter"), times)
+        for label in whole.populations:
+            assert blocked.population(label).tobytes() == whole.population(label).tobytes()
+    # 200,000 points: the populations and the natural-unit times take 6.4 MB; one (T, 3)
+    # complex array would add 9.6 MB
+    ham = fig3["q1e4"]
+    times = dyn.default_time_grid(np.linalg.eigvals(ham.matrix), 200_000)
+    tracemalloc.start()
+    try:
+        dyn.evolve(ham, dyn.mode_vector(ham, "emitter"), times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6
+
+
+def test_evolve_overflow_at_the_first_newton_node_raises_without_a_warning():
+    # a growing eigenvalue 0.5i off the close pair -0.1i +- 0.01 is the first Newton node a,
+    # and the unit start has a zero where f[a] = exp(-i a t) overflows: inf * 0 is NaN there
+    matrix = np.array([[0.5j, 0.0, 0.0], [0.0, -0.1j, 0.01], [0.0, 0.01, -0.1j]])
+    ham = net.EffectiveHamiltonian(matrix, ("plasmon", "cavity", "emitter"), {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError, match="max Im lambda = 0.5 eV"):
+            dyn.evolve(ham, dyn.mode_vector(ham, "emitter"), to_fs(np.linspace(0.0, 2e3, 9)))
+
+
 def _expm_per_point(hamiltonian, v0, times_fs):
     """Reference propagation: one scaling-and-squaring exponential per time point."""
     h = hamiltonian.matrix
