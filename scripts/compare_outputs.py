@@ -7,13 +7,14 @@ OLD_SRC and NEW_SRC are directories holding a `plasmonsim` package (a
 checkout's `src`).  Every command runs twice as a cold `python -m
 plasmonsim` child, once with PYTHONPATH set to each directory, in a fresh
 work directory that holds the command's config files; `--out out` is
-appended, so the printed paths are the same on both sides.  The set of 87
+appended, so the printed paths are the same on both sides.  The set of 88
 commands is:
 
 - the figure commands, with and without `--grid`, `--format json`,
   `--first-principles` and `--sweep`, and with grids of several
   steady-state blocks, of whole rows of a `fig4` map and of rows longer
-  than a block; `eigen`, `map` and `optq` variants, among them a `map` of
+  than a block; `eigen`, `map` and `optq` variants, among them an `eigen`
+  whose `--sweep` step does not divide its span, a `map` of
   10,000 cells in two steady-state blocks and an `optq` at 3,400
   distances, whose float, str and bool columns span three CSV chunks;
 - `spectrum`, `yield`, `evolve` and `validate` on every builtin config, and
@@ -80,6 +81,8 @@ PLAIN = [
     ("eigen", ["eigen"]),
     ("eigen_fig3", ["eigen", "--config", "fig3"]),
     ("eigen_fig4_sweep", ["eigen", "--config", "fig4", "--sweep", "-10e-3:10e-3:5e-4"]),
+    # the step leaves 0.002 of the span: the sweep ends at 0.008, short of its stop 0.01
+    ("eigen_sweep_short_of_stop", ["eigen", "--sweep=-0.01:0.01:0.003"]),
     ("map", ["map"]),
     ("map_grid7", ["map", "--grid", "7"]),
     # 10,000 cells: two LU blocks, each slicing the array rates gamma_c and gamma_m

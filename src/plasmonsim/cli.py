@@ -56,7 +56,8 @@ def _parse_sweep(text):
     if step <= 0 or stop <= start:
         raise ConfigError(f"--sweep needs stop > start and step > 0, got {text!r}")
     span = (stop - start) / step  # inf when the quotient overflows
-    count = int(round(span)) + 1 if math.isfinite(span) else math.inf
+    # the whole steps in the span, 1e-3 of a step forgiven for rounding: never past the stop
+    count = math.floor(span + 1e-3) + 1 if math.isfinite(span) else math.inf
     _check_points(f"--sweep {text}", count)
     return start + step * np.arange(count)
 

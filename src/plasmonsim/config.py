@@ -12,9 +12,12 @@ decay rates are >= 0, theta_deg is in [0, 90], the emitter and the cavity sit
 at positive frequencies, and calibrated mode takes no explicit coupling or
 rate.  A sphere beyond the quasi-static validity radius is resolved with a
 note, not rejected.
-Values in meV and ueV are converted to eV by shifting their decimal text,
-so -7.2 meV is exactly -7.2e-3 eV.  parse_config resolves the file into a
-Scenario with defaults applied and per-parameter provenance recorded.
+Numbers are read as decimal.Decimal reads them (underscores anywhere, any
+NaN not finite).  Values in meV and ueV are converted to eV by shifting the
+exponent of their decimal text, so -7.2 meV is float("-7.2e-3") eV, the
+correctly rounded value of the exact product.  parse_config resolves the
+file into a Scenario with defaults applied and per-parameter provenance
+recorded.
 
 The paper's scenarios are the builtin configs (BUILTIN_CONFIGS); the figure
 commands resolve them like any other config.
@@ -22,7 +25,7 @@ commands resolve them like any other config.
 
 import configparser
 import math
-from decimal import Decimal, InvalidOperation
+import re
 
 from . import couplings as cpl
 from . import dynamics as dyn
@@ -49,9 +52,12 @@ MAX_POINTS = 1_000_000
 #: decimal exponent of the eV value of a key with this unit suffix
 _UNIT_EXPONENTS = {"mev": -3, "uev": -6}
 
+#: a NaN that decimal.Decimal reads and float() does not: signalling, or with a payload
+_NAN = re.compile(r"[+-]?s?nan\d*", re.IGNORECASE)
+
 #: section -> key -> (type, default_or_None, choices); integer choices are the allowed
-#: values, float choices an inclusive range (low, high); meV and ueV values are
-#: Decimals until resolved
+#: values, float choices an inclusive range (low, high); meV and ueV values stay
+#: decimal text until resolved
 SCHEMA = {
     "metal": {
         "eps_inf": (_FLOAT, 1.0, (1.0, math.inf)),
@@ -91,8 +97,8 @@ SCHEMA = {
         "gamma_s_uev": (_FLOAT, None, (0.0, math.inf)),
         "gamma_1r_mev": (_FLOAT, None, (0.0, math.inf)),
         "theta_deg": (_FLOAT, None, (0.0, 90.0)),
-        "two_g_eff_mev": (_POSITIVE, Decimal("3.5"), None),
-        "kappa2_mev": (_POSITIVE, Decimal("0.11"), None),
+        "two_g_eff_mev": (_POSITIVE, "3.5", None),
+        "kappa2_mev": (_POSITIVE, "0.11", None),
     },
     "sweep": {
         "start_ev": (_FLOAT, None, None),
@@ -257,6 +263,17 @@ def _read_sections(text, origin):
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
+def _number(text):
+    """float(text) of a numeral read as decimal.Decimal reads it, once stripped and rid of its
+    underscores: nan for every NaN, None for anything else that is not a number."""
+    if text != text.strip():  # a blank that an underscore hid
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan if _NAN.fullmatch(text) else None
+
+
 def _validate(sections, origin):
     problems = []
     for section in sections:
@@ -280,12 +297,11 @@ def _validate(sections, origin):
                 continue
             kind, _, choices = schema[key]
             if kind in (_FLOAT, _POSITIVE):
-                try:
-                    number = Decimal(raw)
-                except InvalidOperation:
+                text = raw.strip().replace("_", "")
+                value = _number(text)
+                if value is None:
                     problems.append(f"[{section}] {key} = {raw!r} is not a number")
                     continue
-                value = float(number) if number.is_finite() else math.nan
                 if not math.isfinite(value):
                     problems.append(f"[{section}] {key} = {raw!r} is not finite")
                     continue
@@ -298,7 +314,7 @@ def _validate(sections, origin):
                     problems.append(f"[{section}] {key} = {raw!r} must be {bound}")
                     continue
                 if key[-3:] in _UNIT_EXPONENTS:
-                    value = number
+                    value = text
             elif kind in (_INT, _COUNT):
                 try:
                     number = float(raw)
@@ -352,8 +368,10 @@ def _validate(sections, origin):
 
 
 def _ev(section, key):
-    """A meV or ueV value of a section in eV, shifted as a decimal (-7.2 meV is -7.2e-3 eV)."""
-    return float(section[key].scaleb(_UNIT_EXPONENTS[key[-3:]]))
+    """A meV or ueV value of a section in eV: the exponent of its decimal text shifted, then
+    rounded once (-7.2 meV is float("-7.2e-3") eV)."""
+    mantissa, _, exponent = section[key].lower().partition("e")
+    return float(f"{mantissa}e{int(exponent or 0) + _UNIT_EXPONENTS[key[-3:]]}")
 
 
 def _resolve_scenario(cfg, name):
@@ -421,7 +439,7 @@ def _resolve_scenario(cfg, name):
         rates = {"gamma_1r_ev": gamma_1r, "gamma_s_ev": gamma_s, "gamma_m_ev": 0.0}
         targets = (_ev(co, "two_g_eff_mev"), _ev(co, "kappa2_mev"))
         fit, calibration = calibrate_fig3_couplings(
-            Scenario(name, {**params, **rates}, {}), targets)
+            Scenario(name, {**params, **rates}, {}, (), {}), targets)
         couplings = {**rates, **fit}
         tags = dict.fromkeys(("g1_ev", "G_ev", "J_ev", "gamma_m_ev"), "calibrated")
         notes.append("gamma_m = 0: ellipsoid multipole modes are far detuned from the emitter")

@@ -30,7 +30,6 @@ time points at a time.
 """
 
 import math
-from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import permutations
 from types import SimpleNamespace
@@ -38,6 +37,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConditioningError, DomainError, TrackingAmbiguityError
+from .network import EffectiveHamiltonian
 from .quantities import from_fs, require_finite, to_fs
 
 #: reciprocal of the largest condition-number bound a steady-state solve accepts
@@ -84,17 +84,15 @@ def _row_blocks(shape):
             yield from ((i,) + rest for rest in _row_blocks(shape[1:]))
 
 
-@dataclass(frozen=True)
 class Linspace:
     """offset + np.linspace(start, stop, num) broadcast to shape = lead + (num,), made a block at
     a time: indexed by a block of _row_blocks(shape), it gives that block by np.linspace's own
     formula, to which a nonzero offset is added."""
 
-    start: float
-    stop: float
-    num: int
-    lead: tuple = ()
-    offset: float = 0.0
+    __slots__ = ("start", "stop", "num", "lead", "offset")
+
+    def __init__(self, start, stop, num, lead=(), offset=0.0):
+        self.start, self.stop, self.num, self.lead, self.offset = start, stop, num, lead, offset
 
     @property
     def shape(self):
@@ -125,7 +123,8 @@ def broadcast_grid(detunings, shape=()):
     if isinstance(detunings, Linspace):
         full = np.broadcast_shapes(detunings.shape, shape)
         if full[-1] == detunings.num:
-            return detunings if full == detunings.shape else replace(detunings, lead=full[:-1])
+            return detunings if full == detunings.shape else Linspace(
+                detunings.start, detunings.stop, detunings.num, full[:-1], detunings.offset)
         detunings, shape = detunings[()], full
     d = np.atleast_1d(np.asarray(detunings, dtype=float))
     return np.broadcast_to(d, np.broadcast_shapes(d.shape, shape))
@@ -251,9 +250,10 @@ def steady_state_blocks(hamiltonian, detunings, drive_mode):
 
     def solve(block, d):  # a block short of the sweep takes the rates at its points; a scalar
         v = amplitudes(block, d)  # rate serves every point as it is
-        at = hamiltonian if len(index) == 1 else replace(hamiltonian, rates={
-            k: r if np.ndim(r) == 0 else np.broadcast_to(r, grid.shape)[block]
-            for k, r in hamiltonian.rates.items()})
+        at = hamiltonian if len(index) == 1 else EffectiveHamiltonian(
+            hamiltonian.matrix, hamiltonian.labels,
+            {k: r if np.ndim(r) == 0 else np.broadcast_to(r, grid.shape)[block]
+             for k, r in hamiltonian.rates.items()})
         return v, at.powers(v)
     return SimpleNamespace(grid=grid, path=path, worst=worst, index=index, solve=solve)
 
@@ -288,12 +288,14 @@ def fano_detuning(J, g1, G):
     return delta_0
 
 
-@dataclass(frozen=True, eq=False)
 class TimeTrace:
     """Mode populations |v_i(t)|^2 on a femtosecond time grid."""
 
-    times_fs: np.ndarray
-    populations: dict  # mode label -> np.ndarray, in basis order
+    __slots__ = ("times_fs", "populations")
+
+    def __init__(self, times_fs, populations):
+        self.times_fs = times_fs
+        self.populations = populations  # mode label -> np.ndarray, in basis order
 
     def population(self, label):
         return self.populations[label]
@@ -415,12 +417,14 @@ def count_oscillation_maxima(times_fs, population, settle_fs):
     return int(np.sum(interior & eligible))
 
 
-@dataclass(frozen=True, eq=False)
 class EigenBranchSet:
     """Continuity-tracked complex eigenvalue branches over a parameter sweep."""
 
-    sweep_values: np.ndarray
-    eigenvalues: np.ndarray  # complex (n_sweep, n_modes)
+    __slots__ = ("sweep_values", "eigenvalues")
+
+    def __init__(self, sweep_values, eigenvalues):
+        self.sweep_values = sweep_values
+        self.eigenvalues = eigenvalues  # complex (n_sweep, n_modes)
 
 
 def _best_assignment(score):
@@ -475,15 +479,17 @@ def eigen_branches(matrices, sweep_values):
     return EigenBranchSet(sweep, all_vals)
 
 
-@dataclass(frozen=True)
 class AntiCrossingMetrics:
     """Splitting and linewidths of the two coupled branches of an anti-crossing."""
 
-    two_g_eff: float  # minimum real-part separation over the sweep (eV)
-    kappa_1: float  # larger linewidth at the center (eV)
-    kappa_2: float  # smaller linewidth at the center (eV)
-    cooperativity: float  # 4 g_eff^2 / (kappa_1 kappa_2)
-    min_im_separation: float
+    __slots__ = ("two_g_eff", "kappa_1", "kappa_2", "cooperativity", "min_im_separation")
+
+    def __init__(self, two_g_eff, kappa_1, kappa_2, cooperativity, min_im_separation):
+        self.two_g_eff = two_g_eff  # minimum real-part separation over the sweep (eV)
+        self.kappa_1 = kappa_1  # larger linewidth at the center (eV)
+        self.kappa_2 = kappa_2  # smaller linewidth at the center (eV)
+        self.cooperativity = cooperativity  # 4 g_eff^2 / (kappa_1 kappa_2)
+        self.min_im_separation = min_im_separation
 
 
 def anticrossing_metrics(branchset):

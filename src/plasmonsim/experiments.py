@@ -14,7 +14,6 @@ names and result.* metadata keys are written here and nowhere else.
 """
 
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,15 +58,21 @@ OPTQ_REL_TOL = 1e-3
 CALIBRATION_MAX_STEPS = 50
 
 
-@dataclass(frozen=True)
 class Scenario:
     """A fully resolved parameter set plus the provenance of every number."""
 
-    name: str
-    params: dict  # flat, snake_case keys with units in the name
-    provenance: dict  # parameter key -> first_principles | paper_exact | calibrated | derived
-    notes: tuple = ()
-    calibration: dict = field(default_factory=dict)  # coupling-fit diagnostics, if fitted
+    __slots__ = ("name", "params", "provenance", "notes", "calibration")
+
+    def __init__(self, name, params, provenance, notes, calibration):
+        self.name, self.notes = name, notes
+        self.params = params  # flat, snake_case keys with units in the name
+        self.provenance = provenance  # key -> first_principles | paper_exact | calibrated | derived
+        self.calibration = calibration  # coupling-fit diagnostics, if fitted
+
+    def with_params(self, **changes):
+        """The scenario with the named parameters set, its provenance and the rest kept."""
+        return Scenario(self.name, {**self.params, **changes}, self.provenance, self.notes,
+                        self.calibration)
 
     def __getitem__(self, key):
         return self.params[key]
@@ -272,9 +277,8 @@ def with_emitter_at(scenario, distance_nm):
                           "the emitter can be moved only around a first-principles sphere")
     d = np.asarray(distance_nm, dtype=float)[()]  # one distance stays a scalar
     G, gamma_m = _distance_law(p, d, MAP_QUENCH_ORIENTATION)
-    return replace(scenario, params={
-        **p, "distance_nm": d, "G_ev": G, "gamma_m_ev": gamma_m,
-        "delta_0_ev": dyn.fano_detuning(p["J_ev"], p["g1_ev"], G)})
+    return scenario.with_params(distance_nm=d, G_ev=G, gamma_m_ev=gamma_m,
+                                delta_0_ev=dyn.fano_detuning(p["J_ev"], p["g1_ev"], G))
 
 
 def _bare_reference(at_d):
@@ -393,14 +397,12 @@ def with_cavity(scenario, delta_ce_ev, q_factor=None):
     defaults to the scenario's.  delta_ce_ev (in eV) and q_factor may be
     arrays; the scenario's Hamiltonian is then a stack over them.
     """
-    p = scenario.params
-    q = p["q_factor"] if q_factor is None else q_factor
-    omega_c = p["omega_e_ev"] + delta_ce_ev
+    q = scenario["q_factor"] if q_factor is None else q_factor
+    omega_c = scenario["omega_e_ev"] + delta_ce_ev
     with np.errstate(over="ignore"):  # build_three_mode names a gamma_c beyond range
         gamma_c = omega_c / q
-    return replace(scenario, params={
-        **p, "q_factor": q, "delta_ce_ev": delta_ce_ev, "omega_c_ev": omega_c,
-        "gamma_c_ev": gamma_c})
+    return scenario.with_params(q_factor=q, delta_ce_ev=delta_ce_ev, omega_c_ev=omega_c,
+                                gamma_c_ev=gamma_c)
 
 
 def calibrate_fig3_couplings(scenario, targets):
@@ -440,15 +442,12 @@ def calibrate_fig3_couplings(scenario, targets):
 
     target = np.array([two_g_target, kappa2_target])
 
-    def hamiltonian(x):
-        return replace(base, params={**p, "g1_ev": -x[1], "G_ev": -x[0], "J_ev": 0.0}
-                       ).hamiltonian().matrix
-
     def residuals_and_jacobian(x):
         # H is complex symmetric, so its left eigenvectors are the transposed
         # right ones and d lambda / d p = v^T (dH/dp) v / v^T v; x = (|G|, |g1|)
         # enters as -G on the plasmon-emitter and -g1 on the plasmon-cavity pair
-        lam, vecs = np.linalg.eig(hamiltonian(x))
+        h = base.with_params(g1_ev=-x[1], G_ev=-x[0], J_ev=0.0).hamiltonian()
+        lam, vecs = np.linalg.eig(h.matrix)
         a, b = np.argsort(np.abs(lam.real), kind="stable")[:2]
         v = vecs[:, [a, b]]
         dlam = -2.0 * v[0] * v[[2, 1]] / np.sum(v * v, axis=0)  # [param, branch]
@@ -577,8 +576,9 @@ def run_fig4(scenario, sweep_values, spectrum_points):
     """
     sweep = np.asarray(sweep_values, dtype=float)
     table_branches = branch_table("fig4_branches", scenario, sweep)
-    at_q = replace(with_cavity(scenario, 0.0, SPECTRA_Q),
-                   name=f"{scenario.name}_q{SPECTRA_Q:g}")
+    at_q = with_cavity(scenario, 0.0, SPECTRA_Q)
+    at_q = Scenario(f"{scenario.name}_q{SPECTRA_Q:g}", at_q.params, at_q.provenance, at_q.notes,
+                    at_q.calibration)
     spectra = dyn.steady_state_blocks(with_cavity(at_q, -sweep[:, None]).hamiltonian(),
                                       dyn.Linspace(-8e-3, 8e-3, spectrum_points), "emitter")
     return table_branches, _sweep_table("fig4_spectra", {

@@ -8,7 +8,6 @@ damping enters only the width.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,42 +18,40 @@ from .quantities import HBAR_C, require_finite, require_positive
 QUASI_STATIC_RADIUS_NM = 30.0
 
 
-@dataclass(frozen=True)
 class DrudeMetal:
     """Drude permittivity parameters: eps_inf - omega_p^2 / (omega^2 + i omega gamma_o)."""
 
-    eps_inf: float
-    omega_p: float  # eV
-    gamma_o: float  # eV
+    __slots__ = ("eps_inf", "omega_p", "gamma_o")  # omega_p and gamma_o in eV
 
-    def __post_init__(self):
-        require_finite(eps_inf=self.eps_inf, omega_p=self.omega_p, gamma_o=self.gamma_o)
-        if self.eps_inf < 1.0:
-            raise DomainError(f"eps_inf must be >= 1, got {self.eps_inf}")
-        if self.omega_p <= 0:
-            raise DomainError(f"omega_p must be > 0, got {self.omega_p}")
-        if self.gamma_o < 0:
-            raise DomainError(f"gamma_o must be >= 0, got {self.gamma_o}")
+    def __init__(self, eps_inf, omega_p, gamma_o):
+        require_finite(eps_inf=eps_inf, omega_p=omega_p, gamma_o=gamma_o)
+        if eps_inf < 1.0:
+            raise DomainError(f"eps_inf must be >= 1, got {eps_inf}")
+        if omega_p <= 0:
+            raise DomainError(f"omega_p must be > 0, got {omega_p}")
+        if gamma_o < 0:
+            raise DomainError(f"gamma_o must be >= 0, got {gamma_o}")
+        self.eps_inf, self.omega_p, self.gamma_o = eps_inf, omega_p, gamma_o
 
 
-@dataclass(frozen=True)
 class Environment:
     """Non-absorbing background with relative permittivity eps_b >= 1."""
 
-    eps_b: float = 1.0
+    __slots__ = ("eps_b",)
 
-    def __post_init__(self):
-        require_finite(eps_b=self.eps_b)
-        if self.eps_b < 1.0:
-            raise DomainError(f"eps_b must be >= 1, got {self.eps_b}")
+    def __init__(self, eps_b=1.0):
+        require_finite(eps_b=eps_b)
+        if eps_b < 1.0:
+            raise DomainError(f"eps_b must be >= 1, got {eps_b}")
+        self.eps_b = eps_b
 
 
-@dataclass(frozen=True)
 class Sphere:
-    radius: float  # nm
+    __slots__ = ("radius",)  # nm
 
-    def __post_init__(self):
-        require_positive(radius=self.radius)
+    def __init__(self, radius):
+        require_positive(radius=radius)
+        self.radius = radius
 
     @property
     def semi_axes(self):
@@ -66,14 +63,12 @@ class Sphere:
         return self.radius**3
 
 
-@dataclass(frozen=True)
 class Ellipsoid:
-    a1: float  # nm
-    a2: float  # nm
-    a3: float  # nm
+    __slots__ = ("a1", "a2", "a3")  # nm
 
-    def __post_init__(self):
-        require_positive(a1=self.a1, a2=self.a2, a3=self.a3)
+    def __init__(self, a1, a2, a3):
+        require_positive(a1=a1, a2=a2, a3=a3)
+        self.a1, self.a2, self.a3 = a1, a2, a3
 
     @property
     def semi_axes(self):
@@ -84,12 +79,13 @@ class Ellipsoid:
         return self.a1 * self.a2 * self.a3
 
 
-@dataclass(frozen=True)
 class Nanoparticle:
     """Metal particle: sphere or general ellipsoid plus its Drude metal."""
 
-    shape: Sphere | Ellipsoid
-    metal: DrudeMetal
+    __slots__ = ("shape", "metal")
+
+    def __init__(self, shape, metal):
+        self.shape, self.metal = shape, metal
 
     @property
     def quasi_static_valid(self):

@@ -18,15 +18,12 @@ broadcast of every array parameter.  Slice k of a stack is bit-identical to
 the matrix built from the scalar parameters at k.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, UndefinedYieldError
 from .quantities import require_finite
 
 
-@dataclass(frozen=True, eq=False)
 class EffectiveHamiltonian:
     """Complex-symmetric mode matrix, its basis labels and its partial widths.
 
@@ -34,12 +31,13 @@ class EffectiveHamiltonian:
     allowed) of the three-mode system.
     """
 
-    matrix: np.ndarray  # complex (..., n, n)
-    labels: tuple  # mode labels, ordering the basis
-    rates: dict
+    __slots__ = ("matrix", "labels", "rates")
 
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
+    def __init__(self, matrix, labels, rates):
+        matrix.setflags(write=False)
+        self.matrix = matrix  # complex (..., n, n)
+        self.labels = labels  # mode labels, ordering the basis
+        self.rates = rates
 
     def index(self, label):
         try:

@@ -596,6 +596,15 @@ def test_cli_eigen_sweep_row_count(tmp_path):
     assert len(rows) == 1 + 11  # header + 11 sweep points
 
 
+def test_cli_eigen_sweep_never_passes_its_stop(tmp_path):
+    # 0.02 / 0.003 is 6.67 steps: the last row is 0.008, short of the stop, and not 0.011
+    out = tmp_path / "o"
+    assert main(["eigen", "--sweep=-0.01:0.01:0.003", "--out", str(out)]) == 0
+    rows = [l for l in (out / "eigen.csv").read_text().splitlines() if not l.startswith("#")]
+    assert len(rows) == 1 + 7
+    assert rows[-1].split(",")[0] == "0.008"
+
+
 @pytest.mark.parametrize("argv, rows", [
     (["fig1c"], {"fig1c": 2001}),
     (["fig2"], {"fig2_yield": 401, "fig2_power": 401}),

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,7 +273,7 @@ def test_optimal_q_sensitive_to_quenching(design):
     at_d = exp.with_emitter_at(design, 10.0)
 
     def best_q(scale):
-        scaled = replace(at_d, params={**at_d.params, "gamma_m_ev": scale * at_d["gamma_m_ev"]})
+        scaled = at_d.with_params(gamma_m_ev=scale * at_d["gamma_m_ev"])
         grid = np.geomspace(1e3, 1e6, 61)
         values = [_enhancements_every_cell(scaled, [q])[0][0] for q in grid]
         return grid[int(np.argmax(values))]
@@ -353,7 +352,7 @@ def _calibrate_by_hybrid_root(scenario, targets):
     seed = np.sqrt([frac * total, (1.0 - frac) * total])
 
     def residuals(x):
-        trial = replace(base, params={**p, "g1_ev": -x[1], "G_ev": -x[0], "J_ev": 0.0})
+        trial = base.with_params(g1_ev=-x[1], G_ev=-x[0], J_ev=0.0)
         metrics = pair_metrics(trial.hamiltonian().matrix)
         return [metrics.two_g_eff / targets[0] - 1.0, metrics.kappa_2 / targets[1] - 1.0]
 

@@ -6,7 +6,8 @@ itself to show that the check does see a scipy import.  Likewise a JSON table
 loads json and a misspelt config key difflib.  An evolve at an exceptional
 point also runs in a new interpreter to which scipy cannot be imported.
 The next two tests check that import plasmonsim leaves OpenBLAS one thread
-unless the user set another count.  The last checks, in new interpreters, that
+unless the user set another count, and one that import plasmonsim.cli loads
+neither dataclasses nor decimal.  The last checks, in new interpreters, that
 a CLI process freezes its heap at exit and that importing the library does not.
 """
 
@@ -139,6 +140,14 @@ def test_cold_import_starts_no_blas_worker_threads():
     # count after a cold import is the setting's effect, not just its value
     program = "import os, plasmonsim; print(len(os.listdir('/proc/self/task')))"
     assert _cold_python(program, None) == "1"
+
+
+def test_cli_import_loads_no_dataclasses_copy_or_decimal():
+    # pytest itself loads dataclasses, so only a new interpreter can tell
+    program = ("import sys, plasmonsim.cli\n"
+               "print([m for m in ('dataclasses', 'copy', 'decimal', '_decimal')"
+               " if m in sys.modules])")
+    assert _cold_python(program, None) == "[]"
 
 
 WITHOUT_SCIPY = """
